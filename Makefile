@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet test test-race race cover bench bench-offline bench-snapshot bench-live bench-repl bench-cdc bench-hotpath bench-diskmode bench-mend bench-all docs-check fuzz experiments demo clean
+.PHONY: all check build vet test test-race race cover bench bench-offline bench-snapshot bench-live bench-repl bench-cdc bench-hotpath bench-diskmode bench-mend bench-all bench-system docs-check fuzz experiments demo clean
 
 all: check
 
@@ -74,11 +74,13 @@ bench-repl:
 bench-cdc:
 	$(GO) run ./cmd/kqr-bench -exp cdc -papers 1200 -json BENCH_cdc.json
 
-# Zero-alloc decode hot path: the packed+pooled DecodePaths vs the
-# pointer-chasing reference — allocs/op, B/op, p50/p99, plus a
-# bit-identity check over the full synthetic vocabulary, written as
-# BENCH_hotpath.json. -strict fails the run if the warmed fast path
-# allocates, so this target doubles as the regression gate.
+# Zero-alloc decode hot path: the pooled DecodePaths vs the baseline
+# that allocates a fresh slot set and model per query and runs the *Ref
+# decoders (both read the same packed tables — there is no map read
+# path left to compare against) — allocs/op, B/op, p50/p99, plus a
+# path-for-path bit-identity check, written as BENCH_hotpath.json.
+# -strict fails the run if the warmed fast path allocates, so this
+# target doubles as the regression gate.
 bench-hotpath:
 	$(GO) run ./cmd/kqr-bench -exp hotpath -strict -json BENCH_hotpath.json
 
@@ -102,7 +104,19 @@ bench-diskmode:
 bench-mend:
 	$(GO) run ./cmd/kqr-bench -exp mend -strict -json BENCH_mend.json
 
-# Every bench-* target in one pass; each writes its BENCH_*.json.
+# System benchmark: builds cmd/kqr-server from the working tree, runs it
+# as a separate process and drives it over loopback HTTP on each of the
+# four workloads BENCHMARK.json declares, printing every end-to-end
+# metric (see bench/README.md; add `--trace 1` by hand for the
+# per-layer metrics). Build cache, binaries and reports stay under
+# .bench_build/ and bench/out/.
+bench-system:
+	for w in http_zipf http_miss disk_miss churn; do \
+		bash bench/run.sh --workload $$w --seed 1 --seconds 12 --trace 0 || exit 1; \
+	done
+
+# Every in-process bench-* target in one pass; each writes its
+# BENCH_*.json.
 bench-all: bench-offline bench-snapshot bench-live bench-repl bench-cdc bench-hotpath bench-diskmode bench-mend
 
 # Short fuzz pass over the parsers and the cache fingerprint.

@@ -91,6 +91,51 @@ func TestArtifactRoundTrip(t *testing.T) {
 	}
 }
 
+// TestArtifactPartialRoundTrip: a snapshot of a partly computed offline
+// stage (PrecomputeTerms over a few terms) restores those rows exactly
+// through an explicit LoadArtifacts, and terms outside it still compute
+// lazily on the restored engine.
+func TestArtifactPartialRoundTrip(t *testing.T) {
+	eng, err := kqr.Open(bibliographyDataset(t), kqr.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.PrecomputeTerms([]string{"uncertain", "probabilistic", "data"}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "partial.snapshot")
+	if err := eng.SaveArtifacts(path); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := os.Stat(path); err != nil || st.Size() == 0 {
+		t.Fatalf("empty snapshot: %v", err)
+	}
+	fresh, err := kqr.Open(bibliographyDataset(t), kqr.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.LoadArtifacts(path); err != nil {
+		t.Fatal(err)
+	}
+	if info := fresh.Artifact(); !info.Loaded || info.Path != path {
+		t.Fatalf("provenance after LoadArtifacts: %+v", info)
+	}
+	for _, term := range []string{"uncertain", "xml"} { // saved, and not
+		want, err1 := eng.SimilarTerms(term, 10)
+		got, err2 := fresh.SimilarTerms(term, 10)
+		if err1 != nil || err2 != nil || len(want) == 0 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("term %q: restored %+v (%v), want %+v (%v)", term, got, err2, want, err1)
+		}
+	}
+	want, err := eng.Reformulate([]string{"uncertain", "data"}, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := fresh.Reformulate([]string{"uncertain", "data"}, 5); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("suggestions off the restored tables differ: %v (%v) vs %v", got, err, want)
+	}
+}
+
 // corrupt writes a mutated copy of the snapshot at path and returns the
 // new path.
 func corrupt(t *testing.T, path string, mutate func([]byte) []byte) string {

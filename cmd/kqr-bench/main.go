@@ -70,7 +70,7 @@ var catalogue = []struct{ name, desc string }{
 	{"live", "query availability under live corpus churn (BENCH_live.json)"},
 	{"repl", "leader/follower replication churn (BENCH_repl.json)"},
 	{"cdc", "streamed CDC ingestion soak (BENCH_cdc.json)"},
-	{"hotpath", "zero-alloc decode vs pointer reference (BENCH_hotpath.json)"},
+	{"hotpath", "zero-alloc pooled decode vs allocating *Ref reference (BENCH_hotpath.json)"},
 	{"diskmode", "paged tables under a byte budget vs in-RAM (BENCH_diskmode.json)"},
 	{"mend", "typo/segmentation mending: precision recovery and overhead (BENCH_mend.json)"},
 }

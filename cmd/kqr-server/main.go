@@ -6,13 +6,10 @@
 //	curl 'localhost:8080/api/facets?q=probabilistic'
 //	curl 'localhost:8080/api/metrics'
 //
-// With -relations the offline stage for the topic vocabulary is
-// precomputed at startup (and cached to the given file across restarts),
-// trading startup time for uniformly warm query latency. With -warm the
-// offline stage runs for the *entire* term vocabulary before the
-// listener opens — similarity and closeness for every term node, fanned
-// out over -precompute-workers goroutines (default GOMAXPROCS) — so no
-// request ever pays first-touch walk latency.
+// With -warm the offline stage runs for the *entire* term vocabulary
+// before the listener opens — similarity and closeness for every term
+// node, fanned out over -precompute-workers goroutines (default
+// GOMAXPROCS) — so no request ever pays first-touch walk latency.
 //
 // The offline stage can be persisted as a versioned snapshot for
 // instant cold starts: -snapshot-save writes the warmed tables after
@@ -116,7 +113,6 @@ type config struct {
 	addr        string
 	seed        int64
 	papers      int
-	relations   string
 	warm        bool
 	warmWorkers int
 	snapSave    string
@@ -144,7 +140,6 @@ func main() {
 	flag.StringVar(&cfg.addr, "addr", ":8080", "listen address")
 	flag.Int64Var(&cfg.seed, "seed", 20120401, "corpus seed")
 	flag.IntVar(&cfg.papers, "papers", 3000, "corpus size in papers")
-	flag.StringVar(&cfg.relations, "relations", "", "path for cached precomputed relations (optional)")
 	flag.BoolVar(&cfg.warm, "warm", false, "precompute similarity+closeness for the whole vocabulary before serving")
 	flag.IntVar(&cfg.warmWorkers, "precompute-workers", 0, "offline precompute worker pool size (0 = GOMAXPROCS)")
 	flag.StringVar(&cfg.snapSave, "snapshot-save", "", "write the offline tables as a snapshot here after warming (implies -warm)")
@@ -190,7 +185,7 @@ func run(cfg config) error {
 			return fmt.Errorf("-disk-mode conflicts with -warm: warming decodes every table row into RAM, which is exactly what disk mode bounds")
 		}
 		if cfg.snapSave != "" || cfg.snapSavePgd != "" {
-			return fmt.Errorf("-disk-mode cannot save snapshots: the map caches a save reads stay empty when tables are served from disk")
+			return fmt.Errorf("-disk-mode cannot save snapshots: a save reads every table row, which would fault the whole paged file through the bounded page cache; save from a RAM-mode server")
 		}
 	}
 	eng, err := kqr.Open(corpus.Dataset, kqr.Options{
@@ -229,11 +224,6 @@ func run(cfg config) error {
 		fmt.Printf("snapshot %s not used (%s); computing live\n", cfg.snapLoad, eng.Artifact().FallbackReason)
 	}
 
-	if cfg.relations != "" {
-		if err := loadOrPrecompute(eng, corpus, cfg.relations); err != nil {
-			return err
-		}
-	}
 	// -snapshot-save without a restored snapshot needs warm tables to be
 	// worth saving, so it implies -warm.
 	warm := cfg.warm || ((cfg.snapSave != "" || cfg.snapSavePgd != "") && !loaded)
@@ -420,35 +410,4 @@ func runFollower(cfg config) error {
 		return fmt.Errorf("replication: %w", err)
 	}
 	return serveErr
-}
-
-// loadOrPrecompute restores cached relations when present, otherwise
-// precomputes the topic vocabulary and writes the cache.
-func loadOrPrecompute(eng *kqr.Engine, corpus *synthetic.Corpus, path string) error {
-	if f, err := os.Open(path); err == nil {
-		defer f.Close()
-		if err := eng.LoadRelations(f); err != nil {
-			return fmt.Errorf("loading %s: %w", path, err)
-		}
-		fmt.Println("restored precomputed relations from", path)
-		return nil
-	}
-	fmt.Println("precomputing term relations (first start)...")
-	var vocab []string
-	for t := 0; t < len(corpus.Topics()); t++ {
-		vocab = append(vocab, corpus.TopicTerms(t)...)
-	}
-	if err := eng.PrecomputeTerms(vocab); err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := eng.SaveRelations(f); err != nil {
-		return err
-	}
-	fmt.Println("saved precomputed relations to", path)
-	return nil
 }

@@ -25,8 +25,8 @@ func (e *Engine) simTableKind() artifact.TableKind {
 }
 
 // attachDiskTables opens the paged snapshot at path and installs its
-// page-backed table views into g: the similarity extractor and the
-// closeness store each get a packed view that faults rows from disk
+// page-backed table views into g: the similarity and closeness row
+// stores each get a packed view that faults rows from disk
 // through the store's budgeted page cache, and g.Pager takes ownership
 // of the store so retiring the generation closes it. The snapshot must
 // be v2 (SaveArtifactsPaged), carry this engine's fingerprint and
@@ -65,13 +65,13 @@ func (e *Engine) attachDiskTables(g *live.Generation, path string) error {
 		store.Close()
 		return fmt.Errorf("kqr: disk mode: %s has no %s table (saved under a different mode?)", path, kind)
 	}
-	clos := store.Closeness()
+	clos := store.Table(artifact.TableCloseness)
 	if clos == nil {
 		store.Close()
 		return fmt.Errorf("kqr: disk mode: %s has no closeness table", path)
 	}
-	g.Sim.InstallPacked(sim)
-	g.Clos.InstallPacked(clos)
+	g.Sim.Install(sim)
+	g.Clos.Install(clos)
 	g.Pager = store
 	return nil
 }

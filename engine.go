@@ -137,10 +137,6 @@ type Options struct {
 	// StalenessMaxAge, in live mode, promotes automatically once the
 	// oldest pending delta has waited that long (0 = no age bound).
 	StalenessMaxAge time.Duration
-	// ChurnThreshold is the affected fraction of the vocabulary above
-	// which a promotion abandons targeted cache carry-over and rebuilds
-	// the offline tables in full (default 0.25).
-	ChurnThreshold float64
 	// OnRetire, if set, observes each generation epoch as it stops
 	// being current (after the swap; in-flight requests may still be
 	// finishing on it).
@@ -223,7 +219,7 @@ func Open(d *Dataset, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	mopts := live.Options{ChurnThreshold: opts.ChurnThreshold}
+	var mopts live.Options
 	if opts.Live {
 		mopts.StalenessMaxDeltas = opts.StalenessMaxDeltas
 		mopts.StalenessMaxAge = opts.StalenessMaxAge
@@ -573,8 +569,8 @@ type Delta struct {
 }
 
 // GenerationInfo records how the current index generation came to be:
-// its epoch, rebuild mode ("initial", "targeted", "full", "reload"),
-// delta counts, carry-over counts, and per-phase timings.
+// its epoch, mode ("initial", "full" for a promotion, "reload"), delta
+// counts, and per-phase timings.
 type GenerationInfo = live.Provenance
 
 // toLiveDeltas converts public deltas to the internal representation,

@@ -1,7 +1,6 @@
 package kqr_test
 
 import (
-	"bytes"
 	"strings"
 	"sync"
 	"testing"
@@ -9,97 +8,6 @@ import (
 	"kqr"
 	"kqr/synthetic"
 )
-
-func TestSaveLoadRelations(t *testing.T) {
-	ds := bibliographyDataset(t)
-	eng, err := kqr.Open(ds, kqr.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	terms := []string{"uncertain", "probabilistic", "data"}
-	if err := eng.PrecomputeTerms(terms); err != nil {
-		t.Fatal(err)
-	}
-	want, err := eng.SimilarTerms("uncertain", 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var buf bytes.Buffer
-	if err := eng.SaveRelations(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() == 0 {
-		t.Fatal("empty relations file")
-	}
-
-	// A fresh engine over the same dataset restores and matches.
-	eng2, err := kqr.Open(bibliographyDataset(t), kqr.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng2.LoadRelations(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	got, err := eng2.SimilarTerms("uncertain", 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("restored list length %d != %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("restored[%d] = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-	// Reformulation works off the restored caches.
-	if _, err := eng2.Reformulate([]string{"uncertain", "data"}, 5); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLoadRelationsRejectsDifferentGraph(t *testing.T) {
-	ds := bibliographyDataset(t)
-	eng, err := kqr.Open(ds, kqr.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.PrecomputeTerms([]string{"uncertain"}); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := eng.SaveRelations(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	// Different corpus → different fingerprint.
-	corpus, err := synthetic.Bibliography(synthetic.Config{Seed: 1, Topics: 4, Confs: 8, Authors: 60, Papers: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	other, err := kqr.Open(corpus.Dataset, kqr.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := other.LoadRelations(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("relations accepted over a different graph")
-	}
-
-	// Same dataset, different similarity mode → rejected too.
-	modeMismatch, err := kqr.Open(bibliographyDataset(t), kqr.Options{Similarity: kqr.Cooccurrence})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := modeMismatch.LoadRelations(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("relations accepted under a different similarity mode")
-	}
-
-	// Garbage input errors cleanly.
-	if err := eng.LoadRelations(strings.NewReader("not gob")); err == nil {
-		t.Fatal("garbage relations accepted")
-	}
-}
 
 func TestFacets(t *testing.T) {
 	ds := bibliographyDataset(t)

@@ -46,11 +46,12 @@ func (e *Engine) Facets(terms []string, perField int) ([]Facet, error) {
 	// several query terms accumulates.
 	agg := make(map[graph.NodeID]float64)
 	for _, q := range queryNodes {
-		for v, c := range g.Clos.From(q) {
+		nodes, scores, _ := g.Clos.Row(q) // the closeness search never fails
+		for i, v := range nodes {
 			if g.TG.Kind(v) != tatgraph.KindTerm || isQuery[v] {
 				continue
 			}
-			agg[v] += c
+			agg[v] += float64(scores[i])
 		}
 	}
 

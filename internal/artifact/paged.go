@@ -28,8 +28,8 @@ const (
 
 // pagedEntrySize is the encoded size of one paged (node, score) pair:
 // u32 node + f32 score. Halving the v1 entry is what makes rows
-// pageable; every published score is float32-quantized
-// (packed.Quantize), so narrowing loses nothing.
+// pageable; every stored score is already on the float32 grid
+// (packed.NewRow), so narrowing loses nothing.
 const pagedEntrySize = 4 + 4
 
 // DefaultPageBytes is the target page capacity when PagedOptions leaves
@@ -269,7 +269,7 @@ func simRows(m map[graph.NodeID][]graph.Scored, numNodes int) []pagedRow {
 }
 
 // closRows converts the closeness map into sorted pagedRows (neighbor
-// id order inside each row, matching packed.BuildClos).
+// id order inside each row, the order packed.Probe searches).
 func closRows(m map[graph.NodeID]map[graph.NodeID]float64, numNodes int) []pagedRow {
 	rows := make([]pagedRow, 0, len(m))
 	for _, src := range sortedKeys(m) {

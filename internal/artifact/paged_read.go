@@ -307,17 +307,6 @@ func (t *PagedTable) Has(v graph.NodeID) bool {
 	return t.Present[uint(v)>>6]&(1<<(uint(v)&63)) != 0
 }
 
-// Rows counts the present rows.
-func (t *PagedTable) Rows() int {
-	n := 0
-	for _, w := range t.Present {
-		for ; w != 0; w &= w - 1 {
-			n++
-		}
-	}
-	return n
-}
-
 // PageEnd returns the first entry index past page pg.
 func (t *PagedTable) PageEnd(pg int) uint64 {
 	if pg+1 < len(t.PageStarts) {

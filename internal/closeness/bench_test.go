@@ -35,7 +35,7 @@ func BenchmarkFromCold(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		s.From(nodes[0])
+		s.Row(nodes[0])
 	}
 }
 
@@ -49,7 +49,7 @@ func BenchmarkClosWarm(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s.From(a)
+	s.Row(a)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -23,13 +23,9 @@
 package closeness
 
 import (
-	"context"
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
-	"kqr/internal/flight"
 	"kqr/internal/graph"
 	"kqr/internal/packed"
 	"kqr/internal/tatgraph"
@@ -63,30 +59,18 @@ func (o Options) withDefaults() (Options, error) {
 	return o, nil
 }
 
-// Store computes and caches closeness vectors per source node.
-// Concurrent cold misses for the same source are coalesced into a
-// single search. It is safe for concurrent use.
+// Store computes closeness rows per source node: its search function
+// runs the layered path search for one source, and the embedded row
+// store caches, packs and serves the results (Precompute and Pack for
+// the offline stage). Rows are sorted by neighbor node id, so Clos is a
+// binary probe over one contiguous row — the decoder's transition hot
+// path. It is safe for concurrent use.
 type Store struct {
+	*packed.Store
+
 	tg   *tatgraph.Graph
 	opts Options
-
-	mu    sync.Mutex
-	cache map[graph.NodeID]map[graph.NodeID]float64
-
-	// pk is the packed, read-only closeness table published by Pack (a
-	// RAM CSR image of cache) or InstallPacked (a page-backed disk
-	// view); Clos serves from it with a binary probe over one
-	// contiguous row — the decoder's TransFunc hot path — falling back
-	// to the map cache for sources it cannot answer. Boxed because
-	// atomic.Pointer needs a concrete type.
-	pk atomic.Pointer[closeTable]
-
-	flight   flight.Group[graph.NodeID, map[graph.NodeID]float64]
-	searches atomic.Int64 // searches actually executed (cold misses)
 }
-
-// closeTable boxes the published packed.CloseTable for atomic swapping.
-type closeTable struct{ t packed.CloseTable }
 
 // New builds a closeness store over a TAT graph.
 func New(tg *tatgraph.Graph, opts Options) (*Store, error) {
@@ -94,47 +78,16 @@ func New(tg *tatgraph.Graph, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Store{tg: tg, opts: opts, cache: make(map[graph.NodeID]map[graph.NodeID]float64)}, nil
+	s := &Store{tg: tg, opts: opts}
+	s.Store = packed.NewStore(tg.CSR().NumNodes(), s.search)
+	s.Workers = opts.Workers
+	return s, nil
 }
 
-// From returns the closeness of every node reachable from v within
-// MaxLen hops (v itself excluded). The returned map is cached and shared;
-// callers must not mutate it.
-func (s *Store) From(v graph.NodeID) map[graph.NodeID]float64 {
-	s.mu.Lock()
-	if m, ok := s.cache[v]; ok {
-		s.mu.Unlock()
-		return m
-	}
-	s.mu.Unlock()
-
-	// Coalesce concurrent cold misses for v: the first caller runs the
-	// search, the rest block and share its result.
-	m, _, _ := s.flight.Do(v, func() (map[graph.NodeID]float64, error) {
-		// Re-check: this caller may have missed the cache before a
-		// previous flight for v completed and published.
-		s.mu.Lock()
-		m, ok := s.cache[v]
-		s.mu.Unlock()
-		if ok {
-			return m, nil
-		}
-		m = s.search(v)
-		s.mu.Lock()
-		s.cache[v] = m
-		s.mu.Unlock()
-		return m, nil
-	})
-	return m
-}
-
-// Searches returns how many path searches have actually executed —
-// cold misses, excluding cache hits and coalesced callers.
-func (s *Store) Searches() int64 { return s.searches.Load() }
-
-// search runs the layered shortest-path counting from v.
-func (s *Store) search(v graph.NodeID) map[graph.NodeID]float64 {
-	s.searches.Add(1)
+// search runs the layered shortest-path counting from v and returns the
+// closeness of every node reached within MaxLen hops (v itself
+// excluded), sorted by node id. The path search cannot fail.
+func (s *Store) search(v graph.NodeID) ([]graph.Scored, error) {
 	type layerEntry struct {
 		node  graph.NodeID
 		count float64
@@ -142,7 +95,7 @@ func (s *Store) search(v graph.NodeID) map[graph.NodeID]float64 {
 	dist := map[graph.NodeID]int{v: 0}
 	counts := map[graph.NodeID]float64{v: 1}
 	frontier := []layerEntry{{node: v, count: 1}}
-	out := make(map[graph.NodeID]float64)
+	var out []graph.Scored
 
 	csr := s.tg.CSR()
 	for depth := 1; depth <= s.opts.MaxLen && len(frontier) > 0; depth++ {
@@ -165,9 +118,7 @@ func (s *Store) search(v graph.NodeID) map[graph.NodeID]float64 {
 		for u, c := range nextCounts {
 			dist[u] = depth
 			counts[u] = c
-			// Publish boundary: quantize so the float32 packed rows
-			// reproduce the cached values bit for bit (packed.Quantize).
-			out[u] = packed.Quantize(c / float64(depth))
+			out = append(out, graph.Scored{Node: u, Score: c / float64(depth)})
 			next = append(next, layerEntry{node: u, count: c})
 		}
 		if s.opts.Beam > 0 && len(next) > s.opts.Beam {
@@ -183,64 +134,38 @@ func (s *Store) search(v graph.NodeID) map[graph.NodeID]float64 {
 		}
 		frontier = next
 	}
-	return out
+	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
+	return out, nil
 }
 
 // Clos returns clos(a, b): the shortest-path count from a to b divided
 // by the distance, 0 if b is unreachable within MaxLen. Identity is
 // defined as 0 — closeness measures co-coverage between *different*
-// terms. Packed rows are probed first (no lock, no map), so a warmed
-// store answers the decoder's transition lookups allocation-free.
+// terms. A packed row is probed without locks or allocation.
 func (s *Store) Clos(a, b graph.NodeID) float64 {
 	if a == b {
 		return 0
 	}
-	if b2 := s.pk.Load(); b2 != nil {
-		if v, ok := b2.t.Lookup(a, b); ok {
-			return v
-		}
-	}
-	return s.From(a)[b]
+	nodes, scores, _ := s.Row(a) // search never fails
+	return packed.Probe(nodes, scores, b)
 }
 
-// ClosMap is Clos restricted to the map cache, bypassing the packed
-// table. It exists as the pointer-path baseline for the hotpath
-// benchmark and the packed-vs-map equivalence tests.
-func (s *Store) ClosMap(a, b graph.NodeID) float64 {
-	if a == b {
-		return 0
-	}
-	return s.From(a)[b]
+// From returns the closeness of every node reachable from v within
+// MaxLen hops (v itself excluded) as a scored list in node-id order.
+func (s *Store) From(v graph.NodeID) []graph.Scored {
+	nodes, scores, _ := s.Row(v) // search never fails
+	return packed.Scored(nodes, scores, 0)
 }
 
 // CloseNodes returns the k closest nodes to v that pass the keep filter,
 // sorted by descending closeness with node id as tie-break. A nil keep
 // admits every node.
 func (s *Store) CloseNodes(v graph.NodeID, k int, keep func(graph.NodeID) bool) []graph.Scored {
-	var out []graph.Scored
-	if b := s.pk.Load(); b != nil {
-		// A published packed row (RAM or page-backed) avoids the search
-		// and, in disk mode, avoids materializing the row into the map
-		// cache. The sort below makes the order identical to the map
-		// path's.
-		if nodes, scores, ok := b.t.Row(v); ok {
-			out = make([]graph.Scored, 0, len(nodes))
-			for i := range nodes {
-				if keep != nil && !keep(nodes[i]) {
-					continue
-				}
-				out = append(out, graph.Scored{Node: nodes[i], Score: float64(scores[i])})
-			}
-		}
-	}
-	if out == nil {
-		m := s.From(v)
-		out = make([]graph.Scored, 0, len(m))
-		for u, c := range m {
-			if keep != nil && !keep(u) {
-				continue
-			}
-			out = append(out, graph.Scored{Node: u, Score: c})
+	nodes, scores, _ := s.Row(v) // search never fails
+	out := make([]graph.Scored, 0, len(nodes))
+	for i, u := range nodes {
+		if keep == nil || keep(u) {
+			out = append(out, graph.Scored{Node: u, Score: float64(scores[i])})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -266,71 +191,4 @@ func (s *Store) CloseTerms(v graph.NodeID, k int, class string) []graph.Scored {
 		}
 		return class == "" || s.tg.Class(u) == class
 	})
-}
-
-// Precompute warms the cache for the given sources (the offline stage).
-// Sources fan out over a worker pool of Options.Workers goroutines
-// (default runtime.GOMAXPROCS(0)) — searches are independent per
-// source, so throughput scales with cores. The path search itself
-// cannot fail, so the only error is a ctx cancellation, wrapped with
-// the node the pool stopped at so partial warms are diagnosable.
-func (s *Store) Precompute(ctx context.Context, nodes []graph.NodeID) error {
-	return flight.ForEach(ctx, s.opts.Workers, len(nodes), func(i int) error {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("closeness: precompute node %d: %w", nodes[i], err)
-		}
-		s.From(nodes[i])
-		return nil
-	})
-}
-
-// Snapshot copies the cached closeness vectors for persistence.
-func (s *Store) Snapshot() map[graph.NodeID]map[graph.NodeID]float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[graph.NodeID]map[graph.NodeID]float64, len(s.cache))
-	for v, m := range s.cache {
-		cp := make(map[graph.NodeID]float64, len(m))
-		for u, c := range m {
-			cp[u] = c
-		}
-		out[v] = cp
-	}
-	return out
-}
-
-// Restore replaces the cache with previously snapshotted vectors
-// (quantized onto the float32 publish grid) and repacks the flat
-// table, so restored state serves from the packed path immediately.
-func (s *Store) Restore(snap map[graph.NodeID]map[graph.NodeID]float64) {
-	s.mu.Lock()
-	s.cache = make(map[graph.NodeID]map[graph.NodeID]float64, len(snap))
-	for v, m := range snap {
-		cp := make(map[graph.NodeID]float64, len(m))
-		for u, c := range m {
-			cp[u] = packed.Quantize(c)
-		}
-		s.cache[v] = cp
-	}
-	s.mu.Unlock()
-	s.Pack()
-}
-
-// Pack republishes the CSR-packed image of the current cache. Call it
-// after bulk fills (Precompute; Restore does so itself); sources cached
-// later serve through the map fallback until the next call.
-func (s *Store) Pack() {
-	s.mu.Lock()
-	t := packed.BuildClos(s.tg.CSR().NumNodes(), s.cache)
-	s.mu.Unlock()
-	s.pk.Store(&closeTable{t: t})
-}
-
-// InstallPacked publishes an externally built closeness table — a
-// page-backed disk view (internal/diskmode) — in place of the
-// RAM-packed cache image. A source the table cannot answer (ok false
-// from Lookup/Row, e.g. a draining disk store) falls back to the map
-// cache and the layered search, exactly like an unwarmed source.
-func (s *Store) InstallPacked(t packed.CloseTable) {
-	s.pk.Store(&closeTable{t: t})
 }

@@ -3,6 +3,7 @@ package closeness
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"kqr/internal/graph"
@@ -227,53 +228,31 @@ func TestBeamPruningStillFindsHeavyPaths(t *testing.T) {
 	}
 }
 
-func TestPrecomputeWarmsCache(t *testing.T) {
+func TestPrecomputeWarmsStore(t *testing.T) {
 	tg, s := fixtureStore(t, Options{})
 	u := term(t, tg, "papers.title", "uncertain")
 	if err := s.Precompute(context.Background(), []graph.NodeID{u}); err != nil {
 		t.Fatal(err)
 	}
-	m1 := s.From(u)
-	m2 := s.From(u)
-	if &m1 == &m2 {
-		t.Skip("map comparison by pointer not meaningful")
+	first := s.From(u)
+	if len(first) == 0 || !reflect.DeepEqual(first, s.From(u)) {
+		t.Fatalf("From not stable after Precompute: %v", first)
 	}
-	// Cached: must be the identical map object.
-	m1[graph.NodeID(1<<30)] = -1 // sentinel
-	if m2[graph.NodeID(1<<30)] != -1 {
-		t.Fatal("From returned a copy; cache not shared")
-	}
-	delete(m1, graph.NodeID(1<<30))
-}
-
-func TestFromExcludesSelf(t *testing.T) {
-	tg, s := fixtureStore(t, Options{})
-	u := term(t, tg, "papers.title", "uncertain")
-	if _, ok := s.From(u)[u]; ok {
-		t.Fatal("From includes the source itself")
+	if got := s.Computes(); got != 1 {
+		t.Fatalf("%d searches for one precomputed source read twice", got)
 	}
 }
 
-func TestSnapshotRestore(t *testing.T) {
+func TestFromIsIDSortedAndExcludesSelf(t *testing.T) {
 	tg, s := fixtureStore(t, Options{})
 	u := term(t, tg, "papers.title", "uncertain")
-	d := term(t, tg, "papers.title", "data")
-	want := s.Clos(u, d)
-	snap := s.Snapshot()
-	if len(snap) != 1 {
-		t.Fatalf("snapshot entries = %d", len(snap))
-	}
-	// Mutation isolation.
-	snap[u][d] = -5
-	if s.Clos(u, d) == -5 {
-		t.Fatal("snapshot shares memory with cache")
-	}
-	fresh, err := New(tg, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh.Restore(s.Snapshot())
-	if got := fresh.Clos(u, d); got != want {
-		t.Fatalf("restored clos = %v, want %v", got, want)
+	row := s.From(u)
+	for i, sn := range row {
+		if sn.Node == u {
+			t.Fatal("From includes the source itself")
+		}
+		if i > 0 && row[i-1].Node >= sn.Node {
+			t.Fatalf("From not sorted by node id at %d: %v", i, row)
+		}
 	}
 }

@@ -5,82 +5,63 @@ import (
 	"testing"
 
 	"kqr/internal/graph"
+	"kqr/internal/packed"
 )
 
-// Clos must return bit-identical values through the packed probe and
-// the map fallback, for every (source, target) pair over the fixture
-// vocabulary — including true zeros inside packed rows.
-func TestPackedClosMatchesMap(t *testing.T) {
+// Clos must return bit-identical values whether a row was just computed
+// (overlay) or packed, for every (source, target) pair over the fixture
+// vocabulary — including true zeros inside rows — and both must equal
+// the raw search output narrowed once to float32.
+func TestClosIdenticalLazyPackedAndRaw(t *testing.T) {
 	tg, s := fixtureStore(t, Options{})
 	terms := tg.TermNodeIDs()
-	if err := s.Precompute(context.Background(), terms); err != nil {
-		t.Fatal(err)
+	lazy := make(map[[2]graph.NodeID]float64)
+	for _, a := range terms {
+		raw, _ := s.search(a)
+		want := make(map[graph.NodeID]float64, len(raw))
+		for _, sn := range raw {
+			want[sn.Node] = float64(packed.Quantize(sn.Score))
+		}
+		for _, b := range terms {
+			c := s.Clos(a, b)
+			if a != b && c != want[b] {
+				t.Fatalf("Clos(%d, %d) = %v, raw search says %v", a, b, c, want[b])
+			}
+			lazy[[2]graph.NodeID{a, b}] = c
+		}
 	}
+	searches := s.Computes()
 	s.Pack()
 	for _, a := range terms {
 		for _, b := range terms {
-			packed := s.Clos(a, b)
-			viaMap := s.ClosMap(a, b)
-			if packed != viaMap {
-				t.Fatalf("Clos(%d, %d): packed %v != map %v", a, b, packed, viaMap)
+			if got := s.Clos(a, b); got != lazy[[2]graph.NodeID{a, b}] {
+				t.Fatalf("Clos(%d, %d): packed %v != lazy %v", a, b, got, lazy[[2]graph.NodeID{a, b}])
 			}
 		}
 	}
+	if s.Computes() != searches {
+		t.Fatal("packed rows re-ran searches")
+	}
 }
 
-// Sources warmed after the last Pack must fall back to the map cache
-// rather than reading an absent packed row as all-zero.
-func TestPackedClosFallsBackForUnpackedSource(t *testing.T) {
+// Sources computed after the last Pack are served from the overlay
+// rather than read as all-zero rows of the stale table.
+func TestClosServesSourcesComputedAfterPack(t *testing.T) {
 	tg, s := fixtureStore(t, Options{})
 	terms := tg.TermNodeIDs()
 	if err := s.Precompute(context.Background(), terms[:1]); err != nil {
 		t.Fatal(err)
 	}
 	s.Pack()
-
-	// Find a pair with nonzero closeness among the not-yet-packed
-	// sources; its value must come through the fallback path.
-	var a, b graph.NodeID = -1, -1
 	for _, v := range terms[1:] {
-		for u, c := range s.From(v) {
-			if c > 0 && u != v {
-				a, b = v, u
-				break
-			}
-		}
-		if a >= 0 {
-			break
-		}
-	}
-	if a < 0 {
-		t.Skip("fixture has no nonzero closeness pair outside the packed set")
-	}
-	if got := s.Clos(a, b); got == 0 {
-		t.Fatalf("Clos(%d, %d) = 0 through stale packed table; fallback broken", a, b)
-	}
-}
-
-// Restore must republish the packed table on its own.
-func TestRestorePacksClos(t *testing.T) {
-	tg, s := fixtureStore(t, Options{})
-	terms := tg.TermNodeIDs()
-	if err := s.Precompute(context.Background(), terms); err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := New(tg, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh.Restore(s.Snapshot())
-	before := fresh.Searches()
-	for _, a := range terms {
-		for _, b := range terms {
-			if fresh.Clos(a, b) != s.Clos(a, b) {
-				t.Fatalf("restored Clos(%d, %d) diverges", a, b)
+		for _, sn := range s.From(v) {
+			if sn.Score > 0 {
+				if got := s.Clos(v, sn.Node); got != sn.Score {
+					t.Fatalf("Clos(%d, %d) = %v after Pack, From says %v", v, sn.Node, got, sn.Score)
+				}
+				return
 			}
 		}
 	}
-	if fresh.Searches() != before {
-		t.Fatal("restored store re-ran searches; packed rows not served")
-	}
+	t.Skip("fixture has no nonzero closeness pair outside the packed set")
 }

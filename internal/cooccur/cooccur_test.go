@@ -164,30 +164,3 @@ func TestSimIdentity(t *testing.T) {
 		t.Fatalf("Sim(self) = %v, %v", s, err)
 	}
 }
-
-func TestSnapshotRestore(t *testing.T) {
-	tg, ex := fixture(t)
-	u := node(t, tg, "papers.title", "uncertain")
-	want, err := ex.SimilarNodes(u, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := ex.Snapshot()
-	if len(snap) != 1 {
-		t.Fatalf("snapshot entries = %d", len(snap))
-	}
-	fresh := NewExtractor(tg)
-	fresh.Restore(snap)
-	got, err := fresh.SimilarNodes(u, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("restored %d entries, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("restored[%d] differs", i)
-		}
-	}
-}

@@ -2,53 +2,15 @@ package cooccur
 
 import (
 	"context"
-	"reflect"
-	"sync"
 	"testing"
 
 	"kqr/internal/graph"
 )
 
-// TestConcurrentColdMissSingleExtraction hammers one cold key from many
-// goroutines and asserts exactly one extraction executed: overlapping
-// misses coalesce onto the first caller, stragglers hit the cache. Run
-// with -race to also prove the cache handoff is sound.
-func TestConcurrentColdMissSingleExtraction(t *testing.T) {
-	tg, ex := fixture(t)
-	v := node(t, tg, "papers.title", "probabilistic")
-
-	const n = 32
-	start := make(chan struct{})
-	results := make([][]graph.Scored, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-start
-			list, err := ex.SimilarNodes(v, 10)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			results[i] = list
-		}(i)
-	}
-	close(start)
-	wg.Wait()
-
-	if got := ex.Extractions(); got != 1 {
-		t.Fatalf("%d concurrent cold misses ran %d extractions, want exactly 1", n, got)
-	}
-	for i := 1; i < n; i++ {
-		if !reflect.DeepEqual(results[i], results[0]) {
-			t.Fatalf("caller %d saw a different result than caller 0", i)
-		}
-	}
-}
-
-// TestPrecomputeWarms checks the parallel offline pass fills the cache
-// exactly once per node.
+// TestPrecomputeWarms checks the parallel offline pass computes each
+// node exactly once and later reads are served from the store.
+// (Coalescing of concurrent cold misses is the shared store's property;
+// see internal/packed.)
 func TestPrecomputeWarms(t *testing.T) {
 	tg, ex := fixture(t)
 	ex.Workers = 4
@@ -59,13 +21,13 @@ func TestPrecomputeWarms(t *testing.T) {
 	if err := ex.Precompute(context.Background(), nodes); err != nil {
 		t.Fatal(err)
 	}
-	if got := ex.Extractions(); got != int64(len(nodes)) {
+	if got := ex.Computes(); got != int64(len(nodes)) {
 		t.Fatalf("precompute ran %d extractions for %d nodes", got, len(nodes))
 	}
 	if _, err := ex.SimilarNodes(nodes[0], 5); err != nil {
 		t.Fatal(err)
 	}
-	if got := ex.Extractions(); got != int64(len(nodes)) {
+	if got := ex.Computes(); got != int64(len(nodes)) {
 		t.Fatal("warm lookup re-ran the extraction")
 	}
 }

@@ -2,35 +2,36 @@ package cooccur
 
 import (
 	"context"
+	"reflect"
 	"testing"
+
+	"kqr/internal/graph"
 )
 
-// The packed fast path must mirror the map path exactly; see the
+// A row must read the same lazily computed and after Pack; see the
 // randomwalk analogue for the invariant.
-func TestPackedSimRowMatchesSimilarNodes(t *testing.T) {
+func TestSimRowIdenticalLazyAndPacked(t *testing.T) {
 	tg, ex := fixture(t)
 	terms := tg.TermNodeIDs()
+	lazy := make(map[graph.NodeID][]graph.Scored)
+	for _, v := range terms {
+		list, err := ex.SimilarNodes(v, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lazy[v] = list
+	}
 	if err := ex.Precompute(context.Background(), terms); err != nil {
 		t.Fatal(err)
 	}
 	ex.Pack()
 	for _, v := range terms {
-		want, err := ex.SimilarNodes(v, maxKept)
-		if err != nil {
-			t.Fatal(err)
+		got, err := ex.SimilarNodes(v, 0)
+		if err != nil || !reflect.DeepEqual(got, lazy[v]) {
+			t.Fatalf("term %d: packed row %v != lazy row %v (%v)", v, got, lazy[v], err)
 		}
-		nodes, scores, ok := ex.SimRow(v)
-		if !ok {
-			t.Fatalf("term %d precomputed but not packed", v)
-		}
-		if len(nodes) != len(want) {
-			t.Fatalf("term %d: packed row has %d entries, map has %d", v, len(nodes), len(want))
-		}
-		for i := range want {
-			if nodes[i] != want[i].Node || float64(scores[i]) != want[i].Score {
-				t.Fatalf("term %d rank %d: packed (%d, %v) != map (%d, %v)",
-					v, i, nodes[i], float64(scores[i]), want[i].Node, want[i].Score)
-			}
-		}
+	}
+	if got := ex.Computes(); got != int64(len(terms)) {
+		t.Fatalf("%d extractions for %d terms", got, len(terms))
 	}
 }

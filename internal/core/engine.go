@@ -17,12 +17,14 @@ import (
 	"kqr/internal/tatgraph"
 )
 
-// SimilarityProvider supplies per-term candidate lists; both the
+// SimilarityProvider supplies per-term candidate rows; both the
 // contextual random walk and the co-occurrence baseline satisfy it.
 type SimilarityProvider interface {
-	// SimilarNodes returns up to k same-class similar nodes of t0,
-	// scores normalized to [0,1] with the best candidate at 1.
-	SimilarNodes(t0 graph.NodeID, k int) ([]graph.Scored, error)
+	// SimRow returns t0's same-class similar nodes in rank order with
+	// scores normalized to [0,1] (best candidate at 1) as read-only
+	// views — lock- and allocation-free once the row is packed. ok is
+	// false only when the row could not be computed.
+	SimRow(t0 graph.NodeID) (nodes []graph.NodeID, scores []float32, ok bool)
 	// Sim returns the similarity of t to t0 (1 for identity, 0 when
 	// unrelated).
 	Sim(t0, t graph.NodeID) (float64, error)
@@ -31,20 +33,6 @@ type SimilarityProvider interface {
 // ClosenessProvider supplies the pairwise closeness relation.
 type ClosenessProvider interface {
 	Clos(a, b graph.NodeID) float64
-}
-
-// simRowProvider is the optional packed fast path of a
-// SimilarityProvider: a lock-free, allocation-free view of a term's
-// rank-ordered candidate row. Detected by type assertion at New.
-type simRowProvider interface {
-	SimRow(t0 graph.NodeID) ([]graph.NodeID, []float32, bool)
-}
-
-// closMapProvider is the optional map-only read path of a
-// ClosenessProvider, bypassing its packed table. The Ref pointer-path
-// baseline uses it so benchmarks compare flat vs map end to end.
-type closMapProvider interface {
-	ClosMap(a, b graph.NodeID) float64
 }
 
 // Algorithm selects the top-k decoder.
@@ -121,12 +109,6 @@ type Engine struct {
 	clos ClosenessProvider
 	opts Options
 
-	// simRow is sim's packed fast path (nil when unsupported); closMap
-	// is clos's map-only path (clos.Clos when unsupported). Both are
-	// bound once at New so the hot path pays no per-query assertions.
-	simRow  func(graph.NodeID) ([]graph.NodeID, []float32, bool)
-	closMap func(a, b graph.NodeID) float64
-
 	// pool recycles per-query decode scratch (see queryScratch).
 	pool sync.Pool
 }
@@ -140,16 +122,7 @@ func New(tg *tatgraph.Graph, sim SimilarityProvider, clos ClosenessProvider, opt
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{tg: tg, sim: sim, clos: clos, opts: opts}
-	if sr, ok := sim.(simRowProvider); ok {
-		e.simRow = sr.SimRow
-	}
-	if cm, ok := clos.(closMapProvider); ok {
-		e.closMap = cm.ClosMap
-	} else {
-		e.closMap = clos.Clos
-	}
-	return e, nil
+	return &Engine{tg: tg, sim: sim, clos: clos, opts: opts}, nil
 }
 
 // Options returns the engine's effective options (defaults applied).
@@ -197,38 +170,52 @@ type slot struct {
 
 const voidNode = graph.NodeID(-1)
 
-// buildSlots fetches candidate lists for every query term.
+// fillSlot loads sl with q's candidate states: the original term (unless
+// dropped), up to CandidatesPerTerm similar terms from q's row, and the
+// void state when deletion is allowed. i is the slot position, for the
+// error.
+func (e *Engine) fillSlot(sl *slot, i int, q graph.NodeID) error {
+	sl.query = q
+	sl.cands = sl.cands[:0]
+	sl.sims = sl.sims[:0]
+	if !e.opts.DropOriginal {
+		sl.cands = append(sl.cands, q)
+		sl.sims = append(sl.sims, 1)
+	}
+	nodes, scores, ok := e.sim.SimRow(q)
+	if !ok {
+		return fmt.Errorf("core: similar terms of slot %d: no row for term node %d", i, q)
+	}
+	n := min(e.opts.CandidatesPerTerm, len(nodes))
+	for idx := 0; idx < n; idx++ {
+		if nodes[idx] == q {
+			continue
+		}
+		sl.cands = append(sl.cands, nodes[idx])
+		sl.sims = append(sl.sims, float64(scores[idx]))
+	}
+	if e.opts.AllowDeletion {
+		sl.cands = append(sl.cands, voidNode)
+		sl.sims = append(sl.sims, e.opts.VoidPenalty)
+	}
+	if len(sl.cands) == 0 {
+		// A slot with no substitutes (common for entity names under
+		// the co-occurrence baseline) keeps its original term: the
+		// rest of the query can still reformulate around it.
+		sl.cands = append(sl.cands, q)
+		sl.sims = append(sl.sims, 1)
+	}
+	return nil
+}
+
+// buildSlots fetches candidate lists for every query term into fresh
+// slots (the allocating path of BuildQueryModel and the Ref baseline).
 func (e *Engine) buildSlots(queryNodes []graph.NodeID) ([]slot, error) {
 	slots := make([]slot, len(queryNodes))
 	for i, q := range queryNodes {
-		list, err := e.sim.SimilarNodes(q, e.opts.CandidatesPerTerm)
-		if err != nil {
-			return nil, fmt.Errorf("core: similar terms of slot %d: %w", i, err)
+		if err := e.fillSlot(&slots[i], i, q); err != nil {
+			return nil, err
 		}
-		s := slot{query: q}
-		if !e.opts.DropOriginal {
-			s.cands = append(s.cands, q)
-			s.sims = append(s.sims, 1)
-		}
-		for _, sn := range list {
-			if sn.Node == q {
-				continue
-			}
-			s.cands = append(s.cands, sn.Node)
-			s.sims = append(s.sims, sn.Score)
-		}
-		if e.opts.AllowDeletion {
-			s.cands = append(s.cands, voidNode)
-			s.sims = append(s.sims, e.opts.VoidPenalty)
-		}
-		if len(s.cands) == 0 {
-			// A slot with no substitutes (common for entity names under
-			// the co-occurrence baseline) keeps its original term: the
-			// rest of the query can still reformulate around it.
-			s.cands = append(s.cands, q)
-			s.sims = append(s.sims, 1)
-		}
-		slots[i] = s
 	}
 	return slots, nil
 }
@@ -244,13 +231,6 @@ func (e *Engine) buildSlots(queryNodes []graph.NodeID) ([]slot, error) {
 // (transitions) — which likewise prevents a single zero factor from
 // annihilating an otherwise good query.
 func (e *Engine) buildModel(slots []slot) *hmm.Model {
-	return e.buildModelFunc(slots, e.clos.Clos)
-}
-
-// buildModelFunc is buildModel with the closeness reader injected, so
-// the Ref baseline can force the map path while production reads the
-// packed tables.
-func (e *Engine) buildModelFunc(slots []slot, clos func(a, b graph.NodeID) float64) *hmm.Model {
 	m := len(slots)
 	lam := e.opts.SmoothingLambda
 
@@ -312,7 +292,7 @@ func (e *Engine) buildModelFunc(slots []slot, clos func(a, b graph.NodeID) float
 				case a == voidNode || b == voidNode:
 					v = e.opts.VoidPenalty
 				default:
-					v = clos(a, b)
+					v = e.clos.Clos(a, b)
 				}
 				raw[i][j] = v
 				bg += v
@@ -418,10 +398,10 @@ func (e *Engine) reformulateNodes(nodes []graph.NodeID, k int) ([]Reformulation,
 	return e.pathsToReformulations(s.slots[:len(nodes)], paths, k), nil
 }
 
-// ReformulateRef is Reformulate on the retained pointer path: map-read
-// candidate lists and closeness, per-query model allocation, and the
-// Ref decoders. It exists as the baseline of `kqr-bench -exp hotpath`
-// and the oracle for packed-vs-pointer equivalence tests; results are
+// ReformulateRef is Reformulate on the retained allocating path: the
+// same table reads, but per-query slot and model allocation and the Ref
+// decoders. It exists as the baseline of `kqr-bench -exp hotpath` and
+// the oracle for pooled-vs-allocating equivalence tests; results are
 // bit-identical to Reformulate.
 func (e *Engine) ReformulateRef(query []string, k int) ([]Reformulation, error) {
 	if len(query) == 0 {
@@ -441,13 +421,13 @@ func (e *Engine) ReformulateRef(query []string, k int) ([]Reformulation, error) 
 	return e.reformulateNodesRef(nodes, k)
 }
 
-// reformulateNodesRef is reformulateNodes over the pointer path.
+// reformulateNodesRef is reformulateNodes over the allocating path.
 func (e *Engine) reformulateNodesRef(nodes []graph.NodeID, k int) ([]Reformulation, error) {
 	slots, err := e.buildSlots(nodes)
 	if err != nil {
 		return nil, err
 	}
-	model := e.buildModelFunc(slots, e.closMap)
+	model := e.buildModel(slots)
 	fetch := k + len(nodes) + 2
 	var paths []hmm.Path
 	switch e.opts.Algorithm {
@@ -500,9 +480,9 @@ func (e *Engine) DecodePaths(nodes []graph.NodeID, k int, visit func(hmm.Path) b
 	return nil
 }
 
-// DecodePathsRef is DecodePaths over the pointer path (map reads,
-// per-query allocation, Ref decoders) — the hotpath benchmark's
-// baseline. The visited Paths are caller-safe copies by construction.
+// DecodePathsRef is DecodePaths over the allocating path (per-query
+// slots and model, Ref decoders) — the hotpath benchmark's baseline.
+// The visited Paths are caller-safe copies by construction.
 func (e *Engine) DecodePathsRef(nodes []graph.NodeID, k int, visit func(hmm.Path) bool) error {
 	if len(nodes) == 0 {
 		return fmt.Errorf("core: empty query")
@@ -514,7 +494,7 @@ func (e *Engine) DecodePathsRef(nodes []graph.NodeID, k int, visit func(hmm.Path
 	if err != nil {
 		return err
 	}
-	model := e.buildModelFunc(slots, e.closMap)
+	model := e.buildModel(slots)
 	var paths []hmm.Path
 	switch e.opts.Algorithm {
 	case AlgTopKViterbi:

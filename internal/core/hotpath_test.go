@@ -70,7 +70,7 @@ func sameReformulations(a, b []Reformulation) bool {
 	return true
 }
 
-// Tentpole invariant: the packed/pooled path and the pointer path must
+// Tentpole invariant: the pooled path and the allocating Ref path must
 // produce bit-identical reformulations (same terms, nodes, and exact
 // scores) for both decoding algorithms, with and without void states.
 func TestReformulateMatchesRefBitIdentical(t *testing.T) {
@@ -92,15 +92,15 @@ func TestReformulateMatchesRefBitIdentical(t *testing.T) {
 				t.Fatalf("opts %+v query %v (ref): %v", opts, q, err)
 			}
 			if !sameReformulations(fast, ref) {
-				t.Fatalf("opts %+v query %v: packed path diverges from pointer path\nfast: %+v\nref:  %+v",
+				t.Fatalf("opts %+v query %v: pooled path diverges from ref path\nfast: %+v\nref:  %+v",
 					opts, q, fast, ref)
 			}
 		}
 	}
 }
 
-// The cold engine (no Pack called) must fall back to the map path and
-// still match the ref output.
+// The cold engine (no Pack called) computes rows into the stores'
+// overlays on first use and must still match the ref output.
 func TestReformulateMatchesRefCold(t *testing.T) {
 	_, eng := newFixtureEngine(t, Options{})
 	for _, q := range hotpathQueries {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"kqr/internal/graph"
 	"kqr/internal/hmm"
 )
@@ -58,62 +56,14 @@ func (e *Engine) getScratch() *queryScratch {
 // finished with every path and slot view derived from it.
 func (e *Engine) putScratch(s *queryScratch) { e.pool.Put(s) }
 
-// buildSlotsInto is buildSlots writing into pooled storage. Candidate
-// rows come from the similarity provider's packed table when it
-// publishes one (SimRow), falling back to SimilarNodes; publish-time
-// quantization makes the two sources bit-identical.
+// buildSlotsInto is buildSlots writing into pooled storage.
 func (e *Engine) buildSlotsInto(s *queryScratch, queryNodes []graph.NodeID) error {
 	for len(s.slots) < len(queryNodes) {
 		s.slots = append(s.slots, slot{})
 	}
 	for i, q := range queryNodes {
-		sl := &s.slots[i]
-		sl.query = q
-		sl.cands = sl.cands[:0]
-		sl.sims = sl.sims[:0]
-		if !e.opts.DropOriginal {
-			sl.cands = append(sl.cands, q)
-			sl.sims = append(sl.sims, 1)
-		}
-		served := false
-		if e.simRow != nil {
-			if nodes, scores, ok := e.simRow(q); ok {
-				n := e.opts.CandidatesPerTerm
-				if n > len(nodes) {
-					n = len(nodes)
-				}
-				for idx := 0; idx < n; idx++ {
-					if nodes[idx] == q {
-						continue
-					}
-					sl.cands = append(sl.cands, nodes[idx])
-					sl.sims = append(sl.sims, float64(scores[idx]))
-				}
-				served = true
-			}
-		}
-		if !served {
-			list, err := e.sim.SimilarNodes(q, e.opts.CandidatesPerTerm)
-			if err != nil {
-				return fmt.Errorf("core: similar terms of slot %d: %w", i, err)
-			}
-			for _, sn := range list {
-				if sn.Node == q {
-					continue
-				}
-				sl.cands = append(sl.cands, sn.Node)
-				sl.sims = append(sl.sims, sn.Score)
-			}
-		}
-		if e.opts.AllowDeletion {
-			sl.cands = append(sl.cands, voidNode)
-			sl.sims = append(sl.sims, e.opts.VoidPenalty)
-		}
-		if len(sl.cands) == 0 {
-			// Same fallback as buildSlots: a slot with no substitutes
-			// keeps its original term.
-			sl.cands = append(sl.cands, q)
-			sl.sims = append(sl.sims, 1)
+		if err := e.fillSlot(&s.slots[i], i, q); err != nil {
+			return err
 		}
 	}
 	return nil

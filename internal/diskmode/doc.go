@@ -7,9 +7,9 @@
 // per-page CRCs — and a page-aligned entry blob. Open maps the file
 // (mmap on unix; plain ReadAt when mmap is unavailable or disabled)
 // and keeps only the preludes resident; Store's table views satisfy
-// packed.Table / packed.CloseTable, so the extractors publish them via
-// InstallPacked and the query hot path is byte-for-byte the code it
-// runs against RAM-backed tables.
+// packed.Table, so the row stores publish them via Install and the
+// query hot path is byte-for-byte the code it runs against RAM-backed
+// tables.
 //
 // A Row call walks the resident index, faults the one page holding the
 // row, verifies the page against its stored CRC, decodes it into typed

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 	"testing"
 
@@ -31,17 +32,36 @@ func synthSnapshot(numNodes, rowLen int) *artifact.Snapshot {
 		for i := range row {
 			row[i] = graph.Scored{
 				Node:  graph.NodeID(rng.Intn(numNodes)),
-				Score: packed.Quantize(rng.Float64()),
+				Score: float64(packed.Quantize(rng.Float64())),
 			}
 		}
 		s.Walk[graph.NodeID(v)] = row
 		vec := map[graph.NodeID]float64{}
 		for i := 0; i < n; i++ {
-			vec[graph.NodeID(rng.Intn(numNodes))] = packed.Quantize(rng.Float64())
+			vec[graph.NodeID(rng.Intn(numNodes))] = float64(packed.Quantize(rng.Float64()))
 		}
 		s.Closeness[graph.NodeID(v)] = vec
 	}
 	return s
+}
+
+// ramTables packs the snapshot's maps into RAM tables — the oracle the
+// paged views are compared against.
+func ramTables(numNodes int, snap *artifact.Snapshot) (sim, clos *packed.RAMTable) {
+	simRows := make(map[graph.NodeID]packed.Row)
+	for v, list := range snap.Walk {
+		simRows[v] = packed.NewRow(list)
+	}
+	closRows := make(map[graph.NodeID]packed.Row)
+	for v, vec := range snap.Closeness {
+		var list []graph.Scored
+		for u, c := range vec {
+			list = append(list, graph.Scored{Node: u, Score: c})
+		}
+		sort.Slice(list, func(i, j int) bool { return list[i].Node < list[j].Node })
+		closRows[v] = packed.NewRow(list)
+	}
+	return packed.Build(numNodes, simRows), packed.Build(numNodes, closRows)
 }
 
 // writeSnap writes the snapshot as a paged file under t.TempDir().
@@ -69,35 +89,29 @@ func TestBitIdentity(t *testing.T) {
 	const numNodes = 400
 	snap := synthSnapshot(numNodes, 24)
 	path := writeSnap(t, snap, 512)
-	ramSim := packed.BuildSim(numNodes, snap.Walk)
-	ramClos := packed.BuildClos(numNodes, snap.Closeness)
+	ramSim, ramClos := ramTables(numNodes, snap)
 
 	for _, noMmap := range []bool{false, true} {
 		s, err := Open(path, snap.Fingerprint, Options{Budget: 24 << 10, NoMmap: noMmap})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim, clos := s.Table(artifact.TableWalk), s.Closeness()
+		sim, clos := s.Table(artifact.TableWalk), s.Table(artifact.TableCloseness)
 		if sim == nil || clos == nil {
 			t.Fatal("missing table views")
 		}
 		for v := graph.NodeID(0); int(v) < numNodes; v++ {
-			wantN, wantS, wantOK := ramSim.Row(v)
-			gotN, gotS, gotOK := sim.Row(v)
-			if wantOK != gotOK || len(wantN) != len(gotN) {
-				t.Fatalf("noMmap=%v node %d: row shape mismatch", noMmap, v)
-			}
-			for i := range wantN {
-				if wantN[i] != gotN[i] || wantS[i] != gotS[i] {
-					t.Fatalf("noMmap=%v node %d entry %d: (%d,%v) != (%d,%v)",
-						noMmap, v, i, gotN[i], gotS[i], wantN[i], wantS[i])
+			for name, pair := range map[string][2]packed.Table{"sim": {ramSim, sim}, "clos": {ramClos, clos}} {
+				wantN, wantS, wantOK := pair[0].Row(v)
+				gotN, gotS, gotOK := pair[1].Row(v)
+				if wantOK != gotOK || len(wantN) != len(gotN) {
+					t.Fatalf("noMmap=%v %s node %d: row shape mismatch", noMmap, name, v)
 				}
-			}
-			for u := graph.NodeID(0); int(u) < numNodes; u += 7 {
-				wv, wok := ramClos.Lookup(v, u)
-				gv, gok := clos.Lookup(v, u)
-				if wv != gv || wok != gok {
-					t.Fatalf("noMmap=%v clos(%d,%d): (%v,%v) != (%v,%v)", noMmap, v, u, gv, gok, wv, wok)
+				for i := range wantN {
+					if wantN[i] != gotN[i] || wantS[i] != gotS[i] {
+						t.Fatalf("noMmap=%v %s node %d entry %d: (%d,%v) != (%d,%v)",
+							noMmap, name, v, i, gotN[i], gotS[i], wantN[i], wantS[i])
+					}
 				}
 			}
 		}
@@ -254,7 +268,7 @@ func TestCloseDrainsReaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, clos := s.Table(artifact.TableWalk), s.Closeness()
+	sim, clos := s.Table(artifact.TableWalk), s.Table(artifact.TableCloseness)
 
 	var wg sync.WaitGroup
 	start := make(chan struct{})
@@ -271,7 +285,8 @@ func TestCloseDrainsReaders(t *testing.T) {
 				if nodes, scores, ok := sim.Row(v); ok && len(nodes) != len(scores) {
 					panic("ragged row")
 				}
-				clos.Lookup(v, graph.NodeID(rng.Intn(numNodes)))
+				nodes, scores, _ := clos.Row(v)
+				packed.Probe(nodes, scores, graph.NodeID(rng.Intn(numNodes)))
 			}
 		}(int64(g))
 	}

@@ -6,85 +6,32 @@ import (
 	"kqr/internal/packed"
 )
 
-// SimView is a page-backed packed.Table over one paged similarity
-// section. It is the value the root package hands to the extractors'
-// InstallPacked in disk mode: the hot path reads it exactly like a
-// RAM-backed SimTable, and every miss (absent row, draining store,
-// corrupt page) answers ok == false, which callers already treat as
-// "fall back to computation".
-type SimView struct {
+// View is a page-backed packed.Table over one paged section —
+// similarity or closeness alike (closeness rows are sorted by neighbor
+// id in the file, so packed.Probe works on a faulted row exactly as on
+// a RAM one). It is the value the root package hands to a row store's
+// Install in disk mode, and every miss (absent row, draining store,
+// corrupt page) answers ok == false, which the store treats as "fall
+// through to the overlay, then compute".
+type View struct {
 	s *Store
 	t *artifact.PagedTable
 }
 
-// Row returns v's packed candidate row in rank order; the slices view
-// a cached page and must not be mutated.
-func (v *SimView) Row(node graph.NodeID) ([]graph.NodeID, []float32, bool) {
+// Row returns node's row in file order; the slices view a cached page
+// and must not be mutated.
+func (v *View) Row(node graph.NodeID) ([]graph.NodeID, []float32, bool) {
 	return v.s.row(v.t, node)
-}
-
-// Rows returns how many rows are present.
-func (v *SimView) Rows() int { return v.t.Rows() }
-
-// Entries returns the total number of packed (node, score) pairs.
-func (v *SimView) Entries() int { return int(v.t.EntryCount) }
-
-// Bytes returns the table's full payload size — what it would cost
-// resident if decoded wholesale (the resident reality is in Stats).
-func (v *SimView) Bytes() int { return int(v.t.BlobBytes() + v.t.MetaBytes()) }
-
-// CloseView is a page-backed packed.CloseTable over the paged
-// closeness section; rows are sorted by neighbor id, so Lookup is a
-// binary probe over one faulted page.
-type CloseView struct {
-	SimView
-}
-
-// Lookup returns clos(a, b) from a's paged row. ok mirrors
-// packed.ClosTable.Lookup: true with a zero value when a's row is
-// present but b absent (a true zero), false when a has no row or the
-// store cannot serve it right now.
-func (v *CloseView) Lookup(a, b graph.NodeID) (float64, bool) {
-	nodes, scores, ok := v.s.row(v.t, a)
-	if !ok {
-		return 0, false
-	}
-	lo, hi := 0, len(nodes)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		switch {
-		case nodes[mid] == b:
-			return float64(scores[mid]), true
-		case nodes[mid] < b:
-			lo = mid + 1
-		default:
-			hi = mid
-		}
-	}
-	return 0, true
 }
 
 // Table returns the store's page-backed view of the given table kind,
 // nil when the file carries no such section.
-func (s *Store) Table(kind artifact.TableKind) *SimView {
+func (s *Store) Table(kind artifact.TableKind) *View {
 	t := s.idx.Table(kind)
 	if t == nil {
 		return nil
 	}
-	return &SimView{s: s, t: t}
+	return &View{s: s, t: t}
 }
 
-// Closeness returns the page-backed closeness view, nil when absent.
-func (s *Store) Closeness() *CloseView {
-	t := s.idx.Table(artifact.TableCloseness)
-	if t == nil {
-		return nil
-	}
-	return &CloseView{SimView{s: s, t: t}}
-}
-
-// The views are the package's packed-table implementations.
-var (
-	_ packed.Table      = (*SimView)(nil)
-	_ packed.CloseTable = (*CloseView)(nil)
-)
+var _ packed.Table = (*View)(nil)

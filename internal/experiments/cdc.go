@@ -15,7 +15,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -289,12 +288,8 @@ func CDCSoak(dcfg dblpgen.Config, cfg CDCConfig) (CDCRow, error) {
 		row.QueryErrors += r.errs
 	}
 	row.Queries = len(all)
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	if n := len(all); n > 0 {
-		row.P50 = all[n/2]
-		row.P99 = all[n*99/100]
-		row.QPS = float64(n) / row.Wall.Seconds()
-	}
+	row.P50, row.P99 = latencyPercentiles(all)
+	row.QPS = float64(len(all)) / row.Wall.Seconds()
 
 	// Reconciliation against ground truth. Exactly-once staging means
 	// staged deltas match the stream exactly, and the papers table

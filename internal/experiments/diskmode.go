@@ -17,7 +17,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"sort"
 	"strings"
 	"time"
 
@@ -218,14 +217,12 @@ func measureTables(name string, eng *kqr.Engine, workload []string, reps int) (D
 		}
 	}
 	v.Ops = ops
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 	var total time.Duration
 	for _, l := range lats {
 		total += l
 	}
 	v.Mean = total / time.Duration(ops)
-	v.P50 = lats[ops/2]
-	v.P99 = lats[ops*99/100]
+	v.P50, v.P99 = latencyPercentiles(lats)
 	return v, nil
 }
 

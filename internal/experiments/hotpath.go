@@ -1,12 +1,10 @@
-// Zero-alloc decode hot-path experiment (ISSUE 7): measures the
-// packed+pooled DecodePaths against the pointer-chasing reference
-// implementation — allocations and bytes per decode, and the latency
-// distribution (p50/p99) — after verifying over the full synthetic
-// vocabulary that the two paths are bit-identical: every packed
-// similarity row must equal the map cache exactly, every packed
-// closeness probe must equal the map answer exactly, and every decoded
-// path must match the reference decoder state-for-state and
-// score-for-score.
+// Zero-alloc decode hot-path experiment (ISSUE 7): measures the pooled
+// DecodePaths against the allocating reference implementation (a fresh
+// slot set and model per query, the *Ref decoders) — allocations and
+// bytes per decode, and the latency distribution (p50/p99) — after
+// verifying that every decoded path matches the reference decoder
+// state-for-state and score-for-score. Both read the same packed
+// tables: there is no second table form left to compare against.
 package experiments
 
 import (
@@ -15,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"strings"
 	"time"
 
@@ -73,22 +70,18 @@ type HotpathRow struct {
 	VocabTerms int `json:"vocab_terms"`
 	Queries    int `json:"queries"`
 	K          int `json:"k"`
-	// SimRowsChecked and ClosProbesChecked count the packed-vs-map
-	// equivalence checks that passed (the run errors on any mismatch);
 	// PathsCompared counts decoded paths verified bit-identical between
-	// the fast and reference decoders.
-	SimRowsChecked    int            `json:"sim_rows_checked"`
-	ClosProbesChecked int            `json:"clos_probes_checked"`
-	PathsCompared     int            `json:"paths_compared"`
-	Fast              HotpathVariant `json:"fast"`
-	Ref               HotpathVariant `json:"ref"`
+	// the fast and reference decoders (the run errors on any mismatch).
+	PathsCompared int            `json:"paths_compared"`
+	Fast          HotpathVariant `json:"fast"`
+	Ref           HotpathVariant `json:"ref"`
 	// SpeedupP99 is Ref.P99 / Fast.P99.
 	SpeedupP99 float64 `json:"speedup_p99"`
 }
 
-// Hotpath warms and packs the offline tables, proves the packed state
-// and the flat decoder bit-identical to the pointer path over the whole
-// vocabulary, then measures both decode implementations.
+// Hotpath warms and packs the offline tables, proves the flat decoder
+// bit-identical to the reference path, then measures both decode
+// implementations.
 func (s *Setup) Hotpath(cfg HotpathConfig) (HotpathRow, error) {
 	cfg = cfg.withDefaults()
 	row := HotpathRow{K: cfg.K}
@@ -104,32 +97,6 @@ func (s *Setup) Hotpath(cfg HotpathConfig) (HotpathRow, error) {
 	}
 	s.SimCtx.Pack()
 	s.Clos.Pack()
-
-	// Packed-vs-map equivalence over the full vocabulary.
-	for _, v := range terms {
-		nodes, scores, ok := s.SimCtx.SimRow(v)
-		if !ok {
-			return row, fmt.Errorf("term %d: no packed similarity row after Pack", v)
-		}
-		want, err := s.SimCtx.SimilarNodes(v, 0)
-		if err != nil {
-			return row, err
-		}
-		if len(nodes) != len(want) {
-			return row, fmt.Errorf("term %d: packed row has %d entries, cache %d", v, len(nodes), len(want))
-		}
-		for i := range nodes {
-			if nodes[i] != want[i].Node || float64(scores[i]) != want[i].Score {
-				return row, fmt.Errorf("term %d rank %d: packed (%d,%v) != cache (%d,%v)",
-					v, i, nodes[i], float64(scores[i]), want[i].Node, want[i].Score)
-			}
-			if c, cm := s.Clos.Clos(v, nodes[i]), s.Clos.ClosMap(v, nodes[i]); c != cm {
-				return row, fmt.Errorf("closeness(%d,%d): packed %v != map %v", v, nodes[i], c, cm)
-			}
-			row.ClosProbesChecked++
-		}
-		row.SimRowsChecked++
-	}
 
 	queries, err := s.sampleHotpathQueries(cfg)
 	if err != nil {
@@ -167,7 +134,7 @@ func (s *Setup) Hotpath(cfg HotpathConfig) (HotpathRow, error) {
 	if b.AllocsPerOp < a.AllocsPerOp {
 		row.Fast = b
 	}
-	if row.Ref, err = measureDecode("pointer-ref", queries, cfg.Reps, ref); err != nil {
+	if row.Ref, err = measureDecode("allocating-ref", queries, cfg.Reps, ref); err != nil {
 		return row, err
 	}
 	if row.Fast.P99 > 0 {
@@ -296,14 +263,12 @@ func measureDecode(name string, queries [][]graph.NodeID, reps int,
 	v.Ops = ops
 	v.AllocsPerOp = float64(m1.Mallocs-m0.Mallocs) / float64(ops)
 	v.BytesPerOp = float64(m1.TotalAlloc-m0.TotalAlloc) / float64(ops)
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 	var total time.Duration
 	for _, l := range lats {
 		total += l
 	}
 	v.Mean = total / time.Duration(ops)
-	v.P50 = lats[ops/2]
-	v.P99 = lats[ops*99/100]
+	v.P50, v.P99 = latencyPercentiles(lats)
 	_ = sink
 	return v, nil
 }
@@ -311,9 +276,8 @@ func measureDecode(name string, queries [][]graph.NodeID, reps int,
 // RenderHotpath formats the run for the console.
 func RenderHotpath(row HotpathRow) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Hot path — packed/pooled decode vs pointer reference (k=%d):\n", row.K)
-	fmt.Fprintf(&b, "  equivalence: %d sim rows, %d closeness probes, %d paths — all bit-identical\n",
-		row.SimRowsChecked, row.ClosProbesChecked, row.PathsCompared)
+	fmt.Fprintf(&b, "Hot path — pooled decode vs allocating reference (k=%d):\n", row.K)
+	fmt.Fprintf(&b, "  equivalence: %d paths — all bit-identical\n", row.PathsCompared)
 	for _, v := range []HotpathVariant{row.Fast, row.Ref} {
 		fmt.Fprintf(&b, "  %-14s %7.1f allocs/op  %9.0f B/op  p50 %-9v p99 %-9v (%d ops)\n",
 			v.Name, v.AllocsPerOp, v.BytesPerOp,

@@ -13,7 +13,6 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -37,13 +36,11 @@ type LiveConfig struct {
 
 // LivePromotion records one ingest+promote cycle.
 type LivePromotion struct {
-	Epoch         uint64        `json:"epoch"`
-	Mode          string        `json:"mode"`
-	Inserts       int           `json:"inserts"`
-	AffectedTerms int           `json:"affected_terms"`
-	TotalTerms    int           `json:"total_terms"`
-	CarriedSim    int           `json:"carried_sim"`
-	Promote       time.Duration `json:"promote_ns"`
+	Epoch      uint64        `json:"epoch"`
+	Mode       string        `json:"mode"`
+	Inserts    int           `json:"inserts"`
+	TotalTerms int           `json:"total_terms"`
+	Promote    time.Duration `json:"promote_ns"`
 }
 
 // LiveRow is the result of one churn run.
@@ -163,13 +160,11 @@ func LiveChurn(dcfg dblpgen.Config, cfg LiveConfig) (LiveRow, error) {
 				return fmt.Errorf("round %d: new term %q not queryable: %w", round, fresh, err)
 			}
 			row.Promotions = append(row.Promotions, LivePromotion{
-				Epoch:         info.Epoch,
-				Mode:          info.Mode,
-				Inserts:       info.Inserts,
-				AffectedTerms: info.AffectedTerms,
-				TotalTerms:    info.TotalTerms,
-				CarriedSim:    info.CarriedSim,
-				Promote:       promote,
+				Epoch:      info.Epoch,
+				Mode:       info.Mode,
+				Inserts:    info.Inserts,
+				TotalTerms: info.TotalTerms,
+				Promote:    promote,
 			})
 		}
 		return nil
@@ -187,12 +182,8 @@ func LiveChurn(dcfg dblpgen.Config, cfg LiveConfig) (LiveRow, error) {
 		row.QueryErrors += r.errs
 	}
 	row.Queries = len(all)
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	if n := len(all); n > 0 {
-		row.P50 = all[n/2]
-		row.P99 = all[n*99/100]
-		row.QPS = float64(n) / row.Wall.Seconds()
-	}
+	row.P50, row.P99 = latencyPercentiles(all)
+	row.QPS = float64(len(all)) / row.Wall.Seconds()
 	return row, nil
 }
 
@@ -201,10 +192,10 @@ func RenderLive(row LiveRow) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Live ingestion churn (%d promotions under %d-way query load):\n",
 		len(row.Promotions), row.Queriers)
-	fmt.Fprintf(&b, "  %-6s %-9s %8s %9s %8s %12s\n", "epoch", "mode", "inserts", "affected", "carried", "promote")
+	fmt.Fprintf(&b, "  %-6s %-9s %8s %9s %12s\n", "epoch", "mode", "inserts", "terms", "promote")
 	for _, p := range row.Promotions {
-		fmt.Fprintf(&b, "  %-6d %-9s %8d %9d %8d %12v\n",
-			p.Epoch, p.Mode, p.Inserts, p.AffectedTerms, p.CarriedSim, p.Promote.Round(time.Millisecond))
+		fmt.Fprintf(&b, "  %-6d %-9s %8d %9d %12v\n",
+			p.Epoch, p.Mode, p.Inserts, p.TotalTerms, p.Promote.Round(time.Millisecond))
 	}
 	fmt.Fprintf(&b, "  queries   %d (%d errors)\n", row.Queries, row.QueryErrors)
 	fmt.Fprintf(&b, "  query p50 %v   p99 %v   throughput %.0f q/s\n",

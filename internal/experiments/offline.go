@@ -63,7 +63,7 @@ func (s *Setup) OfflineScaling(workerCounts []int, terms int) ([]OfflineRow, err
 			return nil, err
 		}
 		row.Walk = time.Since(start)
-		if got := ex.Walks(); got != int64(len(nodes)) {
+		if got := ex.Computes(); got != int64(len(nodes)) {
 			return nil, fmt.Errorf("offline: %d walks for %d nodes", got, len(nodes))
 		}
 

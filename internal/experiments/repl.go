@@ -20,7 +20,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -298,13 +297,11 @@ func ReplChurn(dcfg dblpgen.Config, cfg ReplConfig) (ReplRow, error) {
 				return fmt.Errorf("round %d promote: %w", round, err)
 			}
 			row.Promotions = append(row.Promotions, LivePromotion{
-				Epoch:         info.Epoch,
-				Mode:          info.Mode,
-				Inserts:       info.Inserts,
-				AffectedTerms: info.AffectedTerms,
-				TotalTerms:    info.TotalTerms,
-				CarriedSim:    info.CarriedSim,
-				Promote:       time.Since(start),
+				Epoch:      info.Epoch,
+				Mode:       info.Mode,
+				Inserts:    info.Inserts,
+				TotalTerms: info.TotalTerms,
+				Promote:    time.Since(start),
 			})
 			catchup, err := waitCatchup(info.Epoch)
 			if err != nil {
@@ -354,12 +351,8 @@ func ReplChurn(dcfg dblpgen.Config, cfg ReplConfig) (ReplRow, error) {
 		row.QueryErrors += r.errs
 	}
 	row.Queries = len(all)
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	if n := len(all); n > 0 {
-		row.P50 = all[n/2]
-		row.P99 = all[n*99/100]
-		row.QPS = float64(n) / row.Wall.Seconds()
-	}
+	row.P50, row.P99 = latencyPercentiles(all)
+	row.QPS = float64(len(all)) / row.Wall.Seconds()
 	if row.QueryErrors > 0 {
 		return row, fmt.Errorf("repl: %d of %d queries errored", row.QueryErrors, row.Queries)
 	}
@@ -425,14 +418,14 @@ func RenderRepl(row ReplRow) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Replication churn (%d followers, %d lockstep promotions, follower %d killed+resumed):\n",
 		row.Followers, len(row.Promotions), row.KilledFollower)
-	fmt.Fprintf(&b, "  %-6s %-9s %8s %9s %12s %12s\n", "epoch", "mode", "inserts", "affected", "promote", "catchup")
+	fmt.Fprintf(&b, "  %-6s %-9s %8s %9s %12s %12s\n", "epoch", "mode", "inserts", "terms", "promote", "catchup")
 	for i, p := range row.Promotions {
 		catchup := time.Duration(0)
 		if i < len(row.Catchups) {
 			catchup = row.Catchups[i]
 		}
 		fmt.Fprintf(&b, "  %-6d %-9s %8d %9d %12v %12v\n",
-			p.Epoch, p.Mode, p.Inserts, p.AffectedTerms,
+			p.Epoch, p.Mode, p.Inserts, p.TotalTerms,
 			p.Promote.Round(time.Millisecond), catchup.Round(time.Millisecond))
 	}
 	fmt.Fprintf(&b, "  queries   %d (%d errors) via round-robin over %d replicas\n",

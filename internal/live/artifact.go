@@ -2,15 +2,17 @@ package live
 
 import (
 	"fmt"
+	"sort"
 
 	"kqr/internal/artifact"
 	"kqr/internal/cooccur"
 	"kqr/internal/graph"
+	"kqr/internal/packed"
 	"kqr/internal/randomwalk"
 )
 
-// ArtifactSnapshot assembles the in-memory artifact snapshot of one
-// generation's offline stage: the full vocabulary plus whichever
+// ArtifactSnapshot assembles the artifact codec's transient snapshot of
+// one generation's offline stage: the full vocabulary plus whichever
 // similarity table the generation's mode maintains, and the closeness
 // table, stamped with the caller's fingerprint. The root package's
 // SaveArtifacts and the replication leader's bootstrap stream both
@@ -19,7 +21,7 @@ func ArtifactSnapshot(g *Generation, fingerprint string) (*artifact.Snapshot, er
 	snap := &artifact.Snapshot{
 		Fingerprint: fingerprint,
 		Classes:     g.TG.Classes(),
-		Closeness:   g.Clos.Snapshot(),
+		Closeness:   make(map[graph.NodeID]map[graph.NodeID]float64),
 	}
 	classIndex := make(map[string]int32, len(snap.Classes))
 	for i, c := range snap.Classes {
@@ -32,20 +34,31 @@ func ArtifactSnapshot(g *Generation, fingerprint string) (*artifact.Snapshot, er
 			Text:  g.TG.TermText(node),
 		})
 	}
-	switch sim := g.Sim.(type) {
+	sim := make(map[graph.NodeID][]graph.Scored)
+	g.Sim.Each(func(v graph.NodeID, nodes []graph.NodeID, scores []float32) {
+		sim[v] = packed.Scored(nodes, scores, 0)
+	})
+	switch g.Sim.(type) {
 	case *randomwalk.Extractor:
-		snap.Walk = sim.Snapshot()
+		snap.Walk = sim
 	case *cooccur.Extractor:
-		snap.Cooccur = sim.Snapshot()
+		snap.Cooccur = sim
 	default:
 		return nil, fmt.Errorf("live: similarity provider %T does not support snapshots", g.Sim)
 	}
+	g.Clos.Each(func(v graph.NodeID, nodes []graph.NodeID, scores []float32) {
+		vec := make(map[graph.NodeID]float64, len(nodes))
+		for i, u := range nodes {
+			vec[u] = float64(scores[i])
+		}
+		snap.Closeness[v] = vec
+	})
 	return snap, nil
 }
 
 // RestoreArtifact validates the snapshot's vocabulary against the
-// generation's graph node by node, then installs the tables into the
-// extractors. The vocabulary check backstops any fingerprint check the
+// generation's graph node by node, then bulk-loads the tables into the
+// stores. The vocabulary check backstops any fingerprint check the
 // caller ran: node ids are only meaningful if every term node still
 // carries the same text and class. Failures wrap
 // artifact.ErrFingerprint.
@@ -53,24 +66,36 @@ func RestoreArtifact(g *Generation, snap *artifact.Snapshot) error {
 	if err := ValidateVocabulary(g, snap.Classes, snap.Vocabulary); err != nil {
 		return err
 	}
-	switch sim := g.Sim.(type) {
+	var sim map[graph.NodeID][]graph.Scored
+	switch g.Sim.(type) {
 	case *randomwalk.Extractor:
-		if snap.Walk == nil {
+		if sim = snap.Walk; sim == nil {
 			return fmt.Errorf("%w: snapshot has no random-walk section", artifact.ErrFingerprint)
 		}
-		sim.Restore(snap.Walk)
 	case *cooccur.Extractor:
-		if snap.Cooccur == nil {
+		if sim = snap.Cooccur; sim == nil {
 			return fmt.Errorf("%w: snapshot has no co-occurrence section", artifact.ErrFingerprint)
 		}
-		sim.Restore(snap.Cooccur)
 	default:
 		return fmt.Errorf("live: similarity provider %T does not support snapshots", g.Sim)
 	}
-	if snap.Closeness == nil {
-		snap.Closeness = make(map[graph.NodeID]map[graph.NodeID]float64)
+	rows := make(map[graph.NodeID]packed.Row, len(sim))
+	for v, list := range sim {
+		rows[v] = packed.NewRow(list)
 	}
-	g.Clos.Restore(snap.Closeness)
+	g.Sim.Load(rows)
+
+	rows = make(map[graph.NodeID]packed.Row, len(snap.Closeness))
+	var list []graph.Scored
+	for v, vec := range snap.Closeness {
+		list = list[:0]
+		for u, c := range vec {
+			list = append(list, graph.Scored{Node: u, Score: c})
+		}
+		sort.Slice(list, func(i, j int) bool { return list[i].Node < list[j].Node })
+		rows[v] = packed.NewRow(list)
+	}
+	g.Clos.Load(rows)
 	return nil
 }
 

@@ -94,22 +94,6 @@ func validateDelta(db *relstore.Database, d Delta) error {
 	return nil
 }
 
-// applyResult describes the copy-on-write rebuild: the new database,
-// the identity mapping for surviving tuples, and what changed.
-type applyResult struct {
-	db *relstore.Database
-	// remap maps every surviving old tuple to its new identity (row
-	// indexes shift when earlier rows are deleted).
-	remap map[relstore.TupleID]relstore.TupleID
-	// inserted lists the new identities of rows added by deltas.
-	inserted []relstore.TupleID
-	// deleted lists old identities removed — explicit deletes plus
-	// cascades.
-	deleted []relstore.TupleID
-	// cascades counts how many of deleted were cascade removals.
-	cascades int
-}
-
 // TopoTables orders table names so every table appears after the tables
 // it references — the order rows must be re-inserted in for foreign-key
 // checks to pass. Cycles (e.g. the self-referencing cites table) are
@@ -177,8 +161,9 @@ func TopoTables(db *relstore.Database) ([]string, error) {
 // references a deleted row is deleted too (association and citation
 // rows disappear with the tuples they link). Inserts are applied after
 // all base rows, in delta order, so an inserted row may reference
-// another row inserted in the same batch.
-func applyDeltas(base *relstore.Database, deltas []Delta) (*applyResult, error) {
+// another row inserted in the same batch. cascades counts the rows
+// removed because a row they referenced was deleted.
+func applyDeltas(base *relstore.Database, deltas []Delta) (db *relstore.Database, cascades int, err error) {
 	// Index the deletions per table by primary-key value.
 	dels := make(map[string]map[string]bool) // table -> pk text key -> true
 	for _, d := range deltas {
@@ -193,22 +178,21 @@ func applyDeltas(base *relstore.Database, deltas []Delta) (*applyResult, error) 
 
 	order, err := TopoTables(base)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	db := relstore.NewDatabase()
+	db = relstore.NewDatabase()
 	// Recreate every schema in the original creation order so derived
 	// structures (class ids, scan order) stay comparable.
 	for _, name := range base.TableNames() {
 		t, err := base.Table(name)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if err := db.CreateTable(t.Schema()); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 	}
 
-	res := &applyResult{db: db, remap: make(map[relstore.TupleID]relstore.TupleID)}
 	deleted := make(map[relstore.TupleID]bool)
 
 	// Copy surviving base rows, parents before children, cascading
@@ -216,7 +200,7 @@ func applyDeltas(base *relstore.Database, deltas []Delta) (*applyResult, error) 
 	for _, name := range order {
 		t, err := base.Table(name)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		s := t.Schema()
 		pkCol := -1
@@ -227,7 +211,6 @@ func applyDeltas(base *relstore.Database, deltas []Delta) (*applyResult, error) 
 		t.Scan(func(tp relstore.Tuple) bool {
 			if pkCol >= 0 && dels[name][valueKey(tp.Values[pkCol])] {
 				deleted[tp.ID] = true
-				res.deleted = append(res.deleted, tp.ID)
 				return true
 			}
 			// Cascade: drop rows referencing a deleted row.
@@ -239,21 +222,18 @@ func applyDeltas(base *relstore.Database, deltas []Delta) (*applyResult, error) 
 			for _, ref := range refs {
 				if deleted[ref] {
 					deleted[tp.ID] = true
-					res.deleted = append(res.deleted, tp.ID)
-					res.cascades++
+					cascades++
 					return true
 				}
 			}
-			newID, err := db.Insert(name, tp.Values...)
-			if err != nil {
+			if _, err := db.Insert(name, tp.Values...); err != nil {
 				scanErr = fmt.Errorf("live: re-inserting %s: %w", tp.ID, err)
 				return false
 			}
-			res.remap[tp.ID] = newID
 			return true
 		})
 		if scanErr != nil {
-			return nil, scanErr
+			return nil, 0, scanErr
 		}
 	}
 
@@ -265,7 +245,7 @@ func applyDeltas(base *relstore.Database, deltas []Delta) (*applyResult, error) 
 		}
 		t, err := db.Table(d.Table)
 		if err != nil {
-			return nil, fmt.Errorf("live: %s: %w", d, err)
+			return nil, 0, fmt.Errorf("live: %s: %w", d, err)
 		}
 		s := t.Schema()
 		if s.PrimaryKey != "" {
@@ -273,13 +253,11 @@ func applyDeltas(base *relstore.Database, deltas []Delta) (*applyResult, error) 
 				continue // inserted then deleted in one batch
 			}
 		}
-		id, err := db.Insert(d.Table, d.Values...)
-		if err != nil {
-			return nil, fmt.Errorf("live: %s: %w", d, err)
+		if _, err := db.Insert(d.Table, d.Values...); err != nil {
+			return nil, 0, fmt.Errorf("live: %s: %w", d, err)
 		}
-		res.inserted = append(res.inserted, id)
 	}
-	return res, nil
+	return db, cascades, nil
 }
 
 // valueKey renders a value as a map key, kind-tagged so Int(1) and

@@ -6,9 +6,8 @@
 // A Generation bundles everything a query touches — the database copy,
 // the TAT graph, the similarity provider, the closeness store, the core
 // HMM engine and the keyword searcher — built together over one corpus
-// state and never mutated afterwards (the per-term caches inside the
-// stores still fill lazily, but only with values derived from that
-// frozen corpus). A Manager holds the current Generation in an atomic
+// state and never mutated afterwards (the row stores still fill lazily,
+// but only with values derived from that frozen corpus). A Manager holds the current Generation in an atomic
 // pointer and accepts a stream of tuple deltas; Promote applies the
 // staged deltas to a copy-on-write rebuild of the database, constructs
 // the next Generation, and swaps the pointer. Readers that loaded the
@@ -16,16 +15,15 @@
 // one. No lock sits on the query path — the only synchronization a
 // reader pays is one atomic load.
 //
-// Promotion chooses between two rebuild modes. A targeted rebuild
-// carries the old generation's cached walk and closeness entries over
-// to the new node numbering for every term whose tuple neighborhood did
-// not change, and recomputes only the affected terms (those within
-// AffectedRadius hops of an inserted or deleted tuple) on the worker
-// pool. Past ChurnThreshold — the affected fraction of the vocabulary —
-// carrying entries over saves less than it costs, and the manager falls
-// back to a full rebuild. A staleness bound (MaxDeltas / MaxAge)
-// promotes automatically so pending deltas cannot accumulate unserved
-// forever.
+// Promotion has one rebuild mode: the next generation's offline tables
+// are computed from scratch over the new corpus (re-warmed in full when
+// the old generation held any rows, left lazy otherwise). Carrying rows
+// over from the old generation cannot be exact — the contextual walk
+// and its idf weighting are global, so one inserted tuple perturbs
+// every similarity row, not only those within the closeness horizon —
+// and a table that is not bit-equal to a fresh build is not worth its
+// bookkeeping. A staleness bound (MaxDeltas / MaxAge) promotes
+// automatically so pending deltas cannot accumulate unserved forever.
 package live
 
 import (
@@ -75,8 +73,7 @@ func (m Mode) String() string {
 
 // Config carries everything Build needs to construct a generation —
 // the same knobs the root package's Open wires, so every generation of
-// one engine is built identically and cached entries remain comparable
-// across generations.
+// one engine is built identically.
 type Config struct {
 	// Mode selects the similarity model (default ModeContextual).
 	Mode Mode
@@ -115,21 +112,19 @@ type Config struct {
 }
 
 // SimTables is the similarity-provider surface a generation needs
-// beyond answering queries: persistence of the per-term cache (for
-// carry-over between generations and snapshots), the parallel offline
-// precompute, and Pack, which republishes the cache as an immutable
-// CSR table (internal/packed) serving the engine's zero-alloc decode
-// path. Both in-tree extractors satisfy it.
+// beyond answering queries — the packed.Store operations of the offline
+// stage and the artifact boundary, plus the erroring list accessor the
+// public API reports through. Both in-tree extractors satisfy it by
+// embedding packed.Ranked.
 type SimTables interface {
 	core.SimilarityProvider
-	Snapshot() map[graph.NodeID][]graph.Scored
-	Restore(map[graph.NodeID][]graph.Scored)
+	SimilarNodes(t0 graph.NodeID, k int) ([]graph.Scored, error)
 	Precompute(ctx context.Context, nodes []graph.NodeID) error
 	Pack()
-	// InstallPacked publishes an externally built packed table (a
-	// page-backed disk view) in place of the RAM-packed cache image —
-	// the disk-mode attach path.
-	InstallPacked(packed.Table)
+	Install(packed.Table)
+	Load(map[graph.NodeID]packed.Row)
+	Each(func(v graph.NodeID, nodes []graph.NodeID, scores []float32))
+	Resident() int
 }
 
 // Provenance records how a generation came to be — the admin API's
@@ -138,8 +133,8 @@ type Provenance struct {
 	// Epoch is the generation's monotonically increasing number; the
 	// initial generation built by Open is epoch 1.
 	Epoch uint64 `json:"epoch"`
-	// Mode is how the generation was built: "initial", "targeted",
-	// "full", or "reload".
+	// Mode is how the generation was built: "initial", "full" (a
+	// promotion), or "reload".
 	Mode string `json:"mode"`
 	// Inserts and Deletes count the deltas applied relative to the
 	// previous generation (zero for "initial" and "reload").
@@ -148,21 +143,13 @@ type Provenance struct {
 	// CascadeDeletes counts rows removed because a row they referenced
 	// was deleted.
 	CascadeDeletes int `json:"cascade_deletes"`
-	// AffectedTerms is how many term nodes fell inside the affected
-	// neighborhood and were recomputed; TotalTerms sizes the vocabulary
-	// it is measured against.
-	AffectedTerms int `json:"affected_terms"`
-	TotalTerms    int `json:"total_terms"`
-	// CarriedSim and CarriedClos count cache entries carried over from
-	// the previous generation in a targeted rebuild.
-	CarriedSim  int `json:"carried_sim"`
-	CarriedClos int `json:"carried_clos"`
-	// Timings of the promotion phases. Pack measures repacking the
-	// warmed caches into the CSR tables the hot decode path reads;
+	// TotalTerms sizes the generation's vocabulary.
+	TotalTerms int `json:"total_terms"`
+	// Timings of the promotion phases. Pack measures folding the
+	// computed rows into the CSR tables the hot decode path reads;
 	// Mend measures building the query-mending deletion index.
 	ApplyDeltas time.Duration `json:"apply_deltas_ns"`
 	BuildGraph  time.Duration `json:"build_graph_ns"`
-	CarryOver   time.Duration `json:"carry_over_ns"`
 	Precompute  time.Duration `json:"precompute_ns"`
 	Pack        time.Duration `json:"pack_ns"`
 	Mend        time.Duration `json:"mend_ns"`
@@ -173,8 +160,8 @@ type Provenance struct {
 
 // Generation is one immutable index generation: a corpus state plus
 // every derived structure the query path reads. Fields are never
-// reassigned after Build returns; the stores' internal caches fill
-// lazily but are safe for concurrent use.
+// reassigned after Build returns; the stores' overlays fill lazily but
+// are safe for concurrent use.
 type Generation struct {
 	// Epoch is the generation number (assigned by the Manager; 1 for
 	// the initial generation).

@@ -2,8 +2,10 @@ package live
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
+	"kqr/internal/graph"
 	"kqr/internal/relstore"
 	"kqr/internal/testcorpus"
 )
@@ -92,24 +94,17 @@ func TestApplyDeltasInsert(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := db.Stats().Tuples
-	res, err := applyDeltas(db, []Delta{insertPaper(100, "stream processing engines", 1)})
+	next, cascades, err := applyDeltas(db, []Delta{insertPaper(100, "stream processing engines", 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.db.Stats().Tuples; got != before+1 {
-		t.Errorf("tuples = %d, want %d", got, before+1)
+	if got := next.Stats().Tuples; got != before+1 || cascades != 0 {
+		t.Errorf("tuples = %d (want %d), cascades = %d", got, before+1, cascades)
 	}
 	if db.Stats().Tuples != before {
 		t.Error("base database was mutated")
 	}
-	if len(res.inserted) != 1 || len(res.deleted) != 0 {
-		t.Errorf("inserted=%d deleted=%d", len(res.inserted), len(res.deleted))
-	}
-	// Every base tuple must remap to itself here (no deletions).
-	if len(res.remap) != before {
-		t.Errorf("remap covers %d of %d base tuples", len(res.remap), before)
-	}
-	tbl, err := res.db.Table("papers")
+	tbl, err := next.Table("papers")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,24 +120,24 @@ func TestApplyDeltasDeleteCascades(t *testing.T) {
 	}
 	// Paper pid=1 has one writes row (Alice). Deleting the paper must
 	// cascade to that row.
-	res, err := applyDeltas(db, []Delta{{Op: OpDelete, Table: "papers", Key: relstore.Int(1)}})
+	next, cascades, err := applyDeltas(db, []Delta{{Op: OpDelete, Table: "papers", Key: relstore.Int(1)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.deleted) != 2 {
-		t.Fatalf("deleted %d tuples, want 2 (paper + writes row): %v", len(res.deleted), res.deleted)
+	if gone := db.Stats().Tuples - next.Stats().Tuples; gone != 2 {
+		t.Fatalf("deleted %d tuples, want 2 (paper + writes row)", gone)
 	}
-	if res.cascades != 1 {
-		t.Errorf("cascades = %d, want 1", res.cascades)
+	if cascades != 1 {
+		t.Errorf("cascades = %d, want 1", cascades)
 	}
-	tbl, err := res.db.Table("papers")
+	tbl, err := next.Table("papers")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := tbl.LookupPK(relstore.Int(1)); ok {
 		t.Error("deleted paper still present")
 	}
-	if err := res.db.CheckIntegrity(); err != nil {
+	if err := next.CheckIntegrity(); err != nil {
 		t.Errorf("integrity after cascade: %v", err)
 	}
 }
@@ -154,17 +149,17 @@ func TestApplyDeltasConferenceCascadesThroughPapers(t *testing.T) {
 	}
 	// NETCONF (cid=3) has 2 papers and 3 writes rows; the cascade must
 	// chain conference -> papers -> writes.
-	res, err := applyDeltas(db, []Delta{{Op: OpDelete, Table: "conferences", Key: relstore.Int(3)}})
+	next, cascades, err := applyDeltas(db, []Delta{{Op: OpDelete, Table: "conferences", Key: relstore.Int(3)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.deleted) != 6 {
-		t.Fatalf("deleted %d tuples, want 6 (conf + 2 papers + 3 writes)", len(res.deleted))
+	if gone := db.Stats().Tuples - next.Stats().Tuples; gone != 6 {
+		t.Fatalf("deleted %d tuples, want 6 (conf + 2 papers + 3 writes)", gone)
 	}
-	if res.cascades != 5 {
-		t.Errorf("cascades = %d, want 5", res.cascades)
+	if cascades != 5 {
+		t.Errorf("cascades = %d, want 5", cascades)
 	}
-	if err := res.db.CheckIntegrity(); err != nil {
+	if err := next.CheckIntegrity(); err != nil {
 		t.Errorf("integrity: %v", err)
 	}
 }
@@ -175,14 +170,14 @@ func TestApplyDeltasInsertThenDeleteSameBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := db.Stats().Tuples
-	res, err := applyDeltas(db, []Delta{
+	next, _, err := applyDeltas(db, []Delta{
 		insertPaper(100, "ephemeral paper", 1),
 		{Op: OpDelete, Table: "papers", Key: relstore.Int(100)},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.db.Stats().Tuples; got != before {
+	if got := next.Stats().Tuples; got != before {
 		t.Errorf("tuples = %d, want %d (insert+delete should cancel)", got, before)
 	}
 }
@@ -192,15 +187,15 @@ func TestApplyDeltasInsertReferencingSameBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := applyDeltas(db, []Delta{
+	next, _, err := applyDeltas(db, []Delta{
 		{Op: OpInsert, Table: "conferences", Values: []relstore.Value{relstore.Int(50), relstore.String("KDD")}},
 		insertPaper(100, "frequent pattern mining", 50),
 	})
 	if err != nil {
 		t.Fatalf("insert referencing same-batch row: %v", err)
 	}
-	if len(res.inserted) != 2 {
-		t.Errorf("inserted %d, want 2", len(res.inserted))
+	if got := next.Stats().Tuples; got != db.Stats().Tuples+2 {
+		t.Errorf("tuples = %d, want %d", got, db.Stats().Tuples+2)
 	}
 }
 
@@ -226,8 +221,8 @@ func TestPromoteInsertMakesTermsQueryable(t *testing.T) {
 	if p.Inserts != 1 || p.Deletes != 0 {
 		t.Errorf("provenance counts: %+v", p)
 	}
-	if p.Mode != "targeted" && p.Mode != "full" {
-		t.Errorf("provenance mode %q", p.Mode)
+	if p.Mode != "full" || p.TotalTerms != g.TG.NumTermNodes() {
+		t.Errorf("provenance mode %q, total terms %d", p.Mode, p.TotalTerms)
 	}
 }
 
@@ -285,62 +280,101 @@ func TestPromoteFailureRestoresPending(t *testing.T) {
 	}
 }
 
-func TestTargetedCarryOverMatchesFreshBuild(t *testing.T) {
-	m := mustManager(t, Options{ChurnThreshold: 0.99})
-	old := m.Current()
-	// Warm the whole old generation so there is something to carry.
-	if err := precompute(context.Background(), old, old.TG.TermNodeIDs()); err != nil {
+// warm runs the full offline stage on g.
+func warm(t *testing.T, g *Generation) {
+	t.Helper()
+	nodes := g.TG.TermNodeIDs()
+	if err := g.Sim.Precompute(context.Background(), nodes); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Ingest([]Delta{insertPaper(100, "probabilistic stream mining", 1)}); err != nil {
+	if err := g.Clos.Precompute(context.Background(), nodes); err != nil {
+		t.Fatal(err)
+	}
+	g.Sim.Pack()
+	g.Clos.Pack()
+}
+
+// After Promote every vocabulary term's similarity AND closeness row
+// must be bit-equal to a fresh Build over the same corpus: one rebuild
+// mode, no approximation.
+func TestPromoteMatchesFreshBuildBitForBit(t *testing.T) {
+	m := mustManager(t, Options{})
+	warm(t, m.Current())
+	if err := m.Ingest([]Delta{
+		insertPaper(100, "probabilistic stream mining", 1),
+		{Op: OpDelete, Table: "papers", Key: relstore.Int(10)},
+	}); err != nil {
 		t.Fatal(err)
 	}
 	g, err := m.Promote(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Provenance.Mode != "targeted" {
-		t.Fatalf("mode = %q, want targeted (affected %d/%d)",
-			g.Provenance.Mode, g.Provenance.AffectedTerms, g.Provenance.TotalTerms)
-	}
-	if g.Provenance.CarriedSim == 0 && g.Provenance.CarriedClos == 0 {
-		t.Error("targeted promote carried nothing")
+	if g.Sim.Resident() != g.TG.NumTermNodes() || g.Provenance.Precompute == 0 {
+		t.Fatalf("warmed predecessor but %d of %d rows resident, precompute %v",
+			g.Sim.Resident(), g.TG.NumTermNodes(), g.Provenance.Precompute)
 	}
 
-	// Reference: a fresh full build over the same corpus.
 	fresh := mustGen(t, g.DB)
 	for _, v := range g.TG.TermNodeIDs() {
-		want := fresh.Clos.From(v)
-		got := g.Clos.From(v)
-		if len(got) != len(want) {
-			t.Fatalf("node %d (%s): closeness size %d != fresh %d",
-				v, g.TG.DisplayLabel(v), len(got), len(want))
+		gn, gs, ok := g.Sim.SimRow(v)
+		fn, fs, fok := fresh.Sim.SimRow(v)
+		if !ok || !fok || !reflect.DeepEqual(gn, fn) || !reflect.DeepEqual(gs, fs) {
+			t.Fatalf("node %d (%s): promoted similarity row differs from a fresh build",
+				v, g.TG.DisplayLabel(v))
 		}
-		for u, c := range want {
-			if gc := got[u]; gc < c-1e-9 || gc > c+1e-9 {
-				t.Fatalf("node %d -> %d: closeness %v != fresh %v", v, u, gc, c)
-			}
+		gn, gs, _ = g.Clos.Row(v)
+		fn, fs, _ = fresh.Clos.Row(v)
+		if !reflect.DeepEqual(gn, fn) || !reflect.DeepEqual(gs, fs) {
+			t.Fatalf("node %d (%s): promoted closeness row differs from a fresh build",
+				v, g.TG.DisplayLabel(v))
 		}
 	}
 }
 
-func TestChurnThresholdForcesFullRebuild(t *testing.T) {
-	m := mustManager(t, Options{ChurnThreshold: 0.0000001})
-	if err := precompute(context.Background(), m.Current(), m.Current().TG.TermNodeIDs()); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Ingest([]Delta{insertPaper(100, "quantum error correction", 2)}); err != nil {
-		t.Fatal(err)
-	}
-	g, err := m.Promote(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Provenance.Mode != "full" {
-		t.Errorf("mode = %q, want full under tiny churn threshold", g.Provenance.Mode)
-	}
-	if g.Provenance.CarriedSim != 0 || g.Provenance.CarriedClos != 0 {
-		t.Error("full rebuild must not carry cache entries")
+// noRows is a published view that serves nothing — a disk attach as far
+// as the store's residency accounting goes.
+type noRows struct{}
+
+func (noRows) Row(graph.NodeID) ([]graph.NodeID, []float32, bool) { return nil, nil, false }
+
+// Promotion re-warms in full exactly when the old generation held rows
+// in RAM; a never-touched or disk-attached predecessor stays lazy.
+func TestPromoteWarmsOnlyAfterWarmPredecessor(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		prepare  func(*Generation)
+		wantWarm bool
+	}{
+		{"never warmed", func(*Generation) {}, false},
+		{"disk attached", func(g *Generation) { g.Sim.Install(noRows{}); g.Clos.Install(noRows{}) }, false},
+		{"one lazy row", func(g *Generation) { g.Sim.SimRow(g.TG.TermNodeIDs()[0]) }, true},
+		{"warmed", func(g *Generation) { warm(t, g) }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := mustManager(t, Options{})
+			tc.prepare(m.Current())
+			if err := m.Ingest([]Delta{insertPaper(100, "quantum error correction", 2)}); err != nil {
+				t.Fatal(err)
+			}
+			g, err := m.Promote(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g.Provenance.Mode != "full" {
+				t.Errorf("mode = %q, want full", g.Provenance.Mode)
+			}
+			want := 0
+			if tc.wantWarm {
+				want = g.TG.NumTermNodes()
+			}
+			if got := g.Sim.Resident(); got != want {
+				t.Errorf("%d similarity rows resident after promote, want %d", got, want)
+			}
+			if got := g.Clos.Resident(); got != want {
+				t.Errorf("%d closeness rows resident after promote, want %d", got, want)
+			}
+		})
 	}
 }
 

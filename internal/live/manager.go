@@ -10,40 +10,18 @@ import (
 
 // Options tunes a Manager beyond the generation-building Config.
 type Options struct {
-	// ChurnThreshold is the affected fraction of the vocabulary above
-	// which a promotion abandons targeted carry-over and rebuilds the
-	// caches in full (default 0.25).
-	ChurnThreshold float64
 	// StalenessMaxDeltas triggers an automatic asynchronous promotion
 	// once that many deltas are pending (0 = no count bound).
 	StalenessMaxDeltas int
 	// StalenessMaxAge triggers an automatic asynchronous promotion once
 	// the oldest pending delta has waited that long (0 = no age bound).
 	StalenessMaxAge time.Duration
-	// AffectedRadius is the BFS radius (in hops) defining which terms a
-	// change affects. 0 defaults to the closeness horizon
-	// (Config.ClosenessMaxLen, itself defaulting to 4) — beyond it a
-	// change cannot alter a closeness vector.
-	AffectedRadius int
 	// OnRetire, if set, observes each generation as it stops being
 	// current (after the swap; in-flight readers may still hold it).
 	OnRetire func(*Generation)
 	// OnError, if set, observes failures of staleness-triggered
 	// automatic promotions, which have no caller to return to.
 	OnError func(error)
-}
-
-func (o Options) withDefaults(cfg Config) Options {
-	if o.ChurnThreshold == 0 {
-		o.ChurnThreshold = 0.25
-	}
-	if o.AffectedRadius == 0 {
-		o.AffectedRadius = cfg.ClosenessMaxLen
-	}
-	if o.AffectedRadius == 0 {
-		o.AffectedRadius = 4
-	}
-	return o
 }
 
 // Manager owns the current Generation and the pending delta stream.
@@ -81,7 +59,7 @@ func NewManager(initial *Generation, cfg Config, opts Options) (*Manager, error)
 		}
 		initial.Provenance.TotalTerms = initial.TG.NumTermNodes()
 	}
-	m := &Manager{cfg: cfg, opts: opts.withDefaults(cfg)}
+	m := &Manager{cfg: cfg, opts: opts}
 	m.cur.Store(initial)
 	return m, nil
 }
@@ -208,11 +186,11 @@ func (m *Manager) Promote(ctx context.Context) (*Generation, error) {
 }
 
 // build constructs the successor generation: delta application,
-// graph/store construction, targeted-or-full cache strategy, offline
-// precompute, and provenance.
+// graph/store construction, offline precompute, packing, and
+// provenance.
 func (m *Manager) build(ctx context.Context, old *Generation, deltas []Delta) (*Generation, error) {
 	start := time.Now()
-	prov := Provenance{Epoch: old.Epoch + 1}
+	prov := Provenance{Epoch: old.Epoch + 1, Mode: "full"}
 	for _, d := range deltas {
 		if d.Op == OpDelete {
 			prov.Deletes++
@@ -222,56 +200,39 @@ func (m *Manager) build(ctx context.Context, old *Generation, deltas []Delta) (*
 	}
 
 	t0 := time.Now()
-	res, err := applyDeltas(old.DB, deltas)
+	db, cascades, err := applyDeltas(old.DB, deltas)
 	if err != nil {
 		return nil, err
 	}
 	prov.ApplyDeltas = time.Since(t0)
-	prov.CascadeDeletes = res.cascades
+	prov.CascadeDeletes = cascades
 
 	t0 = time.Now()
-	next, err := Build(res.db, m.cfg)
+	next, err := Build(db, m.cfg)
 	if err != nil {
 		return nil, err
 	}
 	prov.BuildGraph = time.Since(t0)
 	prov.TotalTerms = next.TG.NumTermNodes()
 
-	seeds := changeSeeds(old, res, next.TG)
-	affected := affectedTerms(next.TG, seeds, m.opts.AffectedRadius)
-	prov.AffectedTerms = len(affected)
-
-	full := prov.TotalTerms == 0 ||
-		float64(len(affected))/float64(prov.TotalTerms) > m.opts.ChurnThreshold
-	warm := affected
-	if full {
-		prov.Mode = "full"
-		// Re-warm the whole vocabulary only if the old generation had
-		// been warmed; a cold engine stays lazy and fills on demand.
-		if len(old.Sim.Snapshot()) == 0 {
-			warm = nil
-		} else {
-			warm = next.TG.TermNodeIDs()
+	// Re-warm the whole vocabulary only if the old generation held rows
+	// in RAM (warmed, loaded from a snapshot, or touched by queries); a
+	// cold or disk-attached engine stays lazy and fills on demand.
+	if old.Sim.Resident() > 0 {
+		t0 = time.Now()
+		nodes := next.TG.TermNodeIDs()
+		if err := next.Sim.Precompute(ctx, nodes); err != nil {
+			return nil, err
 		}
-	} else {
-		prov.Mode = "targeted"
-		t0 = time.Now()
-		prov.CarriedSim, prov.CarriedClos = carryOver(old, next, res, affected)
-		prov.CarryOver = time.Since(t0)
-	}
-
-	if len(warm) > 0 {
-		t0 = time.Now()
-		if err := precompute(ctx, next, warm); err != nil {
+		if err := next.Clos.Precompute(ctx, nodes); err != nil {
 			return nil, err
 		}
 		prov.Precompute = time.Since(t0)
 	}
 
-	// Repack the carried/recomputed caches into the immutable CSR
-	// tables the zero-alloc decode path reads, before the generation
-	// becomes visible — readers never observe a warmed-but-unpacked
-	// generation.
+	// Fold the computed rows into the immutable CSR tables before the
+	// generation becomes visible — readers never observe a
+	// warmed-but-unpacked generation.
 	t0 = time.Now()
 	next.Sim.Pack()
 	next.Clos.Pack()

@@ -6,102 +6,51 @@ import (
 	"sync"
 	"testing"
 
-	"kqr/internal/graph"
+	"kqr/internal/randomwalk"
 	"kqr/internal/testcorpus"
 )
 
-// simRows is the packed-row surface both extractors expose beyond the
-// SimTables interface.
-type simRows interface {
-	SimRow(graph.NodeID) ([]graph.NodeID, []float32, bool)
-}
-
-// warmAndPack fills a generation's offline caches for the whole
-// vocabulary and republishes them as packed tables, the way the root
-// package's Warm does.
-func warmAndPack(t *testing.T, g *Generation) {
-	t.Helper()
-	terms := g.TG.TermNodeIDs()
-	if err := g.Sim.Precompute(context.Background(), terms); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Clos.Precompute(context.Background(), terms); err != nil {
-		t.Fatal(err)
-	}
-	g.Sim.Pack()
-	g.Clos.Pack()
-}
-
-// assertPackedMatches checks that every vocabulary term's packed row is
-// present and bit-identical to the map-cache answer.
-func assertPackedMatches(t *testing.T, g *Generation) {
-	t.Helper()
-	rows, ok := g.Sim.(simRows)
-	if !ok {
-		t.Fatalf("similarity provider %T does not expose SimRow", g.Sim)
-	}
-	for _, v := range g.TG.TermNodeIDs() {
-		nodes, scores, ok := rows.SimRow(v)
-		if !ok {
-			t.Fatalf("epoch %d: term %d has no packed row after promotion", g.Epoch, v)
-		}
-		want, err := g.Sim.SimilarNodes(v, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(nodes) != len(want) {
-			t.Fatalf("epoch %d term %d: packed row has %d entries, cache %d", g.Epoch, v, len(nodes), len(want))
-		}
-		for i := range nodes {
-			if nodes[i] != want[i].Node || float64(scores[i]) != want[i].Score {
-				t.Fatalf("epoch %d term %d rank %d: packed (%d,%v) != cache (%d,%v)",
-					g.Epoch, v, i, nodes[i], float64(scores[i]), want[i].Node, want[i].Score)
-			}
-		}
-	}
-}
-
 // TestPromotePacksNextGeneration: a promotion over a warmed generation
-// must hand readers a generation whose packed tables are already
-// rebuilt for the new node numbering (both the targeted carry-over and
-// the full-rebuild strategies), recording the repack phase in the
-// provenance.
+// must hand readers a generation whose rows are all already in the
+// packed table (nothing left in the overlay, nothing recomputed on
+// read), recording the pack phase in the provenance.
 func TestPromotePacksNextGeneration(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		churn float64
-		mode  string
-	}{
-		{"targeted", 0.95, "targeted"},
-		{"full", 0.0000001, "full"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			m := mustManager(t, Options{ChurnThreshold: tc.churn})
-			warmAndPack(t, m.Current())
-			if err := m.Ingest([]Delta{insertPaper(900, "packed tables survive promotion", 1)}); err != nil {
-				t.Fatal(err)
-			}
-			g, err := m.Promote(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if g.Provenance.Mode != tc.mode {
-				t.Fatalf("promotion mode = %q, want %q", g.Provenance.Mode, tc.mode)
-			}
-			assertPackedMatches(t, g)
-		})
+	m := mustManager(t, Options{})
+	warm(t, m.Current())
+	if err := m.Ingest([]Delta{insertPaper(900, "packed tables survive promotion", 1)}); err != nil {
+		t.Fatal(err)
+	}
+	g, err := m.Promote(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := g.Sim.(*randomwalk.Extractor)
+	walks, searches := sim.Computes(), g.Clos.Computes()
+	for _, v := range g.TG.TermNodeIDs() {
+		if _, _, ok := g.Sim.SimRow(v); !ok {
+			t.Fatalf("epoch %d: term %d has no row after promotion", g.Epoch, v)
+		}
+		g.Clos.Row(v)
+	}
+	if sim.Computes() != walks || g.Clos.Computes() != searches {
+		t.Fatal("a promoted, warmed generation computed rows on read")
+	}
+	// Pack on an empty overlay must keep serving the same table rows.
+	g.Sim.Pack()
+	if g.Sim.Resident() != g.TG.NumTermNodes() {
+		t.Fatalf("repack lost rows: %d of %d resident", g.Sim.Resident(), g.TG.NumTermNodes())
 	}
 }
 
 // TestPackedTablesAcrossPromoteSwapRace hammers the query path from
 // reader goroutines while promotions and reloads swap generations
 // underneath them. Readers pin one generation per iteration, so every
-// decode must be served consistently from that generation's packed (or,
-// right after a cold swap, map) tables; run under -race this is the
-// publication-safety test for the packed state.
+// decode must be served consistently from that generation's packed
+// table (or, right after a cold swap, its overlay); run under -race
+// this is the publication-safety test for the row stores.
 func TestPackedTablesAcrossPromoteSwapRace(t *testing.T) {
 	m := mustManager(t, Options{})
-	warmAndPack(t, m.Current())
+	warm(t, m.Current())
 
 	const readers, swaps, promotions = 4, 3, 4
 	stop := make(chan struct{})
@@ -149,9 +98,9 @@ func TestPackedTablesAcrossPromoteSwapRace(t *testing.T) {
 				return
 			}
 			// Alternate warmed and cold reloads so readers cross both
-			// the packed and the fallback map paths mid-race.
+			// the packed and the compute-into-overlay paths mid-race.
 			if i%2 == 0 {
-				warmAndPack(t, g)
+				warm(t, g)
 			}
 			if _, err := m.Swap(g); err != nil {
 				errc <- fmt.Errorf("swap %d: %w", i, err)

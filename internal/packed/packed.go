@@ -1,6 +1,8 @@
-// Package packed provides the CSR-style flat layouts the query hot
-// path reads: per-term candidate lists and closeness rows repacked from
-// the extractors' map caches into contiguous, term-id-indexed arrays.
+// Package packed holds the one in-memory form of the offline tables:
+// per-term rows of (node, float32 score) pairs, packed CSR-style into
+// contiguous, term-id-indexed arrays, plus the Store that computes,
+// publishes and serves them for the similarity extractors and the
+// closeness store alike.
 //
 // The layout is the classic compressed sparse row form. For a graph of
 // N nodes a table holds one offsets array of N+1 uint32s, a presence
@@ -8,266 +10,140 @@
 // float32 scores — holding every row back to back:
 //
 //	row(v)  = nodes[off[v]:off[v+1]], scores[off[v]:off[v+1]]
-//	present = bitmap bit v (distinguishes "cached empty" from "missing")
+//	present = bitmap bit v (distinguishes "computed, empty" from "missing")
 //
-// A similarity row keeps its candidates in rank order (best first), the
-// order SimilarNodes returns them in; a closeness row is sorted by
-// neighbor node id so a pairwise lookup is one offsets load plus a
-// binary probe over one contiguous cache-resident row — no map or
-// pointer chase. Scores are stored as float32: similarity and closeness
-// values are normalized relevance weights in [0, 1] where 24 bits of
-// mantissa are far beyond the extractors' own noise floor, and halving
-// the row bytes is what makes the tables pageable (and, later,
-// mmappable). To keep the packed path bit-identical to the map path,
-// the extractors quantize every score through Quantize at publish time,
-// so float64(float32(x)) round-trips exactly.
+// A similarity row keeps its candidates in rank order (best first); a
+// closeness row is sorted by neighbor node id so a pairwise lookup is
+// one offsets load plus a binary probe (Probe) over one contiguous
+// cache-resident row — no map or pointer chase. Scores are stored as
+// float32: similarity and closeness values are normalized relevance
+// weights in [0, 1] where 24 bits of mantissa are far beyond the
+// extractors' own noise floor, and halving the row bytes is what makes
+// the tables pageable (internal/diskmode serves the same rows from an
+// mmapped file). Scores are narrowed exactly once, by NewRow on the way
+// into a Store, so every later form of a row — overlay, RAM table,
+// snapshot file, disk page — carries the same bits.
 //
-// Tables are immutable after Build* and safe for concurrent readers;
-// the stores publish them through an atomic pointer and rebuild them
-// wholesale at promotion time (internal/live) or after a bulk Restore.
+// Tables are immutable after Build and safe for concurrent readers.
 package packed
 
-import (
-	"sort"
+import "kqr/internal/graph"
 
-	"kqr/internal/graph"
-)
-
-// Table is the read surface a packed similarity table presents to the
-// hot path, satisfied by the RAM-backed SimTable and by the page-backed
-// disk views of internal/diskmode. Callers bind one Table and never
-// branch on the backing: a RAM row and a paged row answer identically
-// (ok false meaning "no packed row — fall back to the extractor's map
-// path"), so swapping RAM for disk is a publication-time decision, not
-// a hot-path one.
+// Table is the read surface of a published row table, satisfied by the
+// RAM-backed RAMTable and by the page-backed views of
+// internal/diskmode. A Store binds one Table and never branches on the
+// backing: a RAM row and a paged row answer identically, so swapping
+// RAM for disk is a publication-time decision, not a hot-path one.
 type Table interface {
-	// Row returns v's packed candidate row in rank order; ok is false
-	// when v has no packed row. The slices are read-only views.
+	// Row returns v's row; ok is false when the table has no row for v
+	// (or cannot serve it right now — a draining disk store), in which
+	// case the Store falls through to its overlay and then computes.
+	// The slices are read-only views.
 	Row(v graph.NodeID) (nodes []graph.NodeID, scores []float32, ok bool)
-	// Rows returns how many rows are present.
-	Rows() int
-	// Entries returns the total number of packed (node, score) pairs.
-	Entries() int
-	// Bytes returns the byte size of the table's payload — resident
-	// bytes for a RAM table, the full on-disk payload for a paged one.
-	Bytes() int
 }
 
-// CloseTable extends Table with the pairwise probe the decoder's
-// transition function needs, satisfied by ClosTable and by the paged
-// closeness view of internal/diskmode.
-type CloseTable interface {
-	Table
-	// Lookup returns clos(a, b) from a's packed row; ok reports whether
-	// a has a packed row at all (a present row missing b is a true 0).
-	Lookup(a, b graph.NodeID) (float64, bool)
+// Quantize narrows a score to the float32 grid rows are stored on.
+func Quantize(x float64) float32 { return float32(x) }
+
+// Row is one table row in its stored form: parallel node and score
+// slices, read-only once built.
+type Row struct {
+	Nodes  []graph.NodeID
+	Scores []float32
 }
 
-// Quantize rounds a score to the nearest float32 and returns it widened
-// back to float64. It is the single rounding boundary of the packed
-// layout: extractors pass every published score through it, so the
-// float32 payload arrays reproduce the cached float64 values bit for
-// bit and the packed and map read paths cannot diverge.
-func Quantize(x float64) float64 { return float64(float32(x)) }
-
-// table is the CSR core shared by SimTable and ClosTable.
-type table struct {
-	off     []uint32
-	present []uint64
-	nodes   []graph.NodeID
-	scores  []float32
-}
-
-// has reports whether v has a (possibly empty) packed row.
-func (t *table) has(v graph.NodeID) bool {
-	if v < 0 || int(v) >= len(t.off)-1 {
-		return false
+// NewRow converts an extractor's scored list to row form, keeping its
+// order. It is the single rounding boundary of the offline tables:
+// computed rows and bulk-loaded rows both enter a Store through it.
+func NewRow(list []graph.Scored) Row {
+	r := Row{Nodes: make([]graph.NodeID, len(list)), Scores: make([]float32, len(list))}
+	for i, sn := range list {
+		r.Nodes[i] = sn.Node
+		r.Scores[i] = Quantize(sn.Score)
 	}
-	return t.present[uint(v)>>6]&(1<<(uint(v)&63)) != 0
+	return r
 }
 
-// row returns v's payload slices; empty when absent.
-func (t *table) row(v graph.NodeID) ([]graph.NodeID, []float32) {
-	lo, hi := t.off[v], t.off[v+1]
-	return t.nodes[lo:hi], t.scores[lo:hi]
+// Scored widens the first k entries of a row (all of them when k <= 0
+// or k exceeds the row) back to a scored list — the allocating
+// accessor behind SimilarNodes, From and the snapshot writer.
+func Scored(nodes []graph.NodeID, scores []float32, k int) []graph.Scored {
+	if k <= 0 || k > len(nodes) {
+		k = len(nodes)
+	}
+	out := make([]graph.Scored, k)
+	for i := range out {
+		out[i] = graph.Scored{Node: nodes[i], Score: float64(scores[i])}
+	}
+	return out
 }
 
-// Rows returns how many rows are present.
-func (t *table) Rows() int {
-	n := 0
-	for _, w := range t.present {
-		n += popcount(w)
-	}
-	return n
-}
-
-// Entries returns the total number of packed (node, score) pairs.
-func (t *table) Entries() int { return len(t.nodes) }
-
-// Bytes returns the approximate resident size of the table's arrays.
-func (t *table) Bytes() int {
-	return len(t.off)*4 + len(t.present)*8 + len(t.nodes)*4 + len(t.scores)*4
-}
-
-func popcount(w uint64) int {
-	n := 0
-	for ; w != 0; w &= w - 1 {
-		n++
-	}
-	return n
-}
-
-// mark sets v's presence bit.
-func (t *table) mark(v graph.NodeID) { t.present[uint(v)>>6] |= 1 << (uint(v) & 63) }
-
-// newTable sizes the CSR arrays for numNodes rows and total entries.
-func newTable(numNodes, total int) table {
-	return table{
-		off:     make([]uint32, numNodes+1),
-		present: make([]uint64, (numNodes+63)/64),
-		nodes:   make([]graph.NodeID, 0, total),
-		scores:  make([]float32, 0, total),
-	}
-}
-
-// sortedSources returns the in-range keys of a snapshot in ascending
-// order, so rows pack in node order and offsets stay monotone.
-func sortedSources[V any](numNodes int, snap map[graph.NodeID]V) []graph.NodeID {
-	srcs := make([]graph.NodeID, 0, len(snap))
-	for v := range snap {
-		if v >= 0 && int(v) < numNodes {
-			srcs = append(srcs, v)
-		}
-	}
-	sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
-	return srcs
-}
-
-// SimTable is the packed form of a similarity extractor's cache: one
-// rank-ordered candidate row per cached source term.
-type SimTable struct{ table }
-
-// BuildSim packs cached similar-term lists into a SimTable over a graph
-// of numNodes nodes. Rows keep their rank order. Sources outside
-// [0, numNodes) are skipped — they cannot belong to the graph the table
-// serves.
-func BuildSim(numNodes int, snap map[graph.NodeID][]graph.Scored) *SimTable {
-	total := 0
-	for v, list := range snap {
-		if v >= 0 && int(v) < numNodes {
-			total += len(list)
-		}
-	}
-	t := &SimTable{newTable(numNodes, total)}
-	srcs := sortedSources(numNodes, snap)
-	next := 0
-	for v := 0; v <= numNodes; v++ {
-		t.off[v] = uint32(len(t.nodes))
-		if v == numNodes {
-			break
-		}
-		if next < len(srcs) && srcs[next] == graph.NodeID(v) {
-			t.mark(graph.NodeID(v))
-			for _, sn := range snap[graph.NodeID(v)] {
-				t.nodes = append(t.nodes, sn.Node)
-				t.scores = append(t.scores, float32(sn.Score))
-			}
-			next++
-		}
-	}
-	return t
-}
-
-// Row returns the packed candidate row of v in rank order, with ok
-// false when v has no packed row (the caller should fall back to the
-// map cache). The returned slices alias the table and must not be
-// mutated.
-func (t *SimTable) Row(v graph.NodeID) (nodes []graph.NodeID, scores []float32, ok bool) {
-	if !t.has(v) {
-		return nil, nil, false
-	}
-	nodes, scores = t.row(v)
-	return nodes, scores, true
-}
-
-// ClosTable is the packed form of the closeness store's cache: one
-// neighbor-sorted row per cached source node, supporting O(log row)
-// pairwise lookup.
-type ClosTable struct{ table }
-
-// BuildClos packs cached closeness vectors into a ClosTable over a
-// graph of numNodes nodes. Each row is sorted by neighbor node id.
-// Sources outside [0, numNodes) are skipped.
-func BuildClos(numNodes int, snap map[graph.NodeID]map[graph.NodeID]float64) *ClosTable {
-	total := 0
-	for v, row := range snap {
-		if v >= 0 && int(v) < numNodes {
-			total += len(row)
-		}
-	}
-	t := &ClosTable{newTable(numNodes, total)}
-	srcs := sortedSources(numNodes, snap)
-	var rowNodes []graph.NodeID
-	next := 0
-	for v := 0; v <= numNodes; v++ {
-		t.off[v] = uint32(len(t.nodes))
-		if v == numNodes {
-			break
-		}
-		if next < len(srcs) && srcs[next] == graph.NodeID(v) {
-			t.mark(graph.NodeID(v))
-			row := snap[graph.NodeID(v)]
-			rowNodes = rowNodes[:0]
-			for u := range row {
-				rowNodes = append(rowNodes, u)
-			}
-			sort.Slice(rowNodes, func(i, j int) bool { return rowNodes[i] < rowNodes[j] })
-			for _, u := range rowNodes {
-				t.nodes = append(t.nodes, u)
-				t.scores = append(t.scores, float32(row[u]))
-			}
-			next++
-		}
-	}
-	return t
-}
-
-// Lookup returns clos(a, b) from a's packed row. ok reports whether a
-// HAS a packed row — when ok is true a missing b means a true zero
-// (unreachable within the horizon), exactly like the map path; when ok
-// is false the caller must fall back to the map cache.
-func (t *ClosTable) Lookup(a, b graph.NodeID) (float64, bool) {
-	if !t.has(a) {
-		return 0, false
-	}
-	lo, hi := int(t.off[a]), int(t.off[a+1])
+// Probe binary-searches a row sorted by node id (a closeness row) for
+// b and returns its score, 0 when b is absent — within a present row a
+// missing neighbor is a true zero, unreachable inside the horizon.
+func Probe(nodes []graph.NodeID, scores []float32, b graph.NodeID) float64 {
+	lo, hi := 0, len(nodes)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		switch {
-		case t.nodes[mid] == b:
-			return float64(t.scores[mid]), true
-		case t.nodes[mid] < b:
+		case nodes[mid] == b:
+			return float64(scores[mid])
+		case nodes[mid] < b:
 			lo = mid + 1
 		default:
 			hi = mid
 		}
 	}
-	return 0, true
+	return 0
 }
 
-// Row returns the packed closeness row of a sorted by neighbor id, with
-// ok false when absent. The returned slices alias the table and must
-// not be mutated.
-func (t *ClosTable) Row(a graph.NodeID) (nodes []graph.NodeID, scores []float32, ok bool) {
-	if !t.has(a) {
+// RAMTable is the RAM-resident CSR table.
+type RAMTable struct {
+	off     []uint32
+	present []uint64
+	nodes   []graph.NodeID
+	scores  []float32
+	rows    int
+}
+
+// Build packs rows into a RAMTable over a graph of numNodes nodes. Rows
+// keep their entry order. Sources outside [0, numNodes) are skipped —
+// they cannot belong to the graph the table serves.
+func Build(numNodes int, rows map[graph.NodeID]Row) *RAMTable {
+	total := 0
+	for v, r := range rows {
+		if v >= 0 && int(v) < numNodes {
+			total += len(r.Nodes)
+		}
+	}
+	t := &RAMTable{
+		off:     make([]uint32, numNodes+1),
+		present: make([]uint64, (numNodes+63)/64),
+		nodes:   make([]graph.NodeID, 0, total),
+		scores:  make([]float32, 0, total),
+	}
+	for v := 0; v < numNodes; v++ {
+		t.off[v] = uint32(len(t.nodes))
+		if r, ok := rows[graph.NodeID(v)]; ok {
+			t.present[uint(v)>>6] |= 1 << (uint(v) & 63)
+			t.nodes = append(t.nodes, r.Nodes...)
+			t.scores = append(t.scores, r.Scores...)
+			t.rows++
+		}
+	}
+	t.off[numNodes] = uint32(len(t.nodes))
+	return t
+}
+
+// Row returns v's packed row with ok false when v has none. The
+// returned slices alias the table and must not be mutated.
+func (t *RAMTable) Row(v graph.NodeID) (nodes []graph.NodeID, scores []float32, ok bool) {
+	if v < 0 || int(v) >= len(t.off)-1 || t.present[uint(v)>>6]&(1<<(uint(v)&63)) == 0 {
 		return nil, nil, false
 	}
-	nodes, scores = t.row(a)
-	return nodes, scores, true
+	lo, hi := t.off[v], t.off[v+1]
+	return t.nodes[lo:hi], t.scores[lo:hi], true
 }
 
-// The RAM-backed tables are the canonical Table implementations.
-var (
-	_ Table      = (*SimTable)(nil)
-	_ CloseTable = (*ClosTable)(nil)
-)
+// Rows returns how many rows are present.
+func (t *RAMTable) Rows() int { return t.rows }

@@ -2,27 +2,20 @@ package packed
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"kqr/internal/graph"
 )
 
-func TestSimTableRoundTrip(t *testing.T) {
-	snap := map[graph.NodeID][]graph.Scored{
-		0: {{Node: 3, Score: 0.75}, {Node: 1, Score: 0.5}, {Node: 2, Score: 0.25}},
-		2: {}, // cached empty row must stay distinguishable from "missing"
-		5: {{Node: 0, Score: 1}},
-	}
-	tab := BuildSim(6, snap)
-
+func TestTableRoundTrip(t *testing.T) {
+	tab := Build(6, map[graph.NodeID]Row{
+		0: NewRow([]graph.Scored{{Node: 3, Score: 0.75}, {Node: 1, Score: 0.5}, {Node: 2, Score: 0.25}}),
+		2: NewRow(nil), // a computed empty row must stay distinguishable from "missing"
+		5: NewRow([]graph.Scored{{Node: 0, Score: 1}}),
+	})
 	if got := tab.Rows(); got != 3 {
 		t.Fatalf("Rows() = %d, want 3", got)
-	}
-	if got := tab.Entries(); got != 4 {
-		t.Fatalf("Entries() = %d, want 4", got)
-	}
-	if tab.Bytes() <= 0 {
-		t.Fatalf("Bytes() = %d, want > 0", tab.Bytes())
 	}
 
 	nodes, scores, ok := tab.Row(0)
@@ -37,28 +30,19 @@ func TestSimTableRoundTrip(t *testing.T) {
 				i, nodes[i], scores[i], wantNodes[i], wantScores[i])
 		}
 	}
-
 	if nodes, _, ok := tab.Row(2); !ok || len(nodes) != 0 {
 		t.Fatalf("Row(2) = (%v, ok=%v), want present empty row", nodes, ok)
 	}
-	if _, _, ok := tab.Row(1); ok {
-		t.Fatal("Row(1) present, want missing")
-	}
-	if _, _, ok := tab.Row(-1); ok {
-		t.Fatal("Row(-1) present, want missing")
-	}
-	if _, _, ok := tab.Row(99); ok {
-		t.Fatal("Row(99) present, want missing")
+	for _, v := range []graph.NodeID{1, -1, 99} {
+		if _, _, ok := tab.Row(v); ok {
+			t.Fatalf("Row(%d) present, want missing", v)
+		}
 	}
 }
 
-func TestSimTableSkipsOutOfRangeSources(t *testing.T) {
-	snap := map[graph.NodeID][]graph.Scored{
-		1:  {{Node: 0, Score: 0.5}},
-		-1: {{Node: 0, Score: 0.5}},
-		7:  {{Node: 0, Score: 0.5}},
-	}
-	tab := BuildSim(4, snap)
+func TestTableSkipsOutOfRangeSources(t *testing.T) {
+	row := NewRow([]graph.Scored{{Node: 0, Score: 0.5}})
+	tab := Build(4, map[graph.NodeID]Row{1: row, -1: row, 7: row})
 	if got := tab.Rows(); got != 1 {
 		t.Fatalf("Rows() = %d, want 1 (out-of-range sources skipped)", got)
 	}
@@ -67,84 +51,62 @@ func TestSimTableSkipsOutOfRangeSources(t *testing.T) {
 	}
 }
 
-func TestClosTableLookup(t *testing.T) {
-	snap := map[graph.NodeID]map[graph.NodeID]float64{
-		0: {4: 0.125, 1: 0.5, 9: 0.0625},
-		3: {},
-	}
-	tab := BuildClos(10, snap)
-
-	// Present row: hits return the value, misses are true zeros.
-	for _, tc := range []struct {
-		b    graph.NodeID
-		want float64
-	}{{1, 0.5}, {4, 0.125}, {9, 0.0625}, {2, 0}, {0, 0}} {
-		got, ok := tab.Lookup(0, tc.b)
-		if !ok || got != tc.want {
-			t.Fatalf("Lookup(0, %d) = (%v, %v), want (%v, true)", tc.b, got, ok, tc.want)
-		}
-	}
-	// Cached-empty row: present with all-zero values.
-	if got, ok := tab.Lookup(3, 1); !ok || got != 0 {
-		t.Fatalf("Lookup(3, 1) = (%v, %v), want (0, true)", got, ok)
-	}
-	// Absent row: signals fallback.
-	if _, ok := tab.Lookup(5, 1); ok {
-		t.Fatal("Lookup(5, 1) ok, want fallback signal")
-	}
-	if _, ok := tab.Lookup(-2, 1); ok {
-		t.Fatal("Lookup(-2, 1) ok, want fallback signal")
-	}
-
-	nodes, _, ok := tab.Row(0)
-	if !ok || len(nodes) != 3 {
-		t.Fatalf("Row(0) = (%v, %v), want 3 sorted neighbors", nodes, ok)
-	}
-	for i := 1; i < len(nodes); i++ {
-		if nodes[i-1] >= nodes[i] {
-			t.Fatalf("Row(0) not sorted: %v", nodes)
-		}
-	}
-}
-
-func TestClosTableLookupRandomized(t *testing.T) {
+// Probe over id-sorted rows: hits return the stored value, misses are
+// true zeros, and an empty row is all zeros.
+func TestProbeRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const n = 128
-	snap := make(map[graph.NodeID]map[graph.NodeID]float64)
-	for v := 0; v < n; v++ {
+	want := make(map[graph.NodeID]map[graph.NodeID]float32)
+	rows := make(map[graph.NodeID]Row)
+	for v := graph.NodeID(0); v < n; v++ {
 		if rng.Intn(3) == 0 {
 			continue
 		}
-		row := make(map[graph.NodeID]float64)
+		vec := make(map[graph.NodeID]float32)
 		for i := 0; i < rng.Intn(40); i++ {
-			row[graph.NodeID(rng.Intn(n))] = Quantize(rng.Float64())
+			vec[graph.NodeID(rng.Intn(n))] = Quantize(rng.Float64())
 		}
-		snap[graph.NodeID(v)] = row
+		var list []graph.Scored
+		for u, c := range vec {
+			list = append(list, graph.Scored{Node: u, Score: float64(c)})
+		}
+		sort.Slice(list, func(i, j int) bool { return list[i].Node < list[j].Node })
+		want[v], rows[v] = vec, NewRow(list)
 	}
-	tab := BuildClos(n, snap)
-	for v := 0; v < n; v++ {
-		row, cached := snap[graph.NodeID(v)]
-		for b := 0; b < n; b++ {
-			got, ok := tab.Lookup(graph.NodeID(v), graph.NodeID(b))
-			if ok != cached {
-				t.Fatalf("Lookup(%d, %d) ok = %v, want %v", v, b, ok, cached)
-			}
-			if cached && got != row[graph.NodeID(b)] {
-				t.Fatalf("Lookup(%d, %d) = %v, want %v", v, b, got, row[graph.NodeID(b)])
+	tab := Build(n, rows)
+	for v := graph.NodeID(0); v < n; v++ {
+		nodes, scores, ok := tab.Row(v)
+		if _, held := want[v]; ok != held {
+			t.Fatalf("Row(%d) ok = %v, want %v", v, ok, held)
+		}
+		for b := graph.NodeID(0); b < n; b++ {
+			if got := Probe(nodes, scores, b); got != float64(want[v][b]) {
+				t.Fatalf("Probe(row %d, %d) = %v, want %v", v, b, got, want[v][b])
 			}
 		}
 	}
 }
 
-func TestQuantizeRoundTrip(t *testing.T) {
+// NewRow is the one rounding boundary: whatever it stores widens back
+// to itself, and 0 and 1 (identity, absence) are fixed points.
+func TestNewRowQuantizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 1000; i++ {
-		q := Quantize(rng.Float64())
-		if float64(float32(q)) != q {
-			t.Fatalf("Quantize not idempotent for %v", q)
+	list := []graph.Scored{{Node: 0, Score: 0}, {Node: 1, Score: 1}}
+	for i := 2; i < 1000; i++ {
+		list = append(list, graph.Scored{Node: graph.NodeID(i), Score: rng.Float64()})
+	}
+	r := NewRow(list)
+	if r.Scores[0] != 0 || r.Scores[1] != 1 {
+		t.Fatal("quantization must fix 0 and 1")
+	}
+	back := Scored(r.Nodes, r.Scores, 0)
+	again := NewRow(back)
+	for i := range back {
+		if back[i].Node != list[i].Node || again.Scores[i] != r.Scores[i] {
+			t.Fatalf("entry %d does not round-trip: %v -> %v -> %v", i, list[i], back[i], again.Scores[i])
 		}
 	}
-	if Quantize(0) != 0 || Quantize(1) != 1 {
-		t.Fatal("Quantize must fix 0 and 1")
+	if got := Scored(r.Nodes, r.Scores, 3); len(got) != 3 {
+		t.Fatalf("Scored(k=3) returned %d entries", len(got))
 	}
 }

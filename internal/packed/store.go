@@ -1,0 +1,223 @@
+package packed
+
+import (
+	"context"
+	"fmt"
+	"sync"
+	"sync/atomic"
+
+	"kqr/internal/flight"
+	"kqr/internal/graph"
+)
+
+// Store is the row store behind every offline table — random-walk and
+// co-occurrence similarity, and closeness. It owns the published Table
+// (a RAMTable, or a page-backed disk view) behind an atomic pointer, a
+// small overlay of rows computed since the last Pack, and the compute
+// function that produces a missing row. Every read is the same lookup:
+// published table (lock-free), then overlay, then compute — with
+// concurrent cold misses for one key coalesced into a single
+// computation. It is safe for concurrent use.
+type Store struct {
+	// Workers bounds the goroutines of Precompute's fan-out (<= 0 means
+	// runtime.GOMAXPROCS(0)). Set it before any concurrent use.
+	Workers int
+
+	numNodes int
+	compute  func(graph.NodeID) ([]graph.Scored, error)
+
+	// pk is boxed because atomic.Pointer needs a concrete type.
+	pk atomic.Pointer[published]
+
+	mu      sync.Mutex
+	overlay map[graph.NodeID]Row
+
+	flight   flight.Group[graph.NodeID, Row]
+	computes atomic.Int64
+}
+
+type published struct{ t Table }
+
+// NewStore builds an empty store over a graph of numNodes nodes.
+// compute produces v's row in its final entry order (rank order for
+// similarity, neighbor-id order for closeness); the store narrows it to
+// row form once, on entry.
+func NewStore(numNodes int, compute func(v graph.NodeID) ([]graph.Scored, error)) *Store {
+	return &Store{numNodes: numNodes, compute: compute, overlay: make(map[graph.NodeID]Row)}
+}
+
+// table returns the published table, nil before the first Pack, Load
+// or Install.
+func (s *Store) table() Table {
+	if b := s.pk.Load(); b != nil {
+		return b.t
+	}
+	return nil
+}
+
+// held looks v up in the published table, then the overlay.
+func (s *Store) held(v graph.NodeID) ([]graph.NodeID, []float32, bool) {
+	if t := s.table(); t != nil {
+		if nodes, scores, ok := t.Row(v); ok {
+			return nodes, scores, true
+		}
+	}
+	s.mu.Lock()
+	r, ok := s.overlay[v]
+	s.mu.Unlock()
+	return r.Nodes, r.Scores, ok
+}
+
+// Row returns v's row, computing it on first use. A packed row is
+// served without locks or allocation — the query hot path. The slices
+// are read-only views.
+func (s *Store) Row(v graph.NodeID) ([]graph.NodeID, []float32, error) {
+	if nodes, scores, ok := s.held(v); ok {
+		return nodes, scores, nil
+	}
+	// Coalesce concurrent cold misses for v: the first caller computes,
+	// the rest block and share its row.
+	r, err, _ := s.flight.Do(v, func() (Row, error) {
+		// Re-check: this caller may have missed before a previous
+		// flight for v completed and published.
+		if nodes, scores, ok := s.held(v); ok {
+			return Row{Nodes: nodes, Scores: scores}, nil
+		}
+		s.computes.Add(1)
+		list, err := s.compute(v)
+		if err != nil {
+			return Row{}, err
+		}
+		r := NewRow(list)
+		s.mu.Lock()
+		s.overlay[v] = r
+		s.mu.Unlock()
+		return r, nil
+	})
+	return r.Nodes, r.Scores, err
+}
+
+// Computes returns how many rows were actually computed — cold misses,
+// excluding held rows and coalesced callers.
+func (s *Store) Computes() int64 { return s.computes.Load() }
+
+// Precompute computes the rows of the given nodes (the paper's offline
+// stage) over a pool of Workers goroutines — rows are independent, so
+// throughput scales with cores. The first error stops the pool and is
+// returned wrapped with the offending node id; ctx cancellation stops
+// scheduling and returns the context's error. Follow with Pack.
+func (s *Store) Precompute(ctx context.Context, nodes []graph.NodeID) error {
+	return flight.ForEach(ctx, s.Workers, len(nodes), func(i int) error {
+		if _, _, err := s.Row(nodes[i]); err != nil {
+			return fmt.Errorf("packed: precompute node %d: %w", nodes[i], err)
+		}
+		return nil
+	})
+}
+
+// Pack folds the overlay into a new RAMTable, publishes it and clears
+// the overlay. While a page-backed view is published (Install) Pack
+// leaves it in place: folding would decode the whole file into RAM,
+// which is what disk mode bounds, and the overlay keeps serving the few
+// rows the view could not.
+func (s *Store) Pack() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	rows := s.overlay
+	switch old := s.table().(type) {
+	case nil:
+	case *RAMTable:
+		for v := 0; v < s.numNodes; v++ {
+			if nodes, scores, ok := old.Row(graph.NodeID(v)); ok {
+				rows[graph.NodeID(v)] = Row{Nodes: nodes, Scores: scores}
+			}
+		}
+	default:
+		return
+	}
+	s.pk.Store(&published{t: Build(s.numNodes, rows)})
+	s.overlay = make(map[graph.NodeID]Row)
+}
+
+// Load replaces everything the store holds with the given rows, packed
+// — the bulk entry at the artifact boundary (snapshot load, follower
+// bootstrap). Rows are trusted as-is; callers must ensure they were
+// computed over an identically built graph.
+func (s *Store) Load(rows map[graph.NodeID]Row) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.pk.Store(&published{t: Build(s.numNodes, rows)})
+	s.overlay = make(map[graph.NodeID]Row)
+}
+
+// Install publishes an externally built table — a page-backed disk view
+// (internal/diskmode) — in place of the RAM table. A row it cannot
+// serve (ok false, e.g. a draining disk store) is computed like any
+// missing row.
+func (s *Store) Install(t Table) { s.pk.Store(&published{t: t}) }
+
+// Each visits every held row (published table and overlay) in
+// ascending node order — the row iteration of the artifact boundary.
+// The slices are read-only views.
+func (s *Store) Each(visit func(v graph.NodeID, nodes []graph.NodeID, scores []float32)) {
+	for v := 0; v < s.numNodes; v++ {
+		if nodes, scores, ok := s.held(graph.NodeID(v)); ok {
+			visit(graph.NodeID(v), nodes, scores)
+		}
+	}
+}
+
+// Resident returns how many rows the store holds in RAM — RAMTable
+// rows plus overlay rows, in O(1). An installed disk view contributes
+// nothing: zero means "never warmed, loaded, or touched".
+func (s *Store) Resident() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := len(s.overlay)
+	if t, ok := s.table().(*RAMTable); ok {
+		n += t.Rows()
+	}
+	return n
+}
+
+// Ranked reads a Store whose rows are rank-ordered candidate lists —
+// the similarity accessors shared by the random-walk and co-occurrence
+// extractors.
+type Ranked struct{ *Store }
+
+// SimRow returns t0's candidate row in rank order (best first, scores
+// normalized so the best is 1) — the allocation-free read the decoder
+// uses. ok is false only when the row could not be computed.
+func (r Ranked) SimRow(t0 graph.NodeID) ([]graph.NodeID, []float32, bool) {
+	nodes, scores, err := r.Row(t0)
+	return nodes, scores, err == nil
+}
+
+// SimilarNodes returns up to k similar nodes of t0 as a scored list
+// (k <= 0 means the whole row), reporting why a row could not be
+// computed.
+func (r Ranked) SimilarNodes(t0 graph.NodeID, k int) ([]graph.Scored, error) {
+	nodes, scores, err := r.Row(t0)
+	if err != nil {
+		return nil, err
+	}
+	return Scored(nodes, scores, k), nil
+}
+
+// Sim returns the similarity of candidate t to t0: its row score, or 0
+// if t is not among t0's kept candidates. Identity is defined as 1.
+func (r Ranked) Sim(t0, t graph.NodeID) (float64, error) {
+	if t0 == t {
+		return 1, nil
+	}
+	nodes, scores, err := r.Row(t0)
+	if err != nil {
+		return 0, err
+	}
+	for i, v := range nodes {
+		if v == t {
+			return float64(scores[i]), nil
+		}
+	}
+	return 0, nil
+}

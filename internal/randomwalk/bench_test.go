@@ -102,8 +102,8 @@ func Benchmark_PrecomputeParallel(b *testing.B) {
 				if err := ex.Precompute(context.Background(), nodes); err != nil {
 					b.Fatal(err)
 				}
-				if ex.Walks() != int64(len(nodes)) {
-					b.Fatalf("ran %d walks for %d nodes", ex.Walks(), len(nodes))
+				if ex.Computes() != int64(len(nodes)) {
+					b.Fatalf("ran %d walks for %d nodes", ex.Computes(), len(nodes))
 				}
 			}
 		})

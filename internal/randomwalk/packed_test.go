@@ -3,64 +3,43 @@ package randomwalk
 import (
 	"context"
 	"testing"
+
+	"kqr/internal/packed"
 )
 
-// The packed fast path must serve exactly what the map path serves:
-// same candidates, same order, and scores that widen back to the same
-// float64 bits (the publish-time quantization guarantees this).
-func TestPackedSimRowMatchesSimilarNodes(t *testing.T) {
+// A row must read the same whether it was just computed (overlay) or
+// packed: same candidates, same order, scores on the float32 grid, all
+// equal to the raw walk output narrowed once.
+func TestSimRowIdenticalLazyPackedAndRaw(t *testing.T) {
 	tg := fixtureGraph(t)
 	ex := NewExtractor(tg, Contextual, Options{})
 	terms := tg.TermNodeIDs()
 
-	if _, _, ok := ex.SimRow(terms[0]); ok {
-		t.Fatal("SimRow served a row before any Pack")
-	}
-	if err := ex.Precompute(context.Background(), terms); err != nil {
-		t.Fatal(err)
-	}
-	ex.Pack()
-
-	packedRows := 0
-	for _, v := range terms {
-		want, err := ex.SimilarNodes(v, maxKept)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes, scores, ok := ex.SimRow(v)
-		if !ok {
-			t.Fatalf("term %d precomputed but not packed", v)
-		}
-		packedRows++
-		if len(nodes) != len(want) {
-			t.Fatalf("term %d: packed row has %d entries, map has %d", v, len(nodes), len(want))
-		}
-		for i := range want {
-			if nodes[i] != want[i].Node {
-				t.Fatalf("term %d rank %d: packed node %d, map node %d", v, i, nodes[i], want[i].Node)
+	for pass, name := range []string{"lazy", "packed"} {
+		if pass == 1 {
+			if err := ex.Precompute(context.Background(), terms); err != nil {
+				t.Fatal(err)
 			}
-			if float64(scores[i]) != want[i].Score {
-				t.Fatalf("term %d rank %d: packed score %v not bit-identical to map score %v",
-					v, i, float64(scores[i]), want[i].Score)
+			ex.Pack()
+		}
+		for _, v := range terms {
+			raw, err := ex.extract(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodes, scores, ok := ex.SimRow(v)
+			if !ok || len(nodes) != len(raw) {
+				t.Fatalf("%s: term %d row has %d entries (ok=%v), walk has %d", name, v, len(nodes), ok, len(raw))
+			}
+			for i := range raw {
+				if nodes[i] != raw[i].Node || scores[i] != packed.Quantize(raw[i].Score) {
+					t.Fatalf("%s: term %d rank %d: row (%d, %v), walk (%d, %v)",
+						name, v, i, nodes[i], scores[i], raw[i].Node, raw[i].Score)
+				}
 			}
 		}
 	}
-	if packedRows == 0 {
-		t.Fatal("no rows packed")
-	}
-}
-
-// Restore must republish the packed table on its own.
-func TestRestorePacks(t *testing.T) {
-	tg := fixtureGraph(t)
-	ex := NewExtractor(tg, Contextual, Options{})
-	terms := tg.TermNodeIDs()
-	if err := ex.Precompute(context.Background(), terms[:4]); err != nil {
-		t.Fatal(err)
-	}
-	fresh := NewExtractor(tg, Contextual, Options{})
-	fresh.Restore(ex.Snapshot())
-	if _, _, ok := fresh.SimRow(terms[0]); !ok {
-		t.Fatal("Restore did not repack the flat table")
+	if got := ex.Computes(); got != int64(len(terms)) {
+		t.Fatalf("%d walks through the store for %d terms", got, len(terms))
 	}
 }

@@ -64,13 +64,13 @@
 // current generation once (a single atomic load) and reads only that
 // generation, so a promotion mid-request is invisible to it.
 //
-// The offline-stage writers — Warm, PrecomputeTerms, SaveRelations,
-// LoadRelations, SaveArtifacts, LoadArtifacts, ReloadArtifacts, Ingest,
-// Promote, Close — are individually safe to call from any goroutine
-// (promotions serialize internally), with one caveat: LoadRelations and
-// LoadArtifacts replace the current generation's cached tables in
-// place, so queries racing them may mix pre- and post-load scores
-// (never torn data — the stores swap whole vectors under a lock).
+// The offline-stage writers — Warm, PrecomputeTerms, SaveArtifacts,
+// LoadArtifacts, ReloadArtifacts, Ingest, Promote, Close — are
+// individually safe to call from any goroutine (promotions serialize
+// internally), with one caveat: LoadArtifacts replaces the current
+// generation's tables in place, one store after the other, so queries
+// racing it may mix pre- and post-load scores (never torn data — each
+// store swaps its whole table atomically).
 // ReloadArtifacts installs the snapshot as a fresh generation instead
 // and has no such caveat. Dataset is not safe for concurrent mutation
 // and freezes at Open; change a live corpus through Ingest/Promote.

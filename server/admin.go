@@ -198,7 +198,6 @@ func (s *Server) handleAdminIngest(w http.ResponseWriter, r *http.Request) (any,
 type promoteTimings struct {
 	ApplyDeltas string `json:"apply_deltas"`
 	BuildGraph  string `json:"build_graph"`
-	CarryOver   string `json:"carry_over"`
 	Precompute  string `json:"precompute"`
 	Total       string `json:"total"`
 }
@@ -220,7 +219,6 @@ func (s *Server) handleAdminPromote(_ http.ResponseWriter, r *http.Request) (any
 		Timings: promoteTimings{
 			ApplyDeltas: info.ApplyDeltas.String(),
 			BuildGraph:  info.BuildGraph.String(),
-			CarryOver:   info.CarryOver.String(),
 			Precompute:  info.Precompute.String(),
 			Total:       info.Total.String(),
 		},

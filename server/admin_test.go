@@ -150,7 +150,7 @@ func TestAdminIngestAndPromote(t *testing.T) {
 	if pr.Epoch != 2 || pr.Inserts != 1 {
 		t.Errorf("promote = %+v", pr)
 	}
-	if pr.Mode != "targeted" && pr.Mode != "full" {
+	if pr.Mode != "full" {
 		t.Errorf("promote mode %q", pr.Mode)
 	}
 	if eng.Epoch() != 2 {

@@ -108,7 +108,6 @@ func TestAdminPromoteReportsTimings(t *testing.T) {
 		Timings struct {
 			ApplyDeltas string `json:"apply_deltas"`
 			BuildGraph  string `json:"build_graph"`
-			CarryOver   string `json:"carry_over"`
 			Precompute  string `json:"precompute"`
 			Total       string `json:"total"`
 		} `json:"timings"`
