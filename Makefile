@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet test test-race race cover bench bench-offline bench-snapshot bench-live bench-repl bench-cdc bench-hotpath bench-diskmode bench-mend bench-all bench-system docs-check fuzz experiments demo clean
+.PHONY: all check build vet test test-race race cover bench bench-offline bench-snapshot bench-repl bench-cdc bench-hotpath bench-diskmode bench-mend bench-all bench-system docs-check fuzz experiments demo clean
 
 all: check
 
@@ -40,23 +40,21 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Offline precompute scaling: worker sweep over the parallel
-# randomwalk/closeness precompute, written as BENCH_offline.json.
+# Offline precompute scaling: worker sweep over the batched
+# randomwalk / closeness precompute of every title term, with the mean
+# solver sweeps per term, written as BENCH_offline.json (corpus, cores
+# and commit recorded); then the per-pass and per-search micro-benchmarks
+# whose allocs/op must stay at the returned rows (8 and 1).
 bench-offline:
-	$(GO) run ./cmd/kqr-bench -exp offline -json BENCH_offline.json
-	$(GO) test -bench=Benchmark_PrecomputeParallel -benchmem ./internal/randomwalk/
+	$(GO) run ./cmd/kqr-bench -exp offline -json BENCH_offline.json -commit "$$(git describe --always --dirty=+)"
+	$(GO) test -run '^$$' -bench='BenchmarkPass|Benchmark_PrecomputeParallel' -benchmem ./internal/randomwalk/
+	$(GO) test -run '^$$' -bench=BenchmarkSearch -benchmem ./internal/closeness/
 
 # Snapshot cold start: warm the full offline stage, persist it, reload
 # it into a cold engine and report load-vs-warm speedup as
 # BENCH_snapshot.json.
 bench-snapshot:
 	$(GO) run ./cmd/kqr-bench -exp snapshot -json BENCH_snapshot.json
-
-# Live ingestion churn: promotion latency and query p50/p99 under
-# continuous delta ingestion across several generation swaps, written
-# as BENCH_live.json. The run fails on any query error.
-bench-live:
-	$(GO) run ./cmd/kqr-bench -exp live -json BENCH_live.json
 
 # Replication churn: a leader journaling promotions into a delta log
 # with 3 followers tailing it in lockstep under round-robin query load,
@@ -117,7 +115,7 @@ bench-system:
 
 # Every in-process bench-* target in one pass; each writes its
 # BENCH_*.json.
-bench-all: bench-offline bench-snapshot bench-live bench-repl bench-cdc bench-hotpath bench-diskmode bench-mend
+bench-all: bench-offline bench-snapshot bench-repl bench-cdc bench-hotpath bench-diskmode bench-mend
 
 # Short fuzz pass over the parsers and the cache fingerprint.
 fuzz:

@@ -10,6 +10,7 @@ import (
 
 	"kqr/internal/artifact"
 	"kqr/internal/live"
+	"kqr/internal/randomwalk"
 )
 
 // ArtifactInfo reports the provenance of the engine's offline tables:
@@ -62,9 +63,12 @@ func (e *Engine) setArtifact(a ArtifactInfo) {
 
 // artifactFingerprint identifies everything the offline tables depend
 // on: the corpus (table row counts), the built graph's shape and
-// classes, and every option that changes what the extractors compute.
-// Two engines share a fingerprint exactly when a snapshot saved by one
-// is valid for the other.
+// classes, every option that changes what the extractors compute, and
+// the walk solver — two solvers agree to their tolerance, not in the low
+// bits, and a partial snapshot is completed by local computation, so
+// rows of different solvers must never meet in one table. Two engines
+// share a fingerprint exactly when a snapshot saved by one is valid for
+// the other.
 func (e *Engine) artifactFingerprint(g *live.Generation) string {
 	damping := e.opts.Damping
 	if damping == 0 {
@@ -75,8 +79,8 @@ func (e *Engine) artifactFingerprint(g *live.Generation) string {
 		closMax = 4
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "kqr mode=%s damping=%g closmax=%d closbeam=%d phrases=%t plurals=%t",
-		e.opts.Similarity, damping, closMax, e.opts.ClosenessBeam, e.opts.Phrases, e.opts.FoldPlurals)
+	fmt.Fprintf(&b, "kqr mode=%s solver=%s damping=%g closmax=%d closbeam=%d phrases=%t plurals=%t",
+		e.opts.Similarity, randomwalk.Solver, damping, closMax, e.opts.ClosenessBeam, e.opts.Phrases, e.opts.FoldPlurals)
 	fmt.Fprintf(&b, " nodes=%d terms=%d edges=%d", g.TG.NumNodes(), g.TG.NumTermNodes(), g.TG.CSR().NumEdges())
 	fmt.Fprintf(&b, " classes=%s", strings.Join(g.TG.Classes(), ","))
 	fmt.Fprintf(&b, " corpus=%s", g.TG.DB().Stats())

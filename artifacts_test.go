@@ -1,8 +1,10 @@
 package kqr_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,6 +13,7 @@ import (
 
 	"kqr"
 	"kqr/internal/artifact"
+	"kqr/internal/randomwalk"
 )
 
 // warmAndSave opens an engine, warms the full vocabulary and saves a
@@ -216,6 +219,59 @@ func TestArtifactFingerprintMismatch(t *testing.T) {
 	}
 	if err := eng.LoadArtifacts(path); !errors.Is(err, artifact.ErrFingerprint) {
 		t.Fatalf("corpus mismatch: err = %v, want ErrFingerprint", err)
+	}
+}
+
+// TestArtifactFromAnotherSolverRefused: tables computed by different
+// walk solvers agree to the solver tolerance, not bit for bit, and a
+// loaded snapshot is completed by local computation — so a snapshot
+// written by the power-iteration build (whose fingerprint carried no
+// solver tag) must be refused, with a fallback reason at Open, and this
+// build's snapshot must not load under that build's fingerprint either.
+func TestArtifactFromAnotherSolverRefused(t *testing.T) {
+	eng, path := warmAndSave(t, kqr.ContextualWalk)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	snap, err := artifact.Read(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mine, tag := snap.Fingerprint, " solver="+randomwalk.Solver
+	if strings.Count(mine, tag) != 1 {
+		t.Fatalf("fingerprint %q does not carry %q", mine, tag)
+	}
+	theirs := strings.Replace(mine, tag, "", 1)
+
+	// Their snapshot, this build.
+	snap.Fingerprint = theirs
+	var buf bytes.Buffer
+	if err := snap.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	old := filepath.Join(t.TempDir(), "power-iteration.snapshot")
+	if err := os.WriteFile(old, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.LoadArtifacts(old); !errors.Is(err, artifact.ErrFingerprint) {
+		t.Fatalf("loading another solver's snapshot: err = %v, want ErrFingerprint", err)
+	}
+	cold, err := kqr.Open(bibliographyDataset(t), kqr.Options{ArtifactPath: old})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info := cold.Artifact(); info.Loaded || !strings.Contains(info.FallbackReason, "fingerprint") {
+		t.Fatalf("Open over another solver's snapshot: %+v, want a fingerprint fallback", info)
+	}
+
+	// This build's snapshot, their fingerprint.
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := artifact.Load(f, theirs); !errors.Is(err, artifact.ErrFingerprint) {
+		t.Fatalf("this build's snapshot under another solver's fingerprint: err = %v, want ErrFingerprint", err)
 	}
 }
 

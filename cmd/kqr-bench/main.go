@@ -22,7 +22,7 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment: all, table1, table2, fig5, fig7, fig8, fig9, fig10, table3, synonyms, ablation, offline, snapshot, live, repl, cdc, hotpath, diskmode, mend")
+		exp     = flag.String("exp", "all", "experiment: all, table1, table2, fig5, fig7, fig8, fig9, fig10, table3, synonyms, ablation, offline, snapshot, repl, cdc, hotpath, diskmode, mend")
 		list    = flag.Bool("list", false, "print every experiment with a one-line description and exit")
 		seed    = flag.Int64("seed", 20120401, "corpus seed")
 		topics  = flag.Int("topics", 8, "latent topics")
@@ -34,7 +34,8 @@ func main() {
 		reps    = flag.Int("reps", 3, "timing repetitions")
 		seeds   = flag.Int("seeds", 1, "query seeds for fig5 (>1 reports mean±std)")
 		csvDir  = flag.String("csv", "", "also write experiment data as CSV files into this directory")
-		jsonOut = flag.String("json", "", "write experiment data as JSON to this file (with -exp offline, snapshot, live, repl, hotpath, diskmode or mend)")
+		jsonOut = flag.String("json", "", "write experiment data as JSON to this file (with -exp offline, snapshot, repl, hotpath, diskmode or mend)")
+		commit  = flag.String("commit", "unknown", "with -exp offline -json, the commit to record in the file (make bench-offline passes git describe)")
 		strict  = flag.Bool("strict", false, "with -exp hotpath, diskmode or mend, fail on a missed invariant (CI regression gate)")
 		budget  = flag.Int64("budget-kb", 0, "with -exp diskmode, resident table byte budget in KiB (default 512)")
 	)
@@ -46,7 +47,7 @@ func main() {
 	}
 	if err := run(*exp, dblpgen.Config{
 		Seed: *seed, Topics: *topics, Confs: *confs, Authors: *authors, Papers: *papers,
-	}, *n, experiments.TimingConfig{QueriesPerPoint: *queries, Reps: *reps}, *seeds, *csvDir, *jsonOut, *strict, *budget<<10); err != nil {
+	}, *n, experiments.TimingConfig{QueriesPerPoint: *queries, Reps: *reps}, *seeds, *csvDir, *jsonOut, *commit, *strict, *budget<<10); err != nil {
 		fmt.Fprintln(os.Stderr, "kqr-bench:", err)
 		os.Exit(1)
 	}
@@ -67,7 +68,6 @@ var catalogue = []struct{ name, desc string }{
 	{"ablation", "restart preference, smoothing λ, closeness beam"},
 	{"offline", "offline precompute scaling over worker counts"},
 	{"snapshot", "snapshot cold start vs full recompute (BENCH_snapshot.json)"},
-	{"live", "query availability under live corpus churn (BENCH_live.json)"},
 	{"repl", "leader/follower replication churn (BENCH_repl.json)"},
 	{"cdc", "streamed CDC ingestion soak (BENCH_cdc.json)"},
 	{"hotpath", "zero-alloc pooled decode vs allocating *Ref reference (BENCH_hotpath.json)"},
@@ -82,7 +82,7 @@ func printCatalogue() {
 	}
 }
 
-func run(exp string, cfg dblpgen.Config, n int, tcfg experiments.TimingConfig, fig5Seeds int, csvDir, jsonOut string, strict bool, budget int64) error {
+func run(exp string, cfg dblpgen.Config, n int, tcfg experiments.TimingConfig, fig5Seeds int, csvDir, jsonOut, commit string, strict bool, budget int64) error {
 	if exp == "diskmode" {
 		// Disk mode builds its own engines (warm and disk-backed) over
 		// the corpus; skip the shared Setup below.
@@ -239,7 +239,7 @@ func run(exp string, cfg dblpgen.Config, n int, tcfg experiments.TimingConfig, f
 	}
 	if exp == "offline" {
 		ran = true
-		rows, err := s.OfflineScaling(experiments.DefaultOfflineWorkerCounts(), 64)
+		rows, err := s.OfflineScaling(experiments.DefaultOfflineWorkerCounts(), 0)
 		if err != nil {
 			return fmt.Errorf("offline: %w", err)
 		}
@@ -250,7 +250,7 @@ func run(exp string, cfg dblpgen.Config, n int, tcfg experiments.TimingConfig, f
 				return err
 			}
 			defer f.Close()
-			if err := experiments.WriteOfflineJSON(f, s.TG, rows); err != nil {
+			if err := experiments.WriteOfflineJSON(f, cfg, s.TG, commit, rows); err != nil {
 				return err
 			}
 			fmt.Println("wrote", jsonOut)
@@ -275,27 +275,6 @@ func run(exp string, cfg dblpgen.Config, n int, tcfg experiments.TimingConfig, f
 			}
 			defer f.Close()
 			if err := experiments.WriteSnapshotJSON(f, cfg, row); err != nil {
-				return err
-			}
-			fmt.Println("wrote", jsonOut)
-		}
-	}
-	if exp == "live" {
-		ran = true
-		row, err := experiments.LiveChurn(cfg, experiments.LiveConfig{
-			Rounds: 4, BatchSize: 25, Queriers: 4, Seed: cfg.Seed,
-		})
-		if err != nil {
-			return fmt.Errorf("live: %w", err)
-		}
-		fmt.Println(experiments.RenderLive(row))
-		if jsonOut != "" {
-			f, err := os.Create(jsonOut)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if err := experiments.WriteLiveJSON(f, cfg, row); err != nil {
 				return err
 			}
 			fmt.Println("wrote", jsonOut)
@@ -371,7 +350,7 @@ func run(exp string, cfg dblpgen.Config, n int, tcfg experiments.TimingConfig, f
 		fmt.Println(experiments.RenderSynonymRecall(rows))
 	}
 	if !ran {
-		return fmt.Errorf("unknown experiment %q (want all, table1, table2, fig5, fig7, fig8, fig9, fig10, table3, synonyms, ablation, offline, snapshot, live, repl, cdc, hotpath, diskmode or mend; see -list)", exp)
+		return fmt.Errorf("unknown experiment %q (want all, table1, table2, fig5, fig7, fig8, fig9, fig10, table3, synonyms, ablation, offline, snapshot, repl, cdc, hotpath, diskmode or mend; see -list)", exp)
 	}
 	fmt.Printf("done in %v\n", time.Since(start).Round(time.Millisecond))
 	return nil

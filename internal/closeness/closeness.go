@@ -23,8 +23,11 @@
 package closeness
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"kqr/internal/graph"
 	"kqr/internal/packed"
@@ -68,8 +71,9 @@ func (o Options) withDefaults() (Options, error) {
 type Store struct {
 	*packed.Store
 
-	tg   *tatgraph.Graph
-	opts Options
+	tg      *tatgraph.Graph
+	opts    Options
+	scratch sync.Pool // *scratch, one per concurrent search
 }
 
 // New builds a closeness store over a TAT graph.
@@ -79,63 +83,107 @@ func New(tg *tatgraph.Graph, opts Options) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{tg: tg, opts: opts}
+	s.scratch.New = func() any { return new(scratch) }
 	s.Store = packed.NewStore(tg.CSR().NumNodes(), s.search)
 	s.Workers = opts.Workers
 	return s, nil
 }
 
+// layerEntry is one node of a search level with the path mass that
+// reached it.
+type layerEntry struct {
+	node  graph.NodeID
+	count float64
+}
+
+// scratch is the working memory of one search, pooled across searches:
+// dense per-node arrays that are never cleared — a search epoch says
+// which entries belong to the running search — plus the level lists.
+type scratch struct {
+	// level[u] >= epoch exactly when the running search has reached u,
+	// at depth level[u]-epoch. Each search advances epoch past every
+	// value the previous one could have written.
+	level []int64
+	epoch int64
+	// mass[u] is the path mass arriving at u, valid for nodes of the
+	// level being built.
+	mass     []float64
+	touched  []graph.NodeID // nodes first reached at the level being built
+	frontier []layerEntry
+	next     []layerEntry
+	out      []graph.Scored
+}
+
 // search runs the layered shortest-path counting from v and returns the
 // closeness of every node reached within MaxLen hops (v itself
 // excluded), sorted by node id. The path search cannot fail.
+//
+// Mass is accumulated in frontier order, and the frontier of an
+// unpruned level is in node-id order, so a row is a fixed sequence of
+// float64 additions whatever memory it is computed in.
 func (s *Store) search(v graph.NodeID) ([]graph.Scored, error) {
-	type layerEntry struct {
-		node  graph.NodeID
-		count float64
-	}
-	dist := map[graph.NodeID]int{v: 0}
-	counts := map[graph.NodeID]float64{v: 1}
-	frontier := []layerEntry{{node: v, count: 1}}
-	var out []graph.Scored
+	sc := s.scratch.Get().(*scratch)
+	defer s.scratch.Put(sc)
+	return s.searchIn(sc, v), nil
+}
 
+// searchIn is search in the given working memory; besides the returned
+// row it allocates only to grow sc.
+func (s *Store) searchIn(sc *scratch, v graph.NodeID) []graph.Scored {
 	csr := s.tg.CSR()
+	if len(sc.level) == 0 {
+		sc.level = make([]int64, csr.NumNodes())
+		sc.mass = make([]float64, csr.NumNodes())
+	}
+	sc.epoch += int64(s.opts.MaxLen) + 1
+	epoch := sc.epoch
+	sc.level[v] = epoch
+	frontier, next, out := append(sc.frontier[:0], layerEntry{node: v, count: 1}), sc.next, sc.out[:0]
+
 	for depth := 1; depth <= s.opts.MaxLen && len(frontier) > 0; depth++ {
-		nextCounts := make(map[graph.NodeID]float64)
+		here := epoch + int64(depth)
+		touched := sc.touched[:0]
 		for _, le := range frontier {
 			ws := csr.WeightSum(le.node)
 			if ws == 0 {
 				continue
 			}
 			scale := le.count / ws
-			csr.Neighbors(le.node, func(u graph.NodeID, w float64) bool {
-				if d, seen := dist[u]; seen && d < depth {
-					return true // already reached by a shorter path
-				}
-				nextCounts[u] += scale * w
-				return true
-			})
+			nbrs, weights := csr.Adjacency(le.node)
+			for i, u := range nbrs {
+				switch l := sc.level[u]; {
+				case l < epoch:
+					sc.level[u] = here
+					sc.mass[u] = scale * weights[i]
+					touched = append(touched, u)
+				case l == here:
+					sc.mass[u] += scale * weights[i]
+				} // otherwise already reached by a shorter path
+			}
 		}
-		next := make([]layerEntry, 0, len(nextCounts))
-		for u, c := range nextCounts {
-			dist[u] = depth
-			counts[u] = c
+		sc.touched = touched
+		next = next[:0]
+		for _, u := range touched {
+			c := sc.mass[u]
 			out = append(out, graph.Scored{Node: u, Score: c / float64(depth)})
 			next = append(next, layerEntry{node: u, count: c})
 		}
 		if s.opts.Beam > 0 && len(next) > s.opts.Beam {
-			sort.Slice(next, func(i, j int) bool {
-				if next[i].count != next[j].count {
-					return next[i].count > next[j].count
+			slices.SortFunc(next, func(a, b layerEntry) int {
+				if a.count != b.count {
+					return cmp.Compare(b.count, a.count)
 				}
-				return next[i].node < next[j].node
+				return cmp.Compare(a.node, b.node)
 			})
 			next = next[:s.opts.Beam]
 		} else {
-			sort.Slice(next, func(i, j int) bool { return next[i].node < next[j].node })
+			slices.SortFunc(next, func(a, b layerEntry) int { return cmp.Compare(a.node, b.node) })
 		}
-		frontier = next
+		frontier, next = next, frontier
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
-	return out, nil
+	sc.frontier, sc.next, sc.out = frontier, next, out
+	slices.SortFunc(out, func(a, b graph.Scored) int { return cmp.Compare(a.Node, b.Node) })
+	return slices.Clone(out)
 }
 
 // Clos returns clos(a, b): the shortest-path count from a to b divided

@@ -190,7 +190,7 @@ func CDCSoak(dcfg dblpgen.Config, cfg CDCConfig) (CDCRow, error) {
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
-	// Queriers hammer the read path for the whole run, as in LiveChurn.
+	// Queriers hammer the read path for the whole run.
 	stop := make(chan struct{})
 	type querierResult struct {
 		lat  []time.Duration

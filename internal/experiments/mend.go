@@ -231,8 +231,8 @@ func MendRun(dcfg dblpgen.Config, cfg MendConfig) (MendRow, error) {
 	row.MendP50, row.MendP99 = latencyPercentiles(mendLat)
 	row.DecodeP50, row.DecodeP99 = latencyPercentiles(decodeLat)
 
-	// Phase 3 — promotion under concurrent mended-query load, modeled
-	// on LiveChurn: queriers hammer ReformulateMended with faulted
+	// Phase 3 — promotion under concurrent mended-query load:
+	// queriers hammer ReformulateMended with faulted
 	// queries while the main goroutine ingests and promotes. The gate
 	// is zero query errors and strictly climbing epochs — mending must
 	// ride the generation swap as atomically as decode does.

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"kqr/internal/closeness"
+	"kqr/internal/dblpgen"
 	"kqr/internal/graph"
 	"kqr/internal/randomwalk"
 	"kqr/internal/tatgraph"
@@ -21,11 +22,14 @@ import (
 
 // OfflineRow is one point of the offline precompute scaling sweep.
 type OfflineRow struct {
-	Workers   int           `json:"workers"`
-	Terms     int           `json:"terms"`
-	Walk      time.Duration `json:"walk_ns"`
-	Closeness time.Duration `json:"closeness_ns"`
-	Total     time.Duration `json:"total_ns"`
+	Workers int           `json:"workers"`
+	Terms   int           `json:"terms"`
+	Walk    time.Duration `json:"walk_ns"`
+	// WalkSweeps is the mean number of solver sweeps a term's walk took
+	// to converge (the cap is randomwalk.Options.MaxIter, default 60).
+	WalkSweeps float64       `json:"walk_sweeps_per_term"`
+	Closeness  time.Duration `json:"closeness_ns"`
+	Total      time.Duration `json:"total_ns"`
 	// Speedup is Total(workers=1) / Total(this row); 0 when the sweep
 	// has no sequential baseline point.
 	Speedup float64 `json:"speedup_vs_sequential"`
@@ -66,6 +70,7 @@ func (s *Setup) OfflineScaling(workerCounts []int, terms int) ([]OfflineRow, err
 		if got := ex.Computes(); got != int64(len(nodes)) {
 			return nil, fmt.Errorf("offline: %d walks for %d nodes", got, len(nodes))
 		}
+		row.WalkSweeps = float64(ex.Sweeps()) / float64(len(nodes))
 
 		start = time.Now()
 		if err := cl.Precompute(ctx, nodes); err != nil {
@@ -99,14 +104,14 @@ func DefaultOfflineWorkerCounts() []int {
 func RenderOffline(rows []OfflineRow) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Offline precompute scaling (%d title terms, cold caches per point):\n", rows[0].Terms)
-	fmt.Fprintf(&b, "  %-8s %12s %12s %12s %9s\n", "workers", "walk", "closeness", "total", "speedup")
+	fmt.Fprintf(&b, "  %-8s %12s %8s %12s %12s %9s\n", "workers", "walk", "sweeps", "closeness", "total", "speedup")
 	for _, r := range rows {
 		speedup := "-"
 		if r.Speedup > 0 {
 			speedup = fmt.Sprintf("%.2fx", r.Speedup)
 		}
-		fmt.Fprintf(&b, "  %-8d %12v %12v %12v %9s\n",
-			r.Workers, r.Walk.Round(time.Microsecond), r.Closeness.Round(time.Microsecond),
+		fmt.Fprintf(&b, "  %-8d %12v %8.1f %12v %12v %9s\n",
+			r.Workers, r.Walk.Round(time.Microsecond), r.WalkSweeps, r.Closeness.Round(time.Microsecond),
 			r.Total.Round(time.Microsecond), speedup)
 	}
 	return b.String()
@@ -115,18 +120,25 @@ func RenderOffline(rows []OfflineRow) string {
 // offlineReport is the schema of BENCH_offline.json.
 type offlineReport struct {
 	Corpus  string       `json:"corpus"`
+	Graph   string       `json:"graph"`
+	Cores   int          `json:"cores"`
 	MaxProc int          `json:"gomaxprocs"`
+	Commit  string       `json:"commit"`
 	Rows    []OfflineRow `json:"rows"`
 }
 
 // WriteOfflineJSON writes the sweep as indented JSON (the
-// `make bench-offline` artifact).
-func WriteOfflineJSON(w io.Writer, tg *tatgraph.Graph, rows []OfflineRow) error {
+// `make bench-offline` artifact), recording the corpus, the machine's
+// core count and the commit the caller says it was measured on.
+func WriteOfflineJSON(w io.Writer, cfg dblpgen.Config, tg *tatgraph.Graph, commit string, rows []OfflineRow) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(offlineReport{
-		Corpus:  fmt.Sprintf("%d nodes, %d terms, %d edges", tg.NumNodes(), tg.NumTermNodes(), tg.CSR().NumEdges()),
+		Corpus:  fmt.Sprintf("dblpgen seed=%d topics=%d confs=%d authors=%d papers=%d", cfg.Seed, cfg.Topics, cfg.Confs, cfg.Authors, cfg.Papers),
+		Graph:   fmt.Sprintf("%d nodes, %d terms, %d edges", tg.NumNodes(), tg.NumTermNodes(), tg.CSR().NumEdges()),
+		Cores:   runtime.NumCPU(),
 		MaxProc: runtime.GOMAXPROCS(0),
+		Commit:  commit,
 		Rows:    rows,
 	})
 }

@@ -59,6 +59,15 @@ type ReplReplica struct {
 	Resumed         bool   `json:"resumed,omitempty"`
 }
 
+// LivePromotion records one ingest+promote cycle.
+type LivePromotion struct {
+	Epoch      uint64        `json:"epoch"`
+	Mode       string        `json:"mode"`
+	Inserts    int           `json:"inserts"`
+	TotalTerms int           `json:"total_terms"`
+	Promote    time.Duration `json:"promote_ns"`
+}
+
 // ReplRow is the result of one replication churn run.
 type ReplRow struct {
 	Followers  int             `json:"followers"`

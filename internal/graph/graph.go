@@ -112,6 +112,12 @@ func (b *Builder) Build() *Graph {
 		}
 	}
 	g.offsets[n] = pos
+	// The pull view: what fraction of a neighbor's outgoing weight this
+	// edge carries. A neighbor has this edge, so its weight sum is > 0.
+	g.pull = make([]float64, total)
+	for i, v := range g.neighbors {
+		g.pull[i] = g.weights[i] / g.weightSum[v]
+	}
 	return g
 }
 
@@ -122,6 +128,7 @@ type Graph struct {
 	neighbors []NodeID
 	weights   []float64
 	weightSum []float64
+	pull      []float64 // weights[i] / weightSum[neighbors[i]]
 }
 
 // NumNodes returns the node count.
@@ -148,6 +155,25 @@ func (g *Graph) Neighbors(u NodeID, fn func(v NodeID, w float64) bool) {
 			return
 		}
 	}
+}
+
+// Adjacency returns u's neighbors in ascending order and the parallel
+// edge weights, as read-only views of the CSR arrays — the closure-free
+// form of Neighbors for inner loops.
+func (g *Graph) Adjacency(u NodeID) ([]NodeID, []float64) {
+	lo, hi := g.offsets[u], g.offsets[u+1]
+	return g.neighbors[lo:hi], g.weights[lo:hi]
+}
+
+// Pull returns the whole graph in normalised pull form, as read-only
+// views: node v's in-edges are entries offsets[v]..offsets[v+1], and
+// for entry i the probability that a weight-proportional step out of
+// neighbors[i] lands on v is probs[i] = w(v,u)/WeightSum(u). One
+// transition of a random walk is then p'[v] = Σ_i probs[i]·p[neighbors[i]]
+// with no division and no per-edge callback — the form the random-walk
+// kernel sweeps.
+func (g *Graph) Pull() (offsets []int64, neighbors []NodeID, probs []float64) {
+	return g.offsets, g.neighbors, g.pull
 }
 
 // EdgeWeight returns the weight of edge u-v, or 0 if absent. Lookup is

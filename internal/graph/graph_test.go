@@ -205,6 +205,28 @@ func TestCSRMatchesMatrixProperty(t *testing.T) {
 				return false
 			}
 		}
+		// The slice views agree with the matrix too, and the pull
+		// probabilities out of every non-isolated node sum to 1.
+		off, nbrs, probs := g.Pull()
+		out := make([]float64, n)
+		for v := 0; v < n; v++ {
+			adj, ws := g.Adjacency(NodeID(v))
+			if len(adj) != g.Degree(NodeID(v)) || int64(len(adj)) != off[v+1]-off[v] {
+				return false
+			}
+			for k, u := range adj {
+				i := off[v] + int64(k)
+				if ws[k] != mat[v][u] || nbrs[i] != u || probs[i] != mat[v][u]/g.WeightSum(u) {
+					return false
+				}
+				out[u] += probs[i]
+			}
+		}
+		for u := 0; u < n; u++ {
+			if g.Degree(NodeID(u)) > 0 && math.Abs(out[u]-1) > 1e-12 {
+				return false
+			}
+		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {

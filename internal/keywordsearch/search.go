@@ -83,9 +83,9 @@ func New(tg *tatgraph.Graph, opts Options) (*Searcher, error) {
 	if opts.Prestige {
 		// Uniform restart over all nodes = global PageRank-style
 		// authority.
-		pref := make(map[graph.NodeID]float64, tg.NumNodes())
-		for v := 0; v < tg.NumNodes(); v++ {
-			pref[graph.NodeID(v)] = 1
+		pref := make([]graph.Scored, tg.NumNodes())
+		for v := range pref {
+			pref[v] = graph.Scored{Node: graph.NodeID(v), Score: 1}
 		}
 		scores, _, err := randomwalk.Scores(tg.CSR(), pref, randomwalk.Options{})
 		if err != nil {

@@ -14,17 +14,23 @@ import (
 // co-occurrence similarity, and closeness. It owns the published Table
 // (a RAMTable, or a page-backed disk view) behind an atomic pointer, a
 // small overlay of rows computed since the last Pack, and the compute
-// function that produces a missing row. Every read is the same lookup:
+// function that produces missing rows. Every read is the same lookup:
 // published table (lock-free), then overlay, then compute — with
-// concurrent cold misses for one key coalesced into a single
-// computation. It is safe for concurrent use.
+// concurrent cold Row misses for one key coalesced into a single
+// computation (Precompute skips rows already held but does not join a
+// Row miss still in flight; the duplicate is the same bits). It is safe
+// for concurrent use.
 type Store struct {
 	// Workers bounds the goroutines of Precompute's fan-out (<= 0 means
 	// runtime.GOMAXPROCS(0)). Set it before any concurrent use.
 	Workers int
 
 	numNodes int
-	compute  func(graph.NodeID) ([]graph.Scored, error)
+	// compute fills rows[i] with nodes[i]'s row, for at most batch
+	// nodes per call. A row must not depend on what shares its call:
+	// Row asks for one node, Precompute for batch at a time.
+	compute func(nodes []graph.NodeID, rows [][]graph.Scored) error
+	batch   int
 
 	// pk is boxed because atomic.Pointer needs a concrete type.
 	pk atomic.Pointer[published]
@@ -43,7 +49,18 @@ type published struct{ t Table }
 // similarity, neighbor-id order for closeness); the store narrows it to
 // row form once, on entry.
 func NewStore(numNodes int, compute func(v graph.NodeID) ([]graph.Scored, error)) *Store {
-	return &Store{numNodes: numNodes, compute: compute, overlay: make(map[graph.NodeID]Row)}
+	return NewBatchStore(numNodes, 1, func(nodes []graph.NodeID, rows [][]graph.Scored) (err error) {
+		rows[0], err = compute(nodes[0])
+		return err
+	})
+}
+
+// NewBatchStore is NewStore for an extractor that computes up to batch
+// rows in one call cheaper than one by one (the random walk's
+// multi-column solver pass): compute fills rows[i] for nodes[i], and
+// each row must come out the same bits whatever else is in the call.
+func NewBatchStore(numNodes, batch int, compute func(nodes []graph.NodeID, rows [][]graph.Scored) error) *Store {
+	return &Store{numNodes: numNodes, compute: compute, batch: batch, overlay: make(map[graph.NodeID]Row)}
 }
 
 // table returns the published table, nil before the first Pack, Load
@@ -83,33 +100,75 @@ func (s *Store) Row(v graph.NodeID) ([]graph.NodeID, []float32, error) {
 		if nodes, scores, ok := s.held(v); ok {
 			return Row{Nodes: nodes, Scores: scores}, nil
 		}
-		s.computes.Add(1)
-		list, err := s.compute(v)
+		rows, err := s.fill([]graph.NodeID{v})
 		if err != nil {
 			return Row{}, err
 		}
-		r := NewRow(list)
-		s.mu.Lock()
-		s.overlay[v] = r
-		s.mu.Unlock()
-		return r, nil
+		return rows[0], nil
 	})
 	return r.Nodes, r.Scores, err
 }
 
-// Computes returns how many rows were actually computed — cold misses,
-// excluding held rows and coalesced callers.
+// fill computes the rows of nodes (at most batch of them), puts them in
+// the overlay and returns them in the order of nodes.
+func (s *Store) fill(nodes []graph.NodeID) ([]Row, error) {
+	s.computes.Add(int64(len(nodes)))
+	lists := make([][]graph.Scored, len(nodes))
+	if err := s.compute(nodes, lists); err != nil {
+		return nil, err
+	}
+	rows := make([]Row, len(nodes))
+	for i, list := range lists {
+		rows[i] = NewRow(list)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, v := range nodes {
+		s.overlay[v] = rows[i]
+	}
+	return rows, nil
+}
+
+// Computes returns how many rows were actually computed — cold misses
+// and Precompute chunks, excluding held rows and coalesced Row callers.
+// A row a Row miss and a Precompute chunk compute at the same moment
+// counts twice.
 func (s *Store) Computes() int64 { return s.computes.Load() }
 
 // Precompute computes the rows of the given nodes (the paper's offline
-// stage) over a pool of Workers goroutines — rows are independent, so
-// throughput scales with cores. The first error stops the pool and is
-// returned wrapped with the offending node id; ctx cancellation stops
-// scheduling and returns the context's error. Follow with Pack.
+// stage) that the store does not hold yet, in chunks of the extractor's
+// batch size over a pool of Workers goroutines — rows are independent,
+// so throughput scales with cores. The first error stops the pool and
+// is returned wrapped with the id of the failing chunk's first node (the
+// offending node itself when the batch size is 1); ctx cancellation
+// stops scheduling and returns the context's error. A worker drops the
+// rows of its chunk that a concurrent Row or Precompute has filled in
+// the meantime. Follow with Pack.
 func (s *Store) Precompute(ctx context.Context, nodes []graph.NodeID) error {
-	return flight.ForEach(ctx, s.Workers, len(nodes), func(i int) error {
-		if _, _, err := s.Row(nodes[i]); err != nil {
-			return fmt.Errorf("packed: precompute node %d: %w", nodes[i], err)
+	todo := make([]graph.NodeID, 0, len(nodes))
+	queued := make(map[graph.NodeID]bool, len(nodes))
+	for _, v := range nodes {
+		if _, _, ok := s.held(v); !ok && !queued[v] {
+			queued[v] = true
+			todo = append(todo, v)
+		}
+	}
+	chunks := (len(todo) + s.batch - 1) / s.batch
+	return flight.ForEach(ctx, s.Workers, chunks, func(i int) error {
+		// Chunks are disjoint, so compacting one in place is private.
+		chunk := todo[i*s.batch : min((i+1)*s.batch, len(todo))]
+		missing := chunk[:0]
+		for _, v := range chunk {
+			if _, _, ok := s.held(v); !ok {
+				missing = append(missing, v)
+			}
+		}
+		if len(missing) == 0 {
+			return nil
+		}
+		chunk = missing
+		if _, err := s.fill(chunk); err != nil {
+			return fmt.Errorf("packed: precompute node %d: %w", chunk[0], err)
 		}
 		return nil
 	})

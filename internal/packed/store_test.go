@@ -206,6 +206,37 @@ func TestStorePrecomputeParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// A row that a lazy miss fills after Precompute listed its work but
+// before the row's chunk runs is dropped from the chunk, not recomputed.
+func TestStorePrecomputeSkipsRowsFilledMeanwhile(t *testing.T) {
+	var s *Store
+	var calls [][]graph.NodeID
+	s = NewBatchStore(8, 2, func(nodes []graph.NodeID, rows [][]graph.Scored) error {
+		calls = append(calls, append([]graph.NodeID{}, nodes...))
+		if nodes[0] == 0 { // the first chunk: a query misses on 2 and 5 meanwhile
+			s.Row(2)
+			s.Row(5)
+		}
+		for i, v := range nodes {
+			rows[i] = fakeRow(v)
+		}
+		return nil
+	})
+	s.Workers = 1
+	if err := s.Precompute(context.Background(), []graph.NodeID{0, 1, 2, 3, 4, 5}); err != nil {
+		t.Fatal(err)
+	}
+	want := [][]graph.NodeID{{0, 1}, {2}, {5}, {3}, {4}}
+	if !reflect.DeepEqual(calls, want) || s.Computes() != 6 {
+		t.Fatalf("compute calls %v (%d rows), want %v (6 rows)", calls, s.Computes(), want)
+	}
+	for v := graph.NodeID(0); v < 6; v++ {
+		if nodes, _, ok := s.held(v); !ok || len(nodes) != int(v)%4 {
+			t.Fatalf("row %d: held %v with %d entries", v, ok, len(nodes))
+		}
+	}
+}
+
 // Precompute surfaces compute failures with the node id and stops on a
 // cancelled context.
 func TestStorePrecomputeErrors(t *testing.T) {

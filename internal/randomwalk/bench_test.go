@@ -10,28 +10,31 @@ import (
 	"kqr/internal/tatgraph"
 )
 
-func benchGraph(b *testing.B) *tatgraph.Graph {
-	b.Helper()
-	c, err := dblpgen.Generate(dblpgen.Config{Seed: 1, Topics: 8, Confs: 32, Authors: 600, Papers: 3000})
+// dblpGraph builds the TAT graph of a generated DBLP-like corpus: 3000
+// papers is the experiment scale (~4.5k nodes) the benchmarks run on, a
+// few hundred the size the oracle tests can afford.
+func dblpGraph(tb testing.TB, papers int) *tatgraph.Graph {
+	tb.Helper()
+	c, err := dblpgen.Generate(dblpgen.Config{Seed: 1, Topics: 8, Confs: 32, Authors: papers / 5, Papers: papers})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	tg, err := tatgraph.Build(c.DB, tatgraph.Options{})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return tg
 }
 
-// BenchmarkScores measures one full power iteration to convergence on
-// the experiment-scale graph (~10k nodes).
+// BenchmarkScores measures one single walk — a pass with one live
+// column — to convergence on the experiment-scale graph (~10k nodes).
 func BenchmarkScores(b *testing.B) {
-	tg := benchGraph(b)
+	tg := dblpGraph(b, 3000)
 	nodes := tg.FindTerm("probabilistic")
 	if len(nodes) == 0 {
 		b.Fatal("missing term")
 	}
-	pref := tg.ContextPreference(nodes[0])
+	pref := tg.ContextPreference(nil, nodes[0])
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -41,10 +44,36 @@ func BenchmarkScores(b *testing.B) {
 	}
 }
 
+// BenchmarkPass measures one eight-column solver pass with warm
+// scratch — the unit of the offline stage. The eight allocations are
+// the eight returned rows.
+func BenchmarkPass(b *testing.B) {
+	tg := dblpGraph(b, 3000)
+	var starts []graph.NodeID
+	for _, v := range tg.TermNodeIDs() {
+		if tg.Class(v) == "papers.title" && len(starts) < width {
+			starts = append(starts, v)
+		}
+	}
+	ex := NewExtractor(tg, Contextual, Options{})
+	rows := make([][]graph.Scored, len(starts))
+	sc := new(scratch)
+	if err := ex.pass(sc, starts, rows); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := ex.pass(sc, starts, rows); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSimilarNodesCold measures uncached similar-term extraction
 // (the offline per-term cost).
 func BenchmarkSimilarNodesCold(b *testing.B) {
-	tg := benchGraph(b)
+	tg := dblpGraph(b, 3000)
 	nodes := tg.FindTerm("probabilistic")
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -58,7 +87,7 @@ func BenchmarkSimilarNodesCold(b *testing.B) {
 
 // BenchmarkSimilarNodesWarm measures the cached lookup (the online cost).
 func BenchmarkSimilarNodesWarm(b *testing.B) {
-	tg := benchGraph(b)
+	tg := dblpGraph(b, 3000)
 	nodes := tg.FindTerm("probabilistic")
 	ex := NewExtractor(tg, Contextual, Options{})
 	if _, err := ex.SimilarNodes(nodes[0], 10); err != nil {
@@ -80,7 +109,7 @@ func BenchmarkSimilarNodesWarm(b *testing.B) {
 // workers (ISSUE 2 acceptance: >= 2x at 4 workers on 4+ cores); beyond
 // m, extra workers only contend.
 func Benchmark_PrecomputeParallel(b *testing.B) {
-	tg := benchGraph(b)
+	tg := dblpGraph(b, 3000)
 	// A fixed slice of term nodes, large enough to keep every worker
 	// busy and small enough that one iteration stays in milliseconds.
 	var nodes []graph.NodeID

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"kqr/internal/graph"
 	"kqr/internal/packed"
 )
 
@@ -23,10 +24,11 @@ func TestSimRowIdenticalLazyPackedAndRaw(t *testing.T) {
 			ex.Pack()
 		}
 		for _, v := range terms {
-			raw, err := ex.extract(v)
-			if err != nil {
+			var rows [1][]graph.Scored
+			if err := ex.extract([]graph.NodeID{v}, rows[:]); err != nil {
 				t.Fatal(err)
 			}
+			raw := rows[0]
 			nodes, scores, ok := ex.SimRow(v)
 			if !ok || len(nodes) != len(raw) {
 				t.Fatalf("%s: term %d row has %d entries (ok=%v), walk has %d", name, v, len(nodes), ok, len(raw))

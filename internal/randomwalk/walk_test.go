@@ -27,9 +27,12 @@ func smallGraph(t *testing.T) *graph.Graph {
 	return b.Build()
 }
 
+// on is the preference with all mass on v.
+func on(v graph.NodeID) []graph.Scored { return []graph.Scored{{Node: v, Score: 1}} }
+
 func TestScoresSumToOne(t *testing.T) {
 	g := smallGraph(t)
-	scores, iters, err := Scores(g, map[graph.NodeID]float64{0: 1}, Options{})
+	scores, iters, err := Scores(g, on(0), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +53,7 @@ func TestScoresSumToOne(t *testing.T) {
 
 func TestIndividualWalkBiasesStart(t *testing.T) {
 	g := smallGraph(t)
-	scores, _, err := Scores(g, map[graph.NodeID]float64{0: 1}, Options{})
+	scores, _, err := Scores(g, on(0), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +77,7 @@ func TestDanglingNodeHandling(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := b.Build()
-	scores, _, err := Scores(g, map[graph.NodeID]float64{0: 1}, Options{})
+	scores, _, err := Scores(g, on(0), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,8 +85,10 @@ func TestDanglingNodeHandling(t *testing.T) {
 	if math.Abs(sum-1) > 1e-6 {
 		t.Fatalf("scores sum to %v with dangling restart, want 1", sum)
 	}
-	if scores[0] <= scores[1] {
-		t.Fatal("isolated preferred node lost its restart mass")
+	// All the preference sits on an isolated node: the walk never
+	// leaves it, and the closed-form restart hands it back unchanged.
+	if scores[0] != 1 || scores[1] != 0 || scores[2] != 0 {
+		t.Fatalf("isolated start scored %v, want its preference [1 0 0]", scores)
 	}
 }
 
@@ -91,16 +96,20 @@ func TestScoresValidation(t *testing.T) {
 	g := smallGraph(t)
 	cases := []struct {
 		name string
-		pref map[graph.NodeID]float64
+		pref []graph.Scored
 		opts Options
 	}{
-		{"empty pref", map[graph.NodeID]float64{}, Options{}},
-		{"zero mass", map[graph.NodeID]float64{0: 0}, Options{}},
-		{"negative pref", map[graph.NodeID]float64{0: -1}, Options{}},
-		{"node out of range", map[graph.NodeID]float64{99: 1}, Options{}},
-		{"bad damping", map[graph.NodeID]float64{0: 1}, Options{Damping: 1.5}},
-		{"bad epsilon", map[graph.NodeID]float64{0: 1}, Options{Epsilon: -1}},
-		{"bad maxiter", map[graph.NodeID]float64{0: 1}, Options{MaxIter: -3}},
+		{"empty pref", nil, Options{}},
+		{"zero mass", []graph.Scored{{Node: 0, Score: 0}}, Options{}},
+		{"negative pref", []graph.Scored{{Node: 0, Score: -1}}, Options{}},
+		{"NaN pref", []graph.Scored{{Node: 0, Score: math.NaN()}}, Options{}},
+		{"node out of range", on(99), Options{}},
+		{"negative node", on(-1), Options{}},
+		{"unsorted pref", []graph.Scored{{Node: 2, Score: 1}, {Node: 1, Score: 1}}, Options{}},
+		{"duplicate node", []graph.Scored{{Node: 1, Score: 1}, {Node: 1, Score: 1}}, Options{}},
+		{"bad damping", on(0), Options{Damping: 1.5}},
+		{"bad epsilon", on(0), Options{Epsilon: -1}},
+		{"bad maxiter", on(0), Options{MaxIter: -3}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -109,7 +118,7 @@ func TestScoresValidation(t *testing.T) {
 			}
 		})
 	}
-	if _, _, err := Scores(graph.NewBuilder().Build(), map[graph.NodeID]float64{0: 1}, Options{}); err == nil {
+	if _, _, err := Scores(graph.NewBuilder().Build(), on(0), Options{}); err == nil {
 		t.Fatal("empty graph accepted")
 	}
 }
@@ -117,32 +126,16 @@ func TestScoresValidation(t *testing.T) {
 func TestConvergenceUnderDamping(t *testing.T) {
 	g := smallGraph(t)
 	// Lower damping converges in fewer iterations.
-	_, fast, err := Scores(g, map[graph.NodeID]float64{0: 1}, Options{Damping: 0.3})
+	_, fast, err := Scores(g, on(0), Options{Damping: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, slow, err := Scores(g, map[graph.NodeID]float64{0: 1}, Options{Damping: 0.95, MaxIter: 500})
+	_, slow, err := Scores(g, on(0), Options{Damping: 0.95, MaxIter: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fast >= slow {
 		t.Fatalf("damping 0.3 took %d iters, 0.95 took %d; want fewer", fast, slow)
-	}
-}
-
-func TestTopNodes(t *testing.T) {
-	scores := []float64{0.5, 0, 0.8, 0.3, 0.8}
-	top := TopNodes(scores, 3, nil)
-	if len(top) != 3 {
-		t.Fatalf("len = %d", len(top))
-	}
-	// Ties (nodes 2 and 4 at 0.8) break by node id.
-	if top[0].Node != 2 || top[1].Node != 4 || top[2].Node != 0 {
-		t.Fatalf("order = %v", top)
-	}
-	odd := TopNodes(scores, 0, func(v graph.NodeID) bool { return v%2 == 1 })
-	if len(odd) != 1 || odd[0].Node != 3 {
-		t.Fatalf("filtered = %v", odd)
 	}
 }
 
@@ -166,7 +159,7 @@ func TestScoresDistributionProperty(t *testing.T) {
 			_ = err
 		}
 		g := b.Build()
-		scores, _, err := Scores(g, map[graph.NodeID]float64{graph.NodeID(int(prefNode) % n): 1}, Options{})
+		scores, _, err := Scores(g, on(graph.NodeID(int(prefNode)%n)), Options{})
 		if err != nil {
 			return false
 		}

@@ -9,10 +9,12 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"kqr/internal/live"
+	"kqr/internal/randomwalk"
 	"kqr/internal/relstore"
 	"kqr/internal/testcorpus"
 )
@@ -336,6 +338,53 @@ func TestSnapshotCorruptionDetected(t *testing.T) {
 	}
 	if _, err := readSnapshot(bytes.NewReader(b[:len(b)/2])); err == nil {
 		t.Error("truncated snapshot decoded cleanly")
+	}
+}
+
+// A leader and a follower built with different walk solvers must not
+// pair up: the follower recomputes every promotion itself, and two
+// solvers agree to their tolerance, not in the low bits. The handshake
+// fingerprint carries the solver tag, so either side being the
+// power-iteration build (whose fingerprint had no tag) is ErrDiverged.
+func TestBootstrapRefusedAcrossSolvers(t *testing.T) {
+	mgr, cfg := mustManager(t)
+	var buf bytes.Buffer
+	if err := writeSnapshot(&buf, mgr.Current(), cfg, position{}); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := readSnapshot(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tag := " solver=" + randomwalk.Solver
+	if strings.Count(snap.Fingerprint, tag) != 1 {
+		t.Fatalf("bootstrap fingerprint %q does not carry %q", snap.Fingerprint, tag)
+	}
+
+	follower := func() (*Follower, *live.Manager) {
+		g, err := live.Build(snap.DB, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := live.NewManager(g, cfg, live.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(m.Close)
+		return NewFollower("http://unused", FollowerOptions{}), m
+	}
+	// Old leader, this follower: the bootstrap arrives untagged.
+	old := *snap
+	old.Fingerprint = strings.Replace(snap.Fingerprint, tag, "", 1)
+	f, m := follower()
+	if err := f.Attach(m, cfg, &old); !errors.Is(err, ErrDiverged) {
+		t.Fatalf("attach to a power-iteration leader: err = %v, want ErrDiverged", err)
+	}
+	// (This leader, old follower is the same string comparison run on
+	// the other side.) Same solver on both sides still attaches.
+	f, m = follower()
+	if err := f.Attach(m, cfg, snap); err != nil {
+		t.Fatalf("attach to a same-solver leader: %v", err)
 	}
 }
 

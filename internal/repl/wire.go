@@ -10,6 +10,7 @@ import (
 
 	"kqr/internal/artifact"
 	"kqr/internal/live"
+	"kqr/internal/randomwalk"
 	"kqr/internal/relstore"
 )
 
@@ -299,9 +300,11 @@ var snapMagic = [6]byte{'K', 'Q', 'R', 'R', 'E', 'P'}
 const snapVersion uint16 = 1
 
 // Fingerprint identifies everything a replica's derived state depends
-// on: the graph shape, the corpus row counts, and every config knob
-// that changes what the offline extractors compute. Leader and follower
-// must agree on it before a single log record is applied.
+// on: the graph shape, the corpus row counts, every config knob that
+// changes what the offline extractors compute, and the walk solver (a
+// follower rebuilds every promotion itself, and two solvers differ in
+// the low bits). Leader and follower must agree on it before a single
+// log record is applied.
 func Fingerprint(g *live.Generation, cfg live.Config) string {
 	damping := cfg.Damping
 	if damping == 0 {
@@ -311,8 +314,8 @@ func Fingerprint(g *live.Generation, cfg live.Config) string {
 	if closMax == 0 {
 		closMax = 4
 	}
-	return fmt.Sprintf("repl mode=%s damping=%g closmax=%d closbeam=%d phrases=%t plurals=%t nodes=%d terms=%d edges=%d corpus=%s",
-		cfg.Mode, damping, closMax, cfg.ClosenessBeam, cfg.Phrases, cfg.FoldPlurals,
+	return fmt.Sprintf("repl mode=%s solver=%s damping=%g closmax=%d closbeam=%d phrases=%t plurals=%t nodes=%d terms=%d edges=%d corpus=%s",
+		cfg.Mode, randomwalk.Solver, damping, closMax, cfg.ClosenessBeam, cfg.Phrases, cfg.FoldPlurals,
 		g.TG.NumNodes(), g.TG.NumTermNodes(), g.TG.CSR().NumEdges(), g.DB.Stats())
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"kqr/internal/dblpgen"
+	"kqr/internal/graph"
 )
 
 // BenchmarkBuild measures full TAT-graph construction over the
@@ -37,9 +38,10 @@ func BenchmarkContextPreference(b *testing.B) {
 	if len(nodes) == 0 {
 		b.Fatal("missing term")
 	}
+	var pref []graph.Scored
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = tg.ContextPreference(nodes[0])
+		pref = tg.ContextPreference(pref[:0], nodes[0])
 	}
 }

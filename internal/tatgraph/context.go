@@ -18,36 +18,45 @@ import "kqr/internal/graph"
 // many context nodes (e.g. hundreds of title words) does not drown out a
 // small one (e.g. two conferences). The result is normalized to sum to 1.
 //
+// The vector is sparse and sorted by node id — the adjacency order of
+// the CSR — so every consumer sums it in one fixed order. It is
+// appended to dst (pass nil for a fresh slice; the offline batch passes
+// pooled scratch).
+//
 // An isolated node yields a preference of 1 on itself, degrading to the
 // individual random walk.
-func (tg *Graph) ContextPreference(t0 graph.NodeID) map[graph.NodeID]float64 {
-	fieldSize := make(map[int32]int)
-	tg.g.Neighbors(t0, func(v graph.NodeID, _ float64) bool {
+func (tg *Graph) ContextPreference(dst []graph.Scored, t0 graph.NodeID) []graph.Scored {
+	nbrs, weights := tg.g.Adjacency(t0)
+	// Class counts live on the stack for any realistic schema.
+	var buf [32]int
+	fieldSize := buf[:]
+	if len(tg.classNames) > len(buf) {
+		fieldSize = make([]int, len(tg.classNames))
+	}
+	for _, v := range nbrs {
 		fieldSize[tg.classes[v]]++
-		return true
-	})
-	pref := make(map[graph.NodeID]float64, len(fieldSize))
+	}
+	base := len(dst)
 	total := 0.0
-	tg.g.Neighbors(t0, func(v graph.NodeID, w float64) bool {
-		weight := 1 / float64(fieldSize[tg.classes[v]]) * w * tg.IDF(v)
+	for i, v := range nbrs {
+		weight := 1 / float64(fieldSize[tg.classes[v]]) * weights[i] * tg.idf[v]
 		if weight > 0 {
-			pref[v] = weight
+			dst = append(dst, graph.Scored{Node: v, Score: weight})
 			total += weight
 		}
-		return true
-	})
+	}
 	if total == 0 {
-		return map[graph.NodeID]float64{t0: 1}
+		return append(dst[:base], graph.Scored{Node: t0, Score: 1})
 	}
-	for v := range pref {
-		pref[v] /= total
+	for i := base; i < len(dst); i++ {
+		dst[i].Score /= total
 	}
-	return pref
+	return dst
 }
 
-// SelfPreference returns the individual-random-walk preference vector:
-// all mass on t0 itself. This is the basic model the paper improves on
-// (§IV-B2) and the ablation baseline in the benchmarks.
-func (tg *Graph) SelfPreference(t0 graph.NodeID) map[graph.NodeID]float64 {
-	return map[graph.NodeID]float64{t0: 1}
+// SelfPreference appends the individual-random-walk preference vector
+// to dst: all mass on t0 itself. This is the basic model the paper
+// improves on (§IV-B2) and the ablation baseline in the benchmarks.
+func (tg *Graph) SelfPreference(dst []graph.Scored, t0 graph.NodeID) []graph.Scored {
+	return append(dst, graph.Scored{Node: t0, Score: 1})
 }

@@ -54,8 +54,10 @@ type Graph struct {
 	terms   []string // term text; "" for tuple nodes
 	tuples  []relstore.TupleID
 
-	classNames []string // class id -> label (table name or "table.column")
-	classDocs  []int    // class id -> document count backing idf
+	classNames []string         // class id -> label (table name or "table.column")
+	classDocs  []int            // class id -> document count backing idf
+	classNodes [][]graph.NodeID // class id -> member nodes, ascending
+	idf        []float64        // per-node inverse-occurrence weight
 
 	termNodes   map[classKey]graph.NodeID
 	tupleNodes  map[relstore.TupleID]graph.NodeID
@@ -331,6 +333,22 @@ func Build(db *relstore.Database, opts Options) (*Graph, error) {
 		}
 	}
 	tg.g = b.Build()
+	// Per-node idf and per-class member lists: every walk reads them
+	// (ranking discount, same-class cut), so they are derived once here.
+	tg.idf = make([]float64, len(tg.classes))
+	tg.classNodes = make([][]graph.NodeID, len(tg.classNames))
+	for v, c := range tg.classes {
+		docs := float64(tg.classDocs[c])
+		deg := float64(tg.g.Degree(graph.NodeID(v)))
+		if deg == 0 {
+			deg = 1
+		}
+		if docs < deg {
+			docs = deg
+		}
+		tg.idf[v] = math.Log(1 + docs/deg)
+		tg.classNodes[c] = append(tg.classNodes[c], graph.NodeID(v))
+	}
 	return tg, nil
 }
 
@@ -436,16 +454,13 @@ func (tg *Graph) Freq(v graph.NodeID) int {
 // IDF returns the inverse-occurrence weight of a node within its class:
 // ln(1 + classDocs/degree). Rare terms (and rarely referenced tuples)
 // score high; hub nodes score low.
-func (tg *Graph) IDF(v graph.NodeID) float64 {
-	docs := float64(tg.classDocs[tg.classes[v]])
-	deg := float64(tg.g.Degree(v))
-	if deg == 0 {
-		deg = 1
-	}
-	if docs < deg {
-		docs = deg
-	}
-	return math.Log(1 + docs/deg)
+func (tg *Graph) IDF(v graph.NodeID) float64 { return tg.idf[v] }
+
+// ClassMembers returns every node of v's class (v included) in
+// ascending order, as a read-only view — the universe a similar-term
+// row is cut from.
+func (tg *Graph) ClassMembers(v graph.NodeID) []graph.NodeID {
+	return tg.classNodes[tg.classes[v]]
 }
 
 // DisplayLabel renders a node for humans: the term text for term nodes,
@@ -495,21 +510,10 @@ func (tg *Graph) Classes() []string {
 
 // ClassSize returns how many nodes belong to the named class.
 func (tg *Graph) ClassSize(name string) int {
-	var id int32 = -1
 	for i, n := range tg.classNames {
 		if n == name {
-			id = int32(i)
-			break
+			return len(tg.classNodes[i])
 		}
 	}
-	if id < 0 {
-		return 0
-	}
-	count := 0
-	for _, c := range tg.classes {
-		if c == id {
-			count++
-		}
-	}
-	return count
+	return 0
 }

@@ -2,6 +2,7 @@ package tatgraph
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"kqr/internal/graph"
@@ -145,29 +146,69 @@ func TestSameClass(t *testing.T) {
 
 func TestIDFOrdering(t *testing.T) {
 	tg := buildFixture(t)
-	rare, _ := tg.TermNode("papers.title", "twig")       // 1 occurrence
+	rare, _ := tg.TermNode("papers.title", "twig")        // 1 occurrence
 	common, _ := tg.TermNode("papers.title", "uncertain") // 2 occurrences
 	if tg.IDF(rare) <= tg.IDF(common) {
 		t.Fatalf("IDF(twig)=%v should exceed IDF(uncertain)=%v", tg.IDF(rare), tg.IDF(common))
 	}
 }
 
+// The cached class lists partition the nodes in ascending order and
+// agree with SameClass; the cached idf is ln(1 + docs/degree) of the
+// node's class.
+func TestClassMembersAndCachedIDF(t *testing.T) {
+	tg := buildFixture(t)
+	seen := 0
+	for v := graph.NodeID(0); int(v) < tg.NumNodes(); v++ {
+		members := tg.ClassMembers(v)
+		if len(members) != tg.ClassSize(tg.Class(v)) {
+			t.Fatalf("node %d: %d class members, ClassSize says %d", v, len(members), tg.ClassSize(tg.Class(v)))
+		}
+		if members[0] == v {
+			seen += len(members)
+		}
+		found := false
+		for i, u := range members {
+			if !tg.SameClass(u, v) || (i > 0 && members[i-1] >= u) {
+				t.Fatalf("node %d: class list %v is not its class in ascending order", v, members)
+			}
+			found = found || u == v
+		}
+		if !found {
+			t.Fatalf("node %d missing from its own class list", v)
+		}
+		docs, deg := float64(tg.ClassSize(tg.Class(v))), float64(tg.CSR().Degree(v))
+		if tg.Kind(v) == KindTerm {
+			docs = float64(tg.Index().DocCount(tg.Class(v)))
+		}
+		if want := math.Log(1 + math.Max(docs, deg)/math.Max(deg, 1)); tg.IDF(v) != want {
+			t.Fatalf("node %d: IDF = %v, want %v", v, tg.IDF(v), want)
+		}
+	}
+	if seen != tg.NumNodes() {
+		t.Fatalf("class lists cover %d of %d nodes", seen, tg.NumNodes())
+	}
+}
+
 func TestContextPreference(t *testing.T) {
 	tg := buildFixture(t)
 	term, _ := tg.TermNode("papers.title", "uncertain")
-	pref := tg.ContextPreference(term)
+	pref := tg.ContextPreference(nil, term)
 	if len(pref) == 0 {
 		t.Fatal("empty preference")
 	}
 	sum := 0.0
-	for v, w := range pref {
-		if w <= 0 {
-			t.Fatalf("non-positive preference %v on %v", w, v)
+	for i, e := range pref {
+		if e.Score <= 0 {
+			t.Fatalf("non-positive preference %v on %v", e.Score, e.Node)
 		}
-		if tg.Kind(v) != KindTuple {
-			t.Fatalf("term context contains non-tuple node %v", v)
+		if tg.Kind(e.Node) != KindTuple {
+			t.Fatalf("term context contains non-tuple node %v", e.Node)
 		}
-		sum += w
+		if i > 0 && pref[i-1].Node >= e.Node {
+			t.Fatalf("preference not sorted by node id: %v", pref)
+		}
+		sum += e.Score
 	}
 	if math.Abs(sum-1) > 1e-9 {
 		t.Fatalf("preference sums to %v, want 1", sum)
@@ -186,19 +227,23 @@ func TestContextPreferenceFieldBalance(t *testing.T) {
 	papers, _ := tg.DB().Table("papers")
 	p, _ := papers.LookupPK(relstore.Int(1))
 	node, _ := tg.TupleNode(p.ID)
-	pref := tg.ContextPreference(node)
-	for v, w := range pref {
-		if w > 0.85 {
-			t.Fatalf("context node %v (%s) holds %v of the mass", v, tg.DisplayLabel(v), w)
+	pref := tg.ContextPreference(nil, node)
+	for _, e := range pref {
+		if e.Score > 0.85 {
+			t.Fatalf("context node %v (%s) holds %v of the mass", e.Node, tg.DisplayLabel(e.Node), e.Score)
 		}
+	}
+	// Appending keeps what the caller already had.
+	if again := tg.ContextPreference(pref[:1:1], node); !reflect.DeepEqual(again[1:], pref) {
+		t.Fatalf("appended preference %v differs from fresh %v", again[1:], pref)
 	}
 }
 
 func TestSelfPreference(t *testing.T) {
 	tg := buildFixture(t)
 	term, _ := tg.TermNode("papers.title", "xml")
-	pref := tg.SelfPreference(term)
-	if len(pref) != 1 || pref[term] != 1 {
+	pref := tg.SelfPreference(nil, term)
+	if len(pref) != 1 || pref[0] != (graph.Scored{Node: term, Score: 1}) {
 		t.Fatalf("SelfPreference = %v", pref)
 	}
 }
@@ -223,8 +268,8 @@ func TestIsolatedNodeContext(t *testing.T) {
 	if !ok {
 		t.Fatal("missing tuple node")
 	}
-	pref := tg.ContextPreference(node)
-	if len(pref) != 1 || pref[node] != 1 {
+	pref := tg.ContextPreference(nil, node)
+	if len(pref) != 1 || pref[0] != (graph.Scored{Node: node, Score: 1}) {
 		t.Fatalf("isolated context = %v, want self", pref)
 	}
 }
