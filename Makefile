@@ -22,7 +22,7 @@ vet:
 # package doc comment (vet catches malformed ones; the script catches
 # missing ones).
 docs-check: vet
-	sh scripts/docs-check.sh . internal/artifact internal/live internal/repl internal/packed internal/cdc internal/diskmode internal/mend
+	sh scripts/docs-check.sh . internal/frame internal/artifact internal/live internal/repl internal/packed internal/cdc internal/diskmode internal/mend
 
 test:
 	$(GO) test ./...
@@ -124,6 +124,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzTokenize -fuzztime=20s ./internal/textindex/
 	$(GO) test -fuzz=FuzzKeyInjective -fuzztime=20s ./internal/serving/
 	$(GO) test -fuzz=FuzzCacheKeyCanonical -fuzztime=20s ./server/
+	$(GO) test -fuzz=FuzzFrame -fuzztime=20s ./internal/frame/
 	$(GO) test -fuzz='FuzzLoad$$' -fuzztime=20s ./internal/artifact/
 	$(GO) test -fuzz='FuzzLoadPaged$$' -fuzztime=20s ./internal/artifact/
 	$(GO) test -fuzz=FuzzCDCFrame -fuzztime=20s ./internal/cdc/

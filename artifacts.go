@@ -6,11 +6,11 @@ import (
 	"io"
 	"log"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"kqr/internal/artifact"
 	"kqr/internal/live"
-	"kqr/internal/randomwalk"
 )
 
 // ArtifactInfo reports the provenance of the engine's offline tables:
@@ -62,36 +62,18 @@ func (e *Engine) setArtifact(a ArtifactInfo) {
 }
 
 // artifactFingerprint identifies everything the offline tables depend
-// on: the corpus (table row counts), the built graph's shape and
-// classes, every option that changes what the extractors compute, and
-// the walk solver — two solvers agree to their tolerance, not in the low
-// bits, and a partial snapshot is completed by local computation, so
-// rows of different solvers must never meet in one table. Two engines
-// share a fingerprint exactly when a snapshot saved by one is valid for
-// the other.
+// on: what live.TableFingerprint covers (every option that changes what
+// the extractors compute, the built graph's shape, and the walk solver
+// — two solvers agree to their tolerance, not in the low bits, and a
+// partial snapshot is completed by local computation, so rows of
+// different solvers must never meet in one table), plus the graph's
+// classes and the corpus (table row counts). Two engines share a
+// fingerprint exactly when a snapshot saved by one is valid for the
+// other.
 func (e *Engine) artifactFingerprint(g *live.Generation) string {
-	damping := e.opts.Damping
-	if damping == 0 {
-		damping = 0.8
-	}
-	closMax := e.opts.ClosenessMaxLen
-	if closMax == 0 {
-		closMax = 4
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "kqr mode=%s solver=%s damping=%g closmax=%d closbeam=%d phrases=%t plurals=%t",
-		e.opts.Similarity, randomwalk.Solver, damping, closMax, e.opts.ClosenessBeam, e.opts.Phrases, e.opts.FoldPlurals)
-	fmt.Fprintf(&b, " nodes=%d terms=%d edges=%d", g.TG.NumNodes(), g.TG.NumTermNodes(), g.TG.CSR().NumEdges())
-	fmt.Fprintf(&b, " classes=%s", strings.Join(g.TG.Classes(), ","))
-	fmt.Fprintf(&b, " corpus=%s", g.TG.DB().Stats())
-	return b.String()
-}
-
-// buildSnapshot assembles the in-memory snapshot of one generation's
-// offline stage: the full vocabulary plus whichever similarity table
-// the engine's mode maintains, and the closeness table.
-func (e *Engine) buildSnapshot(g *live.Generation) (*artifact.Snapshot, error) {
-	return live.ArtifactSnapshot(g, e.artifactFingerprint(g))
+	cfg, _ := e.liveConfig() // Open already refused an unknown mode
+	return fmt.Sprintf("kqr %s classes=%s corpus=%s",
+		live.TableFingerprint(g, cfg), strings.Join(g.TG.Classes(), ","), g.TG.DB().Stats())
 }
 
 // SaveArtifacts writes the engine's offline tables (similarity and
@@ -102,11 +84,7 @@ func (e *Engine) buildSnapshot(g *live.Generation) (*artifact.Snapshot, error) {
 // to capture the complete offline stage; a later Open with
 // Options.ArtifactPath then restores it instead of recomputing.
 func (e *Engine) SaveArtifacts(path string) error {
-	snap, err := e.buildSnapshot(e.cur())
-	if err != nil {
-		return err
-	}
-	return writeSnapshotFile(path, snap.Write)
+	return e.saveSnapshot(path, (*artifact.Snapshot).Write)
 }
 
 // SaveArtifactsPaged writes the offline tables as a KQRART v2 paged
@@ -118,30 +96,28 @@ func (e *Engine) SaveArtifacts(path string) error {
 // costs nothing in compatibility. The write is temp-file atomic like
 // SaveArtifacts.
 func (e *Engine) SaveArtifactsPaged(path string) error {
-	snap, err := e.buildSnapshot(e.cur())
-	if err != nil {
-		return err
-	}
-	return writeSnapshotFile(path, func(w io.Writer) error {
+	return e.saveSnapshot(path, func(snap *artifact.Snapshot, w io.Writer) error {
 		return snap.WritePaged(w, artifact.PagedOptions{})
 	})
 }
 
-// writeSnapshotFile streams a snapshot encoding to path atomically: a
-// temp file in the same directory is renamed over path only after a
-// successful buffered write.
-func writeSnapshotFile(path string, write func(io.Writer) error) error {
-	tmp, err := os.CreateTemp(dirOf(path), ".kqr-snapshot-*")
+// saveSnapshot snapshots the current generation's offline stage under
+// the engine's fingerprint and streams its encoding to path atomically:
+// a temp file in the same directory is renamed over path only after a
+// successful write.
+func (e *Engine) saveSnapshot(path string, write func(*artifact.Snapshot, io.Writer) error) error {
+	g := e.cur()
+	snap, err := live.ArtifactSnapshot(g, e.artifactFingerprint(g))
+	if err != nil {
+		return err
+	}
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".kqr-snapshot-*")
 	if err != nil {
 		return fmt.Errorf("kqr: saving artifacts: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	bw := bufio.NewWriterSize(tmp, 1<<20)
-	if err := write(bw); err != nil {
-		tmp.Close()
-		return fmt.Errorf("kqr: saving artifacts to %s: %w", path, err)
-	}
-	if err := bw.Flush(); err != nil {
+	// The codec stages its own output in blocks; no buffer is needed here.
+	if err := write(snap, tmp); err != nil {
 		tmp.Close()
 		return fmt.Errorf("kqr: saving artifacts to %s: %w", path, err)
 	}
@@ -154,17 +130,10 @@ func writeSnapshotFile(path string, write func(io.Writer) error) error {
 	return nil
 }
 
-// dirOf returns the directory containing path, "." for a bare name.
-func dirOf(path string) string {
-	if i := strings.LastIndexByte(path, os.PathSeparator); i >= 0 {
-		return path[:i+1]
-	}
-	return "."
-}
-
-// loadSnapshotFile opens, validates and restores a snapshot file into
-// the given generation — the shared body of LoadArtifacts and
-// ReloadArtifacts.
+// loadSnapshotFile opens and decodes a snapshot file under the engine's
+// fingerprint and restores it into the given generation (which checks
+// the vocabulary against the graph node by node, backstopping the
+// fingerprint) — the shared body of LoadArtifacts and ReloadArtifacts.
 func (e *Engine) loadSnapshotFile(g *live.Generation, path string) (*artifact.Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -175,7 +144,7 @@ func (e *Engine) loadSnapshotFile(g *live.Generation, path string) (*artifact.Sn
 	if err != nil {
 		return nil, fmt.Errorf("kqr: loading artifacts from %s: %w", path, err)
 	}
-	if err := e.restoreSnapshot(g, snap); err != nil {
+	if err := live.RestoreArtifact(g, snap); err != nil {
 		return nil, fmt.Errorf("kqr: loading artifacts from %s: %w", path, err)
 	}
 	return snap, nil
@@ -244,15 +213,6 @@ func (e *Engine) ReloadArtifacts(path string) error {
 	}
 	e.setArtifact(info)
 	return nil
-}
-
-// restoreSnapshot validates the snapshot's vocabulary against the
-// generation's graph node by node, then installs the tables into the
-// extractors. The vocabulary check backstops the fingerprint: node ids
-// are only meaningful if every term node still carries the same text
-// and class.
-func (e *Engine) restoreSnapshot(g *live.Generation, snap *artifact.Snapshot) error {
-	return live.RestoreArtifact(g, snap)
 }
 
 // loadArtifactsOrFallback is Open's never-fatal load path: any failure

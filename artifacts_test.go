@@ -14,6 +14,7 @@ import (
 	"kqr"
 	"kqr/internal/artifact"
 	"kqr/internal/randomwalk"
+	"kqr/synthetic"
 )
 
 // warmAndSave opens an engine, warms the full vocabulary and saves a
@@ -235,7 +236,7 @@ func TestArtifactFromAnotherSolverRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	snap, err := artifact.Read(f)
+	snap, err := artifact.Load(f, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,5 +328,75 @@ func TestSaveArtifactsAtomic(t *testing.T) {
 	}
 	if err := eng.SaveArtifacts(filepath.Join(t.TempDir(), "no", "such", "dir", "x.snapshot")); err == nil {
 		t.Fatal("save into a missing directory succeeded")
+	}
+}
+
+// TestGoldenArtifactsByteIdentical: the fixtures under
+// internal/artifact/testdata were saved by the build before the codec
+// spoke packed rows (a warmed bibliography engine, SaveArtifacts and
+// SaveArtifactsPaged). Loading each and saving it again in its own
+// version must give back the file byte for byte: the fingerprint, both
+// layouts and every score survive the engine round trip unmoved.
+func TestGoldenArtifactsByteIdentical(t *testing.T) {
+	for _, tc := range []struct {
+		file string
+		save func(*kqr.Engine, string) error
+	}{
+		{"internal/artifact/testdata/v1.kqrart", (*kqr.Engine).SaveArtifacts},
+		{"internal/artifact/testdata/v2.kqrart", (*kqr.Engine).SaveArtifactsPaged},
+	} {
+		eng, err := kqr.Open(bibliographyDataset(t), kqr.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.LoadArtifacts(tc.file); err != nil {
+			t.Fatalf("%s: %v", tc.file, err)
+		}
+		out := filepath.Join(t.TempDir(), "resaved")
+		if err := tc.save(eng, out); err != nil {
+			t.Fatal(err)
+		}
+		want, _ := os.ReadFile(tc.file)
+		got, _ := os.ReadFile(out)
+		if len(want) == 0 || !bytes.Equal(got, want) {
+			t.Fatalf("%s: load → save gave %d bytes that differ from the fixture's %d", tc.file, len(got), len(want))
+		}
+		// And the loaded tables answer: the fixture is a full warm.
+		if terms, err := eng.SimilarTerms("uncertain", 3); err != nil || len(terms) == 0 {
+			t.Fatalf("%s: SimilarTerms off the fixture: %v, %v", tc.file, terms, err)
+		}
+	}
+}
+
+// TestLoadArtifactsAllocatesPerTable: restoring a snapshot indexes the
+// decoded arrays as they are. The allocation count must not grow with
+// the number of rows — no per-row maps, lists or re-sorted copies.
+func TestLoadArtifactsAllocatesPerTable(t *testing.T) {
+	corpus, err := synthetic.Bibliography(synthetic.Config{Seed: 5, Topics: 4, Confs: 8, Authors: 60, Papers: 400})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := kqr.Open(corpus.Dataset, kqr.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Warm(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "offline.snapshot")
+	if err := eng.SaveArtifacts(path); err != nil {
+		t.Fatal(err)
+	}
+	rows := len(eng.Vocabulary())
+	allocs := testing.AllocsPerRun(3, func() {
+		if err := eng.LoadArtifacts(path); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// One string per vocabulary term, then a few (amortised) arrays per
+	// table. A restore through per-row maps and lists makes several
+	// allocations per row of each table on top of that.
+	if limit := float64(rows + rows/2 + 200); allocs > limit {
+		t.Fatalf("LoadArtifacts made %.0f allocations for %d vocabulary terms, want ≤ %.0f", allocs, rows, limit)
 	}
 }

@@ -14,16 +14,6 @@ import (
 // /api/metrics.
 type DiskStats = diskmode.Stats
 
-// simTableKind maps the engine's similarity mode to the paged section
-// its tables live in. Both walk modes share TableWalk — the
-// fingerprint already distinguishes contextual from individual.
-func (e *Engine) simTableKind() artifact.TableKind {
-	if e.opts.Similarity == Cooccurrence {
-		return artifact.TableCooccur
-	}
-	return artifact.TableWalk
-}
-
 // attachDiskTables opens the paged snapshot at path and installs its
 // page-backed table views into g: the similarity and closeness row
 // stores each get a packed view that faults rows from disk
@@ -59,7 +49,11 @@ func (e *Engine) attachDiskTables(g *live.Generation, path string) error {
 		store.Close()
 		return fmt.Errorf("kqr: disk mode: %s: %w", path, err)
 	}
-	kind := e.simTableKind()
+	kind, err := live.SimTableKind(g)
+	if err != nil {
+		store.Close()
+		return err
+	}
 	sim := store.Table(kind)
 	if sim == nil {
 		store.Close()

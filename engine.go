@@ -617,10 +617,11 @@ func (e *Engine) Ingest(deltas []Delta) error {
 }
 
 // Promote applies the staged deltas to a copy-on-write rebuild of the
-// corpus, builds the next index generation (recomputing only affected
-// terms when churn is low), and atomically makes it current. In-flight
-// requests finish on the generation they started with. With nothing
-// pending it is a no-op returning the current generation's info.
+// corpus, builds the next index generation (its offline tables
+// recomputed in full — the one rebuild mode), and atomically makes it
+// current. In-flight requests finish on the generation they started
+// with. With nothing pending it is a no-op returning the current
+// generation's info.
 func (e *Engine) Promote(ctx context.Context) (GenerationInfo, error) {
 	if !e.opts.Live {
 		return GenerationInfo{}, ErrLiveDisabled

@@ -3,7 +3,9 @@ package artifact
 import (
 	"errors"
 
+	"kqr/internal/frame"
 	"kqr/internal/graph"
+	"kqr/internal/packed"
 )
 
 // FormatVersion is the snapshot format this package writes. Read
@@ -11,7 +13,7 @@ import (
 const FormatVersion uint16 = 1
 
 // magic opens every snapshot file.
-var magic = [6]byte{'K', 'Q', 'R', 'A', 'R', 'T'}
+var magic = frame.Magic{'K', 'Q', 'R', 'A', 'R', 'T'}
 
 // Section ids. New kinds must take fresh ids; readers skip ids they do
 // not know.
@@ -23,18 +25,21 @@ const (
 )
 
 // Sentinel errors classifying why a snapshot failed to load. They are
-// wrapped with positional detail; test with errors.Is.
+// wrapped with positional detail; test with errors.Is. The first four
+// are internal/frame's — every format in the repo reports damage with
+// the same values.
 var (
 	// ErrMagic means the file does not start with the snapshot magic —
 	// it is not a kqr artifact at all.
-	ErrMagic = errors.New("artifact: bad magic (not a kqr snapshot)")
-	// ErrVersion means the file's format version is not FormatVersion.
-	ErrVersion = errors.New("artifact: unsupported format version")
+	ErrMagic = frame.ErrMagic
+	// ErrVersion means the file's format version is not one this build
+	// reads.
+	ErrVersion = frame.ErrVersion
 	// ErrChecksum means a section (or the header) failed its CRC.
-	ErrChecksum = errors.New("artifact: checksum mismatch")
+	ErrChecksum = frame.ErrChecksum
 	// ErrTruncated means the file ended mid-header or mid-section, or a
 	// section's internal counts disagree with its byte length.
-	ErrTruncated = errors.New("artifact: truncated or corrupt snapshot")
+	ErrTruncated = frame.ErrTruncated
 	// ErrFingerprint means the snapshot was computed over a different
 	// corpus, graph or offline configuration than the caller's.
 	ErrFingerprint = errors.New("artifact: corpus fingerprint mismatch")
@@ -53,9 +58,11 @@ type Term struct {
 }
 
 // Snapshot is the decoded (or to-be-encoded) content of an artifact
-// file: the fingerprint plus one in-memory table per section. Nil maps
-// mean the section is absent — an engine in random-walk mode has no
-// co-occurrence table and vice versa.
+// file: the fingerprint plus one table per section, in the row store's
+// own serial form (packed.Rows) — a writer streams the rows out as they
+// lie, a reader appends them and hands the result to a store. A nil
+// table means the section is absent — an engine in random-walk mode has
+// no co-occurrence table and vice versa.
 type Snapshot struct {
 	// Fingerprint identifies the corpus, graph shape and offline
 	// options the tables were computed over.
@@ -67,10 +74,8 @@ type Snapshot struct {
 	Classes []string
 	// Vocabulary lists every term node, in ascending node order.
 	Vocabulary []Term
-	// Walk holds the random-walk similar-term lists per start node.
-	Walk map[graph.NodeID][]graph.Scored
-	// Cooccur holds the co-occurrence similar-term lists per start node.
-	Cooccur map[graph.NodeID][]graph.Scored
-	// Closeness holds the closeness vectors per source node.
-	Closeness map[graph.NodeID]map[graph.NodeID]float64
+	// Tables holds the tables, indexed by TableKind: random-walk and
+	// co-occurrence similar-term rows in rank order, closeness rows in
+	// neighbor-id order.
+	Tables [numTables]*packed.Rows
 }

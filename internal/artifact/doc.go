@@ -4,7 +4,15 @@
 // co-occurrence count tables that the extractors compute over the TAT
 // graph (paper §IV). Persisting them converts the offline stage from a
 // per-process cost into a durable artifact — a replica restarts by
-// streaming the snapshot from disk instead of re-walking the graph.
+// streaming the snapshot from disk instead of re-walking the graph
+// (a 28.9 MB snapshot of an 848-term corpus loads in ~60 ms and saves
+// in ~30 ms; the warm pass it replaces takes ~0.5 s — BENCH_snapshot.json).
+//
+// A Snapshot holds each table as packed.Rows, the row store's own
+// serial form: a writer streams the rows as they lie, a reader appends
+// them and the store indexes the result in place. Nothing on either
+// path sorts or builds a map. All byte-level work — running CRCs, byte
+// budgets, typed errors — is internal/frame's.
 //
 // # File format
 //
@@ -20,7 +28,7 @@
 //	then, repeated until EOF, one section per table kind:
 //	  section id     (uint8: 1 vocabulary, 2 walk, 3 cooccur, 4 closeness)
 //	  payload length (uint64)
-//	  payload        (section-specific encoding, see DESIGN.md §10)
+//	  payload        (section-specific encoding, see DESIGN.md §10 "Framing")
 //	  CRC-32/IEEE over the id, the length field and the payload (uint32)
 //
 // The fingerprint ties a snapshot to the exact corpus, graph shape and
@@ -29,15 +37,18 @@
 // table is decoded. Unknown section ids are checksummed and skipped, so
 // newer writers can add sections without breaking older readers.
 //
-// Write streams section by section through a running CRC — it never
-// buffers a whole section — and Read mirrors it, validating lengths
-// before allocating, so a multi-GB snapshot costs O(1) extra memory
-// beyond the decoded tables themselves.
+// Write streams section by section through a running CRC — a v1
+// section's length is known from its table's row and entry counts, so
+// it is never buffered — and Load mirrors it, checking every count
+// against the section's remaining bytes and growing buffers only as
+// bytes arrive, so a multi-GB snapshot costs O(1) extra memory beyond
+// the decoded tables themselves and a hostile one costs what it holds.
 //
 // # Errors
 //
 // Corruption and mismatch are reported as wrapped sentinel errors —
-// ErrMagic, ErrVersion, ErrChecksum, ErrTruncated, ErrFingerprint —
+// ErrMagic, ErrVersion, ErrChecksum, ErrTruncated (internal/frame's
+// values, shared by every format in the repo) and ErrFingerprint —
 // so callers can errors.Is-classify a failed load and fall back to
 // live computation:
 //

@@ -12,33 +12,13 @@ import (
 	"kqr/internal/graph"
 )
 
-// pagedSample is sample() with float32-exact scores (the paged format
-// stores f32; the extractors publish only quantized values, so this is
-// the realistic case) and enough rows to spill multiple pages at tiny
-// page sizes.
-func pagedSample() *Snapshot {
-	s := sample()
-	s.Walk[6] = []graph.Scored{{Node: 3, Score: 0.75}, {Node: 4, Score: 0.5}, {Node: 5, Score: 0.0625}}
-	s.Closeness[5] = map[graph.NodeID]float64{3: 0.25, 4: 0.75}
-	return s
-}
-
-func encodePaged(t *testing.T, s *Snapshot, pageBytes int) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := s.WritePaged(&buf, PagedOptions{PageBytes: pageBytes}); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // TestPagedRoundTrip: Load must decode a v2 file back into the same
 // snapshot, at the default page size and at the floor (forcing one row
 // per page and oversized-row pages).
 func TestPagedRoundTrip(t *testing.T) {
 	for _, pageBytes := range []int{0, minPageBytes, 1 /* clamps to floor */} {
-		want := pagedSample()
-		got, err := Read(bytes.NewReader(encodePaged(t, want, pageBytes)))
+		want := sample()
+		got, err := Load(bytes.NewReader(encodePaged(t, want, pageBytes)), "")
 		if err != nil {
 			t.Fatalf("pageBytes=%d: %v", pageBytes, err)
 		}
@@ -52,69 +32,10 @@ func TestPagedRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPagedDeterministicBytes(t *testing.T) {
-	a := encodePaged(t, pagedSample(), 0)
-	for i := 0; i < 5; i++ {
-		if b := encodePaged(t, pagedSample(), 0); !bytes.Equal(a, b) {
-			t.Fatalf("paged encoding is not deterministic (run %d differs)", i)
-		}
-	}
-}
-
-// TestPagedFlippedByte mirrors TestFlippedByte over the v2 layout:
-// every single-byte flip must surface as a typed error from the
-// sequential loader.
-func TestPagedFlippedByte(t *testing.T) {
-	enc := encodePaged(t, pagedSample(), minPageBytes)
-	for i := range enc {
-		bad := bytes.Clone(enc)
-		bad[i] ^= 0x40
-		_, err := Read(bytes.NewReader(bad))
-		if err == nil {
-			t.Fatalf("flip at byte %d of %d went undetected", i, len(enc))
-		}
-		if !errors.Is(err, ErrChecksum) && !errors.Is(err, ErrTruncated) &&
-			!errors.Is(err, ErrVersion) && !errors.Is(err, ErrMagic) {
-			t.Fatalf("flip at byte %d: untyped error %v", i, err)
-		}
-	}
-}
-
-// TestPagedTruncated mirrors TestTruncated over the v2 layout.
-func TestPagedTruncated(t *testing.T) {
-	enc := encodePaged(t, pagedSample(), minPageBytes)
-	for cut := 0; cut < len(enc); cut++ {
-		_, err := Read(bytes.NewReader(enc[:cut]))
-		if err == nil {
-			continue // clean section boundary: valid shorter file
-		}
-		if !errors.Is(err, ErrTruncated) {
-			t.Fatalf("cut at %d: err = %v, want ErrTruncated", cut, err)
-		}
-	}
-}
-
-// TestVersionErrorMessage: an unsupported version must fail with
-// ErrVersion and name both the found and the supported versions.
-func TestVersionErrorMessage(t *testing.T) {
-	enc := encode(t, sample())
-	enc[6], enc[7] = 3, 0 // version 3
-	_, err := Read(bytes.NewReader(enc))
-	if !errors.Is(err, ErrVersion) {
-		t.Fatalf("err = %v, want ErrVersion", err)
-	}
-	msg := err.Error()
-	for _, want := range []string{"v3", "v1", "v2"} {
-		if !bytes.Contains([]byte(msg), []byte(want)) {
-			t.Fatalf("error %q does not mention %s", msg, want)
-		}
-	}
-}
-
 // TestReadPagedIndex: the resident index must describe the same rows
 // Load decodes, and its blob regions must decode to the same entries.
 func TestReadPagedIndex(t *testing.T) {
-	want := pagedSample()
+	want := sample()
 	enc := encodePaged(t, want, minPageBytes)
 	idx, err := ReadPagedIndex(bytes.NewReader(enc), want.Fingerprint)
 	if err != nil {
@@ -123,7 +44,7 @@ func TestReadPagedIndex(t *testing.T) {
 	if idx.Fingerprint != want.Fingerprint {
 		t.Fatalf("fingerprint = %q", idx.Fingerprint)
 	}
-	if len(idx.Vocabulary) != len(want.Vocabulary) || !reflect.DeepEqual(idx.Classes, want.Classes) {
+	if !reflect.DeepEqual(idx.Vocabulary, want.Vocabulary) || !reflect.DeepEqual(idx.Classes, want.Classes) {
 		t.Fatalf("vocabulary mismatch: %+v", idx)
 	}
 	if len(idx.Tables) != 3 {
@@ -134,125 +55,91 @@ func TestReadPagedIndex(t *testing.T) {
 		t.Fatalf("missing table kinds: %+v", idx.Tables)
 	}
 	// Decode every present row straight from the blob and compare with
-	// the source map — offsets, presence and payload must agree.
+	// the source rows — offsets, presence and payload must agree.
+	next := 0
 	for v := graph.NodeID(0); int(v) < walk.NumNodes; v++ {
-		src, ok := want.Walk[v]
+		ok := next < len(want.Tables[TableWalk].Src) && want.Tables[TableWalk].Src[next] == v
 		if walk.Has(v) != ok {
 			t.Fatalf("node %d: Has = %v, source row exists = %v", v, walk.Has(v), ok)
 		}
 		if !ok {
 			continue
 		}
+		_, nodes, scores := want.Tables[TableWalk].Row(next)
+		next++
 		lo, hi := walk.Off[v], walk.Off[v+1]
-		if int(hi-lo) != len(src) {
-			t.Fatalf("node %d: row length %d, want %d", v, hi-lo, len(src))
+		if int(hi-lo) != len(nodes) {
+			t.Fatalf("node %d: row length %d, want %d", v, hi-lo, len(nodes))
 		}
-		b := make([]byte, (hi-lo)*pagedEntrySize)
-		if _, err := bytes.NewReader(enc).ReadAt(b, walk.BlobOff+int64(lo)*pagedEntrySize); err != nil {
-			t.Fatal(err)
-		}
-		for i, sn := range src {
+		b := enc[walk.BlobOff+int64(lo)*pagedEntrySize:]
+		for i := range nodes {
 			node := graph.NodeID(binary.LittleEndian.Uint32(b[i*pagedEntrySize:]))
-			score := float64(math.Float32frombits(binary.LittleEndian.Uint32(b[i*pagedEntrySize+4:])))
-			if node != sn.Node || score != sn.Score {
-				t.Fatalf("node %d entry %d: (%d, %v), want (%d, %v)", v, i, node, score, sn.Node, sn.Score)
+			score := math.Float32frombits(binary.LittleEndian.Uint32(b[i*pagedEntrySize+4:]))
+			if node != nodes[i] || score != scores[i] {
+				t.Fatalf("node %d entry %d: (%d, %v), want (%d, %v)", v, i, node, score, nodes[i], scores[i])
 			}
 		}
 	}
+	if next != len(want.Tables[TableWalk].Src) {
+		t.Fatalf("index covers %d of %d rows", next, len(want.Tables[TableWalk].Src))
+	}
 	// Per-page CRCs must verify over the raw blob regions.
 	for p := range walk.PageStarts {
-		lo := int64(walk.PageStarts[p]) * pagedEntrySize
-		hi := int64(walk.PageEnd(p)) * pagedEntrySize
-		b := make([]byte, hi-lo)
-		if _, err := bytes.NewReader(enc).ReadAt(b, walk.BlobOff+lo); err != nil {
-			t.Fatal(err)
-		}
-		if crc32.ChecksumIEEE(b) != walk.PageCRCs[p] {
+		lo := walk.BlobOff + int64(walk.PageStarts[p])*pagedEntrySize
+		hi := walk.BlobOff + int64(walk.PageEnd(p))*pagedEntrySize
+		if crc32.ChecksumIEEE(enc[lo:hi]) != walk.PageCRCs[p] {
 			t.Fatalf("page %d CRC mismatch", p)
 		}
 	}
 }
 
-// TestReadPagedIndexRejects: wrong fingerprint, v1 input, and resident
-// corruption must all fail typed.
+// TestReadPagedIndexRejects: a wrong fingerprint, a v1 input and a file
+// cut mid-blob must all fail typed at open. (Flips and the other cuts
+// are the corruption matrix's.)
 func TestReadPagedIndexRejects(t *testing.T) {
-	enc := encodePaged(t, pagedSample(), minPageBytes)
+	enc := encodePaged(t, sample(), minPageBytes)
 	if _, err := ReadPagedIndex(bytes.NewReader(enc), "other corpus"); !errors.Is(err, ErrFingerprint) {
 		t.Fatalf("fingerprint: err = %v", err)
 	}
-	v1 := encode(t, sample())
-	if _, err := ReadPagedIndex(bytes.NewReader(v1), ""); !errors.Is(err, ErrVersion) {
+	if _, err := ReadPagedIndex(bytes.NewReader(encode(t, sample())), ""); !errors.Is(err, ErrVersion) {
 		t.Fatalf("v1 file: err = %v, want ErrVersion", err)
 	}
-	// Flipping any byte of the resident region (everything before the
-	// first blob) must be caught at open; blob flips are the per-page
-	// CRCs' job at fault time.
 	idx, err := ReadPagedIndex(bytes.NewReader(enc), "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	firstBlob := idx.Tables[0].BlobOff
-	for i := int64(0); i < firstBlob; i++ {
-		bad := bytes.Clone(enc)
-		bad[i] ^= 0x40
-		got, err := ReadPagedIndex(bytes.NewReader(bad), "")
-		if err == nil {
-			// A flipped section id byte turns the section unknown and it
-			// is skipped — legal (forward compatibility), but the section
-			// must then be absent from the index, never silently corrupt.
-			if reflect.DeepEqual(got, idx) {
-				t.Fatalf("resident flip at byte %d went undetected", i)
-			}
-			continue
-		}
-		if !errors.Is(err, ErrChecksum) && !errors.Is(err, ErrTruncated) &&
-			!errors.Is(err, ErrVersion) && !errors.Is(err, ErrMagic) && !errors.Is(err, ErrFingerprint) {
-			t.Fatalf("resident flip at byte %d: untyped error %v", i, err)
-		}
-	}
-	// A file cut mid-blob must fail at open, not at first fault.
-	lastBlobEnd := int64(0)
-	for _, tb := range idx.Tables {
-		if end := tb.BlobOff + tb.BlobBytes(); end > lastBlobEnd {
-			lastBlobEnd = end
-		}
-	}
-	if _, err := ReadPagedIndex(bytes.NewReader(enc[:lastBlobEnd-3]), ""); !errors.Is(err, ErrTruncated) {
+	last := idx.Tables[len(idx.Tables)-1]
+	if _, err := ReadPagedIndex(bytes.NewReader(enc[:last.BlobOff+last.BlobBytes()-3]), ""); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("mid-blob cut: err = %v, want ErrTruncated", err)
 	}
 }
 
-// TestReadPagedIndexTruncated: every cut of the v2 file must yield a
-// typed error or a clean shorter parse, never a panic or untyped error.
-func TestReadPagedIndexTruncated(t *testing.T) {
-	enc := encodePaged(t, pagedSample(), minPageBytes)
-	for cut := 0; cut < len(enc); cut++ {
-		_, err := ReadPagedIndex(bytes.NewReader(enc[:cut]), "")
-		if err == nil {
-			continue
-		}
-		if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrChecksum) {
-			t.Fatalf("cut at %d: untyped error %v", cut, err)
+// TestPreludeAlignmentValidated: a reader serves a row from the one
+// page holding its first entry, so a prelude whose pages do not open on
+// row boundaries (or whose rows span pages) must be refused at open —
+// by the sequential loader and the index reader alike, through the one
+// validate.
+func TestPreludeAlignmentValidated(t *testing.T) {
+	good := func() *PagedTable {
+		tb, _ := buildPaged(TableWalk, 7, minPageBytes, sample().Tables[TableWalk])
+		return tb
+	}
+	if err := good().validate(); err != nil {
+		t.Fatalf("writer's own prelude refused: %v", err)
+	}
+	for name, breakIt := range map[string]func(*PagedTable){
+		"page opens mid-row":  func(tb *PagedTable) { tb.PageStarts = []uint32{0, 1} },
+		"row spans pages":     func(tb *PagedTable) { tb.PageStarts = []uint32{0, 4}; tb.Off[6] = 2 },
+		"entries, no pages":   func(tb *PagedTable) { tb.PageStarts = nil },
+		"orphan entries":      func(tb *PagedTable) { tb.Present[0] = 0 },
+		"offsets decrease":    func(tb *PagedTable) { tb.Off[4] = 9 },
+		"offsets end early":   func(tb *PagedTable) { tb.EntryCount++ },
+		"first page not at 0": func(tb *PagedTable) { tb.PageStarts[0] = 1 },
+	} {
+		tb := good()
+		breakIt(tb)
+		if err := tb.validate(); !errors.Is(err, ErrTruncated) {
+			t.Errorf("%s: validate = %v, want ErrTruncated", name, err)
 		}
 	}
-}
-
-// FuzzLoadPaged seeds the fuzzer with a v2 file; the sequential reader
-// must classify every mutation as a sentinel.
-func FuzzLoadPaged(f *testing.F) {
-	var buf bytes.Buffer
-	if err := pagedSample().WritePaged(&buf, PagedOptions{PageBytes: minPageBytes}); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Fuzz(func(t *testing.T, data []byte) {
-		_, err := Load(bytes.NewReader(data), "fuzz corpus")
-		if err == nil {
-			t.Fatal("fuzz input with mismatched fingerprint accepted")
-		}
-		if !errors.Is(err, ErrMagic) && !errors.Is(err, ErrVersion) && !errors.Is(err, ErrChecksum) &&
-			!errors.Is(err, ErrTruncated) && !errors.Is(err, ErrFingerprint) {
-			t.Fatalf("untyped error %v", err)
-		}
-	})
 }

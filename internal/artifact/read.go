@@ -1,329 +1,185 @@
 package artifact
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 
+	"kqr/internal/frame"
 	"kqr/internal/graph"
+	"kqr/internal/packed"
 )
-
-// maxString bounds any single encoded string (fingerprint, class label,
-// term text); anything longer marks a corrupt length field.
-const maxString = 1 << 20
-
-// Read decodes a snapshot without checking its fingerprint. Most
-// callers should use Load, which rejects mismatched corpora before
-// decoding any table.
-func Read(r io.Reader) (*Snapshot, error) {
-	return Load(r, "")
-}
 
 // Load decodes a snapshot from r, verifying magic, format version and
 // every section checksum. A non-empty fingerprint must match the one in
 // the file or Load fails with ErrFingerprint immediately after the
-// header — no table bytes are read for a stale snapshot. Failures are
+// header — no table bytes are read for a stale snapshot ("" skips the
+// check; callers outside tests should not). Failures are
 // wrapped sentinel errors (ErrMagic, ErrVersion, ErrChecksum,
-// ErrTruncated, ErrFingerprint); test with errors.Is.
+// ErrTruncated, ErrFingerprint); test with errors.Is. Rows are appended
+// in file order — nothing is sorted or passed through a map — and the
+// reader rejects a file whose sources (or closeness neighbors) are not
+// ascending, the order every writer emits and every lookup relies on.
 func Load(r io.Reader, fingerprint string) (*Snapshot, error) {
-	rr := &reader{r: r}
-
-	var m [6]byte
-	rr.read(m[:])
-	if rr.err != nil {
-		return nil, rr.err
+	rr := frame.NewReader(r)
+	version, fp, err := readHeader(rr, fingerprint)
+	if err != nil {
+		return nil, err
 	}
-	if !bytes.Equal(m[:], magic[:]) {
-		return nil, fmt.Errorf("%w: file starts with % x", ErrMagic, m[:])
-	}
-	version := rr.u16()
-	if rr.err != nil {
-		return nil, rr.err
-	}
-	// Version gates the rest of the layout, so it is checked before the
-	// header checksum: a future-version file is "unsupported", not
-	// "corrupt".
-	if version != FormatVersion && version != FormatVersionPaged {
-		return nil, fmt.Errorf("%w: file has v%d, this build reads v%d-v%d",
-			ErrVersion, version, FormatVersion, FormatVersionPaged)
-	}
-	fp := rr.str(maxString)
-	headerCRC := rr.crc
-	stored := rr.rawU32()
-	if rr.err != nil {
-		return nil, rr.err
-	}
-	if stored != headerCRC {
-		return nil, fmt.Errorf("%w: header CRC %08x, stored %08x", ErrChecksum, headerCRC, stored)
-	}
-	if fingerprint != "" && fp != fingerprint {
-		return nil, fmt.Errorf("%w: snapshot %q, corpus %q", ErrFingerprint, fp, fingerprint)
-	}
-
 	snap := &Snapshot{Fingerprint: fp, Version: version}
 	for {
-		var idb [1]byte
-		if _, err := io.ReadFull(rr.r, idb[:]); err != nil {
-			if err == io.EOF {
-				return snap, nil // clean end after the last section
+		id, ok := nextSection(rr)
+		if !ok {
+			if rr.Err() != nil {
+				return nil, rr.Err()
 			}
-			return nil, fmt.Errorf("%w: reading section id: %v", ErrTruncated, err)
+			return snap, nil // clean end after the last section
 		}
-		// Each section's CRC covers its id, length field and payload.
-		rr.crc = crc32.Update(0, crc32.IEEETable, idb[:])
-		length := rr.u64()
-		rr.limit, rr.remaining = true, length
-		switch idb[0] {
-		case secVocabulary:
-			rr.vocabulary(snap)
-		case secWalk:
-			snap.Walk = rr.lists()
-		case secCooccur:
-			snap.Cooccur = rr.lists()
-		case secCloseness:
-			snap.Closeness = rr.closeness()
-		case secWalkPaged:
-			snap.Walk = rr.pagedLists()
-		case secCooccurPaged:
-			snap.Cooccur = rr.pagedLists()
-		case secClosenessPaged:
-			snap.Closeness = rr.pagedCloseness()
+		switch {
+		case id == secVocabulary:
+			snap.Classes, snap.Vocabulary = readVocabulary(rr)
+		case id >= secWalk && id <= secCloseness:
+			kind := TableKind(id - secWalk)
+			snap.Tables[kind] = readRows(rr, kind)
+		case id >= secWalkPaged && id <= secClosenessPaged:
+			kind := TableKind(id - secWalkPaged)
+			snap.Tables[kind] = readPagedRows(rr, kind)
 		default:
-			rr.skip(length) // future section kind: checksum and ignore
+			rr.Skip(rr.Left()) // future section kind: checksum and ignore
 		}
-		rr.limit = false
-		if rr.err != nil {
-			return nil, rr.err
+		endSection(rr, id)
+		if id == secCloseness || id == secClosenessPaged {
+			checkNeighborOrder(rr, snap.Tables[TableCloseness])
 		}
-		if rr.remaining != 0 {
-			return nil, fmt.Errorf("%w: section %d payload shorter than declared (%d bytes unread)",
-				ErrTruncated, idb[0], rr.remaining)
-		}
-		sectionCRC := rr.crc
-		stored := rr.rawU32()
-		if rr.err != nil {
-			return nil, rr.err
-		}
-		if stored != sectionCRC {
-			return nil, fmt.Errorf("%w: section %d CRC %08x, stored %08x", ErrChecksum, idb[0], sectionCRC, stored)
+		if rr.Err() != nil {
+			return nil, rr.Err()
 		}
 	}
 }
 
-// reader streams little-endian primitives from r, accumulating a
-// CRC-32, enforcing the current section's byte budget, and holding a
-// sticky error so decoding code reads linearly.
-type reader struct {
-	r         io.Reader
-	crc       uint32
-	crc2      uint32 // secondary CRC for the paged prelude, when dual
-	dual      bool
-	limit     bool   // inside a section payload?
-	remaining uint64 // payload bytes left when limit is set
-	err       error
-	buf       [8]byte
-	scratch   []byte // reused bulk-read buffer for entry blocks
+// readHeader parses the file header both versions share: magic,
+// version, fingerprint, CRC. The version gates the rest of the layout,
+// so it is checked before the header checksum — a future-version file
+// is "unsupported", not "corrupt". A non-empty want must equal the
+// file's fingerprint.
+func readHeader(rr *frame.Reader, want string) (version uint16, fp string, err error) {
+	rr.Magic(magic)
+	version = rr.U16()
+	if version != FormatVersion && version != FormatVersionPaged {
+		rr.Fail(fmt.Errorf("%w: file has v%d, this build reads v%d-v%d", ErrVersion, version, FormatVersion, FormatVersionPaged))
+	}
+	fp = rr.Str()
+	rr.Checksum("header")
+	if rr.Err() != nil {
+		return 0, "", rr.Err()
+	}
+	if want != "" && fp != want {
+		return 0, "", fmt.Errorf("%w: snapshot %q, corpus %q", ErrFingerprint, fp, want)
+	}
+	return version, fp, nil
 }
 
-func (r *reader) fail(err error) {
-	if r.err == nil {
-		r.err = err
+// nextSection reads a section's id and payload length and opens the
+// payload as the reader's region. ok is false at the clean end of the
+// file (or on error — check rr.Err). Each section's CRC covers its id,
+// length field and payload.
+func nextSection(rr *frame.Reader) (id uint8, ok bool) {
+	if id, ok = rr.Next(); ok {
+		rr.Limit(rr.U64())
 	}
+	return id, ok
 }
 
-// need checks that n more payload bytes are available before any
-// allocation or read sized by an untrusted count.
-func (r *reader) need(n uint64) bool {
-	if r.err != nil {
-		return false
-	}
-	if r.limit && n > r.remaining {
-		r.fail(fmt.Errorf("%w: section claims %d bytes beyond its declared length", ErrTruncated, n-r.remaining))
-		return false
-	}
-	return true
+// endSection closes a fully-decoded section: its payload must be used
+// up exactly, and the stored CRC must match.
+func endSection(rr *frame.Reader, id uint8) {
+	rr.Done()
+	rr.Checksum(fmt.Sprintf("section %d", id))
 }
 
-// needCount checks that count records of per bytes each fit in the
-// remaining payload, without the count*per multiplication that a
-// hostile count could overflow.
-func (r *reader) needCount(count, per uint64) bool {
-	if r.err != nil {
-		return false
+// readVocabulary decodes the vocabulary section — the rest of the open
+// region — from one block.
+func readVocabulary(rr *frame.Reader) (classes []string, vocab []Term) {
+	d := frame.Body(rr.Block(rr.Left()))
+	if rr.Err() != nil {
+		return nil, nil
 	}
-	if r.limit && count > r.remaining/per {
-		r.fail(fmt.Errorf("%w: section claims %d records of %d bytes with %d bytes left", ErrTruncated, count, per, r.remaining))
-		return false
+	classCount := d.U32()
+	if d.NeedCount(uint64(classCount), 4) { // each class is at least a length field
+		classes = make([]string, 0, classCount)
 	}
-	return true
-}
-
-func (r *reader) read(p []byte) {
-	if !r.need(uint64(len(p))) {
-		return
+	for i := uint32(0); i < classCount && d.Err() == nil; i++ {
+		classes = append(classes, d.Str())
 	}
-	if _, err := io.ReadFull(r.r, p); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			r.fail(fmt.Errorf("%w: unexpected end of file", ErrTruncated))
-		} else {
-			r.fail(fmt.Errorf("artifact: reading snapshot: %w", err))
-		}
-		return
-	}
-	if r.limit {
-		r.remaining -= uint64(len(p))
-	}
-	r.crc = crc32.Update(r.crc, crc32.IEEETable, p)
-	if r.dual {
-		r.crc2 = crc32.Update(r.crc2, crc32.IEEETable, p)
-	}
-}
-
-// block bulk-reads n bytes into the reused scratch buffer — one read
-// and one CRC update per record batch instead of one per field, which
-// dominates load time on large tables. The returned slice is valid
-// until the next block call; callers must check r.err (n may be zero,
-// in which case the slice is legitimately empty).
-func (r *reader) block(n uint64) []byte {
-	if !r.need(n) {
-		return nil
-	}
-	if uint64(cap(r.scratch)) < n {
-		r.scratch = make([]byte, n)
-	}
-	b := r.scratch[:n]
-	r.read(b)
-	return b
-}
-
-func (r *reader) u16() uint16  { r.read(r.buf[:2]); return binary.LittleEndian.Uint16(r.buf[:2]) }
-func (r *reader) u32() uint32  { r.read(r.buf[:4]); return binary.LittleEndian.Uint32(r.buf[:4]) }
-func (r *reader) u64() uint64  { r.read(r.buf[:8]); return binary.LittleEndian.Uint64(r.buf[:8]) }
-func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
-
-func (r *reader) str(max uint64) string {
-	n := r.u32()
-	if uint64(n) > max {
-		r.fail(fmt.Errorf("%w: %d-byte string exceeds the %d-byte bound", ErrTruncated, n, max))
-		return ""
-	}
-	if !r.need(uint64(n)) {
-		return ""
-	}
-	b := make([]byte, n)
-	r.read(b)
-	return string(b)
-}
-
-// rawU32 reads a stored checksum: outside both the CRC accumulation and
-// the section byte budget.
-func (r *reader) rawU32() uint32 {
-	if r.err != nil {
-		return 0
-	}
-	var b [4]byte
-	if _, err := io.ReadFull(r.r, b[:]); err != nil {
-		r.fail(fmt.Errorf("%w: unexpected end of file in checksum", ErrTruncated))
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b[:])
-}
-
-// skip consumes n payload bytes through the CRC.
-func (r *reader) skip(n uint64) {
-	var chunk [4096]byte
-	for n > 0 && r.err == nil {
-		c := n
-		if c > uint64(len(chunk)) {
-			c = uint64(len(chunk))
-		}
-		r.read(chunk[:c])
-		n -= c
-	}
-}
-
-// vocabulary decodes the vocabulary section into snap.
-func (r *reader) vocabulary(snap *Snapshot) {
-	classCount := r.u32()
-	if !r.needCount(uint64(classCount), 4) { // each class is at least a length field
-		return
-	}
-	snap.Classes = make([]string, 0, classCount)
-	for i := uint32(0); i < classCount && r.err == nil; i++ {
-		snap.Classes = append(snap.Classes, r.str(maxString))
-	}
-	termCount := r.u64()
+	termCount := d.U64()
 	const minTerm = 4 + 4 + 4 // node + class + empty text
-	if !r.needCount(termCount, minTerm) {
-		return
+	if d.NeedCount(termCount, minTerm) {
+		vocab = make([]Term, 0, termCount)
 	}
-	snap.Vocabulary = make([]Term, 0, termCount)
-	for i := uint64(0); i < termCount && r.err == nil; i++ {
-		node := r.u32()
-		class := r.u32()
-		text := r.str(maxString)
-		if class >= classCount {
-			r.fail(fmt.Errorf("%w: vocabulary entry %d references class %d of %d", ErrTruncated, i, class, classCount))
-			return
+	for i := uint64(0); i < termCount && d.Err() == nil; i++ {
+		t := Term{Node: graph.NodeID(d.U32()), Class: int32(d.U32()), Text: d.Str()}
+		if uint32(t.Class) >= classCount {
+			d.Failf("vocabulary entry %d references class %d of %d", i, t.Class, classCount)
 		}
-		snap.Vocabulary = append(snap.Vocabulary, Term{Node: graph.NodeID(node), Class: int32(class), Text: text})
+		vocab = append(vocab, t)
 	}
+	if err := d.Done(); err != nil {
+		rr.Fail(fmt.Errorf("vocabulary section: %w", err))
+		return nil, nil
+	}
+	return classes, vocab
 }
 
-// lists decodes a similar-term section (walk and cooccur share the
-// encoding).
-func (r *reader) lists() map[graph.NodeID][]graph.Scored {
-	srcCount := r.u64()
+// readRows decodes a v1 table section, narrowing each stored float64
+// to the float32 the store keeps (exact: every published score is
+// float32-quantized).
+func readRows(rr *frame.Reader, kind TableKind) *packed.Rows {
+	srcCount := rr.U64()
 	const minRecord = 4 + 4 // source + empty list
-	if !r.needCount(srcCount, minRecord) {
+	if !rr.NeedCount(srcCount, minRecord) {
 		return nil
 	}
-	m := make(map[graph.NodeID][]graph.Scored, srcCount)
-	for i := uint64(0); i < srcCount && r.err == nil; i++ {
-		src := r.u32()
-		n := r.u32()
-		b := r.block(uint64(n) * scoredEntrySize)
-		if r.err != nil {
+	t := &packed.Rows{}
+	prev := int64(-1)
+	for i := uint64(0); i < srcCount; i++ {
+		src := rr.U32()
+		n := rr.U32()
+		b := rr.Block(uint64(n) * scoredEntrySize)
+		if rr.Err() != nil {
 			return nil
 		}
-		list := make([]graph.Scored, n)
-		for j := range list {
-			off := j * scoredEntrySize
-			list[j] = graph.Scored{
-				Node:  graph.NodeID(binary.LittleEndian.Uint32(b[off:])),
-				Score: math.Float64frombits(binary.LittleEndian.Uint64(b[off+4:])),
+		if int64(src) <= prev || src > math.MaxInt32 {
+			rr.Failf("%s row %d: source node %d is not above the previous row's", kind, i, src)
+			return nil
+		}
+		prev = int64(src)
+		nodes, scores := t.Append(graph.NodeID(src), int(n))
+		for j := range nodes {
+			nodes[j] = graph.NodeID(binary.LittleEndian.Uint32(b[j*scoredEntrySize:]))
+			scores[j] = packed.Quantize(math.Float64frombits(binary.LittleEndian.Uint64(b[j*scoredEntrySize+4:])))
+		}
+	}
+	return t
+}
+
+// checkNeighborOrder fails rr unless every row of a decoded closeness
+// table ascends by neighbor id — rows are probed by binary search and
+// served as they lie in the file. It runs once the section's CRC has
+// passed, so damage reads as a checksum error and only a well-formed
+// file from a foreign writer gets this far. (A similarity row is in
+// rank order, which nothing can check.)
+func checkNeighborOrder(rr *frame.Reader, t *packed.Rows) {
+	if rr.Err() != nil {
+		return
+	}
+	for i := range t.Src {
+		src, nodes, _ := t.Row(i)
+		for j := 1; j < len(nodes); j++ {
+			if nodes[j] <= nodes[j-1] {
+				rr.Failf("closeness row of node %d is not in neighbor order", src)
+				return
 			}
 		}
-		m[graph.NodeID(src)] = list
 	}
-	return m
-}
-
-// closeness decodes the closeness section.
-func (r *reader) closeness() map[graph.NodeID]map[graph.NodeID]float64 {
-	srcCount := r.u64()
-	const minRecord = 4 + 4
-	if !r.needCount(srcCount, minRecord) {
-		return nil
-	}
-	m := make(map[graph.NodeID]map[graph.NodeID]float64, srcCount)
-	for i := uint64(0); i < srcCount && r.err == nil; i++ {
-		src := r.u32()
-		n := r.u32()
-		b := r.block(uint64(n) * scoredEntrySize)
-		if r.err != nil {
-			return nil
-		}
-		vec := make(map[graph.NodeID]float64, n)
-		for j := uint32(0); j < n; j++ {
-			off := j * scoredEntrySize
-			vec[graph.NodeID(binary.LittleEndian.Uint32(b[off:]))] =
-				math.Float64frombits(binary.LittleEndian.Uint64(b[off+4:]))
-		}
-		m[graph.NodeID(src)] = vec
-	}
-	return m
 }

@@ -3,172 +3,88 @@ package artifact
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
-	"sort"
 
-	"kqr/internal/graph"
+	"kqr/internal/frame"
+	"kqr/internal/packed"
 )
 
-// writer streams little-endian primitives to w while maintaining a
-// running CRC-32 and a sticky error, so encoding code reads linearly.
-type writer struct {
-	w   io.Writer
-	crc uint32
-	err error
-	buf [8]byte
-}
-
-func (w *writer) write(p []byte) {
-	if w.err != nil {
-		return
-	}
-	w.crc = crc32.Update(w.crc, crc32.IEEETable, p)
-	_, w.err = w.w.Write(p)
-}
-
-func (w *writer) u8(v uint8)    { w.buf[0] = v; w.write(w.buf[:1]) }
-func (w *writer) u16(v uint16)  { binary.LittleEndian.PutUint16(w.buf[:2], v); w.write(w.buf[:2]) }
-func (w *writer) u32(v uint32)  { binary.LittleEndian.PutUint32(w.buf[:4], v); w.write(w.buf[:4]) }
-func (w *writer) u64(v uint64)  { binary.LittleEndian.PutUint64(w.buf[:8], v); w.write(w.buf[:8]) }
-func (w *writer) f64(v float64) { w.u64(math.Float64bits(v)) }
-func (w *writer) str(s string)  { w.u32(uint32(len(s))); w.write([]byte(s)) }
-
-// checksum emits the running CRC (the CRC itself is excluded from the
-// running value) and resets it for the next region.
-func (w *writer) checksum() {
-	crc := w.crc
-	binary.LittleEndian.PutUint32(w.buf[:4], crc)
-	if w.err == nil {
-		_, w.err = w.w.Write(w.buf[:4])
-	}
-	w.crc = 0
-}
-
 // Write streams the snapshot to w in the format documented in the
-// package comment: header, then one checksummed section per non-empty
-// table. Sections are emitted record by record — nothing larger than a
-// single record is buffered.
+// package comment: header, vocabulary, then one checksummed section per
+// non-nil table. Rows are emitted as they lie in the table — nothing
+// is sorted, widened into a map or buffered beyond the writer's block.
 func (s *Snapshot) Write(w io.Writer) error {
-	ww := &writer{w: w}
-	ww.write(magic[:])
-	ww.u16(FormatVersion)
-	ww.str(s.Fingerprint)
-	ww.checksum()
-
-	s.writeSection(ww, secVocabulary, s.vocabularySize(), s.writeVocabulary)
-	if s.Walk != nil {
-		s.writeSection(ww, secWalk, listsSize(s.Walk), func(ww *writer) { writeLists(ww, s.Walk) })
+	ww := frame.NewWriter(w)
+	s.writeHeader(ww, FormatVersion)
+	for kind, t := range s.Tables {
+		if t != nil {
+			writeRows(ww, secWalk+uint8(kind), t)
+		}
 	}
-	if s.Cooccur != nil {
-		s.writeSection(ww, secCooccur, listsSize(s.Cooccur), func(ww *writer) { writeLists(ww, s.Cooccur) })
-	}
-	if s.Closeness != nil {
-		s.writeSection(ww, secCloseness, s.closenessSize(), s.writeCloseness)
-	}
-	if ww.err != nil {
-		return fmt.Errorf("artifact: writing snapshot: %w", ww.err)
+	if err := ww.Flush(); err != nil {
+		return fmt.Errorf("artifact: writing snapshot: %w", err)
 	}
 	return nil
 }
 
-// writeSection frames one section: id, payload length (computed by the
-// sizing pass, so the payload itself is never buffered), payload, CRC
-// over all three.
-func (s *Snapshot) writeSection(ww *writer, id uint8, size uint64, payload func(*writer)) {
-	ww.u8(id)
-	ww.u64(size)
-	payload(ww)
-	ww.checksum()
-}
+// writeHeader emits what both versions open with: the checksummed file
+// header and the vocabulary section.
+func (s *Snapshot) writeHeader(ww *frame.Writer, version uint16) {
+	ww.Bytes(magic[:])
+	ww.U16(version)
+	ww.Str(s.Fingerprint)
+	ww.Checksum()
 
-// vocabularySize returns the exact encoded byte length of the
-// vocabulary section payload.
-func (s *Snapshot) vocabularySize() uint64 {
-	n := uint64(4) // class count
+	size := uint64(4 + 8) // class count, term count
 	for _, c := range s.Classes {
-		n += 4 + uint64(len(c))
+		size += 4 + uint64(len(c))
 	}
-	n += 8 // term count
 	for _, t := range s.Vocabulary {
-		n += 4 + 4 + 4 + uint64(len(t.Text))
+		size += 4 + 4 + 4 + uint64(len(t.Text))
 	}
-	return n
-}
-
-func (s *Snapshot) writeVocabulary(ww *writer) {
-	ww.u32(uint32(len(s.Classes)))
+	ww.U8(secVocabulary)
+	ww.U64(size)
+	ww.U32(uint32(len(s.Classes)))
 	for _, c := range s.Classes {
-		ww.str(c)
+		ww.Str(c)
 	}
-	ww.u64(uint64(len(s.Vocabulary)))
+	ww.U64(uint64(len(s.Vocabulary)))
 	for _, t := range s.Vocabulary {
-		ww.u32(uint32(t.Node))
-		ww.u32(uint32(t.Class))
-		ww.str(t.Text)
+		ww.U32(uint32(t.Node))
+		ww.U32(uint32(t.Class))
+		ww.Str(t.Text)
 	}
+	ww.Checksum()
 }
 
-// scoredEntrySize is the encoded size of one (node, score) pair.
+// scoredEntrySize is the encoded size of one v1 (node, score) pair:
+// u32 node + f64 score. Every stored score is on the float32 grid, so
+// the f64 a v1 file carries widens and narrows back exactly.
 const scoredEntrySize = 4 + 8
 
-// listsSize returns the exact encoded byte length of a similar-term
-// section payload (walk or cooccur share the encoding).
-func listsSize(m map[graph.NodeID][]graph.Scored) uint64 {
-	n := uint64(8) // source count
-	for _, list := range m {
-		n += 4 + 4 + uint64(len(list))*scoredEntrySize
-	}
-	return n
-}
-
-// writeLists encodes a similar-term table with sources in ascending
-// node order, so identical tables serialize to identical bytes.
-func writeLists(ww *writer, m map[graph.NodeID][]graph.Scored) {
-	ww.u64(uint64(len(m)))
-	for _, src := range sortedKeys(m) {
-		list := m[src]
-		ww.u32(uint32(src))
-		ww.u32(uint32(len(list)))
-		for _, sn := range list {
-			ww.u32(uint32(sn.Node))
-			ww.f64(sn.Score)
+// writeRows frames one v1 table section: id, payload length (known
+// from the table's row and entry counts, so the payload is never
+// buffered), row count, then per row its source, entry count and
+// entries; CRC over all of it.
+func writeRows(ww *frame.Writer, id uint8, t *packed.Rows) {
+	ww.U8(id)
+	ww.U64(8 + uint64(len(t.Src))*(4+4) + uint64(len(t.Nodes))*scoredEntrySize)
+	ww.U64(uint64(len(t.Src)))
+	for i := range t.Src {
+		src, nodes, scores := t.Row(i)
+		ww.U32(uint32(src))
+		ww.U32(uint32(len(nodes)))
+		const batch = 4096 // entries per Reserve: under the writer's block
+		for len(nodes) > 0 {
+			n := min(len(nodes), batch)
+			b := ww.Reserve(n * scoredEntrySize)
+			for j := 0; j < n; j++ {
+				binary.LittleEndian.PutUint32(b[j*scoredEntrySize:], uint32(nodes[j]))
+				binary.LittleEndian.PutUint64(b[j*scoredEntrySize+4:], math.Float64bits(float64(scores[j])))
+			}
+			nodes, scores = nodes[n:], scores[n:]
 		}
 	}
-}
-
-// closenessSize returns the exact encoded byte length of the closeness
-// section payload.
-func (s *Snapshot) closenessSize() uint64 {
-	n := uint64(8)
-	for _, vec := range s.Closeness {
-		n += 4 + 4 + uint64(len(vec))*scoredEntrySize
-	}
-	return n
-}
-
-// writeCloseness encodes the closeness table with sources and targets
-// both in ascending node order (determinism, as above).
-func (s *Snapshot) writeCloseness(ww *writer) {
-	ww.u64(uint64(len(s.Closeness)))
-	for _, src := range sortedKeys(s.Closeness) {
-		vec := s.Closeness[src]
-		ww.u32(uint32(src))
-		ww.u32(uint32(len(vec)))
-		for _, dst := range sortedKeys(vec) {
-			ww.u32(uint32(dst))
-			ww.f64(vec[dst])
-		}
-	}
-}
-
-// sortedKeys returns the map's keys in ascending node order.
-func sortedKeys[V any](m map[graph.NodeID]V) []graph.NodeID {
-	keys := make([]graph.NodeID, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
+	ww.Checksum()
 }

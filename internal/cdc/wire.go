@@ -1,19 +1,18 @@
 package cdc
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"strings"
 
+	framing "kqr/internal/frame" // the package; frame is this protocol's message type
 	"kqr/internal/live"
 	"kqr/internal/relstore"
 )
 
 // streamMagic opens every KQRCDC stream, in each direction.
-var streamMagic = [6]byte{'K', 'Q', 'R', 'C', 'D', 'C'}
+var streamMagic = framing.Magic{'K', 'Q', 'R', 'C', 'D', 'C'}
 
 // streamVersion is the frame format this package speaks. A receiver
 // rejects other versions during the handshake.
@@ -47,14 +46,14 @@ const (
 // marks a corrupt or foreign stream.
 const maxFrameBody = 64 << 20
 
-// maxWireString bounds any single encoded string.
-const maxWireString = 1 << 20
-
 // Sentinel errors classifying CDC stream failures; test with errors.Is.
 var (
 	// ErrCorrupt means a frame failed its CRC or structural validation,
-	// or the stream did not start with the KQRCDC header.
-	ErrCorrupt = errors.New("cdc: corrupt frame")
+	// was cut short, or the stream did not start with the KQRCDC
+	// header. It is internal/frame's root sentinel, so the specific
+	// cause (frame.ErrChecksum, frame.ErrTruncated, frame.ErrMagic)
+	// stays testable too.
+	ErrCorrupt = framing.ErrCorrupt
 	// ErrProtocol means a structurally valid frame violated the
 	// protocol: wrong kind for the state, or a sequence gap.
 	ErrProtocol = errors.New("cdc: protocol violation")
@@ -80,259 +79,108 @@ type frame struct {
 // writeStreamHeader emits the per-direction stream opening: magic and
 // version.
 func writeStreamHeader(w io.Writer) error {
-	var b [8]byte
-	copy(b[:6], streamMagic[:])
-	binary.LittleEndian.PutUint16(b[6:], streamVersion)
-	_, err := w.Write(b[:])
+	_, err := w.Write(framing.AppendU16(streamMagic[:], streamVersion))
 	return err
 }
 
-// readStreamHeader consumes and checks the stream opening.
+// readStreamHeader consumes and checks the stream opening. Another
+// version is a protocol error, not damage.
 func readStreamHeader(r io.Reader) error {
-	var b [8]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return fmt.Errorf("%w: truncated stream header", ErrCorrupt)
+	rr := framing.NewReader(r)
+	rr.Magic(streamMagic)
+	v := rr.U16()
+	if rr.Err() != nil {
+		return fmt.Errorf("cdc: stream header: %w", rr.Err())
 	}
-	if [6]byte(b[:6]) != streamMagic {
-		return fmt.Errorf("%w: bad magic %q", ErrCorrupt, b[:6])
-	}
-	if v := binary.LittleEndian.Uint16(b[6:]); v != streamVersion {
+	if v != streamVersion {
 		return fmt.Errorf("%w: stream version %d, want %d", ErrProtocol, v, streamVersion)
 	}
 	return nil
-}
-
-// ---- primitive append helpers (the internal/repl wire idiom) -----------
-
-func appendU8(b []byte, v uint8) []byte   { return append(b, v) }
-func appendU16(b []byte, v uint16) []byte { return binary.LittleEndian.AppendUint16(b, v) }
-func appendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
-func appendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
-
-func appendStr(b []byte, s string) []byte {
-	b = appendU32(b, uint32(len(s)))
-	return append(b, s...)
-}
-
-func appendValue(b []byte, v relstore.Value) []byte {
-	if v.Kind() == relstore.KindInt {
-		b = appendU8(b, 1)
-		n, _ := v.AsInt()
-		return appendU64(b, uint64(n))
-	}
-	b = appendU8(b, 0)
-	return appendStr(b, v.Text())
 }
 
 // encodeFrameBody renders a frame body: kind, then kind-specific
 // payload.
 func encodeFrameBody(f frame) ([]byte, error) {
 	b := make([]byte, 0, 64)
-	b = appendU8(b, f.kind)
+	b = framing.AppendU8(b, f.kind)
 	switch f.kind {
 	case kindHello:
-		b = appendStr(b, f.source)
-		b = appendStr(b, f.fingerprint)
+		b = framing.AppendStr(b, f.source)
+		b = framing.AppendStr(b, f.fingerprint)
 	case kindWelcome:
-		b = appendStr(b, f.fingerprint)
-		b = appendU64(b, f.seq)
-		b = appendU64(b, f.epoch)
-		b = appendU32(b, f.pending)
+		b = framing.AppendStr(b, f.fingerprint)
+		b = framing.AppendU64(b, f.seq)
+		b = framing.AppendU64(b, f.epoch)
+		b = framing.AppendU32(b, f.pending)
 	case kindBatch:
-		b = appendU64(b, f.seq)
-		b = appendU32(b, uint32(len(f.deltas)))
-		for _, d := range f.deltas {
-			b = appendU8(b, uint8(d.Op))
-			b = appendStr(b, d.Table)
-			if d.Op == live.OpDelete {
-				b = appendValue(b, d.Key)
-				continue
-			}
-			b = appendU16(b, uint16(len(d.Values)))
-			for _, v := range d.Values {
-				b = appendValue(b, v)
-			}
-		}
+		b = framing.AppendU64(b, f.seq)
+		b = live.AppendDeltas(b, f.deltas)
 	case kindAck:
-		b = appendU64(b, f.seq)
-		b = appendU64(b, f.epoch)
-		b = appendU32(b, f.pending)
+		b = framing.AppendU64(b, f.seq)
+		b = framing.AppendU64(b, f.epoch)
+		b = framing.AppendU32(b, f.pending)
 	case kindHeartbeat:
-		b = appendU64(b, f.seq)
+		b = framing.AppendU64(b, f.seq)
 	case kindError:
-		b = appendStr(b, f.message)
+		b = framing.AppendStr(b, f.message)
 	default:
 		return nil, fmt.Errorf("cdc: unknown frame kind %d", f.kind)
 	}
 	return b, nil
 }
 
-// writeFrame frames and writes one frame: u32 body length, body, u32
-// CRC-32 (IEEE) over the body.
+// writeFrame frames and writes one frame (frame.WriteRecord: u32 body
+// length, body, u32 CRC-32 over the body).
 func writeFrame(w io.Writer, f frame) error {
 	body, err := encodeFrameBody(f)
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, 0, len(body)+8)
-	buf = appendU32(buf, uint32(len(body)))
-	buf = append(buf, body...)
-	buf = appendU32(buf, crc32.ChecksumIEEE(body))
-	_, err = w.Write(buf)
+	_, err = framing.WriteRecord(w, body)
 	return err
 }
 
 // readFrame reads one framed frame. A clean io.EOF before the first
-// length byte is returned as io.EOF (end of stream); a truncated frame
-// is io.ErrUnexpectedEOF; a CRC or structural failure wraps ErrCorrupt.
+// length byte is returned as io.EOF (end of stream); a truncated frame,
+// a CRC mismatch and a structural failure all wrap ErrCorrupt
+// (frame.ErrTruncated / frame.ErrChecksum).
 func readFrame(r io.Reader) (frame, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		if err == io.EOF {
-			return frame{}, io.EOF
-		}
-		return frame{}, io.ErrUnexpectedEOF
-	}
-	n := binary.LittleEndian.Uint32(lenBuf[:])
-	if uint64(n) > maxFrameBody {
-		return frame{}, fmt.Errorf("%w: %d-byte frame body exceeds the %d-byte bound", ErrCorrupt, n, maxFrameBody)
-	}
-	buf := make([]byte, n+4) // body + stored CRC
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return frame{}, io.ErrUnexpectedEOF
-	}
-	body, stored := buf[:n], binary.LittleEndian.Uint32(buf[n:])
-	if got := crc32.ChecksumIEEE(body); got != stored {
-		return frame{}, fmt.Errorf("%w: frame CRC %08x, stored %08x", ErrCorrupt, got, stored)
+	body, _, err := framing.ReadRecord(r, maxFrameBody)
+	if err != nil {
+		return frame{}, err
 	}
 	return decodeFrameBody(body)
 }
 
-// byteReader decodes primitives from a fully-read frame body with a
-// sticky error, so decoding code reads linearly.
-type byteReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *byteReader) fail(what string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: truncated %s", ErrCorrupt, what)
-	}
-}
-
-func (d *byteReader) take(n int, what string) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n < 0 || d.off+n > len(d.b) {
-		d.fail(what)
-		return nil
-	}
-	p := d.b[d.off : d.off+n]
-	d.off += n
-	return p
-}
-
-func (d *byteReader) u8(what string) uint8 {
-	p := d.take(1, what)
-	if p == nil {
-		return 0
-	}
-	return p[0]
-}
-
-func (d *byteReader) u16(what string) uint16 {
-	p := d.take(2, what)
-	if p == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(p)
-}
-
-func (d *byteReader) u32(what string) uint32 {
-	p := d.take(4, what)
-	if p == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(p)
-}
-
-func (d *byteReader) u64(what string) uint64 {
-	p := d.take(8, what)
-	if p == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(p)
-}
-
-func (d *byteReader) str(what string) string {
-	n := d.u32(what)
-	if uint64(n) > maxWireString {
-		d.fail(what + " (string too long)")
-		return ""
-	}
-	return string(d.take(int(n), what))
-}
-
-func (d *byteReader) value(what string) relstore.Value {
-	if d.u8(what) == 1 {
-		return relstore.Int(int64(d.u64(what)))
-	}
-	return relstore.String(d.str(what))
-}
-
 // decodeFrameBody parses a CRC-verified frame body.
 func decodeFrameBody(body []byte) (frame, error) {
-	d := &byteReader{b: body}
-	f := frame{kind: d.u8("frame kind")}
+	d := framing.Body(body)
+	f := frame{kind: d.U8()}
 	switch f.kind {
 	case kindHello:
-		f.source = d.str("hello source")
-		f.fingerprint = d.str("hello fingerprint")
+		f.source = d.Str()
+		f.fingerprint = d.Str()
 	case kindWelcome:
-		f.fingerprint = d.str("welcome fingerprint")
-		f.seq = d.u64("welcome seq")
-		f.epoch = d.u64("welcome epoch")
-		f.pending = d.u32("welcome bound")
+		f.fingerprint = d.Str()
+		f.seq = d.U64()
+		f.epoch = d.U64()
+		f.pending = d.U32()
 	case kindBatch:
-		f.seq = d.u64("batch seq")
-		count := d.u32("delta count")
-		if uint64(count) > uint64(len(body)) { // each delta is ≥ 1 byte
-			d.fail("delta count")
-			break
-		}
-		f.deltas = make([]live.Delta, 0, count)
-		for i := uint32(0); i < count && d.err == nil; i++ {
-			del := live.Delta{Op: live.Op(d.u8("delta op")), Table: d.str("delta table")}
-			if del.Op == live.OpDelete {
-				del.Key = d.value("delete key")
-			} else {
-				nvals := d.u16("value count")
-				del.Values = make([]relstore.Value, 0, nvals)
-				for j := uint16(0); j < nvals && d.err == nil; j++ {
-					del.Values = append(del.Values, d.value("insert value"))
-				}
-			}
-			f.deltas = append(f.deltas, del)
-		}
+		f.seq = d.U64()
+		f.deltas = live.DecodeDeltas(d)
 	case kindAck:
-		f.seq = d.u64("ack seq")
-		f.epoch = d.u64("ack epoch")
-		f.pending = d.u32("ack pending")
+		f.seq = d.U64()
+		f.epoch = d.U64()
+		f.pending = d.U32()
 	case kindHeartbeat:
-		f.seq = d.u64("heartbeat seq")
+		f.seq = d.U64()
 	case kindError:
-		f.message = d.str("error message")
+		f.message = d.Str()
 	default:
-		return frame{}, fmt.Errorf("%w: unknown frame kind %d", ErrCorrupt, f.kind)
+		d.Failf("unknown frame kind %d", f.kind)
 	}
-	if d.err != nil {
-		return frame{}, d.err
-	}
-	if d.off != len(body) {
-		return frame{}, fmt.Errorf("%w: %d trailing bytes in frame body", ErrCorrupt, len(body)-d.off)
+	if err := d.Done(); err != nil {
+		return frame{}, fmt.Errorf("cdc: frame body: %w", err)
 	}
 	return f, nil
 }

@@ -5,9 +5,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"os"
 	"reflect"
 	"testing"
 
+	framing "kqr/internal/frame"
+	"kqr/internal/frame/frametest"
 	"kqr/internal/live"
 	"kqr/internal/relstore"
 )
@@ -100,53 +103,106 @@ func TestStreamHeaderRejections(t *testing.T) {
 	}
 }
 
-// TestFlippedByte flips every byte of an encoded stream in turn; every
-// flip must surface as a typed failure — CRC mismatch (ErrCorrupt),
-// version rejection (ErrProtocol), or a length-field flip reading off
-// the end (io.ErrUnexpectedEOF) — never a silent full parse or a panic.
-// CRC-32 detects every ≤8-bit burst, so a body flip cannot sneak
-// through; the data is deterministic, so this is not a flaky 2^-32 dice
-// roll rerun per build.
-func TestFlippedByte(t *testing.T) {
+// frameEnds returns the prefix lengths of a stream that end on a frame
+// boundary: after the header and after each whole frame (4-byte length
+// + body + 4-byte CRC).
+func frameEnds(enc []byte) func(int) bool {
+	ends := map[int]bool{8: true}
+	for off := 8; off+4 <= len(enc); {
+		off += 4 + int(binary.LittleEndian.Uint32(enc[off:])) + 4
+		ends[off] = true
+	}
+	return func(n int) bool { return ends[n] }
+}
+
+// TestCorruptionMatrix runs the shared byte-flip / truncation matrix
+// over a stream of every frame kind. Every flip must surface as a typed
+// failure — ErrCorrupt for a CRC mismatch, a cut-short frame, a bad
+// magic or a length field reading off the end; ErrProtocol for the
+// version — never a silent full parse or a panic. CRC-32 detects every
+// ≤8-bit burst, so a body flip cannot sneak through; the data is
+// deterministic, so this is not a 2^-32 dice roll rerun per build. A
+// cut parses cleanly only on a frame boundary (a shorter, valid
+// stream), and the frames before a failure are still delivered — a
+// stream is consumed frame by frame.
+func TestCorruptionMatrix(t *testing.T) {
 	enc := encodeStream(t)
-	for i := range enc {
-		bad := bytes.Clone(enc)
-		bad[i] ^= 0x40
-		_, err := parseStream(bad)
-		if err == nil {
-			t.Fatalf("flip at byte %d of %d went undetected", i, len(enc))
+	frametest.Format{
+		Decode:   func(data []byte) error { _, err := parseStream(data); return err },
+		Typed:    []error{ErrCorrupt, ErrProtocol},
+		CleanCut: frameEnds(enc),
+	}.Run(t, enc)
+	if _, err := readFrame(bytes.NewReader(nil)); err != io.EOF {
+		t.Fatalf("empty stream: err = %v, want io.EOF", err)
+	}
+}
+
+// TestGoldenStreams: one stream per direction, written by the encoders
+// this package had before internal/frame (the parent commit's
+// writeStreamHeader / writeFrame), must decode and re-encode to the
+// same bytes.
+func TestGoldenStreams(t *testing.T) {
+	for file, kinds := range map[string][]uint8{
+		"testdata/feeder.kqrcdc":   {kindHello, kindBatch, kindHeartbeat, kindBatch},
+		"testdata/receiver.kqrcdc": {kindWelcome, kindAck, kindHeartbeat, kindError},
+	} {
+		want, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrProtocol) && !errors.Is(err, io.ErrUnexpectedEOF) {
-			t.Fatalf("flip at byte %d: untyped error %v", i, err)
+		frames, err := parseStream(want)
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		var got bytes.Buffer
+		if err := writeStreamHeader(&got); err != nil {
+			t.Fatal(err)
+		}
+		for i, f := range frames {
+			if i >= len(kinds) || f.kind != kinds[i] {
+				t.Fatalf("%s: frame %d has kind %d", file, i, f.kind)
+			}
+			if err := writeFrame(&got, f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(frames) != len(kinds) || !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("%s: re-encoding differs from the fixture (%d frames, %d vs %d bytes)",
+				file, len(frames), got.Len(), len(want))
 		}
 	}
 }
 
-// TestTruncated cuts the stream at every length; a cut must either land
-// exactly on a frame boundary (clean EOF, shorter but valid stream) or
-// fail typed — never hang, panic, or mis-decode.
-func TestTruncated(t *testing.T) {
-	enc := encodeStream(t)
-
-	// Recompute the set of clean cut points: after the header and after
-	// each whole frame (4-byte length + body + 4-byte CRC).
-	boundaries := map[int]bool{8: true}
-	for off := 8; off+4 <= len(enc); {
-		n := int(binary.LittleEndian.Uint32(enc[off:]))
-		off += 4 + n + 4
-		boundaries[off] = true
+// badDeltaFrames returns the sample batch frame with its first delta's
+// op, and then its first value's tag, set to a value this build does
+// not know — CRC intact.
+func badDeltaFrames(t testing.TB) [][]byte {
+	t.Helper()
+	body, err := encodeFrameBody(sampleFrames()[2])
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	for cut := 0; cut <= len(enc); cut++ {
-		frames, err := parseStream(enc[:cut])
-		if err == nil {
-			if !boundaries[cut] {
-				t.Fatalf("cut at %d parsed cleanly (%d frames) off a frame boundary", cut, len(frames))
-			}
-			continue
+	const opAt = 1 + 8 + 4 // kind, seq, delta count
+	var out [][]byte
+	for _, at := range []int{opAt, opAt + 1 + 4 + len("papers") + 2} { // op, table, value count
+		bad := bytes.Clone(body)
+		bad[at] = 7
+		var buf bytes.Buffer
+		if _, err := framing.WriteRecord(&buf, bad); err != nil {
+			t.Fatal(err)
 		}
-		if !errors.Is(err, ErrCorrupt) && !errors.Is(err, io.ErrUnexpectedEOF) {
-			t.Fatalf("cut at %d: untyped error %v", cut, err)
+		out = append(out, buf.Bytes())
+	}
+	return out
+}
+
+// TestUnknownOpAndTagRejectedAtTheWire: an unknown op used to decode
+// as an insert and an unknown value tag as a string, leaving
+// Manager.Ingest to notice (or not). Both are corrupt frames.
+func TestUnknownOpAndTagRejectedAtTheWire(t *testing.T) {
+	for i, enc := range badDeltaFrames(t) {
+		if f, err := readFrame(bytes.NewReader(enc)); !errors.Is(err, ErrCorrupt) || f.deltas != nil {
+			t.Errorf("case %d: got %+v, %v, want ErrCorrupt", i, f, err)
 		}
 	}
 }
@@ -164,10 +220,13 @@ func FuzzCDCFrame(f *testing.F) {
 		}
 		f.Add(bytes.Clone(buf.Bytes()))
 	}
+	for _, enc := range badDeltaFrames(f) {
+		f.Add(enc)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := readFrame(bytes.NewReader(data))
 		if err != nil {
-			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+			if !errors.Is(err, ErrCorrupt) && err != io.EOF {
 				t.Fatalf("untyped error %v", err)
 			}
 			return

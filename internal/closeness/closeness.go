@@ -34,9 +34,12 @@ import (
 	"kqr/internal/tatgraph"
 )
 
+// DefaultMaxLen is the hop bound a zero Options.MaxLen resolves to.
+const DefaultMaxLen = 4
+
 // Options tunes the path search.
 type Options struct {
-	// MaxLen bounds path length in hops (default 4: term–tuple–term–
+	// MaxLen bounds path length in hops (default DefaultMaxLen: term–tuple–term–
 	// tuple–term reaches terms related through one intermediate tuple
 	// chain, e.g. same conference or same author).
 	MaxLen int
@@ -51,7 +54,7 @@ type Options struct {
 
 func (o Options) withDefaults() (Options, error) {
 	if o.MaxLen == 0 {
-		o.MaxLen = 4
+		o.MaxLen = DefaultMaxLen
 	}
 	if o.MaxLen < 1 {
 		return o, fmt.Errorf("closeness: MaxLen %d < 1", o.MaxLen)

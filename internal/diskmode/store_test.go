@@ -16,52 +16,39 @@ import (
 
 // synthSnapshot builds a deterministic snapshot with numNodes rows of
 // pseudo-random (but float32-exact, via Quantize) entries — no corpus
-// needed to exercise the paging machinery.
+// needed to exercise the paging machinery. Closeness rows are sorted
+// and deduplicated by neighbor, as the closeness store emits them.
 func synthSnapshot(numNodes, rowLen int) *artifact.Snapshot {
 	rng := rand.New(rand.NewSource(20120401))
 	s := &artifact.Snapshot{
 		Fingerprint: "diskmode synthetic corpus",
 		Classes:     []string{"t"},
-		Walk:        map[graph.NodeID][]graph.Scored{},
-		Closeness:   map[graph.NodeID]map[graph.NodeID]float64{},
 	}
+	s.Tables[artifact.TableWalk], s.Tables[artifact.TableCloseness] = &packed.Rows{}, &packed.Rows{}
 	for v := 0; v < numNodes; v++ {
 		s.Vocabulary = append(s.Vocabulary, artifact.Term{Node: graph.NodeID(v), Class: 0, Text: "t"})
 		n := rng.Intn(rowLen + 1)
-		row := make([]graph.Scored, n)
-		for i := range row {
-			row[i] = graph.Scored{
-				Node:  graph.NodeID(rng.Intn(numNodes)),
-				Score: float64(packed.Quantize(rng.Float64())),
-			}
+		nodes, scores := s.Tables[artifact.TableWalk].Append(graph.NodeID(v), n)
+		for i := range nodes {
+			nodes[i], scores[i] = graph.NodeID(rng.Intn(numNodes)), packed.Quantize(rng.Float64())
 		}
-		s.Walk[graph.NodeID(v)] = row
-		vec := map[graph.NodeID]float64{}
-		for i := 0; i < n; i++ {
-			vec[graph.NodeID(rng.Intn(numNodes))] = float64(packed.Quantize(rng.Float64()))
+		neighbors := make([]int, 0, n)
+		for _, u := range rng.Perm(numNodes)[:n] {
+			neighbors = append(neighbors, u)
 		}
-		s.Closeness[graph.NodeID(v)] = vec
+		sort.Ints(neighbors)
+		nodes, scores = s.Tables[artifact.TableCloseness].Append(graph.NodeID(v), n)
+		for i := range nodes {
+			nodes[i], scores[i] = graph.NodeID(neighbors[i]), packed.Quantize(rng.Float64())
+		}
 	}
 	return s
 }
 
-// ramTables packs the snapshot's maps into RAM tables — the oracle the
+// ramTables indexes the snapshot's rows as RAM tables — the oracle the
 // paged views are compared against.
 func ramTables(numNodes int, snap *artifact.Snapshot) (sim, clos *packed.RAMTable) {
-	simRows := make(map[graph.NodeID]packed.Row)
-	for v, list := range snap.Walk {
-		simRows[v] = packed.NewRow(list)
-	}
-	closRows := make(map[graph.NodeID]packed.Row)
-	for v, vec := range snap.Closeness {
-		var list []graph.Scored
-		for u, c := range vec {
-			list = append(list, graph.Scored{Node: u, Score: c})
-		}
-		sort.Slice(list, func(i, j int) bool { return list[i].Node < list[j].Node })
-		closRows[v] = packed.NewRow(list)
-	}
-	return packed.Build(numNodes, simRows), packed.Build(numNodes, closRows)
+	return snap.Tables[artifact.TableWalk].Table(numNodes), snap.Tables[artifact.TableCloseness].Table(numNodes)
 }
 
 // writeSnap writes the snapshot as a paged file under t.TempDir().
@@ -295,8 +282,10 @@ func TestCloseDrainsReaders(t *testing.T) {
 		t.Fatal(err)
 	}
 	wg.Wait()
-	if _, _, ok := sim.Row(0); ok && len(snap.Walk[0]) > 0 {
-		t.Fatal("closed store still serving")
+	if _, nodes, _ := snap.Tables[artifact.TableWalk].Row(0); len(nodes) > 0 {
+		if _, _, ok := sim.Row(0); ok {
+			t.Fatal("closed store still serving")
+		}
 	}
 	if err := s.Close(); err != nil { // idempotent
 		t.Fatal(err)

@@ -26,15 +26,19 @@ type SnapshotRow struct {
 	Terms int `json:"terms"`
 	// Warm is how long the full-vocabulary offline compute took.
 	Warm time.Duration `json:"warm_ns"`
-	// Save is how long writing the snapshot took.
-	Save time.Duration `json:"save_ns"`
+	// Save is how long writing the v1 snapshot took; SavePaged the v2
+	// paged one (SaveArtifactsPaged) of the same tables.
+	Save      time.Duration `json:"save_ns"`
+	SavePaged time.Duration `json:"save_paged_ns"`
 	// Load is how long restoring the snapshot into a cold engine took.
 	Load time.Duration `json:"load_ns"`
 	// Speedup is Warm / Load — how many times faster a snapshot-backed
 	// cold start is than recomputation.
 	Speedup float64 `json:"speedup_load_vs_warm"`
-	// FileBytes is the snapshot size on disk.
-	FileBytes int64 `json:"file_bytes"`
+	// FileBytes is the v1 snapshot's size on disk; PagedFileBytes the
+	// v2 paged file's.
+	FileBytes      int64 `json:"file_bytes"`
+	PagedFileBytes int64 `json:"paged_file_bytes"`
 	// VerifiedTerms counts vocabulary terms whose SimilarTerms and
 	// CloseTerms results were compared between the warm and the loaded
 	// engine; it equals Terms when the round trip is exact.
@@ -74,6 +78,15 @@ func SnapshotColdStart(cfg dblpgen.Config, dir string, workers int) (SnapshotRow
 	if st, err := os.Stat(path); err == nil {
 		row.FileBytes = st.Size()
 	}
+	paged := filepath.Join(dir, "offline.paged.snapshot")
+	start = time.Now()
+	if err := warm.SaveArtifactsPaged(paged); err != nil {
+		return row, err
+	}
+	row.SavePaged = time.Since(start)
+	if st, err := os.Stat(paged); err == nil {
+		row.PagedFileBytes = st.Size()
+	}
 
 	cold, err := kqr.Open(ds, opts)
 	if err != nil {
@@ -112,6 +125,7 @@ func RenderSnapshot(row SnapshotRow) string {
 	fmt.Fprintf(&b, "Snapshot cold start (%d vocabulary terms, %d workers max):\n", row.Terms, runtime.GOMAXPROCS(0))
 	fmt.Fprintf(&b, "  warm (full offline compute)  %12v\n", row.Warm.Round(time.Millisecond))
 	fmt.Fprintf(&b, "  save snapshot                %12v  (%d bytes)\n", row.Save.Round(time.Millisecond), row.FileBytes)
+	fmt.Fprintf(&b, "  save paged snapshot          %12v  (%d bytes)\n", row.SavePaged.Round(time.Millisecond), row.PagedFileBytes)
 	fmt.Fprintf(&b, "  load snapshot                %12v\n", row.Load.Round(time.Millisecond))
 	fmt.Fprintf(&b, "  cold-start speedup           %11.1fx\n", row.Speedup)
 	fmt.Fprintf(&b, "  round-trip verified          %9d/%d terms\n", row.VerifiedTerms, row.Terms)

@@ -2,27 +2,26 @@ package live
 
 import (
 	"fmt"
-	"sort"
 
 	"kqr/internal/artifact"
 	"kqr/internal/cooccur"
-	"kqr/internal/graph"
-	"kqr/internal/packed"
 	"kqr/internal/randomwalk"
 )
 
-// ArtifactSnapshot assembles the artifact codec's transient snapshot of
-// one generation's offline stage: the full vocabulary plus whichever
-// similarity table the generation's mode maintains, and the closeness
-// table, stamped with the caller's fingerprint. The root package's
-// SaveArtifacts and the replication leader's bootstrap stream both
-// funnel through it.
+// ArtifactSnapshot assembles the artifact codec's snapshot of one
+// generation's offline stage: the full vocabulary plus a copy of the
+// rows of whichever similarity table the generation's mode maintains
+// and of the closeness table, stamped with the caller's fingerprint.
+// The root package's SaveArtifacts and the replication leader's
+// bootstrap stream both funnel through it.
 func ArtifactSnapshot(g *Generation, fingerprint string) (*artifact.Snapshot, error) {
-	snap := &artifact.Snapshot{
-		Fingerprint: fingerprint,
-		Classes:     g.TG.Classes(),
-		Closeness:   make(map[graph.NodeID]map[graph.NodeID]float64),
+	sim, err := SimTableKind(g)
+	if err != nil {
+		return nil, err
 	}
+	snap := &artifact.Snapshot{Fingerprint: fingerprint, Classes: g.TG.Classes()}
+	snap.Tables[sim] = g.Sim.Rows()
+	snap.Tables[artifact.TableCloseness] = g.Clos.Rows()
 	classIndex := make(map[string]int32, len(snap.Classes))
 	for i, c := range snap.Classes {
 		classIndex[c] = int32(i)
@@ -34,68 +33,42 @@ func ArtifactSnapshot(g *Generation, fingerprint string) (*artifact.Snapshot, er
 			Text:  g.TG.TermText(node),
 		})
 	}
-	sim := make(map[graph.NodeID][]graph.Scored)
-	g.Sim.Each(func(v graph.NodeID, nodes []graph.NodeID, scores []float32) {
-		sim[v] = packed.Scored(nodes, scores, 0)
-	})
-	switch g.Sim.(type) {
-	case *randomwalk.Extractor:
-		snap.Walk = sim
-	case *cooccur.Extractor:
-		snap.Cooccur = sim
-	default:
-		return nil, fmt.Errorf("live: similarity provider %T does not support snapshots", g.Sim)
-	}
-	g.Clos.Each(func(v graph.NodeID, nodes []graph.NodeID, scores []float32) {
-		vec := make(map[graph.NodeID]float64, len(nodes))
-		for i, u := range nodes {
-			vec[u] = float64(scores[i])
-		}
-		snap.Closeness[v] = vec
-	})
 	return snap, nil
 }
 
+// SimTableKind names the snapshot table the generation's similarity
+// mode reads and writes. Both walk modes share TableWalk — the
+// fingerprint already distinguishes contextual from individual.
+func SimTableKind(g *Generation) (artifact.TableKind, error) {
+	switch g.Sim.(type) {
+	case *randomwalk.Extractor:
+		return artifact.TableWalk, nil
+	case *cooccur.Extractor:
+		return artifact.TableCooccur, nil
+	default:
+		return 0, fmt.Errorf("live: similarity provider %T does not support snapshots", g.Sim)
+	}
+}
+
 // RestoreArtifact validates the snapshot's vocabulary against the
-// generation's graph node by node, then bulk-loads the tables into the
-// stores. The vocabulary check backstops any fingerprint check the
-// caller ran: node ids are only meaningful if every term node still
-// carries the same text and class. Failures wrap
+// generation's graph node by node, then hands the tables to the stores,
+// which index them as they are. The vocabulary check backstops any
+// fingerprint check the caller ran: node ids are only meaningful if
+// every term node still carries the same text and class. Failures wrap
 // artifact.ErrFingerprint.
 func RestoreArtifact(g *Generation, snap *artifact.Snapshot) error {
 	if err := ValidateVocabulary(g, snap.Classes, snap.Vocabulary); err != nil {
 		return err
 	}
-	var sim map[graph.NodeID][]graph.Scored
-	switch g.Sim.(type) {
-	case *randomwalk.Extractor:
-		if sim = snap.Walk; sim == nil {
-			return fmt.Errorf("%w: snapshot has no random-walk section", artifact.ErrFingerprint)
-		}
-	case *cooccur.Extractor:
-		if sim = snap.Cooccur; sim == nil {
-			return fmt.Errorf("%w: snapshot has no co-occurrence section", artifact.ErrFingerprint)
-		}
-	default:
-		return fmt.Errorf("live: similarity provider %T does not support snapshots", g.Sim)
+	sim, err := SimTableKind(g)
+	if err != nil {
+		return err
 	}
-	rows := make(map[graph.NodeID]packed.Row, len(sim))
-	for v, list := range sim {
-		rows[v] = packed.NewRow(list)
+	if snap.Tables[sim] == nil {
+		return fmt.Errorf("%w: snapshot has no %s table", artifact.ErrFingerprint, sim)
 	}
-	g.Sim.Load(rows)
-
-	rows = make(map[graph.NodeID]packed.Row, len(snap.Closeness))
-	var list []graph.Scored
-	for v, vec := range snap.Closeness {
-		list = list[:0]
-		for u, c := range vec {
-			list = append(list, graph.Scored{Node: u, Score: c})
-		}
-		sort.Slice(list, func(i, j int) bool { return list[i].Node < list[j].Node })
-		rows[v] = packed.NewRow(list)
-	}
-	g.Clos.Load(rows)
+	g.Sim.Load(snap.Tables[sim])
+	g.Clos.Load(snap.Tables[artifact.TableCloseness])
 	return nil
 }
 

@@ -111,6 +111,27 @@ type Config struct {
 	Mend bool
 }
 
+// TableFingerprint renders everything that determines the bits of a
+// generation's offline tables: every Config field the extractors read
+// (zero values resolved to the defaults the extractors themselves
+// apply), the walk solver, and the shape of the graph they run over.
+// The snapshot fingerprint (root package) and the replication
+// fingerprint (internal/repl) are this plus their own prefix and
+// corpus description — a table-affecting knob is added here, once.
+func TableFingerprint(g *Generation, cfg Config) string {
+	damping := cfg.Damping
+	if damping == 0 {
+		damping = randomwalk.DefaultDamping
+	}
+	closMax := cfg.ClosenessMaxLen
+	if closMax == 0 {
+		closMax = closeness.DefaultMaxLen
+	}
+	return fmt.Sprintf("mode=%s solver=%s damping=%g closmax=%d closbeam=%d phrases=%t plurals=%t nodes=%d terms=%d edges=%d",
+		cfg.Mode, randomwalk.Solver, damping, closMax, cfg.ClosenessBeam, cfg.Phrases, cfg.FoldPlurals,
+		g.TG.NumNodes(), g.TG.NumTermNodes(), g.TG.CSR().NumEdges())
+}
+
 // SimTables is the similarity-provider surface a generation needs
 // beyond answering queries — the packed.Store operations of the offline
 // stage and the artifact boundary, plus the erroring list accessor the
@@ -122,8 +143,8 @@ type SimTables interface {
 	Precompute(ctx context.Context, nodes []graph.NodeID) error
 	Pack()
 	Install(packed.Table)
-	Load(map[graph.NodeID]packed.Row)
-	Each(func(v graph.NodeID, nodes []graph.NodeID, scores []float32))
+	Load(*packed.Rows)
+	Rows() *packed.Rows
 	Resident() int
 }
 

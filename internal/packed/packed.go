@@ -24,10 +24,14 @@
 // into a Store, so every later form of a row — overlay, RAM table,
 // snapshot file, disk page — carries the same bits.
 //
-// Tables are immutable after Build and safe for concurrent readers.
+// Tables are immutable once built and safe for concurrent readers.
 package packed
 
-import "kqr/internal/graph"
+import (
+	"slices"
+
+	"kqr/internal/graph"
+)
 
 // Table is the read surface of a published row table, satisfied by the
 // RAM-backed RAMTable and by the page-backed views of
@@ -53,8 +57,9 @@ type Row struct {
 }
 
 // NewRow converts an extractor's scored list to row form, keeping its
-// order. It is the single rounding boundary of the offline tables:
-// computed rows and bulk-loaded rows both enter a Store through it.
+// order. Computed rows enter a Store through it; rows decoded from a
+// v1 snapshot (the one format that stores float64) are narrowed by the
+// same Quantize.
 func NewRow(list []graph.Scored) Row {
 	r := Row{Nodes: make([]graph.NodeID, len(list)), Scores: make([]float32, len(list))}
 	for i, sn := range list {
@@ -66,7 +71,7 @@ func NewRow(list []graph.Scored) Row {
 
 // Scored widens the first k entries of a row (all of them when k <= 0
 // or k exceeds the row) back to a scored list — the allocating
-// accessor behind SimilarNodes, From and the snapshot writer.
+// accessor behind SimilarNodes and From.
 func Scored(nodes []graph.NodeID, scores []float32, k int) []graph.Scored {
 	if k <= 0 || k > len(nodes) {
 		k = len(nodes)
@@ -97,42 +102,94 @@ func Probe(nodes []graph.NodeID, scores []float32, b graph.NodeID) float64 {
 	return 0
 }
 
-// RAMTable is the RAM-resident CSR table.
+// Rows is the serial form of a table — what a snapshot section holds
+// and what crosses the artifact boundary: the present rows in ascending
+// node order, their entries back to back. It is a RAMTable without the
+// node-indexed offsets, so a decoder can build one by appending, in
+// memory proportional to the bytes it has read rather than to the
+// largest node id they name.
+type Rows struct {
+	// Src lists the nodes that have a row, strictly ascending.
+	Src []graph.NodeID
+	// End[i] is the entry count through row i: row i is
+	// Nodes[End[i-1]:End[i]] (from 0 for the first row).
+	End []uint32
+	// Nodes and Scores hold every row's entries, parallel.
+	Nodes  []graph.NodeID
+	Scores []float32
+}
+
+// Append adds an n-entry row for v and returns its slices for the
+// caller to fill. Rows must arrive in ascending node order; a decoder
+// checks that on its input before it calls, so a violation here is a
+// bug.
+func (r *Rows) Append(v graph.NodeID, n int) ([]graph.NodeID, []float32) {
+	if v < 0 || len(r.Src) > 0 && v <= r.Src[len(r.Src)-1] {
+		panic("packed: rows appended out of node order")
+	}
+	lo := len(r.Nodes)
+	r.Src = append(r.Src, v)
+	r.Nodes = slices.Grow(r.Nodes, n)[:lo+n]
+	r.Scores = slices.Grow(r.Scores, n)[:lo+n]
+	r.End = append(r.End, uint32(lo+n))
+	return r.Nodes[lo:], r.Scores[lo:]
+}
+
+// Row returns the i-th present row. The slices are read-only views.
+func (r *Rows) Row(i int) (v graph.NodeID, nodes []graph.NodeID, scores []float32) {
+	lo := uint32(0)
+	if i > 0 {
+		lo = r.End[i-1]
+	}
+	return r.Src[i], r.Nodes[lo:r.End[i]], r.Scores[lo:r.End[i]]
+}
+
+// Table indexes the rows for a graph of numNodes nodes. Rows of nodes
+// outside [0, numNodes) are dropped — they cannot belong to the graph
+// the table serves. The table takes over the entry arrays (reallocated
+// to size only when appending left them with real slack, which a table
+// that lives as long as its generation should not carry): r must not be
+// appended to afterwards. A nil r is the empty table.
+func (r *Rows) Table(numNodes int) *RAMTable {
+	t := &RAMTable{
+		off:     make([]uint32, numNodes+1),
+		present: make([]uint64, (numNodes+63)/64),
+	}
+	if r == nil {
+		return t
+	}
+	for t.rows < len(r.Src) && int(r.Src[t.rows]) < numNodes {
+		t.rows++
+	}
+	i, end := 0, uint32(0)
+	for v := 0; v <= numNodes; v++ {
+		t.off[v] = end
+		if i < t.rows && int(r.Src[i]) == v {
+			t.present[uint(v)>>6] |= 1 << (uint(v) & 63)
+			end = r.End[i]
+			i++
+		}
+	}
+	t.nodes, t.scores = trim(r.Nodes[:end]), trim(r.Scores[:end])
+	return t
+}
+
+// trim returns s, copied to an array of its own length when more than
+// an eighth of the one it has is unused.
+func trim[T any](s []T) []T {
+	if cap(s)-len(s) > len(s)/8 {
+		return slices.Clone(s)
+	}
+	return s
+}
+
+// RAMTable is the RAM-resident CSR table, built by Rows.Table.
 type RAMTable struct {
 	off     []uint32
 	present []uint64
 	nodes   []graph.NodeID
 	scores  []float32
 	rows    int
-}
-
-// Build packs rows into a RAMTable over a graph of numNodes nodes. Rows
-// keep their entry order. Sources outside [0, numNodes) are skipped —
-// they cannot belong to the graph the table serves.
-func Build(numNodes int, rows map[graph.NodeID]Row) *RAMTable {
-	total := 0
-	for v, r := range rows {
-		if v >= 0 && int(v) < numNodes {
-			total += len(r.Nodes)
-		}
-	}
-	t := &RAMTable{
-		off:     make([]uint32, numNodes+1),
-		present: make([]uint64, (numNodes+63)/64),
-		nodes:   make([]graph.NodeID, 0, total),
-		scores:  make([]float32, 0, total),
-	}
-	for v := 0; v < numNodes; v++ {
-		t.off[v] = uint32(len(t.nodes))
-		if r, ok := rows[graph.NodeID(v)]; ok {
-			t.present[uint(v)>>6] |= 1 << (uint(v) & 63)
-			t.nodes = append(t.nodes, r.Nodes...)
-			t.scores = append(t.scores, r.Scores...)
-			t.rows++
-		}
-	}
-	t.off[numNodes] = uint32(len(t.nodes))
-	return t
 }
 
 // Row returns v's packed row with ok false when v has none. The

@@ -8,12 +8,20 @@ import (
 	"kqr/internal/graph"
 )
 
+// appendRow adds v's row to r in stored form.
+func appendRow(r *Rows, v graph.NodeID, list []graph.Scored) {
+	row := NewRow(list)
+	nodes, scores := r.Append(v, len(list))
+	copy(nodes, row.Nodes)
+	copy(scores, row.Scores)
+}
+
 func TestTableRoundTrip(t *testing.T) {
-	tab := Build(6, map[graph.NodeID]Row{
-		0: NewRow([]graph.Scored{{Node: 3, Score: 0.75}, {Node: 1, Score: 0.5}, {Node: 2, Score: 0.25}}),
-		2: NewRow(nil), // a computed empty row must stay distinguishable from "missing"
-		5: NewRow([]graph.Scored{{Node: 0, Score: 1}}),
-	})
+	rows := &Rows{}
+	appendRow(rows, 0, []graph.Scored{{Node: 3, Score: 0.75}, {Node: 1, Score: 0.5}, {Node: 2, Score: 0.25}})
+	appendRow(rows, 2, nil) // a computed empty row must stay distinguishable from "missing"
+	appendRow(rows, 5, []graph.Scored{{Node: 0, Score: 1}})
+	tab := rows.Table(6)
 	if got := tab.Rows(); got != 3 {
 		t.Fatalf("Rows() = %d, want 3", got)
 	}
@@ -40,24 +48,13 @@ func TestTableRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTableSkipsOutOfRangeSources(t *testing.T) {
-	row := NewRow([]graph.Scored{{Node: 0, Score: 0.5}})
-	tab := Build(4, map[graph.NodeID]Row{1: row, -1: row, 7: row})
-	if got := tab.Rows(); got != 1 {
-		t.Fatalf("Rows() = %d, want 1 (out-of-range sources skipped)", got)
-	}
-	if _, _, ok := tab.Row(1); !ok {
-		t.Fatal("Row(1) missing")
-	}
-}
-
 // Probe over id-sorted rows: hits return the stored value, misses are
 // true zeros, and an empty row is all zeros.
 func TestProbeRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const n = 128
 	want := make(map[graph.NodeID]map[graph.NodeID]float32)
-	rows := make(map[graph.NodeID]Row)
+	rows := &Rows{}
 	for v := graph.NodeID(0); v < n; v++ {
 		if rng.Intn(3) == 0 {
 			continue
@@ -71,9 +68,10 @@ func TestProbeRandomized(t *testing.T) {
 			list = append(list, graph.Scored{Node: u, Score: float64(c)})
 		}
 		sort.Slice(list, func(i, j int) bool { return list[i].Node < list[j].Node })
-		want[v], rows[v] = vec, NewRow(list)
+		want[v] = vec
+		appendRow(rows, v, list)
 	}
-	tab := Build(n, rows)
+	tab := rows.Table(n)
 	for v := graph.NodeID(0); v < n; v++ {
 		nodes, scores, ok := tab.Row(v)
 		if _, held := want[v]; ok != held {
@@ -108,5 +106,53 @@ func TestNewRowQuantizes(t *testing.T) {
 	}
 	if got := Scored(r.Nodes, r.Scores, 3); len(got) != 3 {
 		t.Fatalf("Scored(k=3) returned %d entries", len(got))
+	}
+}
+
+// Rows is the serial form: rows appended in node order index into the
+// same table Build makes, rows beyond the graph are dropped (they are
+// the tail — sources ascend), a nil Rows is the empty table, and an
+// out-of-order append is a bug that panics rather than mis-indexes.
+func TestRowsTable(t *testing.T) {
+	r := &Rows{}
+	for _, v := range []graph.NodeID{0, 2, 5, 9} {
+		nodes, scores := r.Append(v, int(v)%3)
+		for i := range nodes {
+			nodes[i], scores[i] = v+graph.NodeID(i)+1, float32(i)+0.5
+		}
+	}
+	tab := r.Table(6)
+	if tab.Rows() != 3 {
+		t.Fatalf("Rows() = %d, want 3 (node 9 is outside a 6-node graph)", tab.Rows())
+	}
+	for i, v := range r.Src[:3] {
+		_, wantNodes, wantScores := r.Row(i)
+		nodes, scores, ok := tab.Row(v)
+		if !ok || len(nodes) != len(wantNodes) {
+			t.Fatalf("Row(%d) = %v, %v, want %v", v, nodes, ok, wantNodes)
+		}
+		for j := range nodes {
+			if nodes[j] != wantNodes[j] || scores[j] != wantScores[j] {
+				t.Fatalf("Row(%d)[%d] = (%d, %v), want (%d, %v)", v, j, nodes[j], scores[j], wantNodes[j], wantScores[j])
+			}
+		}
+	}
+	for _, v := range []graph.NodeID{1, 3, 4, 9} {
+		if _, _, ok := tab.Row(v); ok {
+			t.Fatalf("Row(%d) present, want missing", v)
+		}
+	}
+	if empty := (*Rows)(nil).Table(4); empty.Rows() != 0 {
+		t.Fatal("nil Rows did not index to the empty table")
+	}
+	for _, v := range []graph.NodeID{9, 3, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Append(%d) after node 9 did not panic", v)
+				}
+			}()
+			r.Append(v, 0)
+		}()
 	}
 }

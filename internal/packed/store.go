@@ -182,30 +182,24 @@ func (s *Store) Precompute(ctx context.Context, nodes []graph.NodeID) error {
 func (s *Store) Pack() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rows := s.overlay
-	switch old := s.table().(type) {
-	case nil:
-	case *RAMTable:
-		for v := 0; v < s.numNodes; v++ {
-			if nodes, scores, ok := old.Row(graph.NodeID(v)); ok {
-				rows[graph.NodeID(v)] = Row{Nodes: nodes, Scores: scores}
-			}
+	if t := s.table(); t != nil {
+		if _, ram := t.(*RAMTable); !ram {
+			return
 		}
-	default:
-		return
 	}
-	s.pk.Store(&published{t: Build(s.numNodes, rows)})
+	s.pk.Store(&published{t: s.rowsLocked().Table(s.numNodes)})
 	s.overlay = make(map[graph.NodeID]Row)
 }
 
-// Load replaces everything the store holds with the given rows, packed
-// — the bulk entry at the artifact boundary (snapshot load, follower
-// bootstrap). Rows are trusted as-is; callers must ensure they were
-// computed over an identically built graph.
-func (s *Store) Load(rows map[graph.NodeID]Row) {
+// Load replaces everything the store holds with the given rows,
+// indexed — the bulk entry at the artifact boundary (snapshot load,
+// follower bootstrap). Rows are trusted as-is; callers must ensure they
+// were computed over an identically built graph. The store takes over
+// the rows' entry arrays.
+func (s *Store) Load(rows *Rows) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.pk.Store(&published{t: Build(s.numNodes, rows)})
+	s.pk.Store(&published{t: rows.Table(s.numNodes)})
 	s.overlay = make(map[graph.NodeID]Row)
 }
 
@@ -215,15 +209,44 @@ func (s *Store) Load(rows map[graph.NodeID]Row) {
 // missing row.
 func (s *Store) Install(t Table) { s.pk.Store(&published{t: t}) }
 
-// Each visits every held row (published table and overlay) in
-// ascending node order — the row iteration of the artifact boundary.
-// The slices are read-only views.
-func (s *Store) Each(visit func(v graph.NodeID, nodes []graph.NodeID, scores []float32)) {
+// Rows copies every held row (published table and overlay), in
+// ascending node order, into serial form — the store's side of the
+// artifact boundary. The copy, taken under the store's lock, is what
+// makes a snapshot consistent: a writer sizes a section and then
+// streams it, and rows computed in between must not appear in one and
+// not the other.
+func (s *Store) Rows() *Rows {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.rowsLocked()
+}
+
+func (s *Store) rowsLocked() *Rows {
+	t := s.table()
+	total := 0 // exact for a RAM table; a paged view's rows grow the arrays
+	for _, r := range s.overlay {
+		total += len(r.Nodes)
+	}
+	if ram, ok := t.(*RAMTable); ok {
+		total += len(ram.nodes)
+	}
+	out := &Rows{Nodes: make([]graph.NodeID, 0, total), Scores: make([]float32, 0, total)}
 	for v := 0; v < s.numNodes; v++ {
-		if nodes, scores, ok := s.held(graph.NodeID(v)); ok {
-			visit(graph.NodeID(v), nodes, scores)
+		var r Row
+		ok := false
+		if t != nil {
+			r.Nodes, r.Scores, ok = t.Row(graph.NodeID(v))
+		}
+		if !ok {
+			r, ok = s.overlay[graph.NodeID(v)]
+		}
+		if ok {
+			nodes, scores := out.Append(graph.NodeID(v), len(r.Nodes))
+			copy(nodes, r.Nodes)
+			copy(scores, r.Scores)
 		}
 	}
+	return out
 }
 
 // Resident returns how many rows the store holds in RAM — RAMTable

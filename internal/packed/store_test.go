@@ -67,14 +67,14 @@ func TestStoreRowIdenticalInEveryForm(t *testing.T) {
 	}
 
 	// Export → bulk load into a fresh store (the artifact boundary).
-	exported := make(map[graph.NodeID]Row)
-	s.Each(func(v graph.NodeID, nodes []graph.NodeID, scores []float32) {
-		exported[v] = NewRow(Scored(nodes, scores, 0))
-	})
+	exported := s.Rows()
+	if len(exported.Src) != n {
+		t.Fatalf("Rows exported %d of %d rows", len(exported.Src), n)
+	}
 	loaded := newFakeStore(n)
 	loaded.Load(exported)
 	if got := rowsOf(t, loaded, n); !reflect.DeepEqual(got, lazy) {
-		t.Fatal("rows changed across Each → Load")
+		t.Fatal("rows changed across Rows → Load")
 	}
 
 	// The loaded store's table installed as an external view of a third.
@@ -293,7 +293,12 @@ func TestStoreReadersRacePackAndLoad(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		s.Pack()
 		if i%10 == 9 {
-			s.Load(map[graph.NodeID]Row{1: NewRow(fakeRow(1))})
+			one := &Rows{}
+			nodes, scores := one.Append(1, 1)
+			r := NewRow(fakeRow(1))
+			copy(nodes, r.Nodes)
+			copy(scores, r.Scores)
+			s.Load(one)
 		}
 	}
 	close(stop)

@@ -29,9 +29,12 @@ import (
 // persisted or replicated rows may be mixed with locally computed ones.
 const Solver = "sor-pull/1"
 
+// DefaultDamping is the λ a zero Options.Damping resolves to.
+const DefaultDamping = 0.8
+
 // Options tunes the solver.
 type Options struct {
-	// Damping is λ in p = λ·A·p + (1−λ)·r (default 0.8). The SOR
+	// Damping is λ in p = λ·A·p + (1−λ)·r (default DefaultDamping). The SOR
 	// relaxation factor is derived from it: ω = 2/(1+√(1−λ²)).
 	Damping float64
 	// Epsilon is the L1 convergence threshold on the change of one
@@ -47,7 +50,7 @@ type Options struct {
 
 func (o Options) withDefaults() (Options, error) {
 	if o.Damping == 0 {
-		o.Damping = 0.8
+		o.Damping = DefaultDamping
 	}
 	if o.Damping < 0 || o.Damping >= 1 {
 		return o, fmt.Errorf("randomwalk: damping %v outside [0,1)", o.Damping)

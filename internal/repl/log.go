@@ -1,18 +1,18 @@
 package repl
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
+
+	"kqr/internal/frame"
 )
 
 // logMagic opens every segment file.
-var logMagic = [6]byte{'K', 'Q', 'R', 'L', 'O', 'G'}
+var logMagic = frame.Magic{'K', 'Q', 'R', 'L', 'O', 'G'}
 
 // logVersion is the segment format this package writes.
 const logVersion uint16 = 1
@@ -178,30 +178,26 @@ func (l *Log) recoverSegment(first uint64, last bool) (next uint64, nbytes int64
 func writeSegmentHeader(w io.Writer, first uint64) error {
 	b := make([]byte, 0, segHeaderSize)
 	b = append(b, logMagic[:]...)
-	b = binary.LittleEndian.AppendUint16(b, logVersion)
-	b = binary.LittleEndian.AppendUint64(b, first)
-	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
-	_, err := w.Write(b)
+	b = frame.AppendU16(b, logVersion)
+	b = frame.AppendU64(b, first)
+	_, err := w.Write(frame.AppendCRC(b, 0))
 	return err
 }
 
 // readSegmentHeader validates a segment header against the index its
 // file name claims.
 func readSegmentHeader(r io.Reader, wantFirst uint64) error {
-	b := make([]byte, segHeaderSize)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return fmt.Errorf("%w: truncated segment header", ErrCorrupt)
+	rr := frame.NewReader(r)
+	rr.Magic(logMagic)
+	if v := rr.U16(); v != logVersion {
+		rr.Failf("segment version %d, want %d", v, logVersion)
 	}
-	if string(b[:6]) != string(logMagic[:]) {
-		return fmt.Errorf("%w: bad segment magic %q", ErrCorrupt, b[:6])
+	first := rr.U64()
+	rr.Checksum("segment header")
+	if rr.Err() != nil {
+		return rr.Err()
 	}
-	if v := binary.LittleEndian.Uint16(b[6:8]); v != logVersion {
-		return fmt.Errorf("%w: segment version %d, want %d", ErrCorrupt, v, logVersion)
-	}
-	if got := crc32.ChecksumIEEE(b[:16]); got != binary.LittleEndian.Uint32(b[16:]) {
-		return fmt.Errorf("%w: segment header CRC mismatch", ErrCorrupt)
-	}
-	if first := binary.LittleEndian.Uint64(b[8:16]); first != wantFirst {
+	if first != wantFirst {
 		return fmt.Errorf("%w: segment header claims first index %d, file name says %d",
 			ErrCorrupt, first, wantFirst)
 	}
