@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet test test-race race cover bench bench-offline bench-snapshot bench-repl bench-cdc bench-hotpath bench-diskmode bench-mend bench-all bench-system docs-check fuzz experiments demo clean
+.PHONY: all check build vet test test-race race cover bench bench-offline bench-system docs-check fuzz experiments demo clean
 
 all: check
 
@@ -50,72 +50,16 @@ bench-offline:
 	$(GO) test -run '^$$' -bench='BenchmarkPass|Benchmark_PrecomputeParallel' -benchmem ./internal/randomwalk/
 	$(GO) test -run '^$$' -bench=BenchmarkSearch -benchmem ./internal/closeness/
 
-# Snapshot cold start: warm the full offline stage, persist it, reload
-# it into a cold engine and report load-vs-warm speedup as
-# BENCH_snapshot.json.
-bench-snapshot:
-	$(GO) run ./cmd/kqr-bench -exp snapshot -json BENCH_snapshot.json
-
-# Replication churn: a leader journaling promotions into a delta log
-# with 3 followers tailing it in lockstep under round-robin query load,
-# including a mid-run follower kill/resume, written as BENCH_repl.json.
-# The run fails on any query error, snapshot re-download, or term-table
-# divergence.
-bench-repl:
-	$(GO) run ./cmd/kqr-bench -exp repl -papers 1200 -json BENCH_repl.json
-
-# CDC ingestion soak: a feeder streaming mutation batches into a live
-# server over the KQRCDC protocol under concurrent query load, with a
-# mid-run feeder kill and resume, written as BENCH_cdc.json. The run
-# fails on any lost or duplicated delta (row-count and sequence
-# reconciliation), any query error, or a stale fresh-term lookup.
-bench-cdc:
-	$(GO) run ./cmd/kqr-bench -exp cdc -papers 1200 -json BENCH_cdc.json
-
-# Zero-alloc decode hot path: the pooled DecodePaths vs the baseline
-# that allocates a fresh slot set and model per query and runs the *Ref
-# decoders (both read the same packed tables — there is no map read
-# path left to compare against) — allocs/op, B/op, p50/p99, plus a
-# path-for-path bit-identity check, written as BENCH_hotpath.json.
-# -strict fails the run if the warmed fast path allocates, so this
-# target doubles as the regression gate.
-bench-hotpath:
-	$(GO) run ./cmd/kqr-bench -exp hotpath -strict -json BENCH_hotpath.json
-
-# Disk mode: serve the paged v2 snapshot under a byte budget far below
-# the tables' decoded size and compare query p50/p99 against in-RAM
-# serving, after a full-vocabulary bit-identity check, written as
-# BENCH_diskmode.json. -strict fails the run unless the tables exceed
-# the budget and the page cache faulted and evicted, so this target
-# doubles as the regression gate.
-bench-diskmode:
-	$(GO) run ./cmd/kqr-bench -exp diskmode -strict -queries 200 -reps 10 -json BENCH_diskmode.json
-
-# Query mending: inject typos, run-together and over-split tokens into
-# clean vocabulary queries, then compare precision@5 of the clean
-# baseline, the unmended faulted queries and the mended path, check
-# all-vocabulary byte identity, measure mend-vs-decode p50/p99, and
-# drive promotions under concurrent mended-query load, written as
-# BENCH_mend.json. -strict additionally fails the run if mend p99
-# exceeds 25% of decode p99, so this target doubles as the regression
-# gate.
-bench-mend:
-	$(GO) run ./cmd/kqr-bench -exp mend -strict -json BENCH_mend.json
-
-# System benchmark: builds cmd/kqr-server from the working tree, runs it
-# as a separate process and drives it over loopback HTTP on each of the
-# four workloads BENCHMARK.json declares, printing every end-to-end
-# metric (see bench/README.md; add `--trace 1` by hand for the
-# per-layer metrics). Build cache, binaries and reports stay under
-# .bench_build/ and bench/out/.
+# System benchmark, the repository's one yardstick: builds
+# cmd/kqr-server from the working tree, runs it as a separate process
+# and drives it over loopback HTTP on each of the four workloads
+# BENCHMARK.json declares — untraced for the end-to-end metrics, then
+# `--trace 1` for the per-layer ones (see bench/README.md) — and
+# collects every run's result and provenance into BENCH_system.json
+# (~6 min; needs jq). Build cache, binaries and per-run reports stay
+# under .bench_build/ and bench/out/.
 bench-system:
-	for w in http_zipf http_miss disk_miss churn; do \
-		bash bench/run.sh --workload $$w --seed 1 --seconds 12 --trace 0 || exit 1; \
-	done
-
-# Every in-process bench-* target in one pass; each writes its
-# BENCH_*.json.
-bench-all: bench-offline bench-snapshot bench-repl bench-cdc bench-hotpath bench-diskmode bench-mend
+	bash scripts/bench-system.sh BENCH_system.json
 
 # Short fuzz pass over the parsers and the cache fingerprint.
 fuzz:

@@ -154,23 +154,32 @@ func BenchmarkFig7_TopKAlgorithms(b *testing.B) {
 	}
 }
 
+// forwardDecoders runs Algorithm 3's forward pass once per model, each
+// on a Decoder of its own, so the search stage can be timed alone on
+// the heuristic tables left behind.
+func forwardDecoders(b *testing.B, models []*hmm.Model) []hmm.Decoder {
+	b.Helper()
+	decs := make([]hmm.Decoder, len(models))
+	for i, m := range models {
+		if err := decs[i].Forward(m); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return decs
+}
+
 // BenchmarkFig8_StageSplit regenerates Fig. 8: the two stages of
-// Algorithm 3 timed separately.
+// Algorithm 3 — the flat decoder's, the ones Fig. 7's alg3 runs — timed
+// separately.
 func BenchmarkFig8_StageSplit(b *testing.B) {
 	s := benchEnv(b)
 	for _, length := range []int{2, 4, 6, 8} {
 		models := fig7Models(b, s, length)
-		heuristics := make([][][]float64, len(models))
-		for i, m := range models {
-			h, err := m.Forward()
-			if err != nil {
-				b.Fatal(err)
-			}
-			heuristics[i] = h
-		}
+		decs := forwardDecoders(b, models)
 		b.Run(fmt.Sprintf("viterbi/len%d", length), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := models[i%len(models)].Forward(); err != nil {
+				j := i % len(models)
+				if err := decs[j].Forward(models[j]); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -178,7 +187,7 @@ func BenchmarkFig8_StageSplit(b *testing.B) {
 		b.Run(fmt.Sprintf("astar/len%d", length), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				j := i % len(models)
-				if _, _, err := models[j].TopKAStarWithHeuristic(10, heuristics[j]); err != nil {
+				if _, _, err := decs[j].Search(models[j], 10); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -191,19 +200,12 @@ func BenchmarkFig8_StageSplit(b *testing.B) {
 func BenchmarkFig9_VaryK(b *testing.B) {
 	s := benchEnv(b)
 	models := fig7Models(b, s, 6)
-	heuristics := make([][][]float64, len(models))
-	for i, m := range models {
-		h, err := m.Forward()
-		if err != nil {
-			b.Fatal(err)
-		}
-		heuristics[i] = h
-	}
+	decs := forwardDecoders(b, models)
 	for _, k := range []int{1, 10, 20, 30, 50} {
 		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				j := i % len(models)
-				if _, _, err := models[j].TopKAStarWithHeuristic(k, heuristics[j]); err != nil {
+				if _, _, err := decs[j].Search(models[j], k); err != nil {
 					b.Fatal(err)
 				}
 			}

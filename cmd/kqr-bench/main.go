@@ -22,7 +22,7 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment: all, table1, table2, fig5, fig7, fig8, fig9, fig10, table3, synonyms, ablation, offline, snapshot, repl, cdc, hotpath, diskmode, mend")
+		exp     = flag.String("exp", "all", "experiment: all, table1, table2, fig5, fig7, fig8, fig9, fig10, table3, synonyms, ablation, offline")
 		list    = flag.Bool("list", false, "print every experiment with a one-line description and exit")
 		seed    = flag.Int64("seed", 20120401, "corpus seed")
 		topics  = flag.Int("topics", 8, "latent topics")
@@ -34,10 +34,8 @@ func main() {
 		reps    = flag.Int("reps", 3, "timing repetitions")
 		seeds   = flag.Int("seeds", 1, "query seeds for fig5 (>1 reports mean±std)")
 		csvDir  = flag.String("csv", "", "also write experiment data as CSV files into this directory")
-		jsonOut = flag.String("json", "", "write experiment data as JSON to this file (with -exp offline, snapshot, repl, hotpath, diskmode or mend)")
+		jsonOut = flag.String("json", "", "with -exp offline, write the experiment data as JSON to this file")
 		commit  = flag.String("commit", "unknown", "with -exp offline -json, the commit to record in the file (make bench-offline passes git describe)")
-		strict  = flag.Bool("strict", false, "with -exp hotpath, diskmode or mend, fail on a missed invariant (CI regression gate)")
-		budget  = flag.Int64("budget-kb", 0, "with -exp diskmode, resident table byte budget in KiB (default 512)")
 	)
 	flag.Parse()
 
@@ -47,7 +45,7 @@ func main() {
 	}
 	if err := run(*exp, dblpgen.Config{
 		Seed: *seed, Topics: *topics, Confs: *confs, Authors: *authors, Papers: *papers,
-	}, *n, experiments.TimingConfig{QueriesPerPoint: *queries, Reps: *reps}, *seeds, *csvDir, *jsonOut, *commit, *strict, *budget<<10); err != nil {
+	}, *n, experiments.TimingConfig{QueriesPerPoint: *queries, Reps: *reps}, *seeds, *csvDir, *jsonOut, *commit); err != nil {
 		fmt.Fprintln(os.Stderr, "kqr-bench:", err)
 		os.Exit(1)
 	}
@@ -59,20 +57,14 @@ var catalogue = []struct{ name, desc string }{
 	{"table1", "similar-term lists for the paper's three probe terms"},
 	{"table2", "close-term lists with attribute filters"},
 	{"fig5", "suggestion precision vs k against planted ground truth"},
-	{"fig7", "query latency vs number of query terms"},
-	{"fig8", "query latency vs candidates per term"},
-	{"fig9", "query latency vs top-k suggestions requested"},
-	{"fig10", "offline table size vs candidates per term"},
+	{"fig7", "decode latency of Algorithm 2 vs Algorithm 3 by number of query terms"},
+	{"fig8", "Algorithm 3 split into its Viterbi and A* stages by number of query terms"},
+	{"fig9", "Algorithm 3's A* stage vs top-k suggestions requested"},
+	{"fig10", "online reformulation latency vs candidates per term"},
 	{"table3", "end-to-end reformulation examples"},
 	{"synonyms", "planted-synonym recall over the whole vocabulary"},
 	{"ablation", "restart preference, smoothing λ, closeness beam"},
-	{"offline", "offline precompute scaling over worker counts"},
-	{"snapshot", "snapshot cold start vs full recompute (BENCH_snapshot.json)"},
-	{"repl", "leader/follower replication churn (BENCH_repl.json)"},
-	{"cdc", "streamed CDC ingestion soak (BENCH_cdc.json)"},
-	{"hotpath", "zero-alloc pooled decode vs allocating *Ref reference (BENCH_hotpath.json)"},
-	{"diskmode", "paged tables under a byte budget vs in-RAM (BENCH_diskmode.json)"},
-	{"mend", "typo/segmentation mending: precision recovery and overhead (BENCH_mend.json)"},
+	{"offline", "offline precompute scaling over worker counts (BENCH_offline.json)"},
 }
 
 func printCatalogue() {
@@ -82,16 +74,7 @@ func printCatalogue() {
 	}
 }
 
-func run(exp string, cfg dblpgen.Config, n int, tcfg experiments.TimingConfig, fig5Seeds int, csvDir, jsonOut, commit string, strict bool, budget int64) error {
-	if exp == "diskmode" {
-		// Disk mode builds its own engines (warm and disk-backed) over
-		// the corpus; skip the shared Setup below.
-		return runDiskmode(cfg, tcfg, jsonOut, strict, budget)
-	}
-	if exp == "mend" {
-		// Mending also builds its own live engine; skip the shared Setup.
-		return runMend(cfg, tcfg, jsonOut, strict)
-	}
+func run(exp string, cfg dblpgen.Config, n int, tcfg experiments.TimingConfig, fig5Seeds int, csvDir, jsonOut, commit string) error {
 	writeCSV := func(name string, write func(w *os.File) error) error {
 		if csvDir == "" {
 			return nil
@@ -110,7 +93,6 @@ func run(exp string, cfg dblpgen.Config, n int, tcfg experiments.TimingConfig, f
 		fmt.Println("wrote", filepath.Join(csvDir, name))
 		return nil
 	}
-	_ = writeCSV
 	start := time.Now()
 	fmt.Printf("building corpus (seed=%d topics=%d confs=%d authors=%d papers=%d)...\n",
 		cfg.Seed, cfg.Topics, cfg.Confs, cfg.Authors, cfg.Papers)
@@ -256,91 +238,6 @@ func run(exp string, cfg dblpgen.Config, n int, tcfg experiments.TimingConfig, f
 			fmt.Println("wrote", jsonOut)
 		}
 	}
-	if exp == "snapshot" {
-		ran = true
-		dir, err := os.MkdirTemp("", "kqr-snapshot-*")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(dir)
-		row, err := experiments.SnapshotColdStart(cfg, dir, 0)
-		if err != nil {
-			return fmt.Errorf("snapshot: %w", err)
-		}
-		fmt.Println(experiments.RenderSnapshot(row))
-		if jsonOut != "" {
-			f, err := os.Create(jsonOut)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if err := experiments.WriteSnapshotJSON(f, cfg, row); err != nil {
-				return err
-			}
-			fmt.Println("wrote", jsonOut)
-		}
-	}
-	if exp == "repl" {
-		ran = true
-		row, err := experiments.ReplChurn(cfg, experiments.ReplConfig{
-			Followers: 3, Rounds: 4, BatchSize: 25, Queriers: 4, Seed: cfg.Seed,
-		})
-		if err != nil {
-			return fmt.Errorf("repl: %w", err)
-		}
-		fmt.Println(experiments.RenderRepl(row))
-		if jsonOut != "" {
-			f, err := os.Create(jsonOut)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if err := experiments.WriteReplJSON(f, cfg, row); err != nil {
-				return err
-			}
-			fmt.Println("wrote", jsonOut)
-		}
-	}
-	if exp == "cdc" {
-		ran = true
-		row, err := experiments.CDCSoak(cfg, experiments.CDCConfig{Seed: cfg.Seed})
-		if err != nil {
-			return fmt.Errorf("cdc: %w", err)
-		}
-		fmt.Println(experiments.RenderCDC(row))
-		if jsonOut != "" {
-			f, err := os.Create(jsonOut)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if err := experiments.WriteCDCJSON(f, cfg, row); err != nil {
-				return err
-			}
-			fmt.Println("wrote", jsonOut)
-		}
-	}
-	if exp == "hotpath" {
-		ran = true
-		row, err := s.Hotpath(experiments.HotpathConfig{
-			Queries: tcfg.QueriesPerPoint, Seed: cfg.Seed, Strict: strict,
-		})
-		if err != nil {
-			return fmt.Errorf("hotpath: %w", err)
-		}
-		fmt.Println(experiments.RenderHotpath(row))
-		if jsonOut != "" {
-			f, err := os.Create(jsonOut)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if err := experiments.WriteHotpathJSON(f, cfg, row); err != nil {
-				return err
-			}
-			fmt.Println("wrote", jsonOut)
-		}
-	}
 	if exp == "synonyms" || exp == "all" {
 		ran = true
 		rows, err := s.SynonymRecall(64)
@@ -350,76 +247,7 @@ func run(exp string, cfg dblpgen.Config, n int, tcfg experiments.TimingConfig, f
 		fmt.Println(experiments.RenderSynonymRecall(rows))
 	}
 	if !ran {
-		return fmt.Errorf("unknown experiment %q (want all, table1, table2, fig5, fig7, fig8, fig9, fig10, table3, synonyms, ablation, offline, snapshot, repl, cdc, hotpath, diskmode or mend; see -list)", exp)
-	}
-	fmt.Printf("done in %v\n", time.Since(start).Round(time.Millisecond))
-	return nil
-}
-
-// runDiskmode runs the disk-mode experiment: paged snapshot served
-// under a byte budget, verified bit-identical to in-RAM serving.
-func runDiskmode(cfg dblpgen.Config, tcfg experiments.TimingConfig, jsonOut string, strict bool, budget int64) error {
-	start := time.Now()
-	fmt.Printf("building corpus (seed=%d topics=%d confs=%d authors=%d papers=%d)...\n",
-		cfg.Seed, cfg.Topics, cfg.Confs, cfg.Authors, cfg.Papers)
-	dir, err := os.MkdirTemp("", "kqr-diskmode-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	row, err := experiments.DiskmodeRun(cfg, experiments.DiskmodeConfig{
-		Budget:  budget,
-		Queries: tcfg.QueriesPerPoint,
-		Reps:    tcfg.Reps,
-		Seed:    cfg.Seed,
-		Strict:  strict,
-	}, dir)
-	if err != nil {
-		return fmt.Errorf("diskmode: %w", err)
-	}
-	fmt.Println(experiments.RenderDiskmode(row))
-	if jsonOut != "" {
-		f, err := os.Create(jsonOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := experiments.WriteDiskmodeJSON(f, cfg, row); err != nil {
-			return err
-		}
-		fmt.Println("wrote", jsonOut)
-	}
-	fmt.Printf("done in %v\n", time.Since(start).Round(time.Millisecond))
-	return nil
-}
-
-// runMend runs the query-mending experiment: typo/segmentation fault
-// injection, precision recovery against the clean baseline, mend vs
-// decode latency, and promotion under concurrent mended-query load.
-func runMend(cfg dblpgen.Config, tcfg experiments.TimingConfig, jsonOut string, strict bool) error {
-	start := time.Now()
-	fmt.Printf("building corpus (seed=%d topics=%d confs=%d authors=%d papers=%d)...\n",
-		cfg.Seed, cfg.Topics, cfg.Confs, cfg.Authors, cfg.Papers)
-	row, err := experiments.MendRun(cfg, experiments.MendConfig{
-		Queries: 2 * tcfg.QueriesPerPoint,
-		Reps:    tcfg.Reps,
-		Seed:    cfg.Seed,
-		Strict:  strict,
-	})
-	if err != nil {
-		return fmt.Errorf("mend: %w", err)
-	}
-	fmt.Println(experiments.RenderMend(row))
-	if jsonOut != "" {
-		f, err := os.Create(jsonOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := experiments.WriteMendJSON(f, cfg, row); err != nil {
-			return err
-		}
-		fmt.Println("wrote", jsonOut)
+		return fmt.Errorf("unknown experiment %q (want all, table1, table2, fig5, fig7, fig8, fig9, fig10, table3, synonyms, ablation or offline; see -list)", exp)
 	}
 	fmt.Printf("done in %v\n", time.Since(start).Round(time.Millisecond))
 	return nil

@@ -5,8 +5,10 @@
 // graph (paper §IV). Persisting them converts the offline stage from a
 // per-process cost into a durable artifact — a replica restarts by
 // streaming the snapshot from disk instead of re-walking the graph
-// (a 28.9 MB snapshot of an 848-term corpus loads in ~60 ms and saves
-// in ~30 ms; the warm pass it replaces takes ~0.5 s — BENCH_snapshot.json).
+// (the 27.7 MB snapshot of the system benchmark's -papers 2000 corpus
+// loads in ~0.08 s and saves in ~0.03 s; the offline build it replaces
+// takes ~0.8 s — artifact.load_s, artifact.save_s and offline_build_s in
+// BENCH_system.json).
 //
 // A Snapshot holds each table as packed.Rows, the row store's own
 // serial form: a writer streams the rows as they lie, a reader appends

@@ -119,6 +119,16 @@ func TestFeedBasic(t *testing.T) {
 	if got := paperCount(t, mgr); got != base+n {
 		t.Fatalf("papers = %d after promote, want %d", got, base+n)
 	}
+	// The stream must have reached the index, not just the table: a
+	// word only the streamed titles carry resolves and has a row.
+	g := mgr.Current()
+	nodes := g.TG.FindTerm("streamed")
+	if len(nodes) == 0 {
+		t.Fatal(`"streamed" not in the promoted generation's vocabulary`)
+	}
+	if _, err := g.Sim.SimilarNodes(nodes[0], 5); err != nil {
+		t.Fatalf(`"streamed" not answerable after promote: %v`, err)
+	}
 }
 
 func TestFeedResumesOnFreshFeeder(t *testing.T) {

@@ -208,131 +208,8 @@ func (e *Engine) fillSlot(sl *slot, i int, q graph.NodeID) error {
 	return nil
 }
 
-// buildSlots fetches candidate lists for every query term into fresh
-// slots (the allocating path of BuildQueryModel and the Ref baseline).
-func (e *Engine) buildSlots(queryNodes []graph.NodeID) ([]slot, error) {
-	slots := make([]slot, len(queryNodes))
-	for i, q := range queryNodes {
-		if err := e.fillSlot(&slots[i], i, q); err != nil {
-			return nil, err
-		}
-	}
-	return slots, nil
-}
-
-// buildModel assembles the HMM of §V-B over the slots, applying the
-// Eq. 5–6 smoothing.
-//
-// Smoothing note: Eq. 5–6 as printed mix a per-pair score with a sum
-// over the *whole* candidate query, which cannot be factored into a
-// first-order HMM. We implement the factorable analog with the same
-// intent — λ·score + (1−λ)·slotBackground, where the background is the
-// mean score over the slot's candidates (emissions) or candidate pairs
-// (transitions) — which likewise prevents a single zero factor from
-// annihilating an otherwise good query.
-func (e *Engine) buildModel(slots []slot) *hmm.Model {
-	m := len(slots)
-	lam := e.opts.SmoothingLambda
-
-	emit := make([][]float64, m)
-	for c, s := range slots {
-		col := make([]float64, len(s.cands))
-		bg, cnt := 0.0, 0
-		for _, sim := range s.sims {
-			bg += sim
-			cnt++
-		}
-		if cnt > 0 {
-			bg /= float64(cnt)
-		}
-		total := 0.0
-		for i, sim := range s.sims {
-			col[i] = lam*sim + (1-lam)*bg
-			total += col[i]
-		}
-		if total > 0 { // normalization Z_B of Eq. 9
-			for i := range col {
-				col[i] /= total
-			}
-		}
-		emit[c] = col
-	}
-
-	pi := make([]float64, len(slots[0].cands))
-	zPi := 0.0
-	for i, v := range slots[0].cands {
-		f := 1.0
-		if v == voidNode {
-			f = e.opts.VoidPenalty
-		} else {
-			f = float64(e.tg.Freq(v))
-		}
-		pi[i] = f
-		zPi += f
-	}
-	if zPi > 0 { // normalization Z_t of Eq. 7
-		for i := range pi {
-			pi[i] /= zPi
-		}
-	}
-
-	// Precompute per-step transition matrices so decoding does map
-	// lookups once, and so the smoothing background is deterministic.
-	trans := make([][][]float64, m)
-	for c := 1; c < m; c++ {
-		prev, cur := slots[c-1], slots[c]
-		tbl := make([][]float64, len(prev.cands))
-		raw := make([][]float64, len(prev.cands))
-		bg, cnt, maxV := 0.0, 0, 0.0
-		for i, a := range prev.cands {
-			raw[i] = make([]float64, len(cur.cands))
-			for j, b := range cur.cands {
-				v := 0.0
-				switch {
-				case a == voidNode || b == voidNode:
-					v = e.opts.VoidPenalty
-				default:
-					v = e.clos.Clos(a, b)
-				}
-				raw[i][j] = v
-				bg += v
-				cnt++
-				if v > maxV {
-					maxV = v
-				}
-			}
-		}
-		if cnt > 0 {
-			bg /= float64(cnt)
-		}
-		// Scale by the step maximum for numeric comparability across
-		// steps; a per-step constant factor never changes path ranking.
-		scale := 1.0
-		if maxV > 0 {
-			scale = 1 / maxV
-		}
-		for i := range raw {
-			tbl[i] = make([]float64, len(raw[i]))
-			for j := range raw[i] {
-				tbl[i][j] = (lam*raw[i][j] + (1-lam)*bg) * scale
-			}
-		}
-		trans[c] = tbl
-	}
-
-	return &hmm.Model{
-		Pi:   pi,
-		Emit: emit,
-		Trans: func(step, from, to int) float64 {
-			return trans[step][from][to]
-		},
-	}
-}
-
-// BuildQueryModel assembles — without decoding — the HMM a query would
-// be decoded under. The benchmark harness uses it to time the decoding
-// algorithms in isolation from candidate fetching (paper Figs. 7–10).
-func (e *Engine) BuildQueryModel(query []string) (*hmm.Model, error) {
+// resolve maps a query's keywords to term nodes (see ResolveTerm).
+func (e *Engine) resolve(query []string) ([]graph.NodeID, error) {
 	if len(query) == 0 {
 		return nil, fmt.Errorf("core: empty query")
 	}
@@ -344,110 +221,74 @@ func (e *Engine) BuildQueryModel(query []string) (*hmm.Model, error) {
 		}
 		nodes[i] = v
 	}
-	slots, err := e.buildSlots(nodes)
+	return nodes, nil
+}
+
+// BuildQueryModel assembles — without decoding — the HMM a query would
+// be decoded under. The benchmark harness uses it to time the decoding
+// algorithms in isolation from candidate fetching (paper Figs. 7–10).
+// The model is built on a scratch of its own that never enters the
+// engine's pool, so it stays valid for as long as the caller holds it.
+func (e *Engine) BuildQueryModel(query []string) (*hmm.Model, error) {
+	nodes, err := e.resolve(query)
 	if err != nil {
 		return nil, err
 	}
-	return e.buildModel(slots), nil
+	s := newQueryScratch()
+	if err := e.buildSlotsInto(s, nodes); err != nil {
+		return nil, err
+	}
+	e.buildModelInto(s, len(nodes))
+	return &s.model, nil
 }
 
 // Reformulate returns up to k reformulated queries for the input query
 // terms, best first. Terms must be non-empty and resolvable in the data.
 // Identity reformulations (every slot unchanged) are filtered out.
 func (e *Engine) Reformulate(query []string, k int) ([]Reformulation, error) {
-	if len(query) == 0 {
-		return nil, fmt.Errorf("core: empty query")
+	nodes, err := e.resolve(query)
+	if err != nil {
+		return nil, err
 	}
 	if k < 1 {
 		k = 1
 	}
-	nodes := make([]graph.NodeID, len(query))
-	for i, q := range query {
-		v, err := e.ResolveTerm(q)
-		if err != nil {
-			return nil, err
-		}
-		nodes[i] = v
-	}
 	return e.reformulateNodes(nodes, k)
 }
 
-// reformulateNodes is the node-level entry point shared with the
-// benchmark harness. It runs the whole decode on pooled scratch: only
-// the returned Reformulations allocate.
+// reformulateNodes runs the whole decode on pooled scratch: only the
+// returned Reformulations allocate.
 func (e *Engine) reformulateNodes(nodes []graph.NodeID, k int) ([]Reformulation, error) {
 	s := e.getScratch()
 	defer e.putScratch(s)
-	if err := e.buildSlotsInto(s, nodes); err != nil {
-		return nil, err
-	}
-	e.buildModelInto(s, len(nodes))
 	// Ask for extra paths so identity/duplicate filtering still leaves k.
-	fetch := k + len(nodes) + 2
-	var paths []hmm.Path
-	var err error
-	switch e.opts.Algorithm {
-	case AlgTopKViterbi:
-		paths, err = s.dec.TopKViterbi(&s.model, fetch)
-	default:
-		paths, _, err = s.dec.TopKAStar(&s.model, fetch)
-	}
+	paths, err := e.decode(s, nodes, k+len(nodes)+2)
 	if err != nil {
 		return nil, err
 	}
 	return e.pathsToReformulations(s.slots[:len(nodes)], paths, k), nil
 }
 
-// ReformulateRef is Reformulate on the retained allocating path: the
-// same table reads, but per-query slot and model allocation and the Ref
-// decoders. It exists as the baseline of `kqr-bench -exp hotpath` and
-// the oracle for pooled-vs-allocating equivalence tests; results are
-// bit-identical to Reformulate.
-func (e *Engine) ReformulateRef(query []string, k int) ([]Reformulation, error) {
-	if len(query) == 0 {
-		return nil, fmt.Errorf("core: empty query")
-	}
-	if k < 1 {
-		k = 1
-	}
-	nodes := make([]graph.NodeID, len(query))
-	for i, q := range query {
-		v, err := e.ResolveTerm(q)
-		if err != nil {
-			return nil, err
-		}
-		nodes[i] = v
-	}
-	return e.reformulateNodesRef(nodes, k)
-}
-
-// reformulateNodesRef is reformulateNodes over the allocating path.
-func (e *Engine) reformulateNodesRef(nodes []graph.NodeID, k int) ([]Reformulation, error) {
-	slots, err := e.buildSlots(nodes)
-	if err != nil {
+// decode is the online stage on the given scratch: packed candidate
+// fetch, model build, flat top-k decode with the engine's algorithm.
+// The returned paths alias the scratch.
+func (e *Engine) decode(s *queryScratch, nodes []graph.NodeID, k int) ([]hmm.Path, error) {
+	if err := e.buildSlotsInto(s, nodes); err != nil {
 		return nil, err
 	}
-	model := e.buildModel(slots)
-	fetch := k + len(nodes) + 2
-	var paths []hmm.Path
-	switch e.opts.Algorithm {
-	case AlgTopKViterbi:
-		paths, err = model.TopKViterbiRef(fetch)
-	default:
-		paths, _, err = model.TopKAStarRef(fetch)
+	e.buildModelInto(s, len(nodes))
+	if e.opts.Algorithm == AlgTopKViterbi {
+		return s.dec.TopKViterbi(&s.model, k)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return e.pathsToReformulations(slots, paths, k), nil
+	paths, _, err := s.dec.TopKAStar(&s.model, k)
+	return paths, err
 }
 
-// DecodePaths runs the decode hot path for a resolved query — packed
-// candidate fetch, pooled model build, flat top-k decode — and streams
+// DecodePaths runs the decode hot path for a resolved query and streams
 // the decoded paths to visit (stop early by returning false). The
 // visited Paths alias pooled scratch and are valid only inside the
 // callback. On a warmed engine a DecodePaths call performs zero heap
-// allocations; it is the operation the hotpath benchmark measures.
+// allocations.
 func (e *Engine) DecodePaths(nodes []graph.NodeID, k int, visit func(hmm.Path) bool) error {
 	if len(nodes) == 0 {
 		return fmt.Errorf("core: empty query")
@@ -457,51 +298,7 @@ func (e *Engine) DecodePaths(nodes []graph.NodeID, k int, visit func(hmm.Path) b
 	}
 	s := e.getScratch()
 	defer e.putScratch(s)
-	if err := e.buildSlotsInto(s, nodes); err != nil {
-		return err
-	}
-	e.buildModelInto(s, len(nodes))
-	var paths []hmm.Path
-	var err error
-	switch e.opts.Algorithm {
-	case AlgTopKViterbi:
-		paths, err = s.dec.TopKViterbi(&s.model, k)
-	default:
-		paths, _, err = s.dec.TopKAStar(&s.model, k)
-	}
-	if err != nil {
-		return err
-	}
-	for _, p := range paths {
-		if visit != nil && !visit(p) {
-			break
-		}
-	}
-	return nil
-}
-
-// DecodePathsRef is DecodePaths over the allocating path (per-query
-// slots and model, Ref decoders) — the hotpath benchmark's baseline.
-// The visited Paths are caller-safe copies by construction.
-func (e *Engine) DecodePathsRef(nodes []graph.NodeID, k int, visit func(hmm.Path) bool) error {
-	if len(nodes) == 0 {
-		return fmt.Errorf("core: empty query")
-	}
-	if k < 1 {
-		k = 1
-	}
-	slots, err := e.buildSlots(nodes)
-	if err != nil {
-		return err
-	}
-	model := e.buildModel(slots)
-	var paths []hmm.Path
-	switch e.opts.Algorithm {
-	case AlgTopKViterbi:
-		paths, err = model.TopKViterbiRef(k)
-	default:
-		paths, _, err = model.TopKAStarRef(k)
-	}
+	paths, err := e.decode(s, nodes, k)
 	if err != nil {
 		return err
 	}

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"kqr/internal/graph"
-)
+import "fmt"
 
 // SlotExplanation breaks down why one slot of a reformulated query was
 // chosen: the substitute's similarity to the original term (the HMM
@@ -26,25 +22,17 @@ type SlotExplanation struct {
 // produced for the query. The suggestion must have the query's length
 // (deletion-mode suggestions cannot be aligned slot-by-slot).
 func (e *Engine) Explain(query, suggestion []string) ([]SlotExplanation, error) {
-	if len(query) == 0 {
-		return nil, fmt.Errorf("core: empty query")
-	}
 	if len(suggestion) != len(query) {
 		return nil, fmt.Errorf("core: suggestion has %d terms, query has %d; only full-length suggestions can be explained",
 			len(suggestion), len(query))
 	}
-	queryNodes := make([]graph.NodeID, len(query))
-	subNodes := make([]graph.NodeID, len(suggestion))
-	for i := range query {
-		q, err := e.ResolveTerm(query[i])
-		if err != nil {
-			return nil, err
-		}
-		s, err := e.ResolveTerm(suggestion[i])
-		if err != nil {
-			return nil, err
-		}
-		queryNodes[i], subNodes[i] = q, s
+	queryNodes, err := e.resolve(query)
+	if err != nil {
+		return nil, err
+	}
+	subNodes, err := e.resolve(suggestion)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]SlotExplanation, len(query))
 	for i := range query {

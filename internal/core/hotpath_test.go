@@ -203,3 +203,66 @@ func TestDecodePathsZeroAllocsWarm(t *testing.T) {
 		t.Fatalf("warmed DecodePaths allocates %.1f times per sweep, want 0 (sink=%d)", allocs, sink)
 	}
 }
+
+// BuildQueryModel hands out a model the caller keeps: it must own its
+// scratch rather than alias the engine's pool — unchanged after 1,000
+// pooled Reformulate calls on other queries — and equal the oracle
+// builder's model element for element.
+func TestBuildQueryModelOwnsItsScratch(t *testing.T) {
+	for _, opts := range []Options{{}, {AllowDeletion: true}, {DropOriginal: true, CandidatesPerTerm: 25}} {
+		_, eng := newWarmFixtureEngine(t, opts)
+		query := []string{"xml", "data", "query"} // not one of hotpathQueries
+		m, err := eng.BuildQueryModel(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes, err := eng.resolve(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slots, err := eng.buildSlots(nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := eng.buildModel(slots)
+		check := func(when string) {
+			t.Helper()
+			if len(m.Pi) != len(want.Pi) || len(m.Emit) != len(want.Emit) {
+				t.Fatalf("opts %+v, %s: model shape %d/%d, oracle %d/%d",
+					opts, when, len(m.Pi), len(m.Emit), len(want.Pi), len(want.Emit))
+			}
+			for i := range want.Pi {
+				if m.Pi[i] != want.Pi[i] {
+					t.Fatalf("opts %+v, %s: Pi[%d] = %v, oracle %v", opts, when, i, m.Pi[i], want.Pi[i])
+				}
+			}
+			for c := range want.Emit {
+				if len(m.Emit[c]) != len(want.Emit[c]) {
+					t.Fatalf("opts %+v, %s: step %d has %d states, oracle %d",
+						opts, when, c, len(m.Emit[c]), len(want.Emit[c]))
+				}
+				for j := range want.Emit[c] {
+					if m.Emit[c][j] != want.Emit[c][j] {
+						t.Fatalf("opts %+v, %s: Emit[%d][%d] = %v, oracle %v",
+							opts, when, c, j, m.Emit[c][j], want.Emit[c][j])
+					}
+					if c == 0 {
+						continue
+					}
+					for i := range want.Emit[c-1] {
+						if got, w := m.Trans(c, i, j), want.Trans(c, i, j); got != w {
+							t.Fatalf("opts %+v, %s: Trans(%d,%d,%d) = %v, oracle %v", opts, when, c, i, j, got, w)
+						}
+					}
+				}
+			}
+		}
+		check("fresh")
+		for i := 0; i < 1000; i++ {
+			if _, err := eng.Reformulate(hotpathQueries[i%len(hotpathQueries)], 8); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check("after 1000 pooled Reformulate calls")
+	}
+}

@@ -16,25 +16,20 @@ import (
 // Cartesian product over the per-slot candidate lists (each sorted by
 // similarity), so only O(k·m) combinations are materialized.
 func (e *Engine) ReformulateRankBased(query []string, k int) ([]Reformulation, error) {
-	if len(query) == 0 {
-		return nil, fmt.Errorf("core: empty query")
+	nodes, err := e.resolve(query)
+	if err != nil {
+		return nil, err
 	}
 	if k < 1 {
 		k = 1
 	}
-	nodes := make([]graph.NodeID, len(query))
-	for i, q := range query {
-		v, err := e.ResolveTerm(q)
-		if err != nil {
-			return nil, err
-		}
-		nodes[i] = v
-	}
-	slots, err := e.buildSlots(nodes)
-	if err != nil {
+	scratch := e.getScratch()
+	defer e.putScratch(scratch)
+	if err := e.buildSlotsInto(scratch, nodes); err != nil {
 		return nil, err
 	}
-	// Sort each slot's candidates by descending similarity (buildSlots
+	slots := scratch.slots[:len(nodes)]
+	// Sort each slot's candidates by descending similarity (fillSlot
 	// emits them roughly sorted, but the original/void injections break
 	// strict order).
 	type cand struct {
@@ -149,10 +144,10 @@ type comboHeap struct {
 	less  func(a, b combo) bool
 }
 
-func (h *comboHeap) Len() int            { return len(h.items) }
-func (h *comboHeap) Less(i, j int) bool  { return h.less(h.items[i], h.items[j]) }
-func (h *comboHeap) Swap(i, j int)       { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *comboHeap) Push(x any)          { h.items = append(h.items, x.(combo)) }
+func (h *comboHeap) Len() int           { return len(h.items) }
+func (h *comboHeap) Less(i, j int) bool { return h.less(h.items[i], h.items[j]) }
+func (h *comboHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
+func (h *comboHeap) Push(x any)         { h.items = append(h.items, x.(combo)) }
 func (h *comboHeap) Pop() any {
 	old := h.items
 	n := len(old)

@@ -56,7 +56,8 @@ func (e *Engine) getScratch() *queryScratch {
 // finished with every path and slot view derived from it.
 func (e *Engine) putScratch(s *queryScratch) { e.pool.Put(s) }
 
-// buildSlotsInto is buildSlots writing into pooled storage.
+// buildSlotsInto fetches the candidate list of every query term into
+// the scratch's slots.
 func (e *Engine) buildSlotsInto(s *queryScratch, queryNodes []graph.NodeID) error {
 	for len(s.slots) < len(queryNodes) {
 		s.slots = append(s.slots, slot{})
@@ -69,10 +70,20 @@ func (e *Engine) buildSlotsInto(s *queryScratch, queryNodes []graph.NodeID) erro
 	return nil
 }
 
-// buildModelInto is buildModel writing into pooled storage: the same
-// arithmetic in the same order (so scores stay bit-identical), with the
-// emission columns packed into one flat buffer and the per-step
-// transition matrices flattened behind the scratch's reusable closure.
+// buildModelInto assembles the HMM of §V-B over the scratch's first m
+// slots, applying the Eq. 5–6 smoothing: emission columns packed into
+// one flat buffer, the initial distribution from term frequency, and
+// the per-step transition matrices precomputed (so decoding does each
+// closeness lookup once and the smoothing background is deterministic)
+// and flattened behind the scratch's reusable closure.
+//
+// Smoothing note: Eq. 5–6 as printed mix a per-pair score with a sum
+// over the *whole* candidate query, which cannot be factored into a
+// first-order HMM. We implement the factorable analog with the same
+// intent — λ·score + (1−λ)·slotBackground, where the background is the
+// mean score over the slot's candidates (emissions) or candidate pairs
+// (transitions) — which likewise prevents a single zero factor from
+// annihilating an otherwise good query.
 func (e *Engine) buildModelInto(s *queryScratch, m int) {
 	lam := e.opts.SmoothingLambda
 	slots := s.slots[:m]
@@ -165,6 +176,8 @@ func (e *Engine) buildModelInto(s *queryScratch, m int) {
 		if cnt > 0 {
 			bg /= float64(cnt)
 		}
+		// Scale by the step maximum for numeric comparability across
+		// steps; a per-step constant factor never changes path ranking.
 		scale := 1.0
 		if maxV > 0 {
 			scale = 1 / maxV

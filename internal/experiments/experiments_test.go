@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -119,32 +120,51 @@ func TestFig5Shape(t *testing.T) {
 
 func TestFig7And8(t *testing.T) {
 	s := setup(t)
-	cfg := TimingConfig{QueriesPerPoint: 4, Reps: 1, K: 5}
-	rows7, err := s.Fig7(3, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows7) != 3 {
-		t.Fatalf("fig7 rows = %d", len(rows7))
-	}
-	for _, r := range rows7 {
-		if r.Alg2 <= 0 || r.Alg3 <= 0 {
-			t.Fatalf("non-positive timing %+v", r)
+	cfg := TimingConfig{QueriesPerPoint: 4, Reps: 200, K: 5}
+	// Both figures time the same flat decoder on the same models, so at
+	// each length Fig. 8's two stages must add up to about Fig. 7's
+	// Algorithm 3 column. Wall-clock numbers this small can be hit by a
+	// scheduler stall, so the tie gets three attempts.
+	var tie string
+	for attempt := 0; attempt < 3; attempt++ {
+		rows7, err := s.Fig7(3, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows7) != 3 {
+			t.Fatalf("fig7 rows = %d", len(rows7))
+		}
+		for _, r := range rows7 {
+			if r.Alg2 <= 0 || r.Alg3 <= 0 {
+				t.Fatalf("non-positive timing %+v", r)
+			}
+		}
+		if out := RenderFig7(rows7); !strings.Contains(out, "speedup") {
+			t.Fatalf("render: %q", out)
+		}
+		rows8, err := s.Fig8(3, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows8) != 3 {
+			t.Fatalf("fig8 rows = %d", len(rows8))
+		}
+		if out := RenderFig8(rows8); !strings.Contains(out, "Viterbi stage") {
+			t.Fatalf("render: %q", out)
+		}
+		tie = ""
+		for i, r8 := range rows8 {
+			split, whole := r8.Viterbi+r8.AStar, rows7[i].Alg3
+			if r8.Viterbi <= 0 || r8.AStar <= 0 || split > 2*whole || whole > 2*split {
+				tie = fmt.Sprintf("length %d: Fig. 8 stages %v + %v not within 2x of Fig. 7 Alg. 3 %v",
+					r8.Length, r8.Viterbi, r8.AStar, whole)
+			}
+		}
+		if tie == "" {
+			return
 		}
 	}
-	if out := RenderFig7(rows7); !strings.Contains(out, "speedup") {
-		t.Fatalf("render: %q", out)
-	}
-	rows8, err := s.Fig8(3, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows8) != 3 {
-		t.Fatalf("fig8 rows = %d", len(rows8))
-	}
-	if out := RenderFig8(rows8); !strings.Contains(out, "Viterbi stage") {
-		t.Fatalf("render: %q", out)
-	}
+	t.Fatal(tie)
 }
 
 func TestFig9And10(t *testing.T) {

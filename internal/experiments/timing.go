@@ -75,9 +75,12 @@ func (s *Setup) Fig7(maxLen int, cfg TimingConfig) ([]Fig7Row, error) {
 			return nil, err
 		}
 		row := Fig7Row{Length: length}
+		// One reused Decoder, as the serving path runs it: no
+		// caller-owned copy of the paths.
+		var dec hmm.Decoder
 		t2, err := timeIt(cfg.Reps, func() error {
 			for _, m := range models {
-				if _, err := m.TopKViterbi(cfg.K); err != nil {
+				if _, err := dec.TopKViterbi(m, cfg.K); err != nil {
 					return err
 				}
 			}
@@ -88,7 +91,7 @@ func (s *Setup) Fig7(maxLen int, cfg TimingConfig) ([]Fig7Row, error) {
 		}
 		t3, err := timeIt(cfg.Reps, func() error {
 			for _, m := range models {
-				if _, _, err := m.TopKAStar(cfg.K); err != nil {
+				if _, _, err := dec.TopKAStar(m, cfg.K); err != nil {
 					return err
 				}
 			}
@@ -117,6 +120,44 @@ type Fig8Row struct {
 	AStar   time.Duration // backward best-first search (stage 2)
 }
 
+// stageSplit times the two halves of the flat decoder's Algorithm 3 —
+// the code Fig. 7's Alg. 3 column and the serving path run — over the
+// models: Decoder.Forward once per model, then Decoder.Search for each
+// k on the heuristic table that forward pass left behind (one Decoder
+// per model keeps every table alive between the two timings). Both
+// come back as per-model averages.
+func stageSplit(models []*hmm.Model, ks []int, reps int) (forward time.Duration, search []time.Duration, err error) {
+	decs := make([]hmm.Decoder, len(models))
+	n := time.Duration(len(models))
+	forward, err = timeIt(reps, func() error {
+		for i, m := range models {
+			if err := decs[i].Forward(m); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return 0, nil, err
+	}
+	search = make([]time.Duration, len(ks))
+	for x, k := range ks {
+		t, err := timeIt(reps, func() error {
+			for i, m := range models {
+				if _, _, err := decs[i].Search(m, k); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return 0, nil, err
+		}
+		search[x] = t / n
+	}
+	return forward / n, search, nil
+}
+
 // Fig8 sweeps query length 1..maxLen.
 func (s *Setup) Fig8(maxLen int, cfg TimingConfig) ([]Fig8Row, error) {
 	cfg = cfg.withDefaults()
@@ -126,36 +167,11 @@ func (s *Setup) Fig8(maxLen int, cfg TimingConfig) ([]Fig8Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		heuristics := make([][][]float64, len(models))
-		tFwd, err := timeIt(cfg.Reps, func() error {
-			for i, m := range models {
-				h, err := m.Forward()
-				if err != nil {
-					return err
-				}
-				heuristics[i] = h
-			}
-			return nil
-		})
+		fwd, search, err := stageSplit(models, []int{cfg.K}, cfg.Reps)
 		if err != nil {
 			return nil, err
 		}
-		tAstar, err := timeIt(cfg.Reps, func() error {
-			for i, m := range models {
-				if _, _, err := m.TopKAStarWithHeuristic(cfg.K, heuristics[i]); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Fig8Row{
-			Length:  length,
-			Viterbi: tFwd / time.Duration(len(models)),
-			AStar:   tAstar / time.Duration(len(models)),
-		})
+		out = append(out, Fig8Row{Length: length, Viterbi: fwd, AStar: search[0]})
 	}
 	return out, nil
 }
@@ -177,38 +193,13 @@ func (s *Setup) Fig9(length int, ks []int, cfg TimingConfig) ([]Fig9Row, error) 
 	if err != nil {
 		return nil, err
 	}
-	heuristics := make([][][]float64, len(models))
-	tFwd, err := timeIt(cfg.Reps, func() error {
-		for i, m := range models {
-			h, err := m.Forward()
-			if err != nil {
-				return err
-			}
-			heuristics[i] = h
-		}
-		return nil
-	})
+	fwd, search, err := stageSplit(models, ks, cfg.Reps)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]Fig9Row, 0, len(ks))
-	for _, k := range ks {
-		tAstar, err := timeIt(cfg.Reps, func() error {
-			for i, m := range models {
-				if _, _, err := m.TopKAStarWithHeuristic(k, heuristics[i]); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Fig9Row{
-			K:       k,
-			Viterbi: tFwd / time.Duration(len(models)),
-			AStar:   tAstar / time.Duration(len(models)),
-		})
+	for x, k := range ks {
+		out = append(out, Fig9Row{K: k, Viterbi: fwd, AStar: search[x]})
 	}
 	return out, nil
 }

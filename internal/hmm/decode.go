@@ -1,28 +1,30 @@
 package hmm
 
-import "sort"
+import (
+	"fmt"
+	"sort"
+)
 
-// This file holds the flat, pooled decoder behind the production entry
-// points Model.TopKViterbi and Model.TopKAStar. It reruns exactly the
-// recurrences of the reference implementations in topk.go, but over
+// This file holds the flat, pooled decoder behind the entry points
+// Model.TopKViterbi and Model.TopKAStar. Everything it touches lives in
 // contiguous arrays owned by a reusable Decoder:
 //
 //   - the Viterbi heuristic table h lives in one flat []float64 indexed
-//     through per-step offsets instead of a [][]float64;
+//     through per-step offsets;
 //   - Algorithm 2's per-(step,state) candidate lists live in one
 //     fixed-stride arena of pathEntry cells;
 //   - Algorithm 3's frontier is a hand-rolled binary max-heap of int32
-//     indices into a flat node arena, replacing *astarNode chains and
-//     container/heap's interface boxing;
+//     indices into a flat node arena (no node pointers, no
+//     container/heap interface boxing);
 //   - decoded paths share one flat states arena, pre-reserved before
 //     reconstruction so earlier Path.States slices never move.
 //
 // Every buffer grows to its high-water mark and is then reused, so a
 // warmed Decoder performs zero heap allocations per decode. All
 // floating-point operations, iteration orders, comparison functions,
-// and heap sift semantics mirror the reference path exactly, which
-// makes the results bit-identical — a property the tests enforce
-// against both the Ref decoders and BruteForce.
+// and heap sift semantics mirror the reference implementations in
+// hmmtest exactly, which makes the results bit-identical — a property
+// the tests enforce against both those and brute-force enumeration.
 
 // Decoder is reusable scratch state for the flat decode hot path. A
 // Decoder is not safe for concurrent use; get one per goroutine from
@@ -57,8 +59,22 @@ type Decoder struct {
 	stats  AStarStats
 }
 
-// flatNode is astarNode with the suffix pointer replaced by an arena
-// index (-1 terminates the chain).
+// pathEntry is one of the k best partial paths ending at a given state
+// (Algorithm 2), stored as a parent reference into the previous step's
+// cell so no path copying happens until reconstruction.
+type pathEntry struct {
+	score    float64
+	prevRank int // index into the previous state's cell; -1 at step 0
+	prev     int // previous state; -1 at step 0
+}
+
+// flatNode is a partial path of Algorithm 3 covering steps step..m-1,
+// built backwards; next is the arena index of its suffix continuation
+// (the state at step+1, ...; -1 terminates the chain). g is the product
+// of every factor strictly after this step's heuristic:
+// Π_{t=step+1..m-1} Trans(t, s_{t-1}, s_t)·Emit[t][s_t]. The priority is
+// f = h[step][front]·g, an exact upper bound on any completion: h is
+// the best achievable prefix through front, and g is the fixed suffix.
 type flatNode struct {
 	g, f  float64
 	step  int32
@@ -66,10 +82,10 @@ type flatNode struct {
 	next  int32
 }
 
-// entrySorter sorts a pathEntry buffer with the same total order as
-// sortEntries; held by value in the Decoder so sort.Sort(&d.cands)
-// converts an existing heap pointer to the interface without
-// allocating.
+// entrySorter sorts a pathEntry buffer by score descending, then
+// previous state and previous rank ascending; held by value in the
+// Decoder so sort.Sort(&d.cands) converts an existing heap pointer to
+// the interface without allocating.
 type entrySorter struct{ es []pathEntry }
 
 func (s *entrySorter) Len() int { return len(s.es) }
@@ -85,15 +101,16 @@ func (s *entrySorter) Less(i, j int) bool {
 }
 func (s *entrySorter) Swap(i, j int) { s.es[i], s.es[j] = s.es[j], s.es[i] }
 
-// tailEntry mirrors the reference tail struct of TopKViterbiRef.
+// tailEntry is one final-step cell entry, a candidate for the global
+// top k of Algorithm 2.
 type tailEntry struct {
 	score float64
 	state int32
 	rank  int32
 }
 
-// tailSorter sorts final-step tails with the same total order as the
-// reference: score desc, state asc, rank asc.
+// tailSorter sorts final-step tails by score descending, then state
+// and rank ascending.
 type tailSorter struct{ ts []tailEntry }
 
 func (s *tailSorter) Len() int { return len(s.ts) }
@@ -109,11 +126,9 @@ func (s *tailSorter) Less(i, j int) bool {
 }
 func (s *tailSorter) Swap(i, j int) { s.ts[i], s.ts[j] = s.ts[j], s.ts[i] }
 
-// forwardFlat fills d.off and d.h with the Viterbi forward recurrence
-// of Model.forward, minus the backpointers (only Viterbi top-1 needs
-// those). Identical arithmetic and iteration order keep h bit-identical
-// to the reference table.
-func (d *Decoder) forwardFlat(m *Model) {
+// layout fills d.off with the model's per-step offsets (steps+1 entries)
+// and returns the total state count.
+func (d *Decoder) layout(m *Model) int {
 	steps := m.Steps()
 	d.off = growI32(d.off, steps+1)
 	total := 0
@@ -122,6 +137,25 @@ func (d *Decoder) forwardFlat(m *Model) {
 		total += len(m.Emit[c])
 	}
 	d.off[steps] = int32(total)
+	return total
+}
+
+// Forward is the first stage of Algorithm 3: the Viterbi forward pass.
+// It fills the Decoder's heuristic table with h[c][j], the best prefix
+// score ending at state j of step c —
+//
+//	h[0][i] = Pi[i]·Emit[0][i]
+//	h[c][j] = max_i h[c-1][i]·Trans(c, i, j) · Emit[c][j]
+//
+// (no backpointers: the backward search rebuilds paths itself) — for
+// Search to consume. TopKAStar runs both; they are separate so the two
+// stages can be timed independently (the paper's Figure 8).
+func (d *Decoder) Forward(m *Model) error {
+	if err := m.Validate(); err != nil {
+		return err
+	}
+	steps := m.Steps()
+	total := d.layout(m)
 	d.h = growF64(d.h, total)
 
 	h0 := d.h[:len(m.Emit[0])]
@@ -144,11 +178,24 @@ func (d *Decoder) forwardFlat(m *Model) {
 			cur[j] = best * m.Emit[c][j]
 		}
 	}
+	return nil
 }
 
-// TopKViterbi runs the paper's Algorithm 2 (see TopKViterbiRef for the
-// recurrence) on the Decoder's flat scratch. The returned paths alias
-// the Decoder's arenas.
+// TopKViterbi runs the paper's Algorithm 2 on the Decoder's flat
+// scratch: the Viterbi recurrence generalized so every (step, state)
+// cell keeps its k best incoming partial paths, sorted by descending
+// score —
+//
+//	cell(0, i) = {Pi[i]·Emit[0][i]}
+//	cell(c, j) = top-k over i, r of cell(c-1, i)[r]·Trans(c, i, j)·Emit[c][j]
+//
+// — then the global top k over the last step's cells, reconstructed
+// through the parent references. Zero-probability paths are pruned
+// ("states with zero or low closeness with the previous state could be
+// discarded", §V-C), including candidates whose score product
+// underflows to exactly zero, so fewer than k paths come back when
+// fewer positive-probability complete paths exist. The returned paths
+// alias the Decoder's arenas.
 func (d *Decoder) TopKViterbi(m *Model, k int) ([]Path, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -157,13 +204,7 @@ func (d *Decoder) TopKViterbi(m *Model, k int) ([]Path, error) {
 		k = 1
 	}
 	steps := m.Steps()
-	d.off = growI32(d.off, steps+1)
-	total := 0
-	for c := 0; c < steps; c++ {
-		d.off[c] = int32(total)
-		total += len(m.Emit[c])
-	}
-	d.off[steps] = int32(total)
+	total := d.layout(m)
 	d.cells = growEntries(d.cells, total*k)
 	d.cellLen = growI32(d.cellLen, total)
 
@@ -200,8 +241,9 @@ func (d *Decoder) TopKViterbi(m *Model, k int) ([]Path, error) {
 				for rank := 0; rank < plen; rank++ {
 					s := prow[rank].score * tr * emit
 					if s == 0 {
-						// Underflowed product; the reference path drops
-						// these too so both stay aligned with BruteForce.
+						// The factors are positive but the product
+						// underflowed; keeping it would surface a
+						// zero-score path.
 						continue
 					}
 					d.cands.es = append(d.cands.es, pathEntry{score: s, prevRank: rank, prev: i})
@@ -250,20 +292,39 @@ func (d *Decoder) TopKViterbi(m *Model, k int) ([]Path, error) {
 	return d.paths[:nt], nil
 }
 
-// TopKAStar runs the paper's Algorithm 3 (see TopKAStarRef for the
-// search) on the Decoder's flat scratch: forward pass into the flat
-// heuristic table, then the A* backward search over an index-linked
-// node arena. The returned paths and stats alias the Decoder and are
-// valid until the next call.
+// TopKAStar runs the paper's Algorithm 3 on the Decoder's flat scratch:
+// Forward, then Search. The returned paths and stats alias the Decoder
+// and are valid until the next call.
 func (d *Decoder) TopKAStar(m *Model, k int) ([]Path, *AStarStats, error) {
-	if err := m.Validate(); err != nil {
+	if err := d.Forward(m); err != nil {
 		return nil, nil, err
+	}
+	return d.Search(m, k)
+}
+
+// Search is the second stage of Algorithm 3: a best-first backward
+// search over the heuristic table the preceding Forward(m) left in the
+// Decoder (which it does not modify, so one Forward serves any number
+// of Searches on the same model). Suffixes grow from the last step,
+// each scored by the exact bound f = h·g. Because f is exact for
+// complete paths and an upper bound for partial ones, paths pop off the
+// frontier in global score order and the first k complete pops are the
+// top k. Fewer than k paths come back when fewer positive-probability
+// paths exist. The returned paths and stats alias the Decoder and are
+// valid until the next call.
+func (d *Decoder) Search(m *Model, k int) ([]Path, *AStarStats, error) {
+	steps := m.Steps()
+	if len(d.off) != steps+1 || len(d.h) != int(d.off[steps]) {
+		return nil, nil, fmt.Errorf("hmm: Search on a %d-step model without a Forward pass over it", steps)
+	}
+	for c := 0; c < steps; c++ {
+		if int(d.off[c+1]-d.off[c]) != len(m.Emit[c]) {
+			return nil, nil, fmt.Errorf("hmm: Search on a model whose step %d does not match the last Forward pass", c)
+		}
 	}
 	if k < 1 {
 		k = 1
 	}
-	d.forwardFlat(m)
-	steps := m.Steps()
 	last := steps - 1
 	d.stats = AStarStats{ForwardStates: int(d.off[steps])}
 
@@ -329,7 +390,7 @@ func (d *Decoder) TopKAStar(m *Model, k int) ([]Path, *AStarStats, error) {
 	return d.paths, &d.stats, nil
 }
 
-// heapLess mirrors nodeHeap.Less: max on f, then step asc, front asc.
+// heapLess orders the frontier: max on f, then step asc, front asc.
 func (d *Decoder) heapLess(a, b int32) bool {
 	x, y := &d.arena[a], &d.arena[b]
 	if x.f != y.f {
@@ -344,8 +405,8 @@ func (d *Decoder) heapLess(a, b int32) bool {
 // The three heap primitives replicate container/heap's Init/Push/Pop
 // sift semantics exactly (same child choice, same swap sequence), so a
 // frontier fed the same nodes in the same order pops in the same order
-// as the reference nodeHeap — including among full ties, where the
-// result depends on sift history rather than the comparator.
+// as the reference's container/heap — including among full ties, where
+// the result depends on sift history rather than the comparator.
 
 func (d *Decoder) heapInit() {
 	n := len(d.heap)

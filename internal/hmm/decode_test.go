@@ -1,9 +1,12 @@
-package hmm
+package hmm_test
 
 import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	. "kqr/internal/hmm"
+	"kqr/internal/hmm/hmmtest"
 )
 
 // Regression: Score on a multi-step model with nil Trans must return
@@ -50,13 +53,13 @@ func TestTopKViterbiUnderflowPruned(t *testing.T) {
 		// products below ~1e-324 (the smallest subnormal), others survive.
 		m := underflowModel(rng, 3+rng.Intn(3), 4, 1e-108)
 		k := 1 + rng.Intn(8)
-		want, err := m.BruteForce(k)
+		want, err := hmmtest.BruteForce(m, k)
 		if err != nil {
 			return false
 		}
 		for _, decode := range []func() ([]Path, error){
 			func() ([]Path, error) { return m.TopKViterbi(k) },
-			func() ([]Path, error) { return m.TopKViterbiRef(k) },
+			func() ([]Path, error) { return hmmtest.TopKViterbiRef(m, k) },
 			func() ([]Path, error) { ps, _, err := m.TopKAStar(k); return ps, err },
 		} {
 			got, err := decode()
@@ -93,7 +96,7 @@ func TestTopKViterbiTotalUnderflow(t *testing.T) {
 			t.Fatalf("returned zero-score path %v", p.States)
 		}
 	}
-	want, err := m.BruteForce(5)
+	want, err := hmmtest.BruteForce(m, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +135,7 @@ func TestDecoderBitIdenticalToRef(t *testing.T) {
 		}
 		k := 1 + rng.Intn(8)
 
-		wantV, err := m.TopKViterbiRef(k)
+		wantV, err := hmmtest.TopKViterbiRef(m, k)
 		if err != nil {
 			return false
 		}
@@ -141,7 +144,7 @@ func TestDecoderBitIdenticalToRef(t *testing.T) {
 			return false
 		}
 
-		wantA, wantStats, err := m.TopKAStarRef(k)
+		wantA, wantStats, err := hmmtest.TopKAStarRef(m, k)
 		if err != nil {
 			return false
 		}
@@ -199,5 +202,48 @@ func TestDecoderZeroAllocsWarm(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("warmed decode path allocates %.1f times per op, want 0", allocs)
+	}
+}
+
+// Algorithm 3's two halves are callable on their own (Fig. 8 times
+// them apart, Fig. 9 reuses one forward pass across k): one Forward
+// must serve any number of Searches and give exactly TopKAStar's
+// paths, and a Search with no matching Forward behind it must be an
+// error, not a read of some other model's heuristic table.
+func TestForwardSearchSplit(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	d := new(Decoder)
+	m := randomModel(rng, 4, 6)
+	if _, _, err := d.Search(m, 3); err == nil {
+		t.Fatal("Search on a fresh Decoder returned no error")
+	}
+	if _, err := d.TopKViterbi(m, 3); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := d.Search(m, 3); err == nil {
+		t.Fatal("Search after TopKViterbi alone (offsets laid out, no heuristic table) returned no error")
+	}
+	if err := d.Forward(m); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{1, 3, 7, 3} {
+		want, wantStats, err := m.TopKAStar(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, stats, err := d.Search(m, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !samePathsExact(got, want) || *stats != *wantStats {
+			t.Fatalf("k=%d: Search after one Forward diverged from TopKAStar", k)
+		}
+	}
+	other := randomModel(rng, 5, 6)
+	if _, _, err := d.Search(other, 3); err == nil {
+		t.Fatal("Search on a model of another shape returned no error")
+	}
+	if err := d.Forward(&Model{}); err == nil {
+		t.Fatal("Forward on an empty model returned no error")
 	}
 }

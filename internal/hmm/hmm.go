@@ -1,24 +1,26 @@
 // Package hmm implements the first-order hidden Markov model that the
 // paper's online stage uses to turn per-term candidate lists into
-// reformulated queries (§V-B), together with three decoders:
+// reformulated queries (§V-B), together with its two top-k decoders,
+// both run by the flat, reusable Decoder:
 //
-//   - Viterbi: the classic top-1 dynamic program.
 //   - TopKViterbi: the paper's Algorithm 2 — Viterbi generalized to keep
 //     the k best partial paths per state per step, O(m·n²·k·log k).
 //   - TopKAStar: the paper's Algorithm 3 — one Viterbi forward pass to
-//     collect exact heuristic scores, then a best-first A* backward
-//     search that expands only the partial paths that can still reach
-//     the top k.
+//     collect exact heuristic scores (Decoder.Forward), then a
+//     best-first A* backward search that expands only the partial paths
+//     that can still reach the top k (Decoder.Search).
 //
 // The model is positional: step c has its own state list (the candidate
 // terms of query slot c), its own emission column, and transitions are
 // evaluated lazily through a function (a closeness lookup in practice).
+//
+// The pointer/container-heap reference implementations the Decoder is
+// tested bit-for-bit against live in the test-support package hmmtest.
 package hmm
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // TransFunc returns the transition probability of moving from state
@@ -103,80 +105,13 @@ func (m *Model) Score(states []int) (float64, error) {
 	return score, nil
 }
 
-// forward runs the Viterbi dynamic program and returns, per step and
-// state, the best prefix score ending there (h in Algorithm 3) plus the
-// backpointers of the best path.
-func (m *Model) forward() (h [][]float64, back [][]int) {
-	steps := m.Steps()
-	h = make([][]float64, steps)
-	back = make([][]int, steps)
-	h[0] = make([]float64, len(m.Emit[0]))
-	back[0] = make([]int, len(m.Emit[0]))
-	for i := range h[0] {
-		h[0][i] = m.Pi[i] * m.Emit[0][i]
-		back[0][i] = -1
-	}
-	for c := 1; c < steps; c++ {
-		n := len(m.Emit[c])
-		prevN := len(m.Emit[c-1])
-		h[c] = make([]float64, n)
-		back[c] = make([]int, n)
-		for j := 0; j < n; j++ {
-			best, bestPrev := 0.0, -1
-			for i := 0; i < prevN; i++ {
-				if h[c-1][i] == 0 {
-					continue
-				}
-				s := h[c-1][i] * m.Trans(c, i, j)
-				if s > best {
-					best, bestPrev = s, i
-				}
-			}
-			h[c][j] = best * m.Emit[c][j]
-			back[c][j] = bestPrev
-		}
-	}
-	return h, back
-}
-
-// Viterbi returns the single most probable hidden-state sequence. If
-// every complete path has probability zero it returns ok=false.
-func (m *Model) Viterbi() (Path, bool, error) {
-	if err := m.Validate(); err != nil {
-		return Path{}, false, err
-	}
-	h, back := m.forward()
-	last := m.Steps() - 1
-	best, bestState := 0.0, -1
-	for i, s := range h[last] {
-		if s > best {
-			best, bestState = s, i
-		}
-	}
-	if bestState < 0 {
-		return Path{}, false, nil
-	}
-	states := make([]int, m.Steps())
-	for c, s := last, bestState; c >= 0; c-- {
-		states[c] = s
-		s = back[c][s]
-	}
-	return Path{States: states, Score: best}, true, nil
-}
-
-// sortPaths orders by descending score with lexicographic state order as
-// the deterministic tie-break.
-func sortPaths(ps []Path) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].Score != ps[j].Score {
-			return ps[i].Score > ps[j].Score
-		}
-		a, b := ps[i].States, ps[j].States
-		for x := range a {
-			if a[x] != b[x] {
-				return a[x] < b[x]
-			}
-		}
-		return false
-	})
+// AStarStats reports the work split between the two stages of
+// Algorithm 3, for the paper's Figure 8.
+type AStarStats struct {
+	// ForwardStates counts Viterbi cell evaluations.
+	ForwardStates int
+	// Expanded counts A* node expansions (heap pops).
+	Expanded int
+	// Pushed counts A* nodes generated.
+	Pushed int
 }

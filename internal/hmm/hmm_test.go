@@ -1,10 +1,13 @@
-package hmm
+package hmm_test
 
 import (
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	. "kqr/internal/hmm"
+	"kqr/internal/hmm/hmmtest"
 )
 
 // tinyModel: 3 steps, 2 states each, hand-checkable.
@@ -68,11 +71,11 @@ func TestScore(t *testing.T) {
 
 func TestViterbiMatchesBruteForce(t *testing.T) {
 	m := tinyModel()
-	vp, ok, err := m.Viterbi()
+	vp, ok, err := hmmtest.Viterbi(m)
 	if err != nil || !ok {
 		t.Fatalf("Viterbi: %v, ok=%v", err, ok)
 	}
-	bf, err := m.BruteForce(1)
+	bf, err := hmmtest.BruteForce(m, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +97,7 @@ func TestViterbiAllZero(t *testing.T) {
 		Emit:  [][]float64{{0, 0}, {1, 1}},
 		Trans: func(int, int, int) float64 { return 1 },
 	}
-	_, ok, err := m.Viterbi()
+	_, ok, err := hmmtest.Viterbi(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +108,7 @@ func TestViterbiAllZero(t *testing.T) {
 
 func TestSingleStepModel(t *testing.T) {
 	m := &Model{Pi: []float64{0.2, 0.8}, Emit: [][]float64{{0.9, 0.5}}}
-	p, ok, err := m.Viterbi()
+	p, ok, err := hmmtest.Viterbi(m)
 	if err != nil || !ok {
 		t.Fatalf("%v %v", err, ok)
 	}
@@ -143,7 +146,7 @@ func assertSameScores(t *testing.T, name string, got, want []Path) {
 func TestTopKMatchesBruteForceOnTiny(t *testing.T) {
 	m := tinyModel()
 	for _, k := range []int{1, 2, 3, 5, 8, 100} {
-		want, err := m.BruteForce(k)
+		want, err := hmmtest.BruteForce(m, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +214,7 @@ func TestDecodersAgreeProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		m := randomModel(rng, 1+rng.Intn(5), 4)
 		k := 1 + rng.Intn(6)
-		want, err := m.BruteForce(k)
+		want, err := hmmtest.BruteForce(m, k)
 		if err != nil {
 			return false
 		}
@@ -245,7 +248,7 @@ func TestDecodersAgreeProperty(t *testing.T) {
 			}
 		}
 		// Viterbi top-1 agrees when any path exists.
-		vp, ok, err := m.Viterbi()
+		vp, ok, err := hmmtest.Viterbi(m)
 		if err != nil {
 			return false
 		}

@@ -1,18 +1,82 @@
-package hmm
+// Package hmmtest holds the reference decoders the tests of hmm and core
+// compare the flat hmm.Decoder against: the original map/pointer-heavy
+// implementations of Algorithms 2 and 3, the top-1 Viterbi dynamic
+// program, and an exhaustive enumerator. Nothing outside _test files
+// imports it, so the shipping binaries carry one decoder.
+//
+// The Decoder's results are bit-identical to these by construction
+// (same floating-point operations, iteration orders, comparison
+// functions and heap sift semantics) and by test.
+package hmmtest
 
 import (
 	"container/heap"
 	"fmt"
 	"sort"
+
+	"kqr/internal/hmm"
 )
 
-// This file holds the reference implementations of Algorithms 2 and 3:
-// the original map/pointer-heavy decoders, kept verbatim (modulo shared
-// bugfixes) as the oracle for the flat Decoder's equivalence property
-// tests and as the pointer-path baseline of `kqr-bench -exp hotpath`.
-// The production entry points (Model.TopKViterbi, Model.TopKAStar) live
-// in decode.go and run on pooled flat scratch; results are bit-identical
-// to these by construction and by test.
+// forward runs the Viterbi dynamic program and returns, per step and
+// state, the best prefix score ending there (h in Algorithm 3) plus the
+// backpointers of the best path.
+func forward(m *hmm.Model) (h [][]float64, back [][]int) {
+	steps := m.Steps()
+	h = make([][]float64, steps)
+	back = make([][]int, steps)
+	h[0] = make([]float64, len(m.Emit[0]))
+	back[0] = make([]int, len(m.Emit[0]))
+	for i := range h[0] {
+		h[0][i] = m.Pi[i] * m.Emit[0][i]
+		back[0][i] = -1
+	}
+	for c := 1; c < steps; c++ {
+		n := len(m.Emit[c])
+		prevN := len(m.Emit[c-1])
+		h[c] = make([]float64, n)
+		back[c] = make([]int, n)
+		for j := 0; j < n; j++ {
+			best, bestPrev := 0.0, -1
+			for i := 0; i < prevN; i++ {
+				if h[c-1][i] == 0 {
+					continue
+				}
+				s := h[c-1][i] * m.Trans(c, i, j)
+				if s > best {
+					best, bestPrev = s, i
+				}
+			}
+			h[c][j] = best * m.Emit[c][j]
+			back[c][j] = bestPrev
+		}
+	}
+	return h, back
+}
+
+// Viterbi returns the single most probable hidden-state sequence. If
+// every complete path has probability zero it returns ok=false.
+func Viterbi(m *hmm.Model) (hmm.Path, bool, error) {
+	if err := m.Validate(); err != nil {
+		return hmm.Path{}, false, err
+	}
+	h, back := forward(m)
+	last := m.Steps() - 1
+	best, bestState := 0.0, -1
+	for i, s := range h[last] {
+		if s > best {
+			best, bestState = s, i
+		}
+	}
+	if bestState < 0 {
+		return hmm.Path{}, false, nil
+	}
+	states := make([]int, m.Steps())
+	for c, s := last, bestState; c >= 0; c-- {
+		states[c] = s
+		s = back[c][s]
+	}
+	return hmm.Path{States: states, Score: best}, true, nil
+}
 
 // --- Algorithm 2: extended top-k Viterbi ---
 
@@ -31,10 +95,8 @@ type pathEntry struct {
 // are pruned — "states with zero or low closeness with the previous
 // state could be discarded" (§V-C) — including candidates whose score
 // product underflows to exactly zero. It may return fewer than k paths
-// when fewer positive-probability complete paths exist. Production
-// callers should use TopKViterbi, which runs the same recurrence on
-// pooled flat scratch.
-func (m *Model) TopKViterbiRef(k int) ([]Path, error) {
+// when fewer positive-probability complete paths exist.
+func TopKViterbiRef(m *hmm.Model, k int) ([]hmm.Path, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
@@ -110,7 +172,7 @@ func (m *Model) TopKViterbiRef(k int) ([]Path, error) {
 	if len(tails) > k {
 		tails = tails[:k]
 	}
-	out := make([]Path, 0, len(tails))
+	out := make([]hmm.Path, 0, len(tails))
 	for _, tl := range tails {
 		states := make([]int, steps)
 		j, r := tl.state, tl.rank
@@ -119,7 +181,7 @@ func (m *Model) TopKViterbiRef(k int) ([]Path, error) {
 			pe := lists[c][j][r]
 			j, r = pe.prev, pe.prevRank
 		}
-		out = append(out, Path{States: states, Score: tl.score})
+		out = append(out, hmm.Path{States: states, Score: tl.score})
 	}
 	return out, nil
 }
@@ -174,17 +236,6 @@ func (h *nodeHeap) Pop() any {
 	return x
 }
 
-// AStarStats reports the work split between the two stages of
-// Algorithm 3, for the paper's Figure 8.
-type AStarStats struct {
-	// ForwardStates counts Viterbi cell evaluations.
-	ForwardStates int
-	// Expanded counts A* node expansions (heap pops).
-	Expanded int
-	// Pushed counts A* nodes generated.
-	Pushed int
-}
-
 // TopKAStarRef is the reference implementation of the paper's
 // Algorithm 3: a Viterbi forward pass records h[c][i], the best prefix
 // score ending at state i of step c; then a best-first backward search
@@ -193,41 +244,34 @@ type AStarStats struct {
 // upper bound for partial ones, paths pop off the frontier in global
 // score order and the first k complete pops are the top k. Fewer than k
 // paths come back when fewer positive-probability paths exist.
-// Production callers should use TopKAStar, which runs the same search
-// on pooled flat scratch.
-func (m *Model) TopKAStarRef(k int) ([]Path, *AStarStats, error) {
-	if err := m.Validate(); err != nil {
-		return nil, nil, err
-	}
-	h, err := m.Forward()
+func TopKAStarRef(m *hmm.Model, k int) ([]hmm.Path, *hmm.AStarStats, error) {
+	h, err := Forward(m)
 	if err != nil {
 		return nil, nil, err
 	}
-	return m.TopKAStarWithHeuristic(k, h)
+	return TopKAStarWithHeuristic(m, k, h)
 }
 
 // Forward runs only the Viterbi forward pass and returns the heuristic
 // table h[c][i] — the best prefix score ending at state i of step c.
-// Exposed separately so the benchmark harness can time Algorithm 3's two
-// stages independently (the paper's Figure 8).
-func (m *Model) Forward() ([][]float64, error) {
+func Forward(m *hmm.Model) ([][]float64, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	h, _ := m.forward()
+	h, _ := forward(m)
 	return h, nil
 }
 
 // TopKAStarWithHeuristic runs only the A* backward stage of Algorithm 3
 // over a heuristic table previously produced by Forward.
-func (m *Model) TopKAStarWithHeuristic(k int, h [][]float64) ([]Path, *AStarStats, error) {
+func TopKAStarWithHeuristic(m *hmm.Model, k int, h [][]float64) ([]hmm.Path, *hmm.AStarStats, error) {
 	if len(h) != m.Steps() {
-		return nil, nil, fmt.Errorf("hmm: heuristic has %d steps, model has %d", len(h), m.Steps())
+		return nil, nil, fmt.Errorf("hmmtest: heuristic has %d steps, model has %d", len(h), m.Steps())
 	}
 	if k < 1 {
 		k = 1
 	}
-	stats := &AStarStats{}
+	stats := &hmm.AStarStats{}
 	for _, col := range h {
 		stats.ForwardStates += len(col)
 	}
@@ -243,7 +287,7 @@ func (m *Model) TopKAStarWithHeuristic(k int, h [][]float64) ([]Path, *AStarStat
 	}
 	heap.Init(&frontier)
 
-	out := make([]Path, 0, k)
+	out := make([]hmm.Path, 0, k)
 	for frontier.Len() > 0 && len(out) < k {
 		nd := heap.Pop(&frontier).(*astarNode)
 		stats.Expanded++
@@ -253,7 +297,7 @@ func (m *Model) TopKAStarWithHeuristic(k int, h [][]float64) ([]Path, *AStarStat
 			for c, p := 0, nd; p != nil; c, p = c+1, p.next {
 				states[c] = p.front
 			}
-			out = append(out, Path{States: states, Score: nd.f})
+			out = append(out, hmm.Path{States: states, Score: nd.f})
 			continue
 		}
 		c := nd.step
@@ -282,16 +326,15 @@ func (m *Model) TopKAStarWithHeuristic(k int, h [][]float64) ([]Path, *AStarStat
 }
 
 // BruteForce enumerates every complete path and returns the k best; it
-// exists as the reference implementation for property tests and should
-// only run on small models.
-func (m *Model) BruteForce(k int) ([]Path, error) {
+// should only run on small models.
+func BruteForce(m *hmm.Model, k int) ([]hmm.Path, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	if k < 1 {
 		k = 1
 	}
-	var all []Path
+	var all []hmm.Path
 	states := make([]int, m.Steps())
 	var rec func(c int)
 	rec = func(c int) {
@@ -300,7 +343,7 @@ func (m *Model) BruteForce(k int) ([]Path, error) {
 			if err == nil && score > 0 {
 				cp := make([]int, len(states))
 				copy(cp, states)
-				all = append(all, Path{States: cp, Score: score})
+				all = append(all, hmm.Path{States: cp, Score: score})
 			}
 			return
 		}
@@ -315,4 +358,21 @@ func (m *Model) BruteForce(k int) ([]Path, error) {
 		all = all[:k]
 	}
 	return all, nil
+}
+
+// sortPaths orders by descending score with lexicographic state order as
+// the deterministic tie-break.
+func sortPaths(ps []hmm.Path) {
+	sort.Slice(ps, func(i, j int) bool {
+		if ps[i].Score != ps[j].Score {
+			return ps[i].Score > ps[j].Score
+		}
+		a, b := ps[i].States, ps[j].States
+		for x := range a {
+			if a[x] != b[x] {
+				return a[x] < b[x]
+			}
+		}
+		return false
+	})
 }

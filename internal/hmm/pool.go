@@ -19,10 +19,9 @@ func PutDecoder(d *Decoder) { decoderPool.Put(d) }
 // TopKViterbi implements the paper's Algorithm 2 — the Viterbi
 // recurrence generalized so every (step, state) cell keeps its k best
 // incoming partial paths, with zero-probability (including underflowed)
-// candidates pruned. It runs on pooled flat scratch and returns
-// caller-owned paths; results are bit-identical to TopKViterbiRef. It
-// may return fewer than k paths when fewer positive-probability
-// complete paths exist.
+// candidates pruned. It runs on a pooled Decoder and returns
+// caller-owned paths. It may return fewer than k paths when fewer
+// positive-probability complete paths exist.
 func (m *Model) TopKViterbi(k int) ([]Path, error) {
 	d := GetDecoder()
 	ps, err := d.TopKViterbi(m, k)
@@ -34,8 +33,8 @@ func (m *Model) TopKViterbi(k int) ([]Path, error) {
 // TopKAStar implements the paper's Algorithm 3 — a Viterbi forward pass
 // collecting exact heuristic scores, then a best-first A* backward
 // search that expands only partial paths that can still reach the top
-// k. It runs on pooled flat scratch and returns caller-owned paths and
-// stats; results are bit-identical to TopKAStarRef.
+// k. It runs on a pooled Decoder and returns caller-owned paths and
+// stats.
 func (m *Model) TopKAStar(k int) ([]Path, *AStarStats, error) {
 	d := GetDecoder()
 	ps, stats, err := d.TopKAStar(m, k)

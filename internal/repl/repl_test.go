@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"kqr/internal/artifact"
 	"kqr/internal/live"
 	"kqr/internal/randomwalk"
 	"kqr/internal/relstore"
@@ -390,13 +392,22 @@ func waitCaughtUp(t *testing.T, f *Follower, epoch uint64) {
 	t.Fatalf("follower stuck at %+v, want epoch %d", f.Status(), epoch)
 }
 
+// freshTerm is the word only leaderDeltas(i) brings into the corpus.
+func freshTerm(i int) string { return fmt.Sprintf("replterm%d", i) }
+
 func leaderDeltas(i int) []live.Delta {
 	return []live.Delta{{Op: live.OpInsert, Table: "papers", Values: []relstore.Value{
-		relstore.Int(int64(500 + i)), relstore.String(fmt.Sprintf("replicated paper %d", i)), relstore.Int(1),
+		relstore.Int(int64(500 + i)), relstore.String(fmt.Sprintf("replicated paper %s", freshTerm(i))), relstore.Int(1),
 	}}}
 }
 
 func TestLeaderFollowerLockstep(t *testing.T) {
+	for _, followers := range []int{1, 3} {
+		t.Run(fmt.Sprintf("followers=%d", followers), func(t *testing.T) { lockstep(t, followers) })
+	}
+}
+
+func lockstep(t *testing.T, followers int) {
 	mgr, cfg := mustManager(t)
 	leader, err := NewLeader(mgr, cfg, t.TempDir(), LeaderOptions{NoSync: true, Heartbeat: 50 * time.Millisecond})
 	if err != nil {
@@ -406,7 +417,7 @@ func TestLeaderFollowerLockstep(t *testing.T) {
 	srv := httptest.NewServer(leader.Handler())
 	defer srv.Close()
 
-	// One promotion before the follower exists: it must arrive via the
+	// One promotion before the followers exist: it must arrive via the
 	// snapshot, not the log.
 	if err := mgr.Ingest(leaderDeltas(0)); err != nil {
 		t.Fatal(err)
@@ -415,16 +426,23 @@ func TestLeaderFollowerLockstep(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f := startFollower(t, srv.URL)
-	if st := f.Status(); st.Epoch != 2 || st.NextIndex != 1 {
-		t.Fatalf("bootstrap state: %+v", st)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	fs := make([]*Follower, followers)
+	done := make(chan error, followers)
+	for i := range fs {
+		fs[i] = startFollower(t, srv.URL)
+		if st := fs[i].Status(); st.Epoch != 2 || st.NextIndex != 1 {
+			t.Fatalf("follower %d bootstrap state: %+v", i, st)
+		}
+		assertAnswerable(t, fs[i], freshTerm(0))
+		f := fs[i]
+		go func() { done <- f.Run(ctx) }()
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- f.Run(ctx) }()
-
 	// Three more promotions plus one deltaless advance while tailing.
+	// Lockstep means each promotion's new term is answerable on every
+	// follower, not just that epoch numbers match.
 	for i := 1; i <= 3; i++ {
 		if err := mgr.Ingest(leaderDeltas(i)); err != nil {
 			t.Fatal(err)
@@ -432,67 +450,112 @@ func TestLeaderFollowerLockstep(t *testing.T) {
 		if _, err := mgr.Promote(context.Background()); err != nil {
 			t.Fatal(err)
 		}
+		for _, f := range fs {
+			waitCaughtUp(t, f, mgr.Epoch())
+			assertAnswerable(t, f, freshTerm(i))
+		}
 	}
 	if _, err := mgr.Advance("reload"); err != nil {
 		t.Fatal(err)
 	}
-	waitCaughtUp(t, f, mgr.Epoch())
+	for i, f := range fs {
+		waitCaughtUp(t, f, mgr.Epoch())
 
-	st := f.Status()
-	if st.Epoch != mgr.Epoch() {
-		t.Errorf("follower epoch %d, leader %d", st.Epoch, mgr.Epoch())
-	}
-	if st.NextIndex != leader.Log().End() {
-		t.Errorf("follower next index %d, log end %d", st.NextIndex, leader.Log().End())
-	}
-	if st.BytesBehind != 0 {
-		t.Errorf("caught-up follower is %d bytes behind", st.BytesBehind)
-	}
-	if st.SnapshotFetches != 1 {
-		t.Errorf("SnapshotFetches = %d, want 1", st.SnapshotFetches)
-	}
-	if !f.CaughtUp(0) {
-		t.Error("CaughtUp(0) = false for a caught-up follower")
-	}
+		st := f.Status()
+		if st.Epoch != mgr.Epoch() {
+			t.Errorf("follower %d epoch %d, leader %d", i, st.Epoch, mgr.Epoch())
+		}
+		if st.NextIndex != leader.Log().End() {
+			t.Errorf("follower %d next index %d, log end %d", i, st.NextIndex, leader.Log().End())
+		}
+		if st.BytesBehind != 0 {
+			t.Errorf("caught-up follower %d is %d bytes behind", i, st.BytesBehind)
+		}
+		if st.SnapshotFetches != 1 {
+			t.Errorf("follower %d SnapshotFetches = %d, want 1", i, st.SnapshotFetches)
+		}
+		if !f.CaughtUp(0) {
+			t.Errorf("CaughtUp(0) = false for caught-up follower %d", i)
+		}
 
-	// The follower's tables must be bit-identical to the leader's.
-	assertIdenticalArtifacts(t, mgr, f, cfg)
+		// The follower's tables must be bit-identical to the leader's.
+		assertIdenticalArtifacts(t, mgr, f, cfg)
+	}
 
 	cancel()
-	if err := <-done; !errors.Is(err, context.Canceled) {
-		t.Errorf("Run returned %v, want context.Canceled", err)
+	for range fs {
+		if err := <-done; !errors.Is(err, context.Canceled) {
+			t.Errorf("Run returned %v, want context.Canceled", err)
+		}
 	}
 }
 
-// assertIdenticalArtifacts warms nothing: it compares the deterministic
-// offline state both sides hold right now under a common fingerprint.
+// assertAnswerable checks the follower's current generation resolves
+// the term and serves a similar-term row for it.
+func assertAnswerable(t *testing.T, f *Follower, term string) {
+	t.Helper()
+	g := f.mgr.Current()
+	nodes := g.TG.FindTerm(term)
+	if len(nodes) == 0 {
+		t.Fatalf("term %q not in the follower's vocabulary at epoch %d", term, g.Epoch)
+	}
+	if _, err := g.Sim.SimilarNodes(nodes[0], 5); err != nil {
+		t.Fatalf("term %q not answerable on the follower at epoch %d: %v", term, g.Epoch, err)
+	}
+}
+
+// fullArtifact computes every term's rows on the generation and returns
+// its offline state: vocabulary plus complete similarity and closeness
+// tables.
+func fullArtifact(t *testing.T, g *live.Generation) *artifact.Snapshot {
+	t.Helper()
+	nodes := g.TG.TermNodeIDs()
+	if err := g.Sim.Precompute(context.Background(), nodes); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Clos.Precompute(context.Background(), nodes); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := live.ArtifactSnapshot(g, "cmp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+func artifactBytes(t *testing.T, snap *artifact.Snapshot) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := snap.Write(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// assertIdenticalArtifacts compares, byte for byte, the complete
+// offline state leader and follower derive from their corpora right
+// now — every term's rows are computed on both sides first, since the
+// lazily filled tables of two cold managers are equal only by being
+// empty.
 func assertIdenticalArtifacts(t *testing.T, leaderMgr *live.Manager, f *Follower, cfg live.Config) {
 	t.Helper()
 	lg, fg := leaderMgr.Current(), f.mgr.Current()
-	lsnap, err := live.ArtifactSnapshot(lg, "cmp")
-	if err != nil {
-		t.Fatal(err)
+	lsnap, fsnap := fullArtifact(t, lg), fullArtifact(t, fg)
+	lb := artifactBytes(t, lsnap)
+	if !bytes.Equal(lb, artifactBytes(t, fsnap)) {
+		t.Fatalf("follower tables differ from the leader's (%d vocabulary terms vs %d)",
+			len(fsnap.Vocabulary), len(lsnap.Vocabulary))
 	}
-	fsnap, err := live.ArtifactSnapshot(fg, "cmp")
-	if err != nil {
-		t.Fatal(err)
+	// The comparison must be able to fail: nudge one follower score by
+	// one float32 step and the serialisations must part.
+	scores := fsnap.Tables[artifact.TableWalk].Scores
+	if len(scores) == 0 {
+		t.Fatal("follower similarity table is empty after a full precompute")
 	}
-	var lb, fb bytes.Buffer
-	if err := lsnap.Write(&lb); err != nil {
-		t.Fatal(err)
-	}
-	if err := fsnap.Write(&fb); err != nil {
-		t.Fatal(err)
-	}
-	// The lazily-filled caches may differ in coverage; compare the
-	// vocabularies and closeness tables, which are materialized.
-	if len(lsnap.Vocabulary) != len(fsnap.Vocabulary) {
-		t.Fatalf("vocabulary sizes differ: leader %d follower %d", len(lsnap.Vocabulary), len(fsnap.Vocabulary))
-	}
-	for i := range lsnap.Vocabulary {
-		if lsnap.Vocabulary[i] != fsnap.Vocabulary[i] {
-			t.Fatalf("vocabulary entry %d differs: %+v vs %+v", i, lsnap.Vocabulary[i], fsnap.Vocabulary[i])
-		}
+	at := len(scores) / 2
+	scores[at] = math.Nextafter32(scores[at], 2)
+	if bytes.Equal(lb, artifactBytes(t, fsnap)) {
+		t.Fatal("a perturbed follower row still compares equal: the identity check is blind")
 	}
 	if Fingerprint(lg, cfg) != Fingerprint(fg, cfg) {
 		t.Fatal("fingerprints diverged after replication")
