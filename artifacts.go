@@ -62,7 +62,7 @@ func (e *Engine) setArtifact(a ArtifactInfo) {
 }
 
 // artifactFingerprint identifies everything the offline tables depend
-// on: what live.TableFingerprint covers (every option that changes what
+// on: what the manager's TableFingerprint covers (every option that changes what
 // the extractors compute, the built graph's shape, and the walk solver
 // — two solvers agree to their tolerance, not in the low bits, and a
 // partial snapshot is completed by local computation, so rows of
@@ -71,9 +71,8 @@ func (e *Engine) setArtifact(a ArtifactInfo) {
 // fingerprint exactly when a snapshot saved by one is valid for the
 // other.
 func (e *Engine) artifactFingerprint(g *live.Generation) string {
-	cfg, _ := e.liveConfig() // Open already refused an unknown mode
 	return fmt.Sprintf("kqr %s classes=%s corpus=%s",
-		live.TableFingerprint(g, cfg), strings.Join(g.TG.Classes(), ","), g.TG.DB().Stats())
+		e.mgr.TableFingerprint(g), strings.Join(g.TG.Classes(), ","), g.TG.DB().Stats())
 }
 
 // SaveArtifacts writes the engine's offline tables (similarity and
@@ -107,10 +106,7 @@ func (e *Engine) SaveArtifactsPaged(path string) error {
 // successful write.
 func (e *Engine) saveSnapshot(path string, write func(*artifact.Snapshot, io.Writer) error) error {
 	g := e.cur()
-	snap, err := live.ArtifactSnapshot(g, e.artifactFingerprint(g))
-	if err != nil {
-		return err
-	}
+	snap := live.ArtifactSnapshot(g, e.artifactFingerprint(g))
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".kqr-snapshot-*")
 	if err != nil {
 		return fmt.Errorf("kqr: saving artifacts: %w", err)
@@ -162,7 +158,7 @@ func (e *Engine) loadSnapshotFile(g *live.Generation, path string) (*artifact.Sn
 // calls this automatically when Options.ArtifactPath is set, falling
 // back to live compute on any error.
 func (e *Engine) LoadArtifacts(path string) error {
-	if e.opts.DiskMode {
+	if e.diskMode() {
 		// A serving generation's fields are immutable; swapping its disk
 		// store in place would race readers mid-fault. The reload path
 		// builds a fresh generation, attaches the new store, and swaps —
@@ -184,16 +180,12 @@ func (e *Engine) LoadArtifacts(path string) error {
 // never mutates the serving generation, so queries racing the reload
 // see either the old tables or the new ones, wholesale.
 func (e *Engine) ReloadArtifacts(path string) error {
-	cfg, err := e.liveConfig()
-	if err != nil {
-		return err
-	}
-	g, err := live.Build(e.cur().DB, cfg)
+	g, err := e.mgr.Build(e.cur().DB)
 	if err != nil {
 		return fmt.Errorf("kqr: reloading artifacts: %w", err)
 	}
 	info := ArtifactInfo{Loaded: true, Path: path}
-	if e.opts.DiskMode {
+	if e.diskMode() {
 		if err := e.attachDiskTables(g, path); err != nil {
 			return err
 		}

@@ -12,7 +12,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"time"
 
 	"kqr/internal/dblpgen"
@@ -75,24 +74,6 @@ func printCatalogue() {
 }
 
 func run(exp string, cfg dblpgen.Config, n int, tcfg experiments.TimingConfig, fig5Seeds int, csvDir, jsonOut, commit string) error {
-	writeCSV := func(name string, write func(w *os.File) error) error {
-		if csvDir == "" {
-			return nil
-		}
-		if err := os.MkdirAll(csvDir, 0o755); err != nil {
-			return err
-		}
-		f, err := os.Create(filepath.Join(csvDir, name))
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := write(f); err != nil {
-			return err
-		}
-		fmt.Println("wrote", filepath.Join(csvDir, name))
-		return nil
-	}
 	start := time.Now()
 	fmt.Printf("building corpus (seed=%d topics=%d confs=%d authors=%d papers=%d)...\n",
 		cfg.Seed, cfg.Topics, cfg.Confs, cfg.Authors, cfg.Papers)
@@ -113,7 +94,7 @@ func run(exp string, cfg dblpgen.Config, n int, tcfg experiments.TimingConfig, f
 		if err != nil {
 			return fmt.Errorf("table1: %w", err)
 		}
-		fmt.Println(experiments.RenderTable1(rows))
+		fmt.Println(experiments.Render(rows))
 	}
 	if want("table2") {
 		ran = true
@@ -121,7 +102,7 @@ func run(exp string, cfg dblpgen.Config, n int, tcfg experiments.TimingConfig, f
 		if err != nil {
 			return fmt.Errorf("table2: %w", err)
 		}
-		fmt.Println(experiments.RenderTable2(rows))
+		fmt.Println(experiments.Render(rows))
 	}
 	if want("fig5") {
 		ran = true
@@ -134,16 +115,14 @@ func run(exp string, cfg dblpgen.Config, n int, tcfg experiments.TimingConfig, f
 			if err != nil {
 				return fmt.Errorf("fig5: %w", err)
 			}
-			fmt.Println(experiments.RenderFig5Multi(rows))
+			fmt.Println(experiments.Render(rows))
 		} else {
 			rows, err := s.Fig5(10, 5)
 			if err != nil {
 				return fmt.Errorf("fig5: %w", err)
 			}
-			fmt.Println(experiments.RenderFig5(rows))
-			if err := writeCSV("fig5.csv", func(w *os.File) error {
-				return experiments.WriteFig5CSV(w, rows)
-			}); err != nil {
+			fmt.Println(experiments.Render(rows))
+			if err := experiments.SaveCSV(csvDir, "fig5.csv", rows); err != nil {
 				return err
 			}
 		}
@@ -154,10 +133,8 @@ func run(exp string, cfg dblpgen.Config, n int, tcfg experiments.TimingConfig, f
 		if err != nil {
 			return fmt.Errorf("fig7: %w", err)
 		}
-		fmt.Println(experiments.RenderFig7(rows))
-		if err := writeCSV("fig7.csv", func(w *os.File) error {
-			return experiments.WriteFig7CSV(w, rows)
-		}); err != nil {
+		fmt.Println(experiments.Render(rows))
+		if err := experiments.SaveCSV(csvDir, "fig7.csv", rows); err != nil {
 			return err
 		}
 	}
@@ -167,10 +144,8 @@ func run(exp string, cfg dblpgen.Config, n int, tcfg experiments.TimingConfig, f
 		if err != nil {
 			return fmt.Errorf("fig8: %w", err)
 		}
-		fmt.Println(experiments.RenderFig8(rows))
-		if err := writeCSV("fig8.csv", func(w *os.File) error {
-			return experiments.WriteFig8CSV(w, rows)
-		}); err != nil {
+		fmt.Println(experiments.Render(rows))
+		if err := experiments.SaveCSV(csvDir, "fig8.csv", rows); err != nil {
 			return err
 		}
 	}
@@ -180,10 +155,8 @@ func run(exp string, cfg dblpgen.Config, n int, tcfg experiments.TimingConfig, f
 		if err != nil {
 			return fmt.Errorf("fig9: %w", err)
 		}
-		fmt.Println(experiments.RenderFig9(rows))
-		if err := writeCSV("fig9.csv", func(w *os.File) error {
-			return experiments.WriteFig9CSV(w, rows)
-		}); err != nil {
+		fmt.Println(experiments.Render(rows))
+		if err := experiments.SaveCSV(csvDir, "fig9.csv", rows); err != nil {
 			return err
 		}
 	}
@@ -193,10 +166,8 @@ func run(exp string, cfg dblpgen.Config, n int, tcfg experiments.TimingConfig, f
 		if err != nil {
 			return fmt.Errorf("fig10: %w", err)
 		}
-		fmt.Println(experiments.RenderFig10(rows))
-		if err := writeCSV("fig10.csv", func(w *os.File) error {
-			return experiments.WriteFig10CSV(w, rows)
-		}); err != nil {
+		fmt.Println(experiments.Render(rows))
+		if err := experiments.SaveCSV(csvDir, "fig10.csv", rows); err != nil {
 			return err
 		}
 	}
@@ -206,10 +177,8 @@ func run(exp string, cfg dblpgen.Config, n int, tcfg experiments.TimingConfig, f
 		if err != nil {
 			return fmt.Errorf("table3: %w", err)
 		}
-		fmt.Println(experiments.RenderTable3(rows))
-		if err := writeCSV("table3.csv", func(w *os.File) error {
-			return experiments.WriteTable3CSV(w, rows)
-		}); err != nil {
+		fmt.Println(experiments.Render(rows))
+		if err := experiments.SaveCSV(csvDir, "table3.csv", rows); err != nil {
 			return err
 		}
 	}
@@ -244,7 +213,7 @@ func run(exp string, cfg dblpgen.Config, n int, tcfg experiments.TimingConfig, f
 		if err != nil {
 			return fmt.Errorf("synonyms: %w", err)
 		}
-		fmt.Println(experiments.RenderSynonymRecall(rows))
+		fmt.Println(experiments.Render(rows))
 	}
 	if !ran {
 		return fmt.Errorf("unknown experiment %q (want all, table1, table2, fig5, fig7, fig8, fig9, fig10, table3, synonyms, ablation or offline; see -list)", exp)

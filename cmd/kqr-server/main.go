@@ -8,8 +8,8 @@
 //
 // With -warm the offline stage runs for the *entire* term vocabulary
 // before the listener opens — similarity and closeness for every term
-// node, fanned out over -precompute-workers goroutines (default
-// GOMAXPROCS) — so no request ever pays first-touch walk latency.
+// node, fanned out over GOMAXPROCS goroutines — so no request ever
+// pays first-touch walk latency.
 //
 // The offline stage can be persisted as a versioned snapshot for
 // instant cold starts: -snapshot-save writes the warmed tables after
@@ -60,7 +60,7 @@
 // offline artifact), opens an engine over it, and tails the delta log,
 // promoting generations in lockstep — no local corpus flags needed,
 // and admin writes are rejected with 409. The follower's /readyz stays
-// 503 until it is within -follow-max-lag promotions of the leader, and
+// 503 until it is within one promotion of the leader, and
 // /api/metrics reports its replication lag (epoch delta, last applied
 // offset, bytes behind):
 //
@@ -114,14 +114,12 @@ type config struct {
 	seed        int64
 	papers      int
 	warm        bool
-	warmWorkers int
 	snapSave    string
 	snapSavePgd string
 	snapLoad    string
 	diskMode    bool
 	tableMemMB  int64
 	cacheMB     int
-	cacheTTL    time.Duration
 	maxInflight int
 	maxQueue    int
 	live        bool
@@ -129,11 +127,20 @@ type config struct {
 	stalenessT  time.Duration
 	replDir     string
 	follow      string
-	followLag   uint64
 	cdc         bool
 	cdcPending  int
 	mend        bool
 }
+
+const (
+	// cacheTTL is how long a response-cache entry stays valid. Entries
+	// are also keyed by generation epoch, so the TTL only bounds how
+	// long a cold entry occupies the LRU.
+	cacheTTL = 5 * time.Minute
+	// followMaxLag is how many promotions a follower may trail the
+	// leader by before its /readyz reports not ready.
+	followMaxLag = 1
+)
 
 func main() {
 	var cfg config
@@ -141,14 +148,12 @@ func main() {
 	flag.Int64Var(&cfg.seed, "seed", 20120401, "corpus seed")
 	flag.IntVar(&cfg.papers, "papers", 3000, "corpus size in papers")
 	flag.BoolVar(&cfg.warm, "warm", false, "precompute similarity+closeness for the whole vocabulary before serving")
-	flag.IntVar(&cfg.warmWorkers, "precompute-workers", 0, "offline precompute worker pool size (0 = GOMAXPROCS)")
 	flag.StringVar(&cfg.snapSave, "snapshot-save", "", "write the offline tables as a snapshot here after warming (implies -warm)")
 	flag.StringVar(&cfg.snapSavePgd, "snapshot-save-paged", "", "write the offline tables as a paged (v2) snapshot here after warming, for -disk-mode serving (implies -warm)")
 	flag.StringVar(&cfg.snapLoad, "snapshot-load", "", "restore the offline tables from this snapshot at startup (falls back to live compute)")
 	flag.BoolVar(&cfg.diskMode, "disk-mode", false, "serve the offline tables page-by-page from the -snapshot-load file (must be paged/v2) instead of decoding them into RAM")
 	flag.Int64Var(&cfg.tableMemMB, "table-mem-budget", 64, "resident table byte budget in MiB for -disk-mode (page index + decoded-page cache)")
 	flag.IntVar(&cfg.cacheMB, "cache-mb", 64, "response cache size in MiB (0 disables caching and coalescing)")
-	flag.DurationVar(&cfg.cacheTTL, "cache-ttl", 5*time.Minute, "response cache entry TTL (0 = no expiry)")
 	flag.IntVar(&cfg.maxInflight, "max-inflight", 4*runtime.GOMAXPROCS(0), "max concurrently executing requests (0 = unlimited)")
 	flag.IntVar(&cfg.maxQueue, "max-queue", 64, "max requests waiting for an execution slot before shedding")
 	flag.BoolVar(&cfg.live, "live", false, "accept delta ingestion and generation promotion via the admin API")
@@ -156,7 +161,6 @@ func main() {
 	flag.DurationVar(&cfg.stalenessT, "staleness-max-age", 0, "auto-promote once the oldest staged delta is this old (0 = no age bound)")
 	flag.StringVar(&cfg.replDir, "repl-dir", "", "journal promotions into a delta log here and serve the replication protocol (needs -live)")
 	flag.StringVar(&cfg.follow, "follow", "", "run as a follower of the leader at this base URL (replaces local corpus flags)")
-	flag.Uint64Var(&cfg.followLag, "follow-max-lag", 1, "max promotions behind the leader before /readyz reports not ready")
 	flag.BoolVar(&cfg.cdc, "cdc", false, "accept streamed CDC ingestion on POST /cdc/stream (needs -live)")
 	flag.IntVar(&cfg.cdcPending, "cdc-max-pending", 0, "withhold CDC acks once this many deltas are staged (0 = receiver default)")
 	flag.BoolVar(&cfg.mend, "mend", true, "repair typo'd/run-together/over-split queries against the vocabulary before reformulation (mend=on|off|auto on /api/reformulate)")
@@ -165,10 +169,53 @@ func main() {
 	if cfg.follow != "" {
 		runFn = runFollower
 	}
-	if err := runFn(cfg); err != nil {
+	err := cfg.validate()
+	if err == nil {
+		err = runFn(cfg)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "kqr-server:", err)
 		os.Exit(1)
 	}
+}
+
+// validate checks every flag-combination rule, before any corpus is
+// generated or fetched.
+func (cfg config) validate() error {
+	switch {
+	case cfg.follow != "" && (cfg.live || cfg.replDir != ""):
+		return fmt.Errorf("-follow is exclusive with -live and -repl-dir: a follower only replays the leader's log")
+	case cfg.diskMode && cfg.snapLoad == "":
+		return fmt.Errorf("-disk-mode needs -snapshot-load naming a paged snapshot (save one with -snapshot-save-paged)")
+	case cfg.diskMode && cfg.warm:
+		return fmt.Errorf("-disk-mode conflicts with -warm: warming decodes every table row into RAM, which is exactly what disk mode bounds")
+	case cfg.diskMode && (cfg.snapSave != "" || cfg.snapSavePgd != ""):
+		return fmt.Errorf("-disk-mode cannot save snapshots: a save reads every table row, which would fault the whole paged file through the bounded page cache; save from a RAM-mode server")
+	case cfg.replDir != "" && !cfg.live:
+		return fmt.Errorf("-repl-dir needs -live: only promotions are journaled")
+	case cfg.cdc && !cfg.live:
+		return fmt.Errorf("-cdc needs -live: streamed deltas stage into the live index")
+	}
+	return nil
+}
+
+// servingOptions assembles what run and runFollower share: the dataset
+// line of /api/stats, the readiness latch, the response cache and the
+// in-flight limit.
+func (cfg config) servingOptions(datasetStats string, ready *atomic.Bool) []server.Option {
+	opts := []server.Option{
+		server.WithDatasetStats(datasetStats),
+		server.WithReadiness(ready.Load),
+	}
+	if cfg.cacheMB > 0 {
+		opts = append(opts, server.WithCache(int64(cfg.cacheMB)<<20, cacheTTL))
+		fmt.Printf("serving: %d MiB response cache, ttl %v, coalescing on\n", cfg.cacheMB, cacheTTL)
+	}
+	if cfg.maxInflight > 0 {
+		opts = append(opts, server.WithMaxInflight(cfg.maxInflight, cfg.maxQueue))
+		fmt.Printf("serving: max %d in flight, queue %d, overload shed as 503\n", cfg.maxInflight, cfg.maxQueue)
+	}
+	return opts
 }
 
 func run(cfg config) error {
@@ -177,19 +224,7 @@ func run(cfg config) error {
 	if err != nil {
 		return err
 	}
-	if cfg.diskMode {
-		if cfg.snapLoad == "" {
-			return fmt.Errorf("-disk-mode needs -snapshot-load naming a paged snapshot (save one with -snapshot-save-paged)")
-		}
-		if cfg.warm {
-			return fmt.Errorf("-disk-mode conflicts with -warm: warming decodes every table row into RAM, which is exactly what disk mode bounds")
-		}
-		if cfg.snapSave != "" || cfg.snapSavePgd != "" {
-			return fmt.Errorf("-disk-mode cannot save snapshots: a save reads every table row, which would fault the whole paged file through the bounded page cache; save from a RAM-mode server")
-		}
-	}
 	eng, err := kqr.Open(corpus.Dataset, kqr.Options{
-		PrecomputeWorkers:  cfg.warmWorkers,
 		ArtifactPath:       cfg.snapLoad,
 		DiskMode:           cfg.diskMode,
 		TableMemBudget:     cfg.tableMemMB << 20,
@@ -228,11 +263,7 @@ func run(cfg config) error {
 	// worth saving, so it implies -warm.
 	warm := cfg.warm || ((cfg.snapSave != "" || cfg.snapSavePgd != "") && !loaded)
 	if warm {
-		workers := cfg.warmWorkers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		fmt.Printf("warming offline caches for the full vocabulary (%d workers)...\n", workers)
+		fmt.Printf("warming offline caches for the full vocabulary (%d workers)...\n", runtime.GOMAXPROCS(0))
 		start := time.Now()
 		if err := eng.Warm(context.Background()); err != nil {
 			return err
@@ -263,28 +294,14 @@ func run(cfg config) error {
 	// Startup is synchronous up to this point, so readiness is a simple
 	// latch: /readyz turns 200 just before the listener opens.
 	var ready atomic.Bool
-	opts := []server.Option{
-		server.WithDatasetStats(corpus.Dataset.Stats()),
-		server.WithReadiness(ready.Load),
-	}
-	if cfg.cacheMB > 0 {
-		opts = append(opts, server.WithCache(int64(cfg.cacheMB)<<20, cfg.cacheTTL))
-		fmt.Printf("serving: %d MiB response cache, ttl %v, coalescing on\n", cfg.cacheMB, cfg.cacheTTL)
-	}
-	if cfg.maxInflight > 0 {
-		opts = append(opts, server.WithMaxInflight(cfg.maxInflight, cfg.maxQueue))
-		fmt.Printf("serving: max %d in flight, queue %d, overload shed as 503\n", cfg.maxInflight, cfg.maxQueue)
-	}
+	opts := cfg.servingOptions(corpus.Dataset.Stats(), &ready)
 	if cfg.live {
 		fmt.Printf("live mode: admin ingestion on, staleness bounds max-deltas=%d max-age=%v\n",
 			cfg.stalenessN, cfg.stalenessT)
 	}
 	if cfg.replDir != "" {
-		if !cfg.live {
-			return fmt.Errorf("-repl-dir needs -live: only promotions are journaled")
-		}
-		mgr, rcfg := eng.Replication()
-		leader, err := repl.NewLeader(mgr, rcfg, cfg.replDir, repl.LeaderOptions{})
+		mgr, _ := eng.Replication()
+		leader, err := repl.NewLeader(mgr, cfg.replDir, repl.LeaderOptions{})
 		if err != nil {
 			return err
 		}
@@ -295,9 +312,6 @@ func run(cfg config) error {
 			cfg.replDir, st.Segments, st.LogEnd)
 	}
 	if cfg.cdc {
-		if !cfg.live {
-			return fmt.Errorf("-cdc needs -live: streamed deltas stage into the live index")
-		}
 		mgr, _ := eng.Replication()
 		recv := cdc.NewReceiver(mgr, cdc.ReceiverOptions{MaxPending: cfg.cdcPending})
 		opts = append(opts, server.WithCDC(recv))
@@ -343,9 +357,6 @@ func run(cfg config) error {
 // leader's delta log, so the local corpus/live/snapshot flags don't
 // apply. The serving flags (cache, inflight limits) work as usual.
 func runFollower(cfg config) error {
-	if cfg.live || cfg.replDir != "" {
-		return fmt.Errorf("-follow is exclusive with -live and -repl-dir: a follower only replays the leader's log")
-	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -356,16 +367,13 @@ func runFollower(cfg config) error {
 	if err != nil {
 		return fmt.Errorf("bootstrap: %w", err)
 	}
-	eng, err := kqr.Open(kqr.WrapDatabase(snap.DB), kqr.Options{
-		PrecomputeWorkers: cfg.warmWorkers,
-		Mend:              cfg.mend,
-	})
+	eng, err := kqr.Open(kqr.WrapDatabase(snap.DB), kqr.Options{Mend: cfg.mend})
 	if err != nil {
 		return err
 	}
 	defer eng.Close()
-	mgr, rcfg := eng.Replication()
-	if err := f.Attach(mgr, rcfg, snap); err != nil {
+	mgr, _ := eng.Replication()
+	if err := f.Attach(mgr, snap); err != nil {
 		return fmt.Errorf("attach: %w", err)
 	}
 	fmt.Printf("bootstrapped at epoch %d in %v\ndataset: %s\ngraph:   %s\n",
@@ -386,20 +394,9 @@ func runFollower(cfg config) error {
 	}()
 
 	var ready atomic.Bool
-	opts := []server.Option{
-		server.WithDatasetStats(snap.DB.Stats().String()),
-		server.WithReadiness(ready.Load),
-		server.WithReplicationFollower(f, cfg.followLag),
-	}
-	if cfg.cacheMB > 0 {
-		opts = append(opts, server.WithCache(int64(cfg.cacheMB)<<20, cfg.cacheTTL))
-		fmt.Printf("serving: %d MiB response cache, ttl %v, coalescing on\n", cfg.cacheMB, cfg.cacheTTL)
-	}
-	if cfg.maxInflight > 0 {
-		opts = append(opts, server.WithMaxInflight(cfg.maxInflight, cfg.maxQueue))
-		fmt.Printf("serving: max %d in flight, queue %d, overload shed as 503\n", cfg.maxInflight, cfg.maxQueue)
-	}
-	fmt.Printf("follower mode: admin writes rejected, ready within %d promotions of the leader\n", cfg.followLag)
+	opts := append(cfg.servingOptions(snap.DB.Stats().String(), &ready),
+		server.WithReplicationFollower(f, followMaxLag))
+	fmt.Printf("follower mode: admin writes rejected, ready within %d promotions of the leader\n", followMaxLag)
 	srv, err := server.New(eng, opts...)
 	if err != nil {
 		return err

@@ -27,20 +27,16 @@ func (e *Engine) attachDiskTables(g *live.Generation, path string) error {
 	// operator set: whatever it uses is no longer available to the
 	// page cache, and a budget the index alone exhausts fails Open the
 	// same way an undersized page cache would.
-	budget := e.opts.TableMemBudget
+	total := e.mgr.Config().TableMemBudget
+	budget := total
 	if g.Mender != nil {
-		if budget <= 0 {
-			budget = diskmode.DefaultBudget
-		}
 		budget -= g.Mender.Bytes()
 		if budget <= 0 {
 			return fmt.Errorf("kqr: disk mode: mend index (%d bytes) exhausts TableMemBudget (%d); raise the budget or disable Options.Mend",
-				g.Mender.Bytes(), e.opts.TableMemBudget)
+				g.Mender.Bytes(), total)
 		}
 	}
-	store, err := diskmode.Open(path, e.artifactFingerprint(g), diskmode.Options{
-		Budget: budget,
-	})
+	store, err := diskmode.Open(path, e.artifactFingerprint(g), diskmode.Options{Budget: budget})
 	if err != nil {
 		return fmt.Errorf("kqr: disk mode: %w", err)
 	}
@@ -49,15 +45,10 @@ func (e *Engine) attachDiskTables(g *live.Generation, path string) error {
 		store.Close()
 		return fmt.Errorf("kqr: disk mode: %s: %w", path, err)
 	}
-	kind, err := live.SimTableKind(g)
-	if err != nil {
-		store.Close()
-		return err
-	}
-	sim := store.Table(kind)
+	sim := store.Table(g.SimKind)
 	if sim == nil {
 		store.Close()
-		return fmt.Errorf("kqr: disk mode: %s has no %s table (saved under a different mode?)", path, kind)
+		return fmt.Errorf("kqr: disk mode: %s has no %s table (saved under a different mode?)", path, g.SimKind)
 	}
 	clos := store.Table(artifact.TableCloseness)
 	if clos == nil {
@@ -69,6 +60,10 @@ func (e *Engine) attachDiskTables(g *live.Generation, path string) error {
 	g.Pager = store
 	return nil
 }
+
+// diskMode reports whether the engine serves its tables from a paged
+// snapshot (Options.DiskMode, resolved to a positive table budget).
+func (e *Engine) diskMode() bool { return e.mgr.Config().TableMemBudget > 0 }
 
 // DiskTables reports the current generation's disk-mode table store
 // statistics. ok is false when the engine is not serving paged tables

@@ -10,50 +10,43 @@ import (
 	"unicode"
 
 	"kqr/internal/artifact"
+	"kqr/internal/closeness"
 	"kqr/internal/core"
+	"kqr/internal/diskmode"
 	"kqr/internal/graph"
+	"kqr/internal/keywordsearch"
 	"kqr/internal/live"
+	"kqr/internal/randomwalk"
 	"kqr/internal/tatgraph"
 )
 
 // SimilarityMode selects the offline term-similarity model.
-type SimilarityMode int
+type SimilarityMode = live.Mode
 
 const (
 	// ContextualWalk is the paper's improved random walk (Algorithm 1):
 	// restart at the term's weighted context. The default.
-	ContextualWalk SimilarityMode = iota
+	ContextualWalk = live.ModeContextual
 	// IndividualWalk restarts at the term itself (the basic model the
 	// paper improves on; kept for ablation).
-	IndividualWalk
+	IndividualWalk = live.ModeIndividual
 	// Cooccurrence ranks by shared-tuple counts (the paper's baseline).
-	Cooccurrence
+	Cooccurrence = live.ModeCooccur
 )
 
-// String names the mode.
-func (m SimilarityMode) String() string {
-	switch m {
-	case IndividualWalk:
-		return "individual-walk"
-	case Cooccurrence:
-		return "cooccurrence"
-	default:
-		return "contextual-walk"
-	}
-}
-
 // DecodeAlgorithm selects the online top-k decoder.
-type DecodeAlgorithm int
+type DecodeAlgorithm = core.Algorithm
 
 const (
 	// AStar is the paper's Algorithm 3 (Viterbi forward + A* backward),
 	// the default.
-	AStar DecodeAlgorithm = iota
+	AStar = core.AlgAStar
 	// TopKViterbi is the paper's Algorithm 2.
-	TopKViterbi
+	TopKViterbi = core.AlgTopKViterbi
 )
 
-// Options tunes an Engine. Zero values take the documented defaults.
+// Options tunes an Engine. Zero values take the documented defaults;
+// Open refuses out-of-range values before it builds anything.
 type Options struct {
 	// Similarity selects the offline similarity model.
 	Similarity SimilarityMode
@@ -151,8 +144,11 @@ type Options struct {
 // immutable index generations behind an atomic pointer. See the package
 // comment's Concurrency section for which methods may race.
 type Engine struct {
-	mgr  *live.Manager
-	opts Options
+	// mgr owns the generations and the resolved configuration they are
+	// built with (mgr.Config() — the engine keeps no second copy).
+	mgr *live.Manager
+	// live gates Ingest and Promote (Options.Live).
+	live bool
 
 	artifactMu sync.Mutex // guards artifact (LoadArtifacts may race readers)
 	artifact   ArtifactInfo
@@ -164,71 +160,53 @@ type Engine struct {
 // request state from two different corpus versions.
 func (e *Engine) cur() *live.Generation { return e.mgr.Current() }
 
-// liveConfig translates public Options into the generation builder's
-// config so initial and promoted generations are wired identically.
-func (e *Engine) liveConfig() (live.Config, error) {
-	var mode live.Mode
-	switch e.opts.Similarity {
-	case ContextualWalk:
-		mode = live.ModeContextual
-	case IndividualWalk:
-		mode = live.ModeIndividual
-	case Cooccurrence:
-		mode = live.ModeCooccur
-	default:
-		return live.Config{}, fmt.Errorf("kqr: unknown similarity mode %d", int(e.opts.Similarity))
+// resolve is the one translation of the public Options into what the
+// generation manager takes. The knobs this package consumes itself —
+// staleness bounds, disk mode and its budget — are checked here; every
+// other default and range belongs to the package that consumes the knob
+// and is applied by live.NewManager before it builds anything.
+func (o Options) resolve() (live.Config, live.Options, error) {
+	if o.StalenessMaxDeltas < 0 || o.StalenessMaxAge < 0 {
+		return live.Config{}, live.Options{}, fmt.Errorf("kqr: negative staleness bound (Options.StalenessMaxDeltas %d, StalenessMaxAge %v)",
+			o.StalenessMaxDeltas, o.StalenessMaxAge)
 	}
-	alg := core.AlgAStar
-	if e.opts.Algorithm == TopKViterbi {
-		alg = core.AlgTopKViterbi
+	if o.DiskMode && o.ArtifactPath == "" {
+		return live.Config{}, live.Options{}, fmt.Errorf("kqr: disk mode requires Options.ArtifactPath (a paged snapshot from SaveArtifactsPaged)")
 	}
-	return live.Config{
-		Mode:              mode,
-		Damping:           e.opts.Damping,
-		Workers:           e.opts.PrecomputeWorkers,
-		ClosenessMaxLen:   e.opts.ClosenessMaxLen,
-		ClosenessBeam:     e.opts.ClosenessBeam,
-		CandidatesPerTerm: e.opts.CandidatesPerTerm,
-		SmoothingLambda:   e.opts.SmoothingLambda,
-		DropOriginal:      e.opts.DropOriginal,
-		AllowDeletion:     e.opts.AllowDeletion,
-		Algorithm:         alg,
-		SearchMaxResults:  e.opts.SearchMaxResults,
-		SearchMaxRadius:   e.opts.SearchMaxRadius,
-		Phrases:           e.opts.Phrases,
-		FoldPlurals:       e.opts.FoldPlurals,
-		Mend:              e.opts.Mend,
-	}, nil
-}
-
-// Open builds the TAT graph over the dataset and wires the offline and
-// online stages into the initial index generation (epoch 1). Building
-// cost is linear in the data size; similarity and closeness are
-// computed lazily per term and cached.
-func Open(d *Dataset, opts Options) (*Engine, error) {
-	if d == nil {
-		return nil, fmt.Errorf("kqr: nil dataset")
-	}
-	d.frozen = true
-	e := &Engine{opts: opts}
-	cfg, err := e.liveConfig()
+	disk, err := diskmode.Options{Budget: o.TableMemBudget}.Resolve()
 	if err != nil {
-		return nil, err
+		return live.Config{}, live.Options{}, fmt.Errorf("kqr: Options.TableMemBudget: %w", err)
 	}
-	g, err := live.Build(d.db, cfg)
-	if err != nil {
-		return nil, err
+	cfg := live.Config{
+		Mode:      o.Similarity,
+		Workers:   o.PrecomputeWorkers,
+		Walk:      randomwalk.Options{Damping: o.Damping},
+		Closeness: closeness.Options{MaxLen: o.ClosenessMaxLen, Beam: o.ClosenessBeam},
+		Online: core.Options{
+			CandidatesPerTerm: o.CandidatesPerTerm,
+			SmoothingLambda:   o.SmoothingLambda,
+			DropOriginal:      o.DropOriginal,
+			AllowDeletion:     o.AllowDeletion,
+			Algorithm:         o.Algorithm,
+		},
+		Search:      keywordsearch.Options{MaxResults: o.SearchMaxResults, MaxRadius: o.SearchMaxRadius},
+		Phrases:     o.Phrases,
+		FoldPlurals: o.FoldPlurals,
+		Mend:        o.Mend,
 	}
-	var mopts live.Options
-	if opts.Live {
-		mopts.StalenessMaxDeltas = opts.StalenessMaxDeltas
-		mopts.StalenessMaxAge = opts.StalenessMaxAge
+	if o.DiskMode {
+		cfg.TableMemBudget = disk.Budget
+	}
+	mopts := live.Options{OnError: o.OnPromoteError}
+	if o.Live {
+		mopts.StalenessMaxDeltas = o.StalenessMaxDeltas
+		mopts.StalenessMaxAge = o.StalenessMaxAge
 	}
 	// The retire hook always runs: a retired generation may own a paged
 	// disk store (g.Pager) that must be closed once it stops being
 	// current. Close drains in-flight page faults before unmapping, so
 	// it runs off the promotion path; late readers fall back to compute.
-	userRetire := opts.OnRetire
+	userRetire := o.OnRetire
 	mopts.OnRetire = func(g *live.Generation) {
 		if g.Pager != nil {
 			go g.Pager.Close()
@@ -237,23 +215,38 @@ func Open(d *Dataset, opts Options) (*Engine, error) {
 			userRetire(g.Epoch)
 		}
 	}
-	mopts.OnError = opts.OnPromoteError
-	e.mgr, err = live.NewManager(g, cfg, mopts)
+	return cfg, mopts, nil
+}
+
+// Open validates the options, builds the TAT graph over the dataset and
+// wires the offline and online stages into the initial index generation
+// (epoch 1). An invalid option fails before anything is built and
+// leaves the dataset unfrozen. Building cost is linear in the data
+// size; similarity and closeness are computed lazily per term and
+// cached.
+func Open(d *Dataset, opts Options) (*Engine, error) {
+	if d == nil {
+		return nil, fmt.Errorf("kqr: nil dataset")
+	}
+	cfg, mopts, err := opts.resolve()
 	if err != nil {
 		return nil, err
 	}
+	mgr, err := live.NewManager(d.db, cfg, mopts)
+	if err != nil {
+		return nil, fmt.Errorf("kqr: %w", err)
+	}
+	e := &Engine{mgr: mgr, live: opts.Live}
 	switch {
 	case opts.DiskMode:
-		if opts.ArtifactPath == "" {
-			return nil, fmt.Errorf("kqr: disk mode requires Options.ArtifactPath (a paged snapshot from SaveArtifactsPaged)")
-		}
-		if err := e.attachDiskTables(g, opts.ArtifactPath); err != nil {
+		if err := e.attachDiskTables(mgr.Current(), opts.ArtifactPath); err != nil {
 			return nil, err
 		}
 		e.setArtifact(ArtifactInfo{Loaded: true, Path: opts.ArtifactPath, FormatVersion: artifact.FormatVersionPaged, Disk: true})
 	case opts.ArtifactPath != "":
 		e.loadArtifactsOrFallback(opts.ArtifactPath)
 	}
+	d.frozen = true
 	return e, nil
 }
 
@@ -606,7 +599,7 @@ func toLiveDeltas(deltas []Delta) ([]live.Delta, error) {
 // next Promote (or automatically once a staleness bound is crossed).
 // The current generation keeps serving unchanged in the meantime.
 func (e *Engine) Ingest(deltas []Delta) error {
-	if !e.opts.Live {
+	if !e.live {
 		return ErrLiveDisabled
 	}
 	ld, err := toLiveDeltas(deltas)
@@ -623,7 +616,7 @@ func (e *Engine) Ingest(deltas []Delta) error {
 // with. With nothing pending it is a no-op returning the current
 // generation's info.
 func (e *Engine) Promote(ctx context.Context) (GenerationInfo, error) {
-	if !e.opts.Live {
+	if !e.live {
 		return GenerationInfo{}, ErrLiveDisabled
 	}
 	g, err := e.mgr.Promote(ctx)
@@ -648,21 +641,15 @@ func (e *Engine) PendingDeltas() int { return e.mgr.Pending() }
 // enabled. Subsystems that stage deltas through the generation manager
 // directly (replication, CDC) check this before bypassing the
 // Ingest/Promote gate.
-func (e *Engine) Live() bool { return e.opts.Live }
+func (e *Engine) Live() bool { return e.live }
 
-// Replication exposes the engine's generation manager and build config
-// to the replication subsystem (internal/repl): the leader journals the
-// manager's epoch transitions, a follower drives the manager in
-// lockstep with the leader's journal. The returned types live in
-// internal packages, so only this module's server and cmd packages can
-// consume them — external callers use the kqr-server -follow mode
-// instead.
+// Replication exposes the engine's generation manager and its resolved
+// build config to the replication subsystem (internal/repl): the leader
+// journals the manager's epoch transitions, a follower drives the
+// manager in lockstep with the leader's journal. The returned types
+// live in internal packages, so only this module's server and cmd
+// packages can consume them — external callers use the kqr-server
+// -follow mode instead.
 func (e *Engine) Replication() (*live.Manager, live.Config) {
-	cfg, err := e.liveConfig()
-	if err != nil {
-		// Open validated the options; an engine in hand cannot have an
-		// invalid mode.
-		panic(err)
-	}
-	return e.mgr, cfg
+	return e.mgr, e.mgr.Config()
 }

@@ -204,56 +204,6 @@ func TestInsertTSV(t *testing.T) {
 	}
 }
 
-func TestReformulateDiverse(t *testing.T) {
-	corpus, err := synthetic.Bibliography(synthetic.Config{Seed: 8, Topics: 4, Confs: 8, Authors: 60, Papers: 500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := kqr.Open(corpus.Dataset, kqr.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	terms := corpus.TopicTerms(0)
-	query := []string{terms[0], terms[2]}
-
-	plain, err := eng.Reformulate(query, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diverse, err := eng.ReformulateDiverse(query, 8, 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diverse) == 0 {
-		t.Fatal("no diverse suggestions")
-	}
-	distinct := func(sugs []kqr.Suggestion) int {
-		set := map[string]bool{}
-		for _, s := range sugs {
-			for _, term := range s.Terms {
-				set[term] = true
-			}
-		}
-		return len(set)
-	}
-	if distinct(diverse) < distinct(plain) {
-		t.Fatalf("diverse vocabulary %d < plain %d", distinct(diverse), distinct(plain))
-	}
-	// penalty 0 equals plain top-k.
-	same, err := eng.ReformulateDiverse(query, 8, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range same {
-		if i < len(plain) && same[i].String() != plain[i].String() {
-			t.Fatalf("penalty 0 diverged at %d", i)
-		}
-	}
-	if _, err := eng.ReformulateDiverse(query, 5, 1.5); err == nil {
-		t.Fatal("bad penalty accepted")
-	}
-}
-
 func TestDatasetFreezesOnOpen(t *testing.T) {
 	ds := bibliographyDataset(t)
 	if _, err := kqr.Open(ds, kqr.Options{}); err != nil {

@@ -182,6 +182,22 @@ func (t *PagedTable) validate() error {
 	return nil
 }
 
+// DecodePage verifies raw — the blob bytes of page pg, entries
+// PageStarts[pg] to PageEnd(pg) — against the page's stored CRC and
+// decodes its (u32 node, f32 score) entries into nodes and scores, each
+// len(raw)/8 long. It is the one page-entry decoder: the sequential
+// restore below and diskmode's page fault both call it.
+func (t *PagedTable) DecodePage(pg int, raw []byte, nodes []graph.NodeID, scores []float32) error {
+	if crc := crc32.ChecksumIEEE(raw); crc != t.PageCRCs[pg] {
+		return fmt.Errorf("%w: page %d CRC %08x, stored %08x", ErrChecksum, pg, crc, t.PageCRCs[pg])
+	}
+	for i := range nodes {
+		nodes[i] = graph.NodeID(binary.LittleEndian.Uint32(raw[i*pagedEntrySize:]))
+		scores[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[i*pagedEntrySize+4:]))
+	}
+	return nil
+}
+
 // readPagedRows decodes a paged table section sequentially — the
 // restore path of a v2 file opened without disk mode. The prelude is
 // the table's index as it stands; the blob is read page by page, each
@@ -197,17 +213,12 @@ func readPagedRows(rr *frame.Reader, kind TableKind) *packed.Rows {
 		if rr.Err() != nil {
 			return nil
 		}
-		if crc := crc32.ChecksumIEEE(b); crc != t.PageCRCs[pg] {
-			rr.Fail(fmt.Errorf("%w: page %d CRC %08x, stored %08x", ErrChecksum, pg, crc, t.PageCRCs[pg]))
-			return nil
-		}
 		n := len(b) / pagedEntrySize
 		rows.Nodes = append(rows.Nodes, make([]graph.NodeID, n)...)
 		rows.Scores = append(rows.Scores, make([]float32, n)...)
-		nodes, scores := rows.Nodes[start:], rows.Scores[start:]
-		for i := range nodes {
-			nodes[i] = graph.NodeID(binary.LittleEndian.Uint32(b[i*pagedEntrySize:]))
-			scores[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[i*pagedEntrySize+4:]))
+		if err := t.DecodePage(pg, b, rows.Nodes[start:], rows.Scores[start:]); err != nil {
+			rr.Fail(err)
+			return nil
 		}
 	}
 	for v := 0; v < t.NumNodes; v++ {

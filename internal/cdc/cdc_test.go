@@ -28,12 +28,7 @@ func mustBibDB(t testing.TB) *relstore.Database {
 
 func mustManager(t testing.TB) *live.Manager {
 	t.Helper()
-	cfg := live.Config{}
-	g, err := live.Build(mustBibDB(t), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := live.NewManager(g, cfg, live.Options{})
+	m, err := live.NewManager(mustBibDB(t), live.Config{}, live.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

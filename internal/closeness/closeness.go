@@ -34,12 +34,9 @@ import (
 	"kqr/internal/tatgraph"
 )
 
-// DefaultMaxLen is the hop bound a zero Options.MaxLen resolves to.
-const DefaultMaxLen = 4
-
 // Options tunes the path search.
 type Options struct {
-	// MaxLen bounds path length in hops (default DefaultMaxLen: term–tuple–term–
+	// MaxLen bounds path length in hops (default 4: term–tuple–term–
 	// tuple–term reaches terms related through one intermediate tuple
 	// chain, e.g. same conference or same author).
 	MaxLen int
@@ -47,14 +44,14 @@ type Options struct {
 	// unlimited). Pruning bounds work on hub-heavy graphs at the cost
 	// of exactness, mirroring the paper's "prune less frequent".
 	Beam int
-	// Workers bounds the goroutines used by Precompute's offline
-	// fan-out (<= 0 means runtime.GOMAXPROCS(0)).
-	Workers int
 }
 
-func (o Options) withDefaults() (Options, error) {
+// Resolve returns o with the zero MaxLen replaced by its default, or
+// the first range error. New calls it; a config layer that must know
+// the effective hop bound before anything is built calls it too.
+func (o Options) Resolve() (Options, error) {
 	if o.MaxLen == 0 {
-		o.MaxLen = DefaultMaxLen
+		o.MaxLen = 4
 	}
 	if o.MaxLen < 1 {
 		return o, fmt.Errorf("closeness: MaxLen %d < 1", o.MaxLen)
@@ -81,14 +78,13 @@ type Store struct {
 
 // New builds a closeness store over a TAT graph.
 func New(tg *tatgraph.Graph, opts Options) (*Store, error) {
-	opts, err := opts.withDefaults()
+	opts, err := opts.Resolve()
 	if err != nil {
 		return nil, err
 	}
 	s := &Store{tg: tg, opts: opts}
 	s.scratch.New = func() any { return new(scratch) }
 	s.Store = packed.NewStore(tg.CSR().NumNodes(), s.search)
-	s.Workers = opts.Workers
 	return s, nil
 }
 

@@ -13,7 +13,8 @@ import (
 // afterwards. (Coalescing of concurrent cold misses is the shared
 // store's property; see internal/packed.)
 func TestPrecomputeParallel(t *testing.T) {
-	tg, s := fixtureStore(t, Options{Workers: 8})
+	tg, s := fixtureStore(t, Options{})
+	s.Workers = 8
 	nodes := []graph.NodeID{
 		term(t, tg, "papers.title", "uncertain"),
 		term(t, tg, "papers.title", "probabilistic"),

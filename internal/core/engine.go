@@ -69,14 +69,18 @@ type Options struct {
 	// AllowDeletion adds a void state per slot ("void states", §V-B) so
 	// decoded queries may drop terms. Off by default.
 	AllowDeletion bool
-	// VoidPenalty is the emission/transition score of a void state
-	// (default 0.05); only used when AllowDeletion is set.
-	VoidPenalty float64
 	// Algorithm selects the decoder (default AlgAStar).
 	Algorithm Algorithm
 }
 
-func (o Options) withDefaults() (Options, error) {
+// voidPenalty is the emission/transition score of a void state (§V-B);
+// only used when AllowDeletion is set.
+const voidPenalty = 0.05
+
+// Resolve returns o with zero values replaced by their defaults, or the
+// first range error. New calls it; a config layer that validates
+// options before anything is built calls it too.
+func (o Options) Resolve() (Options, error) {
 	if o.CandidatesPerTerm == 0 {
 		o.CandidatesPerTerm = 10
 	}
@@ -88,12 +92,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.SmoothingLambda < 0 || o.SmoothingLambda > 1 {
 		return o, fmt.Errorf("core: SmoothingLambda %v outside [0,1]", o.SmoothingLambda)
-	}
-	if o.VoidPenalty == 0 {
-		o.VoidPenalty = 0.05
-	}
-	if o.VoidPenalty < 0 || o.VoidPenalty > 1 {
-		return o, fmt.Errorf("core: VoidPenalty %v outside [0,1]", o.VoidPenalty)
 	}
 	if o.Algorithm != AlgAStar && o.Algorithm != AlgTopKViterbi {
 		return o, fmt.Errorf("core: unknown algorithm %d", int(o.Algorithm))
@@ -118,7 +116,7 @@ func New(tg *tatgraph.Graph, sim SimilarityProvider, clos ClosenessProvider, opt
 	if tg == nil || sim == nil || clos == nil {
 		return nil, fmt.Errorf("core: nil graph or provider")
 	}
-	opts, err := opts.withDefaults()
+	opts, err := opts.Resolve()
 	if err != nil {
 		return nil, err
 	}
@@ -196,7 +194,7 @@ func (e *Engine) fillSlot(sl *slot, i int, q graph.NodeID) error {
 	}
 	if e.opts.AllowDeletion {
 		sl.cands = append(sl.cands, voidNode)
-		sl.sims = append(sl.sims, e.opts.VoidPenalty)
+		sl.sims = append(sl.sims, voidPenalty)
 	}
 	if len(sl.cands) == 0 {
 		// A slot with no substitutes (common for entity names under

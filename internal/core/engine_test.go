@@ -55,7 +55,6 @@ func TestNewValidation(t *testing.T) {
 		{CandidatesPerTerm: -1},
 		{SmoothingLambda: 2},
 		{SmoothingLambda: -0.5},
-		{VoidPenalty: 3},
 		{Algorithm: Algorithm(9)},
 	}
 	for _, o := range bad {
@@ -199,7 +198,7 @@ func TestKeepOriginalStates(t *testing.T) {
 }
 
 func TestAllowDeletionProducesShorterQueries(t *testing.T) {
-	_, eng := newFixtureEngine(t, Options{AllowDeletion: true, VoidPenalty: 0.9})
+	_, eng := newFixtureEngine(t, Options{AllowDeletion: true})
 	refs, err := eng.Reformulate([]string{"uncertain", "twig"}, 15)
 	if err != nil {
 		t.Fatal(err)

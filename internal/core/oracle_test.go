@@ -61,7 +61,7 @@ func (e *Engine) buildModel(slots []slot) *hmm.Model {
 	for i, v := range slots[0].cands {
 		f := 1.0
 		if v == voidNode {
-			f = e.opts.VoidPenalty
+			f = voidPenalty
 		} else {
 			f = float64(e.tg.Freq(v))
 		}
@@ -88,7 +88,7 @@ func (e *Engine) buildModel(slots []slot) *hmm.Model {
 				v := 0.0
 				switch {
 				case a == voidNode || b == voidNode:
-					v = e.opts.VoidPenalty
+					v = voidPenalty
 				default:
 					v = e.clos.Clos(a, b)
 				}

@@ -126,7 +126,7 @@ func (e *Engine) buildModelInto(s *queryScratch, m int) {
 	for i, v := range slots[0].cands {
 		f := 1.0
 		if v == voidNode {
-			f = e.opts.VoidPenalty
+			f = voidPenalty
 		} else {
 			f = float64(e.tg.Freq(v))
 		}
@@ -161,7 +161,7 @@ func (e *Engine) buildModelInto(s *queryScratch, m int) {
 				v := 0.0
 				switch {
 				case a == voidNode || b == voidNode:
-					v = e.opts.VoidPenalty
+					v = voidPenalty
 				default:
 					v = e.clos.Clos(a, b)
 				}

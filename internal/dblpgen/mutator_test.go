@@ -103,11 +103,7 @@ func TestMutatorCountsReconcile(t *testing.T) {
 // against the corpus it was built for.
 func TestMutatorBatchesValidate(t *testing.T) {
 	c := mutatorCorpus(t)
-	g, err := live.Build(c.DB, live.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr, err := live.NewManager(g, live.Config{}, live.Options{})
+	mgr, err := live.NewManager(c.DB, live.Config{}, live.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

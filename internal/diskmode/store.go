@@ -1,11 +1,8 @@
 package diskmode
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"sort"
 	"sync"
@@ -25,16 +22,25 @@ type Options struct {
 	// fails if the index alone exceeds it, or if what remains for the
 	// cache cannot hold one largest page per shard (the floor below
 	// which the resident ≤ budget guarantee would break). Zero means
-	// DefaultBudget.
+	// 64 MiB, which holds the index of any corpus this repo generates
+	// with room for a useful hot set.
 	Budget int64
 	// NoMmap forces the plain ReadAt fault path even where mmap works.
 	NoMmap bool
 }
 
-// DefaultBudget is the resident budget when Options leaves it zero:
-// 64 MiB holds the index of any corpus this repo generates with room
-// for a useful hot set.
-const DefaultBudget int64 = 64 << 20
+// Resolve returns o with a zero Budget replaced by its default, or the
+// error for a negative one. Open calls it; a config layer that spends
+// part of the budget elsewhere before opening the store calls it too.
+func (o Options) Resolve() (Options, error) {
+	if o.Budget == 0 {
+		o.Budget = 64 << 20
+	}
+	if o.Budget < 0 {
+		return o, fmt.Errorf("diskmode: negative table memory budget %d", o.Budget)
+	}
+	return o, nil
+}
 
 // Stats is a point-in-time snapshot of a store's counters, exported
 // verbatim by the server's /api/metrics disk block.
@@ -97,8 +103,9 @@ type Store struct {
 // fingerprint must match the file's or Open fails (artifact
 // sentinels: ErrVersion for a v1 file, ErrFingerprint for a stale one).
 func Open(path, fingerprint string, opts Options) (*Store, error) {
-	if opts.Budget == 0 {
-		opts.Budget = DefaultBudget
+	opts, err := opts.Resolve()
+	if err != nil {
+		return nil, err
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -245,24 +252,19 @@ func (s *Store) readPage(t *artifact.PagedTable, lo, hi uint64) ([]byte, error) 
 // admitted; the caller falls back to live computation.
 func (s *Store) fault(t *artifact.PagedTable, pg int) (*page, bool) {
 	lo, hi := uint64(t.PageStarts[pg]), t.PageEnd(pg)
-	raw, err := s.readPage(t, lo, hi)
-	if err != nil {
-		s.corrupt.Add(1)
-		return nil, false
-	}
-	if crc32.ChecksumIEEE(raw) != t.PageCRCs[pg] {
-		s.corrupt.Add(1)
-		return nil, false
-	}
 	n := int(hi - lo)
 	p := &page{
 		nodes:  make([]graph.NodeID, n),
 		scores: make([]float32, n),
-		size:   int64(n)*8 + entryOverhead,
+		size:   int64(n)*pagedEntrySize + entryOverhead,
 	}
-	for i := 0; i < n; i++ {
-		p.nodes[i] = graph.NodeID(binary.LittleEndian.Uint32(raw[i*pagedEntrySize:]))
-		p.scores[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[i*pagedEntrySize+4:]))
+	raw, err := s.readPage(t, lo, hi)
+	if err == nil {
+		err = t.DecodePage(pg, raw, p.nodes, p.scores)
+	}
+	if err != nil {
+		s.corrupt.Add(1)
+		return nil, false
 	}
 	s.cache.put(pageKey{table: uint8(t.Kind), page: uint32(pg)}, p)
 	return p, true

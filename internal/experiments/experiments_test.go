@@ -40,7 +40,7 @@ func TestTable1(t *testing.T) {
 			t.Fatal("target term in its own close list")
 		}
 	}
-	out := RenderTable1(rows)
+	out := Render(rows)
 	if !strings.Contains(out, "probabilistic") {
 		t.Fatalf("render: %q", out)
 	}
@@ -75,7 +75,7 @@ func TestTable2SynonymClaim(t *testing.T) {
 				r.SynonymPartner, r.Target)
 		}
 	}
-	if out := RenderTable2(rows); !strings.Contains(out, "contextual") {
+	if out := Render(rows); !strings.Contains(out, "contextual") {
 		t.Fatalf("render: %q", out)
 	}
 }
@@ -113,7 +113,7 @@ func TestFig5Shape(t *testing.T) {
 		t.Fatalf("TAT %.3f should dominate Rank %.3f and Cooccur %.3f",
 			mean(tat), mean(rank), mean(co))
 	}
-	if out := RenderFig5(rows); !strings.Contains(out, "P@10") {
+	if out := Render(rows); !strings.Contains(out, "P@10") {
 		t.Fatalf("render: %q", out)
 	}
 }
@@ -139,7 +139,7 @@ func TestFig7And8(t *testing.T) {
 				t.Fatalf("non-positive timing %+v", r)
 			}
 		}
-		if out := RenderFig7(rows7); !strings.Contains(out, "speedup") {
+		if out := Render(rows7); !strings.Contains(out, "speedup") {
 			t.Fatalf("render: %q", out)
 		}
 		rows8, err := s.Fig8(3, cfg)
@@ -149,7 +149,7 @@ func TestFig7And8(t *testing.T) {
 		if len(rows8) != 3 {
 			t.Fatalf("fig8 rows = %d", len(rows8))
 		}
-		if out := RenderFig8(rows8); !strings.Contains(out, "Viterbi stage") {
+		if out := Render(rows8); !strings.Contains(out, "Viterbi stage") {
 			t.Fatalf("render: %q", out)
 		}
 		tie = ""
@@ -183,7 +183,7 @@ func TestFig9And10(t *testing.T) {
 			t.Fatalf("Viterbi stage varied with k: %+v", rows9)
 		}
 	}
-	if out := RenderFig9(rows9); !strings.Contains(out, "A* stage") {
+	if out := Render(rows9); !strings.Contains(out, "A* stage") {
 		t.Fatalf("render: %q", out)
 	}
 	rows10, err := s.Fig10(2, []int{5, 10}, cfg)
@@ -198,7 +198,7 @@ func TestFig9And10(t *testing.T) {
 			t.Fatalf("non-positive total %+v", r)
 		}
 	}
-	if out := RenderFig10(rows10); !strings.Contains(out, "response time") {
+	if out := Render(rows10); !strings.Contains(out, "response time") {
 		t.Fatalf("render: %q", out)
 	}
 }
@@ -228,7 +228,7 @@ func TestTable3Shape(t *testing.T) {
 		t.Fatalf("TAT result size %.2f below Rank %.2f",
 			byMethod[MethodTAT].ResultSize, byMethod[MethodRank].ResultSize)
 	}
-	if out := RenderTable3(rows); !strings.Contains(out, "query distance") {
+	if out := Render(rows); !strings.Contains(out, "query distance") {
 		t.Fatalf("render: %q", out)
 	}
 }
@@ -271,7 +271,7 @@ func TestFig5Multi(t *testing.T) {
 			}
 		}
 	}
-	if out := RenderFig5Multi(rows); !strings.Contains(out, "±") {
+	if out := Render(rows); !strings.Contains(out, "±") {
 		t.Fatalf("render: %q", out)
 	}
 	if _, err := s.Fig5Multi(5, nil); err == nil {
@@ -305,7 +305,7 @@ func TestSynonymRecall(t *testing.T) {
 	if ctx.Found*2 < ctx.Pairs {
 		t.Fatalf("contextual found only %d/%d", ctx.Found, ctx.Pairs)
 	}
-	if out := RenderSynonymRecall(rows); !strings.Contains(out, "pairs found") {
+	if out := Render(rows); !strings.Contains(out, "pairs found") {
 		t.Fatalf("render: %q", out)
 	}
 }
@@ -318,7 +318,7 @@ func TestCSVWriters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFig5CSV(&buf, f5); err != nil {
+	if err := WriteCSV(&buf, f5); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(buf.String(), "method,n,precision\n") {
@@ -335,7 +335,7 @@ func TestCSVWriters(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf.Reset()
-	if err := WriteFig7CSV(&buf, f7); err != nil {
+	if err := WriteCSV(&buf, f7); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "alg3_viterbi_astar") {
@@ -347,7 +347,7 @@ func TestCSVWriters(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf.Reset()
-	if err := WriteFig8CSV(&buf, f8); err != nil {
+	if err := WriteCSV(&buf, f8); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "viterbi") || !strings.Contains(buf.String(), "astar") {
@@ -359,7 +359,7 @@ func TestCSVWriters(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf.Reset()
-	if err := WriteFig9CSV(&buf, f9); err != nil {
+	if err := WriteCSV(&buf, f9); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(buf.String(), "k,stage,ms\n") {
@@ -371,7 +371,7 @@ func TestCSVWriters(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf.Reset()
-	if err := WriteFig10CSV(&buf, f10); err != nil {
+	if err := WriteCSV(&buf, f10); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(buf.String(), "candidates,ms\n") {
@@ -383,7 +383,7 @@ func TestCSVWriters(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf.Reset()
-	if err := WriteTable3CSV(&buf, t3); err != nil {
+	if err := WriteCSV(&buf, t3); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "TAT-based") {

@@ -78,24 +78,3 @@ func meanStd(vals []float64) (float64, float64) {
 	}
 	return mean, math.Sqrt(ss / float64(len(vals)-1))
 }
-
-// RenderFig5Multi formats the aggregated precision table.
-func RenderFig5Multi(rows []Fig5MultiRow) string {
-	if len(rows) == 0 {
-		return ""
-	}
-	header := []string{"method"}
-	for _, n := range rows[0].Ns {
-		header = append(header, fmt.Sprintf("P@%d", n))
-	}
-	cells := make([][]string, len(rows))
-	for i, r := range rows {
-		row := []string{string(r.Method)}
-		for j := range r.Mean {
-			row = append(row, fmt.Sprintf("%.3f±%.3f", r.Mean[j], r.Std[j]))
-		}
-		cells[i] = row
-	}
-	return fmt.Sprintf("Fig. 5 — precision over %d query seeds (mean ± std)\n", rows[0].Seeds) +
-		renderTable(header, cells)
-}

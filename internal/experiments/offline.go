@@ -26,7 +26,7 @@ type OfflineRow struct {
 	Terms   int           `json:"terms"`
 	Walk    time.Duration `json:"walk_ns"`
 	// WalkSweeps is the mean number of solver sweeps a term's walk took
-	// to converge (the cap is randomwalk.Options.MaxIter, default 60).
+	// to converge (the solver caps a solve at 60).
 	WalkSweeps float64       `json:"walk_sweeps_per_term"`
 	Closeness  time.Duration `json:"closeness_ns"`
 	Total      time.Duration `json:"total_ns"`
@@ -55,11 +55,12 @@ func (s *Setup) OfflineScaling(workerCounts []int, terms int) ([]OfflineRow, err
 	ctx := context.Background()
 	out := make([]OfflineRow, 0, len(workerCounts))
 	for _, w := range workerCounts {
-		ex := randomwalk.NewExtractor(s.TG, randomwalk.Contextual, randomwalk.Options{Workers: w})
-		cl, err := closeness.New(s.TG, closeness.Options{Workers: w})
+		ex := randomwalk.NewExtractor(s.TG, randomwalk.Contextual, randomwalk.Options{})
+		cl, err := closeness.New(s.TG, closeness.Options{})
 		if err != nil {
 			return nil, err
 		}
+		ex.Workers, cl.Workers = w, w
 		row := OfflineRow{Workers: w, Terms: len(nodes)}
 
 		start := time.Now()

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"sort"
 
 	"kqr/internal/graph"
@@ -112,25 +111,4 @@ func (s *Setup) SynonymRecall(maxK int) ([]SynonymRecallRow, error) {
 		out = append(out, row)
 	}
 	return out, nil
-}
-
-// RenderSynonymRecall formats the recall table.
-func RenderSynonymRecall(rows []SynonymRecallRow) string {
-	if len(rows) == 0 {
-		return ""
-	}
-	cells := make([][]string, len(rows))
-	for i, r := range rows {
-		mean := "-"
-		if r.Found > 0 {
-			mean = fmt.Sprintf("%.1f", r.MeanRank)
-		}
-		cells[i] = []string{
-			r.Method,
-			fmt.Sprintf("%d/%d", r.Found, r.Pairs),
-			mean,
-		}
-	}
-	return fmt.Sprintf("Synonym recall — planted never-co-occurring pairs found in top %d\n", rows[0].MaxK) +
-		renderTable([]string{"method", "pairs found", "mean rank"}, cells)
 }

@@ -16,7 +16,6 @@ import (
 	"sort"
 
 	"kqr/internal/graph"
-	"kqr/internal/randomwalk"
 	"kqr/internal/relstore"
 	"kqr/internal/tatgraph"
 )
@@ -28,14 +27,12 @@ type Options struct {
 	// MaxRadius caps the hop distance from a root to any keyword match
 	// (default 3 — tuple–tuple hops over foreign keys).
 	MaxRadius int
-	// Prestige ranks equal-cost results by the root tuple's global
-	// random-walk score (the PageRank-style node authority the paper's
-	// related work [21] uses), so well-connected tuples surface first.
-	// Computing it adds one global walk at construction time.
-	Prestige bool
 }
 
-func (o Options) withDefaults() (Options, error) {
+// Resolve returns o with zero values replaced by their defaults, or the
+// first range error. New calls it; a config layer that validates
+// options before anything is built calls it too.
+func (o Options) Resolve() (Options, error) {
 	if o.MaxResults == 0 {
 		o.MaxResults = 50
 	}
@@ -68,32 +65,15 @@ type Result struct {
 type Searcher struct {
 	tg   *tatgraph.Graph
 	opts Options
-	// prestige holds global walk scores per node when Options.Prestige
-	// is set; nil otherwise.
-	prestige []float64
 }
 
 // New builds a searcher.
 func New(tg *tatgraph.Graph, opts Options) (*Searcher, error) {
-	opts, err := opts.withDefaults()
+	opts, err := opts.Resolve()
 	if err != nil {
 		return nil, err
 	}
-	s := &Searcher{tg: tg, opts: opts}
-	if opts.Prestige {
-		// Uniform restart over all nodes = global PageRank-style
-		// authority.
-		pref := make([]graph.Scored, tg.NumNodes())
-		for v := range pref {
-			pref[v] = graph.Scored{Node: graph.NodeID(v), Score: 1}
-		}
-		scores, _, err := randomwalk.Scores(tg.CSR(), pref, randomwalk.Options{})
-		if err != nil {
-			return nil, err
-		}
-		s.prestige = scores
-	}
-	return s, nil
+	return &Searcher{tg: tg, opts: opts}, nil
 }
 
 // matchSet returns the tuple nodes containing the keyword in any field.
@@ -201,9 +181,6 @@ func (s *Searcher) Search(keywords []string) ([]Result, int, error) {
 	sort.Slice(roots, func(i, j int) bool {
 		if roots[i].cost != roots[j].cost {
 			return roots[i].cost < roots[j].cost
-		}
-		if s.prestige != nil && s.prestige[roots[i].node] != s.prestige[roots[j].node] {
-			return s.prestige[roots[i].node] > s.prestige[roots[j].node]
 		}
 		return roots[i].node < roots[j].node
 	})

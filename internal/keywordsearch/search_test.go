@@ -217,39 +217,3 @@ func TestDeterminism(t *testing.T) {
 		}
 	}
 }
-
-func TestPrestigeRanking(t *testing.T) {
-	tg, plain := fixtureSearcher(t, Options{})
-	ranked, err := New(tg, Options{Prestige: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same result sets either way.
-	a, totalA, err := plain.Search([]string{"indexing"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, totalB, err := ranked.Search([]string{"indexing"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if totalA != totalB || len(a) != len(b) {
-		t.Fatalf("prestige changed result counts: %d/%d vs %d/%d", len(a), totalA, len(b), totalB)
-	}
-	// Costs remain primary: ordering by cost is unchanged.
-	for i := range b {
-		if b[i].Cost != a[i].Cost {
-			t.Fatalf("cost order changed at %d: %d vs %d", i, b[i].Cost, a[i].Cost)
-		}
-	}
-	// Determinism with prestige.
-	c, _, err := ranked.Search([]string{"indexing"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range b {
-		if b[i].Root != c[i].Root {
-			t.Fatal("prestige ranking nondeterministic")
-		}
-	}
-}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"kqr/internal/artifact"
-	"kqr/internal/cooccur"
-	"kqr/internal/randomwalk"
 )
 
 // ArtifactSnapshot assembles the artifact codec's snapshot of one
@@ -14,13 +12,9 @@ import (
 // and of the closeness table, stamped with the caller's fingerprint.
 // The root package's SaveArtifacts and the replication leader's
 // bootstrap stream both funnel through it.
-func ArtifactSnapshot(g *Generation, fingerprint string) (*artifact.Snapshot, error) {
-	sim, err := SimTableKind(g)
-	if err != nil {
-		return nil, err
-	}
+func ArtifactSnapshot(g *Generation, fingerprint string) *artifact.Snapshot {
 	snap := &artifact.Snapshot{Fingerprint: fingerprint, Classes: g.TG.Classes()}
-	snap.Tables[sim] = g.Sim.Rows()
+	snap.Tables[g.SimKind] = g.Sim.Rows()
 	snap.Tables[artifact.TableCloseness] = g.Clos.Rows()
 	classIndex := make(map[string]int32, len(snap.Classes))
 	for i, c := range snap.Classes {
@@ -33,21 +27,7 @@ func ArtifactSnapshot(g *Generation, fingerprint string) (*artifact.Snapshot, er
 			Text:  g.TG.TermText(node),
 		})
 	}
-	return snap, nil
-}
-
-// SimTableKind names the snapshot table the generation's similarity
-// mode reads and writes. Both walk modes share TableWalk — the
-// fingerprint already distinguishes contextual from individual.
-func SimTableKind(g *Generation) (artifact.TableKind, error) {
-	switch g.Sim.(type) {
-	case *randomwalk.Extractor:
-		return artifact.TableWalk, nil
-	case *cooccur.Extractor:
-		return artifact.TableCooccur, nil
-	default:
-		return 0, fmt.Errorf("live: similarity provider %T does not support snapshots", g.Sim)
-	}
+	return snap
 }
 
 // RestoreArtifact validates the snapshot's vocabulary against the
@@ -60,14 +40,10 @@ func RestoreArtifact(g *Generation, snap *artifact.Snapshot) error {
 	if err := ValidateVocabulary(g, snap.Classes, snap.Vocabulary); err != nil {
 		return err
 	}
-	sim, err := SimTableKind(g)
-	if err != nil {
-		return err
+	if snap.Tables[g.SimKind] == nil {
+		return fmt.Errorf("%w: snapshot has no %s table", artifact.ErrFingerprint, g.SimKind)
 	}
-	if snap.Tables[sim] == nil {
-		return fmt.Errorf("%w: snapshot has no %s table", artifact.ErrFingerprint, sim)
-	}
-	g.Sim.Load(snap.Tables[sim])
+	g.Sim.Load(snap.Tables[g.SimKind])
 	g.Clos.Load(snap.Tables[artifact.TableCloseness])
 	return nil
 }

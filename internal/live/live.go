@@ -32,6 +32,7 @@ import (
 	"io"
 	"time"
 
+	"kqr/internal/artifact"
 	"kqr/internal/closeness"
 	"kqr/internal/cooccur"
 	"kqr/internal/core"
@@ -45,15 +46,16 @@ import (
 	"kqr/internal/textindex"
 )
 
-// Mode selects the offline similarity model a generation is built with.
-// It mirrors the root package's SimilarityMode so the builder can be
-// driven without importing the root package (which imports this one).
+// Mode selects the offline similarity model a generation is built with
+// (the root package's SimilarityMode is this type).
 type Mode int
 
 const (
-	// ModeContextual is the paper's improved contextual random walk.
+	// ModeContextual is the paper's improved contextual random walk
+	// (Algorithm 1): restart at the term's weighted context. The default.
 	ModeContextual Mode = iota
-	// ModeIndividual restarts the walk at the term itself (ablation).
+	// ModeIndividual restarts the walk at the term itself (the basic
+	// model the paper improves on; kept for ablation).
 	ModeIndividual
 	// ModeCooccur ranks by shared-tuple counts (the paper's baseline).
 	ModeCooccur
@@ -71,34 +73,29 @@ func (m Mode) String() string {
 	}
 }
 
-// Config carries everything Build needs to construct a generation —
-// the same knobs the root package's Open wires, so every generation of
-// one engine is built identically.
+// Config is an engine's configuration: every knob a generation is built
+// with, each in the options struct of the package that consumes it — so
+// its default and its range are that package's, declared once.
+// NewManager resolves it once (zero values become those defaults,
+// out-of-range values are refused) and the Manager's copy
+// (Manager.Config) is the one every later reader uses: promotion,
+// reload, both fingerprints, disk attach.
 type Config struct {
 	// Mode selects the similarity model (default ModeContextual).
 	Mode Mode
-	// Damping is the random-walk restart complement λ (default 0.8).
-	Damping float64
-	// Workers bounds the offline fan-out (<= 0 = GOMAXPROCS).
+	// Workers bounds the offline fan-out of all three row stores
+	// (<= 0 = GOMAXPROCS).
 	Workers int
-	// ClosenessMaxLen bounds closeness path length in hops (default 4).
-	ClosenessMaxLen int
-	// ClosenessBeam prunes each closeness BFS level (0 = exact).
-	ClosenessBeam int
-	// CandidatesPerTerm is the per-slot candidate list size (default 10).
-	CandidatesPerTerm int
-	// SmoothingLambda is the Eq. 5–6 smoothing weight (default 0.8).
-	SmoothingLambda float64
-	// DropOriginal removes the original term from each slot's candidates.
-	DropOriginal bool
-	// AllowDeletion adds void states so suggestions may drop terms.
-	AllowDeletion bool
-	// Algorithm selects the top-k decoder.
-	Algorithm core.Algorithm
-	// SearchMaxResults caps materialized search result trees.
-	SearchMaxResults int
-	// SearchMaxRadius bounds the keyword-search join radius.
-	SearchMaxRadius int
+	// Walk is the random walk's λ (Alg. 1); unused by ModeCooccur.
+	Walk randomwalk.Options
+	// Closeness is the path search's hop bound and beam (§IV-C).
+	Closeness closeness.Options
+	// Online is the HMM assembly and decoding of §V: n candidates per
+	// slot, the Eq. 5–6 smoothing weight, original and void states,
+	// Alg. 2 vs Alg. 3.
+	Online core.Options
+	// Search bounds keyword search over the tuple graph (Def. 3).
+	Search keywordsearch.Options
 	// Phrases also indexes recurring adjacent-word pairs.
 	Phrases bool
 	// FoldPlurals folds regular English plurals during tokenization.
@@ -109,26 +106,43 @@ type Config struct {
 	// alongside the packed tables and participates in promotion,
 	// reload, and replication like every other derived structure.
 	Mend bool
+	// TableMemBudget, when positive, says the offline tables are served
+	// from a paged snapshot within that many resident bytes (the root
+	// package's disk mode, which resolves it and attaches the store);
+	// zero means tables in RAM. Build does not read it.
+	TableMemBudget int64
+}
+
+// Resolve returns cfg with every zero value replaced by its default, or
+// the first range error, by asking each consuming package.
+func (cfg Config) Resolve() (Config, error) {
+	if cfg.Mode < ModeContextual || cfg.Mode > ModeCooccur {
+		return cfg, fmt.Errorf("live: unknown similarity mode %d", int(cfg.Mode))
+	}
+	var err error
+	if cfg.Walk, err = cfg.Walk.Resolve(); err != nil {
+		return cfg, err
+	}
+	if cfg.Closeness, err = cfg.Closeness.Resolve(); err != nil {
+		return cfg, err
+	}
+	if cfg.Online, err = cfg.Online.Resolve(); err != nil {
+		return cfg, err
+	}
+	cfg.Search, err = cfg.Search.Resolve()
+	return cfg, err
 }
 
 // TableFingerprint renders everything that determines the bits of a
-// generation's offline tables: every Config field the extractors read
-// (zero values resolved to the defaults the extractors themselves
-// apply), the walk solver, and the shape of the graph they run over.
-// The snapshot fingerprint (root package) and the replication
-// fingerprint (internal/repl) are this plus their own prefix and
-// corpus description — a table-affecting knob is added here, once.
-func TableFingerprint(g *Generation, cfg Config) string {
-	damping := cfg.Damping
-	if damping == 0 {
-		damping = randomwalk.DefaultDamping
-	}
-	closMax := cfg.ClosenessMaxLen
-	if closMax == 0 {
-		closMax = closeness.DefaultMaxLen
-	}
+// generation's offline tables: every Config field the extractors read,
+// the walk solver, and the shape of the graph they run over. The
+// snapshot fingerprint (root package) and the replication fingerprint
+// (internal/repl) are this plus their own prefix and corpus description
+// — a table-affecting knob is added here, once.
+func (m *Manager) TableFingerprint(g *Generation) string {
+	cfg := m.cfg
 	return fmt.Sprintf("mode=%s solver=%s damping=%g closmax=%d closbeam=%d phrases=%t plurals=%t nodes=%d terms=%d edges=%d",
-		cfg.Mode, randomwalk.Solver, damping, closMax, cfg.ClosenessBeam, cfg.Phrases, cfg.FoldPlurals,
+		cfg.Mode, randomwalk.Solver, cfg.Walk.Damping, cfg.Closeness.MaxLen, cfg.Closeness.Beam, cfg.Phrases, cfg.FoldPlurals,
 		g.TG.NumNodes(), g.TG.NumTermNodes(), g.TG.CSR().NumEdges())
 }
 
@@ -191,8 +205,12 @@ type Generation struct {
 	DB *relstore.Database
 	// TG is the TAT graph built over DB.
 	TG *tatgraph.Graph
-	// Sim is the similarity provider (walk or co-occurrence).
-	Sim SimTables
+	// Sim is the similarity provider (walk or co-occurrence); SimKind
+	// names the snapshot table it reads and writes. Both walk modes
+	// share TableWalk — the fingerprint already tells contextual from
+	// individual.
+	Sim     SimTables
+	SimKind artifact.TableKind
 	// Clos is the closeness store.
 	Clos *closeness.Store
 	// Core is the online HMM engine.
@@ -214,15 +232,17 @@ type Generation struct {
 	Provenance Provenance
 }
 
-// Build constructs a complete generation over db. The caller assigns
-// Epoch and Provenance — Build fills the structural fields plus the
-// Provenance.Mend timing of the mend-index construction; the root
-// package's Open and the Manager's Promote both funnel through it so
-// a promoted generation is wired exactly like an initial one.
-func Build(db *relstore.Database, cfg Config) (*Generation, error) {
+// Build constructs a complete generation over db under the manager's
+// config. The caller assigns Epoch and Provenance — Build fills the
+// structural fields plus the Provenance.Mend timing of the mend-index
+// construction; the initial generation, every promotion and the root
+// package's snapshot reload all funnel through it, so they are wired
+// identically.
+func (m *Manager) Build(db *relstore.Database) (*Generation, error) {
 	if db == nil {
 		return nil, fmt.Errorf("live: nil database")
 	}
+	cfg := m.cfg
 	var tokOpts []textindex.TokenizerOption
 	if cfg.FoldPlurals {
 		tokOpts = append(tokOpts, textindex.WithPluralFolding())
@@ -235,45 +255,35 @@ func Build(db *relstore.Database, cfg Config) (*Generation, error) {
 		return nil, err
 	}
 	var sim SimTables
-	walkOpts := randomwalk.Options{Damping: cfg.Damping, Workers: cfg.Workers}
+	simKind := artifact.TableWalk
 	switch cfg.Mode {
-	case ModeContextual:
-		sim = randomwalk.NewExtractor(tg, randomwalk.Contextual, walkOpts)
-	case ModeIndividual:
-		sim = randomwalk.NewExtractor(tg, randomwalk.Individual, walkOpts)
+	case ModeContextual, ModeIndividual:
+		pref := randomwalk.Contextual
+		if cfg.Mode == ModeIndividual {
+			pref = randomwalk.Individual
+		}
+		ex := randomwalk.NewExtractor(tg, pref, cfg.Walk)
+		ex.Workers = cfg.Workers
+		sim = ex
 	case ModeCooccur:
 		co := cooccur.NewExtractor(tg)
 		co.Workers = cfg.Workers
-		sim = co
-	default:
-		return nil, fmt.Errorf("live: unknown similarity mode %d", int(cfg.Mode))
+		sim, simKind = co, artifact.TableCooccur
 	}
-	clos, err := closeness.New(tg, closeness.Options{
-		MaxLen:  cfg.ClosenessMaxLen,
-		Beam:    cfg.ClosenessBeam,
-		Workers: cfg.Workers,
-	})
+	clos, err := closeness.New(tg, cfg.Closeness)
 	if err != nil {
 		return nil, err
 	}
-	eng, err := core.New(tg, sim, clos, core.Options{
-		CandidatesPerTerm: cfg.CandidatesPerTerm,
-		SmoothingLambda:   cfg.SmoothingLambda,
-		DropOriginal:      cfg.DropOriginal,
-		AllowDeletion:     cfg.AllowDeletion,
-		Algorithm:         cfg.Algorithm,
-	})
+	clos.Workers = cfg.Workers
+	eng, err := core.New(tg, sim, clos, cfg.Online)
 	if err != nil {
 		return nil, err
 	}
-	searcher, err := keywordsearch.New(tg, keywordsearch.Options{
-		MaxResults: cfg.SearchMaxResults,
-		MaxRadius:  cfg.SearchMaxRadius,
-	})
+	searcher, err := keywordsearch.New(tg, cfg.Search)
 	if err != nil {
 		return nil, err
 	}
-	g := &Generation{DB: db, TG: tg, Sim: sim, Clos: clos, Core: eng, Searcher: searcher}
+	g := &Generation{DB: db, TG: tg, Sim: sim, SimKind: simKind, Clos: clos, Core: eng, Searcher: searcher}
 	if cfg.Mend {
 		start := time.Now()
 		g.Mender = buildMender(tg, clos)

@@ -10,13 +10,16 @@ import (
 	"kqr/internal/testcorpus"
 )
 
+// mustGen builds a default-config generation over db (a fresh manager's
+// initial one; Swap and the comparisons below do not care about its
+// epoch).
 func mustGen(t *testing.T, db *relstore.Database) *Generation {
 	t.Helper()
-	g, err := Build(db, Config{})
+	m, err := NewManager(db, Config{}, Options{})
 	if err != nil {
-		t.Fatalf("Build: %v", err)
+		t.Fatalf("NewManager: %v", err)
 	}
-	return g
+	return m.Current()
 }
 
 func mustManager(t *testing.T, opts Options) *Manager {
@@ -25,7 +28,7 @@ func mustManager(t *testing.T, opts Options) *Manager {
 	if err != nil {
 		t.Fatalf("testcorpus: %v", err)
 	}
-	m, err := NewManager(mustGen(t, db), Config{}, opts)
+	m, err := NewManager(db, Config{}, opts)
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}

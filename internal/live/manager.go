@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"kqr/internal/relstore"
 )
 
 // Options tunes a Manager beyond the generation-building Config.
@@ -45,24 +47,31 @@ type Manager struct {
 	journal func(next *Generation, deltas []Delta) error
 }
 
-// NewManager wraps an initial generation (typically from Build). If the
-// generation has no epoch yet it becomes epoch 1 with mode "initial".
-func NewManager(initial *Generation, cfg Config, opts Options) (*Manager, error) {
-	if initial == nil {
-		return nil, fmt.Errorf("live: nil initial generation")
-	}
-	if initial.Epoch == 0 {
-		initial.Epoch = 1
-		initial.Provenance.Epoch = 1
-		if initial.Provenance.Mode == "" {
-			initial.Provenance.Mode = "initial"
-		}
-		initial.Provenance.TotalTerms = initial.TG.NumTermNodes()
+// NewManager resolves cfg — before anything is built, so an invalid
+// value costs nothing — then builds the initial generation over db as
+// epoch 1, mode "initial".
+func NewManager(db *relstore.Database, cfg Config, opts Options) (*Manager, error) {
+	cfg, err := cfg.Resolve()
+	if err != nil {
+		return nil, err
 	}
 	m := &Manager{cfg: cfg, opts: opts}
-	m.cur.Store(initial)
+	g, err := m.Build(db)
+	if err != nil {
+		return nil, err
+	}
+	g.Epoch = 1
+	g.Provenance.Epoch = 1
+	g.Provenance.Mode = "initial"
+	g.Provenance.TotalTerms = g.TG.NumTermNodes()
+	m.cur.Store(g)
 	return m, nil
 }
+
+// Config returns the resolved configuration every generation of this
+// manager is built with — the only copy; nothing downstream re-derives
+// a default.
+func (m *Manager) Config() Config { return m.cfg }
 
 // Current returns the generation serving reads right now. Callers keep
 // using the returned value for the whole request; a promotion happening
@@ -165,7 +174,7 @@ func (m *Manager) Promote(ctx context.Context) (*Generation, error) {
 		return old, nil
 	}
 
-	next, err := m.build(ctx, old, deltas)
+	next, err := m.rebuild(ctx, old, deltas)
 	if err == nil && m.journal != nil {
 		if jerr := m.journal(next, deltas); jerr != nil {
 			err = fmt.Errorf("live: journaling promotion: %w", jerr)
@@ -185,10 +194,10 @@ func (m *Manager) Promote(ctx context.Context) (*Generation, error) {
 	return next, nil
 }
 
-// build constructs the successor generation: delta application,
+// rebuild constructs the successor generation: delta application,
 // graph/store construction, offline precompute, packing, and
 // provenance.
-func (m *Manager) build(ctx context.Context, old *Generation, deltas []Delta) (*Generation, error) {
+func (m *Manager) rebuild(ctx context.Context, old *Generation, deltas []Delta) (*Generation, error) {
 	start := time.Now()
 	prov := Provenance{Epoch: old.Epoch + 1, Mode: "full"}
 	for _, d := range deltas {
@@ -208,7 +217,7 @@ func (m *Manager) build(ctx context.Context, old *Generation, deltas []Delta) (*
 	prov.CascadeDeletes = cascades
 
 	t0 = time.Now()
-	next, err := Build(db, m.cfg)
+	next, err := m.Build(db)
 	if err != nil {
 		return nil, err
 	}

@@ -210,7 +210,7 @@ func TestSwapRacesPromoteEpochMonotone(t *testing.T) {
 				errc <- err
 				return
 			}
-			g, err := Build(db, Config{})
+			g, err := m.Build(db)
 			if err != nil {
 				errc <- err
 				return

@@ -92,7 +92,7 @@ func TestPackedTablesAcrossPromoteSwapRace(t *testing.T) {
 				errc <- err
 				return
 			}
-			g, err := Build(db, Config{})
+			g, err := m.Build(db)
 			if err != nil {
 				errc <- err
 				return

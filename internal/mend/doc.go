@@ -30,8 +30,8 @@
 // idempotent: Mend(Mend(q)) == Mend(q), because the second pass sees
 // only resolvable tokens and keeps them all.
 //
-// The index is built inside live.Build alongside the packed tables,
-// so it participates in live promotion, snapshot reload, replication
-// lockstep, and disk-mode memory budgets exactly like the other
-// offline-derived structures.
+// The index is built inside live.Manager.Build alongside the packed
+// tables, so it participates in live promotion, snapshot reload,
+// replication lockstep, and disk-mode memory budgets exactly like the
+// other offline-derived structures.
 package mend

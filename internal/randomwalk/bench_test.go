@@ -127,7 +127,8 @@ func Benchmark_PrecomputeParallel(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				// A fresh extractor each iteration keeps every
 				// precompute cold; construction is just a struct.
-				ex := NewExtractor(tg, Contextual, Options{Workers: workers})
+				ex := NewExtractor(tg, Contextual, Options{})
+				ex.Workers = workers
 				if err := ex.Precompute(context.Background(), nodes); err != nil {
 					b.Fatal(err)
 				}

@@ -65,11 +65,13 @@ func TestPrecomputeParallelMatchesSequential(t *testing.T) {
 		nodes = append(nodes, v)
 	}
 
-	seq := NewExtractor(tg, Contextual, Options{Workers: 1})
+	seq := NewExtractor(tg, Contextual, Options{})
+	seq.Workers = 1
 	if err := seq.Precompute(context.Background(), nodes); err != nil {
 		t.Fatal(err)
 	}
-	par := NewExtractor(tg, Contextual, Options{Workers: 8})
+	par := NewExtractor(tg, Contextual, Options{})
+	par.Workers = 8
 	if err := par.Precompute(context.Background(), nodes); err != nil {
 		t.Fatal(err)
 	}

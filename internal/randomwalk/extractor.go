@@ -64,7 +64,6 @@ func NewExtractor(tg *tatgraph.Graph, mode PreferenceMode, opts Options) *Extrac
 	e.sys, e.sysErr = newSystem(tg.CSR(), opts)
 	e.scratch.New = func() any { return new(scratch) }
 	e.Ranked = packed.Ranked{Store: packed.NewBatchStore(tg.CSR().NumNodes(), width, e.extract)}
-	e.Workers = opts.Workers
 	return e
 }
 

@@ -106,10 +106,10 @@ func l1(a, b []float64) float64 {
 
 // checkAgainstOracle holds one solve to its contract: within 1e-7 (L1)
 // of the fixed point, and no further from it than the old solver's
-// result unless both are already inside Epsilon (at low damping the old
+// result unless both are already inside epsilon (at low damping the old
 // solver did converge, and which of two converged answers is closer is
 // noise); a probability distribution; stopped by convergence, not by
-// the MaxIter cap.
+// the maxIter cap.
 func checkAgainstOracle(t *testing.T, name string, g *graph.Graph, pref []graph.Scored, damping float64) {
 	t.Helper()
 	got, sweeps, err := Scores(g, pref, Options{Damping: damping})
@@ -132,8 +132,8 @@ func checkAgainstOracle(t *testing.T, name string, g *graph.Graph, pref []graph.
 	if math.Abs(sum-1) > 1e-7 {
 		t.Fatalf("%s: scores sum to %v", name, sum)
 	}
-	if sweeps >= 60 {
-		t.Fatalf("%s (λ=%v): hit the MaxIter cap", name, damping)
+	if sweeps >= maxIter {
+		t.Fatalf("%s (λ=%v): hit the maxIter cap", name, damping)
 	}
 }
 
@@ -310,7 +310,8 @@ func TestRowsIndependentOfBatchAndWorkers(t *testing.T) {
 				want[v] = row
 			}
 			for _, workers := range []int{1, 2, 7} {
-				ex := NewExtractor(tg, mode, Options{Workers: workers})
+				ex := NewExtractor(tg, mode, Options{})
+				ex.Workers = workers
 				if err := ex.Precompute(context.Background(), shuffled); err != nil {
 					t.Fatal(err)
 				}

@@ -23,49 +23,38 @@ import (
 	"kqr/internal/graph"
 )
 
-// Solver names the kernel and its stopping rule. Tables computed by
-// different solvers agree only to the solver tolerance, not bit for
-// bit, so the tag is part of every fingerprint that decides whether
-// persisted or replicated rows may be mixed with locally computed ones.
+// Solver names the kernel and its stopping rule — the convergence
+// threshold and the sweep cap below are part of it, since both change
+// table bits. Tables computed by different solvers agree only to the
+// solver tolerance, not bit for bit, so the tag is part of every
+// fingerprint that decides whether persisted or replicated rows may be
+// mixed with locally computed ones.
 const Solver = "sor-pull/1"
 
-// DefaultDamping is the λ a zero Options.Damping resolves to.
-const DefaultDamping = 0.8
+const (
+	// epsilon is the L1 convergence threshold on the change of one sweep.
+	epsilon = 1e-8
+	// maxIter caps the number of sweeps.
+	maxIter = 60
+)
 
 // Options tunes the solver.
 type Options struct {
-	// Damping is λ in p = λ·A·p + (1−λ)·r (default DefaultDamping). The SOR
+	// Damping is λ in p = λ·A·p + (1−λ)·r (default 0.8). The SOR
 	// relaxation factor is derived from it: ω = 2/(1+√(1−λ²)).
 	Damping float64
-	// Epsilon is the L1 convergence threshold on the change of one
-	// sweep (default 1e-8).
-	Epsilon float64
-	// MaxIter caps the number of sweeps (default 60).
-	MaxIter int
-	// Workers bounds the goroutines used by Extractor.Precompute's
-	// offline fan-out (<= 0 means runtime.GOMAXPROCS(0)). Scores itself
-	// ignores it: one walk is a single solve.
-	Workers int
 }
 
-func (o Options) withDefaults() (Options, error) {
+// Resolve returns o with the zero Damping replaced by its default, or
+// the range error. Every constructor in this package calls it; a config
+// layer that must know the effective λ before anything is built (the
+// table fingerprint prints it) calls it too.
+func (o Options) Resolve() (Options, error) {
 	if o.Damping == 0 {
-		o.Damping = DefaultDamping
+		o.Damping = 0.8
 	}
 	if o.Damping < 0 || o.Damping >= 1 {
 		return o, fmt.Errorf("randomwalk: damping %v outside [0,1)", o.Damping)
-	}
-	if o.Epsilon == 0 {
-		o.Epsilon = 1e-8
-	}
-	if o.Epsilon < 0 {
-		return o, fmt.Errorf("randomwalk: negative epsilon %v", o.Epsilon)
-	}
-	if o.MaxIter == 0 {
-		o.MaxIter = 60
-	}
-	if o.MaxIter < 1 {
-		return o, fmt.Errorf("randomwalk: MaxIter %d < 1", o.MaxIter)
 	}
 	return o, nil
 }
@@ -88,12 +77,11 @@ type system struct {
 	nbr  []graph.NodeID
 	prob []float64
 
-	damping, omega, epsilon float64
-	maxIter                 int
+	damping, omega float64
 }
 
 func newSystem(g *graph.Graph, opts Options) (*system, error) {
-	opts, err := opts.withDefaults()
+	opts, err := opts.Resolve()
 	if err != nil {
 		return nil, err
 	}
@@ -104,9 +92,7 @@ func newSystem(g *graph.Graph, opts Options) (*system, error) {
 		damping: opts.Damping,
 		// The optimal SOR factor for a Jacobi spectral radius of λ (the
 		// transition matrix is stochastic, so ρ(λ·Pᵀ) = λ): 1.25 at 0.8.
-		omega:   2 / (1 + math.Sqrt(1-opts.Damping*opts.Damping)),
-		epsilon: opts.Epsilon,
-		maxIter: opts.MaxIter,
+		omega: 2 / (1 + math.Sqrt(1-opts.Damping*opts.Damping)),
 	}
 	s.off, s.nbr, s.prob = g.Pull()
 	return s, nil
@@ -159,7 +145,7 @@ func (s *system) load(p, b []float64, col int, pref []graph.Scored) error {
 }
 
 // solve sweeps the first cols columns of p until each has converged —
-// the L1 change of one sweep fell below Epsilon — or MaxIter sweeps
+// the L1 change of one sweep fell below epsilon — or maxIter sweeps
 // ran, calling done(col, sweeps) at the moment a column stops, while p
 // still holds that column's final scores. The columns past cols are
 // zero and stay zero. A column's arithmetic involves no other column,
@@ -172,7 +158,7 @@ func (s *system) solve(p, b []float64, cols int, done func(col, sweeps int)) {
 	for sweeps := 1; active > 0; sweeps++ {
 		s.sweep(p, b, &delta)
 		for col := 0; col < cols; col++ {
-			if !stopped[col] && (delta[col] < s.epsilon || sweeps == s.maxIter) {
+			if !stopped[col] && (delta[col] < epsilon || sweeps == maxIter) {
 				stopped[col] = true
 				active--
 				done(col, sweeps)

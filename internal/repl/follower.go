@@ -73,7 +73,6 @@ type Follower struct {
 	opts FollowerOptions
 
 	mgr *live.Manager
-	cfg live.Config
 
 	mu          sync.Mutex
 	st          FollowerStatus
@@ -135,9 +134,9 @@ func (f *Follower) Bootstrap(ctx context.Context) (*Bootstrap, error) {
 // manager's epoch with the leader's. A fingerprint mismatch (different
 // build config, or a non-deterministic rebuild) is ErrDiverged: this
 // follower can never apply the leader's log.
-func (f *Follower) Attach(mgr *live.Manager, cfg live.Config, snap *Bootstrap) error {
+func (f *Follower) Attach(mgr *live.Manager, snap *Bootstrap) error {
 	g := mgr.Current()
-	if fp := Fingerprint(g, cfg); fp != snap.Fingerprint {
+	if fp := Fingerprint(mgr, g); fp != snap.Fingerprint {
 		return fmt.Errorf("%w: follower fingerprint %q, leader %q", ErrDiverged, fp, snap.Fingerprint)
 	}
 	if err := live.RestoreArtifact(g, snap.Artifact); err != nil {
@@ -148,7 +147,6 @@ func (f *Follower) Attach(mgr *live.Manager, cfg live.Config, snap *Bootstrap) e
 	}
 	f.mu.Lock()
 	f.mgr = mgr
-	f.cfg = cfg
 	f.st.Epoch = snap.Epoch
 	f.st.LeaderEpoch = snap.Epoch
 	f.st.NextIndex = snap.NextIndex

@@ -46,20 +46,16 @@ func TestGoldenBootstrap(t *testing.T) {
 	if snap.Epoch != 1 || snap.NextIndex != 7 || snap.LogBytes != 123 {
 		t.Fatalf("header: %+v", snap)
 	}
-	cfg := live.Config{}
-	g, err := live.Build(snap.DB, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fp := Fingerprint(g, cfg); fp != snap.Fingerprint {
+	mgr := managerOver(t, snap.DB)
+	g := mgr.Current()
+	if fp := Fingerprint(mgr, g); fp != snap.Fingerprint {
 		t.Fatalf("rebuilt fingerprint %q != the fixture's %q", fp, snap.Fingerprint)
 	}
 	if err := live.RestoreArtifact(g, snap.Artifact); err != nil {
 		t.Fatal(err)
 	}
-	g.Epoch = snap.Epoch
 	var got bytes.Buffer
-	if err := writeSnapshot(&got, g, cfg, position{next: snap.NextIndex, bytes: snap.LogBytes}); err != nil {
+	if err := writeSnapshot(&got, mgr, g, position{next: snap.NextIndex, bytes: snap.LogBytes}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want) {
@@ -180,16 +176,14 @@ func TestCorruptionMatrix(t *testing.T) {
 		if err := testcorpus.Load(db, testcorpus.Papers[:2]); err != nil {
 			t.Fatal(err)
 		}
-		g, err := live.Build(db, live.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		mgr := managerOver(t, db)
+		g := mgr.Current()
 		for _, v := range g.TG.TermNodeIDs()[:3] {
 			g.Sim.SimilarNodes(v, 0)
 			g.Clos.Row(v)
 		}
 		var buf bytes.Buffer
-		if err := writeSnapshot(&buf, g, live.Config{}, position{next: 2, bytes: 99}); err != nil {
+		if err := writeSnapshot(&buf, mgr, g, position{next: 2, bytes: 99}); err != nil {
 			t.Fatal(err)
 		}
 		enc := buf.Bytes()
@@ -253,7 +247,7 @@ func TestUnknownOpAndTagRejectedAtTheWire(t *testing.T) {
 // follower applies — the decoded deltas pass Ingest on a generation of
 // the schema they were written for.
 func TestGoldenSegmentFollows(t *testing.T) {
-	mgr, _ := mustManager(t)
+	mgr := mustManager(t)
 	rec, _, err := readRecord(bytes.NewReader(golden(t, segmentName(0))[segHeaderSize:]))
 	if err != nil {
 		t.Fatal(err)

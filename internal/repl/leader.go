@@ -34,7 +34,6 @@ type LeaderOptions struct {
 // be detached with Close before the manager is torn down.
 type Leader struct {
 	mgr  *live.Manager
-	cfg  live.Config
 	log  *Log
 	opts LeaderOptions
 
@@ -48,7 +47,7 @@ type Leader struct {
 // to match the manager's current epoch — a fresh corpus over an old log
 // directory is refused rather than silently shipping a log followers
 // cannot apply.
-func NewLeader(mgr *live.Manager, cfg live.Config, dir string, opts LeaderOptions) (*Leader, error) {
+func NewLeader(mgr *live.Manager, dir string, opts LeaderOptions) (*Leader, error) {
 	if opts.Heartbeat <= 0 {
 		opts.Heartbeat = defaultHeartbeat
 	}
@@ -72,7 +71,6 @@ func NewLeader(mgr *live.Manager, cfg live.Config, dir string, opts LeaderOption
 	}
 	l := &Leader{
 		mgr:         mgr,
-		cfg:         cfg,
 		log:         log,
 		opts:        opts,
 		nextByEpoch: map[uint64]position{mgr.Epoch(): {next: log.End(), bytes: log.Bytes()}},
@@ -183,7 +181,7 @@ func (l *Leader) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	if err := writeSnapshot(w, g, l.cfg, pos); err != nil {
+	if err := writeSnapshot(w, l.mgr, g, pos); err != nil {
 		// Headers are gone; all we can do is cut the stream so the
 		// follower's CRC check fails loudly.
 		return

@@ -256,30 +256,31 @@ func TestLogCorruptionBeforeTailIsFatal(t *testing.T) {
 
 // ---- snapshot -----------------------------------------------------------
 
-func mustManager(t *testing.T) (*live.Manager, live.Config) {
+func mustManager(t *testing.T) *live.Manager {
 	t.Helper()
 	db, err := testcorpus.New()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := live.Config{}
-	g, err := live.Build(db, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := live.NewManager(g, cfg, live.Options{})
+	return managerOver(t, db)
+}
+
+// managerOver opens a default-config manager over db.
+func managerOver(t *testing.T, db *relstore.Database) *live.Manager {
+	t.Helper()
+	m, err := live.NewManager(db, live.Config{}, live.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(m.Close)
-	return m, cfg
+	return m
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {
-	mgr, cfg := mustManager(t)
+	mgr := mustManager(t)
 	g := mgr.Current()
 	var buf bytes.Buffer
-	if err := writeSnapshot(&buf, g, cfg, position{next: 7, bytes: 123}); err != nil {
+	if err := writeSnapshot(&buf, mgr, g, position{next: 7, bytes: 123}); err != nil {
 		t.Fatalf("writeSnapshot: %v", err)
 	}
 	snap, err := readSnapshot(&buf)
@@ -294,11 +295,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	// A generation rebuilt over the restored corpus must reproduce the
 	// fingerprint — the property lockstep replication rests on.
-	g2, err := live.Build(snap.DB, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fp := Fingerprint(g2, cfg); fp != snap.Fingerprint {
+	mgr2 := managerOver(t, snap.DB)
+	g2 := mgr2.Current()
+	if fp := Fingerprint(mgr2, g2); fp != snap.Fingerprint {
 		t.Errorf("rebuilt fingerprint %q != leader %q", fp, snap.Fingerprint)
 	}
 	if err := live.RestoreArtifact(g2, snap.Artifact); err != nil {
@@ -312,9 +311,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // fingerprint carries the solver tag, so either side being the
 // power-iteration build (whose fingerprint had no tag) is ErrDiverged.
 func TestBootstrapRefusedAcrossSolvers(t *testing.T) {
-	mgr, cfg := mustManager(t)
+	mgr := mustManager(t)
 	var buf bytes.Buffer
-	if err := writeSnapshot(&buf, mgr.Current(), cfg, position{}); err != nil {
+	if err := writeSnapshot(&buf, mgr, mgr.Current(), position{}); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := readSnapshot(&buf)
@@ -327,28 +326,19 @@ func TestBootstrapRefusedAcrossSolvers(t *testing.T) {
 	}
 
 	follower := func() (*Follower, *live.Manager) {
-		g, err := live.Build(snap.DB, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := live.NewManager(g, cfg, live.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(m.Close)
-		return NewFollower("http://unused", FollowerOptions{}), m
+		return NewFollower("http://unused", FollowerOptions{}), managerOver(t, snap.DB)
 	}
 	// Old leader, this follower: the bootstrap arrives untagged.
 	old := *snap
 	old.Fingerprint = strings.Replace(snap.Fingerprint, tag, "", 1)
 	f, m := follower()
-	if err := f.Attach(m, cfg, &old); !errors.Is(err, ErrDiverged) {
+	if err := f.Attach(m, &old); !errors.Is(err, ErrDiverged) {
 		t.Fatalf("attach to a power-iteration leader: err = %v, want ErrDiverged", err)
 	}
 	// (This leader, old follower is the same string comparison run on
 	// the other side.) Same solver on both sides still attaches.
 	f, m = follower()
-	if err := f.Attach(m, cfg, snap); err != nil {
+	if err := f.Attach(m, snap); err != nil {
 		t.Fatalf("attach to a same-solver leader: %v", err)
 	}
 }
@@ -364,17 +354,7 @@ func startFollower(t *testing.T, url string) *Follower {
 	if err != nil {
 		t.Fatalf("Bootstrap: %v", err)
 	}
-	cfg := live.Config{}
-	g, err := live.Build(snap.DB, cfg)
-	if err != nil {
-		t.Fatalf("Build over snapshot corpus: %v", err)
-	}
-	mgr, err := live.NewManager(g, cfg, live.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(mgr.Close)
-	if err := f.Attach(mgr, cfg, snap); err != nil {
+	if err := f.Attach(managerOver(t, snap.DB), snap); err != nil {
 		t.Fatalf("Attach: %v", err)
 	}
 	return f
@@ -408,8 +388,8 @@ func TestLeaderFollowerLockstep(t *testing.T) {
 }
 
 func lockstep(t *testing.T, followers int) {
-	mgr, cfg := mustManager(t)
-	leader, err := NewLeader(mgr, cfg, t.TempDir(), LeaderOptions{NoSync: true, Heartbeat: 50 * time.Millisecond})
+	mgr := mustManager(t)
+	leader, err := NewLeader(mgr, t.TempDir(), LeaderOptions{NoSync: true, Heartbeat: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,7 +459,7 @@ func lockstep(t *testing.T, followers int) {
 		}
 
 		// The follower's tables must be bit-identical to the leader's.
-		assertIdenticalArtifacts(t, mgr, f, cfg)
+		assertIdenticalArtifacts(t, mgr, f)
 	}
 
 	cancel()
@@ -516,11 +496,7 @@ func fullArtifact(t *testing.T, g *live.Generation) *artifact.Snapshot {
 	if err := g.Clos.Precompute(context.Background(), nodes); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := live.ArtifactSnapshot(g, "cmp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return snap
+	return live.ArtifactSnapshot(g, "cmp")
 }
 
 func artifactBytes(t *testing.T, snap *artifact.Snapshot) []byte {
@@ -537,7 +513,7 @@ func artifactBytes(t *testing.T, snap *artifact.Snapshot) []byte {
 // now — every term's rows are computed on both sides first, since the
 // lazily filled tables of two cold managers are equal only by being
 // empty.
-func assertIdenticalArtifacts(t *testing.T, leaderMgr *live.Manager, f *Follower, cfg live.Config) {
+func assertIdenticalArtifacts(t *testing.T, leaderMgr *live.Manager, f *Follower) {
 	t.Helper()
 	lg, fg := leaderMgr.Current(), f.mgr.Current()
 	lsnap, fsnap := fullArtifact(t, lg), fullArtifact(t, fg)
@@ -557,14 +533,14 @@ func assertIdenticalArtifacts(t *testing.T, leaderMgr *live.Manager, f *Follower
 	if bytes.Equal(lb, artifactBytes(t, fsnap)) {
 		t.Fatal("a perturbed follower row still compares equal: the identity check is blind")
 	}
-	if Fingerprint(lg, cfg) != Fingerprint(fg, cfg) {
+	if Fingerprint(leaderMgr, lg) != Fingerprint(f.mgr, fg) {
 		t.Fatal("fingerprints diverged after replication")
 	}
 }
 
 func TestFollowerKillAndResume(t *testing.T) {
-	mgr, cfg := mustManager(t)
-	leader, err := NewLeader(mgr, cfg, t.TempDir(), LeaderOptions{NoSync: true, Heartbeat: 50 * time.Millisecond})
+	mgr := mustManager(t)
+	leader, err := NewLeader(mgr, t.TempDir(), LeaderOptions{NoSync: true, Heartbeat: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -620,8 +596,8 @@ func TestFollowerKillAndResume(t *testing.T) {
 
 func TestFollowerReconnectsAfterLeaderRestart(t *testing.T) {
 	dir := t.TempDir()
-	mgr, cfg := mustManager(t)
-	leader, err := NewLeader(mgr, cfg, dir, LeaderOptions{NoSync: true, Heartbeat: 20 * time.Millisecond})
+	mgr := mustManager(t)
+	leader, err := NewLeader(mgr, dir, LeaderOptions{NoSync: true, Heartbeat: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -662,8 +638,8 @@ func TestFollowerReconnectsAfterLeaderRestart(t *testing.T) {
 
 func TestNewLeaderRefusesStaleLog(t *testing.T) {
 	dir := t.TempDir()
-	mgr, cfg := mustManager(t)
-	leader, err := NewLeader(mgr, cfg, dir, LeaderOptions{NoSync: true})
+	mgr := mustManager(t)
+	leader, err := NewLeader(mgr, dir, LeaderOptions{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -677,16 +653,16 @@ func TestNewLeaderRefusesStaleLog(t *testing.T) {
 
 	// A fresh manager (epoch 1) over the old log (ends at epoch 2) is a
 	// stale-journal hazard and must be refused.
-	mgr2, cfg2 := mustManager(t)
-	if _, err := NewLeader(mgr2, cfg2, dir, LeaderOptions{NoSync: true}); err == nil {
+	mgr2 := mustManager(t)
+	if _, err := NewLeader(mgr2, dir, LeaderOptions{NoSync: true}); err == nil {
 		t.Fatal("NewLeader accepted a log from a different corpus history")
 	}
 }
 
 func TestLeaderResumesOwnLog(t *testing.T) {
 	dir := t.TempDir()
-	mgr, cfg := mustManager(t)
-	leader, err := NewLeader(mgr, cfg, dir, LeaderOptions{NoSync: true})
+	mgr := mustManager(t)
+	leader, err := NewLeader(mgr, dir, LeaderOptions{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -700,7 +676,7 @@ func TestLeaderResumesOwnLog(t *testing.T) {
 
 	// Same manager state, same log: reopening must succeed and keep the
 	// log end.
-	leader2, err := NewLeader(mgr, cfg, dir, LeaderOptions{NoSync: true})
+	leader2, err := NewLeader(mgr, dir, LeaderOptions{NoSync: true})
 	if err != nil {
 		t.Fatalf("reopening own log: %v", err)
 	}
@@ -711,9 +687,9 @@ func TestLeaderResumesOwnLog(t *testing.T) {
 }
 
 func TestJournalFailureAbortsPromotion(t *testing.T) {
-	mgr, cfg := mustManager(t)
+	mgr := mustManager(t)
 	dir := t.TempDir()
-	leader, err := NewLeader(mgr, cfg, dir, LeaderOptions{NoSync: true})
+	leader, err := NewLeader(mgr, dir, LeaderOptions{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}

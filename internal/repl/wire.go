@@ -143,14 +143,14 @@ var snapMagic = frame.Magic{'K', 'Q', 'R', 'R', 'E', 'P'}
 const snapVersion uint16 = 1
 
 // Fingerprint identifies everything a replica's derived state depends
-// on: what determines the offline tables (live.TableFingerprint — every
-// config knob that changes what the extractors compute, the walk
+// on: what determines the offline tables (Manager.TableFingerprint —
+// every config knob that changes what the extractors compute, the walk
 // solver, the graph shape; a follower rebuilds every promotion itself,
 // and two solvers differ in the low bits) and the corpus row counts.
 // Leader and follower must agree on it before a single log record is
 // applied.
-func Fingerprint(g *live.Generation, cfg live.Config) string {
-	return fmt.Sprintf("repl %s corpus=%s", live.TableFingerprint(g, cfg), g.DB.Stats())
+func Fingerprint(mgr *live.Manager, g *live.Generation) string {
+	return fmt.Sprintf("repl %s corpus=%s", mgr.TableFingerprint(g), g.DB.Stats())
 }
 
 // writeSnapshot streams the bootstrap snapshot of one generation:
@@ -158,8 +158,8 @@ func Fingerprint(g *live.Generation, cfg live.Config) string {
 // fingerprint), checksummed corpus dump (schemas in creation order,
 // rows in foreign-key topological order), then the offline tables as a
 // standard KQRART artifact to end of stream.
-func writeSnapshot(w io.Writer, g *live.Generation, cfg live.Config, pos position) error {
-	fp := Fingerprint(g, cfg)
+func writeSnapshot(w io.Writer, mgr *live.Manager, g *live.Generation, pos position) error {
+	fp := Fingerprint(mgr, g)
 	cw := frame.NewWriter(w)
 	cw.Bytes(snapMagic[:])
 	cw.U32(uint32(snapVersion)) // widened: room for flags later
@@ -175,11 +175,7 @@ func writeSnapshot(w io.Writer, g *live.Generation, cfg live.Config, pos positio
 	if err := cw.Flush(); err != nil {
 		return fmt.Errorf("repl: writing snapshot: %w", err)
 	}
-	snap, err := live.ArtifactSnapshot(g, fp)
-	if err != nil {
-		return err
-	}
-	return snap.Write(w)
+	return live.ArtifactSnapshot(g, fp).Write(w)
 }
 
 // writeDatabase encodes the corpus: every schema in creation order

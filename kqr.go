@@ -26,6 +26,16 @@
 //	eng, _ := kqr.Open(ds, kqr.Options{})
 //	suggestions, _ := eng.ReformulateQuery("uncertain data", 5)
 //
+// # Configuration
+//
+// Options is the whole configuration. Open resolves and validates it
+// once, before it builds anything: every default and range check lives
+// in the internal package that consumes the knob, an out-of-range value
+// fails Open (naming the knob, leaving the Dataset unfrozen), and the
+// resolved values are held in one place — the generation manager — from
+// which promotion, snapshot reload, both fingerprints and disk mode read
+// them. DESIGN.md §7 lists why each option exists.
+//
 // # Snapshots
 //
 // The offline stage (graph build aside) can be persisted as a
@@ -73,7 +83,8 @@
 // store swaps its whole table atomically).
 // ReloadArtifacts installs the snapshot as a fresh generation instead
 // and has no such caveat. Dataset is not safe for concurrent mutation
-// and freezes at Open; change a live corpus through Ingest/Promote.
+// and freezes once Open succeeds; change a live corpus through
+// Ingest/Promote.
 package kqr
 
 import (
@@ -128,9 +139,9 @@ type Table struct {
 }
 
 // Dataset is loaded structured data, ready to open an Engine on. Once
-// an Engine has been opened over it the dataset is frozen: further
-// inserts fail rather than mutating state shared with concurrent
-// readers. To add data, build a new Dataset (or reload) and Open again.
+// an Engine has been opened over it (a rejected Open does not count) the
+// dataset is frozen: further inserts fail rather than mutating state
+// shared with concurrent readers. To add data, build a new Dataset (or reload) and Open again.
 type Dataset struct {
 	db     *relstore.Database
 	frozen bool

@@ -68,6 +68,32 @@ func TestMendVocabularyNoOp(t *testing.T) {
 	}
 }
 
+// TestSegmentQueryNotSubsumedByMend pins why SegmentQuery stays beside
+// the mender's merge DP (DESIGN §7): on the hand-built corpus the raw
+// query "alice ames probabilistic" segments to the atomic author name
+// plus a title word, while Mend — whose merge step does recognise
+// "alice ames" but emits a repair word by word — returns three
+// single-word terms. The two are different operations with different
+// answers; a change that makes them agree must decide which one the
+// callers of the other were relying on.
+func TestSegmentQueryNotSubsumedByMend(t *testing.T) {
+	eng := mendEngine(t, kqr.Options{})
+	seg, err := eng.SegmentQuery("alice ames probabilistic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"alice ames", "probabilistic"}; !reflect.DeepEqual(seg, want) {
+		t.Fatalf("SegmentQuery = %q, want %q", seg, want)
+	}
+	res, err := eng.Mend([]string{"alice", "ames", "probabilistic"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"alice", "ames", "probabilistic"}; !reflect.DeepEqual(res.Terms, want) {
+		t.Fatalf("Mend = %q, want %q", res.Terms, want)
+	}
+}
+
 // TestMendRepairsAndProvenance checks the three repair classes on the
 // hand-built corpus — a misspelling, a run-together token, and an
 // over-split bigram — and that the per-token provenance names the

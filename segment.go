@@ -20,39 +20,31 @@ import (
 // Words unknown to the data are kept as single terms; Reformulate will
 // report them if they resolve nowhere.
 func (e *Engine) SegmentQuery(query string) ([]string, error) {
-	quoted, err := ParseQuery(query)
+	units, err := ParseQuery(query)
 	if err != nil {
 		return nil, err
 	}
 	// maxSpan bounds the lookahead; names and phrases in the graph are
 	// short.
 	const maxSpan = 4
-	var out []string
-	for _, unit := range quoted {
-		if strings.ContainsRune(unit, ' ') {
-			// Explicitly quoted multi-word unit: keep as is.
-			out = append(out, unit)
-			continue
-		}
-		out = append(out, unit)
-	}
-	// Re-analyze runs of single words for multi-word matches.
+	// Re-analyze runs of single words for multi-word matches; a unit
+	// with a space in it was quoted explicitly and is kept as is.
 	tg := e.cur().TG
-	result := make([]string, 0, len(out))
+	result := make([]string, 0, len(units))
 	i := 0
-	for i < len(out) {
-		if strings.ContainsRune(out[i], ' ') {
-			result = append(result, out[i])
+	for i < len(units) {
+		if strings.ContainsRune(units[i], ' ') {
+			result = append(result, units[i])
 			i++
 			continue
 		}
 		matched := 1
 		for span := maxSpan; span > 1; span-- {
-			if i+span > len(out) {
+			if i+span > len(units) {
 				continue
 			}
 			joinable := true
-			for _, w := range out[i : i+span] {
+			for _, w := range units[i : i+span] {
 				if strings.ContainsRune(w, ' ') {
 					joinable = false
 					break
@@ -61,7 +53,7 @@ func (e *Engine) SegmentQuery(query string) ([]string, error) {
 			if !joinable {
 				continue
 			}
-			candidate := textindex.Normalize(strings.Join(out[i:i+span], " "))
+			candidate := textindex.Normalize(strings.Join(units[i:i+span], " "))
 			if len(tg.FindTerm(candidate)) > 0 {
 				result = append(result, candidate)
 				matched = span
@@ -69,7 +61,7 @@ func (e *Engine) SegmentQuery(query string) ([]string, error) {
 			}
 		}
 		if matched == 1 {
-			result = append(result, out[i])
+			result = append(result, units[i])
 		}
 		i += matched
 	}

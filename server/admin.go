@@ -61,38 +61,21 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 type adminHandler func(w http.ResponseWriter, r *http.Request) (any, error)
 
 // admin adapts a JSON-producing admin handler: no cache, no limiter
-// (operators must reach a saturated server), error-to-status mapping —
-// ErrLiveDisabled and ErrFollowerReadOnly as 409, an oversized body as
-// 413 — and one log line per request.
+// (operators must reach a saturated server), the shared error-to-status
+// mapping (errorResponse), and one log line per request.
 func (s *Server) admin(name string, h adminHandler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		w.Header().Set("Content-Type", "application/json")
-		result, err := h(w, r)
 		status := http.StatusOK
 		var body []byte
-		if err != nil {
-			var br badRequest
-			var mbe *http.MaxBytesError
-			switch {
-			case errors.Is(err, kqr.ErrLiveDisabled), errors.Is(err, ErrFollowerReadOnly):
-				status = http.StatusConflict
-			case errors.As(err, &mbe):
-				status = http.StatusRequestEntityTooLarge
-			case errors.As(err, &br):
-				status = http.StatusBadRequest
-			default:
-				status = http.StatusInternalServerError
-			}
-			w.WriteHeader(status)
-			body, _ = encodeBody(apiError{Error: err.Error()})
-		} else {
+		result, err := h(w, r)
+		if err == nil {
 			body, err = encodeBody(result)
-			if err != nil {
-				status = http.StatusInternalServerError
-				w.WriteHeader(status)
-				body, _ = encodeBody(apiError{Error: err.Error()})
-			}
+		}
+		if err != nil {
+			status, body = errorResponse(err)
+			w.WriteHeader(status)
 		}
 		w.Write(body)
 		s.logger.Printf("%s %s %d admin:%s %v", r.Method, r.URL.RequestURI(), status, name, time.Since(start).Round(time.Microsecond))

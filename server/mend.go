@@ -2,7 +2,8 @@ package server
 
 import (
 	"fmt"
-	"net/http"
+	"net/url"
+	"strings"
 	"sync/atomic"
 
 	"kqr"
@@ -68,8 +69,8 @@ func (s *Server) mendMetricsBlock() *mendMetrics {
 }
 
 // mendModeParam parses ?mend= into "auto" (default), "on", or "off".
-func mendModeParam(r *http.Request) (string, error) {
-	switch m := r.URL.Query().Get("mend"); m {
+func mendModeParam(q url.Values) (string, error) {
+	switch m := q.Get("mend"); m {
 	case "", "auto":
 		return "auto", nil
 	case "on", "off":
@@ -86,20 +87,6 @@ func (s *Server) mendEnabled() bool {
 	return ok
 }
 
-// useMend resolves a parsed mend mode against the engine: "auto"
-// engages mending exactly when the engine supports it; "on" demands
-// it (the caller 400s when unsupported); "off" never mends.
-func (s *Server) useMend(mode string) bool {
-	switch mode {
-	case "on":
-		return true
-	case "auto":
-		return s.mendEnabled()
-	default:
-		return false
-	}
-}
-
 // mendFingerprint renders the mended terms for the reformulate cache
 // key, so a cached entry is bound to the exact repaired query it was
 // computed for (and a promotion's vocabulary change, which could mend
@@ -107,12 +94,5 @@ func (s *Server) useMend(mode string) bool {
 // epoch tag already rotates the key, and the fingerprint makes the
 // dependency explicit).
 func mendFingerprint(res kqr.MendResult) string {
-	fp := "mend="
-	for i, t := range res.Terms {
-		if i > 0 {
-			fp += "\x1f"
-		}
-		fp += t
-	}
-	return fp
+	return "mend=" + strings.Join(res.Terms, "\x1f")
 }

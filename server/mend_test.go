@@ -7,10 +7,12 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"kqr"
+	"kqr/internal/mend"
 	"kqr/synthetic"
 )
 
@@ -209,5 +211,61 @@ func TestMendCacheKeyDistinguishesModes(t *testing.T) {
 	}
 	if code := getJSON(t, ts.URL+q+"&mend=off", &errResp); code != http.StatusBadRequest {
 		t.Fatalf("mend=off served from mended cache? status %d", code)
+	}
+}
+
+// countResolves swaps the serving generation's mender for one over the
+// same index whose Resolve hook counts its calls, so a test can see how
+// often a request mends.
+func countResolves(t *testing.T, srv *Server) *atomic.Int64 {
+	t.Helper()
+	mgr, _ := srv.eng.Replication()
+	g := mgr.Current()
+	var calls atomic.Int64
+	g.Mender = mend.New(g.Mender.Index(), mend.Options{Resolve: func(tok string) bool {
+		calls.Add(1)
+		return len(g.TG.FindTerm(tok)) > 0
+	}})
+	return &calls
+}
+
+// TestColdReformulateMendsOnce: a cold /api/reformulate of a typo'd
+// query runs the mender exactly once — as many Resolve calls as one
+// direct Mend of the same terms on an identical cold engine, where the
+// key-then-handler path of earlier revisions mended twice — counts one
+// engagement, and answers the body it always has.
+func TestColdReformulateMendsOnce(t *testing.T) {
+	_, direct := testMendServer(t)
+	calls := countResolves(t, direct)
+	if _, err := direct.eng.Mend([]string{"probabilistc", "rankng"}); err != nil {
+		t.Fatal(err)
+	}
+	perMend := calls.Load()
+	if perMend == 0 {
+		t.Fatal("the counting hook never ran")
+	}
+
+	ts, srv := testMendServer(t)
+	calls = countResolves(t, srv)
+	resp, err := http.Get(ts.URL + "/api/reformulate?q=" + url.QueryEscape("probabilistc rankng") + "&k=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := calls.Load(); got != perMend {
+		t.Errorf("cold request made %d Resolve calls, one Mend makes %d", got, perMend)
+	}
+	if got := srv.mendCount.engaged.Load(); got != 1 {
+		t.Errorf("mend.engaged = %d, want 1", got)
+	}
+	// The body served by the revision before requests were parsed once
+	// (ba9eb09), byte for byte.
+	const want = `{"query":["probabilistc","rankng"],"corrected_query":"probabilistic ranking","mend":{"terms":["probabilistic","ranking"],"tokens":[{"original":"probabilistc","terms":["probabilistic"],"action":"spell","confidence":0.4375933077118841,"candidates":[{"term":"probabilistic","dist":1,"freq":24,"score":0.4375933077118841}]},{"original":"rankng","terms":["ranking"],"action":"spell","confidence":0.43113613078409585,"candidates":[{"term":"ranking","dist":1,"freq":21,"score":0.43113613078409585}]}],"changed":true,"confidence":0.43113613078409585},"suggestions":[{"terms":["scalable","topk"],"query":"scalable topk","score":0.0005090632708507741},{"terms":["riazeon","rusadiam"],"query":"riazeon rusadiam","score":0.00046937237523478337}]}` + "\n"
+	if string(body) != want {
+		t.Errorf("body changed:\n got %s\nwant %s", body, want)
 	}
 }

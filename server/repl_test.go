@@ -30,8 +30,8 @@ func leaderServer(t *testing.T) (*httptest.Server, *kqr.Engine, *repl.Leader) {
 		t.Fatal(err)
 	}
 	t.Cleanup(eng.Close)
-	mgr, cfg := eng.Replication()
-	leader, err := repl.NewLeader(mgr, cfg, t.TempDir(), repl.LeaderOptions{
+	mgr, _ := eng.Replication()
+	leader, err := repl.NewLeader(mgr, t.TempDir(), repl.LeaderOptions{
 		NoSync: true, Heartbeat: 50 * time.Millisecond,
 	})
 	if err != nil {
@@ -64,8 +64,8 @@ func followerServer(t *testing.T, leaderURL string, maxLag uint64) (*httptest.Se
 		t.Fatal(err)
 	}
 	t.Cleanup(eng.Close)
-	mgr, cfg := eng.Replication()
-	if err := f.Attach(mgr, cfg, snap); err != nil {
+	mgr, _ := eng.Replication()
+	if err := f.Attach(mgr, snap); err != nil {
 		t.Fatalf("Attach: %v", err)
 	}
 	srv, err := New(eng,

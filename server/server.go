@@ -66,6 +66,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -161,12 +162,12 @@ func New(eng *kqr.Engine, opts ...Option) (*Server, error) {
 	// (limiter, cache) is saturated, so they bypass it entirely.
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
-	mux.HandleFunc("GET /api/reformulate", s.wrap("reformulate", s.handleReformulate, s.keyReformulate))
-	mux.HandleFunc("GET /api/search", s.wrap("search", s.handleSearch, s.keySearch))
-	mux.HandleFunc("GET /api/similar", s.wrap("similar", s.handleSimilar, s.keySimilar))
-	mux.HandleFunc("GET /api/close", s.wrap("close", s.handleClose, s.keyClose))
-	mux.HandleFunc("GET /api/facets", s.wrap("facets", s.handleFacets, s.keyFacets))
-	mux.HandleFunc("GET /api/stats", s.wrap("stats", s.handleStats, nil))
+	mux.HandleFunc("GET /api/reformulate", s.wrap("reformulate", s.parseReformulate))
+	mux.HandleFunc("GET /api/search", s.wrap("search", s.parseSearch))
+	mux.HandleFunc("GET /api/similar", s.wrap("similar", s.parseSimilar))
+	mux.HandleFunc("GET /api/close", s.wrap("close", s.parseClose))
+	mux.HandleFunc("GET /api/facets", s.wrap("facets", s.parseFacets))
+	mux.HandleFunc("GET /api/stats", s.wrap("stats", s.parseStats))
 	mux.HandleFunc("GET /api/metrics", s.handleMetrics)
 	mux.HandleFunc("POST /api/admin/ingest", s.admin("ingest", s.rejectFollowerWrites(s.handleAdminIngest)))
 	mux.HandleFunc("POST /api/admin/promote", s.admin("promote", s.rejectFollowerWrites(s.handleAdminPromote)))
@@ -206,29 +207,17 @@ func (s *Server) Metrics() serving.Snapshot {
 	return snap
 }
 
-// httpServer builds the http.Server with the standard timeouts.
-func (s *Server) httpServer(addr string) *http.Server {
-	return &http.Server{
+// Serve runs the server on addr, with the standard timeouts, until ctx
+// is cancelled, then drains in-flight requests via http.Server.Shutdown
+// under a 10-second timeout. It returns nil after a clean drain.
+func (s *Server) Serve(ctx context.Context, addr string) error {
+	srv := &http.Server{
 		Addr:              addr,
 		Handler:           s.mux,
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       10 * time.Second,
 		WriteTimeout:      30 * time.Second,
 	}
-}
-
-// ListenAndServe runs the server on addr with sane timeouts until the
-// listener fails. For graceful shutdown use Serve with a cancellable
-// context.
-func (s *Server) ListenAndServe(addr string) error {
-	return s.Serve(context.Background(), addr)
-}
-
-// Serve runs the server on addr until ctx is cancelled, then drains
-// in-flight requests via http.Server.Shutdown under a 10-second
-// timeout. It returns nil after a clean drain.
-func (s *Server) Serve(ctx context.Context, addr string) error {
-	srv := s.httpServer(addr)
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	s.logger.Printf("kqr server listening on %s", addr)
@@ -254,11 +243,37 @@ type apiError struct {
 // than 500).
 type badRequest struct{ err error }
 
+// Error is the cause's message, unadorned.
 func (b badRequest) Error() string { return b.err.Error() }
 
 // Unwrap exposes the cause so the status mapping can recognize wrapped
 // sentinel errors (e.g. http.MaxBytesError inside a decode failure).
 func (b badRequest) Unwrap() error { return b.err }
+
+// errorResponse maps a handler error to its status and JSON envelope,
+// for the read and the admin endpoints alike: a query mending mapped
+// onto no vocabulary term is well-formed but unanswerable (422, with the
+// nearest-candidate hints); ErrLiveDisabled and ErrFollowerReadOnly are
+// 409; an oversized body is 413 (checked before the badRequest its
+// decode failure is wrapped in); a badRequest is 400; the rest is 500.
+func errorResponse(err error) (int, []byte) {
+	status, errBody := http.StatusInternalServerError, apiError{Error: err.Error()}
+	var br badRequest
+	var nk *kqr.NoKnownTermsError
+	var mbe *http.MaxBytesError
+	switch {
+	case errors.As(err, &nk):
+		status, errBody.Hints = http.StatusUnprocessableEntity, nk.Hints
+	case errors.Is(err, kqr.ErrLiveDisabled), errors.Is(err, ErrFollowerReadOnly):
+		status = http.StatusConflict
+	case errors.As(err, &mbe):
+		status = http.StatusRequestEntityTooLarge
+	case errors.As(err, &br):
+		status = http.StatusBadRequest
+	}
+	body, _ := encodeBody(errBody)
+	return status, body
+}
 
 // encodeBody marshals a response the way json.Encoder would (trailing
 // newline included) so cached and freshly computed bodies are
@@ -271,14 +286,37 @@ func encodeBody(v any) ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// wrap adapts a JSON-producing handler into the full serving stack:
+// request is a parsed API request — what an endpoint's one parse
+// function returns from the URL's (once-decoded) query values. The
+// parameters are read exactly once: terms and
+// opts are their canonical form, from which the cache key is rendered
+// (whitespace and quoting variants of a query parse to identical term
+// slices, k is clamped to its effective value), and respond computes
+// the payload from the same parsed values. An endpoint that is never
+// cached (stats) leaves terms empty.
+type request struct {
+	terms   []string
+	opts    []string
+	respond func() (any, error)
+}
+
+// cacheKey renders a parsed request's cache key, tagged with the
+// engine's current generation epoch (serving.EpochKey): a promotion
+// bumps the epoch, so entries computed against the old corpus stop
+// matching and age out of the LRU — no flush, no serving of stale
+// results.
+func (s *Server) cacheKey(endpoint string, req request) string {
+	return serving.EpochKey(s.eng.Epoch(), endpoint, req.terms, req.opts...)
+}
+
+// wrap adapts an endpoint's parse function into the full serving stack:
 // concurrency limiting (shed with 503 + Retry-After when saturated),
-// response-cache lookup on the canonical request key, singleflight
-// coalescing of identical misses, error-to-status mapping, metrics,
-// and one log line per request. key is nil for uncacheable endpoints;
-// it returns "" when the request's parameters do not parse (the
-// handler then produces the authoritative 400).
-func (s *Server) wrap(name string, h func(r *http.Request) (any, error), key func(r *http.Request) string) http.HandlerFunc {
+// one parse of the parameters, response-cache lookup on the parsed
+// request's canonical key, singleflight coalescing of identical misses,
+// error-to-status mapping, metrics, and one log line per request. A
+// request whose parameters do not parse is answered with its 400 and
+// touches neither cache nor engine.
+func (s *Server) wrap(name string, parse func(q url.Values) (request, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		em := s.metrics.Endpoint(name)
@@ -299,16 +337,13 @@ func (s *Server) wrap(name string, h func(r *http.Request) (any, error), key fun
 		}
 
 		var body []byte
-		var err error
-		ck := ""
-		if s.cache != nil && key != nil {
-			ck = key(r)
-		}
+		req, err := parse(r.URL.Query())
 		switch {
-		case ck == "":
-			// Uncacheable (caching off, or params did not parse).
-			body, err = s.compute(h, r)
+		case err != nil:
+		case s.cache == nil || len(req.terms) == 0:
+			body, err = compute(req)
 		default:
+			ck := s.cacheKey(name, req)
 			if v, ok := s.cache.Get(ck); ok {
 				em.Hits.Add(1)
 				body = v
@@ -323,7 +358,7 @@ func (s *Server) wrap(name string, h func(r *http.Request) (any, error), key fun
 					return v, nil
 				}
 				em.Misses.Add(1)
-				b, herr := s.compute(h, r)
+				b, herr := compute(req)
 				if herr != nil {
 					return nil, herr
 				}
@@ -337,23 +372,8 @@ func (s *Server) wrap(name string, h func(r *http.Request) (any, error), key fun
 
 		status := http.StatusOK
 		if err != nil {
-			errBody := apiError{Error: err.Error()}
-			var br badRequest
-			var nk *kqr.NoKnownTermsError
-			switch {
-			case errors.As(err, &nk):
-				// Mending mapped no token onto the vocabulary: the
-				// query is well-formed but unanswerable, so 422 with
-				// the nearest-candidate hints in the body.
-				status = http.StatusUnprocessableEntity
-				errBody.Hints = nk.Hints
-			case errors.As(err, &br):
-				status = http.StatusBadRequest
-			default:
-				status = http.StatusInternalServerError
-			}
 			em.Errors.Add(1)
-			body, _ = encodeBody(errBody)
+			status, body = errorResponse(err)
 			w.WriteHeader(status)
 		}
 		if _, werr := w.Write(body); werr != nil {
@@ -364,9 +384,10 @@ func (s *Server) wrap(name string, h func(r *http.Request) (any, error), key fun
 	}
 }
 
-// compute runs the handler and encodes its result.
-func (s *Server) compute(h func(r *http.Request) (any, error), r *http.Request) ([]byte, error) {
-	result, err := h(r)
+// compute runs a parsed request against the engine and encodes its
+// payload.
+func compute(req request) ([]byte, error) {
+	result, err := req.respond()
 	if err != nil {
 		return nil, err
 	}
@@ -405,12 +426,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // queryParam parses the ?q= query string into terms.
-func queryParam(r *http.Request) ([]string, error) {
-	q := strings.TrimSpace(r.URL.Query().Get("q"))
-	if q == "" {
+func queryParam(q url.Values) ([]string, error) {
+	query := strings.TrimSpace(q.Get("q"))
+	if query == "" {
 		return nil, badRequest{fmt.Errorf("missing q parameter")}
 	}
-	terms, err := kqr.ParseQuery(q)
+	terms, err := kqr.ParseQuery(query)
 	if err != nil {
 		return nil, badRequest{err}
 	}
@@ -418,8 +439,8 @@ func queryParam(r *http.Request) ([]string, error) {
 }
 
 // kParam parses ?k= with a default and bounds.
-func kParam(r *http.Request, def, max int) (int, error) {
-	raw := r.URL.Query().Get("k")
+func kParam(q url.Values, def, max int) (int, error) {
+	raw := q.Get("k")
 	if raw == "" {
 		return def, nil
 	}
@@ -433,106 +454,16 @@ func kParam(r *http.Request, def, max int) (int, error) {
 	return k, nil
 }
 
-// termParam parses ?term=.
-func termParam(r *http.Request) (string, error) {
-	t := strings.TrimSpace(r.URL.Query().Get("term"))
-	if t == "" {
-		return "", badRequest{fmt.Errorf("missing term parameter")}
+// queryAndK parses the ?q= and ?k= pair of the query endpoints; the
+// returned option is k's canonical cache-key form.
+func queryAndK(q url.Values, def, max int) (terms []string, k int, kOpt string, err error) {
+	if terms, err = queryParam(q); err != nil {
+		return nil, 0, "", err
 	}
-	return t, nil
-}
-
-// Cache-key builders. Each parses the same parameters as its handler;
-// parsing doubles as canonicalization (whitespace and quoting variants
-// of a query produce identical term slices, k is clamped to its
-// effective value). A return of "" means "do not cache" and leaves
-// error reporting to the handler.
-//
-// Keys are tagged with the engine's current generation epoch
-// (serving.EpochKey): a promotion bumps the epoch, so entries computed
-// against the old corpus stop matching and age out of the LRU — no
-// flush, no serving of stale results.
-
-// key builds an epoch-tagged cache key for the current generation.
-func (s *Server) key(endpoint string, terms []string, opts ...string) string {
-	return serving.EpochKey(s.eng.Epoch(), endpoint, terms, opts...)
-}
-
-func (s *Server) keyReformulate(r *http.Request) string {
-	terms, err := queryParam(r)
-	if err != nil {
-		return ""
+	if k, err = kParam(q, def, max); err != nil {
+		return nil, 0, "", err
 	}
-	k, err := kParam(r, 5, 50)
-	if err != nil {
-		return ""
-	}
-	mode, err := mendModeParam(r)
-	if err != nil {
-		return ""
-	}
-	// The mode is part of the key even when the fingerprint matches:
-	// mend=on echoes the mended form for clean queries where auto
-	// omits it, so the two must never share a body.
-	opts := []string{"k=" + strconv.Itoa(k), "mendmode=" + mode}
-	if s.useMend(mode) {
-		res, merr := s.eng.Mend(terms)
-		if merr != nil {
-			// mend=on against a non-mending engine: let the handler
-			// produce the authoritative 400, uncached.
-			return ""
-		}
-		opts = append(opts, mendFingerprint(res))
-	}
-	return s.key("reformulate", terms, opts...)
-}
-
-func (s *Server) keySearch(r *http.Request) string {
-	terms, err := queryParam(r)
-	if err != nil {
-		return ""
-	}
-	if _, err := kParam(r, 1, 1); err != nil {
-		return ""
-	}
-	return s.key("search", terms)
-}
-
-func (s *Server) keySimilar(r *http.Request) string {
-	term, err := termParam(r)
-	if err != nil {
-		return ""
-	}
-	k, err := kParam(r, 10, 64)
-	if err != nil {
-		return ""
-	}
-	return s.key("similar", []string{term}, "k="+strconv.Itoa(k))
-}
-
-func (s *Server) keyClose(r *http.Request) string {
-	term, err := termParam(r)
-	if err != nil {
-		return ""
-	}
-	k, err := kParam(r, 10, 64)
-	if err != nil {
-		return ""
-	}
-	return s.key("close", []string{term},
-		"k="+strconv.Itoa(k), "field="+r.URL.Query().Get("field"))
-}
-
-func (s *Server) keyFacets(r *http.Request) string {
-	terms, err := queryParam(r)
-	if err != nil {
-		return ""
-	}
-	k, err := kParam(r, 5, 20)
-	if err != nil {
-		return ""
-	}
-	return s.key("facets", terms, "k="+strconv.Itoa(k))
+	return terms, k, "k=" + strconv.Itoa(k), nil
 }
 
 // reformulateResponse is the /api/reformulate payload. The mend
@@ -552,51 +483,68 @@ type suggestion struct {
 	Score float64  `json:"score"`
 }
 
-func (s *Server) handleReformulate(r *http.Request) (any, error) {
-	terms, err := queryParam(r)
+// parseReformulate reads /api/reformulate's parameters: the query
+// terms, k, the mend mode and — when the mode engages mending — the
+// mended query, mended exactly once: its fingerprint goes into the
+// cache key and a miss reformulates its terms.
+func (s *Server) parseReformulate(q url.Values) (request, error) {
+	terms, k, kOpt, err := queryAndK(q, 5, 50)
 	if err != nil {
-		return nil, err
+		return request{}, err
 	}
-	k, err := kParam(r, 5, 50)
+	mode, err := mendModeParam(q)
 	if err != nil {
-		return nil, err
+		return request{}, err
 	}
-	mode, err := mendModeParam(r)
+	mending := s.mendEnabled()
+	if mode == "on" && !mending {
+		return request{}, badRequest{fmt.Errorf("mend=on requires a mending-enabled engine (start kqr-server with -mend)")}
+	}
+	// The mode is part of the key even when the fingerprint matches:
+	// mend=on echoes the mended form for clean queries where auto
+	// omits it, so the two must never share a body.
+	req := request{terms: terms, opts: []string{kOpt, "mendmode=" + mode}}
+	if mode == "off" || !mending {
+		req.respond = func() (any, error) { return s.reformulate(terms, terms, k, nil, mode) }
+		return req, nil
+	}
+	res, err := s.eng.Mend(terms)
 	if err != nil {
-		return nil, err
+		return request{}, err
 	}
-	if mode == "on" && !s.mendEnabled() {
-		return nil, badRequest{fmt.Errorf("mend=on requires a mending-enabled engine (start kqr-server with -mend)")}
-	}
+	req.opts = append(req.opts, mendFingerprint(res))
+	req.respond = func() (any, error) { return s.reformulate(terms, res.Terms, k, &res, mode) }
+	return req, nil
+}
 
-	resp := reformulateResponse{Query: terms}
-	var sugs []kqr.Suggestion
-	if s.useMend(mode) {
+// reformulate answers a parsed /api/reformulate request: it decodes
+// suggestions for terms — the mended terms when mended is non-nil, the
+// query as given otherwise — and echoes the repair.
+func (s *Server) reformulate(query, terms []string, k int, mended *kqr.MendResult, mode string) (any, error) {
+	resp := reformulateResponse{Query: query}
+	if mended != nil {
 		s.mendCount.engaged.Add(1)
-		var res kqr.MendResult
-		sugs, res, err = s.eng.ReformulateMended(terms, k)
-		if err != nil {
-			if errors.Is(err, kqr.ErrNoKnownTerms) {
-				s.mendCount.rejected.Add(1)
-				return nil, err // wrap maps this to 422 + hints
-			}
-			return nil, badRequest{err}
+		if len(terms) == 0 {
+			s.mendCount.rejected.Add(1)
+			// wrap maps this to 422 + hints.
+			return nil, &kqr.NoKnownTermsError{Query: query, Hints: mended.Hints(3)}
 		}
-		if res.Changed {
+	}
+	sugs, err := s.eng.Reformulate(terms, k)
+	if err != nil {
+		return nil, badRequest{err}
+	}
+	if mended != nil {
+		if mended.Changed {
 			s.mendCount.mended.Add(1)
 		} else {
 			s.mendCount.passThrough.Add(1)
 		}
 		// Echo the repair whenever it changed the query, and always
 		// under mend=on, where the caller asked to see the mended form.
-		if res.Changed || mode == "on" {
-			resp.CorrectedQuery = kqr.Suggestion{Terms: res.Terms}.String()
-			resp.Mend = &res
-		}
-	} else {
-		sugs, err = s.eng.Reformulate(terms, k)
-		if err != nil {
-			return nil, badRequest{err}
+		if mended.Changed || mode == "on" {
+			resp.CorrectedQuery = kqr.Suggestion{Terms: terms}.String()
+			resp.Mend = mended
 		}
 	}
 	resp.Suggestions = make([]suggestion, 0, len(sugs))
@@ -615,24 +563,23 @@ type searchResponse struct {
 	Results []kqr.SearchResult `json:"results"`
 }
 
-func (s *Server) handleSearch(r *http.Request) (any, error) {
-	terms, err := queryParam(r)
+// parseSearch reads /api/search's parameters. Search takes no k, but a
+// malformed one is still a client error rather than silently ignored.
+func (s *Server) parseSearch(q url.Values) (request, error) {
+	terms, _, _, err := queryAndK(q, 1, 1)
 	if err != nil {
-		return nil, err
+		return request{}, err
 	}
-	// Search takes no k, but a malformed one is still a client error
-	// rather than silently ignored.
-	if _, err := kParam(r, 1, 1); err != nil {
-		return nil, err
-	}
-	results, total, err := s.eng.Search(terms)
-	if err != nil {
-		return nil, badRequest{err}
-	}
-	if results == nil {
-		results = []kqr.SearchResult{}
-	}
-	return searchResponse{Query: terms, Total: total, Results: results}, nil
+	return request{terms: terms, respond: func() (any, error) {
+		results, total, err := s.eng.Search(terms)
+		if err != nil {
+			return nil, badRequest{err}
+		}
+		if results == nil {
+			results = []kqr.SearchResult{}
+		}
+		return searchResponse{Query: terms, Total: total, Results: results}, nil
+	}}, nil
 }
 
 // termsResponse is the payload of /api/similar and /api/close.
@@ -641,42 +588,46 @@ type termsResponse struct {
 	Terms []kqr.RankedTerm `json:"terms"`
 }
 
-func (s *Server) handleSimilar(r *http.Request) (any, error) {
-	term, err := termParam(r)
+// parseTerms reads the ?term= and ?k= pair shared by /api/similar and
+// /api/close and binds lookup — the engine relation the endpoint
+// serves — to them; extra are the endpoint's further key options.
+func parseTerms(q url.Values, lookup func(term string, k int) ([]kqr.RankedTerm, error), extra ...string) (request, error) {
+	term := strings.TrimSpace(q.Get("term"))
+	if term == "" {
+		return request{}, badRequest{fmt.Errorf("missing term parameter")}
+	}
+	k, err := kParam(q, 10, 64)
 	if err != nil {
-		return nil, err
+		return request{}, err
 	}
-	k, err := kParam(r, 10, 64)
-	if err != nil {
-		return nil, err
-	}
-	terms, err := s.eng.SimilarTerms(term, k)
-	if err != nil {
-		return nil, badRequest{err}
-	}
-	if terms == nil {
-		terms = []kqr.RankedTerm{}
-	}
-	return termsResponse{Term: term, Terms: terms}, nil
+	return request{
+		terms: []string{term},
+		opts:  append([]string{"k=" + strconv.Itoa(k)}, extra...),
+		respond: func() (any, error) {
+			terms, err := lookup(term, k)
+			if err != nil {
+				return nil, badRequest{err}
+			}
+			if terms == nil {
+				terms = []kqr.RankedTerm{}
+			}
+			return termsResponse{Term: term, Terms: terms}, nil
+		},
+	}, nil
 }
 
-func (s *Server) handleClose(r *http.Request) (any, error) {
-	term, err := termParam(r)
-	if err != nil {
-		return nil, err
-	}
-	k, err := kParam(r, 10, 64)
-	if err != nil {
-		return nil, err
-	}
-	terms, err := s.eng.CloseTerms(term, k, r.URL.Query().Get("field"))
-	if err != nil {
-		return nil, badRequest{err}
-	}
-	if terms == nil {
-		terms = []kqr.RankedTerm{}
-	}
-	return termsResponse{Term: term, Terms: terms}, nil
+// parseSimilar reads /api/similar's parameters.
+func (s *Server) parseSimilar(q url.Values) (request, error) {
+	return parseTerms(q, s.eng.SimilarTerms)
+}
+
+// parseClose reads /api/close's parameters: term, k and the optional
+// field restriction.
+func (s *Server) parseClose(q url.Values) (request, error) {
+	field := q.Get("field")
+	return parseTerms(q, func(term string, k int) ([]kqr.RankedTerm, error) {
+		return s.eng.CloseTerms(term, k, field)
+	}, "field="+field)
 }
 
 // facetsResponse is the /api/facets payload.
@@ -685,23 +636,22 @@ type facetsResponse struct {
 	Facets []kqr.Facet `json:"facets"`
 }
 
-func (s *Server) handleFacets(r *http.Request) (any, error) {
-	terms, err := queryParam(r)
+// parseFacets reads /api/facets's parameters.
+func (s *Server) parseFacets(q url.Values) (request, error) {
+	terms, k, kOpt, err := queryAndK(q, 5, 20)
 	if err != nil {
-		return nil, err
+		return request{}, err
 	}
-	k, err := kParam(r, 5, 20)
-	if err != nil {
-		return nil, err
-	}
-	facets, err := s.eng.Facets(terms, k)
-	if err != nil {
-		return nil, badRequest{err}
-	}
-	if facets == nil {
-		facets = []kqr.Facet{}
-	}
-	return facetsResponse{Query: terms, Facets: facets}, nil
+	return request{terms: terms, opts: []string{kOpt}, respond: func() (any, error) {
+		facets, err := s.eng.Facets(terms, k)
+		if err != nil {
+			return nil, badRequest{err}
+		}
+		if facets == nil {
+			facets = []kqr.Facet{}
+		}
+		return facetsResponse{Query: terms, Facets: facets}, nil
+	}}, nil
 }
 
 // statsResponse is the /api/stats payload.
@@ -710,6 +660,9 @@ type statsResponse struct {
 	Graph   string `json:"graph"`
 }
 
-func (s *Server) handleStats(*http.Request) (any, error) {
-	return statsResponse{Dataset: s.datasetStats, Graph: s.eng.GraphStats()}, nil
+// parseStats takes no parameters; the stats line is never cached.
+func (s *Server) parseStats(url.Values) (request, error) {
+	return request{respond: func() (any, error) {
+		return statsResponse{Dataset: s.datasetStats, Graph: s.eng.GraphStats()}, nil
+	}}, nil
 }

@@ -359,8 +359,8 @@ func FuzzCacheKeyCanonical(f *testing.F) {
 	f.Add("probabilistic", "ranking", 5)
 	f.Add("xml", "semi-structured", 10)
 	f.Add("a", "b", 1)
-	// Key builders read the engine's generation epoch, so even this
-	// key-only fuzz target needs a (tiny) real engine behind the server.
+	// Keys carry the engine's generation epoch, so even this key-only
+	// fuzz target needs a (tiny) real engine behind the server.
 	corpus, err := synthetic.Bibliography(synthetic.Config{Seed: 1, Topics: 2, Confs: 4, Authors: 5, Papers: 20})
 	if err != nil {
 		f.Fatal(err)
@@ -393,8 +393,11 @@ func FuzzCacheKeyCanonical(f *testing.F) {
 		}
 		keyFor := func(q string, k int) string {
 			u := "/api/reformulate?q=" + url.QueryEscape(q) + "&k=" + fmt.Sprint(k)
-			r := httptest.NewRequest("GET", u, nil)
-			return s.keyReformulate(r)
+			req, err := s.parseReformulate(httptest.NewRequest("GET", u, nil).URL.Query())
+			if err != nil {
+				return ""
+			}
+			return s.cacheKey("reformulate", req)
 		}
 		base := keyFor(t1+" "+t2, k)
 		if base == "" {

@@ -18,7 +18,7 @@ import (
 // Warm to precompute the whole vocabulary.
 func (e *Engine) PrecomputeTerms(terms []string) error {
 	g := e.cur()
-	err := flight.ForEach(context.Background(), e.opts.PrecomputeWorkers, len(terms), func(i int) error {
+	err := flight.ForEach(context.Background(), e.mgr.Config().Workers, len(terms), func(i int) error {
 		term := terms[i]
 		node, err := g.Core.ResolveTerm(term)
 		if err != nil {
