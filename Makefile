@@ -61,13 +61,15 @@ bench-offline:
 bench-system:
 	bash scripts/bench-system.sh BENCH_system.json
 
-# Short fuzz pass over the parsers and the cache fingerprint.
+# Short fuzz pass over the parsers, the cache fingerprint and the
+# response encoder.
 fuzz:
 	$(GO) test -fuzz=FuzzParseQuery -fuzztime=20s .
 	$(GO) test -fuzz=FuzzSuggestionString -fuzztime=20s .
 	$(GO) test -fuzz=FuzzTokenize -fuzztime=20s ./internal/textindex/
 	$(GO) test -fuzz=FuzzKeyInjective -fuzztime=20s ./internal/serving/
 	$(GO) test -fuzz=FuzzCacheKeyCanonical -fuzztime=20s ./server/
+	$(GO) test -fuzz=FuzzAppendSuggestionJSON -fuzztime=20s ./server/
 	$(GO) test -fuzz=FuzzFrame -fuzztime=20s ./internal/frame/
 	$(GO) test -fuzz='FuzzLoad$$' -fuzztime=20s ./internal/artifact/
 	$(GO) test -fuzz='FuzzLoadPaged$$' -fuzztime=20s ./internal/artifact/

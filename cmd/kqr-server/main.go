@@ -29,15 +29,17 @@
 // fault on demand through a page cache bounded by -table-mem-budget
 // MiB, and /api/metrics gains a "disk" block with hit/miss/eviction
 // counters and resident bytes. -disk-mode refuses -warm and the save
-// flags — both would pull whole tables back into RAM:
+// flags — both would pull whole tables back into RAM. A disk-mode
+// server also lets at least 48 MiB of garbage (evicted decoded pages,
+// mostly) gather between collections unless GOGC is set:
 //
 //	kqr-server -snapshot-save-paged offline.paged          # first deploy
 //	kqr-server -snapshot-load offline.paged -disk-mode \
 //	           -table-mem-budget 128                       # bounded restart
 //
 // The serving layer defaults to production posture: a 64 MB response
-// cache with a 5-minute TTL plus request coalescing (-cache-mb 0
-// disables), and a concurrency limit of 4×GOMAXPROCS with a bounded
+// cache with a 5-minute TTL, entries earned on a query's second request,
+// plus request coalescing (-cache-mb 0 disables), and a concurrency limit of 4×GOMAXPROCS with a bounded
 // wait queue that sheds overload as 503 (-max-inflight 0 disables).
 // SIGINT/SIGTERM drain in-flight requests for up to 10 seconds before
 // exit.
@@ -97,6 +99,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"runtime/debug"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -140,6 +143,9 @@ const (
 	// followMaxLag is how many promotions a follower may trail the
 	// leader by before its /readyz reports not ready.
 	followMaxLag = 1
+	// diskModeGCHeadroom is how much garbage a disk-mode server lets
+	// gather between collections (see relaxGC).
+	diskModeGCHeadroom = 48 << 20
 )
 
 func main() {
@@ -253,6 +259,7 @@ func run(cfg config) error {
 		if ds, ok := eng.DiskTables(); ok {
 			fmt.Printf("disk mode: %s faults, tables %.1f MiB on disk, budget %.1f MiB (index %.1f MiB resident)\n",
 				ds.Mode, float64(ds.BlobBytes)/(1<<20), float64(ds.Budget)/(1<<20), float64(ds.MetaBytes)/(1<<20))
+			relaxGC(uint64(ds.CacheBudget), diskModeGCHeadroom)
 		}
 	}
 	if cfg.snapLoad != "" && !loaded {
@@ -350,6 +357,28 @@ func run(cfg config) error {
 	defer stop()
 	ready.Store(true)
 	return srv.Serve(ctx, cfg.addr)
+}
+
+// relaxGC sets the collector's pace for disk mode. Every page fault
+// decodes a page onto the heap and every eviction turns one into
+// garbage — under a small table budget some 290 KB per request — while
+// the live heap is whatever the corpus needs plus at most the page
+// cache: at the default GOGC=100 a 12 MB live heap is collected 70 times
+// a second, a seventh of both cores. So a disk-mode server lets at
+// least headroom bytes gather between collections, whatever its live
+// heap (cacheBudget is the part of it that has yet to fill); where twice
+// the live heap is already more than that, and where the operator set
+// GOGC, nothing changes.
+func relaxGC(cacheBudget, headroom uint64) {
+	if os.Getenv("GOGC") != "" {
+		return
+	}
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	if pct := headroom * 100 / (ms.HeapAlloc + cacheBudget); pct > 100 {
+		debug.SetGCPercent(int(pct))
+	}
 }
 
 // runFollower runs the server in follower mode: the corpus is the

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 	"unicode"
+	"unicode/utf8"
 
 	"kqr/internal/artifact"
 	"kqr/internal/closeness"
@@ -270,40 +271,75 @@ type Suggestion struct {
 // trailing whitespace — every term the engine produces —
 // ParseQuery(s.String()) recovers s.Terms exactly.
 func (s Suggestion) String() string {
-	parts := make([]string, len(s.Terms))
-	for i, t := range s.Terms {
-		parts[i] = quoteTerm(t)
+	n := len(s.Terms)
+	for _, t := range s.Terms {
+		n += len(t)
 	}
-	return strings.Join(parts, " ")
+	return string(s.AppendString(make([]byte, 0, n)))
 }
 
-// quoteTerm renders one term for String, quoting and escaping whenever
-// the bare text would parse differently.
-func quoteTerm(t string) string {
-	if t != "" && !strings.ContainsFunc(t, unicode.IsSpace) && !strings.Contains(t, `"`) {
-		return t
+// AppendString appends String's rendering to dst and returns the
+// extended buffer — for callers that build many suggestions into one
+// buffer (the server's response encoder).
+func (s Suggestion) AppendString(dst []byte) []byte {
+	for i, t := range s.Terms {
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = appendQuoted(dst, t)
 	}
-	var b strings.Builder
-	b.Grow(len(t) + 2)
-	b.WriteByte('"')
+	return dst
+}
+
+// appendQuoted renders one term for AppendString, quoting and escaping
+// whenever the bare text would parse differently.
+func appendQuoted(dst []byte, t string) []byte {
+	if !needsQuotes(t) {
+		return append(dst, t...)
+	}
+	dst = append(dst, '"')
 	for i := 0; i < len(t); i++ {
 		if t[i] == '"' || t[i] == '\\' {
-			b.WriteByte('\\')
+			dst = append(dst, '\\')
 		}
-		b.WriteByte(t[i])
+		dst = append(dst, t[i])
 	}
-	b.WriteByte('"')
-	return b.String()
+	return append(dst, '"')
+}
+
+// needsQuotes reports whether t is empty or contains a double quote or
+// any Unicode whitespace. Terms are mostly ASCII and a response renders
+// hundreds of them, so ASCII bytes are tested inline and the rune-wise
+// test starts at the first byte that is not.
+func needsQuotes(t string) bool {
+	for i := 0; i < len(t); i++ {
+		switch c := t[i]; {
+		case c == '"' || c == ' ' || '\t' <= c && c <= '\r':
+			return true
+		case c >= utf8.RuneSelf:
+			return strings.ContainsFunc(t[i:], unicode.IsSpace) || strings.Contains(t[i:], `"`)
+		}
+	}
+	return t == ""
+}
+
+// VisitReformulations decodes up to k substitutive queries for the
+// given terms, as Reformulate does, and hands them to visit best first
+// instead of returning them: the i-th of n, its Terms aliasing pooled
+// decode scratch and valid only during the call. On a warmed engine the
+// call itself allocates nothing, so a caller that encodes each
+// suggestion where it stands (the HTTP server) pays only for its own
+// output.
+func (e *Engine) VisitReformulations(terms []string, k int, visit func(i, n int, s Suggestion)) error {
+	return e.cur().Core.VisitReformulations(terms, k, func(i, n int, r core.Reformulation) {
+		visit(i, n, Suggestion{Terms: r.Terms, Score: r.Score})
+	})
 }
 
 // Reformulate suggests up to k substitutive queries for the given query
 // terms (a term may be a multi-word name). Terms must occur in the data.
 func (e *Engine) Reformulate(terms []string, k int) ([]Suggestion, error) {
-	refs, err := e.cur().Core.Reformulate(terms, k)
-	if err != nil {
-		return nil, err
-	}
-	return toSuggestions(refs), nil
+	return collectSuggestions(e.cur().Core.VisitReformulations, terms, k)
 }
 
 // ReformulateQuery parses a query string — whitespace-separated terms,
@@ -319,19 +355,29 @@ func (e *Engine) ReformulateQuery(query string, k int) ([]Suggestion, error) {
 // ReformulateRankBased runs the similarity-only baseline (no closeness);
 // exposed for comparison and benchmarking.
 func (e *Engine) ReformulateRankBased(terms []string, k int) ([]Suggestion, error) {
-	refs, err := e.cur().Core.ReformulateRankBased(terms, k)
+	return collectSuggestions(e.cur().Core.VisitRankBased, terms, k)
+}
+
+// collectSuggestions gathers one of the core engine's visits into
+// suggestions the caller owns: the result slice plus one flat backing
+// for every term.
+func collectSuggestions(run func(query []string, k int, visit core.Visitor) error, terms []string, k int) ([]Suggestion, error) {
+	out := []Suggestion{}
+	var flat []string
+	err := run(terms, k, func(i, n int, r core.Reformulation) {
+		if i == 0 {
+			// At most one term per slot and row.
+			out = make([]Suggestion, 0, n)
+			flat = make([]string, 0, n*len(terms))
+		}
+		lo := len(flat)
+		flat = append(flat, r.Terms...)
+		out = append(out, Suggestion{Terms: flat[lo:len(flat):len(flat)], Score: r.Score})
+	})
 	if err != nil {
 		return nil, err
 	}
-	return toSuggestions(refs), nil
-}
-
-func toSuggestions(refs []core.Reformulation) []Suggestion {
-	out := make([]Suggestion, len(refs))
-	for i, r := range refs {
-		out[i] = Suggestion{Terms: r.Terms, Score: r.Score}
-	}
-	return out
+	return out, nil
 }
 
 // RankedTerm is a term with provenance and score.

@@ -3,6 +3,7 @@ package kqr_test
 import (
 	"strings"
 	"testing"
+	"unicode"
 
 	"kqr"
 )
@@ -51,14 +52,45 @@ func FuzzParseQuery(f *testing.F) {
 	})
 }
 
+// quoteTermRef is the rune-wise rendering of one term that
+// Suggestion.String started from: the reference for its byte-wise scan.
+func quoteTermRef(t string) string {
+	if t != "" && !strings.ContainsFunc(t, unicode.IsSpace) && !strings.Contains(t, `"`) {
+		return t
+	}
+	var b strings.Builder
+	b.WriteByte('"')
+	for i := 0; i < len(t); i++ {
+		if t[i] == '"' || t[i] == '\\' {
+			b.WriteByte('\\')
+		}
+		b.WriteByte(t[i])
+	}
+	b.WriteByte('"')
+	return b.String()
+}
+
 // FuzzSuggestionString approaches the round-trip from the other side:
 // arbitrary term lists (filtered to the engine's invariant of
 // non-empty, untrimmed-equal terms) must survive String → ParseQuery.
+// For any terms at all, String equals the reference rendering and
+// AppendString appends exactly it.
 func FuzzSuggestionString(f *testing.F) {
 	f.Add("alice ames", "probabilistic", "x")
 	f.Add(`he said "hi"`, "new\nline", `back\slash`)
 	f.Add(`"`, `\`, `\"`)
+	f.Add("nb\u00a0sp", "next\u0085line", "line\u2028sep")
+	f.Add("v\vt", "f\ff", "caf\u00e9 \"x\"")
+	f.Add("", "\xff\xa0", "\xc2")
 	f.Fuzz(func(t *testing.T, a, b, c string) {
+		all := kqr.Suggestion{Terms: []string{a, b, c}}
+		want := quoteTermRef(a) + " " + quoteTermRef(b) + " " + quoteTermRef(c)
+		if got := all.String(); got != want {
+			t.Fatalf("String() of %q = %q, reference %q", all.Terms, got, want)
+		}
+		if got := string(all.AppendString([]byte("q="))); got != "q="+want {
+			t.Fatalf("AppendString of %q = %q", all.Terms, got)
+		}
 		var terms []string
 		for _, term := range []string{a, b, c} {
 			if term == "" || strings.TrimSpace(term) != term {

@@ -206,20 +206,21 @@ func (e *Engine) fillSlot(sl *slot, i int, q graph.NodeID) error {
 	return nil
 }
 
-// resolve maps a query's keywords to term nodes (see ResolveTerm).
-func (e *Engine) resolve(query []string) ([]graph.NodeID, error) {
+// resolve maps a query's keywords to term nodes (see ResolveTerm),
+// appending them to dst — nil for a slice the caller keeps, a scratch's
+// qnodes[:0] on the pooled path.
+func (e *Engine) resolve(dst []graph.NodeID, query []string) ([]graph.NodeID, error) {
 	if len(query) == 0 {
 		return nil, fmt.Errorf("core: empty query")
 	}
-	nodes := make([]graph.NodeID, len(query))
-	for i, q := range query {
+	for _, q := range query {
 		v, err := e.ResolveTerm(q)
 		if err != nil {
 			return nil, err
 		}
-		nodes[i] = v
+		dst = append(dst, v)
 	}
-	return nodes, nil
+	return dst, nil
 }
 
 // BuildQueryModel assembles — without decoding — the HMM a query would
@@ -228,7 +229,7 @@ func (e *Engine) resolve(query []string) ([]graph.NodeID, error) {
 // The model is built on a scratch of its own that never enters the
 // engine's pool, so it stays valid for as long as the caller holds it.
 func (e *Engine) BuildQueryModel(query []string) (*hmm.Model, error) {
-	nodes, err := e.resolve(query)
+	nodes, err := e.resolve(nil, query)
 	if err != nil {
 		return nil, err
 	}
@@ -240,31 +241,88 @@ func (e *Engine) BuildQueryModel(query []string) (*hmm.Model, error) {
 	return &s.model, nil
 }
 
-// Reformulate returns up to k reformulated queries for the input query
-// terms, best first. Terms must be non-empty and resolvable in the data.
-// Identity reformulations (every slot unchanged) are filtered out.
-func (e *Engine) Reformulate(query []string, k int) ([]Reformulation, error) {
-	nodes, err := e.resolve(query)
+// Visitor receives the i-th of n reformulations, best first. r.Terms and
+// r.Nodes alias pooled scratch and are valid only during the call; a
+// visitor that keeps them copies them.
+type Visitor func(i, n int, r Reformulation)
+
+// VisitReformulations decodes up to k reformulated queries for the
+// input query terms and hands them to visit, best first. Terms must be
+// non-empty and resolvable in the data. Identity reformulations (every
+// slot unchanged) and repeated term sequences are filtered out. The
+// whole call — resolve, candidate fetch, model build, decode, filter —
+// runs on pooled scratch: on a warmed engine it performs zero heap
+// allocations, so what a request allocates is what its visitor does.
+func (e *Engine) VisitReformulations(query []string, k int, visit Visitor) error {
+	s := e.getScratch()
+	defer e.putScratch(s)
+	nodes, err := e.resolve(s.qnodes[:0], query)
 	if err != nil {
-		return nil, err
+		return err
 	}
+	s.qnodes = nodes
 	if k < 1 {
 		k = 1
 	}
-	return e.reformulateNodes(nodes, k)
-}
-
-// reformulateNodes runs the whole decode on pooled scratch: only the
-// returned Reformulations allocate.
-func (e *Engine) reformulateNodes(nodes []graph.NodeID, k int) ([]Reformulation, error) {
-	s := e.getScratch()
-	defer e.putScratch(s)
 	// Ask for extra paths so identity/duplicate filtering still leaves k.
 	paths, err := e.decode(s, nodes, k+len(nodes)+2)
 	if err != nil {
+		return err
+	}
+	slots := s.slots[:len(nodes)]
+	s.rows.reset()
+	for _, p := range paths {
+		if s.rows.len() >= k {
+			break
+		}
+		identity := true
+		for c, si := range p.States {
+			v := slots[c].cands[si]
+			if v == voidNode {
+				identity = false
+				continue
+			}
+			if v != slots[c].query {
+				identity = false
+			}
+			s.rows.push(v, e.tg.TermText(v))
+		}
+		s.rows.commit(p.Score, identity)
+	}
+	s.rows.visit(visit)
+	return nil
+}
+
+// Reformulate returns up to k reformulated queries for the input query
+// terms, best first — VisitReformulations collected into slices the
+// caller owns.
+func (e *Engine) Reformulate(query []string, k int) ([]Reformulation, error) {
+	return collect(e.VisitReformulations, query, k)
+}
+
+// collect gathers a visit into caller-owned Reformulations: the result
+// slice plus one flat backing each for all terms and all nodes.
+func collect(run func(query []string, k int, visit Visitor) error, query []string, k int) ([]Reformulation, error) {
+	out := []Reformulation{}
+	var terms []string
+	var nodes []graph.NodeID
+	err := run(query, k, func(i, n int, r Reformulation) {
+		if i == 0 {
+			// A row has at most one term per slot (exactly one unless
+			// void states dropped some).
+			out = make([]Reformulation, 0, n)
+			terms = make([]string, 0, n*len(query))
+			nodes = make([]graph.NodeID, 0, n*len(query))
+		}
+		lo := len(terms)
+		terms = append(terms, r.Terms...)
+		nodes = append(nodes, r.Nodes...)
+		out = append(out, Reformulation{Terms: terms[lo:len(terms):len(terms)], Nodes: nodes[lo:len(nodes):len(nodes)], Score: r.Score})
+	})
+	if err != nil {
 		return nil, err
 	}
-	return e.pathsToReformulations(s.slots[:len(nodes)], paths, k), nil
+	return out, nil
 }
 
 // decode is the online stage on the given scratch: packed candidate
@@ -306,40 +364,4 @@ func (e *Engine) DecodePaths(nodes []graph.NodeID, k int, visit func(hmm.Path) b
 		}
 	}
 	return nil
-}
-
-// pathsToReformulations maps decoded state sequences back to term texts,
-// dropping void slots, filtering the identity query and duplicates.
-func (e *Engine) pathsToReformulations(slots []slot, paths []hmm.Path, k int) []Reformulation {
-	out := make([]Reformulation, 0, k)
-	seen := make(map[string]bool)
-	for _, p := range paths {
-		if len(out) >= k {
-			break
-		}
-		r := Reformulation{Score: p.Score}
-		identity := true
-		for c, si := range p.States {
-			v := slots[c].cands[si]
-			if v == voidNode {
-				identity = false
-				continue
-			}
-			if v != slots[c].query {
-				identity = false
-			}
-			r.Nodes = append(r.Nodes, v)
-			r.Terms = append(r.Terms, e.tg.TermText(v))
-		}
-		if identity || len(r.Terms) == 0 {
-			continue
-		}
-		key := strings.Join(r.Terms, "\x00")
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		out = append(out, r)
-	}
-	return out
 }

@@ -26,11 +26,11 @@ func (e *Engine) Explain(query, suggestion []string) ([]SlotExplanation, error) 
 		return nil, fmt.Errorf("core: suggestion has %d terms, query has %d; only full-length suggestions can be explained",
 			len(suggestion), len(query))
 	}
-	queryNodes, err := e.resolve(query)
+	queryNodes, err := e.resolve(nil, query)
 	if err != nil {
 		return nil, err
 	}
-	subNodes, err := e.resolve(suggestion)
+	subNodes, err := e.resolve(nil, suggestion)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"kqr/internal/closeness"
@@ -204,6 +205,42 @@ func TestDecodePathsZeroAllocsWarm(t *testing.T) {
 	}
 }
 
+// The whole online stage as a caller sees it — resolve, fetch, build,
+// decode, filter, visit — allocates nothing on a warmed engine: what a
+// request allocates is what its visitor does. Under void states too,
+// where rows drop slots and the filter's duplicate test does real work.
+func TestVisitReformulationsZeroAllocsWarm(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Put items under the race detector by design; internal/hmm asserts the pool-free zero-alloc invariant under race")
+	}
+	for _, opts := range []Options{{}, {AllowDeletion: true}} {
+		_, eng := newWarmFixtureEngine(t, opts)
+		rows, terms := 0, 0
+		visitAll := func() {
+			for _, q := range hotpathQueries {
+				if err := eng.VisitReformulations(q, 10, func(i, n int, r Reformulation) {
+					rows++
+					terms += len(r.Terms)
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		visitAll()
+		visitAll()
+		if rows == 0 {
+			t.Fatal("nothing visited")
+		}
+		allocs := testing.AllocsPerRun(100, visitAll)
+		if a := testing.AllocsPerRun(100, visitAll); a < allocs {
+			allocs = a
+		}
+		if allocs != 0 {
+			t.Fatalf("opts %+v: warmed VisitReformulations allocates %.1f times per sweep, want 0 (%d rows, %d terms)", opts, allocs, rows, terms)
+		}
+	}
+}
+
 // BuildQueryModel hands out a model the caller keeps: it must own its
 // scratch rather than alias the engine's pool — unchanged after 1,000
 // pooled Reformulate calls on other queries — and equal the oracle
@@ -216,7 +253,7 @@ func TestBuildQueryModelOwnsItsScratch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nodes, err := eng.resolve(query)
+		nodes, err := eng.resolve(nil, query)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,5 +301,44 @@ func TestBuildQueryModelOwnsItsScratch(t *testing.T) {
 			}
 		}
 		check("after 1000 pooled Reformulate calls")
+	}
+}
+
+// The filter on its own: identity and empty rows are dropped, a row
+// repeating an accepted row's texts is dropped whatever its nodes, rows
+// that merely share a hash-worthy prefix are kept, and a dropped row
+// leaves nothing behind for the next one.
+func TestRowFilter(t *testing.T) {
+	var f rowFilter
+	push := func(score float64, identity bool, row ...string) {
+		for i, text := range row {
+			f.push(graph.NodeID(100*len(f.end)+i), text)
+		}
+		f.commit(score, identity)
+	}
+	f.reset()
+	push(0.9, false, "a", "b")
+	push(0.8, true, "q", "r")  // the query itself
+	push(0.7, false)           // every slot void
+	push(0.6, false, "a", "b") // same texts, other nodes
+	push(0.5, false, "ab")     // not ["a","b"]
+	push(0.4, false, "a")
+	push(0.3, false, "a", "b", "c")
+	var got [][]string
+	var scores []float64
+	f.visit(func(i, n int, r Reformulation) {
+		if n != 4 || i != len(got) || len(r.Nodes) != len(r.Terms) {
+			t.Fatalf("visit(%d, %d, %+v)", i, n, r)
+		}
+		got = append(got, append([]string(nil), r.Terms...))
+		scores = append(scores, r.Score)
+	})
+	want := [][]string{{"a", "b"}, {"ab"}, {"a"}, {"a", "b", "c"}}
+	if fmt.Sprint(got) != fmt.Sprint(want) || fmt.Sprint(scores) != fmt.Sprint([]float64{0.9, 0.5, 0.4, 0.3}) {
+		t.Fatalf("accepted %v %v, want %v", got, scores, want)
+	}
+	f.reset()
+	if f.len() != 0 || len(f.terms) != 0 {
+		t.Fatalf("reset left %d rows, %d terms", f.len(), len(f.terms))
 	}
 }

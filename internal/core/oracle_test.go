@@ -4,10 +4,13 @@ package core
 // the pooled path is tested bit-for-bit against: a fresh slot set and a
 // fresh, nested-slice model per query (buildSlots / buildModel — the
 // same arithmetic in the same order as buildSlotsInto / buildModelInto)
-// decoded by the pointer-path reference decoders of hmmtest.
+// decoded by the pointer-path reference decoders of hmmtest, and the
+// allocating path filter (append-grown rows, joined-string set) the
+// pooled rowFilter replaced.
 
 import (
 	"fmt"
+	"strings"
 
 	"kqr/internal/graph"
 	"kqr/internal/hmm"
@@ -130,7 +133,7 @@ func (e *Engine) buildModel(slots []slot) *hmm.Model {
 // ReformulateRef is Reformulate on the allocating path: the same table
 // reads, but per-query slot and model allocation and the Ref decoders.
 func (e *Engine) ReformulateRef(query []string, k int) ([]Reformulation, error) {
-	nodes, err := e.resolve(query)
+	nodes, err := e.resolve(nil, query)
 	if err != nil {
 		return nil, err
 	}
@@ -158,7 +161,7 @@ func (e *Engine) reformulateNodesRef(nodes []graph.NodeID, k int) ([]Reformulati
 	if err != nil {
 		return nil, err
 	}
-	return e.pathsToReformulations(slots, paths, k), nil
+	return e.pathsToReformulationsRef(slots, paths, k), nil
 }
 
 // DecodePathsRef is DecodePaths over the allocating path (per-query
@@ -192,4 +195,41 @@ func (e *Engine) DecodePathsRef(nodes []graph.NodeID, k int, visit func(hmm.Path
 		}
 	}
 	return nil
+}
+
+// pathsToReformulationsRef maps decoded state sequences back to term
+// texts, dropping void slots, filtering the identity query and
+// duplicates — what VisitReformulations' rowFilter must reproduce.
+func (e *Engine) pathsToReformulationsRef(slots []slot, paths []hmm.Path, k int) []Reformulation {
+	out := make([]Reformulation, 0, k)
+	seen := make(map[string]bool)
+	for _, p := range paths {
+		if len(out) >= k {
+			break
+		}
+		r := Reformulation{Score: p.Score}
+		identity := true
+		for c, si := range p.States {
+			v := slots[c].cands[si]
+			if v == voidNode {
+				identity = false
+				continue
+			}
+			if v != slots[c].query {
+				identity = false
+			}
+			r.Nodes = append(r.Nodes, v)
+			r.Terms = append(r.Terms, e.tg.TermText(v))
+		}
+		if identity || len(r.Terms) == 0 {
+			continue
+		}
+		key := strings.Join(r.Terms, "\x00")
+		if seen[key] {
+			continue
+		}
+		seen[key] = true
+		out = append(out, r)
+	}
+	return out
 }

@@ -16,9 +16,17 @@ import (
 // Cartesian product over the per-slot candidate lists (each sorted by
 // similarity), so only O(k·m) combinations are materialized.
 func (e *Engine) ReformulateRankBased(query []string, k int) ([]Reformulation, error) {
-	nodes, err := e.resolve(query)
+	return collect(e.VisitRankBased, query, k)
+}
+
+// VisitRankBased is ReformulateRankBased in VisitReformulations' form:
+// the baseline's combinations go through the same filter and reach the
+// same kind of visitor. The enumeration itself allocates (it is the
+// experiments' baseline, not a serving path).
+func (e *Engine) VisitRankBased(query []string, k int, visit Visitor) error {
+	nodes, err := e.resolve(nil, query)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if k < 1 {
 		k = 1
@@ -26,7 +34,7 @@ func (e *Engine) ReformulateRankBased(query []string, k int) ([]Reformulation, e
 	scratch := e.getScratch()
 	defer e.putScratch(scratch)
 	if err := e.buildSlotsInto(scratch, nodes); err != nil {
-		return nil, err
+		return err
 	}
 	slots := scratch.slots[:len(nodes)]
 	// Sort each slot's candidates by descending similarity (fillSlot
@@ -52,7 +60,7 @@ func (e *Engine) ReformulateRankBased(query []string, k int) ([]Reformulation, e
 			return cs[a].node < cs[b].node
 		})
 		if len(cs) == 0 {
-			return nil, fmt.Errorf("core: no candidates for slot %d", i)
+			return fmt.Errorf("core: no candidates for slot %d", i)
 		}
 		lists[i] = cs
 	}
@@ -83,9 +91,9 @@ func (e *Engine) ReformulateRankBased(query []string, k int) ([]Reformulation, e
 	heap.Push(h, first)
 	visited := map[string]bool{keyOf(first.idx): true}
 
-	out := make([]Reformulation, 0, k)
-	seen := make(map[string]bool)
-	for h.Len() > 0 && len(out) < k {
+	rows := &scratch.rows
+	rows.reset()
+	for h.Len() > 0 && rows.len() < k {
 		top := heap.Pop(h).(combo)
 		// Expand successors before filtering, so identity combos still
 		// seed the search.
@@ -101,27 +109,18 @@ func (e *Engine) ReformulateRankBased(query []string, k int) ([]Reformulation, e
 				}
 			}
 		}
-		r := Reformulation{Score: top.score}
 		identity := true
 		for c, i := range top.idx {
 			v := lists[c][i].node
 			if v != slots[c].query {
 				identity = false
 			}
-			r.Nodes = append(r.Nodes, v)
-			r.Terms = append(r.Terms, e.tg.TermText(v))
+			rows.push(v, e.tg.TermText(v))
 		}
-		if identity {
-			continue
-		}
-		tk := strings.Join(r.Terms, "\x00")
-		if seen[tk] {
-			continue
-		}
-		seen[tk] = true
-		out = append(out, r)
+		rows.commit(top.score, identity)
 	}
-	return out, nil
+	rows.visit(visit)
+	return nil
 }
 
 func keyOf(idx []int) string {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"kqr/internal/graph"
 	"kqr/internal/hmm"
 )
@@ -8,15 +10,17 @@ import (
 // queryScratch owns every buffer the per-query hot path writes: slot
 // candidate lists, the HMM's emission/initial/transition storage (flat,
 // with the transition tables flattened per step behind a closure built
-// once), and the flat hmm.Decoder. Engines recycle scratches through a
-// sync.Pool, so after a few warm-up queries the whole decode path —
-// candidate fetch through top-k paths — runs without touching the heap.
+// once), the flat hmm.Decoder and the filter its paths go through.
+// Engines recycle scratches through a sync.Pool, so after a few warm-up
+// queries the whole online stage — query resolution and candidate fetch
+// through the filtered top-k rows — runs without touching the heap.
 //
 // The embedded model's Trans closure reads the scratch's own transBuf/
 // transOff/transStride fields, so it is created once per scratch rather
 // than once per query.
 type queryScratch struct {
-	slots []slot
+	qnodes []graph.NodeID // the resolved query
+	slots  []slot
 
 	emit    [][]float64
 	emitBuf []float64
@@ -31,6 +35,92 @@ type queryScratch struct {
 
 	model hmm.Model
 	dec   hmm.Decoder
+
+	rows rowFilter
+}
+
+// rowFilter is the filter between an enumeration of candidate queries
+// (decoded HMM paths, or the rank-based baseline's combinations) and
+// the reformulations a caller sees: it drops the identity query, empty
+// rows and repeated term-text sequences — distinct nodes may carry the
+// same text in different fields — and holds what it accepted, flat, so
+// that filtering allocates nothing once its slices have grown. A row is
+// pushed term by term and then committed.
+type rowFilter struct {
+	terms  []string // all accepted rows, then the pending one
+	nodes  []graph.NodeID
+	end    []int32 // end[i] is where accepted row i stops in terms/nodes
+	scores []float64
+	hashes []uint64 // FNV-1a of each accepted row's texts: the cheap half of the duplicate test
+}
+
+func (f *rowFilter) reset() {
+	f.terms, f.nodes = f.terms[:0], f.nodes[:0]
+	f.end, f.scores, f.hashes = f.end[:0], f.scores[:0], f.hashes[:0]
+}
+
+// len is the number of accepted rows.
+func (f *rowFilter) len() int { return len(f.end) }
+
+// start is where row i begins.
+func (f *rowFilter) start(i int) int {
+	if i == 0 {
+		return 0
+	}
+	return int(f.end[i-1])
+}
+
+// push adds one term to the pending row.
+func (f *rowFilter) push(v graph.NodeID, text string) {
+	f.nodes = append(f.nodes, v)
+	f.terms = append(f.terms, text)
+}
+
+// commit closes the pending row: accepted with its score unless it is
+// the identity query, empty, or repeats an accepted row's texts.
+func (f *rowFilter) commit(score float64, identity bool) {
+	lo := f.start(len(f.end))
+	row := f.terms[lo:]
+	keep := !identity && len(row) > 0
+	var h uint64
+	if keep {
+		h = hashTexts(row)
+		for i, hi := range f.hashes {
+			if hi == h && slices.Equal(f.terms[f.start(i):f.end[i]], row) {
+				keep = false
+				break
+			}
+		}
+	}
+	if !keep {
+		f.terms, f.nodes = f.terms[:lo], f.nodes[:lo]
+		return
+	}
+	f.end = append(f.end, int32(len(f.terms)))
+	f.scores = append(f.scores, score)
+	f.hashes = append(f.hashes, h)
+}
+
+// visit hands the accepted rows to v, in acceptance order.
+func (f *rowFilter) visit(v Visitor) {
+	n := len(f.end)
+	for i := 0; i < n; i++ {
+		lo, hi := f.start(i), int(f.end[i])
+		v(i, n, Reformulation{Terms: f.terms[lo:hi:hi], Nodes: f.nodes[lo:hi:hi], Score: f.scores[i]})
+	}
+}
+
+// hashTexts is FNV-1a over the texts with a separator after each, so
+// that where one text ends is part of the hash.
+func hashTexts(texts []string) uint64 {
+	h := uint64(14695981039346656037)
+	for _, t := range texts {
+		for i := 0; i < len(t); i++ {
+			h = (h ^ uint64(t[i])) * 1099511628211
+		}
+		h = (h ^ 0xff) * 1099511628211
+	}
+	return h
 }
 
 // newQueryScratch builds a scratch with its model's transition closure

@@ -65,10 +65,10 @@ func (g *Group[K, V]) Do(key K, fn func() (V, error)) (val V, err error, shared 
 	return c.val, c.err, false
 }
 
-// dupsFor reports how many callers are coalesced onto key's in-flight
-// call, -1 if none is in flight. Used by tests to make coalescing
-// deterministic.
-func (g *Group[K, V]) dupsFor(key K) int {
+// Waiting reports how many callers are coalesced onto key's in-flight
+// call, -1 if none is in flight. Tests of coalescing — here and in the
+// packages that use a Group — wait on it instead of sleeping.
+func (g *Group[K, V]) Waiting(key K) int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if c, ok := g.calls[key]; ok {

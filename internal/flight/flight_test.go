@@ -49,9 +49,9 @@ func TestGroupCoalesces(t *testing.T) {
 	// Release the leader only once all n followers are registered as
 	// duplicates, making "exactly one computation" deterministic.
 	deadline := time.Now().Add(10 * time.Second)
-	for g.dupsFor("k") != n {
+	for g.Waiting("k") != n {
 		if time.Now().After(deadline) {
-			t.Fatalf("followers queued: %d of %d", g.dupsFor("k"), n)
+			t.Fatalf("followers queued: %d of %d", g.Waiting("k"), n)
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -16,9 +16,18 @@ const numShards = 16
 // budget in addition to key and value bytes.
 const entryOverhead = 120
 
-// Cache is a sharded LRU byte cache with a global byte budget and a
-// per-entry TTL. Values are immutable []byte blobs (pre-encoded JSON
-// response bodies); callers must not mutate what Get returns.
+// doorSlots is the size of each shard's doorkeeper, the direct-mapped
+// table of key fingerprints that remembers first sightings (see Put).
+// A fingerprint survives until another first sighting lands on its
+// slot, i.e. for numShards*doorSlots = 65,536 distinct new keys on
+// average — the admission window is that divided by the miss rate. 16
+// shards x 4,096 slots x 4 bytes = 256 KiB per cache.
+const doorSlots = 4096
+
+// Cache is a sharded LRU byte cache with a global byte budget, a
+// per-entry TTL and admission on the second sighting (see Put). Values
+// are immutable []byte blobs (pre-encoded JSON response bodies);
+// callers must not mutate what Get returns.
 type Cache struct {
 	shards [numShards]shard
 	ttl    time.Duration
@@ -32,6 +41,9 @@ type shard struct {
 	items    map[string]*list.Element
 	bytes    int64
 	maxBytes int64
+	// door[slot] is the fingerprint of the last not-yet-resident key
+	// Put saw on that slot; 0 is empty.
+	door [doorSlots]uint32
 }
 
 type entry struct {
@@ -61,7 +73,7 @@ func NewCache(maxBytes int64, ttl time.Duration) *Cache {
 
 // Get returns the cached value for key, if present and unexpired.
 func (c *Cache) Get(key string) ([]byte, bool) {
-	s := &c.shards[shardIndex(key, numShards)]
+	s := &c.shards[keyHash(key)%numShards]
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	el, ok := s.items[key]
@@ -77,11 +89,35 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 	return en.val, true
 }
 
-// Put inserts or replaces the value for key, evicting least-recently
-// used entries until the shard is back under its byte budget. The
-// newest entry is never evicted, so one oversized value still caches.
+// Put offers the value for key. A resident key's value is replaced; a
+// key that is not resident earns its entry on the second sighting: the
+// first Put only leaves the key's fingerprint in the shard's
+// doorkeeper, and the value is kept when a later Put finds it still
+// there. A stream of keys that never repeat therefore costs the cache
+// nothing, and a key that does repeat costs one extra miss — as does a
+// key whose fingerprint another first sighting on the same slot
+// overwrote in between (last writer wins). Two keys sharing slot and
+// fingerprint admit one of them a sighting early; entries are keyed by
+// the full key, so a collision can never answer with the wrong value.
+// Inserting evicts least-recently used entries until the shard is back
+// under its byte budget; the newest entry is never evicted, so one
+// oversized value still caches.
 func (c *Cache) Put(key string, val []byte) {
-	s := &c.shards[shardIndex(key, numShards)]
+	h := keyHash(key)
+	s := &c.shards[h%numShards]
+	slot := &s.door[(h/numShards)%doorSlots]
+	fp := uint32(h>>32) | 1 // never the empty mark
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	el, resident := s.items[key]
+	if resident {
+		s.remove(el)
+	} else if *slot != fp {
+		*slot = fp
+		return
+	} else {
+		*slot = 0
+	}
 	en := &entry{
 		key:  key,
 		val:  val,
@@ -90,13 +126,7 @@ func (c *Cache) Put(key string, val []byte) {
 	if c.ttl > 0 {
 		en.expires = c.now().Add(c.ttl)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.items[key]; ok {
-		s.remove(el)
-	}
-	el := s.ll.PushFront(en)
-	s.items[key] = el
+	s.items[key] = s.ll.PushFront(en)
 	s.bytes += en.size
 	for s.bytes > s.maxBytes && s.ll.Len() > 1 {
 		s.remove(s.ll.Back())

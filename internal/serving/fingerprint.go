@@ -58,10 +58,9 @@ func EpochKey(epoch uint64, endpoint string, terms []string, opts ...string) str
 }
 
 // hashSeed is shared by all caches so a key always lands on the same
-// shard index for a given cache geometry.
+// shard and doorkeeper slot for a given cache geometry.
 var hashSeed = maphash.MakeSeed()
 
-// shardIndex maps a key onto one of n shards.
-func shardIndex(key string, n int) int {
-	return int(maphash.String(hashSeed, key) % uint64(n))
-}
+// keyHash is the one hash of a cache key: its low bits pick the shard,
+// the next ones the doorkeeper slot, the top half is the fingerprint.
+func keyHash(key string) uint64 { return maphash.String(hashSeed, key) }

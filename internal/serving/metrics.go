@@ -7,9 +7,13 @@ import (
 )
 
 // bucketBounds are the fixed histogram bucket upper bounds. The range
-// covers sub-100µs cache hits up to multi-second decodes; the last
+// covers a 5µs cache-hit handler up to multi-second decodes; the last
 // implicit bucket is +Inf.
-var bucketBounds = []time.Duration{
+var bucketBounds = [...]time.Duration{
+	5 * time.Microsecond,
+	10 * time.Microsecond,
+	25 * time.Microsecond,
+	50 * time.Microsecond,
 	100 * time.Microsecond,
 	250 * time.Microsecond,
 	500 * time.Microsecond,
@@ -27,12 +31,14 @@ var bucketBounds = []time.Duration{
 	5 * time.Second,
 }
 
-const numBuckets = 16 // len(bucketBounds) + 1 for +Inf
+const numBuckets = len(bucketBounds) + 1 // +1 for +Inf
 
 // Histogram is a fixed-bucket latency histogram safe for concurrent
 // observation. Quantiles are estimated as the upper bound of the
 // bucket containing the quantile rank — coarse but allocation-free and
-// monotone, which is what an operations dashboard needs.
+// monotone, which is what an operations dashboard needs. The 1-2.5-5
+// ladder is a stopgap: ROADMAP item 1(a)'s log-linear type (bench/hist.go's
+// design, < 1 % error) still replaces it.
 type Histogram struct {
 	buckets [numBuckets]atomic.Int64
 	count   atomic.Int64

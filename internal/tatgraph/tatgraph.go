@@ -431,6 +431,12 @@ func (tg *Graph) TupleNode(id relstore.TupleID) (graph.NodeID, bool) {
 // frequent node is usually the intended one; callers that care pick by
 // Freq.
 func (tg *Graph) FindTerm(text string) []graph.NodeID {
+	// Texts are stored normalized, so one that is found as given is its
+	// own normal form: the serving path's mended terms resolve here,
+	// without Normalize's allocation.
+	if nodes := tg.byText[text]; nodes != nil {
+		return nodes
+	}
 	norm := textindex.Normalize(text)
 	if nodes := tg.byText[norm]; nodes != nil {
 		return nodes

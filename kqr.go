@@ -65,8 +65,9 @@
 //
 // # Concurrency
 //
-// All Engine query methods — Reformulate, ReformulateQuery,
-// ReformulateRankBased, ReformulateSegmented, SimilarTerms, CloseTerms,
+// All Engine query methods — Reformulate, VisitReformulations,
+// ReformulateQuery, ReformulateRankBased, ReformulateSegmented,
+// ReformulateMended, Mend, SimilarTerms, CloseTerms,
 // Search, Facets, SegmentQuery, Explain, GraphStats, Vocabulary,
 // Artifact, Generation, Epoch, PendingDeltas — are safe for unlimited
 // concurrent use, including concurrently with Ingest, Promote,

@@ -113,11 +113,8 @@ func (e *Engine) ReformulateMended(terms []string, k int) ([]Suggestion, MendRes
 	if len(res.Terms) == 0 {
 		return nil, res, &NoKnownTermsError{Query: terms, Hints: res.Hints(3)}
 	}
-	refs, err := g.Core.Reformulate(res.Terms, k)
-	if err != nil {
-		return nil, res, err
-	}
-	return toSuggestions(refs), res, nil
+	sugs, err := collectSuggestions(g.Core.VisitReformulations, res.Terms, k)
+	return sugs, res, err
 }
 
 // MendStats reports the size of the current generation's mending

@@ -78,7 +78,7 @@ func (s *Server) admin(name string, h adminHandler) http.HandlerFunc {
 			w.WriteHeader(status)
 		}
 		w.Write(body)
-		s.logger.Printf("%s %s %d admin:%s %v", r.Method, r.URL.RequestURI(), status, name, time.Since(start).Round(time.Microsecond))
+		s.logRequest(r, status, "admin:"+name, start)
 	}
 }
 

@@ -168,13 +168,15 @@ func TestAdminIngestAndPromote(t *testing.T) {
 
 func TestEpochTagInvalidatesCache(t *testing.T) {
 	ts, _ := liveServer(t)
-	// Prime the cache: /api/stats is uncached but /api/search is cached.
+	// Prime the cache: /api/stats is uncached but /api/search is cached,
+	// from the second request on.
 	var before struct {
 		Total int `json:"total"`
 	}
 	if code := getJSON(t, ts.URL+"/api/search?q=paper", &before); code != http.StatusOK {
 		t.Skip("no searchable term in corpus for this seed")
 	}
+	getJSON(t, ts.URL+"/api/search?q=paper", &before)
 	// Insert a paper whose title contains a brand-new word, promote, and
 	// query again: a stale cache hit would miss the new result.
 	ingest := map[string]any{"deltas": []map[string]any{{

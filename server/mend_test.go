@@ -186,24 +186,27 @@ func TestMendMetricsBlock(t *testing.T) {
 // TestMendCacheKeyDistinguishesModes proves a mended response and a
 // raw one never share a cache entry: the same typo'd query under
 // mend=auto (corrected) and mend=off (error, uncached) behave
-// independently, and two identical mended requests share one entry.
+// independently, and identical mended requests share one entry (earned
+// on the second request, served from on the third).
 func TestMendCacheKeyDistinguishesModes(t *testing.T) {
 	ts, srv := testMendServer(t)
 	q := "/api/reformulate?q=" + url.QueryEscape("probabilistc ranking")
-	var a, b mendReformulateResp
+	var a, b, c mendReformulateResp
 	if code := getJSON(t, ts.URL+q, &a); code != http.StatusOK {
 		t.Fatalf("first status %d", code)
 	}
 	if code := getJSON(t, ts.URL+q, &b); code != http.StatusOK {
 		t.Fatalf("second status %d", code)
 	}
-	if a.CorrectedQuery != b.CorrectedQuery {
-		t.Fatalf("cached divergence: %q vs %q", a.CorrectedQuery, b.CorrectedQuery)
+	if code := getJSON(t, ts.URL+q, &c); code != http.StatusOK {
+		t.Fatalf("third status %d", code)
+	}
+	if a.CorrectedQuery != b.CorrectedQuery || a.CorrectedQuery != c.CorrectedQuery {
+		t.Fatalf("cached divergence: %q vs %q vs %q", a.CorrectedQuery, b.CorrectedQuery, c.CorrectedQuery)
 	}
 	snap := srv.Metrics()
-	hits := snap.Endpoints["reformulate"].Hits
-	if hits == 0 {
-		t.Fatalf("identical mended requests did not share a cache entry: %+v", snap.Endpoints["reformulate"])
+	if em := snap.Endpoints["reformulate"]; em.Hits != 1 || em.Misses != 2 || snap.CacheEntries != 1 {
+		t.Fatalf("identical mended requests did not share one cache entry: %+v, %d entries", em, snap.CacheEntries)
 	}
 	// mend=off on the same query must not be served the mended body.
 	var errResp struct {

@@ -53,10 +53,23 @@
 // keyed on a canonical fingerprint of the parsed request (so
 // whitespace and quoting variants of the same query share an entry),
 // and concurrent identical misses are coalesced into a single engine
-// computation. With WithMaxInflight a concurrency limiter with a
-// bounded wait queue sheds excess load as 503 + Retry-After instead of
-// letting goroutines pile up. Both are off by default: a bare New(eng)
-// serves exactly as before.
+// computation. A response earns its entry on the request's second
+// sighting (serving.Cache.Put): tail queries that never come back are
+// computed and forgotten, head queries pay one extra miss. With
+// WithMaxInflight a concurrency limiter with a bounded wait queue sheds
+// excess load as 503 + Retry-After instead of letting goroutines pile
+// up. Both are off by default: a bare New(eng) serves exactly as before.
+//
+// A response body is built once, appended to a pooled buffer —
+// /api/reformulate's straight from the engine's visitor, suggestion by
+// suggestion (encode.go) — and copied once, at its exact size, when the
+// cache or a coalesced flight's waiters keep it.
+//
+// Every request is logged, one line each, through a buffer in front of
+// the WithLogger sink: request lines reach the sink in batches (when
+// 32 KiB have gathered, after a quarter of a second at the latest, and
+// before Serve returns), lifecycle and error lines at once and in order
+// (accesslog.go).
 package server
 
 import (
@@ -69,6 +82,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"kqr"
@@ -85,7 +99,11 @@ type Server struct {
 	// Stats line shown by /api/stats alongside graph stats.
 	datasetStats string
 	mux          *http.ServeMux
-	logger       *log.Logger
+	// log is where the server writes its lines: the WithLogger sink's
+	// prefix and flags over logBuf, the buffer in front of the sink's
+	// writer (see accesslog.go).
+	log    *log.Logger
+	logBuf logBuffer
 
 	cache   *serving.Cache               // nil = response caching disabled
 	flight  flight.Group[string, []byte] // coalesces identical cache misses
@@ -115,8 +133,11 @@ type Server struct {
 // Option customizes a Server.
 type Option func(*Server)
 
-// WithLogger sets the request logger (default: log.Default()).
-func WithLogger(l *log.Logger) Option { return func(s *Server) { s.logger = l } }
+// WithLogger sets the logger whose writer, prefix and flags the
+// server's log lines use (default: log.Default()). Request lines reach
+// it in batches, at most a quarter of a second late; Serve flushes the
+// last of them before it returns.
+func WithLogger(l *log.Logger) Option { return func(s *Server) { s.logBuf.sink = l } }
 
 // WithDatasetStats records a human-readable dataset summary for
 // /api/stats.
@@ -152,10 +173,11 @@ func New(eng *kqr.Engine, opts ...Option) (*Server, error) {
 	if eng == nil {
 		return nil, errors.New("server: nil engine")
 	}
-	s := &Server{eng: eng, logger: log.Default()}
+	s := &Server{eng: eng, logBuf: logBuffer{sink: log.Default()}}
 	for _, o := range opts {
 		o(s)
 	}
+	s.log = log.New(&s.logBuf, s.logBuf.sink.Prefix(), s.logBuf.sink.Flags())
 	s.metrics = serving.NewMetrics("reformulate", "search", "similar", "close", "facets", "stats")
 	mux := http.NewServeMux()
 	// Health probes first: they must answer even when the serving stack
@@ -209,8 +231,10 @@ func (s *Server) Metrics() serving.Snapshot {
 
 // Serve runs the server on addr, with the standard timeouts, until ctx
 // is cancelled, then drains in-flight requests via http.Server.Shutdown
-// under a 10-second timeout. It returns nil after a clean drain.
+// under a 10-second timeout and flushes the access log. It returns nil
+// after a clean drain.
 func (s *Server) Serve(ctx context.Context, addr string) error {
+	defer s.logBuf.Flush()
 	srv := &http.Server{
 		Addr:              addr,
 		Handler:           s.mux,
@@ -220,13 +244,13 @@ func (s *Server) Serve(ctx context.Context, addr string) error {
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	s.logger.Printf("kqr server listening on %s", addr)
+	s.logf("kqr server listening on %s", addr)
 	select {
 	case err := <-errc:
 		return err
 	case <-ctx.Done():
 	}
-	s.logger.Printf("kqr server draining (10s grace)")
+	s.logf("kqr server draining (10s grace)")
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	return srv.Shutdown(shutdownCtx)
@@ -292,13 +316,49 @@ func encodeBody(v any) ([]byte, error) {
 // opts are their canonical form, from which the cache key is rendered
 // (whitespace and quoting variants of a query parse to identical term
 // slices, k is clamped to its effective value), and respond computes
-// the payload from the same parsed values. An endpoint that is never
-// cached (stats) leaves terms empty.
+// the response body from the same parsed values, appending it to dst
+// (trailing newline included, as json.Encoder would write it). An
+// endpoint that is never cached (stats) leaves terms empty.
 type request struct {
 	terms   []string
 	opts    []string
-	respond func() (any, error)
+	respond func(dst []byte) ([]byte, error)
 }
+
+// encoded adapts an endpoint that builds a payload value to
+// request.respond: the value goes through json.Marshal.
+func encoded(payload func() (any, error)) func([]byte) ([]byte, error) {
+	return func(dst []byte) ([]byte, error) {
+		v, err := payload()
+		if err != nil {
+			return dst, err
+		}
+		b, err := encodeBody(v)
+		return append(dst, b...), err
+	}
+}
+
+// bodyPool recycles the buffers response bodies are built in. A body is
+// built once, in one of these; whoever keeps it beyond the request — the
+// response cache, the waiters of a coalesced flight — gets an
+// exact-size copy, and the buffer goes back to the pool.
+var bodyPool = sync.Pool{New: func() any {
+	b := make([]byte, 0, 16<<10)
+	return &b
+}}
+
+// maxPooledBody keeps an unusually large body's buffer out of the pool.
+const maxPooledBody = 256 << 10
+
+func putBody(buf *[]byte) {
+	if cap(*buf) <= maxPooledBody {
+		bodyPool.Put(buf)
+	}
+}
+
+// jsonContentType is the Content-Type value of every API response,
+// shared rather than allocated per request; nothing appends to it.
+var jsonContentType = []string{"application/json"}
 
 // cacheKey renders a parsed request's cache key, tagged with the
 // engine's current generation epoch (serving.EpochKey): a promotion
@@ -313,35 +373,46 @@ func (s *Server) cacheKey(endpoint string, req request) string {
 // concurrency limiting (shed with 503 + Retry-After when saturated),
 // one parse of the parameters, response-cache lookup on the parsed
 // request's canonical key, singleflight coalescing of identical misses,
-// error-to-status mapping, metrics, and one log line per request. A
-// request whose parameters do not parse is answered with its 400 and
-// touches neither cache nor engine.
+// error-to-status mapping, metrics, and one access-log line per request
+// (buffered, see accesslog.go). A request whose parameters do not parse
+// is answered with its 400 and touches neither cache nor engine.
 func (s *Server) wrap(name string, parse func(q url.Values) (request, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		em := s.metrics.Endpoint(name)
 		em.Requests.Add(1)
-		w.Header().Set("Content-Type", "application/json")
+		w.Header()["Content-Type"] = jsonContentType
 
 		if s.limiter != nil {
 			if err := s.limiter.Acquire(r.Context()); err != nil {
+				if !errors.Is(err, serving.ErrSaturated) {
+					// The client went away while queued: nobody to
+					// answer, and not load the server refused. 499 is
+					// the access log's "client closed request".
+					em.Errors.Add(1)
+					s.logRequest(r, 499, "cancelled", start)
+					return
+				}
 				em.Shed.Add(1)
 				w.Header().Set("Retry-After", "1")
 				w.WriteHeader(http.StatusServiceUnavailable)
 				body, _ := encodeBody(apiError{Error: "server saturated, retry later"})
 				w.Write(body)
-				s.logger.Printf("%s %s %d shed %v", r.Method, r.URL.RequestURI(), http.StatusServiceUnavailable, time.Since(start).Round(time.Microsecond))
+				s.logRequest(r, http.StatusServiceUnavailable, "shed", start)
 				return
 			}
 			defer s.limiter.Release()
 		}
 
 		var body []byte
+		var pooled *[]byte // body's buffer when nobody else keeps body
 		req, err := parse(r.URL.Query())
 		switch {
 		case err != nil:
 		case s.cache == nil || len(req.terms) == 0:
-			body, err = compute(req)
+			pooled = bodyPool.Get().(*[]byte)
+			*pooled, err = req.respond((*pooled)[:0])
+			body = *pooled
 		default:
 			ck := s.cacheKey(name, req)
 			if v, ok := s.cache.Get(ck); ok {
@@ -358,12 +429,18 @@ func (s *Server) wrap(name string, parse func(q url.Values) (request, error)) ht
 					return v, nil
 				}
 				em.Misses.Add(1)
-				b, herr := compute(req)
-				if herr != nil {
+				buf := bodyPool.Get().(*[]byte)
+				defer putBody(buf)
+				var herr error
+				if *buf, herr = req.respond((*buf)[:0]); herr != nil {
 					return nil, herr
 				}
-				s.cache.Put(ck, b)
-				return b, nil
+				// The one copy: the cache (if the key has earned an
+				// entry) and every waiter of this flight share it.
+				kept := make([]byte, len(*buf))
+				copy(kept, *buf)
+				s.cache.Put(ck, kept)
+				return kept, nil
 			})
 			if shared {
 				em.Coalesced.Add(1)
@@ -377,21 +454,14 @@ func (s *Server) wrap(name string, parse func(q url.Values) (request, error)) ht
 			w.WriteHeader(status)
 		}
 		if _, werr := w.Write(body); werr != nil {
-			s.logger.Printf("%s %s: write: %v", r.Method, r.URL.Path, werr)
+			s.logf("%s %s: write: %v", r.Method, r.URL.Path, werr)
+		}
+		if pooled != nil {
+			putBody(pooled)
 		}
 		em.Latency.Observe(time.Since(start))
-		s.logger.Printf("%s %s %d %v", r.Method, r.URL.RequestURI(), status, time.Since(start).Round(time.Microsecond))
+		s.logRequest(r, status, "", start)
 	}
-}
-
-// compute runs a parsed request against the engine and encodes its
-// payload.
-func compute(req request) ([]byte, error) {
-	result, err := req.respond()
-	if err != nil {
-		return nil, err
-	}
-	return encodeBody(result)
 }
 
 // metricsResponse is the /api/metrics payload: the serving-layer
@@ -421,7 +491,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		resp.Disk = &ds
 	}
 	if err := json.NewEncoder(w).Encode(resp); err != nil {
-		s.logger.Printf("%s %s: encode: %v", r.Method, r.URL.Path, err)
+		s.logf("%s %s: encode: %v", r.Method, r.URL.Path, err)
 	}
 }
 
@@ -466,23 +536,6 @@ func queryAndK(q url.Values, def, max int) (terms []string, k int, kOpt string, 
 	return terms, k, "k=" + strconv.Itoa(k), nil
 }
 
-// reformulateResponse is the /api/reformulate payload. The mend
-// fields appear when query mending changed the query (always under
-// mend=on): CorrectedQuery is the repaired query as one parseable
-// string, Mend its per-token provenance.
-type reformulateResponse struct {
-	Query          []string        `json:"query"`
-	CorrectedQuery string          `json:"corrected_query,omitempty"`
-	Mend           *kqr.MendResult `json:"mend,omitempty"`
-	Suggestions    []suggestion    `json:"suggestions"`
-}
-
-type suggestion struct {
-	Terms []string `json:"terms"`
-	Query string   `json:"query"`
-	Score float64  `json:"score"`
-}
-
 // parseReformulate reads /api/reformulate's parameters: the query
 // terms, k, the mend mode and — when the mode engages mending — the
 // mended query, mended exactly once: its fingerprint goes into the
@@ -505,7 +558,7 @@ func (s *Server) parseReformulate(q url.Values) (request, error) {
 	// omits it, so the two must never share a body.
 	req := request{terms: terms, opts: []string{kOpt, "mendmode=" + mode}}
 	if mode == "off" || !mending {
-		req.respond = func() (any, error) { return s.reformulate(terms, terms, k, nil, mode) }
+		req.respond = func(dst []byte) ([]byte, error) { return s.appendReformulate(dst, terms, terms, k, nil, mode) }
 		return req, nil
 	}
 	res, err := s.eng.Mend(terms)
@@ -513,26 +566,53 @@ func (s *Server) parseReformulate(q url.Values) (request, error) {
 		return request{}, err
 	}
 	req.opts = append(req.opts, mendFingerprint(res))
-	req.respond = func() (any, error) { return s.reformulate(terms, res.Terms, k, &res, mode) }
+	req.respond = func(dst []byte) ([]byte, error) { return s.appendReformulate(dst, terms, res.Terms, k, &res, mode) }
 	return req, nil
 }
 
-// reformulate answers a parsed /api/reformulate request: it decodes
-// suggestions for terms — the mended terms when mended is non-nil, the
-// query as given otherwise — and echoes the repair.
-func (s *Server) reformulate(query, terms []string, k int, mended *kqr.MendResult, mode string) (any, error) {
-	resp := reformulateResponse{Query: query}
+// appendReformulate answers a parsed /api/reformulate request: it
+// decodes suggestions for terms — the mended terms when mended is
+// non-nil, the query as given otherwise — and appends the response body
+// to dst, each suggestion encoded where the engine's visitor presents
+// it (see encode.go). The body carries "query", then — when mending
+// changed the query, and always under mend=on, where the caller asked to
+// see the mended form — "corrected_query" (the repaired query as one
+// parseable string) and "mend" (its per-token provenance), then
+// "suggestions".
+func (s *Server) appendReformulate(dst []byte, query, terms []string, k int, mended *kqr.MendResult, mode string) ([]byte, error) {
 	if mended != nil {
 		s.mendCount.engaged.Add(1)
 		if len(terms) == 0 {
 			s.mendCount.rejected.Add(1)
 			// wrap maps this to 422 + hints.
-			return nil, &kqr.NoKnownTermsError{Query: query, Hints: mended.Hints(3)}
+			return dst, &kqr.NoKnownTermsError{Query: query, Hints: mended.Hints(3)}
 		}
 	}
-	sugs, err := s.eng.Reformulate(terms, k)
+	dst = append(dst, `{"query":`...)
+	dst = appendJSONStrings(dst, query)
+	if mended != nil && (mended.Changed || mode == "on") {
+		dst = append(dst, `,"corrected_query":`...)
+		dst = appendJSONQuery(dst, terms)
+		// The provenance block is small, nested and present on the
+		// repaired minority of requests only: it stays reflective.
+		block, err := json.Marshal(mended)
+		if err != nil {
+			return dst, err
+		}
+		dst = append(append(dst, `,"mend":`...), block...)
+	}
+	dst = append(dst, `,"suggestions":[`...)
+	var encErr error
+	err := s.eng.VisitReformulations(terms, k, func(i, _ int, sg kqr.Suggestion) {
+		if encErr == nil {
+			dst, encErr = appendSuggestion(dst, i, sg)
+		}
+	})
 	if err != nil {
-		return nil, badRequest{err}
+		return dst, badRequest{err}
+	}
+	if encErr != nil {
+		return dst, encErr
 	}
 	if mended != nil {
 		if mended.Changed {
@@ -540,20 +620,8 @@ func (s *Server) reformulate(query, terms []string, k int, mended *kqr.MendResul
 		} else {
 			s.mendCount.passThrough.Add(1)
 		}
-		// Echo the repair whenever it changed the query, and always
-		// under mend=on, where the caller asked to see the mended form.
-		if mended.Changed || mode == "on" {
-			resp.CorrectedQuery = kqr.Suggestion{Terms: terms}.String()
-			resp.Mend = mended
-		}
 	}
-	resp.Suggestions = make([]suggestion, 0, len(sugs))
-	for _, sg := range sugs {
-		resp.Suggestions = append(resp.Suggestions, suggestion{
-			Terms: sg.Terms, Query: sg.String(), Score: sg.Score,
-		})
-	}
-	return resp, nil
+	return append(dst, "]}\n"...), nil
 }
 
 // searchResponse is the /api/search payload.
@@ -570,7 +638,7 @@ func (s *Server) parseSearch(q url.Values) (request, error) {
 	if err != nil {
 		return request{}, err
 	}
-	return request{terms: terms, respond: func() (any, error) {
+	return request{terms: terms, respond: encoded(func() (any, error) {
 		results, total, err := s.eng.Search(terms)
 		if err != nil {
 			return nil, badRequest{err}
@@ -579,7 +647,7 @@ func (s *Server) parseSearch(q url.Values) (request, error) {
 			results = []kqr.SearchResult{}
 		}
 		return searchResponse{Query: terms, Total: total, Results: results}, nil
-	}}, nil
+	})}, nil
 }
 
 // termsResponse is the payload of /api/similar and /api/close.
@@ -603,7 +671,7 @@ func parseTerms(q url.Values, lookup func(term string, k int) ([]kqr.RankedTerm,
 	return request{
 		terms: []string{term},
 		opts:  append([]string{"k=" + strconv.Itoa(k)}, extra...),
-		respond: func() (any, error) {
+		respond: encoded(func() (any, error) {
 			terms, err := lookup(term, k)
 			if err != nil {
 				return nil, badRequest{err}
@@ -612,7 +680,7 @@ func parseTerms(q url.Values, lookup func(term string, k int) ([]kqr.RankedTerm,
 				terms = []kqr.RankedTerm{}
 			}
 			return termsResponse{Term: term, Terms: terms}, nil
-		},
+		}),
 	}, nil
 }
 
@@ -642,7 +710,7 @@ func (s *Server) parseFacets(q url.Values) (request, error) {
 	if err != nil {
 		return request{}, err
 	}
-	return request{terms: terms, opts: []string{kOpt}, respond: func() (any, error) {
+	return request{terms: terms, opts: []string{kOpt}, respond: encoded(func() (any, error) {
 		facets, err := s.eng.Facets(terms, k)
 		if err != nil {
 			return nil, badRequest{err}
@@ -651,7 +719,7 @@ func (s *Server) parseFacets(q url.Values) (request, error) {
 			facets = []kqr.Facet{}
 		}
 		return facetsResponse{Query: terms, Facets: facets}, nil
-	}}, nil
+	})}, nil
 }
 
 // statsResponse is the /api/stats payload.
@@ -662,7 +730,7 @@ type statsResponse struct {
 
 // parseStats takes no parameters; the stats line is never cached.
 func (s *Server) parseStats(url.Values) (request, error) {
-	return request{respond: func() (any, error) {
+	return request{respond: encoded(func() (any, error) {
 		return statsResponse{Dataset: s.datasetStats, Graph: s.eng.GraphStats()}, nil
-	}}, nil
+	})}, nil
 }

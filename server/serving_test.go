@@ -11,6 +11,7 @@ import (
 	"net/url"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unicode"
@@ -42,12 +43,14 @@ func servingServer(t *testing.T, opts ...Option) (*Server, *httptest.Server) {
 
 func TestCacheHitsAcrossEquivalentSpellings(t *testing.T) {
 	srv, ts := servingServer(t, WithCache(1<<20, time.Minute))
-	// The same query in three spellings: plain, extra whitespace,
-	// quoted single-word terms. All share one cache entry.
+	// The same query in four spellings: plain, extra whitespace, quoted
+	// single-word terms. All share one cache entry — earned by the
+	// second spelling, served to the third and fourth.
 	spellings := []string{
 		"probabilistic ranking",
 		"  probabilistic \t ranking ",
 		`"probabilistic" "ranking"`,
+		`probabilistic "ranking"`,
 	}
 	var bodies []string
 	for _, q := range spellings {
@@ -62,13 +65,13 @@ func TestCacheHitsAcrossEquivalentSpellings(t *testing.T) {
 		}
 		bodies = append(bodies, string(b))
 	}
-	if bodies[0] != bodies[1] || bodies[0] != bodies[2] {
+	if bodies[0] != bodies[1] || bodies[0] != bodies[2] || bodies[0] != bodies[3] {
 		t.Fatal("equivalent spellings returned different bodies")
 	}
 	snap := srv.Metrics()
 	em := snap.Endpoints["reformulate"]
-	if em.Misses != 1 {
-		t.Fatalf("misses = %d, want 1 (one computation for three spellings)", em.Misses)
+	if em.Misses != 2 {
+		t.Fatalf("misses = %d, want 2 (the two sightings that earn four spellings their one entry)", em.Misses)
 	}
 	if em.Hits != 2 {
 		t.Fatalf("hits = %d, want 2", em.Hits)
@@ -87,18 +90,26 @@ func TestCacheDistinguishesOptions(t *testing.T) {
 		"/api/close?term=probabilistic&k=5",
 		"/api/close?term=probabilistic&k=5&field=conferences.name",
 	} {
-		resp, err := http.Get(ts.URL + u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s -> %d", u, resp.StatusCode)
+		for range 2 { // the second request earns the entry
+			resp, err := http.Get(ts.URL + u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s -> %d", u, resp.StatusCode)
+			}
 		}
 	}
-	if n := srv.Metrics().CacheEntries; n != 5 {
+	snap := srv.Metrics()
+	if n := snap.CacheEntries; n != 5 {
 		t.Fatalf("cache entries = %d, want 5 distinct", n)
+	}
+	for _, name := range []string{"reformulate", "similar", "close"} {
+		if em := snap.Endpoints[name]; em.Hits != 0 {
+			t.Fatalf("%s: %d hits — two requests differing in an option shared an entry", name, em.Hits)
+		}
 	}
 }
 
@@ -120,44 +131,116 @@ func TestErrorsNotCached(t *testing.T) {
 	}
 }
 
-// TestCoalescing sends N concurrent identical requests against a cold
-// cache and asserts exactly one engine computation happened: the rest
-// were coalesced onto the in-flight call or served from the cache the
-// leader populated. Run with -race this also exercises the whole
+// TestCoalescing holds one computation open until N-1 identical
+// requests are waiting on it, then lets it finish: one computation, one
+// sighting — the key is not resident yet — and N identical bodies. The
+// next request computes again and earns the entry, the one after is a
+// hit; from a flight, from a fresh computation and from the cache the
+// bytes are the same. Run with -race this also exercises the whole
 // stack's concurrency safety.
 func TestCoalescing(t *testing.T) {
-	srv, ts := servingServer(t, WithCache(1<<20, time.Minute))
+	srv, _ := servingServer(t, WithCache(1<<20, time.Minute))
+	real, err := srv.parseReformulate(url.Values{"q": {"probabilistic ranking"}, "k": {"5"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var computations atomic.Int64
+	release := make(chan struct{})
+	h := srv.wrap("reformulate", func(url.Values) (request, error) {
+		req := real
+		req.respond = func(dst []byte) ([]byte, error) {
+			computations.Add(1)
+			<-release
+			return real.respond(dst)
+		}
+		return req, nil
+	})
+	get := func() string {
+		w := httptest.NewRecorder()
+		h(w, httptest.NewRequest("GET", "/api/reformulate?q=probabilistic+ranking&k=5", nil))
+		if w.Code != http.StatusOK {
+			t.Errorf("status %d: %s", w.Code, w.Body)
+		}
+		return w.Body.String()
+	}
+
 	const n = 24
+	bodies := make([]string, n)
 	var wg sync.WaitGroup
-	start := make(chan struct{})
-	for i := 0; i < n; i++ {
+	for i := range bodies {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			<-start
-			resp, err := http.Get(ts.URL + "/api/reformulate?q=probabilistic+ranking&k=5")
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("status %d", resp.StatusCode)
-			}
+			bodies[i] = get()
 		}()
 	}
-	close(start)
+	ck := srv.cacheKey("reformulate", real)
+	for deadline := time.Now().Add(10 * time.Second); srv.flight.Waiting(ck) != n-1; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d requests coalesced", srv.flight.Waiting(ck), n-1)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
 	wg.Wait()
-	em := srv.Metrics().Endpoints["reformulate"]
-	if em.Misses != 1 {
-		t.Fatalf("engine computations = %d, want exactly 1 for %d concurrent identical requests", em.Misses, n)
+	for i, b := range bodies {
+		if b != bodies[0] || b == "" {
+			t.Fatalf("request %d got %q, request 0 %q", i, b, bodies[0])
+		}
 	}
-	if em.Requests != n {
-		t.Fatalf("requests = %d, want %d", em.Requests, n)
+	snap := srv.Metrics()
+	em := snap.Endpoints["reformulate"]
+	if computations.Load() != 1 || em.Misses != 1 || em.Coalesced != n-1 || em.Requests != n {
+		t.Fatalf("%d computations for %d concurrent identical requests; counters %+v", computations.Load(), n, em)
 	}
-	if em.Hits+em.Coalesced == 0 {
-		t.Fatal("no request hit the cache or coalesced")
+	if snap.CacheEntries != 0 {
+		t.Fatalf("%d cache entries after one sighting", snap.CacheEntries)
+	}
+	fresh := get() // second sighting: computed again, and kept
+	if snap = srv.Metrics(); computations.Load() != 2 || snap.CacheEntries != 1 {
+		t.Fatalf("second sighting: %d computations, %d entries", computations.Load(), snap.CacheEntries)
+	}
+	cached := get()
+	if em = srv.Metrics().Endpoints["reformulate"]; computations.Load() != 2 || em.Hits != 1 {
+		t.Fatalf("third request: %d computations, counters %+v", computations.Load(), em)
+	}
+	if fresh != bodies[0] || cached != bodies[0] {
+		t.Fatalf("coalesced, fresh and cached bodies differ:\n%q\n%q\n%q", bodies[0], fresh, cached)
+	}
+}
+
+// A promotion changes every cache key (the epoch tag), so sightings
+// start afresh: a query seen once before the promotion is a first
+// sighting again after it.
+func TestEpochBumpRestartsSightings(t *testing.T) {
+	ts, eng := liveServer(t)
+	const q = "/api/similar?term=clustering"
+	entries := func() int {
+		var m struct {
+			CacheEntries int `json:"cache_entries"`
+		}
+		getJSON(t, ts.URL+"/api/metrics", &m)
+		return m.CacheEntries
+	}
+	if code := getJSON(t, ts.URL+q, new(struct{})); code != http.StatusOK {
+		t.Fatalf("status %d for a vocabulary term", code)
+	}
+	ingest := map[string]any{"deltas": []map[string]any{{
+		"op": "insert", "table": "papers", "values": []any{999997, "ocarina paper", 1},
+	}}}
+	if code := postJSON(t, ts.URL+"/api/admin/ingest", ingest, nil); code != http.StatusOK {
+		t.Fatal("ingest failed")
+	}
+	if code := postJSON(t, ts.URL+"/api/admin/promote", nil, nil); code != http.StatusOK || eng.Epoch() != 2 {
+		t.Fatalf("promote failed (status %d, epoch %d)", code, eng.Epoch())
+	}
+	getJSON(t, ts.URL+q, new(struct{}))
+	if n := entries(); n != 0 {
+		t.Fatalf("%d entries: the sighting at epoch 1 counted at epoch 2", n)
+	}
+	getJSON(t, ts.URL+q, new(struct{}))
+	if n := entries(); n != 1 {
+		t.Fatalf("%d entries after two sightings at epoch 2", n)
 	}
 }
 
@@ -222,8 +305,8 @@ func TestLoadShedding(t *testing.T) {
 
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := servingServer(t, WithCache(1<<20, time.Minute))
-	// Generate one miss and one hit.
-	for i := 0; i < 2; i++ {
+	// Two misses — the second earns the cache entry — and one hit.
+	for i := 0; i < 3; i++ {
 		resp, err := http.Get(ts.URL + "/api/reformulate?q=probabilistic&k=3")
 		if err != nil {
 			t.Fatal(err)
@@ -257,7 +340,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if !ok {
 		t.Fatalf("metrics missing reformulate endpoint: %+v", snap)
 	}
-	if em.Requests != 2 || em.Misses != 1 || em.Hits != 1 {
+	if em.Requests != 3 || em.Misses != 2 || em.Hits != 1 {
 		t.Fatalf("metrics counters %+v", em)
 	}
 	if em.P50Millis <= 0 || em.P99Millis < em.P50Millis {
