@@ -13,6 +13,7 @@ import (
 
 	"kqr"
 	"kqr/internal/artifact"
+	"kqr/internal/closeness"
 	"kqr/internal/randomwalk"
 	"kqr/synthetic"
 )
@@ -223,12 +224,16 @@ func TestArtifactFingerprintMismatch(t *testing.T) {
 	}
 }
 
-// TestArtifactFromAnotherSolverRefused: tables computed by different
-// walk solvers agree to the solver tolerance, not bit for bit, and a
-// loaded snapshot is completed by local computation — so a snapshot
-// written by the power-iteration build (whose fingerprint carried no
-// solver tag) must be refused, with a fallback reason at Open, and this
-// build's snapshot must not load under that build's fingerprint either.
+// TestArtifactFromAnotherSolverRefused: a loaded snapshot is completed
+// by local computation and compared byte for byte with a peer's, so
+// one written by a build whose tables hold other bits must be refused —
+// typed at LoadArtifacts, and at Open with a fallback reason and an
+// engine that serves by live computation and says so — and this build's
+// snapshot must not load under that build's fingerprint either. Two
+// such builds exist: the power-iteration one (rows equal to the solver
+// tolerance only; its fingerprint carried no solver tag) and the one
+// whose closeness rows held every node reached, tuples included (the
+// same Clos(term, term), other rows; no row tag).
 func TestArtifactFromAnotherSolverRefused(t *testing.T) {
 	eng, path := warmAndSave(t, kqr.ContextualWalk)
 	f, err := os.Open(path)
@@ -240,39 +245,51 @@ func TestArtifactFromAnotherSolverRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mine, tag := snap.Fingerprint, " solver="+randomwalk.Solver
-	if strings.Count(mine, tag) != 1 {
-		t.Fatalf("fingerprint %q does not carry %q", mine, tag)
-	}
-	theirs := strings.Replace(mine, tag, "", 1)
-
-	// Their snapshot, this build.
-	snap.Fingerprint = theirs
-	var buf bytes.Buffer
-	if err := snap.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	old := filepath.Join(t.TempDir(), "power-iteration.snapshot")
-	if err := os.WriteFile(old, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.LoadArtifacts(old); !errors.Is(err, artifact.ErrFingerprint) {
-		t.Fatalf("loading another solver's snapshot: err = %v, want ErrFingerprint", err)
-	}
-	cold, err := kqr.Open(bibliographyDataset(t), kqr.Options{ArtifactPath: old})
+	mine := snap.Fingerprint
+	want, err := eng.Reformulate([]string{"uncertain", "data"}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info := cold.Artifact(); info.Loaded || !strings.Contains(info.FallbackReason, "fingerprint") {
-		t.Fatalf("Open over another solver's snapshot: %+v, want a fingerprint fallback", info)
-	}
+	for _, tag := range []string{" solver=" + randomwalk.Solver, " closrows=" + closeness.Rows} {
+		if strings.Count(mine, tag) != 1 {
+			t.Fatalf("fingerprint %q does not carry %q", mine, tag)
+		}
+		theirs := strings.Replace(mine, tag, "", 1)
 
-	// This build's snapshot, their fingerprint.
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := artifact.Load(f, theirs); !errors.Is(err, artifact.ErrFingerprint) {
-		t.Fatalf("this build's snapshot under another solver's fingerprint: err = %v, want ErrFingerprint", err)
+		// Their snapshot, this build.
+		snap.Fingerprint = theirs
+		var buf bytes.Buffer
+		if err := snap.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		old := filepath.Join(t.TempDir(), "other-build.snapshot")
+		if err := os.WriteFile(old, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.LoadArtifacts(old); !errors.Is(err, artifact.ErrFingerprint) {
+			t.Fatalf("loading a snapshot without%s: err = %v, want ErrFingerprint", tag, err)
+		}
+		cold, err := kqr.Open(bibliographyDataset(t), kqr.Options{ArtifactPath: old})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info := cold.Artifact(); info.Loaded || !strings.Contains(info.FallbackReason, "fingerprint") {
+			t.Fatalf("Open over a snapshot without%s: %+v, want a fingerprint fallback", tag, info)
+		}
+		if s := cold.GraphStats(); !strings.Contains(s, "offline: computed") {
+			t.Fatalf("Open over a snapshot without%s: GraphStats %q, want computed provenance", tag, s)
+		}
+		if got, err := cold.Reformulate([]string{"uncertain", "data"}, 10); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("live compute after refusing a snapshot without%s: %v (%v), want %v", tag, got, err, want)
+		}
+
+		// This build's snapshot, their fingerprint.
+		if _, err := f.Seek(0, io.SeekStart); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := artifact.Load(f, theirs); !errors.Is(err, artifact.ErrFingerprint) {
+			t.Fatalf("this build's snapshot under a fingerprint without%s: err = %v, want ErrFingerprint", tag, err)
+		}
 	}
 }
 
@@ -334,9 +351,12 @@ func TestSaveArtifactsAtomic(t *testing.T) {
 // TestGoldenArtifactsByteIdentical: the fixtures under
 // internal/artifact/testdata were saved by the build before the codec
 // spoke packed rows (a warmed bibliography engine, SaveArtifacts and
-// SaveArtifactsPaged). Loading each and saving it again in its own
-// version must give back the file byte for byte: the fingerprint, both
-// layouts and every score survive the engine round trip unmoved.
+// SaveArtifactsPaged), and re-saved the same way when closeness rows
+// became term-only — the pre-codec bytes minus the tuple entries, plus
+// the row tag in the fingerprint. Loading each and saving it again in
+// its own version must give back the file byte for byte: the
+// fingerprint, both layouts and every score survive the engine round
+// trip unmoved.
 func TestGoldenArtifactsByteIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		file string

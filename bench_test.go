@@ -340,7 +340,7 @@ func BenchmarkAblationClosenessBeam(b *testing.B) {
 			_ = tg
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_ = store.CloseNodes(node, 10, nil)
+				_ = store.CloseTerms(node, 10, "")
 			}
 		})
 	}

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"kqr/internal/graph"
-	"kqr/internal/tatgraph"
 )
 
 // Facet groups terms related to a query under one field of the data —
@@ -48,10 +47,9 @@ func (e *Engine) Facets(terms []string, perField int) ([]Facet, error) {
 	for _, q := range queryNodes {
 		nodes, scores, _ := g.Clos.Row(q) // the closeness search never fails
 		for i, v := range nodes {
-			if g.TG.Kind(v) != tatgraph.KindTerm || isQuery[v] {
-				continue
+			if !isQuery[v] {
+				agg[v] += float64(scores[i])
 			}
-			agg[v] += float64(scores[i])
 		}
 	}
 

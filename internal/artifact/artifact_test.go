@@ -321,6 +321,10 @@ var errSectionDropped = errors.New("section skipped as unknown")
 // TestGoldenFixtures: files written by the encoders this package
 // replaced (testdata/, from the commit before internal/frame) must
 // decode, and re-encode to the same bytes — the format did not move.
+// (The fixtures were rewritten once since, when closeness rows stopped
+// holding tuple nodes: each is the pre-frame file with those entries
+// dropped and the row tag added to its fingerprint, byte-identical to
+// what that derivation gives through this encoder.)
 func TestGoldenFixtures(t *testing.T) {
 	for _, tc := range []struct {
 		file      string

@@ -5,7 +5,7 @@
 // Following the paper's two-stage sketch ("distance i+1 nodes can be
 // easily derived from distance i ones... we maintain top ones and prune
 // less frequent"), the search enumerates the *shortest* paths to every
-// node reached within MaxLen hops. Each path τ is weighted by its
+// term reached within MaxLen hops. Each path τ is weighted by its
 // traversal probability — the product of normalized edge weights along
 // it — rather than counted raw: the number of length-d paths between two
 // hub-adjacent nodes grows combinatorially with d, and unweighted counts
@@ -20,19 +20,30 @@
 // stationary score, this keeps explicit length and multiplicity — the
 // paper's argument for using a separate metric to estimate result
 // coverage.
+//
+// Closeness is a term → term relation (Eq. 3; read as the transition
+// clos(q'_{i-1}, q'_i) of Eq. 8). Paths between terms run through tuple
+// nodes, so the search traverses them like any node, but a row holds
+// only the terms reached — searchIn decides that, nothing downstream.
 package closeness
 
 import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"kqr/internal/graph"
 	"kqr/internal/packed"
 	"kqr/internal/tatgraph"
 )
+
+// Rows names what a row holds: the terms reached, not the tuples the
+// paths ran through. Rows with the tuples answer Clos(term, term) alike
+// but are other bytes, so the tag sits beside randomwalk.Solver in every
+// fingerprint that lets persisted or replicated tables stand in for
+// locally computed ones.
+const Rows = "term/1"
 
 // Options tunes the path search.
 type Options struct {
@@ -114,7 +125,7 @@ type scratch struct {
 }
 
 // search runs the layered shortest-path counting from v and returns the
-// closeness of every node reached within MaxLen hops (v itself
+// closeness of every term node reached within MaxLen hops (v itself
 // excluded), sorted by node id. The path search cannot fail.
 //
 // Mass is accumulated in frontier order, and the frontier of an
@@ -164,7 +175,9 @@ func (s *Store) searchIn(sc *scratch, v graph.NodeID) []graph.Scored {
 		next = next[:0]
 		for _, u := range touched {
 			c := sc.mass[u]
-			out = append(out, graph.Scored{Node: u, Score: c / float64(depth)})
+			if s.tg.Kind(u) == tatgraph.KindTerm {
+				out = append(out, graph.Scored{Node: u, Score: c / float64(depth)})
+			}
 			next = append(next, layerEntry{node: u, count: c})
 		}
 		if s.opts.Beam > 0 && len(next) > s.opts.Beam {
@@ -197,45 +210,31 @@ func (s *Store) Clos(a, b graph.NodeID) float64 {
 	return packed.Probe(nodes, scores, b)
 }
 
-// From returns the closeness of every node reachable from v within
+// From returns the closeness of every term reachable from v within
 // MaxLen hops (v itself excluded) as a scored list in node-id order.
 func (s *Store) From(v graph.NodeID) []graph.Scored {
 	nodes, scores, _ := s.Row(v) // search never fails
 	return packed.Scored(nodes, scores, 0)
 }
 
-// CloseNodes returns the k closest nodes to v that pass the keep filter,
-// sorted by descending closeness with node id as tie-break. A nil keep
-// admits every node.
-func (s *Store) CloseNodes(v graph.NodeID, k int, keep func(graph.NodeID) bool) []graph.Scored {
-	nodes, scores, _ := s.Row(v) // search never fails
-	out := make([]graph.Scored, 0, len(nodes))
-	for i, u := range nodes {
-		if keep == nil || keep(u) {
-			out = append(out, graph.Scored{Node: u, Score: float64(scores[i])})
-		}
+// CloseTerms returns the k closest terms to v (all of them for k <= 0),
+// sorted by descending closeness with node id as tie-break, optionally
+// restricted to one class (field label); pass class == "" for any field.
+// This regenerates the paper's Table I rows ("ranked close terms",
+// "ranked close conferences").
+func (s *Store) CloseTerms(v graph.NodeID, k int, class string) []graph.Scored {
+	out := s.From(v)
+	if class != "" {
+		out = slices.DeleteFunc(out, func(sn graph.Scored) bool { return s.tg.Class(sn.Node) != class })
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
+	slices.SortFunc(out, func(a, b graph.Scored) int {
+		if a.Score != b.Score {
+			return cmp.Compare(b.Score, a.Score)
 		}
-		return out[i].Node < out[j].Node
+		return cmp.Compare(a.Node, b.Node)
 	})
 	if k > 0 && len(out) > k {
 		out = out[:k]
 	}
 	return out
-}
-
-// CloseTerms returns the k closest *term* nodes to v, optionally
-// restricted to one class (field label); pass class == "" for any field.
-// This regenerates the paper's Table I rows ("ranked close terms",
-// "ranked close conferences").
-func (s *Store) CloseTerms(v graph.NodeID, k int, class string) []graph.Scored {
-	return s.CloseNodes(v, k, func(u graph.NodeID) bool {
-		if s.tg.Kind(u) != tatgraph.KindTerm {
-			return false
-		}
-		return class == "" || s.tg.Class(u) == class
-	})
 }

@@ -1,12 +1,14 @@
 package closeness
 
 import (
+	"context"
 	"slices"
 	"sort"
 	"sync"
 	"testing"
 
 	"kqr/internal/graph"
+	"kqr/internal/packed"
 	"kqr/internal/tatgraph"
 )
 
@@ -64,12 +66,30 @@ func mapSearch(tg *tatgraph.Graph, opts Options, v graph.NodeID) []graph.Scored 
 	return out
 }
 
-// Every row of every node — terms and tuples, exact and beam-pruned, at
-// several horizons — equals the map search's in every bit, also when
-// the searches share pooled scratch across goroutines.
-func TestSearchBitIdenticalToMapSearch(t *testing.T) {
+// termsOf restricts a row to its term nodes, order kept.
+func termsOf(tg *tatgraph.Graph, row []graph.Scored) []graph.Scored {
+	var out []graph.Scored
+	for _, sn := range row {
+		if tg.Kind(sn.Node) == tatgraph.KindTerm {
+			out = append(out, sn)
+		}
+	}
+	return out
+}
+
+// oracleCorpora are the graphs the search is compared on.
+func oracleCorpora(t *testing.T) map[string]*tatgraph.Graph {
 	fixture, _ := fixtureStore(t, Options{})
-	for name, tg := range map[string]*tatgraph.Graph{"testcorpus": fixture, "dblpgen P=200": dblpGraph(t, 200)} {
+	return map[string]*tatgraph.Graph{"testcorpus": fixture, "dblpgen P=200": dblpGraph(t, 200)}
+}
+
+// Every row of every source — terms and tuples, exact and beam-pruned,
+// at several horizons — equals the map search's row restricted to term
+// nodes, entry for entry and in every bit, also when the searches share
+// pooled scratch across goroutines. The oracle itself stays unfiltered:
+// it still emits the tuples the paths run through.
+func TestSearchBitIdenticalToMapSearch(t *testing.T) {
+	for name, tg := range oracleCorpora(t) {
 		for _, opts := range []Options{{}, {Beam: 3}, {Beam: 40}, {MaxLen: 1}, {MaxLen: 6, Beam: 25}} {
 			s, err := New(tg, opts)
 			if err != nil {
@@ -82,14 +102,110 @@ func TestSearchBitIdenticalToMapSearch(t *testing.T) {
 					defer wg.Done()
 					for v := w; v < tg.NumNodes(); v += 3 {
 						got, _ := s.search(graph.NodeID(v))
-						if want := mapSearch(tg, s.opts, graph.NodeID(v)); !slices.Equal(got, want) {
-							t.Errorf("%s %+v: node %d: dense search row differs from the map search's", name, opts, v)
+						if want := termsOf(tg, mapSearch(tg, s.opts, graph.NodeID(v))); !slices.Equal(got, want) {
+							t.Errorf("%s %+v: node %d: dense search row differs from the term entries of the map search's", name, opts, v)
 							return
 						}
 					}
 				}(w)
 			}
 			wg.Wait()
+		}
+	}
+}
+
+// Dropping the tuples from the rows changed no term value: Clos(a, b) is
+// the unfiltered oracle's entry for b in a's row (narrowed once to
+// float32) for every ordered pair of terms. (Packed rows read like lazy
+// ones: TestClosIdenticalLazyPackedAndRaw.)
+func TestClosMatchesUnfilteredOracle(t *testing.T) {
+	for name, tg := range oracleCorpora(t) {
+		s, err := New(tg, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		terms := tg.TermNodeIDs()
+		for _, a := range terms {
+			want := make(map[graph.NodeID]float64)
+			for _, sn := range mapSearch(tg, s.opts, a) {
+				want[sn.Node] = float64(packed.Quantize(sn.Score))
+			}
+			for _, b := range terms {
+				if got := s.Clos(a, b); a != b && got != want[b] {
+					t.Fatalf("%s: Clos(%d, %d) = %v, the unfiltered oracle says %v", name, a, b, got, want[b])
+				}
+			}
+		}
+	}
+}
+
+// CloseTerms is the ranking the node-level rows gave: the unfiltered
+// oracle row, tuples (and other classes) filtered out afterwards, by
+// descending closeness with node id as tie-break.
+func TestCloseTermsMatchOracleRanking(t *testing.T) {
+	for name, tg := range oracleCorpora(t) {
+		s, err := New(tg, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range tg.TermNodeIDs() {
+			oracle := termsOf(tg, mapSearch(tg, s.opts, v))
+			for _, class := range append([]string{""}, tg.Classes()...) {
+				var want []graph.Scored
+				for _, sn := range oracle {
+					if class == "" || tg.Class(sn.Node) == class {
+						want = append(want, graph.Scored{Node: sn.Node, Score: float64(packed.Quantize(sn.Score))})
+					}
+				}
+				sort.Slice(want, func(i, j int) bool {
+					if want[i].Score != want[j].Score {
+						return want[i].Score > want[j].Score
+					}
+					return want[i].Node < want[j].Node
+				})
+				if got := s.CloseTerms(v, 0, class); !slices.Equal(got, want) {
+					t.Fatalf("%s: CloseTerms(%d, 0, %q) = %v, oracle ranking %v", name, v, class, got, want)
+				}
+				if got := s.CloseTerms(v, 7, class); !slices.Equal(got, want[:min(7, len(want))]) {
+					t.Fatalf("%s: CloseTerms(%d, 7, %q) = %v, oracle ranking %v", name, v, class, got, want)
+				}
+			}
+		}
+	}
+}
+
+// Every entry of every precomputed row — terms as sources, and tuples
+// too — is a term node, and the row is still strictly node-sorted: what
+// the packed probe, the snapshot and a replica rely on.
+func TestRowsHoldOnlyTerms(t *testing.T) {
+	for name, tg := range oracleCorpora(t) {
+		s, err := New(tg, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := make([]graph.NodeID, tg.NumNodes())
+		for v := range all {
+			all[v] = graph.NodeID(v)
+		}
+		if err := s.Precompute(context.Background(), all); err != nil {
+			t.Fatal(err)
+		}
+		s.Pack()
+		entries := 0
+		for _, v := range all {
+			row := s.From(v)
+			entries += len(row)
+			for j, sn := range row {
+				if tg.Kind(sn.Node) != tatgraph.KindTerm {
+					t.Fatalf("%s: row %d holds non-term node %d", name, v, sn.Node)
+				}
+				if sn.Node == v || j > 0 && row[j-1].Node >= sn.Node {
+					t.Fatalf("%s: row %d is not strictly node-sorted without its source: %v", name, v, row)
+				}
+			}
+		}
+		if entries == 0 || s.Computes() != int64(len(all)) {
+			t.Fatalf("%s: %d entries, %d searches for %d precomputed sources", name, entries, s.Computes(), len(all))
 		}
 	}
 }

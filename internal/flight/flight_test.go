@@ -134,10 +134,23 @@ func TestForEachRunsAll(t *testing.T) {
 func TestForEachFirstError(t *testing.T) {
 	boom := errors.New("boom")
 	var ran atomic.Int64
+	// The indices past the failing one wait until it is returning its
+	// error, so the other worker cannot run the rest of the range while
+	// the worker that claimed index 3 has yet to be scheduled. ForEach
+	// shows nothing a call could wait on for "the error is recorded", so
+	// from then on each of them costs a millisecond: the failing worker
+	// would have to stall for a second between its return and its store
+	// for a pool that does stop to reach the end.
+	failing := make(chan struct{})
 	err := ForEach(context.Background(), 2, 1000, func(i int) error {
 		ran.Add(1)
 		if i == 3 {
+			defer close(failing)
 			return fmt.Errorf("index %d: %w", i, boom)
+		}
+		if i > 3 {
+			<-failing
+			time.Sleep(time.Millisecond)
 		}
 		return nil
 	})

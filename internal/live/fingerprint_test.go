@@ -2,6 +2,7 @@ package live
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"kqr/internal/closeness"
@@ -17,7 +18,10 @@ import (
 // must change the fingerprint (a snapshot or a replica built under the
 // other value holds different bits); flipping an online-only one must
 // not; and spelling the defaults out must not either (the zero value
-// and the resolved config build the same tables).
+// and the resolved config build the same tables). Two things no option
+// sets change the bits as well — the walk solver and what a closeness
+// row holds — and each build's tag for them is in the fingerprint, so
+// a build with another tag has another fingerprint.
 func TestTableFingerprint(t *testing.T) {
 	db, err := testcorpus.New()
 	if err != nil {
@@ -89,6 +93,11 @@ func TestTableFingerprint(t *testing.T) {
 	}
 
 	base := fp(Config{})
+	for _, tag := range []string{" solver=" + randomwalk.Solver + " ", " closrows=" + closeness.Rows + " "} {
+		if strings.Count(base, tag) != 1 {
+			t.Errorf("table fingerprint %q does not carry %q exactly once", base, tag)
+		}
+	}
 	for name, cfgs := range tableAffecting {
 		for _, cfg := range cfgs {
 			checkCase(name, cfg)

@@ -135,14 +135,15 @@ func (cfg Config) Resolve() (Config, error) {
 
 // TableFingerprint renders everything that determines the bits of a
 // generation's offline tables: every Config field the extractors read,
-// the walk solver, and the shape of the graph they run over. The
+// the walk solver, what a closeness row holds, and the shape of the
+// graph they run over. The
 // snapshot fingerprint (root package) and the replication fingerprint
 // (internal/repl) are this plus their own prefix and corpus description
 // — a table-affecting knob is added here, once.
 func (m *Manager) TableFingerprint(g *Generation) string {
 	cfg := m.cfg
-	return fmt.Sprintf("mode=%s solver=%s damping=%g closmax=%d closbeam=%d phrases=%t plurals=%t nodes=%d terms=%d edges=%d",
-		cfg.Mode, randomwalk.Solver, cfg.Walk.Damping, cfg.Closeness.MaxLen, cfg.Closeness.Beam, cfg.Phrases, cfg.FoldPlurals,
+	return fmt.Sprintf("mode=%s solver=%s damping=%g closmax=%d closbeam=%d closrows=%s phrases=%t plurals=%t nodes=%d terms=%d edges=%d",
+		cfg.Mode, randomwalk.Solver, cfg.Walk.Damping, cfg.Closeness.MaxLen, cfg.Closeness.Beam, closeness.Rows, cfg.Phrases, cfg.FoldPlurals,
 		g.TG.NumNodes(), g.TG.NumTermNodes(), g.TG.CSR().NumEdges())
 }
 

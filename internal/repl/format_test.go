@@ -23,7 +23,10 @@ import (
 // Log.Append and writeRecord): a warmed testcorpus generation at epoch
 // 1, log position (7, 123); a segment of four records — inserts and
 // deletes with int and string keys, an epoch record, an empty batch —
-// and one framed heartbeat.
+// and one framed heartbeat. bootstrap.kqrrep was written again, by the
+// same recipe, when closeness rows became term-only: header and corpus
+// dump are the old bytes but for the row tag in the fingerprint, the
+// artifact is the old one minus its tuple entries.
 
 func golden(t *testing.T, name string) []byte {
 	t.Helper()

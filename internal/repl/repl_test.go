@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"kqr/internal/artifact"
+	"kqr/internal/closeness"
 	"kqr/internal/live"
 	"kqr/internal/randomwalk"
 	"kqr/internal/relstore"
@@ -305,11 +306,14 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// A leader and a follower built with different walk solvers must not
-// pair up: the follower recomputes every promotion itself, and two
-// solvers agree to their tolerance, not in the low bits. The handshake
-// fingerprint carries the solver tag, so either side being the
-// power-iteration build (whose fingerprint had no tag) is ErrDiverged.
+// A leader and a follower whose tables hold different bits must not
+// pair up: the follower recomputes every promotion itself and is held
+// to the leader's bytes. Two solvers agree to their tolerance, not in
+// the low bits; term-only and node-level closeness rows answer alike
+// but are other rows. The handshake fingerprint carries the solver tag
+// and the row tag, so either side being a build without one of them
+// (the power-iteration build; the build that kept tuple entries) is
+// ErrDiverged — the follower gets the error, not rows.
 func TestBootstrapRefusedAcrossSolvers(t *testing.T) {
 	mgr := mustManager(t)
 	var buf bytes.Buffer
@@ -320,26 +324,29 @@ func TestBootstrapRefusedAcrossSolvers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tag := " solver=" + randomwalk.Solver
-	if strings.Count(snap.Fingerprint, tag) != 1 {
-		t.Fatalf("bootstrap fingerprint %q does not carry %q", snap.Fingerprint, tag)
-	}
-
 	follower := func() (*Follower, *live.Manager) {
 		return NewFollower("http://unused", FollowerOptions{}), managerOver(t, snap.DB)
 	}
-	// Old leader, this follower: the bootstrap arrives untagged.
-	old := *snap
-	old.Fingerprint = strings.Replace(snap.Fingerprint, tag, "", 1)
-	f, m := follower()
-	if err := f.Attach(m, &old); !errors.Is(err, ErrDiverged) {
-		t.Fatalf("attach to a power-iteration leader: err = %v, want ErrDiverged", err)
+	for _, tag := range []string{" solver=" + randomwalk.Solver, " closrows=" + closeness.Rows} {
+		if strings.Count(snap.Fingerprint, tag) != 1 {
+			t.Fatalf("bootstrap fingerprint %q does not carry %q", snap.Fingerprint, tag)
+		}
+		// Old leader, this follower: the bootstrap arrives untagged.
+		old := *snap
+		old.Fingerprint = strings.Replace(snap.Fingerprint, tag, "", 1)
+		f, m := follower()
+		if err := f.Attach(m, &old); !errors.Is(err, ErrDiverged) {
+			t.Fatalf("attach to a leader without%s: err = %v, want ErrDiverged", tag, err)
+		}
+		if g := m.Current(); g.Clos.Resident() != 0 || g.Sim.Resident() != 0 {
+			t.Fatalf("refused bootstrap without%s left %d closeness and %d similarity rows behind", tag, g.Clos.Resident(), g.Sim.Resident())
+		}
 	}
 	// (This leader, old follower is the same string comparison run on
-	// the other side.) Same solver on both sides still attaches.
-	f, m = follower()
+	// the other side.) Same tags on both sides still attach.
+	f, m := follower()
 	if err := f.Attach(m, snap); err != nil {
-		t.Fatalf("attach to a same-solver leader: %v", err)
+		t.Fatalf("attach to a same-build leader: %v", err)
 	}
 }
 
