@@ -19,7 +19,6 @@ import (
 
 	"kqr/internal/dblpgen"
 	"kqr/internal/experiments"
-	"kqr/internal/flight"
 	"kqr/internal/hmm"
 	"kqr/internal/randomwalk"
 	"kqr/internal/serving"
@@ -362,8 +361,8 @@ func BenchmarkOfflineBuild(b *testing.B) {
 // one /api/reformulate-shaped request: uncached (full HMM decode plus
 // JSON encode, the pre-serving-layer baseline), cache hit (fingerprint
 // build plus sharded LRU lookup — must be >=10x faster than uncached),
-// and coalesced (concurrent identical misses sharing one computation
-// through the singleflight group).
+// and miss (a first sighting: the uncached work plus a failed lookup and
+// a Put that keeps nothing).
 func Benchmark_ServingCache(b *testing.B) {
 	s := benchEnv(b)
 	query := []string{"probabilistic", "ranking"}
@@ -423,19 +422,5 @@ func Benchmark_ServingCache(b *testing.B) {
 			}
 			cache.Put(key, body)
 		}
-	})
-
-	b.Run("coalesced", func(b *testing.B) {
-		var g flight.Group[string, []byte]
-		key := serving.Key("reformulate", query, "k=5")
-		b.ReportAllocs()
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				if _, err, _ := g.Do(key, compute); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	})
 }

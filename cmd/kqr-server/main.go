@@ -38,9 +38,10 @@
 //	           -table-mem-budget 128                       # bounded restart
 //
 // The serving layer defaults to production posture: a 64 MB response
-// cache with a 5-minute TTL, entries earned on a query's second request,
-// plus request coalescing (-cache-mb 0 disables), and a concurrency limit of 4×GOMAXPROCS with a bounded
-// wait queue that sheds overload as 503 (-max-inflight 0 disables).
+// cache with a 5-minute TTL, entries earned on a query's second request
+// (-cache-mb 0 disables), and a concurrency limit of 4×GOMAXPROCS with a
+// bounded wait queue that sheds overload as 503 (-max-inflight 0
+// disables).
 // SIGINT/SIGTERM drain in-flight requests for up to 10 seconds before
 // exit.
 //
@@ -159,7 +160,7 @@ func main() {
 	flag.StringVar(&cfg.snapLoad, "snapshot-load", "", "restore the offline tables from this snapshot at startup (falls back to live compute)")
 	flag.BoolVar(&cfg.diskMode, "disk-mode", false, "serve the offline tables page-by-page from the -snapshot-load file (must be paged/v2) instead of decoding them into RAM")
 	flag.Int64Var(&cfg.tableMemMB, "table-mem-budget", 64, "resident table byte budget in MiB for -disk-mode (page index + decoded-page cache)")
-	flag.IntVar(&cfg.cacheMB, "cache-mb", 64, "response cache size in MiB (0 disables caching and coalescing)")
+	flag.IntVar(&cfg.cacheMB, "cache-mb", 64, "response cache size in MiB (0 disables caching)")
 	flag.IntVar(&cfg.maxInflight, "max-inflight", 4*runtime.GOMAXPROCS(0), "max concurrently executing requests (0 = unlimited)")
 	flag.IntVar(&cfg.maxQueue, "max-queue", 64, "max requests waiting for an execution slot before shedding")
 	flag.BoolVar(&cfg.live, "live", false, "accept delta ingestion and generation promotion via the admin API")
@@ -215,7 +216,7 @@ func (cfg config) servingOptions(datasetStats string, ready *atomic.Bool) []serv
 	}
 	if cfg.cacheMB > 0 {
 		opts = append(opts, server.WithCache(int64(cfg.cacheMB)<<20, cacheTTL))
-		fmt.Printf("serving: %d MiB response cache, ttl %v, coalescing on\n", cfg.cacheMB, cacheTTL)
+		fmt.Printf("serving: %d MiB response cache, ttl %v\n", cfg.cacheMB, cacheTTL)
 	}
 	if cfg.maxInflight > 0 {
 		opts = append(opts, server.WithMaxInflight(cfg.maxInflight, cfg.maxQueue))

@@ -308,8 +308,18 @@ func TestBackpressureThrottlesUntilPromotion(t *testing.T) {
 		t.Fatalf("final Promote: %v", err)
 	}
 	rs := recv.Status()
-	if rs.ThrottleEvents == 0 {
-		t.Fatalf("no throttle events despite MaxPending=2 and %d batches: %+v", n, rs)
+	if rs.ThrottleEvents == 0 || rs.ThrottleWait <= 0 {
+		t.Fatalf("no throttling despite MaxPending=2 and %d batches: %+v", n, rs)
+	}
+	// A batch is staged only below the bound, so the backlog can overshoot
+	// it by at most the batch that crossed it (paperSource's are single
+	// inserts).
+	const largestBatch = 1
+	if limit := rs.MaxPending - 1 + largestBatch; rs.MaxPendingSeen > limit {
+		t.Fatalf("backlog reached %d, bound %d allows at most %d", rs.MaxPendingSeen, rs.MaxPending, limit)
+	}
+	if rs.Duplicates != 0 {
+		t.Fatalf("%d duplicate batches on an uninterrupted stream", rs.Duplicates)
 	}
 	if got := paperCount(t, mgr); got != base+n {
 		t.Fatalf("papers = %d, want %d", got, base+n)

@@ -1,14 +1,14 @@
-// Package flight provides the concurrency primitives of the offline and
-// serving pipelines: a generic singleflight group that deduplicates
-// concurrent computations of the same key, and a bounded worker pool for
+// Package flight provides the concurrency primitives of the offline
+// stage: a generic singleflight group that deduplicates concurrent
+// computations of the same key, and a bounded worker pool for
 // embarrassingly parallel fan-out.
 //
-// Group generalizes the serving layer's response coalescing so the lazy
-// per-term caches (random-walk similarity, closeness, co-occurrence) can
-// share it: without it, N concurrent cold misses for one term each run
-// the full walk, N−1 of them wasted. ForEach is the offline stage's
-// fan-out — the paper's per-term extraction is independent across terms,
-// so precompute throughput should scale with cores.
+// Group is what the row store behind the lazy per-term tables
+// (random-walk similarity, closeness, co-occurrence) computes a cold row
+// under: without it, N concurrent cold misses for one term each run the
+// full walk, N−1 of them wasted. ForEach is the offline stage's fan-out
+// — the paper's per-term extraction is independent across terms, so
+// precompute throughput should scale with cores.
 //
 // Everything here is stdlib-only and safe for concurrent use.
 package flight
@@ -34,13 +34,12 @@ type call[V any] struct {
 	wg   sync.WaitGroup
 	val  V
 	err  error
-	dups int // callers coalesced onto this call; guarded by Group.mu
+	dups int // callers coalesced onto this call, for tests; guarded by Group.mu
 }
 
-// Do runs fn for key, deduplicating against in-flight calls. shared
-// reports whether this caller piggybacked on another call's execution
-// rather than running fn itself.
-func (g *Group[K, V]) Do(key K, fn func() (V, error)) (val V, err error, shared bool) {
+// Do runs fn for key, deduplicating against in-flight calls: a caller
+// that finds key in flight waits for that call and returns its result.
+func (g *Group[K, V]) Do(key K, fn func() (V, error)) (V, error) {
 	g.mu.Lock()
 	if g.calls == nil {
 		g.calls = make(map[K]*call[V])
@@ -49,7 +48,7 @@ func (g *Group[K, V]) Do(key K, fn func() (V, error)) (val V, err error, shared 
 		c.dups++
 		g.mu.Unlock()
 		c.wg.Wait()
-		return c.val, c.err, true
+		return c.val, c.err
 	}
 	c := &call[V]{}
 	c.wg.Add(1)
@@ -62,19 +61,7 @@ func (g *Group[K, V]) Do(key K, fn func() (V, error)) (val V, err error, shared 
 	g.mu.Lock()
 	delete(g.calls, key)
 	g.mu.Unlock()
-	return c.val, c.err, false
-}
-
-// Waiting reports how many callers are coalesced onto key's in-flight
-// call, -1 if none is in flight. Tests of coalescing — here and in the
-// packages that use a Group — wait on it instead of sleeping.
-func (g *Group[K, V]) Waiting(key K) int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if c, ok := g.calls[key]; ok {
-		return c.dups
-	}
-	return -1
+	return c.val, c.err
 }
 
 // ForEach runs fn(i) for every i in [0, n) across a pool of workers

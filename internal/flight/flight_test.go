@@ -10,6 +10,17 @@ import (
 	"time"
 )
 
+// waiting reports how many callers are coalesced onto key's in-flight
+// call, -1 if none is in flight; tests wait on it instead of sleeping.
+func waiting[K comparable, V any](g *Group[K, V], key K) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if c, ok := g.calls[key]; ok {
+		return c.dups
+	}
+	return -1
+}
+
 func TestGroupCoalesces(t *testing.T) {
 	var g Group[string, []byte]
 	var computations atomic.Int64
@@ -22,14 +33,14 @@ func TestGroupCoalesces(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		v, err, shared := g.Do("k", func() ([]byte, error) {
+		v, err := g.Do("k", func() ([]byte, error) {
 			computations.Add(1)
 			close(started)
 			<-block
 			return []byte("v"), nil
 		})
-		if err != nil || string(v) != "v" || shared {
-			t.Errorf("leader got %q, %v, shared=%v", v, err, shared)
+		if err != nil || string(v) != "v" {
+			t.Errorf("leader got %q, %v", v, err)
 		}
 	}()
 	<-started
@@ -37,21 +48,21 @@ func TestGroupCoalesces(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, err, shared := g.Do("k", func() ([]byte, error) {
+			v, err := g.Do("k", func() ([]byte, error) {
 				computations.Add(1)
 				return []byte("v"), nil
 			})
-			if err != nil || string(v) != "v" || !shared {
-				t.Errorf("follower got %q, %v, shared=%v", v, err, shared)
+			if err != nil || string(v) != "v" {
+				t.Errorf("follower got %q, %v", v, err)
 			}
 		}()
 	}
 	// Release the leader only once all n followers are registered as
 	// duplicates, making "exactly one computation" deterministic.
 	deadline := time.Now().Add(10 * time.Second)
-	for g.Waiting("k") != n {
+	for waiting(&g, "k") != n {
 		if time.Now().After(deadline) {
-			t.Fatalf("followers queued: %d of %d", g.Waiting("k"), n)
+			t.Fatalf("followers queued: %d of %d", waiting(&g, "k"), n)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -65,14 +76,14 @@ func TestGroupCoalesces(t *testing.T) {
 func TestGroupErrorShared(t *testing.T) {
 	var g Group[string, []byte]
 	want := errors.New("boom")
-	_, err, _ := g.Do("k", func() ([]byte, error) { return nil, want })
+	_, err := g.Do("k", func() ([]byte, error) { return nil, want })
 	if !errors.Is(err, want) {
 		t.Fatalf("err = %v", err)
 	}
 	// Errors are not memoized: the next call runs again.
-	v, err, shared := g.Do("k", func() ([]byte, error) { return []byte("ok"), nil })
-	if err != nil || string(v) != "ok" || shared {
-		t.Fatalf("retry got %q, %v, shared=%v", v, err, shared)
+	v, err := g.Do("k", func() ([]byte, error) { return []byte("ok"), nil })
+	if err != nil || string(v) != "ok" {
+		t.Fatalf("retry got %q, %v", v, err)
 	}
 }
 
@@ -103,7 +114,7 @@ func TestGroupHammer(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			key := i % 4
-			v, err, _ := g.Do(key, func() (int, error) { return key * 10, nil })
+			v, err := g.Do(key, func() (int, error) { return key * 10, nil })
 			if err != nil || v != key*10 {
 				t.Errorf("Do(%d) = %d, %v", key, v, err)
 			}

@@ -94,7 +94,7 @@ func (s *Store) Row(v graph.NodeID) ([]graph.NodeID, []float32, error) {
 	}
 	// Coalesce concurrent cold misses for v: the first caller computes,
 	// the rest block and share its row.
-	r, err, _ := s.flight.Do(v, func() (Row, error) {
+	r, err := s.flight.Do(v, func() (Row, error) {
 		// Re-check: this caller may have missed before a previous
 		// flight for v completed and published.
 		if nodes, scores, ok := s.held(v); ok {

@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"bytes"
 	"container/list"
 	"sync"
 	"time"
@@ -26,8 +27,8 @@ const doorSlots = 4096
 
 // Cache is a sharded LRU byte cache with a global byte budget, a
 // per-entry TTL and admission on the second sighting (see Put). Values
-// are immutable []byte blobs (pre-encoded JSON response bodies);
-// callers must not mutate what Get returns.
+// are []byte blobs (pre-encoded JSON response bodies) the cache owns:
+// Put keeps a copy, and callers must not mutate what Get returns.
 type Cache struct {
 	shards [numShards]shard
 	ttl    time.Duration
@@ -101,7 +102,9 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 // the full key, so a collision can never answer with the wrong value.
 // Inserting evicts least-recently used entries until the shard is back
 // under its byte budget; the newest entry is never evicted, so one
-// oversized value still caches.
+// oversized value still caches. The cache keeps a copy of val, made only
+// when the key is admitted or replaced, so the caller may reuse val's
+// buffer as soon as Put returns.
 func (c *Cache) Put(key string, val []byte) {
 	h := keyHash(key)
 	s := &c.shards[h%numShards]
@@ -120,7 +123,7 @@ func (c *Cache) Put(key string, val []byte) {
 	}
 	en := &entry{
 		key:  key,
-		val:  val,
+		val:  bytes.Clone(val),
 		size: int64(len(key)+len(val)) + entryOverhead,
 	}
 	if c.ttl > 0 {

@@ -36,6 +36,24 @@ func TestCacheGetPut(t *testing.T) {
 	}
 }
 
+// The cache keeps its own copy of an admitted or replaced value: the
+// caller's buffer is free for reuse once Put returns.
+func TestCachePutCopies(t *testing.T) {
+	c := NewCache(1<<20, time.Minute)
+	buf := []byte("alpha")
+	admit(c, "a", buf)
+	copy(buf, "XXXXX")
+	if v, _ := c.Get("a"); string(v) != "alpha" {
+		t.Fatalf("admitted value changed with the caller's buffer: %q", v)
+	}
+	copy(buf, "gamma")
+	c.Put("a", buf)
+	copy(buf, "XXXXX")
+	if v, _ := c.Get("a"); string(v) != "gamma" {
+		t.Fatalf("replaced value changed with the caller's buffer: %q", v)
+	}
+}
+
 // A key earns its entry on the second sighting: the first Put leaves
 // nothing resident, the second does, the Get after it hits.
 func TestCacheAdmitsOnSecondSighting(t *testing.T) {

@@ -37,7 +37,7 @@ const numBuckets = len(bucketBounds) + 1 // +1 for +Inf
 // observation. Quantiles are estimated as the upper bound of the
 // bucket containing the quantile rank — coarse but allocation-free and
 // monotone, which is what an operations dashboard needs. The 1-2.5-5
-// ladder is a stopgap: ROADMAP item 1(a)'s log-linear type (bench/hist.go's
+// ladder is a stopgap: ROADMAP item 2(a)'s log-linear type (bench/hist.go's
 // design, < 1 % error) still replaces it.
 type Histogram struct {
 	buckets [numBuckets]atomic.Int64
@@ -81,13 +81,12 @@ func (h *Histogram) Quantile(p float64) float64 {
 // EndpointMetrics holds the per-endpoint counters and latency
 // histogram. All fields are updated atomically.
 type EndpointMetrics struct {
-	Requests  atomic.Int64
-	Hits      atomic.Int64
-	Misses    atomic.Int64
-	Coalesced atomic.Int64
-	Shed      atomic.Int64
-	Errors    atomic.Int64
-	Latency   Histogram
+	Requests atomic.Int64
+	Hits     atomic.Int64
+	Misses   atomic.Int64
+	Shed     atomic.Int64
+	Errors   atomic.Int64
+	Latency  Histogram
 }
 
 // Metrics is the instrumentation core: a fixed set of endpoints
@@ -123,7 +122,6 @@ type EndpointSnapshot struct {
 	Requests  int64   `json:"requests"`
 	Hits      int64   `json:"hits"`
 	Misses    int64   `json:"misses"`
-	Coalesced int64   `json:"coalesced"`
 	Shed      int64   `json:"shed"`
 	Errors    int64   `json:"errors"`
 	P50Millis float64 `json:"p50_ms"`
@@ -154,7 +152,6 @@ func (m *Metrics) Snapshot() Snapshot {
 			Requests:  em.Requests.Load(),
 			Hits:      em.Hits.Load(),
 			Misses:    em.Misses.Load(),
-			Coalesced: em.Coalesced.Load(),
 			Shed:      em.Shed.Load(),
 			Errors:    em.Errors.Load(),
 			P50Millis: em.Latency.Quantile(0.50),

@@ -51,19 +51,18 @@
 //
 // With WithCache the engine sits behind a sharded LRU response cache
 // keyed on a canonical fingerprint of the parsed request (so
-// whitespace and quoting variants of the same query share an entry),
-// and concurrent identical misses are coalesced into a single engine
-// computation. A response earns its entry on the request's second
-// sighting (serving.Cache.Put): tail queries that never come back are
-// computed and forgotten, head queries pay one extra miss. With
-// WithMaxInflight a concurrency limiter with a bounded wait queue sheds
-// excess load as 503 + Retry-After instead of letting goroutines pile
-// up. Both are off by default: a bare New(eng) serves exactly as before.
+// whitespace and quoting variants of the same query share an entry).
+// A response earns its entry on the request's second sighting
+// (serving.Cache.Put): tail queries that never come back are computed
+// and forgotten, head queries pay one extra miss. Concurrent identical
+// misses each compute their own response. With WithMaxInflight a
+// concurrency limiter with a bounded wait queue sheds excess load as
+// 503 + Retry-After instead of letting goroutines pile up. Both are off
+// by default: a bare New(eng) serves exactly as before.
 //
 // A response body is built once, appended to a pooled buffer —
 // /api/reformulate's straight from the engine's visitor, suggestion by
-// suggestion (encode.go) — and copied once, at its exact size, when the
-// cache or a coalesced flight's waiters keep it.
+// suggestion (encode.go) — and copied only when the cache admits it.
 //
 // Every request is logged, one line each, through a buffer in front of
 // the WithLogger sink: request lines reach the sink in batches (when
@@ -87,7 +86,6 @@ import (
 
 	"kqr"
 	"kqr/internal/cdc"
-	"kqr/internal/flight"
 	"kqr/internal/repl"
 	"kqr/internal/serving"
 )
@@ -105,9 +103,8 @@ type Server struct {
 	log    *log.Logger
 	logBuf logBuffer
 
-	cache   *serving.Cache               // nil = response caching disabled
-	flight  flight.Group[string, []byte] // coalesces identical cache misses
-	limiter *serving.Limiter             // nil = no concurrency bound
+	cache   *serving.Cache   // nil = response caching disabled
+	limiter *serving.Limiter // nil = no concurrency bound
 	metrics *serving.Metrics
 
 	// ready, when set, gates /readyz beyond the built-in checks (e.g.
@@ -147,8 +144,7 @@ func WithDatasetStats(stats string) Option {
 
 // WithCache enables the sharded response cache: up to maxBytes of
 // encoded response bodies, each entry valid for ttl (ttl <= 0 means no
-// expiry). Caching also turns on request coalescing: concurrent
-// identical misses run the engine once and share the result.
+// expiry).
 func WithCache(maxBytes int64, ttl time.Duration) Option {
 	return func(s *Server) { s.cache = serving.NewCache(maxBytes, ttl) }
 }
@@ -339,9 +335,8 @@ func encoded(payload func() (any, error)) func([]byte) ([]byte, error) {
 }
 
 // bodyPool recycles the buffers response bodies are built in. A body is
-// built once, in one of these; whoever keeps it beyond the request — the
-// response cache, the waiters of a coalesced flight — gets an
-// exact-size copy, and the buffer goes back to the pool.
+// built once, in one of these, and the buffer goes back to the pool once
+// the body is written; the response cache copies what it keeps.
 var bodyPool = sync.Pool{New: func() any {
 	b := make([]byte, 0, 16<<10)
 	return &b
@@ -372,10 +367,12 @@ func (s *Server) cacheKey(endpoint string, req request) string {
 // wrap adapts an endpoint's parse function into the full serving stack:
 // concurrency limiting (shed with 503 + Retry-After when saturated),
 // one parse of the parameters, response-cache lookup on the parsed
-// request's canonical key, singleflight coalescing of identical misses,
-// error-to-status mapping, metrics, and one access-log line per request
-// (buffered, see accesslog.go). A request whose parameters do not parse
-// is answered with its 400 and touches neither cache nor engine.
+// request's canonical key, error-to-status mapping, metrics, and one
+// access-log line per request (buffered, see accesslog.go). Every
+// request that is not a hit takes the same path: respond into a pooled
+// buffer, offer a successful cacheable body to Cache.Put, write, return
+// the buffer. A request whose parameters do not parse is answered with
+// its 400 and touches neither cache nor engine.
 func (s *Server) wrap(name string, parse func(q url.Values) (request, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -405,45 +402,27 @@ func (s *Server) wrap(name string, parse func(q url.Values) (request, error)) ht
 		}
 
 		var body []byte
-		var pooled *[]byte // body's buffer when nobody else keeps body
+		var ck string // the cache key; empty when the response is not cached
+		var hit bool
+		var pooled *[]byte // the buffer body was built in
 		req, err := parse(r.URL.Query())
+		if err == nil && s.cache != nil && len(req.terms) > 0 {
+			ck = s.cacheKey(name, req)
+			body, hit = s.cache.Get(ck)
+		}
 		switch {
 		case err != nil:
-		case s.cache == nil || len(req.terms) == 0:
+		case hit:
+			em.Hits.Add(1)
+		default:
+			if ck != "" {
+				em.Misses.Add(1)
+			}
 			pooled = bodyPool.Get().(*[]byte)
 			*pooled, err = req.respond((*pooled)[:0])
 			body = *pooled
-		default:
-			ck := s.cacheKey(name, req)
-			if v, ok := s.cache.Get(ck); ok {
-				em.Hits.Add(1)
-				body = v
-				break
-			}
-			var shared bool
-			body, err, shared = s.flight.Do(ck, func() ([]byte, error) {
-				// Double-check: this caller may have missed the cache
-				// before a previous flight for the same key completed
-				// and published its result.
-				if v, ok := s.cache.Get(ck); ok {
-					return v, nil
-				}
-				em.Misses.Add(1)
-				buf := bodyPool.Get().(*[]byte)
-				defer putBody(buf)
-				var herr error
-				if *buf, herr = req.respond((*buf)[:0]); herr != nil {
-					return nil, herr
-				}
-				// The one copy: the cache (if the key has earned an
-				// entry) and every waiter of this flight share it.
-				kept := make([]byte, len(*buf))
-				copy(kept, *buf)
-				s.cache.Put(ck, kept)
-				return kept, nil
-			})
-			if shared {
-				em.Coalesced.Add(1)
+			if err == nil && ck != "" {
+				s.cache.Put(ck, body)
 			}
 		}
 

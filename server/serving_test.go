@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -131,14 +132,13 @@ func TestErrorsNotCached(t *testing.T) {
 	}
 }
 
-// TestCoalescing holds one computation open until N-1 identical
-// requests are waiting on it, then lets it finish: one computation, one
-// sighting — the key is not resident yet — and N identical bodies. The
-// next request computes again and earns the entry, the one after is a
-// hit; from a flight, from a fresh computation and from the cache the
-// bytes are the same. Run with -race this also exercises the whole
-// stack's concurrency safety.
-func TestCoalescing(t *testing.T) {
+// TestConcurrentIdenticalMisses holds n identical first-sighting
+// requests inside their computations at once, then lets them finish:
+// nothing coalesces them — n computations, n misses — and their n Puts
+// admit the key once (the first is a sighting, the second admits, the
+// rest replace); the next request is a hit with the same bytes. Run
+// with -race this also exercises the whole stack's concurrency safety.
+func TestConcurrentIdenticalMisses(t *testing.T) {
 	srv, _ := servingServer(t, WithCache(1<<20, time.Minute))
 	real, err := srv.parseReformulate(url.Values{"q": {"probabilistic ranking"}, "k": {"5"}})
 	if err != nil {
@@ -174,10 +174,9 @@ func TestCoalescing(t *testing.T) {
 			bodies[i] = get()
 		}()
 	}
-	ck := srv.cacheKey("reformulate", real)
-	for deadline := time.Now().Add(10 * time.Second); srv.flight.Waiting(ck) != n-1; {
+	for deadline := time.Now().Add(10 * time.Second); computations.Load() != n; {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d of %d requests coalesced", srv.flight.Waiting(ck), n-1)
+			t.Fatalf("%d of %d requests computing", computations.Load(), n)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -190,22 +189,121 @@ func TestCoalescing(t *testing.T) {
 	}
 	snap := srv.Metrics()
 	em := snap.Endpoints["reformulate"]
-	if computations.Load() != 1 || em.Misses != 1 || em.Coalesced != n-1 || em.Requests != n {
-		t.Fatalf("%d computations for %d concurrent identical requests; counters %+v", computations.Load(), n, em)
-	}
-	if snap.CacheEntries != 0 {
-		t.Fatalf("%d cache entries after one sighting", snap.CacheEntries)
-	}
-	fresh := get() // second sighting: computed again, and kept
-	if snap = srv.Metrics(); computations.Load() != 2 || snap.CacheEntries != 1 {
-		t.Fatalf("second sighting: %d computations, %d entries", computations.Load(), snap.CacheEntries)
+	if em.Misses != n || em.Hits != 0 || em.Requests != n || snap.CacheEntries != 1 {
+		t.Fatalf("%d concurrent identical misses: counters %+v, %d cache entries", n, em, snap.CacheEntries)
 	}
 	cached := get()
-	if em = srv.Metrics().Endpoints["reformulate"]; computations.Load() != 2 || em.Hits != 1 {
-		t.Fatalf("third request: %d computations, counters %+v", computations.Load(), em)
+	if em = srv.Metrics().Endpoints["reformulate"]; computations.Load() != n || em.Hits != 1 {
+		t.Fatalf("after the burst: %d computations, counters %+v", computations.Load(), em)
 	}
-	if fresh != bodies[0] || cached != bodies[0] {
-		t.Fatalf("coalesced, fresh and cached bodies differ:\n%q\n%q\n%q", bodies[0], fresh, cached)
+	if cached != bodies[0] {
+		t.Fatalf("cached body differs from the computed one:\n%q\n%q", cached, bodies[0])
+	}
+}
+
+// The cache keeps its own copy of a body: the pooled buffer the body was
+// built in goes back to the pool when the request ends, the next request
+// builds another body in it, and the hit still serves the first bytes.
+func TestCachedBodyOutlivesItsBuffer(t *testing.T) {
+	srv, _ := servingServer(t, WithCache(1<<20, time.Minute))
+	get := func(u string) string {
+		w := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(w, httptest.NewRequest("GET", u, nil))
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s -> %d: %s", u, w.Code, w.Body)
+		}
+		return w.Body.String()
+	}
+	const q = "/api/reformulate?q=probabilistic+ranking&k=5"
+	want := get(q) // first sighting
+	get(q)         // second sighting: admitted
+	get("/api/reformulate?q=xml+indexing&k=5")
+	if got := get(q); got != want || srv.Metrics().Endpoints["reformulate"].Hits != 1 {
+		t.Fatalf("hit served %q, want %q", got, want)
+	}
+}
+
+// TestOverloadShedsWithoutWaiting drives the limiter past its bound
+// with every admitted request held inside its computation: two run, two
+// queue, and the next four are shed — 503, Retry-After, the JSON
+// envelope — while the gate is still closed, so shedding never waits
+// behind admitted work. Released, the four admitted requests answer 200
+// with one body, and nothing is left behind: no slot, no waiter, no
+// goroutine.
+func TestOverloadShedsWithoutWaiting(t *testing.T) {
+	srv, _ := servingServer(t, WithMaxInflight(2, 2))
+	real, err := srv.parseReformulate(url.Values{"q": {"probabilistic ranking"}, "k": {"5"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := make(chan struct{})
+	h := srv.wrap("reformulate", func(url.Values) (request, error) {
+		req := real
+		req.respond = func(dst []byte) ([]byte, error) {
+			<-gate
+			return real.respond(dst)
+		}
+		return req, nil
+	})
+	serve := func(n int) ([]*httptest.ResponseRecorder, *sync.WaitGroup) {
+		ws := make([]*httptest.ResponseRecorder, n)
+		var wg sync.WaitGroup
+		for i := range ws {
+			ws[i] = httptest.NewRecorder()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				h(ws[i], httptest.NewRequest("GET", "/api/reformulate?q=probabilistic+ranking&k=5", nil))
+			}()
+		}
+		return ws, &wg
+	}
+	baseline := runtime.NumGoroutine()
+
+	admitted, admittedDone := serve(4)
+	for deadline := time.Now().Add(10 * time.Second); srv.limiter.Inflight() != 2 || srv.limiter.Waiting() != 2; {
+		if time.Now().After(deadline) {
+			t.Fatalf("limiter at %d in flight, %d waiting; want 2 and 2", srv.limiter.Inflight(), srv.limiter.Waiting())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	shed, shedDone := serve(4)
+	finished := make(chan struct{})
+	go func() { shedDone.Wait(); close(finished) }()
+	select {
+	case <-finished:
+	case <-time.After(10 * time.Second):
+		t.Fatal("excess requests were not answered while the admitted ones held the gate")
+	}
+	for i, w := range shed {
+		var envelope struct {
+			Error string `json:"error"`
+		}
+		if w.Code != http.StatusServiceUnavailable || w.Header().Get("Retry-After") == "" ||
+			json.Unmarshal(w.Body.Bytes(), &envelope) != nil || envelope.Error == "" {
+			t.Fatalf("excess request %d: status %d, Retry-After %q, body %q", i, w.Code, w.Header().Get("Retry-After"), w.Body)
+		}
+	}
+
+	close(gate)
+	admittedDone.Wait()
+	for i, w := range admitted {
+		if w.Code != http.StatusOK || w.Body.String() != admitted[0].Body.String() {
+			t.Fatalf("admitted request %d: status %d, body %q; request 0 %q", i, w.Code, w.Body, admitted[0].Body)
+		}
+	}
+	em := srv.Metrics().Endpoints["reformulate"]
+	if em.Requests != 8 || em.Shed != 4 || em.Errors != 0 {
+		t.Fatalf("counters %+v, want 8 requests, 4 shed, 0 errors", em)
+	}
+	if srv.limiter.Inflight() != 0 || srv.limiter.Waiting() != 0 {
+		t.Fatalf("limiter left at %d in flight, %d waiting", srv.limiter.Inflight(), srv.limiter.Waiting())
+	}
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > baseline; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, %d before the burst", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
