@@ -103,7 +103,11 @@ func TestConcurrentReformulation(t *testing.T) {
 	}
 }
 
-func TestPhraseOption(t *testing.T) {
+// phraseDataset is a four-paper corpus whose titles repeat two
+// adjacent-word pairs, "association rules" and "frequent itemset": with
+// Options.Phrases each becomes a term beside its words.
+func phraseDataset(t *testing.T) *kqr.Dataset {
+	t.Helper()
 	ds, err := kqr.NewDataset(
 		kqr.Table{
 			Name: "papers",
@@ -130,7 +134,11 @@ func TestPhraseOption(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	eng, err := kqr.Open(ds, kqr.Options{Phrases: true})
+	return ds
+}
+
+func TestPhraseOption(t *testing.T) {
+	eng, err := kqr.Open(phraseDataset(t), kqr.Options{Phrases: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,6 +17,9 @@ func FuzzMend(f *testing.F) {
 	f.Add("áccent ëxtra")
 	f.Add("\x00\xff broken � utf8")
 	f.Add(strings.Repeat("x", 300))
+	f.Add("alice ames")
+	f.Add("alice amse")
+	f.Add("aliceames")
 	m := testMender(Options{})
 	f.Fuzz(func(t *testing.T, q string) {
 		terms := strings.Fields(q)

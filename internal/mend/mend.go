@@ -3,8 +3,6 @@ package mend
 import (
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
 
 // Action identifies what the mender did to one input token.
@@ -76,17 +74,20 @@ func (a *Action) UnmarshalText(b []byte) error {
 // store of the generation.
 type ContextScorer func(anchor, cand string) float64
 
-// Options configures a Mender. The zero value is usable.
+const (
+	// maxCandidates bounds the ranked candidate list considered per
+	// token.
+	maxCandidates = 8
+	// minScore is the acceptance threshold: a repair scoring below it
+	// is rejected and the token dropped instead.
+	minScore = 0.25
+	// contextWeight scales the closeness-derived context bonus added to
+	// candidate scores.
+	contextWeight = 0.25
+)
+
+// Options configures a Mender's two hooks. The zero value is usable.
 type Options struct {
-	// MaxCandidates bounds the ranked candidate list considered (and
-	// reported) per token. Default 8.
-	MaxCandidates int
-	// MinScore is the acceptance threshold: a repair scoring below it
-	// is rejected and the token dropped instead. Default 0.25.
-	MinScore float64
-	// ContextWeight scales the closeness-derived context bonus added
-	// to candidate scores. Default 0.25.
-	ContextWeight float64
 	// Resolve optionally extends the "already valid" predicate beyond
 	// exact index membership (e.g. the TAT graph's FindTerm, which
 	// also folds plurals). Tokens for which Resolve reports true are
@@ -163,38 +164,16 @@ func (r Result) Hints(perToken int) []Hint {
 	return hints
 }
 
-// repairMemoLimit bounds the per-Mender repair memo. A Mender lives
-// for one generation, so the memo is invalidated by promotion for
-// free; within a generation, 8192 distinct (token, anchors) repairs
-// cover a serving workload's repeated typos many times over. Once
-// full, misses are still computed, just no longer remembered.
-const repairMemoLimit = 8192
-
-// Mender mends queries against one generation's vocabulary. It is
-// safe for concurrent use; all mutable state is the repair memo,
-// which only caches deterministic computation.
+// Mender mends queries against one generation's vocabulary. It holds
+// no mutable state and is safe for concurrent use.
 type Mender struct {
 	ix   *Index
 	opts Options
-	// memo caches repair choices keyed by token(s) and context
-	// anchors. Cached TokenMend values (including their slices) are
-	// shared across results and must be treated as immutable.
-	memo  sync.Map
-	memoN atomic.Int64
 }
 
 // New builds a Mender over the given index. The index must not be
 // mutated afterwards.
 func New(ix *Index, opts Options) *Mender {
-	if opts.MaxCandidates <= 0 {
-		opts.MaxCandidates = 8
-	}
-	if opts.MinScore <= 0 {
-		opts.MinScore = 0.25
-	}
-	if opts.ContextWeight <= 0 {
-		opts.ContextWeight = 0.25
-	}
 	return &Mender{ix: ix, opts: opts}
 }
 
@@ -305,35 +284,8 @@ func (m *Mender) Mend(terms []string) Result {
 	return Result{Terms: out, Tokens: toks, Changed: changed, Confidence: conf}
 }
 
-// memoKey builds the repair-memo key for a token (or joined bigram)
-// under the given context anchors.
-func memoKey(kind byte, tok string, anchors []string) string {
-	var b strings.Builder
-	b.Grow(2 + len(tok) + 16*len(anchors))
-	b.WriteByte(kind)
-	b.WriteString(tok)
-	for _, a := range anchors {
-		b.WriteByte(0x1f)
-		b.WriteString(a)
-	}
-	return b.String()
-}
-
-// memoPut remembers a computed repair while the memo has room.
-func (m *Mender) memoPut(key string, v any) {
-	if m.memoN.Load() >= repairMemoLimit {
-		return
-	}
-	if _, loaded := m.memo.LoadOrStore(key, v); !loaded {
-		m.memoN.Add(1)
-	}
-}
-
 // singleChoice picks the best single-token repair: keep (known
 // tokens), else the better of spell-correct and split, else drop.
-// Repairs of unknown tokens are memoized per (token, anchors) for the
-// lifetime of the Mender — one generation — so a serving workload's
-// repeated typos cost one lookup after the first computation.
 func (m *Mender) singleChoice(tok string, isKnown bool, anchors []string) choice {
 	if isKnown {
 		return choice{
@@ -342,27 +294,15 @@ func (m *Mender) singleChoice(tok string, isKnown bool, anchors []string) choice
 			score:    1,
 		}
 	}
-	key := memoKey('s', tok, anchors)
-	if v, ok := m.memo.Load(key); ok {
-		return v.(choice)
-	}
-	c := m.computeSingleChoice(tok, anchors)
-	m.memoPut(key, c)
-	return c
-}
-
-// computeSingleChoice is the uncached body of singleChoice for an
-// unknown token.
-func (m *Mender) computeSingleChoice(tok string, anchors []string) choice {
 	low := strings.ToLower(tok)
-	cands := m.ix.Lookup(low, m.opts.MaxCandidates)
+	cands := m.ix.Lookup(low, maxCandidates)
 	m.applyContext(cands, anchors)
 	spellScore := -1.0
 	if len(cands) > 0 {
 		spellScore = clamp1(cands[0].Score)
 	}
 	splitParts, splitScore, hasSplit := m.splitToken(low)
-	if hasSplit && splitScore > spellScore && splitScore >= m.opts.MinScore {
+	if hasSplit && splitScore > spellScore && splitScore >= minScore {
 		return choice{
 			tm: TokenMend{
 				Original: tok, Terms: splitParts, Action: ActionSplit,
@@ -372,10 +312,10 @@ func (m *Mender) computeSingleChoice(tok string, anchors []string) choice {
 			score:    splitScore,
 		}
 	}
-	if spellScore >= m.opts.MinScore {
+	if spellScore >= minScore {
 		return choice{
 			tm: TokenMend{
-				Original: tok, Terms: words(cands[0].Term), Action: ActionSpell,
+				Original: tok, Terms: []string{cands[0].Term}, Action: ActionSpell,
 				Confidence: spellScore, Candidates: capCands(cands),
 			},
 			consumed: 1,
@@ -389,41 +329,22 @@ func (m *Mender) computeSingleChoice(tok string, anchors []string) choice {
 	}
 }
 
-// mergeResult is the memoized outcome of one mergeChoice computation.
-type mergeResult struct {
-	c  choice
-	ok bool
-}
-
 // mergeChoice proposes re-joining an over-split bigram. At least one
 // side must be unknown — merging two valid terms would rewrite a
-// well-formed query and break byte-identical pass-through. Outcomes
-// are memoized like single-token repairs.
+// well-formed query and break byte-identical pass-through.
 func (m *Mender) mergeChoice(a, b string, anchors []string) (choice, bool) {
-	key := memoKey('m', a+"\x1e"+b, anchors)
-	if v, ok := m.memo.Load(key); ok {
-		mr := v.(mergeResult)
-		return mr.c, mr.ok
-	}
-	c, ok := m.computeMergeChoice(a, b, anchors)
-	m.memoPut(key, mergeResult{c: c, ok: ok})
-	return c, ok
-}
-
-// computeMergeChoice is the uncached body of mergeChoice.
-func (m *Mender) computeMergeChoice(a, b string, anchors []string) (choice, bool) {
-	cands := m.joinCandidates(strings.ToLower(a), strings.ToLower(b), m.opts.MaxCandidates)
+	cands := m.joinCandidates(strings.ToLower(a), strings.ToLower(b), maxCandidates)
 	m.applyContext(cands, anchors)
 	if len(cands) == 0 {
 		return choice{}, false
 	}
 	score := clamp1(cands[0].Score)
-	if score < m.opts.MinScore {
+	if score < minScore {
 		return choice{}, false
 	}
 	return choice{
 		tm: TokenMend{
-			Original: a + " " + b, Terms: words(cands[0].Term), Action: ActionMerge,
+			Original: a + " " + b, Terms: []string{cands[0].Term}, Action: ActionMerge,
 			Confidence: score, Candidates: capCands(cands),
 		},
 		consumed: 2,
@@ -433,7 +354,7 @@ func (m *Mender) computeMergeChoice(a, b string, anchors []string) (choice, bool
 
 // applyContext boosts candidate scores by their closeness to the
 // query's anchor terms, normalised so the closest candidate gets the
-// full ContextWeight bonus, then re-sorts.
+// full contextWeight bonus, then re-sorts.
 func (m *Mender) applyContext(cands []Candidate, anchors []string) {
 	if m.opts.Context == nil || len(anchors) == 0 || len(cands) < 2 {
 		return
@@ -454,7 +375,7 @@ func (m *Mender) applyContext(cands []Candidate, anchors []string) {
 		return
 	}
 	for i := range cands {
-		cands[i].Score += m.opts.ContextWeight * raw[i] / maxRaw
+		cands[i].Score += contextWeight * raw[i] / maxRaw
 	}
 	sortCandidates(cands)
 }
@@ -466,15 +387,6 @@ func capCands(cs []Candidate) []Candidate {
 		cs = cs[:keep]
 	}
 	return cs
-}
-
-// words splits a (possibly multi-word) vocabulary entry into the
-// single-word terms the downstream reformulator expects.
-func words(term string) []string {
-	if !strings.Contains(term, " ") {
-		return []string{term}
-	}
-	return strings.Fields(term)
 }
 
 func clamp1(v float64) float64 {

@@ -12,9 +12,9 @@ func testMender(opts Options) *Mender {
 	vocab := []string{
 		"database", "systems", "probabilistic", "ranking", "banking",
 		"query", "reformulation", "keyword", "structured", "data",
-		"semantic", "search", "graph", "index", "stream",
+		"semantic", "search", "graph", "index", "stream", "alice ames",
 	}
-	freqs := []int{90, 70, 40, 25, 60, 80, 30, 55, 45, 95, 20, 65, 35, 50, 15}
+	freqs := []int{90, 70, 40, 25, 60, 80, 30, 55, 45, 95, 20, 65, 35, 50, 15, 10}
 	return New(NewIndex(vocab, freqs), opts)
 }
 
@@ -112,9 +112,11 @@ func TestDropAndHints(t *testing.T) {
 	if res.Tokens[0].Action != ActionDrop || res.Confidence != 0 {
 		t.Fatalf("drop provenance = %+v conf %v", res.Tokens[0], res.Confidence)
 	}
-	// A near-miss drop still carries hints.
-	low := New(testMender(Options{}).Index(), Options{MinScore: 0.99})
-	res = low.Mend([]string{"rankngx"})
+	// A near-miss drop still carries hints: "rankngx" is two edits from
+	// a frequency-1 "ranking", which scores 1/3 × (0.55 + 0.45 × ln 2 /
+	// ln 96) ≈ 0.21, below the acceptance threshold.
+	rare := New(NewIndex([]string{"ranking", "data"}, []int{1, 95}), Options{})
+	res = rare.Mend([]string{"rankngx"})
 	hints := res.Hints(3)
 	if len(hints) != 1 || hints[0].Token != "rankngx" || len(hints[0].Candidates) == 0 {
 		t.Fatalf("hints = %+v (tokens %+v)", hints, res.Tokens)

@@ -69,28 +69,72 @@ func TestMendVocabularyNoOp(t *testing.T) {
 }
 
 // TestSegmentQueryNotSubsumedByMend pins why SegmentQuery stays beside
-// the mender's merge DP (DESIGN §7): on the hand-built corpus the raw
-// query "alice ames probabilistic" segments to the atomic author name
-// plus a title word, while Mend — whose merge step does recognise
-// "alice ames" but emits a repair word by word — returns three
-// single-word terms. The two are different operations with different
+// the mender's merge DP (DESIGN §7): when every word of a query is a
+// term and so is their join, Mend — which never touches a token that
+// resolves — passes the words through, while SegmentQuery joins them
+// into the longer term. The two are different operations with different
 // answers; a change that makes them agree must decide which one the
 // callers of the other were relying on.
 func TestSegmentQueryNotSubsumedByMend(t *testing.T) {
-	eng := mendEngine(t, kqr.Options{})
-	seg, err := eng.SegmentQuery("alice ames probabilistic")
+	eng, err := kqr.Open(phraseDataset(t), kqr.Options{Phrases: true, Mend: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{"alice ames", "probabilistic"}; !reflect.DeepEqual(seg, want) {
+	defer eng.Close()
+	seg, err := eng.SegmentQuery("association rules mining")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"association rules", "mining"}; !reflect.DeepEqual(seg, want) {
 		t.Fatalf("SegmentQuery = %q, want %q", seg, want)
 	}
-	res, err := eng.Mend([]string{"alice", "ames", "probabilistic"})
+	res, err := eng.Mend([]string{"association", "rules", "mining"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{"alice", "ames", "probabilistic"}; !reflect.DeepEqual(res.Terms, want) {
-		t.Fatalf("Mend = %q, want %q", res.Terms, want)
+	if want := []string{"association", "rules", "mining"}; !reflect.DeepEqual(res.Terms, want) || res.Changed {
+		t.Fatalf("Mend = %q (changed %v), want %q unchanged", res.Terms, res.Changed, want)
+	}
+}
+
+// TestMendEmitsWholeMultiWordTerms: a multi-word vocabulary term (an
+// atomic author name) written as separate words, as written or with a
+// one-character typo in one word, mends to the whole term, which
+// Reformulate accepts — every term Mend emits resolves.
+func TestMendEmitsWholeMultiWordTerms(t *testing.T) {
+	eng := mendEngine(t, kqr.Options{})
+	multi := 0
+	for _, term := range eng.Vocabulary() {
+		words := strings.Fields(term)
+		if len(words) < 2 {
+			continue
+		}
+		multi++
+		queries := [][]string{words}
+		for i, w := range words {
+			typo := slices.Clone(words)
+			last := byte('x')
+			if w[len(w)-1] == last {
+				last = 'q'
+			}
+			typo[i] = w[:len(w)-1] + string(last)
+			queries = append(queries, typo)
+		}
+		for _, q := range queries {
+			res, err := eng.Mend(q)
+			if err != nil {
+				t.Fatalf("Mend(%q): %v", q, err)
+			}
+			if !slices.Contains(res.Terms, term) {
+				t.Errorf("Mend(%q) = %q, want it to hold %q", q, res.Terms, term)
+			}
+			if _, err := eng.Reformulate(res.Terms, 5); err != nil {
+				t.Errorf("Reformulate(Mend(%q) = %q): %v", q, res.Terms, err)
+			}
+		}
+	}
+	if multi == 0 {
+		t.Fatal("the corpus has no multi-word term")
 	}
 }
 

@@ -3,10 +3,7 @@ package server
 import (
 	"fmt"
 	"net/url"
-	"strings"
 	"sync/atomic"
-
-	"kqr"
 )
 
 // Query mending over HTTP. /api/reformulate accepts mend=on|off|auto
@@ -16,8 +13,10 @@ import (
 // when the engine cannot. A repaired query is echoed back in the
 // response's corrected_query field with per-token provenance in the
 // mend block; a query that mends to nothing answers 422 with
-// nearest-candidate hints. /api/metrics gains a "mend" block, and
-// reformulate cache keys include the mended-terms fingerprint.
+// nearest-candidate hints. Mending runs on a cache miss, ahead of the
+// decode: the raw terms, the mode and the epoch already determine the
+// mended query, so the cache key carries no trace of it and a hit never
+// mends. /api/metrics gains a "mend" block.
 
 // mendCounters tracks how mending engaged across requests. All fields
 // are atomics; the struct is embedded in Server and never copied.
@@ -28,19 +27,21 @@ type mendCounters struct {
 	rejected    atomic.Int64
 }
 
-// mendMetrics is the "mend" block of /api/metrics.
+// mendMetrics is the "mend" block of /api/metrics. Its counters count
+// mends, and a request mends only on a cache miss: a hit is served
+// without one and counted by none of them.
 type mendMetrics struct {
 	// Enabled reports whether the engine mends queries.
 	Enabled bool `json:"enabled"`
-	// Engaged counts reformulate requests that went through mending.
+	// Engaged counts the mends reformulate misses ran.
 	Engaged int64 `json:"engaged"`
-	// PassThrough counts engaged requests whose query was already
-	// fully vocabulary-resident and passed through byte-identically.
+	// PassThrough counts engaged mends whose query was already fully
+	// vocabulary-resident and passed through byte-identically.
 	PassThrough int64 `json:"pass_through"`
-	// Mended counts engaged requests whose query was repaired.
+	// Mended counts engaged mends that repaired the query.
 	Mended int64 `json:"mended"`
-	// Rejected counts engaged requests no token of which could be
-	// mapped onto the vocabulary (answered 422).
+	// Rejected counts engaged mends no token of which could be mapped
+	// onto the vocabulary (answered 422).
 	Rejected int64 `json:"rejected"`
 	// IndexTerms, IndexKeys and IndexBytes describe the current
 	// generation's deletion-neighbourhood index.
@@ -85,14 +86,4 @@ func mendModeParam(q url.Values) (string, error) {
 func (s *Server) mendEnabled() bool {
 	_, ok := s.eng.MendStats()
 	return ok
-}
-
-// mendFingerprint renders the mended terms for the reformulate cache
-// key, so a cached entry is bound to the exact repaired query it was
-// computed for (and a promotion's vocabulary change, which could mend
-// the same raw query differently, can never serve a stale body — the
-// epoch tag already rotates the key, and the fingerprint makes the
-// dependency explicit).
-func mendFingerprint(res kqr.MendResult) string {
-	return "mend=" + strings.Join(res.Terms, "\x1f")
 }

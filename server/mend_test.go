@@ -272,3 +272,33 @@ func TestColdReformulateMendsOnce(t *testing.T) {
 		t.Errorf("body changed:\n got %s\nwant %s", body, want)
 	}
 }
+
+// TestCacheHitDoesNotMend: mending runs on a miss only. Of three
+// identical typo'd requests the first two miss and mend (a response is
+// admitted on its second sighting); the third is a hit and makes no
+// Resolve call, yet answers the same mended body.
+func TestCacheHitDoesNotMend(t *testing.T) {
+	ts, srv := testMendServer(t)
+	calls := countResolves(t, srv)
+	u := ts.URL + "/api/reformulate?q=" + url.QueryEscape("probabilistc rankng") + "&k=2"
+	var resps [3]mendReformulateResp
+	var before int64
+	for i := range resps {
+		before = calls.Load()
+		if code := getJSON(t, u, &resps[i]); code != http.StatusOK {
+			t.Fatalf("request %d: status %d", i+1, code)
+		}
+	}
+	if got := calls.Load() - before; got != 0 {
+		t.Errorf("the cache hit made %d Resolve calls, want 0", got)
+	}
+	if em := srv.Metrics().Endpoints["reformulate"]; em.Misses != 2 || em.Hits != 1 {
+		t.Fatalf("misses %d, hits %d: want 2 and 1", em.Misses, em.Hits)
+	}
+	if got := srv.mendCount.engaged.Load(); got != 2 {
+		t.Errorf("mend.engaged = %d, want 2 (one per miss)", got)
+	}
+	if resps[2].CorrectedQuery != "probabilistic ranking" || resps[2].Mend == nil {
+		t.Fatalf("hit served %q %+v, not the mended body", resps[2].CorrectedQuery, resps[2].Mend)
+	}
+}

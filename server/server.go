@@ -516,9 +516,9 @@ func queryAndK(q url.Values, def, max int) (terms []string, k int, kOpt string, 
 }
 
 // parseReformulate reads /api/reformulate's parameters: the query
-// terms, k, the mend mode and — when the mode engages mending — the
-// mended query, mended exactly once: its fingerprint goes into the
-// cache key and a miss reformulates its terms.
+// terms, k and the mend mode, which together with the epoch determine
+// the response and so are its cache key. Mending runs on a miss only,
+// ahead of the decode; a hit serves the body without it.
 func (s *Server) parseReformulate(q url.Values) (request, error) {
 	terms, k, kOpt, err := queryAndK(q, 5, 50)
 	if err != nil {
@@ -532,20 +532,21 @@ func (s *Server) parseReformulate(q url.Values) (request, error) {
 	if mode == "on" && !mending {
 		return request{}, badRequest{fmt.Errorf("mend=on requires a mending-enabled engine (start kqr-server with -mend)")}
 	}
-	// The mode is part of the key even when the fingerprint matches:
-	// mend=on echoes the mended form for clean queries where auto
-	// omits it, so the two must never share a body.
+	// Every mode is its own key: mend=on echoes the mended form for
+	// clean queries where auto omits it, so the two must never share a
+	// body.
 	req := request{terms: terms, opts: []string{kOpt, "mendmode=" + mode}}
 	if mode == "off" || !mending {
 		req.respond = func(dst []byte) ([]byte, error) { return s.appendReformulate(dst, terms, terms, k, nil, mode) }
 		return req, nil
 	}
-	res, err := s.eng.Mend(terms)
-	if err != nil {
-		return request{}, err
+	req.respond = func(dst []byte) ([]byte, error) {
+		res, err := s.eng.Mend(terms)
+		if err != nil {
+			return dst, err
+		}
+		return s.appendReformulate(dst, terms, res.Terms, k, &res, mode)
 	}
-	req.opts = append(req.opts, mendFingerprint(res))
-	req.respond = func(dst []byte) ([]byte, error) { return s.appendReformulate(dst, terms, res.Terms, k, &res, mode) }
 	return req, nil
 }
 
