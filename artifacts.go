@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"log"
 	"os"
 	"path/filepath"
 	"strings"
@@ -126,24 +125,33 @@ func (e *Engine) saveSnapshot(path string, write func(*artifact.Snapshot, io.Wri
 	return nil
 }
 
-// loadSnapshotFile opens and decodes a snapshot file under the engine's
-// fingerprint and restores it into the given generation (which checks
-// the vocabulary against the graph node by node, backstopping the
-// fingerprint) — the shared body of LoadArtifacts and ReloadArtifacts.
-func (e *Engine) loadSnapshotFile(g *live.Generation, path string) (*artifact.Snapshot, error) {
+// restore attaches the snapshot at path to g and reports the
+// provenance to record — the one restore path of Open, LoadArtifacts
+// and ReloadArtifacts. In disk mode it installs page-backed views of a
+// paged file (only into a generation no reader holds yet: Open's
+// initial one or ReloadArtifacts' fresh build); otherwise it decodes
+// the tables into RAM, which the stores publish atomically. Both check
+// the fingerprint, then the vocabulary against the graph node by node.
+func (e *Engine) restore(g *live.Generation, path string) (ArtifactInfo, error) {
+	if e.diskMode() {
+		if err := e.attachDiskTables(g, path); err != nil {
+			return ArtifactInfo{}, err
+		}
+		return ArtifactInfo{Loaded: true, Path: path, FormatVersion: artifact.FormatVersionPaged, Disk: true}, nil
+	}
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("kqr: loading artifacts: %w", err)
+		return ArtifactInfo{}, fmt.Errorf("kqr: loading artifacts: %w", err)
 	}
 	defer f.Close()
 	snap, err := artifact.Load(bufio.NewReaderSize(f, 1<<20), e.artifactFingerprint(g))
+	if err == nil {
+		err = live.RestoreArtifact(g, snap)
+	}
 	if err != nil {
-		return nil, fmt.Errorf("kqr: loading artifacts from %s: %w", path, err)
+		return ArtifactInfo{}, fmt.Errorf("kqr: loading artifacts from %s: %w", path, err)
 	}
-	if err := live.RestoreArtifact(g, snap); err != nil {
-		return nil, fmt.Errorf("kqr: loading artifacts from %s: %w", path, err)
-	}
-	return snap, nil
+	return ArtifactInfo{Loaded: true, Path: path, FormatVersion: snap.Version}, nil
 }
 
 // LoadArtifacts restores the offline tables from a snapshot file
@@ -154,9 +162,7 @@ func (e *Engine) loadSnapshotFile(g *live.Generation, path string) (*artifact.Sn
 // artifact.ErrChecksum, …) is returned and the engine is left
 // untouched. On success the provenance reported by Artifact and
 // GraphStats updates exactly as if the snapshot had been loaded at Open
-// via Options.ArtifactPath (any earlier FallbackReason clears). Open
-// calls this automatically when Options.ArtifactPath is set, falling
-// back to live compute on any error.
+// via Options.ArtifactPath (any earlier FallbackReason clears).
 func (e *Engine) LoadArtifacts(path string) error {
 	if e.diskMode() {
 		// A serving generation's fields are immutable; swapping its disk
@@ -166,11 +172,11 @@ func (e *Engine) LoadArtifacts(path string) error {
 		// retires.
 		return e.ReloadArtifacts(path)
 	}
-	snap, err := e.loadSnapshotFile(e.cur(), path)
+	info, err := e.restore(e.cur(), path)
 	if err != nil {
 		return err
 	}
-	e.setArtifact(ArtifactInfo{Loaded: true, Path: path, FormatVersion: snap.Version})
+	e.setArtifact(info)
 	return nil
 }
 
@@ -184,18 +190,9 @@ func (e *Engine) ReloadArtifacts(path string) error {
 	if err != nil {
 		return fmt.Errorf("kqr: reloading artifacts: %w", err)
 	}
-	info := ArtifactInfo{Loaded: true, Path: path}
-	if e.diskMode() {
-		if err := e.attachDiskTables(g, path); err != nil {
-			return err
-		}
-		info.FormatVersion, info.Disk = artifact.FormatVersionPaged, true
-	} else {
-		snap, err := e.loadSnapshotFile(g, path)
-		if err != nil {
-			return err
-		}
-		info.FormatVersion = snap.Version
+	info, err := e.restore(g, path)
+	if err != nil {
+		return err
 	}
 	if _, err := e.mgr.Swap(g); err != nil {
 		if g.Pager != nil {
@@ -205,14 +202,4 @@ func (e *Engine) ReloadArtifacts(path string) error {
 	}
 	e.setArtifact(info)
 	return nil
-}
-
-// loadArtifactsOrFallback is Open's never-fatal load path: any failure
-// is logged and recorded in ArtifactInfo, and the engine serves with
-// live computation instead.
-func (e *Engine) loadArtifactsOrFallback(path string) {
-	if err := e.LoadArtifacts(path); err != nil {
-		log.Printf("kqr: snapshot %s not used (%v); falling back to live compute", path, err)
-		e.setArtifact(ArtifactInfo{FallbackReason: err.Error()})
-	}
 }

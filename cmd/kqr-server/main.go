@@ -192,6 +192,9 @@ func (cfg config) validate() error {
 	switch {
 	case cfg.follow != "" && (cfg.live || cfg.replDir != ""):
 		return fmt.Errorf("-follow is exclusive with -live and -repl-dir: a follower only replays the leader's log")
+	case cfg.follow != "" && (cfg.diskMode || cfg.snapLoad != "" || cfg.snapSave != "" || cfg.snapSavePgd != "" || cfg.warm ||
+		cfg.cdc || cfg.cdcPending != 0 || cfg.stalenessN != 0 || cfg.stalenessT != 0):
+		return fmt.Errorf("-follow takes no snapshot, -disk-mode, -warm, CDC or staleness flag: a follower's corpus, tables and promotions are the leader's")
 	case cfg.diskMode && cfg.snapLoad == "":
 		return fmt.Errorf("-disk-mode needs -snapshot-load naming a paged snapshot (save one with -snapshot-save-paged)")
 	case cfg.diskMode && cfg.warm:
@@ -202,6 +205,10 @@ func (cfg config) validate() error {
 		return fmt.Errorf("-repl-dir needs -live: only promotions are journaled")
 	case cfg.cdc && !cfg.live:
 		return fmt.Errorf("-cdc needs -live: streamed deltas stage into the live index")
+	case (cfg.stalenessN != 0 || cfg.stalenessT != 0) && !cfg.live:
+		return fmt.Errorf("-staleness-max-deltas and -staleness-max-age need -live: they bound staged deltas")
+	case cfg.cdcPending != 0 && !cfg.cdc:
+		return fmt.Errorf("-cdc-max-pending needs -cdc: it bounds streamed deltas")
 	}
 	return nil
 }
@@ -384,8 +391,9 @@ func relaxGC(cacheBudget, headroom uint64) {
 
 // runFollower runs the server in follower mode: the corpus is the
 // leader's, fetched as a snapshot and then kept current by tailing the
-// leader's delta log, so the local corpus/live/snapshot flags don't
-// apply. The serving flags (cache, inflight limits) work as usual.
+// leader's delta log, so validate refuses the live, snapshot, warm and
+// CDC flags (-seed and -papers are unused). The serving flags (cache,
+// inflight limits, -mend) work as usual.
 func runFollower(cfg config) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -4,13 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log"
 	"strings"
 	"sync"
 	"time"
 	"unicode"
 	"unicode/utf8"
 
-	"kqr/internal/artifact"
 	"kqr/internal/closeness"
 	"kqr/internal/core"
 	"kqr/internal/diskmode"
@@ -213,7 +213,7 @@ func (o Options) resolve() (live.Config, live.Options, error) {
 			go g.Pager.Close()
 		}
 		if userRetire != nil {
-			userRetire(g.Epoch)
+			userRetire(g.Provenance.Epoch)
 		}
 	}
 	return cfg, mopts, nil
@@ -238,14 +238,18 @@ func Open(d *Dataset, opts Options) (*Engine, error) {
 		return nil, fmt.Errorf("kqr: %w", err)
 	}
 	e := &Engine{mgr: mgr, live: opts.Live}
-	switch {
-	case opts.DiskMode:
-		if err := e.attachDiskTables(mgr.Current(), opts.ArtifactPath); err != nil {
-			return nil, err
+	if opts.ArtifactPath != "" {
+		info, err := e.restore(mgr.Current(), opts.ArtifactPath)
+		if err != nil {
+			// Disk mode fails rather than fall back: an operator who
+			// bounded table memory must not get an unbounded engine.
+			if opts.DiskMode {
+				return nil, err
+			}
+			log.Printf("kqr: snapshot %s not used (%v); falling back to live compute", opts.ArtifactPath, err)
+			info = ArtifactInfo{FallbackReason: err.Error()}
 		}
-		e.setArtifact(ArtifactInfo{Loaded: true, Path: opts.ArtifactPath, FormatVersion: artifact.FormatVersionPaged, Disk: true})
-	case opts.ArtifactPath != "":
-		e.loadArtifactsOrFallback(opts.ArtifactPath)
+		e.artifact = info
 	}
 	d.frozen = true
 	return e, nil

@@ -166,11 +166,11 @@ type SimTables interface {
 // Provenance records how a generation came to be — the admin API's
 // /api/admin/generation payload and the promote report.
 type Provenance struct {
-	// Epoch is the generation's monotonically increasing number; the
-	// initial generation built by Open is epoch 1.
+	// Epoch is the generation's monotonically increasing number — the
+	// only copy; the initial generation built by Open is epoch 1.
 	Epoch uint64 `json:"epoch"`
 	// Mode is how the generation was built: "initial", "full" (a
-	// promotion), or "reload".
+	// promotion), "reload", or "bootstrap" (a follower's first install).
 	Mode string `json:"mode"`
 	// Inserts and Deletes count the deltas applied relative to the
 	// previous generation (zero for "initial" and "reload").
@@ -199,9 +199,6 @@ type Provenance struct {
 // reassigned after Build returns; the stores' overlays fill lazily but
 // are safe for concurrent use.
 type Generation struct {
-	// Epoch is the generation number (assigned by the Manager; 1 for
-	// the initial generation).
-	Epoch uint64
 	// DB is the corpus this generation serves.
 	DB *relstore.Database
 	// TG is the TAT graph built over DB.
@@ -229,16 +226,17 @@ type Generation struct {
 	// computation, so closing is always safe. The Manager's OnRetire
 	// hook is where the root package does this.
 	Pager io.Closer
-	// Provenance records how this generation was built.
+	// Provenance records how this generation was built; its Epoch is the
+	// generation number, stamped by the Manager when it is published.
 	Provenance Provenance
 }
 
 // Build constructs a complete generation over db under the manager's
-// config. The caller assigns Epoch and Provenance — Build fills the
-// structural fields plus the Provenance.Mend timing of the mend-index
-// construction; the initial generation, every promotion and the root
-// package's snapshot reload all funnel through it, so they are wired
-// identically.
+// config: the structural fields plus the Provenance.Mend timing of the
+// mend-index construction (the Manager stamps the rest when it
+// publishes the generation). The initial generation, every promotion
+// and the root package's snapshot reload all funnel through it, so they
+// are wired identically.
 func (m *Manager) Build(db *relstore.Database) (*Generation, error) {
 	if db == nil {
 		return nil, fmt.Errorf("live: nil database")

@@ -211,8 +211,8 @@ func TestPromoteInsertMakesTermsQueryable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Epoch != 2 {
-		t.Errorf("epoch = %d, want 2", g.Epoch)
+	if g.Provenance.Epoch != 2 {
+		t.Errorf("epoch = %d, want 2", g.Provenance.Epoch)
 	}
 	if len(g.TG.FindTerm("blockchain")) == 0 {
 		t.Error("new term not in promoted vocabulary")
@@ -260,8 +260,8 @@ func TestPromoteEmptyPendingIsNoop(t *testing.T) {
 	if g != before {
 		t.Error("empty promote replaced the generation")
 	}
-	if g.Epoch != 1 {
-		t.Errorf("epoch = %d, want 1", g.Epoch)
+	if g.Provenance.Epoch != 1 {
+		t.Errorf("epoch = %d, want 1", g.Provenance.Epoch)
 	}
 }
 
@@ -391,12 +391,12 @@ func TestSwapAssignsReloadEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if old.Epoch != 1 {
-		t.Errorf("retired epoch = %d, want 1", old.Epoch)
+	if old.Provenance.Epoch != 1 {
+		t.Errorf("retired epoch = %d, want 1", old.Provenance.Epoch)
 	}
 	g := m.Current()
-	if g.Epoch != 2 || g.Provenance.Mode != "reload" {
-		t.Errorf("swapped generation epoch=%d mode=%q", g.Epoch, g.Provenance.Mode)
+	if g.Provenance.Epoch != 2 || g.Provenance.Mode != "reload" {
+		t.Errorf("swapped generation epoch=%d mode=%q", g.Provenance.Epoch, g.Provenance.Mode)
 	}
 }
 

@@ -40,7 +40,7 @@ type Manager struct {
 	ageTimer *time.Timer
 	closed   bool
 
-	promoteMu sync.Mutex // serializes promotions and swaps
+	promoteMu sync.Mutex // serializes every publish
 	// journal, when set, observes every epoch transition under promoteMu
 	// before the new generation becomes current (write-ahead order). A
 	// journal error aborts the transition.
@@ -48,8 +48,8 @@ type Manager struct {
 }
 
 // NewManager resolves cfg — before anything is built, so an invalid
-// value costs nothing — then builds the initial generation over db as
-// epoch 1, mode "initial".
+// value costs nothing — then builds the initial generation over db and
+// publishes it as epoch 1, mode "initial".
 func NewManager(db *relstore.Database, cfg Config, opts Options) (*Manager, error) {
 	cfg, err := cfg.Resolve()
 	if err != nil {
@@ -60,11 +60,9 @@ func NewManager(db *relstore.Database, cfg Config, opts Options) (*Manager, erro
 	if err != nil {
 		return nil, err
 	}
-	g.Epoch = 1
-	g.Provenance.Epoch = 1
-	g.Provenance.Mode = "initial"
-	g.Provenance.TotalTerms = g.TG.NumTermNodes()
-	m.cur.Store(g)
+	if _, err := m.publish(nil, g, 1, "initial", nil); err != nil {
+		return nil, err
+	}
 	return m, nil
 }
 
@@ -79,13 +77,14 @@ func (m *Manager) Config() Config { return m.cfg }
 func (m *Manager) Current() *Generation { return m.cur.Load() }
 
 // SetJournal installs the epoch-transition journal: f runs under the
-// promotion lock for every Promote, Swap and Advance, with the
-// generation about to become current and the deltas that produced it
-// (nil for deltaless transitions such as reloads), *before* the swap is
-// published — write-ahead order, so a journaled transition is durable
+// promotion lock for every transition (publish), with the generation
+// about to become current and the deltas that produced it (nil for
+// deltaless transitions such as reloads), *before* the pointer is
+// stored — write-ahead order, so a journaled transition is durable
 // before any reader can observe it. An error from f aborts the
 // transition (Promote restores its staged deltas). A nil f removes the
-// journal. The replication leader is the intended caller.
+// journal. The replication leader is the intended caller; a follower
+// has none.
 func (m *Manager) SetJournal(f func(next *Generation, deltas []Delta) error) {
 	m.promoteMu.Lock()
 	m.journal = f
@@ -93,7 +92,7 @@ func (m *Manager) SetJournal(f func(next *Generation, deltas []Delta) error) {
 }
 
 // Epoch returns the current generation's epoch.
-func (m *Manager) Epoch() uint64 { return m.Current().Epoch }
+func (m *Manager) Epoch() uint64 { return m.Current().Provenance.Epoch }
 
 // Pending returns how many deltas are staged for the next promotion.
 func (m *Manager) Pending() int {
@@ -175,10 +174,8 @@ func (m *Manager) Promote(ctx context.Context) (*Generation, error) {
 	}
 
 	next, err := m.rebuild(ctx, old, deltas)
-	if err == nil && m.journal != nil {
-		if jerr := m.journal(next, deltas); jerr != nil {
-			err = fmt.Errorf("live: journaling promotion: %w", jerr)
-		}
+	if err == nil {
+		next, err = m.publish(old, next, old.Provenance.Epoch+1, "full", deltas)
 	}
 	if err != nil {
 		// Put the deltas back ahead of anything ingested meanwhile.
@@ -187,19 +184,15 @@ func (m *Manager) Promote(ctx context.Context) (*Generation, error) {
 		m.mu.Unlock()
 		return nil, err
 	}
-	m.cur.Store(next)
-	if m.opts.OnRetire != nil {
-		m.opts.OnRetire(old)
-	}
 	return next, nil
 }
 
 // rebuild constructs the successor generation: delta application,
-// graph/store construction, offline precompute, packing, and
-// provenance.
+// graph/store construction, offline precompute, packing, and the
+// promotion's counts and phase timings (publish stamps the rest).
 func (m *Manager) rebuild(ctx context.Context, old *Generation, deltas []Delta) (*Generation, error) {
 	start := time.Now()
-	prov := Provenance{Epoch: old.Epoch + 1, Mode: "full"}
+	var prov Provenance
 	for _, d := range deltas {
 		if d.Op == OpDelete {
 			prov.Deletes++
@@ -222,7 +215,6 @@ func (m *Manager) rebuild(ctx context.Context, old *Generation, deltas []Delta) 
 		return nil, err
 	}
 	prov.BuildGraph = time.Since(t0)
-	prov.TotalTerms = next.TG.NumTermNodes()
 
 	// Re-warm the whole vocabulary only if the old generation held rows
 	// in RAM (warmed, loaded from a snapshot, or touched by queries); a
@@ -253,8 +245,6 @@ func (m *Manager) rebuild(ctx context.Context, old *Generation, deltas []Delta) 
 	prov.Mend = next.Provenance.Mend
 
 	prov.Total = time.Since(start)
-	prov.PromotedAt = time.Now()
-	next.Epoch = prov.Epoch
 	next.Provenance = prov
 	return next, nil
 }
@@ -264,25 +254,11 @@ func (m *Manager) rebuild(ctx context.Context, old *Generation, deltas []Delta) 
 // the retired generation. Pending deltas stay staged and will apply on
 // top of the swapped-in corpus at the next promotion.
 func (m *Manager) Swap(g *Generation) (*Generation, error) {
-	if g == nil {
-		return nil, fmt.Errorf("live: nil generation")
-	}
 	m.promoteMu.Lock()
 	defer m.promoteMu.Unlock()
 	old := m.Current()
-	g.Epoch = old.Epoch + 1
-	g.Provenance.Epoch = g.Epoch
-	g.Provenance.Mode = "reload"
-	g.Provenance.TotalTerms = g.TG.NumTermNodes()
-	g.Provenance.PromotedAt = time.Now()
-	if m.journal != nil {
-		if err := m.journal(g, nil); err != nil {
-			return nil, fmt.Errorf("live: journaling reload: %w", err)
-		}
-	}
-	m.cur.Store(g)
-	if m.opts.OnRetire != nil {
-		m.opts.OnRetire(old)
+	if _, err := m.publish(old, g, old.Provenance.Epoch+1, "reload", nil); err != nil {
+		return nil, err
 	}
 	return old, nil
 }
@@ -290,30 +266,15 @@ func (m *Manager) Swap(g *Generation) (*Generation, error) {
 // Install makes g current at the given epoch with the given provenance
 // mode, bypassing the usual previous+1 assignment — the replication
 // follower's bootstrap path, where the epoch is dictated by the leader.
-// The epoch must not move backwards. g may be the current generation
+// The epoch must advance, except that g may be the current generation
 // itself (bootstrap restores tables in place and then pins the leader's
-// epoch on it). Install is not journaled: a follower replays the
-// leader's journal, it does not write one.
+// epoch on it): that self-install may keep the epoch, and retires
+// nothing.
 func (m *Manager) Install(g *Generation, epoch uint64, mode string) error {
-	if g == nil {
-		return fmt.Errorf("live: nil generation")
-	}
 	m.promoteMu.Lock()
 	defer m.promoteMu.Unlock()
-	old := m.Current()
-	if epoch < old.Epoch {
-		return fmt.Errorf("live: install would move epoch backwards (%d < %d)", epoch, old.Epoch)
-	}
-	g.Epoch = epoch
-	g.Provenance.Epoch = epoch
-	g.Provenance.Mode = mode
-	g.Provenance.TotalTerms = g.TG.NumTermNodes()
-	g.Provenance.PromotedAt = time.Now()
-	m.cur.Store(g)
-	if old != g && m.opts.OnRetire != nil {
-		m.opts.OnRetire(old)
-	}
-	return nil
+	_, err := m.publish(m.Current(), g, epoch, mode, nil)
+	return err
 }
 
 // Advance republishes the current generation under the next epoch with
@@ -322,29 +283,58 @@ func (m *Manager) Install(g *Generation, epoch uint64, mode string) error {
 // the derived state is reused wholesale, but the epoch must advance to
 // stay in lockstep. The returned generation is a shallow copy sharing
 // every store with its predecessor (all of them are immutable or
-// concurrency-safe).
+// concurrency-safe), with a fresh provenance.
 func (m *Manager) Advance(mode string) (*Generation, error) {
 	m.promoteMu.Lock()
 	defer m.promoteMu.Unlock()
 	old := m.Current()
 	next := *old
-	next.Epoch = old.Epoch + 1
-	next.Provenance = Provenance{
-		Epoch:      next.Epoch,
-		Mode:       mode,
-		TotalTerms: old.TG.NumTermNodes(),
-		PromotedAt: time.Now(),
+	next.Provenance = Provenance{}
+	return m.publish(old, &next, old.Provenance.Epoch+1, mode, nil)
+}
+
+// publish is the one place a generation becomes current. Callers hold
+// promoteMu (NewManager: before the manager is shared) and pass the
+// generation it replaces (nil for the first). In order, it
+//   - refuses an epoch below old's, or equal to it unless next is old
+//     itself (a bootstrap self-install);
+//   - stamps epoch, mode, TotalTerms and PromotedAt into next's
+//     provenance — on a self-install into a shallow copy, so nothing a
+//     reader holds is mutated;
+//   - runs the journal, if set: write-ahead, so its error returns with
+//     Current, Epoch and the staged deltas as they were;
+//   - stores the pointer;
+//   - retires old exactly once, and never on a self-install.
+//
+// It returns the generation now current.
+func (m *Manager) publish(old, next *Generation, epoch uint64, mode string, deltas []Delta) (*Generation, error) {
+	if next == nil {
+		return nil, fmt.Errorf("live: nil generation")
 	}
-	if m.journal != nil {
-		if err := m.journal(&next, nil); err != nil {
-			return nil, fmt.Errorf("live: journaling advance: %w", err)
+	self := next == old
+	if old != nil {
+		if cur := old.Provenance.Epoch; epoch < cur || epoch == cur && !self {
+			return nil, fmt.Errorf("live: %s would not advance the epoch (%d after %d)", mode, epoch, cur)
 		}
 	}
-	m.cur.Store(&next)
-	if m.opts.OnRetire != nil {
+	if self {
+		cp := *old
+		next = &cp
+	}
+	next.Provenance.Epoch = epoch
+	next.Provenance.Mode = mode
+	next.Provenance.TotalTerms = next.TG.NumTermNodes()
+	next.Provenance.PromotedAt = time.Now()
+	if m.journal != nil {
+		if err := m.journal(next, deltas); err != nil {
+			return nil, fmt.Errorf("live: journaling %s to epoch %d: %w", mode, epoch, err)
+		}
+	}
+	m.cur.Store(next)
+	if old != nil && !self && m.opts.OnRetire != nil {
 		m.opts.OnRetire(old)
 	}
-	return &next, nil
+	return next, nil
 }
 
 // Close stops the staleness timer and rejects further ingestion. The

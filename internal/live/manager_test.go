@@ -54,7 +54,7 @@ func TestOnRetireObservesOldGeneration(t *testing.T) {
 	var retired []uint64
 	m := mustManager(t, Options{OnRetire: func(g *Generation) {
 		mu.Lock()
-		retired = append(retired, g.Epoch)
+		retired = append(retired, g.Provenance.Epoch)
 		mu.Unlock()
 	}})
 	for i := 0; i < 3; i++ {
@@ -243,5 +243,124 @@ func TestSwapRacesPromoteEpochMonotone(t *testing.T) {
 	}
 	if got := m.Epoch(); got != 1+swaps+promotions {
 		t.Errorf("final epoch = %d, want %d", got, 1+swaps+promotions)
+	}
+}
+
+// TestTransitionsPublishThroughOneSeam drives every way a generation
+// becomes current through a recording journal. For each transition the
+// journal must see the stamped next generation before any reader can,
+// the epoch rule must hold, provenance must carry the mode, each
+// replaced generation must retire exactly once — and a failing journal
+// must leave Current, Epoch and Pending exactly as they were.
+func TestTransitionsPublishThroughOneSeam(t *testing.T) {
+	fresh := func(t *testing.T, m *Manager) *Generation {
+		t.Helper()
+		g, err := m.Build(m.Current().DB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	for _, tc := range []struct {
+		name    string
+		run     func(t *testing.T, m *Manager) error
+		epoch   uint64 // 0: refused by the epoch rule
+		mode    string
+		deltas  int
+		retires int
+	}{
+		// NewManager's own call, on a manager that has a journal.
+		{"initial", func(t *testing.T, m *Manager) error {
+			_, err := m.publish(nil, fresh(t, m), 1, "initial", nil)
+			return err
+		}, 1, "initial", 0, 0},
+		{"promote", func(t *testing.T, m *Manager) error {
+			_, err := m.Promote(context.Background())
+			return err
+		}, 2, "full", 1, 1},
+		{"reload", func(t *testing.T, m *Manager) error {
+			_, err := m.Swap(fresh(t, m))
+			return err
+		}, 2, "reload", 0, 1},
+		{"bootstrap", func(t *testing.T, m *Manager) error {
+			return m.Install(fresh(t, m), 5, "bootstrap")
+		}, 5, "bootstrap", 0, 1},
+		{"bootstrap self-install, same epoch", func(t *testing.T, m *Manager) error {
+			return m.Install(m.Current(), 1, "bootstrap")
+		}, 1, "bootstrap", 0, 0},
+		{"bootstrap self-install, later epoch", func(t *testing.T, m *Manager) error {
+			return m.Install(m.Current(), 3, "bootstrap")
+		}, 3, "bootstrap", 0, 0},
+		{"bootstrap of another generation at the same epoch", func(t *testing.T, m *Manager) error {
+			return m.Install(fresh(t, m), 1, "bootstrap")
+		}, 0, "", 0, 0},
+		{"bootstrap backwards", func(t *testing.T, m *Manager) error {
+			return m.Install(m.Current(), 0, "bootstrap")
+		}, 0, "", 0, 0},
+		{"advance", func(t *testing.T, m *Manager) error {
+			_, err := m.Advance("reload")
+			return err
+		}, 2, "reload", 0, 1},
+	} {
+		for _, failJournal := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/journal-fails=%t", tc.name, failJournal), func(t *testing.T) {
+				var retired []*Generation
+				m := mustManager(t, Options{OnRetire: func(g *Generation) { retired = append(retired, g) }})
+				if err := m.Ingest([]Delta{insertPaper(100, "seam test", 1)}); err != nil {
+					t.Fatal(err)
+				}
+				before := m.Current()
+				var journaled []*Generation
+				m.SetJournal(func(next *Generation, deltas []Delta) error {
+					journaled = append(journaled, next)
+					if m.Current() == next || m.Epoch() != 1 {
+						t.Errorf("journal ran after epoch %d became visible", next.Provenance.Epoch)
+					}
+					if p := next.Provenance; p.Epoch != tc.epoch || p.Mode != tc.mode || p.PromotedAt.IsZero() ||
+						p.TotalTerms != next.TG.NumTermNodes() || len(deltas) != tc.deltas {
+						t.Errorf("journal saw epoch %d mode %q promoted_at %v total_terms %d, %d deltas",
+							p.Epoch, p.Mode, p.PromotedAt, p.TotalTerms, len(deltas))
+					}
+					if failJournal {
+						return fmt.Errorf("disk full")
+					}
+					return nil
+				})
+
+				err := tc.run(t, m)
+				if tc.epoch == 0 || failJournal {
+					if err == nil {
+						t.Fatal("transition succeeded")
+					}
+					if tc.epoch == 0 && len(journaled) != 0 {
+						t.Errorf("refused transition was journaled %d times", len(journaled))
+					}
+					if m.Current() != before || m.Epoch() != 1 || m.Pending() != 1 || before.Provenance.Mode != "initial" {
+						t.Errorf("failed transition changed state: current replaced %t, epoch %d, pending %d, mode %q",
+							m.Current() != before, m.Epoch(), m.Pending(), before.Provenance.Mode)
+					}
+					if len(retired) != 0 {
+						t.Errorf("failed transition retired %d generations", len(retired))
+					}
+					return
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				g := m.Current()
+				if len(journaled) != 1 || journaled[0] != g {
+					t.Fatalf("journaled %d generations, want the one now current", len(journaled))
+				}
+				if m.Epoch() != tc.epoch || g.Provenance.Mode != tc.mode || g.Provenance.PromotedAt.IsZero() {
+					t.Errorf("current epoch %d mode %q promoted_at %v", m.Epoch(), g.Provenance.Mode, g.Provenance.PromotedAt)
+				}
+				if len(retired) != tc.retires || tc.retires == 1 && retired[0] != before {
+					t.Errorf("retired %d generations, want %d (the replaced one)", len(retired), tc.retires)
+				}
+				if want := 1 - tc.deltas; m.Pending() != want {
+					t.Errorf("pending = %d, want %d", m.Pending(), want)
+				}
+			})
+		}
 	}
 }

@@ -28,7 +28,7 @@ func TestPromotePacksNextGeneration(t *testing.T) {
 	walks, searches := sim.Computes(), g.Clos.Computes()
 	for _, v := range g.TG.TermNodeIDs() {
 		if _, _, ok := g.Sim.SimRow(v); !ok {
-			t.Fatalf("epoch %d: term %d has no row after promotion", g.Epoch, v)
+			t.Fatalf("epoch %d: term %d has no row after promotion", g.Provenance.Epoch, v)
 		}
 		g.Clos.Row(v)
 	}
@@ -70,11 +70,11 @@ func TestPackedTablesAcrossPromoteSwapRace(t *testing.T) {
 				// test produces (inserts only, plus fresh-corpus swaps).
 				refs, err := g.Core.Reformulate([]string{"uncertain", "data"}, 4)
 				if err != nil {
-					t.Errorf("epoch %d: %v", g.Epoch, err)
+					t.Errorf("epoch %d: %v", g.Provenance.Epoch, err)
 					return
 				}
 				if len(refs) == 0 {
-					t.Errorf("epoch %d: no reformulations", g.Epoch)
+					t.Errorf("epoch %d: no reformulations", g.Provenance.Epoch)
 					return
 				}
 			}

@@ -326,18 +326,18 @@ func (f *Follower) apply(ctx context.Context, rec Record, n int) error {
 			}
 			return fmt.Errorf("%w: promoting record %d: %v", ErrDiverged, rec.Index, err)
 		}
-		if g.Epoch != rec.Epoch {
+		if g.Provenance.Epoch != rec.Epoch {
 			return fmt.Errorf("%w: record %d promoted to epoch %d, wanted %d",
-				ErrDiverged, rec.Index, g.Epoch, rec.Epoch)
+				ErrDiverged, rec.Index, g.Provenance.Epoch, rec.Epoch)
 		}
 	case kindEpoch:
 		g, err := mgr.Advance(rec.Mode)
 		if err != nil {
 			return fmt.Errorf("%w: advancing for record %d: %v", ErrDiverged, rec.Index, err)
 		}
-		if g.Epoch != rec.Epoch {
+		if g.Provenance.Epoch != rec.Epoch {
 			return fmt.Errorf("%w: record %d advanced to epoch %d, wanted %d",
-				ErrDiverged, rec.Index, g.Epoch, rec.Epoch)
+				ErrDiverged, rec.Index, g.Provenance.Epoch, rec.Epoch)
 		}
 	default:
 		return fmt.Errorf("%w: record %d has unknown kind %d", ErrDiverged, rec.Index, rec.Kind)

@@ -84,9 +84,9 @@ func NewLeader(mgr *live.Manager, dir string, opts LeaderOptions) (*Leader, erro
 // transition to the log (fsynced) before the new generation becomes
 // current. An append failure aborts the transition.
 func (l *Leader) journal(next *live.Generation, deltas []live.Delta) error {
-	rec := Record{Epoch: next.Epoch, Kind: kindEpoch, Mode: next.Provenance.Mode}
+	rec := Record{Epoch: next.Provenance.Epoch, Kind: kindEpoch, Mode: next.Provenance.Mode}
 	if len(deltas) > 0 {
-		rec = Record{Epoch: next.Epoch, Kind: kindDeltas, Deltas: deltas}
+		rec = Record{Epoch: next.Provenance.Epoch, Kind: kindDeltas, Deltas: deltas}
 	}
 	idx, err := l.log.Append(rec)
 	if err != nil {
@@ -96,7 +96,7 @@ func (l *Leader) journal(next *live.Generation, deltas []live.Delta) error {
 	// leader appends from nowhere else, so Bytes() here is exactly the
 	// position after idx.
 	l.mu.Lock()
-	l.nextByEpoch[next.Epoch] = position{next: idx + 1, bytes: l.log.Bytes()}
+	l.nextByEpoch[next.Provenance.Epoch] = position{next: idx + 1, bytes: l.log.Bytes()}
 	close(l.notify)
 	l.notify = make(chan struct{})
 	l.mu.Unlock()
@@ -175,9 +175,9 @@ func (l *Leader) Handler() http.Handler {
 // handler can observe already has its resume index registered.
 func (l *Leader) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	g := l.mgr.Current()
-	pos, ok := l.resumePosition(g.Epoch)
+	pos, ok := l.resumePosition(g.Provenance.Epoch)
 	if !ok {
-		http.Error(w, fmt.Sprintf("repl: no resume position for epoch %d", g.Epoch), http.StatusInternalServerError)
+		http.Error(w, fmt.Sprintf("repl: no resume position for epoch %d", g.Provenance.Epoch), http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")

@@ -288,7 +288,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("readSnapshot: %v", err)
 	}
-	if snap.Epoch != g.Epoch || snap.NextIndex != 7 || snap.LogBytes != 123 {
+	if snap.Epoch != g.Provenance.Epoch || snap.NextIndex != 7 || snap.LogBytes != 123 {
 		t.Errorf("header: %+v", snap)
 	}
 	if snap.DB.Stats().String() != g.DB.Stats().String() {
@@ -484,10 +484,10 @@ func assertAnswerable(t *testing.T, f *Follower, term string) {
 	g := f.mgr.Current()
 	nodes := g.TG.FindTerm(term)
 	if len(nodes) == 0 {
-		t.Fatalf("term %q not in the follower's vocabulary at epoch %d", term, g.Epoch)
+		t.Fatalf("term %q not in the follower's vocabulary at epoch %d", term, g.Provenance.Epoch)
 	}
 	if _, err := g.Sim.SimilarNodes(nodes[0], 5); err != nil {
-		t.Fatalf("term %q not answerable on the follower at epoch %d: %v", term, g.Epoch, err)
+		t.Fatalf("term %q not answerable on the follower at epoch %d: %v", term, g.Provenance.Epoch, err)
 	}
 }
 

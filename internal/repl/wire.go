@@ -163,7 +163,7 @@ func writeSnapshot(w io.Writer, mgr *live.Manager, g *live.Generation, pos posit
 	cw := frame.NewWriter(w)
 	cw.Bytes(snapMagic[:])
 	cw.U32(uint32(snapVersion)) // widened: room for flags later
-	cw.U64(g.Epoch)
+	cw.U64(g.Provenance.Epoch)
 	cw.U64(pos.next)
 	cw.U64(uint64(pos.bytes))
 	cw.Str(fp)

@@ -4,41 +4,41 @@ import (
 	"context"
 	"fmt"
 
-	"kqr/internal/flight"
+	"kqr/internal/graph"
 )
 
 // PrecomputeTerms runs the offline extraction (similarity + closeness)
 // for the given terms, computing their rows so subsequent queries over
-// those terms are pure lookups. Terms fan out over a worker pool of
-// Options.PrecomputeWorkers goroutines (default runtime.GOMAXPROCS(0))
-// — the extractors are safe for concurrent use and the work is
-// embarrassingly parallel. The first failure stops the pool and is
-// returned wrapped with the offending term. This is the paper's offline
-// stage made explicit; combine with SaveArtifacts to persist it, or use
-// Warm to precompute the whole vocabulary.
+// those terms are pure lookups. Every term is resolved first, and an
+// unknown one fails the call, named, before anything is computed. The
+// rows are then computed the way Warm computes the whole vocabulary:
+// batched, over Options.PrecomputeWorkers goroutines (default
+// runtime.GOMAXPROCS(0)). This is the paper's offline stage made
+// explicit; combine with SaveArtifacts to persist it, or use Warm to
+// precompute the whole vocabulary.
 func (e *Engine) PrecomputeTerms(terms []string) error {
 	g := e.cur()
-	err := flight.ForEach(context.Background(), e.mgr.Config().Workers, len(terms), func(i int) error {
-		term := terms[i]
+	nodes := make([]graph.NodeID, len(terms))
+	for i, term := range terms {
 		node, err := g.Core.ResolveTerm(term)
 		if err != nil {
 			return fmt.Errorf("kqr: precompute term %q: %w", term, err)
 		}
-		cands, err := g.Sim.SimilarNodes(node, 0)
-		if err != nil {
-			return fmt.Errorf("kqr: precompute term %q: %w", term, err)
-		}
-		// Closeness is also needed from every candidate (HMM
-		// transitions start at candidate nodes); its search never
-		// fails, so Row's error is not checked.
-		g.Clos.Row(node)
-		for _, sn := range cands {
-			g.Clos.Row(sn.Node)
-		}
-		return nil
-	})
-	if err != nil {
-		return err
+		nodes[i] = node
+	}
+	ctx := context.Background()
+	if err := g.Sim.Precompute(ctx, nodes); err != nil {
+		return fmt.Errorf("kqr: precomputing similarity: %w", err)
+	}
+	// Closeness is also needed from every candidate (HMM transitions
+	// start at candidate nodes).
+	clos := nodes
+	for _, v := range nodes {
+		cands, _, _ := g.Sim.SimRow(v)
+		clos = append(clos, cands...)
+	}
+	if err := g.Clos.Precompute(ctx, clos); err != nil {
+		return fmt.Errorf("kqr: precomputing closeness: %w", err)
 	}
 	// Fold the computed rows into the packed CSR tables so queries over
 	// the precomputed terms take the lock-free decode path.
