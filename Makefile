@@ -22,7 +22,7 @@ vet:
 # package doc comment (vet catches malformed ones; the script catches
 # missing ones).
 docs-check: vet
-	sh scripts/docs-check.sh . internal/frame internal/artifact internal/live internal/repl internal/packed internal/cdc internal/diskmode internal/mend server internal/serving internal/flight \
+	sh scripts/docs-check.sh . internal/frame internal/artifact internal/live internal/stream internal/repl internal/packed internal/cdc internal/diskmode internal/mend server internal/serving internal/flight \
 		internal/closeness internal/cooccur internal/dblpgen internal/eval internal/graph internal/keywordsearch internal/randomwalk internal/relstore internal/tatgraph internal/textindex
 
 test:

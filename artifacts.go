@@ -100,9 +100,9 @@ func (e *Engine) SaveArtifactsPaged(path string) error {
 }
 
 // saveSnapshot snapshots the current generation's offline stage under
-// the engine's fingerprint and streams its encoding to path atomically:
-// a temp file in the same directory is renamed over path only after a
-// successful write.
+// the engine's fingerprint and streams its encoding to path atomically
+// and durably: a temp file in the same directory is synced, renamed
+// over path only after a successful write, and the directory synced.
 func (e *Engine) saveSnapshot(path string, write func(*artifact.Snapshot, io.Writer) error) error {
 	g := e.cur()
 	snap := live.ArtifactSnapshot(g, e.artifactFingerprint(g))
@@ -116,11 +116,23 @@ func (e *Engine) saveSnapshot(path string, write func(*artifact.Snapshot, io.Wri
 		tmp.Close()
 		return fmt.Errorf("kqr: saving artifacts to %s: %w", path, err)
 	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return fmt.Errorf("kqr: saving artifacts to %s: %w", path, err)
+	}
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("kqr: saving artifacts to %s: %w", path, err)
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("kqr: saving artifacts: %w", err)
+	}
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return fmt.Errorf("kqr: saving artifacts: %w", err)
+	}
+	defer dir.Close()
+	if err := dir.Sync(); err != nil {
+		return fmt.Errorf("kqr: saving artifacts: syncing %s: %w", filepath.Dir(path), err)
 	}
 	return nil
 }

@@ -357,21 +357,49 @@ func TestSaveArtifactsAtomic(t *testing.T) {
 // its own version must give back the file byte for byte: the
 // fingerprint, both layouts and every score survive the engine round
 // trip unmoved.
+//
+// A fresh Warm → save must give back the same bytes too, as long as the
+// fingerprint's solver and row tags (randomwalk.Solver,
+// closeness.Rows) are the fixture's: a change to the rows without a tag
+// bump fails here. When the change is intended, bump the tag and
+// regenerate the fixtures — the recipe: open bibliographyDataset with
+// kqr.Options{}, Warm, then SaveArtifacts to testdata/v1.kqrart and
+// SaveArtifactsPaged to testdata/v2.kqrart; write
+// testdata/v2-pages256.kqrart from the same snapshot with
+// artifact.PagedOptions{PageBytes: 256}.
 func TestGoldenArtifactsByteIdentical(t *testing.T) {
-	for _, tc := range []struct {
-		file string
-		save func(*kqr.Engine, string) error
-	}{
-		{"internal/artifact/testdata/v1.kqrart", (*kqr.Engine).SaveArtifacts},
-		{"internal/artifact/testdata/v2.kqrart", (*kqr.Engine).SaveArtifactsPaged},
-	} {
+	loaded := func(file string) *kqr.Engine {
 		eng, err := kqr.Open(bibliographyDataset(t), kqr.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.LoadArtifacts(tc.file); err != nil {
-			t.Fatalf("%s: %v", tc.file, err)
+		if err := eng.LoadArtifacts(file); err != nil {
+			t.Fatalf("%s: %v", file, err)
 		}
+		return eng
+	}
+	warmed := func(string) *kqr.Engine {
+		eng, err := kqr.Open(bibliographyDataset(t), kqr.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Warm(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	for _, tc := range []struct {
+		name string
+		file string
+		open func(string) *kqr.Engine
+		save func(*kqr.Engine, string) error
+	}{
+		{"load → save", "internal/artifact/testdata/v1.kqrart", loaded, (*kqr.Engine).SaveArtifacts},
+		{"load → save", "internal/artifact/testdata/v2.kqrart", loaded, (*kqr.Engine).SaveArtifactsPaged},
+		{"fresh Warm → save", "internal/artifact/testdata/v1.kqrart", warmed, (*kqr.Engine).SaveArtifacts},
+		{"fresh Warm → save", "internal/artifact/testdata/v2.kqrart", warmed, (*kqr.Engine).SaveArtifactsPaged},
+	} {
+		eng := tc.open(tc.file)
 		out := filepath.Join(t.TempDir(), "resaved")
 		if err := tc.save(eng, out); err != nil {
 			t.Fatal(err)
@@ -379,11 +407,13 @@ func TestGoldenArtifactsByteIdentical(t *testing.T) {
 		want, _ := os.ReadFile(tc.file)
 		got, _ := os.ReadFile(out)
 		if len(want) == 0 || !bytes.Equal(got, want) {
-			t.Fatalf("%s: load → save gave %d bytes that differ from the fixture's %d", tc.file, len(got), len(want))
+			t.Fatalf("%s: %s gave %d bytes that differ from the fixture's %d. This build's tags are solver=%s closrows=%s; "+
+				"rows that changed under the same tags need a tag bump, then the fixtures regenerated (recipe above TestGoldenArtifactsByteIdentical)",
+				tc.file, tc.name, len(got), len(want), randomwalk.Solver, closeness.Rows)
 		}
-		// And the loaded tables answer: the fixture is a full warm.
+		// And the tables answer: the fixture is a full warm.
 		if terms, err := eng.SimilarTerms("uncertain", 3); err != nil || len(terms) == 0 {
-			t.Fatalf("%s: SimilarTerms off the fixture: %v, %v", tc.file, terms, err)
+			t.Fatalf("%s: SimilarTerms after %s: %v, %v", tc.file, tc.name, terms, err)
 		}
 	}
 }

@@ -265,8 +265,8 @@ func run(cfg config) error {
 	loaded := eng.Artifact().Loaded
 	if cfg.diskMode {
 		if ds, ok := eng.DiskTables(); ok {
-			fmt.Printf("disk mode: %s faults, tables %.1f MiB on disk, budget %.1f MiB (index %.1f MiB resident)\n",
-				ds.Mode, float64(ds.BlobBytes)/(1<<20), float64(ds.Budget)/(1<<20), float64(ds.MetaBytes)/(1<<20))
+			fmt.Printf("disk mode: tables %.1f MiB on disk, budget %.1f MiB (index %.1f MiB resident)\n",
+				float64(ds.BlobBytes)/(1<<20), float64(ds.Budget)/(1<<20), float64(ds.MetaBytes)/(1<<20))
 			relaxGC(uint64(ds.CacheBudget), diskModeGCHeadroom)
 		}
 	}

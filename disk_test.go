@@ -2,11 +2,14 @@ package kqr_test
 
 import (
 	"context"
+	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"kqr"
+	"kqr/synthetic"
 )
 
 // warmAndSavePaged warms an engine over the bibliography corpus and
@@ -120,6 +123,63 @@ func TestDiskModeReformulate(t *testing.T) {
 				t.Fatalf("query %v suggestion %d: %+v != %+v", query, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// TestDiskModeTruncatedUnderStore: a snapshot cut short under an open
+// disk-mode engine must not crash it. Every page past the cut fails its
+// read, is counted corrupt, and the row is computed live instead — so
+// every answer still equals the warmed RAM engine's.
+func TestDiskModeTruncatedUnderStore(t *testing.T) {
+	corpus := func() *kqr.Dataset {
+		c, err := synthetic.Bibliography(synthetic.Config{Seed: 5, Topics: 4, Confs: 8, Authors: 60, Papers: 400})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c.Dataset
+	}
+	warm, err := kqr.Open(corpus(), kqr.Options{PrecomputeWorkers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := warm.Warm(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "offline.paged")
+	if err := warm.SaveArtifactsPaged(path); err != nil {
+		t.Fatal(err)
+	}
+	disk, err := kqr.Open(corpus(), kqr.Options{ArtifactPath: path, DiskMode: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, 4<<10); err != nil {
+		t.Fatal(err)
+	}
+	for _, term := range warm.Vocabulary() {
+		want, err := warm.SimilarTerms(term, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := disk.SimilarTerms(term, 10)
+		if err != nil {
+			t.Fatalf("term %q over the truncated file: %v", term, err)
+		}
+		wantC, err := warm.CloseTerms(term, 10, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotC, err := disk.CloseTerms(term, 10, "")
+		if err != nil {
+			t.Fatalf("term %q over the truncated file: %v", term, err)
+		}
+		if !slices.Equal(got, want) || !slices.Equal(gotC, wantC) {
+			t.Fatalf("term %q over the truncated file: similar %+v close %+v, RAM mode similar %+v close %+v",
+				term, got, gotC, want, wantC)
+		}
+	}
+	if stats, _ := disk.DiskTables(); stats.CorruptPages == 0 || stats.BlobBytes < 8<<10 {
+		t.Fatalf("want a blob well past the 4 KiB cut and corrupt pages counted: %+v", stats)
 	}
 }
 

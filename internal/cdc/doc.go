@@ -13,9 +13,9 @@
 // producer is backpressured instead of overrunning promotion. The
 // Feeder is the client side: it batches deltas from a deterministic
 // Source, keeps a bounded in-flight window keyed on cumulative acks,
-// reconnects with exponential backoff, and resumes from the receiver's
-// last-acknowledged sequence after a crash — the Source replays the
-// suffix, so no local spool file is needed.
+// reconnects under internal/stream's session rule, and resumes from the
+// receiver's last-acknowledged sequence after a crash — the Source
+// replays the suffix, so no local spool file is needed.
 //
 // # Wire format
 //

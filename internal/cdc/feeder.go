@@ -2,6 +2,7 @@ package cdc
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -9,19 +10,14 @@ import (
 	"net/http"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"kqr/internal/live"
+	"kqr/internal/stream"
 )
 
-// Feeder defaults.
-const (
-	defaultWindow     = 32
-	defaultFeederBeat = 3 * time.Second
-	defaultMinBackoff = 100 * time.Millisecond
-	defaultMaxBackoff = 5 * time.Second
-)
+// defaultWindow is the default in-flight batch bound.
+const defaultWindow = 32
 
 // Source produces the change stream a Feeder ships. Batch returns the
 // deltas for a 1-based sequence number, or ok=false once the stream is
@@ -52,36 +48,9 @@ type FeederOptions struct {
 	// fingerprint or the feeder stops with ErrRejected. Empty adopts
 	// whatever the receiver reports.
 	Fingerprint string
-	// Heartbeat is how often an idle stream sends a heartbeat frame
-	// (default 3s).
-	Heartbeat time.Duration
-	// MinBackoff and MaxBackoff bound the exponential reconnect delay
-	// (defaults 100ms and 5s). Backoff resets whenever a session makes
-	// ack progress.
-	MinBackoff time.Duration
-	MaxBackoff time.Duration
 	// Logf, if set, receives one line per connection event. Nil means
 	// silent.
 	Logf func(format string, args ...any)
-}
-
-func (o FeederOptions) withDefaults() FeederOptions {
-	if o.Client == nil {
-		o.Client = http.DefaultClient
-	}
-	if o.Window <= 0 {
-		o.Window = defaultWindow
-	}
-	if o.Heartbeat <= 0 {
-		o.Heartbeat = defaultFeederBeat
-	}
-	if o.MinBackoff <= 0 {
-		o.MinBackoff = defaultMinBackoff
-	}
-	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = defaultMaxBackoff
-	}
-	return o
 }
 
 // FeederStatus is a Feeder's point-in-time progress.
@@ -106,29 +75,27 @@ type FeederStatus struct {
 
 // Feeder ships a Source's delta batches to a receiver's /cdc/stream
 // endpoint: bounded in-flight window keyed on cumulative acks,
-// exponential-backoff reconnect, resume from the receiver's last
-// acknowledged sequence. One Run per Feeder.
+// reconnect under the stream session rule (internal/stream), resume
+// from the receiver's last acknowledged sequence. One Run per Feeder.
 type Feeder struct {
-	base string
-	opts FeederOptions
+	base   string
+	opts   FeederOptions
+	timing stream.Timing
 
 	mu     sync.Mutex
 	status FeederStatus
 }
 
-// terminalError marks a session error that reconnecting cannot fix.
-type terminalError struct{ err error }
-
-// Error returns the wrapped error's message.
-func (e terminalError) Error() string { return e.err.Error() }
-
-// Unwrap exposes the wrapped error to errors.Is/As.
-func (e terminalError) Unwrap() error { return e.err }
-
 // NewFeeder builds a Feeder targeting a server base URL (e.g.
 // "http://host:7071"); the stream endpoint path is appended.
 func NewFeeder(base string, opts FeederOptions) *Feeder {
-	return &Feeder{base: strings.TrimRight(base, "/"), opts: opts.withDefaults()}
+	if opts.Client == nil {
+		opts.Client = http.DefaultClient
+	}
+	if opts.Window <= 0 {
+		opts.Window = defaultWindow
+	}
+	return &Feeder{base: strings.TrimRight(base, "/"), opts: opts, timing: stream.Default}
 }
 
 // Status snapshots the feeder's progress.
@@ -152,56 +119,37 @@ func (f *Feeder) logf(format string, args ...any) {
 
 // Run feeds src until it is exhausted and fully acknowledged (returns
 // nil), the context ends, the receiver rejects the stream (ErrRejected),
-// or src fails. Transport drops reconnect with exponential backoff and
-// resume from the receiver's ack point.
+// or src fails. A stream that breaks or stalls reconnects and resumes
+// from the receiver's ack point.
 func (f *Feeder) Run(ctx context.Context, src Source) error {
 	if f.opts.Source == "" {
 		return errors.New("cdc: FeederOptions.Source is required")
 	}
-	backoff := f.opts.MinBackoff
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
+	err := f.timing.Run(ctx, func(ctx context.Context) (bool, error) {
 		before := f.Status().LastAcked
-		finished, err := f.session(ctx, src)
-		if finished {
-			f.update(func(s *FeederStatus) { s.Done = true })
-			return nil
+		err := f.session(ctx, src)
+		if err != nil && ctx.Err() == nil {
+			f.logf("cdc feeder %q: stream ended (%v)", f.opts.Source, err)
 		}
-		var term terminalError
-		if errors.As(err, &term) {
-			return term.err
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		if f.Status().LastAcked > before {
-			backoff = f.opts.MinBackoff
-		} else {
-			backoff = min(backoff*2, f.opts.MaxBackoff)
-		}
-		f.logf("cdc feeder %q: stream ended (%v), reconnecting in %v", f.opts.Source, err, backoff)
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(backoff):
-		}
+		return f.Status().LastAcked > before, err
+	})
+	if err == nil {
+		f.update(func(s *FeederStatus) { s.Done = true })
 	}
+	return err
 }
 
-// session runs one connection: handshake, then the send/ack loop.
-// finished=true means the Source is exhausted and fully acked; a nil
-// error with finished=false means a transient drop worth a reconnect.
-func (f *Feeder) session(ctx context.Context, src Source) (finished bool, err error) {
-	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
+// session runs one connection: handshake, then the send/ack loop. A
+// nil error means the Source is exhausted and fully acked; errors the
+// feeder cannot fix by reconnecting are marked stream.Terminal.
+func (f *Feeder) session(ctx context.Context, src Source) error {
 	pr, pw := io.Pipe()
-	defer pw.CloseWithError(io.ErrClosedPipe)
-	req, err := http.NewRequestWithContext(sctx, http.MethodPost, f.base+"/cdc/stream", pr)
+	out := stream.NewWriter(f.timing, pw, nil, writeFrame)
+	defer out.Close()
+	defer pw.CloseWithError(io.ErrClosedPipe) // first: unblocks a stuck write
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, f.base+"/cdc/stream", pr)
 	if err != nil {
-		return false, terminalError{err}
+		return stream.Terminal(err)
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
 
@@ -209,45 +157,45 @@ func (f *Feeder) session(ctx context.Context, src Source) (finished bool, err er
 	// blocks until response headers arrive — so the hello must go down
 	// the pipe concurrently with Do.
 	go func() {
-		if err := writeStreamHeader(pw); err != nil {
-			pw.CloseWithError(err)
-			return
+		err := writeStreamHeader(pw)
+		if err == nil {
+			err = out.Send(frame{kind: kindHello, source: f.opts.Source, fingerprint: f.opts.Fingerprint})
 		}
-		if err := writeFrame(pw, frame{kind: kindHello, source: f.opts.Source, fingerprint: f.opts.Fingerprint}); err != nil {
+		if err != nil {
 			pw.CloseWithError(err)
 		}
 	}()
 
-	resp, err := f.opts.Client.Do(req)
+	resp, err := f.timing.Do(f.opts.Client, req)
 	if err != nil {
-		return false, fmt.Errorf("cdc: dial: %w", err)
+		return fmt.Errorf("cdc: dial: %w", err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		err := fmt.Errorf("HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(msg)))
 		if resp.StatusCode >= 400 && resp.StatusCode < 500 {
-			return false, terminalError{fmt.Errorf("%w: %v", ErrRejected, err)}
+			return stream.Terminal(fmt.Errorf("%w: %v", ErrRejected, err))
 		}
-		return false, err
+		return err
 	}
 
 	br := bufio.NewReaderSize(resp.Body, 1<<16)
 	if err := readStreamHeader(br); err != nil {
-		return false, err
+		return err
 	}
 	welcome, err := readFrame(br)
 	if err != nil {
-		return false, fmt.Errorf("cdc: reading welcome: %w", err)
+		return fmt.Errorf("cdc: reading welcome: %w", err)
 	}
 	if welcome.kind == kindError {
-		return false, terminalError{fmt.Errorf("%w: %s", ErrRejected, welcome.message)}
+		return stream.Terminal(fmt.Errorf("%w: %s", ErrRejected, welcome.message))
 	}
 	if welcome.kind != kindWelcome {
-		return false, fmt.Errorf("%w: first frame kind %d, want welcome", ErrProtocol, welcome.kind)
+		return fmt.Errorf("%w: first frame kind %d, want welcome", ErrProtocol, welcome.kind)
 	}
 	if f.opts.Fingerprint != "" && welcome.fingerprint != f.opts.Fingerprint {
-		return false, terminalError{fmt.Errorf("%w: schema fingerprint mismatch", ErrRejected)}
+		return stream.Terminal(fmt.Errorf("%w: schema fingerprint mismatch", ErrRejected))
 	}
 
 	f.update(func(s *FeederStatus) {
@@ -258,18 +206,20 @@ func (f *Feeder) session(ctx context.Context, src Source) (finished bool, err er
 		s.Epoch = welcome.epoch
 	})
 	f.logf("cdc feeder %q: connected, resuming after seq %d (epoch %d)", f.opts.Source, welcome.seq, welcome.epoch)
+	out.Heartbeat(func() frame { return frame{kind: kindHeartbeat, seq: f.Status().LastSent} })
 
-	// Reader goroutine: acks advance the shared high-water mark and nudge
-	// the sender; a server error frame is terminal for the whole Run.
+	// Reader goroutine: acks advance the status's high-water mark and
+	// nudge the sender; a server error frame is terminal for the whole
+	// Run. Closing the pipe when it ends unblocks a sender stuck
+	// mid-write.
 	var (
-		acked      atomic.Uint64
 		notify     = make(chan struct{}, 1)
 		readerDone = make(chan struct{})
 		readerErr  error // valid after readerDone closes
 	)
-	acked.Store(welcome.seq)
 	go func() {
 		defer close(readerDone)
+		defer pw.CloseWithError(io.ErrClosedPipe)
 		for {
 			fr, err := readFrame(br)
 			if err != nil {
@@ -280,14 +230,11 @@ func (f *Feeder) session(ctx context.Context, src Source) (finished bool, err er
 			}
 			switch fr.kind {
 			case kindAck:
-				if fr.seq > acked.Load() {
-					acked.Store(fr.seq)
-					f.update(func(s *FeederStatus) {
-						s.LastAcked = fr.seq
-						s.Epoch = fr.epoch
-						s.Pending = fr.pending
-					})
-				}
+				f.update(func(s *FeederStatus) {
+					if fr.seq > s.LastAcked {
+						s.LastAcked, s.Epoch, s.Pending = fr.seq, fr.epoch, fr.pending
+					}
+				})
 				select {
 				case notify <- struct{}{}:
 				default:
@@ -295,7 +242,7 @@ func (f *Feeder) session(ctx context.Context, src Source) (finished bool, err er
 			case kindHeartbeat:
 				// liveness only
 			case kindError:
-				readerErr = terminalError{fmt.Errorf("%w: %s", ErrRejected, fr.message)}
+				readerErr = stream.Terminal(fmt.Errorf("%w: %s", ErrRejected, fr.message))
 				return
 			default:
 				readerErr = fmt.Errorf("%w: unexpected frame kind %d mid-stream", ErrProtocol, fr.kind)
@@ -308,81 +255,62 @@ func (f *Feeder) session(ctx context.Context, src Source) (finished bool, err er
 	if f.opts.BatchesPerSec > 0 {
 		interval = time.Duration(float64(time.Second) / f.opts.BatchesPerSec)
 	}
-	var nextSend time.Time
-	sent := welcome.seq
-	ended := false
+	var next time.Time // when the rate limit lets the next batch go
+	sent, ended := welcome.seq, false
 	for {
-		a := acked.Load()
+		a := f.Status().LastAcked
 		if ended && a >= sent {
 			// Everything acked: close our half, then wait for the
 			// server to finish its side so final acks are not lost.
 			pw.Close()
 			select {
 			case <-readerDone:
-			case <-sctx.Done():
-				return false, sctx.Err()
+			case <-ctx.Done():
+				return ctx.Err()
 			}
-			if readerErr != nil {
-				return false, readerErr
-			}
-			return true, nil
+			return readerErr
 		}
+		var wake <-chan time.Time // nil: only an ack unblocks the sender
 		if !ended && sent-a < uint64(f.opts.Window) {
-			seq := sent + 1
-			deltas, ok, err := src.Batch(seq)
-			if err != nil {
-				return false, terminalError{fmt.Errorf("cdc: source batch %d: %w", seq, err)}
-			}
-			if !ok {
-				ended = true
+			if d := time.Until(next); d > 0 {
+				wake = time.After(d)
+			} else {
+				seq := sent + 1
+				deltas, ok, err := src.Batch(seq)
+				if err != nil {
+					return stream.Terminal(fmt.Errorf("cdc: source batch %d: %w", seq, err))
+				}
+				if !ok {
+					ended = true
+					continue
+				}
+				if err := out.Send(frame{kind: kindBatch, seq: seq, deltas: deltas}); err != nil {
+					<-readerDone // its error says why, and may be terminal
+					return streamClosed(cmp.Or(readerErr, err))
+				}
+				sent = seq
+				f.update(func(s *FeederStatus) { s.LastSent = seq })
+				if next.IsZero() {
+					next = time.Now()
+				}
+				next = next.Add(interval)
 				continue
 			}
-			if interval > 0 {
-				now := time.Now()
-				if nextSend.IsZero() {
-					nextSend = now
-				}
-				if wait := nextSend.Sub(now); wait > 0 {
-					select {
-					case <-sctx.Done():
-						return false, sctx.Err()
-					case <-readerDone:
-						return false, f.streamClosed(readerErr)
-					case <-time.After(wait):
-					}
-				}
-				nextSend = nextSend.Add(interval)
-			}
-			if err := writeFrame(pw, frame{kind: kindBatch, seq: seq, deltas: deltas}); err != nil {
-				return false, f.streamClosed(err)
-			}
-			sent = seq
-			f.update(func(s *FeederStatus) { s.LastSent = seq })
-			continue
 		}
-		// Window full, or drained and waiting for trailing acks.
 		select {
 		case <-notify:
+		case <-wake:
 		case <-readerDone:
-			return false, f.streamClosed(readerErr)
-		case <-sctx.Done():
-			return false, sctx.Err()
-		case <-time.After(f.opts.Heartbeat):
-			if err := writeFrame(pw, frame{kind: kindHeartbeat, seq: sent}); err != nil {
-				return false, f.streamClosed(err)
-			}
+			return streamClosed(readerErr)
+		case <-ctx.Done():
+			return ctx.Err()
 		}
 	}
 }
 
-// streamClosed normalizes a mid-session drop: terminal errors pass
-// through, anything else (including nil, the clean-EOF case) becomes a
-// transient "stream closed" error that triggers a reconnect.
-func (f *Feeder) streamClosed(err error) error {
-	var term terminalError
-	if errors.As(err, &term) {
-		return term
-	}
+// streamClosed wraps a mid-session drop — nil, the clean-EOF case,
+// included — as a "stream closed" error; a Terminal one stays terminal.
+func streamClosed(err error) error {
 	if err == nil {
 		err = io.ErrUnexpectedEOF
 	}

@@ -12,12 +12,12 @@ import (
 	"time"
 
 	"kqr/internal/live"
+	"kqr/internal/stream"
 )
 
 // Receiver defaults.
 const (
 	defaultMaxPending   = 5000
-	defaultHeartbeat    = 5 * time.Second
 	defaultPollInterval = 5 * time.Millisecond
 )
 
@@ -29,9 +29,6 @@ type ReceiverOptions struct {
 	// acked until a promotion drains the backlog below the bound, so a
 	// fast feeder's bounded in-flight window stalls it (default 5000).
 	MaxPending int
-	// Heartbeat is how often an idle stream sends a heartbeat frame to
-	// the feeder (default 5s).
-	Heartbeat time.Duration
 	// PollInterval is how often a backpressured stream re-checks the
 	// pending backlog (default 5ms).
 	PollInterval time.Duration
@@ -44,9 +41,6 @@ func (o ReceiverOptions) withDefaults() ReceiverOptions {
 	if o.MaxPending <= 0 {
 		o.MaxPending = defaultMaxPending
 	}
-	if o.Heartbeat <= 0 {
-		o.Heartbeat = defaultHeartbeat
-	}
 	if o.PollInterval <= 0 {
 		o.PollInterval = defaultPollInterval
 	}
@@ -57,8 +51,9 @@ func (o ReceiverOptions) withDefaults() ReceiverOptions {
 // through a live.Manager, exactly-once per source. Safe for concurrent
 // use; one Receiver serves any number of concurrent streams.
 type Receiver struct {
-	mgr  *live.Manager
-	opts ReceiverOptions
+	mgr    *live.Manager
+	opts   ReceiverOptions
+	timing stream.Timing
 
 	mu      sync.Mutex
 	sources map[string]*sourceState
@@ -97,6 +92,7 @@ func NewReceiver(mgr *live.Manager, opts ReceiverOptions) *Receiver {
 	return &Receiver{
 		mgr:     mgr,
 		opts:    opts.withDefaults(),
+		timing:  stream.Default,
 		sources: make(map[string]*sourceState),
 	}
 }
@@ -219,53 +215,20 @@ func (rc *Receiver) fingerprint() string {
 	return SchemaFingerprint(rc.mgr.Current().DB)
 }
 
-// streamWriter serializes frame writes on one stream (the read loop and
-// the heartbeat ticker both write) and flushes each frame immediately —
-// acks are the feeder's flow-control clock and must not sit in a buffer.
-type streamWriter struct {
-	mu   sync.Mutex
-	w    io.Writer
-	ctrl *http.ResponseController
-	err  error
-}
-
-func (sw *streamWriter) send(f frame) error {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	if sw.err != nil {
-		return sw.err
-	}
-	if err := writeFrame(sw.w, f); err != nil {
-		sw.err = err
-		return err
-	}
-	if sw.ctrl != nil {
-		if err := sw.ctrl.Flush(); err != nil {
-			sw.err = err
-			return err
-		}
-	}
-	return nil
-}
-
 // ServeStream handles one POST /cdc/stream connection: handshake,
 // then a read loop staging batches and writing acks until the feeder
 // closes the stream or an error ends it. It blocks for the stream's
 // lifetime; mount it directly on a mux.
 func (rc *Receiver) ServeStream(w http.ResponseWriter, r *http.Request) {
-	ctrl := http.NewResponseController(w)
-	// The surrounding http.Server enforces read/write deadlines sized
-	// for request/response traffic; a CDC stream lives for hours, so
-	// clear both, and switch to full-duplex so acks flow while the
-	// request body is still being read.
-	ctrl.SetReadDeadline(time.Time{})
-	ctrl.SetWriteDeadline(time.Time{})
+	// Full-duplex, so acks flow while the body is still being read; each
+	// read and write re-arms its own deadline (internal/stream).
+	ctrl, rw := rc.timing.Server(w, r)
 	if err := ctrl.EnableFullDuplex(); err != nil {
 		http.Error(w, "cdc: transport cannot stream full-duplex", http.StatusHTTPVersionNotSupported)
 		return
 	}
 
-	br := bufio.NewReaderSize(r.Body, 1<<16)
+	br := bufio.NewReaderSize(rw, 1<<16)
 	if err := readStreamHeader(br); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -282,15 +245,17 @@ func (rc *Receiver) ServeStream(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.WriteHeader(http.StatusOK)
-	out := &streamWriter{w: w, ctrl: ctrl}
-	if err := writeStreamHeader(w); err != nil {
+	if err := writeStreamHeader(rw); err != nil {
 		return
 	}
+	// Acks are the feeder's flow-control clock: each frame is flushed.
+	out := stream.NewWriter(rc.timing, rw, ctrl.Flush, writeFrame)
+	defer out.Close()
 
 	fp := rc.fingerprint()
 	if hello.fingerprint != "" && hello.fingerprint != fp {
 		rc.logf("cdc: source %q rejected: schema fingerprint mismatch", hello.source)
-		out.send(frame{kind: kindError, message: "schema fingerprint mismatch: feeder and receiver disagree on the corpus shape"})
+		out.Send(frame{kind: kindError, message: "schema fingerprint mismatch: feeder and receiver disagree on the corpus shape"})
 		return
 	}
 
@@ -314,7 +279,7 @@ func (rc *Receiver) ServeStream(w http.ResponseWriter, r *http.Request) {
 	}()
 	rc.logf("cdc: source %q connected, resuming after seq %d", src.name, src.lastSeq.Load())
 
-	if err := out.send(frame{
+	if err := out.Send(frame{
 		kind:        kindWelcome,
 		fingerprint: fp,
 		seq:         src.lastSeq.Load(),
@@ -323,24 +288,7 @@ func (rc *Receiver) ServeStream(w http.ResponseWriter, r *http.Request) {
 	}); err != nil {
 		return
 	}
-
-	// Heartbeats while the stream is otherwise idle.
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		tick := time.NewTicker(rc.opts.Heartbeat)
-		defer tick.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-tick.C:
-				if out.send(frame{kind: kindHeartbeat, seq: src.lastSeq.Load()}) != nil {
-					return
-				}
-			}
-		}
-	}()
+	out.Heartbeat(func() frame { return frame{kind: kindHeartbeat, seq: src.lastSeq.Load()} })
 
 	for {
 		f, err := readFrame(br)
@@ -363,7 +311,7 @@ func (rc *Receiver) ServeStream(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		default:
-			out.send(frame{kind: kindError, message: fmt.Sprintf("unexpected frame kind %d after handshake", f.kind)})
+			out.Send(frame{kind: kindError, message: fmt.Sprintf("unexpected frame kind %d after handshake", f.kind)})
 			return
 		}
 	}
@@ -373,7 +321,7 @@ func (rc *Receiver) ServeStream(w http.ResponseWriter, r *http.Request) {
 // frame: duplicates are acked and dropped, the next sequence is staged
 // (after any backpressure wait) and acked, and a gap is a terminal
 // protocol error.
-func (rc *Receiver) handleBatch(ctx context.Context, src *sourceState, out *streamWriter, f frame) error {
+func (rc *Receiver) handleBatch(ctx context.Context, src *sourceState, out *stream.Writer[frame], f frame) error {
 	src.stageMu.Lock()
 	defer src.stageMu.Unlock()
 	last := src.lastSeq.Load()
@@ -384,7 +332,7 @@ func (rc *Receiver) handleBatch(ctx context.Context, src *sourceState, out *stre
 		src.statsMu.Lock()
 		src.dups++
 		src.statsMu.Unlock()
-		return out.send(rc.ack(last))
+		return out.Send(rc.ack(last))
 	case f.seq == last+1:
 		if rc.testBeforeStage != nil {
 			rc.testBeforeStage(src.name, f.seq)
@@ -393,7 +341,7 @@ func (rc *Receiver) handleBatch(ctx context.Context, src *sourceState, out *stre
 			return err
 		}
 		if err := rc.mgr.Ingest(f.deltas); err != nil {
-			out.send(frame{kind: kindError, message: fmt.Sprintf("batch %d rejected: %v", f.seq, err)})
+			out.Send(frame{kind: kindError, message: fmt.Sprintf("batch %d rejected: %v", f.seq, err)})
 			return fmt.Errorf("batch %d rejected: %w", f.seq, err)
 		}
 		src.lastSeq.Store(f.seq)
@@ -408,10 +356,10 @@ func (rc *Receiver) handleBatch(ctx context.Context, src *sourceState, out *stre
 		if rc.testBeforeAck != nil {
 			rc.testBeforeAck(src.name, f.seq)
 		}
-		return out.send(rc.ack(f.seq))
+		return out.Send(rc.ack(f.seq))
 	default:
 		msg := fmt.Sprintf("sequence gap: got batch %d, expected %d", f.seq, last+1)
-		out.send(frame{kind: kindError, message: msg})
+		out.Send(frame{kind: kindError, message: msg})
 		return fmt.Errorf("%w: %s", ErrProtocol, msg)
 	}
 }

@@ -2,7 +2,6 @@ package diskmode
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"sort"
 	"sync"
@@ -25,8 +24,6 @@ type Options struct {
 	// 64 MiB, which holds the index of any corpus this repo generates
 	// with room for a useful hot set.
 	Budget int64
-	// NoMmap forces the plain ReadAt fault path even where mmap works.
-	NoMmap bool
 }
 
 // Resolve returns o with a zero Budget replaced by its default, or the
@@ -47,8 +44,6 @@ func (o Options) Resolve() (Options, error) {
 type Stats struct {
 	// Path is the snapshot file being served.
 	Path string `json:"path"`
-	// Mode is the fault path: "mmap" or "pread".
-	Mode string `json:"mode"`
 	// Budget, MetaBytes and CacheBudget are the configured resident
 	// budget and its split: MetaBytes is always resident, CacheBudget
 	// (= Budget - MetaBytes) bounds the decoded page cache.
@@ -74,12 +69,10 @@ type Stats struct {
 
 // Store serves packed tables from one open v2 paged snapshot. Its
 // table views are valid for the store's whole lifetime; after Close
-// they answer ok == false instead of touching the unmapped file.
+// they answer ok == false instead of touching the closed file.
 type Store struct {
 	path  string
 	f     *os.File
-	data  []byte // mmap view; nil in pread mode
-	mode  string
 	idx   *artifact.PagedIndex
 	cache *pageCache
 
@@ -98,7 +91,7 @@ type Store struct {
 	done     chan struct{}
 }
 
-// Open maps the v2 paged snapshot at path and returns a store serving
+// Open opens the v2 paged snapshot at path and returns a store serving
 // its tables within opts.Budget resident bytes. A non-empty
 // fingerprint must match the file's or Open fails (artifact
 // sentinels: ErrVersion for a v1 file, ErrFingerprint for a stale one).
@@ -135,14 +128,6 @@ func Open(path, fingerprint string, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("diskmode: %s: page cache needs at least %d bytes for this file's page size (budget %d leaves %d) — raise the table memory budget",
 			path, min, opts.Budget, s.cacheBudget)
 	}
-	s.mode = "pread"
-	if !opts.NoMmap {
-		if fi, err := f.Stat(); err == nil {
-			if data, err := mmapFile(f, fi.Size()); err == nil {
-				s.data, s.mode = data, "mmap"
-			}
-		}
-	}
 	s.cache = newPageCache(s.cacheBudget)
 	s.refs.Store(1)
 	return s, nil
@@ -177,7 +162,6 @@ func (s *Store) Stats() Stats {
 	}
 	return Stats{
 		Path:          s.path,
-		Mode:          s.mode,
 		Budget:        s.budget,
 		MetaBytes:     s.metaBytes,
 		CacheBudget:   s.cacheBudget,
@@ -206,10 +190,6 @@ func (s *Store) acquire() bool {
 func (s *Store) release() {
 	if s.refs.Add(-1) == 0 {
 		s.teardown.Do(func() {
-			if s.data != nil {
-				munmapFile(s.data)
-				s.data = nil
-			}
 			s.f.Close()
 			close(s.done)
 		})
@@ -218,7 +198,7 @@ func (s *Store) release() {
 
 // Close drains and tears down: it marks the store closed (new readers
 // immediately fall back), drops the owner reference, and blocks until
-// the last in-flight fault releases and the file is unmapped. Safe to
+// the last in-flight fault releases and the file is closed. Safe to
 // call more than once.
 func (s *Store) Close() error {
 	if s.closed.Swap(true) {
@@ -230,19 +210,12 @@ func (s *Store) Close() error {
 	return nil
 }
 
-// readPage loads the raw bytes of entries [lo, hi) of table t.
+// readPage loads the raw bytes of entries [lo, hi) of table t. A short
+// read — the file shrank under the store — is an error.
 func (s *Store) readPage(t *artifact.PagedTable, lo, hi uint64) ([]byte, error) {
-	off := t.BlobOff + int64(lo)*pagedEntrySize
-	n := int64(hi-lo) * pagedEntrySize
-	if s.data != nil {
-		if off+n > int64(len(s.data)) {
-			return nil, fmt.Errorf("diskmode: page beyond mapping")
-		}
-		return s.data[off : off+n : off+n], nil
-	}
-	buf := make([]byte, n)
-	if _, err := s.f.ReadAt(buf, off); err != nil && err != io.EOF {
-		return nil, err
+	buf := make([]byte, int64(hi-lo)*pagedEntrySize)
+	if n, err := s.f.ReadAt(buf, t.BlobOff+int64(lo)*pagedEntrySize); n < len(buf) {
+		return nil, fmt.Errorf("diskmode: page read %d of %d bytes: %v", n, len(buf), err)
 	}
 	return buf, nil
 }

@@ -71,60 +71,51 @@ func writeSnap(t *testing.T, s *artifact.Snapshot, pageBytes int) string {
 // TestBitIdentity: every row of the page-backed views must be
 // bit-identical to the RAM-backed tables built from the same maps —
 // over the full vocabulary, under a budget small enough to force
-// evictions mid-sweep, in both fault modes.
+// evictions mid-sweep.
 func TestBitIdentity(t *testing.T) {
 	const numNodes = 400
 	snap := synthSnapshot(numNodes, 24)
 	path := writeSnap(t, snap, 512)
 	ramSim, ramClos := ramTables(numNodes, snap)
 
-	for _, noMmap := range []bool{false, true} {
-		s, err := Open(path, snap.Fingerprint, Options{Budget: 24 << 10, NoMmap: noMmap})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sim, clos := s.Table(artifact.TableWalk), s.Table(artifact.TableCloseness)
-		if sim == nil || clos == nil {
-			t.Fatal("missing table views")
-		}
-		for v := graph.NodeID(0); int(v) < numNodes; v++ {
-			for name, pair := range map[string][2]packed.Table{"sim": {ramSim, sim}, "clos": {ramClos, clos}} {
-				wantN, wantS, wantOK := pair[0].Row(v)
-				gotN, gotS, gotOK := pair[1].Row(v)
-				if wantOK != gotOK || len(wantN) != len(gotN) {
-					t.Fatalf("noMmap=%v %s node %d: row shape mismatch", noMmap, name, v)
-				}
-				for i := range wantN {
-					if wantN[i] != gotN[i] || wantS[i] != gotS[i] {
-						t.Fatalf("noMmap=%v %s node %d entry %d: (%d,%v) != (%d,%v)",
-							noMmap, name, v, i, gotN[i], gotS[i], wantN[i], wantS[i])
-					}
+	s, err := Open(path, snap.Fingerprint, Options{Budget: 24 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, clos := s.Table(artifact.TableWalk), s.Table(artifact.TableCloseness)
+	if sim == nil || clos == nil {
+		t.Fatal("missing table views")
+	}
+	for v := graph.NodeID(0); int(v) < numNodes; v++ {
+		for name, pair := range map[string][2]packed.Table{"sim": {ramSim, sim}, "clos": {ramClos, clos}} {
+			wantN, wantS, wantOK := pair[0].Row(v)
+			gotN, gotS, gotOK := pair[1].Row(v)
+			if wantOK != gotOK || len(wantN) != len(gotN) {
+				t.Fatalf("%s node %d: row shape mismatch", name, v)
+			}
+			for i := range wantN {
+				if wantN[i] != gotN[i] || wantS[i] != gotS[i] {
+					t.Fatalf("%s node %d entry %d: (%d,%v) != (%d,%v)",
+						name, v, i, gotN[i], gotS[i], wantN[i], wantS[i])
 				}
 			}
 		}
-		st := s.Stats()
-		if st.Misses == 0 || st.Hits == 0 {
-			t.Fatalf("noMmap=%v: cache counters did not move: %+v", noMmap, st)
-		}
-		if st.BlobBytes <= st.CacheBudget {
-			t.Fatalf("noMmap=%v: test corpus does not exceed its budget: %+v", noMmap, st)
-		}
-		if st.Evictions == 0 {
-			t.Fatalf("noMmap=%v: sweep under budget never evicted: %+v", noMmap, st)
-		}
-		if st.ResidentBytes > st.Budget+numShards*int64(st.CacheBudget/numShards) {
-			t.Fatalf("noMmap=%v: resident %d far exceeds budget %d", noMmap, st.ResidentBytes, st.Budget)
-		}
-		wantMode := "mmap"
-		if noMmap {
-			wantMode = "pread"
-		}
-		if st.Mode != wantMode {
-			t.Fatalf("mode = %q, want %q", st.Mode, wantMode)
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
+	}
+	st := s.Stats()
+	if st.Misses == 0 || st.Hits == 0 {
+		t.Fatalf("cache counters did not move: %+v", st)
+	}
+	if st.BlobBytes <= st.CacheBudget {
+		t.Fatalf("test corpus does not exceed its budget: %+v", st)
+	}
+	if st.Evictions == 0 {
+		t.Fatalf("sweep under budget never evicted: %+v", st)
+	}
+	if st.ResidentBytes > st.Budget+numShards*int64(st.CacheBudget/numShards) {
+		t.Fatalf("resident %d far exceeds budget %d", st.ResidentBytes, st.Budget)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -246,7 +237,7 @@ func TestCorruptPageFallsBack(t *testing.T) {
 
 // TestCloseDrainsReaders: Close must block until in-flight readers
 // release, and late readers must get ok == false — run with -race this
-// is the promotion-retires-a-mapping-mid-fault scenario.
+// is the promotion-retires-a-store-mid-fault scenario.
 func TestCloseDrainsReaders(t *testing.T) {
 	const numNodes = 300
 	snap := synthSnapshot(numNodes, 16)

@@ -44,7 +44,7 @@
 // which must land on exactly the record's epoch — lockstep. Generation
 // builds are deterministic functions of the corpus and config, so a
 // follower's tables are bit-identical to the leader's. The tail
-// connection reconnects with exponential backoff, resuming from the
+// reconnects under internal/stream's session rule, resuming from the
 // next unapplied index; records are applied synchronously while the
 // stream is read, so TCP flow control backpressures the leader when a
 // follower falls behind. The epoch-tagged serving cache above the

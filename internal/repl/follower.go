@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"kqr/internal/live"
+	"kqr/internal/stream"
 )
 
 // FollowerOptions tunes a replication follower.
@@ -17,14 +18,6 @@ type FollowerOptions struct {
 	// It must not impose an overall request timeout: the log stream is
 	// long-lived by design.
 	Client *http.Client
-	// MinBackoff is the first reconnect delay (default 100ms).
-	MinBackoff time.Duration
-	// MaxBackoff caps the reconnect delay (default 5s).
-	MaxBackoff time.Duration
-	// StallTimeout kills a stream that delivers nothing — not even a
-	// heartbeat — for this long (default 15s). It must comfortably
-	// exceed the leader's heartbeat interval.
-	StallTimeout time.Duration
 }
 
 // FollowerStatus is the follower's replication state, embedded in the
@@ -44,6 +37,8 @@ type FollowerStatus struct {
 	BytesBehind int64 `json:"bytes_behind"`
 	// Connected reports whether a log stream is currently open.
 	Connected bool `json:"connected"`
+	// Connects counts log streams opened, reconnects included.
+	Connects uint64 `json:"connects"`
 	// SnapshotFetches counts bootstrap snapshot downloads; a follower
 	// that resumes after a restart of its tail loop keeps it at 1.
 	SnapshotFetches int `json:"snapshot_fetches"`
@@ -65,12 +60,13 @@ func (s FollowerStatus) EpochLag() uint64 {
 // snapshot, the caller builds an engine over the rebuilt corpus and
 // hands its manager to Attach, then Run tails the leader's delta log,
 // promoting the follower's generations in lockstep with the leader's.
-// Run reconnects with exponential backoff and resumes from the next
-// unapplied index, so a follower killed mid-run continues without
-// re-downloading the snapshot.
+// Run reconnects under the stream session rule (internal/stream) and
+// resumes from the next unapplied index, so a follower killed mid-run
+// continues without re-downloading the snapshot.
 type Follower struct {
-	base string
-	opts FollowerOptions
+	base   string
+	opts   FollowerOptions
+	timing stream.Timing
 
 	mgr *live.Manager
 
@@ -87,16 +83,7 @@ func NewFollower(base string, opts FollowerOptions) *Follower {
 	if opts.Client == nil {
 		opts.Client = http.DefaultClient
 	}
-	if opts.MinBackoff <= 0 {
-		opts.MinBackoff = 100 * time.Millisecond
-	}
-	if opts.MaxBackoff <= 0 {
-		opts.MaxBackoff = 5 * time.Second
-	}
-	if opts.StallTimeout <= 0 {
-		opts.StallTimeout = 15 * time.Second
-	}
-	return &Follower{base: base, opts: opts}
+	return &Follower{base: base, opts: opts, timing: stream.Default}
 }
 
 // Bootstrap downloads and decodes the leader's snapshot: the corpus to
@@ -109,7 +96,7 @@ func (f *Follower) Bootstrap(ctx context.Context) (*Bootstrap, error) {
 	if err != nil {
 		return nil, fmt.Errorf("repl: bootstrap: %w", err)
 	}
-	resp, err := f.opts.Client.Do(req)
+	resp, err := f.timing.Do(f.opts.Client, req)
 	if err != nil {
 		return nil, fmt.Errorf("repl: bootstrap: %w", err)
 	}
@@ -177,11 +164,11 @@ func (f *Follower) CaughtUp(maxEpochLag uint64) bool {
 }
 
 // Run tails the leader's log until ctx is cancelled, applying each
-// record in lockstep through the attached manager. Connection failures
-// reconnect with exponential backoff, resuming from the next unapplied
-// index; only divergence (ErrDiverged — the log and the follower's
-// state can no longer line up) ends Run early. Run may be called again
-// after it returns: it continues from the follower's last position.
+// record in lockstep through the attached manager. A stream that breaks
+// or stalls reconnects, resuming from the next unapplied index; only
+// divergence (ErrDiverged — the log and the follower's state can no
+// longer line up) ends Run early. Run may be called again after it
+// returns: it continues from the follower's last position.
 func (f *Follower) Run(ctx context.Context) error {
 	f.mu.Lock()
 	attached := f.mgr != nil
@@ -189,27 +176,13 @@ func (f *Follower) Run(ctx context.Context) error {
 	if !attached {
 		return errors.New("repl: follower not attached (call Bootstrap and Attach first)")
 	}
-	backoff := f.opts.MinBackoff
-	for {
-		madeProgress, err := f.tail(ctx)
-		if err != nil && errors.Is(err, ErrDiverged) {
-			return err
+	return f.timing.Run(ctx, func(ctx context.Context) (bool, error) {
+		progress, err := f.tail(ctx)
+		if errors.Is(err, ErrDiverged) {
+			err = stream.Terminal(err)
 		}
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		if madeProgress {
-			backoff = f.opts.MinBackoff
-		}
-		select {
-		case <-time.After(backoff):
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-		if backoff *= 2; backoff > f.opts.MaxBackoff {
-			backoff = f.opts.MaxBackoff
-		}
-	}
+		return progress, err
+	})
 }
 
 // tail opens one log stream and applies records until it breaks. It
@@ -220,20 +193,12 @@ func (f *Follower) tail(ctx context.Context) (madeProgress bool, err error) {
 	from := f.st.NextIndex
 	f.mu.Unlock()
 
-	// A watchdog cancels the request if the stream stalls past
-	// StallTimeout — a half-dead connection must not wedge the
-	// follower, and heartbeats keep a healthy idle stream alive.
-	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	watchdog := time.AfterFunc(f.opts.StallTimeout, cancel)
-	defer watchdog.Stop()
-
-	req, err := http.NewRequestWithContext(sctx, http.MethodGet,
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		fmt.Sprintf("%s/repl/log?from=%d", f.base, from), nil)
 	if err != nil {
 		return false, fmt.Errorf("repl: tail: %w", err)
 	}
-	resp, err := f.opts.Client.Do(req)
+	resp, err := f.timing.Do(f.opts.Client, req)
 	if err != nil {
 		return false, fmt.Errorf("repl: tail: %w", err)
 	}
@@ -253,11 +218,10 @@ func (f *Follower) tail(ctx context.Context) (madeProgress bool, err error) {
 	for {
 		rec, n, rerr := readRecord(resp.Body)
 		if rerr != nil {
-			// EOF, a torn frame, or a mid-stream corruption: reconnect
-			// and re-request from the durable log.
+			// EOF, a stall, a torn frame, or a mid-stream corruption:
+			// reconnect and re-request from the durable log.
 			return madeProgress, rerr
 		}
-		watchdog.Reset(f.opts.StallTimeout)
 		madeProgress = true
 		if rec.Kind == kindHeartbeat {
 			if aerr := f.applyHeartbeat(rec); aerr != nil {
@@ -271,10 +235,13 @@ func (f *Follower) tail(ctx context.Context) (madeProgress bool, err error) {
 	}
 }
 
-// setConnected flips the Connected status bit.
+// setConnected flips the Connected status bit, counting each connect.
 func (f *Follower) setConnected(v bool) {
 	f.mu.Lock()
 	f.st.Connected = v
+	if v {
+		f.st.Connects++
+	}
 	f.mu.Unlock()
 }
 

@@ -3,16 +3,14 @@ package repl
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
-	"time"
 
 	"kqr/internal/live"
+	"kqr/internal/stream"
 )
-
-// defaultHeartbeat is the idle-stream heartbeat interval.
-const defaultHeartbeat = time.Second
 
 // LeaderOptions tunes a replication leader.
 type LeaderOptions struct {
@@ -21,9 +19,6 @@ type LeaderOptions struct {
 	// NoSync skips per-append fsync (tests and in-process benchmarks
 	// only).
 	NoSync bool
-	// Heartbeat is how often an idle log stream sends a heartbeat
-	// record (default 1s).
-	Heartbeat time.Duration
 }
 
 // Leader journals every epoch transition of a live.Manager into a
@@ -33,9 +28,9 @@ type LeaderOptions struct {
 // journal, so it must exist before the first replicated transition and
 // be detached with Close before the manager is torn down.
 type Leader struct {
-	mgr  *live.Manager
-	log  *Log
-	opts LeaderOptions
+	mgr    *live.Manager
+	log    *Log
+	timing stream.Timing
 
 	mu          sync.Mutex
 	nextByEpoch map[uint64]position // epoch → log position after its record
@@ -48,9 +43,6 @@ type Leader struct {
 // directory is refused rather than silently shipping a log followers
 // cannot apply.
 func NewLeader(mgr *live.Manager, dir string, opts LeaderOptions) (*Leader, error) {
-	if opts.Heartbeat <= 0 {
-		opts.Heartbeat = defaultHeartbeat
-	}
 	log, err := OpenLog(dir, LogOptions{SegmentBytes: opts.SegmentBytes, NoSync: opts.NoSync})
 	if err != nil {
 		return nil, err
@@ -72,7 +64,7 @@ func NewLeader(mgr *live.Manager, dir string, opts LeaderOptions) (*Leader, erro
 	l := &Leader{
 		mgr:         mgr,
 		log:         log,
-		opts:        opts,
+		timing:      stream.Default,
 		nextByEpoch: map[uint64]position{mgr.Epoch(): {next: log.End(), bytes: log.Bytes()}},
 		notify:      make(chan struct{}),
 	}
@@ -101,14 +93,6 @@ func (l *Leader) journal(next *live.Generation, deltas []live.Delta) error {
 	l.notify = make(chan struct{})
 	l.mu.Unlock()
 	return nil
-}
-
-// appended returns a channel that is closed after the next append —
-// how log streams sleep without polling.
-func (l *Leader) appended() <-chan struct{} {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.notify
 }
 
 // resumePosition returns the log position a follower bootstrapping
@@ -181,7 +165,8 @@ func (l *Leader) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	if err := writeSnapshot(w, l.mgr, g, pos); err != nil {
+	_, rw := l.timing.Server(w, r)
+	if err := writeSnapshot(rw, l.mgr, g, pos); err != nil {
 		// Headers are gone; all we can do is cut the stream so the
 		// follower's CRC check fails loudly.
 		return
@@ -190,7 +175,7 @@ func (l *Leader) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 
 // handleLog streams framed records from the requested index, then
 // follows the log: new records as they are journaled, heartbeats while
-// idle. The stream ends only when the client disconnects.
+// idle. The stream ends when the client disconnects or a write stalls.
 func (l *Leader) handleLog(w http.ResponseWriter, r *http.Request) {
 	from, err := strconv.ParseUint(r.URL.Query().Get("from"), 10, 64)
 	if err != nil {
@@ -203,45 +188,35 @@ func (l *Leader) handleLog(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+	ctrl, rw := l.timing.Server(w, r)
+	out := stream.NewWriter(l.timing, rw, ctrl.Flush, func(w io.Writer, rec Record) error {
+		_, err := writeRecord(w, rec)
+		return err
+	})
+	defer out.Close()
+	out.Heartbeat(func() Record {
+		return Record{Index: l.log.End(), Epoch: l.mgr.Epoch(), Kind: kindHeartbeat, LogBytes: l.log.Bytes()}
+	})
 	cur := l.log.Cursor(from)
 	defer cur.Close()
-	heartbeat := time.NewTicker(l.opts.Heartbeat)
-	defer heartbeat.Stop()
 	for {
-		wrote := false
+		// Taken before the drain, so no append is missed: it is closed
+		// after the next one, which is how log streams sleep.
+		l.mu.Lock()
+		appended := l.notify
+		l.mu.Unlock()
 		for cur.Next() {
-			if _, err := writeRecord(w, cur.Record()); err != nil {
-				return // client gone
+			if err := out.Send(cur.Record()); err != nil {
+				return // client gone or stalled
 			}
-			wrote = true
 		}
 		if cur.Err() != nil {
 			return // log closed or corrupt; follower reconnects
 		}
-		if wrote {
-			flush()
-		}
-		// Caught up: sleep until the next append, a heartbeat, or
-		// client disconnect.
 		select {
-		case <-l.appended():
-		case <-heartbeat.C:
-			hb := Record{
-				Index:    l.log.End(),
-				Epoch:    l.mgr.Epoch(),
-				Kind:     kindHeartbeat,
-				LogBytes: l.log.Bytes(),
-			}
-			if _, err := writeRecord(w, hb); err != nil {
-				return
-			}
-			flush()
+		case <-appended:
+		case <-out.Failed():
+			return
 		case <-r.Context().Done():
 			return
 		}

@@ -356,7 +356,8 @@ func TestBootstrapRefusedAcrossSolvers(t *testing.T) {
 // it attached and ready to Run.
 func startFollower(t *testing.T, url string) *Follower {
 	t.Helper()
-	f := NewFollower(url, FollowerOptions{MinBackoff: 10 * time.Millisecond})
+	f := NewFollower(url, FollowerOptions{})
+	f.timing.MinBackoff = 10 * time.Millisecond
 	snap, err := f.Bootstrap(context.Background())
 	if err != nil {
 		t.Fatalf("Bootstrap: %v", err)
@@ -396,10 +397,11 @@ func TestLeaderFollowerLockstep(t *testing.T) {
 
 func lockstep(t *testing.T, followers int) {
 	mgr := mustManager(t)
-	leader, err := NewLeader(mgr, t.TempDir(), LeaderOptions{NoSync: true, Heartbeat: 50 * time.Millisecond})
+	leader, err := NewLeader(mgr, t.TempDir(), LeaderOptions{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	leader.timing.Heartbeat = 50 * time.Millisecond
 	defer leader.Close()
 	srv := httptest.NewServer(leader.Handler())
 	defer srv.Close()
@@ -547,10 +549,11 @@ func assertIdenticalArtifacts(t *testing.T, leaderMgr *live.Manager, f *Follower
 
 func TestFollowerKillAndResume(t *testing.T) {
 	mgr := mustManager(t)
-	leader, err := NewLeader(mgr, t.TempDir(), LeaderOptions{NoSync: true, Heartbeat: 50 * time.Millisecond})
+	leader, err := NewLeader(mgr, t.TempDir(), LeaderOptions{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	leader.timing.Heartbeat = 50 * time.Millisecond
 	defer leader.Close()
 	srv := httptest.NewServer(leader.Handler())
 	defer srv.Close()
@@ -604,10 +607,11 @@ func TestFollowerKillAndResume(t *testing.T) {
 func TestFollowerReconnectsAfterLeaderRestart(t *testing.T) {
 	dir := t.TempDir()
 	mgr := mustManager(t)
-	leader, err := NewLeader(mgr, dir, LeaderOptions{NoSync: true, Heartbeat: 20 * time.Millisecond})
+	leader, err := NewLeader(mgr, dir, LeaderOptions{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	leader.timing.Heartbeat = 20 * time.Millisecond
 	srv := httptest.NewServer(leader.Handler())
 
 	f := startFollower(t, srv.URL)

@@ -32,7 +32,7 @@ func leaderServer(t *testing.T) (*httptest.Server, *kqr.Engine, *repl.Leader) {
 	t.Cleanup(eng.Close)
 	mgr, _ := eng.Replication()
 	leader, err := repl.NewLeader(mgr, t.TempDir(), repl.LeaderOptions{
-		NoSync: true, Heartbeat: 50 * time.Millisecond,
+		NoSync: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +54,7 @@ func leaderServer(t *testing.T) (*httptest.Server, *kqr.Engine, *repl.Leader) {
 // tests can drive Run.
 func followerServer(t *testing.T, leaderURL string, maxLag uint64) (*httptest.Server, *kqr.Engine, *repl.Follower) {
 	t.Helper()
-	f := repl.NewFollower(leaderURL, repl.FollowerOptions{MinBackoff: 10 * time.Millisecond})
+	f := repl.NewFollower(leaderURL, repl.FollowerOptions{})
 	snap, err := f.Bootstrap(context.Background())
 	if err != nil {
 		t.Fatalf("Bootstrap: %v", err)
