@@ -61,12 +61,10 @@ func (e *Engine) setArtifact(a ArtifactInfo) {
 }
 
 // artifactFingerprint identifies everything the offline tables depend
-// on: what the manager's TableFingerprint covers (every option that changes what
-// the extractors compute, the built graph's shape, and the walk solver
-// — two solvers agree to their tolerance, not in the low bits, and a
-// partial snapshot is completed by local computation, so rows of
-// different solvers must never meet in one table), plus the graph's
-// classes and the corpus (table row counts). Two engines share a
+// on: what the manager's TableFingerprint covers (every option that
+// changes what the extractors compute, the built graph's shape, and the
+// walk solver — two solvers agree to their tolerance, not in the low
+// bits), plus the graph's classes and the corpus (table row counts). Two engines share a
 // fingerprint exactly when a snapshot saved by one is valid for the
 // other.
 func (e *Engine) artifactFingerprint(g *live.Generation) string {
@@ -80,7 +78,8 @@ func (e *Engine) artifactFingerprint(g *live.Generation) string {
 // same directory is renamed over path only after a successful write, so
 // a crash never leaves a half-written snapshot behind. Save after Warm
 // to capture the complete offline stage; a later Open with
-// Options.ArtifactPath then restores it instead of recomputing.
+// Options.ArtifactPath then restores it instead of recomputing. A lazy
+// engine's snapshot carries the vocabulary and no tables.
 func (e *Engine) SaveArtifacts(path string) error {
 	return e.saveSnapshot(path, (*artifact.Snapshot).Write)
 }

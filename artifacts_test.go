@@ -14,6 +14,7 @@ import (
 	"kqr"
 	"kqr/internal/artifact"
 	"kqr/internal/closeness"
+	"kqr/internal/packed"
 	"kqr/internal/randomwalk"
 	"kqr/synthetic"
 )
@@ -96,48 +97,113 @@ func TestArtifactRoundTrip(t *testing.T) {
 	}
 }
 
-// TestArtifactPartialRoundTrip: a snapshot of a partly computed offline
-// stage (PrecomputeTerms over a few terms) restores those rows exactly
-// through an explicit LoadArtifacts, and terms outside it still compute
-// lazily on the restored engine.
-func TestArtifactPartialRoundTrip(t *testing.T) {
-	eng, err := kqr.Open(bibliographyDataset(t), kqr.Options{})
+// TestArtifactPartialRefused: a snapshot holds all of a generation's
+// rows or none. A lazy engine's snapshot carries the vocabulary and no
+// tables — even after queries filled some rows — and restores into an
+// engine that answers the same. A hand-made snapshot whose tables miss
+// a term's row, or that holds one table of the two, is refused on every
+// restore path: a RAM Open falls back, LoadArtifacts errors, a
+// disk-mode Open fails.
+func TestArtifactPartialRefused(t *testing.T) {
+	lazy, err := kqr.Open(bibliographyDataset(t), kqr.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.PrecomputeTerms([]string{"uncertain", "probabilistic", "data"}); err != nil {
+	want, err := lazy.Reformulate([]string{"uncertain", "data"}, 5)
+	if err != nil || len(want) == 0 {
+		t.Fatalf("lazy engine answered %v, %v", want, err)
+	}
+	vocabOnly := filepath.Join(t.TempDir(), "lazy.snapshot")
+	if err := lazy.SaveArtifacts(vocabOnly); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "partial.snapshot")
-	if err := eng.SaveArtifacts(path); err != nil {
-		t.Fatal(err)
+	snap := readSnapshotFile(t, vocabOnly)
+	for kind, rows := range snap.Tables {
+		if rows != nil {
+			t.Fatalf("a lazy engine's snapshot holds a %s table of %d rows", artifact.TableKind(kind), len(rows.Src))
+		}
 	}
-	if st, err := os.Stat(path); err != nil || st.Size() == 0 {
-		t.Fatalf("empty snapshot: %v", err)
+	if len(snap.Vocabulary) == 0 {
+		t.Fatal("a lazy engine's snapshot lost its vocabulary")
 	}
 	fresh, err := kqr.Open(bibliographyDataset(t), kqr.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fresh.LoadArtifacts(path); err != nil {
-		t.Fatal(err)
-	}
-	if info := fresh.Artifact(); !info.Loaded || info.Path != path {
-		t.Fatalf("provenance after LoadArtifacts: %+v", info)
-	}
-	for _, term := range []string{"uncertain", "xml"} { // saved, and not
-		want, err1 := eng.SimilarTerms(term, 10)
-		got, err2 := fresh.SimilarTerms(term, 10)
-		if err1 != nil || err2 != nil || len(want) == 0 || !reflect.DeepEqual(got, want) {
-			t.Fatalf("term %q: restored %+v (%v), want %+v (%v)", term, got, err2, want, err1)
-		}
-	}
-	want, err := eng.Reformulate([]string{"uncertain", "data"}, 5)
-	if err != nil {
+	if err := fresh.LoadArtifacts(vocabOnly); err != nil {
 		t.Fatal(err)
 	}
 	if got, err := fresh.Reformulate([]string{"uncertain", "data"}, 5); err != nil || !reflect.DeepEqual(got, want) {
-		t.Fatalf("suggestions off the restored tables differ: %v (%v) vs %v", got, err, want)
+		t.Fatalf("suggestions after a tableless restore differ: %v (%v) vs %v", got, err, want)
+	}
+
+	_, full := warmAndSave(t, kqr.ContextualWalk)
+	for _, tc := range []struct {
+		name string
+		edit func(*artifact.Snapshot)
+	}{
+		{"a similarity row short", func(s *artifact.Snapshot) {
+			rows, out := s.Tables[artifact.TableWalk], &packed.Rows{}
+			for i := 1; i < len(rows.Src); i++ {
+				v, nodes, scores := rows.Row(i)
+				dn, ds := out.Append(v, len(nodes))
+				copy(dn, nodes)
+				copy(ds, scores)
+			}
+			s.Tables[artifact.TableWalk] = out
+		}},
+		{"no closeness table", func(s *artifact.Snapshot) { s.Tables[artifact.TableCloseness] = nil }},
+	} {
+		snap := readSnapshotFile(t, full)
+		tc.edit(snap)
+		dir := t.TempDir()
+		v1, v2 := filepath.Join(dir, "partial.snapshot"), filepath.Join(dir, "partial.paged")
+		writeSnapshotFile(t, v1, snap.Write)
+		writeSnapshotFile(t, v2, func(w io.Writer) error { return snap.WritePaged(w, artifact.PagedOptions{}) })
+
+		eng, err := kqr.Open(bibliographyDataset(t), kqr.Options{ArtifactPath: v1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info := eng.Artifact(); info.Loaded || !strings.Contains(info.FallbackReason, "no row for term") {
+			t.Errorf("%s: Open restored it: %+v", tc.name, info)
+		}
+		if err := eng.LoadArtifacts(v1); err == nil {
+			t.Errorf("%s: LoadArtifacts accepted it", tc.name)
+		}
+		if _, err := kqr.Open(bibliographyDataset(t), kqr.Options{ArtifactPath: v2, DiskMode: true}); err == nil {
+			t.Errorf("%s: disk mode attached it", tc.name)
+		}
+	}
+}
+
+// readSnapshotFile decodes the snapshot at path, fingerprint unchecked.
+func readSnapshotFile(t *testing.T, path string) *artifact.Snapshot {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	snap, err := artifact.Load(f, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+// writeSnapshotFile writes a snapshot to path with the given encoder.
+func writeSnapshotFile(t *testing.T, path string, write func(io.Writer) error) {
+	t.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := write(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -28,8 +28,9 @@
 // at it with -disk-mode on. Only the page index stays resident; rows
 // fault on demand through a page cache bounded by -table-mem-budget
 // MiB, and /api/metrics gains a "disk" block with hit/miss/eviction
-// counters and resident bytes. -disk-mode refuses -warm and the save
-// flags — both would pull whole tables back into RAM. A disk-mode
+// counters and resident bytes. Disk mode is read-only: -disk-mode
+// refuses -warm, the save flags and -live — each would pull whole
+// tables back into RAM. A disk-mode
 // server also lets at least 48 MiB of garbage (evicted decoded pages,
 // mostly) gather between collections unless GOGC is set:
 //
@@ -197,6 +198,8 @@ func (cfg config) validate() error {
 		return fmt.Errorf("-follow takes no snapshot, -disk-mode, -warm, CDC or staleness flag: a follower's corpus, tables and promotions are the leader's")
 	case cfg.diskMode && cfg.snapLoad == "":
 		return fmt.Errorf("-disk-mode needs -snapshot-load naming a paged snapshot (save one with -snapshot-save-paged)")
+	case cfg.diskMode && cfg.live:
+		return fmt.Errorf("-disk-mode conflicts with -live: disk mode is read-only, and a promoted generation's tables would be computed into RAM, outside -table-mem-budget")
 	case cfg.diskMode && cfg.warm:
 		return fmt.Errorf("-disk-mode conflicts with -warm: warming decodes every table row into RAM, which is exactly what disk mode bounds")
 	case cfg.diskMode && (cfg.snapSave != "" || cfg.snapSavePgd != ""):

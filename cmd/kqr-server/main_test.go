@@ -38,6 +38,7 @@ func TestValidate(t *testing.T) {
 		{"follow with -staleness-max-age", follower(func(c *config) { c.stalenessT = time.Second }), "-follow takes no"},
 
 		{"disk mode without snapshot", config{diskMode: true}, "-disk-mode needs -snapshot-load"},
+		{"disk mode with -live", config{diskMode: true, snapLoad: "p", live: true}, "-disk-mode conflicts with -live"},
 		{"disk mode with -warm", config{diskMode: true, snapLoad: "p", warm: true}, "-disk-mode conflicts with -warm"},
 		{"disk mode with -snapshot-save", config{diskMode: true, snapLoad: "p", snapSave: "q"}, "-disk-mode cannot save"},
 		{"disk mode with -snapshot-save-paged", config{diskMode: true, snapLoad: "p", snapSavePgd: "q"}, "-disk-mode cannot save"},

@@ -20,7 +20,8 @@ type DiskStats = diskmode.Stats
 // through the store's budgeted page cache, and g.Pager takes ownership
 // of the store so retiring the generation closes it. The snapshot must
 // be v2 (SaveArtifactsPaged), carry this engine's fingerprint and
-// vocabulary, and contain both tables the mode needs.
+// vocabulary, and contain both tables the mode needs, each with every
+// term's row.
 func (e *Engine) attachDiskTables(g *live.Generation, path string) error {
 	// The mend index is resident by construction (lookups must not
 	// fault pages), so it spends from the same table-memory budget the
@@ -41,22 +42,22 @@ func (e *Engine) attachDiskTables(g *live.Generation, path string) error {
 		return fmt.Errorf("kqr: disk mode: %w", err)
 	}
 	idx := store.Index()
-	if err := live.ValidateVocabulary(g, idx.Classes, idx.Vocabulary); err != nil {
+	err = live.ValidateVocabulary(g, idx.Classes, idx.Vocabulary)
+	for _, kind := range []artifact.TableKind{g.SimKind, artifact.TableCloseness} {
+		t := idx.Table(kind)
+		if err == nil && t == nil {
+			err = fmt.Errorf("no %s table (saved under a different mode?)", kind)
+		}
+		if err == nil {
+			err = live.CheckTable(g, kind, t.Has)
+		}
+	}
+	if err != nil {
 		store.Close()
 		return fmt.Errorf("kqr: disk mode: %s: %w", path, err)
 	}
-	sim := store.Table(g.SimKind)
-	if sim == nil {
-		store.Close()
-		return fmt.Errorf("kqr: disk mode: %s has no %s table (saved under a different mode?)", path, g.SimKind)
-	}
-	clos := store.Table(artifact.TableCloseness)
-	if clos == nil {
-		store.Close()
-		return fmt.Errorf("kqr: disk mode: %s has no closeness table", path)
-	}
-	g.Sim.Install(sim)
-	g.Clos.Install(clos)
+	g.Sim.Install(store.Table(g.SimKind))
+	g.Clos.Install(store.Table(artifact.TableCloseness))
 	g.Pager = store
 	return nil
 }

@@ -194,8 +194,13 @@ func TestDiskModeErrors(t *testing.T) {
 	if _, err := kqr.Open(bibliographyDataset(t), kqr.Options{ArtifactPath: v1path, DiskMode: true}); err == nil {
 		t.Fatal("disk mode over a v1 snapshot accepted")
 	}
-	// A budget smaller than the resident index must be rejected.
+	// Disk mode is read-only: a live engine would compute promoted
+	// generations' tables into RAM.
 	_, paged := warmAndSavePaged(t, kqr.ContextualWalk)
+	if _, err := kqr.Open(bibliographyDataset(t), kqr.Options{ArtifactPath: paged, DiskMode: true, Live: true}); err == nil {
+		t.Fatal("disk mode with Live accepted")
+	}
+	// A budget smaller than the resident index must be rejected.
 	if _, err := kqr.Open(bibliographyDataset(t), kqr.Options{
 		ArtifactPath: paged, DiskMode: true, TableMemBudget: 64,
 	}); err == nil {

@@ -44,8 +44,8 @@ func TestClosIdenticalLazyPackedAndRaw(t *testing.T) {
 	}
 }
 
-// Sources computed after the last Pack are served from the overlay
-// rather than read as all-zero rows of the stale table.
+// Sources the packed table lacks are computed on read, not served as
+// all-zero rows.
 func TestClosServesSourcesComputedAfterPack(t *testing.T) {
 	tg, s := fixtureStore(t, Options{})
 	terms := tg.TermNodeIDs()

@@ -1,7 +1,6 @@
 package cooccur
 
 import (
-	"context"
 	"reflect"
 	"testing"
 
@@ -20,9 +19,6 @@ func TestSimRowIdenticalLazyAndPacked(t *testing.T) {
 			t.Fatal(err)
 		}
 		lazy[v] = list
-	}
-	if err := ex.Precompute(context.Background(), terms); err != nil {
-		t.Fatal(err)
 	}
 	ex.Pack()
 	for _, v := range terms {

@@ -11,8 +11,8 @@ import (
 // id in the file, so packed.Probe works on a faulted row exactly as on
 // a RAM one). It is the value the root package hands to a row store's
 // Install in disk mode, and every miss (absent row, draining store,
-// corrupt page) answers ok == false, which the store treats as "fall
-// through to the overlay, then compute".
+// corrupt page) answers ok == false, which the store answers by
+// computing the row for its caller without keeping it.
 type View struct {
 	s *Store
 	t *artifact.PagedTable

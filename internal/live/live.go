@@ -6,18 +6,18 @@
 // A Generation bundles everything a query touches — the database copy,
 // the TAT graph, the similarity provider, the closeness store, the core
 // HMM engine and the keyword searcher — built together over one corpus
-// state and never mutated afterwards (the row stores still fill lazily,
-// but only with values derived from that frozen corpus). A Manager holds the current Generation in an atomic
-// pointer and accepts a stream of tuple deltas; Promote applies the
-// staged deltas to a copy-on-write rebuild of the database, constructs
-// the next Generation, and swaps the pointer. Readers that loaded the
-// old pointer finish on the old generation; new requests see the new
-// one. No lock sits on the query path — the only synchronization a
-// reader pays is one atomic load.
+// state and never mutated afterwards (lazy row stores still fill, but
+// only with values derived from that frozen corpus). A Manager holds
+// the current Generation in an atomic pointer and accepts a stream of
+// tuple deltas; Promote applies the staged deltas to a copy-on-write
+// rebuild of the database, constructs the next Generation, and swaps
+// the pointer. Readers that loaded the old pointer finish on the old
+// generation; new requests see the new one. No lock sits on the query
+// path — the only synchronization a reader pays is one atomic load.
 //
 // Promotion has one rebuild mode: the next generation's offline tables
-// are computed from scratch over the new corpus (re-warmed in full when
-// the old generation held any rows, left lazy otherwise). Carrying rows
+// are computed from scratch over the new corpus, precomputed and packed
+// in full exactly when the old generation was complete. Carrying rows
 // over from the old generation cannot be exact — the contextual walk
 // and its idf weighting are global, so one inserted tuple perturbs
 // every similarity row, not only those within the closeness horizon —
@@ -160,7 +160,7 @@ type SimTables interface {
 	Install(packed.Table)
 	Load(*packed.Rows)
 	Rows() *packed.Rows
-	Resident() int
+	Complete() bool
 }
 
 // Provenance records how a generation came to be — the admin API's
@@ -196,8 +196,8 @@ type Provenance struct {
 
 // Generation is one immutable index generation: a corpus state plus
 // every derived structure the query path reads. Fields are never
-// reassigned after Build returns; the stores' overlays fill lazily but
-// are safe for concurrent use.
+// reassigned after Build returns; its row stores start lazy (see
+// packed.Store) and are safe for concurrent use.
 type Generation struct {
 	// DB is the corpus this generation serves.
 	DB *relstore.Database
@@ -231,8 +231,11 @@ type Generation struct {
 	Provenance Provenance
 }
 
-// Build constructs a complete generation over db under the manager's
-// config: the structural fields plus the Provenance.Mend timing of the
+// Complete reports whether both row stores are complete.
+func (g *Generation) Complete() bool { return g.Sim.Complete() && g.Clos.Complete() }
+
+// Build constructs a generation over db, its row stores lazy, under the
+// manager's config: the structural fields plus the Provenance.Mend timing of the
 // mend-index construction (the Manager stamps the rest when it
 // publishes the generation). The initial generation, every promotion
 // and the root package's snapshot reload all funnel through it, so they

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"kqr/internal/graph"
+	"kqr/internal/packed"
 	"kqr/internal/relstore"
 	"kqr/internal/testcorpus"
 )
@@ -297,6 +298,15 @@ func warm(t *testing.T, g *Generation) {
 	g.Clos.Pack()
 }
 
+// rowCount is how many rows a store's published table holds, 0 while
+// the store is lazy.
+func rowCount(s interface{ Rows() *packed.Rows }) int {
+	if r := s.Rows(); r != nil {
+		return len(r.Src)
+	}
+	return 0
+}
+
 // After Promote every vocabulary term's similarity AND closeness row
 // must be bit-equal to a fresh Build over the same corpus: one rebuild
 // mode, no approximation.
@@ -313,9 +323,9 @@ func TestPromoteMatchesFreshBuildBitForBit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Sim.Resident() != g.TG.NumTermNodes() || g.Provenance.Precompute == 0 {
+	if rowCount(g.Sim) != g.TG.NumTermNodes() || g.Provenance.Precompute == 0 {
 		t.Fatalf("warmed predecessor but %d of %d rows resident, precompute %v",
-			g.Sim.Resident(), g.TG.NumTermNodes(), g.Provenance.Precompute)
+			rowCount(g.Sim), g.TG.NumTermNodes(), g.Provenance.Precompute)
 	}
 
 	fresh := mustGen(t, g.DB)
@@ -336,13 +346,16 @@ func TestPromoteMatchesFreshBuildBitForBit(t *testing.T) {
 }
 
 // noRows is a published view that serves nothing — a disk attach as far
-// as the store's residency accounting goes.
+// as the store's state goes: complete, with every row computed on read.
 type noRows struct{}
 
 func (noRows) Row(graph.NodeID) ([]graph.NodeID, []float32, bool) { return nil, nil, false }
 
-// Promotion re-warms in full exactly when the old generation held rows
-// in RAM; a never-touched or disk-attached predecessor stays lazy.
+// Promotion keeps the predecessor's state: it precomputes and packs the
+// successor exactly when the old generation is complete (warmed, or
+// its tables published by a restore or disk attach); a never-touched
+// or lazily touched predecessor's successor stays lazy, with no
+// precompute.
 func TestPromoteWarmsOnlyAfterWarmPredecessor(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -350,8 +363,8 @@ func TestPromoteWarmsOnlyAfterWarmPredecessor(t *testing.T) {
 		wantWarm bool
 	}{
 		{"never warmed", func(*Generation) {}, false},
-		{"disk attached", func(g *Generation) { g.Sim.Install(noRows{}); g.Clos.Install(noRows{}) }, false},
-		{"one lazy row", func(g *Generation) { g.Sim.SimRow(g.TG.TermNodeIDs()[0]) }, true},
+		{"disk attached", func(g *Generation) { g.Sim.Install(noRows{}); g.Clos.Install(noRows{}) }, true},
+		{"one lazy row", func(g *Generation) { g.Sim.SimRow(g.TG.TermNodeIDs()[0]) }, false},
 		{"warmed", func(g *Generation) { warm(t, g) }, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -371,11 +384,14 @@ func TestPromoteWarmsOnlyAfterWarmPredecessor(t *testing.T) {
 			if tc.wantWarm {
 				want = g.TG.NumTermNodes()
 			}
-			if got := g.Sim.Resident(); got != want {
-				t.Errorf("%d similarity rows resident after promote, want %d", got, want)
+			if got := rowCount(g.Sim); got != want {
+				t.Errorf("%d similarity rows published after promote, want %d", got, want)
 			}
-			if got := g.Clos.Resident(); got != want {
-				t.Errorf("%d closeness rows resident after promote, want %d", got, want)
+			if got := rowCount(g.Clos); got != want {
+				t.Errorf("%d closeness rows published after promote, want %d", got, want)
+			}
+			if warmed := g.Provenance.Precompute > 0; warmed != tc.wantWarm {
+				t.Errorf("promotion precompute took %v, want it to run: %v", g.Provenance.Precompute, tc.wantWarm)
 			}
 		})
 	}

@@ -216,10 +216,10 @@ func (m *Manager) rebuild(ctx context.Context, old *Generation, deltas []Delta) 
 	}
 	prov.BuildGraph = time.Since(t0)
 
-	// Re-warm the whole vocabulary only if the old generation held rows
-	// in RAM (warmed, loaded from a snapshot, or touched by queries); a
-	// cold or disk-attached engine stays lazy and fills on demand.
-	if old.Sim.Resident() > 0 {
+	// The next generation takes the old one's state: after a complete
+	// generation it is precomputed and packed before it becomes visible
+	// (readers never see it half warm), after a lazy one it stays lazy.
+	if old.Complete() {
 		t0 = time.Now()
 		nodes := next.TG.TermNodeIDs()
 		if err := next.Sim.Precompute(ctx, nodes); err != nil {
@@ -229,15 +229,12 @@ func (m *Manager) rebuild(ctx context.Context, old *Generation, deltas []Delta) 
 			return nil, err
 		}
 		prov.Precompute = time.Since(t0)
-	}
 
-	// Fold the computed rows into the immutable CSR tables before the
-	// generation becomes visible — readers never observe a
-	// warmed-but-unpacked generation.
-	t0 = time.Now()
-	next.Sim.Pack()
-	next.Clos.Pack()
-	prov.Pack = time.Since(t0)
+		t0 = time.Now()
+		next.Sim.Pack()
+		next.Clos.Pack()
+		prov.Pack = time.Since(t0)
+	}
 
 	// Build timed the mend-index construction into the fresh
 	// generation's provenance; carry it into the promotion record

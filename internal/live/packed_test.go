@@ -35,10 +35,10 @@ func TestPromotePacksNextGeneration(t *testing.T) {
 	if sim.Computes() != walks || g.Clos.Computes() != searches {
 		t.Fatal("a promoted, warmed generation computed rows on read")
 	}
-	// Pack on an empty overlay must keep serving the same table rows.
+	// Pack on a complete store must keep serving the same table rows.
 	g.Sim.Pack()
-	if g.Sim.Resident() != g.TG.NumTermNodes() {
-		t.Fatalf("repack lost rows: %d of %d resident", g.Sim.Resident(), g.TG.NumTermNodes())
+	if rowCount(g.Sim) != g.TG.NumTermNodes() {
+		t.Fatalf("repack lost rows: %d of %d published", rowCount(g.Sim), g.TG.NumTermNodes())
 	}
 }
 
@@ -46,7 +46,7 @@ func TestPromotePacksNextGeneration(t *testing.T) {
 // reader goroutines while promotions and reloads swap generations
 // underneath them. Readers pin one generation per iteration, so every
 // decode must be served consistently from that generation's packed
-// table (or, right after a cold swap, its overlay); run under -race
+// table (or, right after a cold swap, its lazy rows); run under -race
 // this is the publication-safety test for the row stores.
 func TestPackedTablesAcrossPromoteSwapRace(t *testing.T) {
 	m := mustManager(t, Options{})

@@ -40,8 +40,8 @@ import (
 // RAM for disk is a publication-time decision, not a hot-path one.
 type Table interface {
 	// Row returns v's row; ok is false when the table has no row for v
-	// (or cannot serve it right now — a draining disk store), in which
-	// case the Store falls through to its overlay and then computes.
+	// (or cannot serve it right now — a draining disk store, a corrupt
+	// page), in which case the Store computes the row for its caller.
 	// The slices are read-only views.
 	Row(v graph.NodeID) (nodes []graph.NodeID, scores []float32, ok bool)
 }
@@ -133,6 +133,15 @@ func (r *Rows) Append(v graph.NodeID, n int) ([]graph.NodeID, []float32) {
 	r.Scores = slices.Grow(r.Scores, n)[:lo+n]
 	r.End = append(r.End, uint32(lo+n))
 	return r.Nodes[lo:], r.Scores[lo:]
+}
+
+// Has reports whether v has a row; a nil Rows has none.
+func (r *Rows) Has(v graph.NodeID) bool {
+	if r == nil {
+		return false
+	}
+	_, found := slices.BinarySearch(r.Src, v)
+	return found
 }
 
 // Row returns the i-th present row. The slices are read-only views.

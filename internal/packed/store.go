@@ -11,15 +11,19 @@ import (
 )
 
 // Store is the row store behind every offline table — random-walk and
-// co-occurrence similarity, and closeness. It owns the published Table
-// (a RAMTable, or a page-backed disk view) behind an atomic pointer, a
-// small overlay of rows computed since the last Pack, and the compute
-// function that produces missing rows. Every read is the same lookup:
-// published table (lock-free), then overlay, then compute — with
-// concurrent cold Row misses for one key coalesced into a single
-// computation (Precompute skips rows already held but does not join a
-// Row miss still in flight; the duplicate is the same bits). It is safe
-// for concurrent use.
+// co-occurrence similarity, and closeness. It is in one of two states,
+// never a mix:
+//
+//   - lazy, as built: a row is computed on first use and kept in an
+//     overlay, concurrent cold misses for one key sharing one
+//     computation;
+//   - complete, once Pack, Load or Install publishes a Table (a
+//     RAMTable, or a page-backed disk view) holding every term's row:
+//     reads take no lock, and a row the table cannot serve (a corrupt
+//     or draining page, a node with no row) is computed for that caller
+//     and not kept.
+//
+// It is safe for concurrent use.
 type Store struct {
 	// Workers bounds the goroutines of Precompute's fan-out (<= 0 means
 	// runtime.GOMAXPROCS(0)). Set it before any concurrent use.
@@ -32,10 +36,11 @@ type Store struct {
 	compute func(nodes []graph.NodeID, rows [][]graph.Scored) error
 	batch   int
 
-	// pk is boxed because atomic.Pointer needs a concrete type.
+	// pk is boxed because atomic.Pointer needs a concrete type; nil
+	// while the store is lazy.
 	pk atomic.Pointer[published]
 
-	mu      sync.Mutex
+	mu      sync.Mutex // guards overlay, and publication against it
 	overlay map[graph.NodeID]Row
 
 	flight   flight.Group[graph.NodeID, Row]
@@ -44,7 +49,7 @@ type Store struct {
 
 type published struct{ t Table }
 
-// NewStore builds an empty store over a graph of numNodes nodes.
+// NewStore builds an empty, lazy store over a graph of numNodes nodes.
 // compute produces v's row in its final entry order (rank order for
 // similarity, neighbor-id order for closeness); the store narrows it to
 // row form once, on entry.
@@ -63,8 +68,7 @@ func NewBatchStore(numNodes, batch int, compute func(nodes []graph.NodeID, rows 
 	return &Store{numNodes: numNodes, compute: compute, batch: batch, overlay: make(map[graph.NodeID]Row)}
 }
 
-// table returns the published table, nil before the first Pack, Load
-// or Install.
+// table returns the published table, nil while the store is lazy.
 func (s *Store) table() Table {
 	if b := s.pk.Load(); b != nil {
 		return b.t
@@ -72,33 +76,33 @@ func (s *Store) table() Table {
 	return nil
 }
 
-// held looks v up in the published table, then the overlay.
-func (s *Store) held(v graph.NodeID) ([]graph.NodeID, []float32, bool) {
+// Complete reports whether the store is complete: a table is published
+// (Pack, Load or Install) and serves every read.
+func (s *Store) Complete() bool { return s.table() != nil }
+
+// Row returns v's row. A packed row is served without locks or
+// allocation — the query hot path. The slices are read-only views.
+func (s *Store) Row(v graph.NodeID) ([]graph.NodeID, []float32, error) {
 	if t := s.table(); t != nil {
 		if nodes, scores, ok := t.Row(v); ok {
-			return nodes, scores, true
+			return nodes, scores, nil
 		}
+		rows, err := s.fill([]graph.NodeID{v})
+		if err != nil {
+			return nil, nil, err
+		}
+		return rows[0].Nodes, rows[0].Scores, nil
 	}
-	s.mu.Lock()
-	r, ok := s.overlay[v]
-	s.mu.Unlock()
-	return r.Nodes, r.Scores, ok
-}
-
-// Row returns v's row, computing it on first use. A packed row is
-// served without locks or allocation — the query hot path. The slices
-// are read-only views.
-func (s *Store) Row(v graph.NodeID) ([]graph.NodeID, []float32, error) {
-	if nodes, scores, ok := s.held(v); ok {
-		return nodes, scores, nil
+	// Lazy: the overlay, or a computation shared by concurrent cold
+	// misses for v.
+	if r, ok := s.kept(v); ok {
+		return r.Nodes, r.Scores, nil
 	}
-	// Coalesce concurrent cold misses for v: the first caller computes,
-	// the rest block and share its row.
 	r, err := s.flight.Do(v, func() (Row, error) {
-		// Re-check: this caller may have missed before a previous
-		// flight for v completed and published.
-		if nodes, scores, ok := s.held(v); ok {
-			return Row{Nodes: nodes, Scores: scores}, nil
+		// Re-check: this caller may have missed just before a previous
+		// flight for v kept its row.
+		if r, ok := s.kept(v); ok {
+			return r, nil
 		}
 		rows, err := s.fill([]graph.NodeID{v})
 		if err != nil {
@@ -109,8 +113,17 @@ func (s *Store) Row(v graph.NodeID) ([]graph.NodeID, []float32, error) {
 	return r.Nodes, r.Scores, err
 }
 
-// fill computes the rows of nodes (at most batch of them), puts them in
-// the overlay and returns them in the order of nodes.
+// kept looks v up in the overlay.
+func (s *Store) kept(v graph.NodeID) (Row, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r, ok := s.overlay[v]
+	return r, ok
+}
+
+// fill computes the rows of nodes (at most batch of them) and returns
+// them in the order of nodes, keeping them in the overlay only while no
+// table is published.
 func (s *Store) fill(nodes []graph.NodeID) ([]Row, error) {
 	s.computes.Add(int64(len(nodes)))
 	lists := make([][]graph.Scored, len(nodes))
@@ -123,50 +136,34 @@ func (s *Store) fill(nodes []graph.NodeID) ([]Row, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i, v := range nodes {
-		s.overlay[v] = rows[i]
+	if s.table() == nil {
+		for i, v := range nodes {
+			s.overlay[v] = rows[i]
+		}
 	}
 	return rows, nil
 }
 
-// Computes returns how many rows were actually computed — cold misses
-// and Precompute chunks, excluding held rows and coalesced Row callers.
-// A row a Row miss and a Precompute chunk compute at the same moment
-// counts twice.
+// Computes returns how many rows were actually computed — cold misses,
+// Precompute chunks and a complete store's misses, excluding coalesced
+// Row callers.
 func (s *Store) Computes() int64 { return s.computes.Load() }
 
 // Precompute computes the rows of the given nodes (the paper's offline
-// stage) that the store does not hold yet, in chunks of the extractor's
+// stage) into a lazy store's overlay, in chunks of the extractor's
 // batch size over a pool of Workers goroutines — rows are independent,
-// so throughput scales with cores. The first error stops the pool and
-// is returned wrapped with the id of the failing chunk's first node (the
-// offending node itself when the batch size is 1); ctx cancellation
-// stops scheduling and returns the context's error. A worker drops the
-// rows of its chunk that a concurrent Row or Precompute has filled in
-// the meantime. Follow with Pack.
+// so throughput scales with cores; a complete store returns at once.
+// The first error stops the pool and is returned wrapped with the id of
+// the failing chunk's first node (the offending node itself when the
+// batch size is 1); ctx cancellation stops scheduling and returns the
+// context's error. Follow with Pack.
 func (s *Store) Precompute(ctx context.Context, nodes []graph.NodeID) error {
-	todo := make([]graph.NodeID, 0, len(nodes))
-	queued := make(map[graph.NodeID]bool, len(nodes))
-	for _, v := range nodes {
-		if _, _, ok := s.held(v); !ok && !queued[v] {
-			queued[v] = true
-			todo = append(todo, v)
-		}
+	if s.Complete() {
+		return nil
 	}
-	chunks := (len(todo) + s.batch - 1) / s.batch
+	chunks := (len(nodes) + s.batch - 1) / s.batch
 	return flight.ForEach(ctx, s.Workers, chunks, func(i int) error {
-		// Chunks are disjoint, so compacting one in place is private.
-		chunk := todo[i*s.batch : min((i+1)*s.batch, len(todo))]
-		missing := chunk[:0]
-		for _, v := range chunk {
-			if _, _, ok := s.held(v); !ok {
-				missing = append(missing, v)
-			}
-		}
-		if len(missing) == 0 {
-			return nil
-		}
-		chunk = missing
+		chunk := nodes[i*s.batch : min((i+1)*s.batch, len(nodes))]
 		if _, err := s.fill(chunk); err != nil {
 			return fmt.Errorf("packed: precompute node %d: %w", chunk[0], err)
 		}
@@ -174,92 +171,81 @@ func (s *Store) Precompute(ctx context.Context, nodes []graph.NodeID) error {
 	})
 }
 
-// Pack folds the overlay into a new RAMTable, publishes it and clears
-// the overlay. While a page-backed view is published (Install) Pack
-// leaves it in place: folding would decode the whole file into RAM,
-// which is what disk mode bounds, and the overlay keeps serving the few
-// rows the view could not.
+// Pack publishes a lazy store's overlay as a RAMTable, making the store
+// complete — after a Precompute over every term, the full table. A
+// complete store has nothing to pack.
 func (s *Store) Pack() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if t := s.table(); t != nil {
-		if _, ram := t.(*RAMTable); !ram {
-			return
-		}
+	if s.table() != nil {
+		return
 	}
-	s.pk.Store(&published{t: s.rowsLocked().Table(s.numNodes)})
-	s.overlay = make(map[graph.NodeID]Row)
-}
-
-// Load replaces everything the store holds with the given rows,
-// indexed — the bulk entry at the artifact boundary (snapshot load,
-// follower bootstrap). Rows are trusted as-is; callers must ensure they
-// were computed over an identically built graph. The store takes over
-// the rows' entry arrays.
-func (s *Store) Load(rows *Rows) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.pk.Store(&published{t: rows.Table(s.numNodes)})
-	s.overlay = make(map[graph.NodeID]Row)
-}
-
-// Install publishes an externally built table — a page-backed disk view
-// (internal/diskmode) — in place of the RAM table. A row it cannot
-// serve (ok false, e.g. a draining disk store) is computed like any
-// missing row.
-func (s *Store) Install(t Table) { s.pk.Store(&published{t: t}) }
-
-// Rows copies every held row (published table and overlay), in
-// ascending node order, into serial form — the store's side of the
-// artifact boundary. The copy, taken under the store's lock, is what
-// makes a snapshot consistent: a writer sizes a section and then
-// streams it, and rows computed in between must not appear in one and
-// not the other.
-func (s *Store) Rows() *Rows {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rowsLocked()
-}
-
-func (s *Store) rowsLocked() *Rows {
-	t := s.table()
-	total := 0 // exact for a RAM table; a paged view's rows grow the arrays
+	total := 0
 	for _, r := range s.overlay {
 		total += len(r.Nodes)
 	}
-	if ram, ok := t.(*RAMTable); ok {
-		total += len(ram.nodes)
+	s.publishLocked(s.collect(total, func(v graph.NodeID) ([]graph.NodeID, []float32, bool) {
+		r, ok := s.overlay[v]
+		return r.Nodes, r.Scores, ok
+	}).Table(s.numNodes))
+}
+
+// Load publishes the given rows, indexed, as the store's table — the
+// bulk entry at the artifact boundary (snapshot load, follower
+// bootstrap). Rows are trusted as-is; callers must ensure they were
+// computed over an identically built graph and hold every term's row.
+// The store takes over the rows' entry arrays.
+func (s *Store) Load(rows *Rows) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.publishLocked(rows.Table(s.numNodes))
+}
+
+// Install publishes an externally built table — a page-backed disk view
+// (internal/diskmode) — as the store's table. It must hold every term's
+// row; one it cannot serve right now (a draining disk store, a corrupt
+// page) is computed for its caller and not kept.
+func (s *Store) Install(t Table) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.publishLocked(t)
+}
+
+// publishLocked makes t the store's table and drops the overlay. The
+// caller holds mu.
+func (s *Store) publishLocked(t Table) {
+	s.pk.Store(&published{t: t})
+	s.overlay = make(map[graph.NodeID]Row)
+}
+
+// Rows copies the published table — every row it holds, in ascending
+// node order — into serial form: the store's side of the artifact
+// boundary. A lazy store returns nil: its overlay is this process's
+// cache, never a table, and does not cross the boundary.
+func (s *Store) Rows() *Rows {
+	t := s.table()
+	if t == nil {
+		return nil
 	}
+	total := 0 // exact for a RAM table; a paged view's rows grow the arrays
+	if ram, ok := t.(*RAMTable); ok {
+		total = len(ram.nodes)
+	}
+	return s.collect(total, t.Row)
+}
+
+// collect copies every row get reports, in ascending node order, into
+// serial form sized for total entries.
+func (s *Store) collect(total int, get func(graph.NodeID) ([]graph.NodeID, []float32, bool)) *Rows {
 	out := &Rows{Nodes: make([]graph.NodeID, 0, total), Scores: make([]float32, 0, total)}
-	for v := 0; v < s.numNodes; v++ {
-		var r Row
-		ok := false
-		if t != nil {
-			r.Nodes, r.Scores, ok = t.Row(graph.NodeID(v))
-		}
-		if !ok {
-			r, ok = s.overlay[graph.NodeID(v)]
-		}
-		if ok {
-			nodes, scores := out.Append(graph.NodeID(v), len(r.Nodes))
-			copy(nodes, r.Nodes)
-			copy(scores, r.Scores)
+	for v := graph.NodeID(0); int(v) < s.numNodes; v++ {
+		if nodes, scores, ok := get(v); ok {
+			dn, ds := out.Append(v, len(nodes))
+			copy(dn, nodes)
+			copy(ds, scores)
 		}
 	}
 	return out
-}
-
-// Resident returns how many rows the store holds in RAM — RAMTable
-// rows plus overlay rows, in O(1). An installed disk view contributes
-// nothing: zero means "never warmed, loaded, or touched".
-func (s *Store) Resident() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := len(s.overlay)
-	if t, ok := s.table().(*RAMTable); ok {
-		n += t.Rows()
-	}
-	return n
 }
 
 // Ranked reads a Store whose rows are rank-ordered candidate lists —

@@ -49,8 +49,8 @@ func TestStoreRowIdenticalInEveryForm(t *testing.T) {
 	if got := s.Computes(); got != n {
 		t.Fatalf("computed %d rows for %d nodes", got, n)
 	}
-	if s.Resident() != n {
-		t.Fatalf("Resident() = %d with %d overlay rows", s.Resident(), n)
+	if len(s.overlay) != n {
+		t.Fatalf("%d overlay rows for %d computed", len(s.overlay), n)
 	}
 	for v, r := range lazy {
 		if want := NewRow(fakeRow(graph.NodeID(v))); len(r.Nodes) != len(want.Nodes) {
@@ -90,23 +90,28 @@ func TestStoreRowIdenticalInEveryForm(t *testing.T) {
 	}
 }
 
-// Pack keeps the rows of the previous table and adds the overlay's.
+// Pack publishes the overlay as the table and leaves the store
+// complete: Precompute and a second Pack change nothing, and a row
+// computed after the Pack is not kept.
 func TestStorePackFoldsOverlayIntoTable(t *testing.T) {
 	s := newFakeStore(16)
 	s.Row(3)
-	s.Pack()
 	s.Row(7)
-	if s.Resident() != 2 {
-		t.Fatalf("Resident() = %d, want 2 (one packed, one overlay)", s.Resident())
-	}
 	s.Pack()
 	for _, v := range []graph.NodeID{3, 7} {
 		if _, _, ok := s.table().Row(v); !ok {
-			t.Fatalf("row %d missing from the repacked table", v)
+			t.Fatalf("row %d missing from the packed table", v)
 		}
 	}
-	if s.Computes() != 2 {
-		t.Fatalf("computed %d rows, want 2", s.Computes())
+	tab := s.table()
+	if err := s.Precompute(context.Background(), []graph.NodeID{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	s.Row(9)
+	s.Pack()
+	if !s.Complete() || s.table() != tab || len(s.overlay) != 0 || s.Computes() != 3 {
+		t.Fatalf("complete %v, table replaced %v, %d overlay rows, %d computed: want the packed table alone and 3 rows computed",
+			s.Complete(), s.table() != tab, len(s.overlay), s.Computes())
 	}
 }
 
@@ -120,9 +125,8 @@ func (h halfView) Row(v graph.NodeID) ([]graph.NodeID, []float32, bool) {
 	return h.t.Row(v)
 }
 
-// An installed view answers first; rows it cannot serve are computed
-// into the overlay; Pack leaves the view published; and the view's rows
-// do not count as resident.
+// An installed view answers first; a row it cannot serve is computed
+// for each caller and never kept; and Pack leaves the view published.
 func TestStoreInstalledView(t *testing.T) {
 	const n = 12
 	full := newFakeStore(n)
@@ -131,21 +135,18 @@ func TestStoreInstalledView(t *testing.T) {
 
 	s := newFakeStore(n)
 	s.Install(halfView{full.table()})
-	if s.Resident() != 0 {
-		t.Fatalf("Resident() = %d over a bare view", s.Resident())
-	}
-	if got := rowsOf(t, s, n); !reflect.DeepEqual(got, want) {
-		t.Fatal("rows differ through a partial view")
-	}
-	if s.Computes() != n/2 || s.Resident() != n/2 {
-		t.Fatalf("computed %d / resident %d, want %d each", s.Computes(), s.Resident(), n/2)
+	for pass := 1; pass <= 2; pass++ {
+		if got := rowsOf(t, s, n); !reflect.DeepEqual(got, want) {
+			t.Fatalf("pass %d: rows differ through a partial view", pass)
+		}
+		if s.Computes() != int64(pass*n/2) || len(s.overlay) != 0 {
+			t.Fatalf("pass %d: %d rows computed, %d kept; want %d computed, none kept",
+				pass, s.Computes(), len(s.overlay), pass*n/2)
+		}
 	}
 	s.Pack()
 	if _, ok := s.table().(halfView); !ok {
 		t.Fatalf("Pack replaced the installed view with %T", s.table())
-	}
-	if got := rowsOf(t, s, n); !reflect.DeepEqual(got, want) || s.Computes() != n/2 {
-		t.Fatal("rows lost or recomputed after Pack over a view")
 	}
 }
 
@@ -203,37 +204,6 @@ func TestStorePrecomputeParallelMatchesSequential(t *testing.T) {
 	}
 	if !reflect.DeepEqual(rowsOf(t, seq, n), rowsOf(t, par, n)) {
 		t.Fatal("parallel precompute produced different rows than sequential")
-	}
-}
-
-// A row that a lazy miss fills after Precompute listed its work but
-// before the row's chunk runs is dropped from the chunk, not recomputed.
-func TestStorePrecomputeSkipsRowsFilledMeanwhile(t *testing.T) {
-	var s *Store
-	var calls [][]graph.NodeID
-	s = NewBatchStore(8, 2, func(nodes []graph.NodeID, rows [][]graph.Scored) error {
-		calls = append(calls, append([]graph.NodeID{}, nodes...))
-		if nodes[0] == 0 { // the first chunk: a query misses on 2 and 5 meanwhile
-			s.Row(2)
-			s.Row(5)
-		}
-		for i, v := range nodes {
-			rows[i] = fakeRow(v)
-		}
-		return nil
-	})
-	s.Workers = 1
-	if err := s.Precompute(context.Background(), []graph.NodeID{0, 1, 2, 3, 4, 5}); err != nil {
-		t.Fatal(err)
-	}
-	want := [][]graph.NodeID{{0, 1}, {2}, {5}, {3}, {4}}
-	if !reflect.DeepEqual(calls, want) || s.Computes() != 6 {
-		t.Fatalf("compute calls %v (%d rows), want %v (6 rows)", calls, s.Computes(), want)
-	}
-	for v := graph.NodeID(0); v < 6; v++ {
-		if nodes, _, ok := s.held(v); !ok || len(nodes) != int(v)%4 {
-			t.Fatalf("row %d: held %v with %d entries", v, ok, len(nodes))
-		}
 	}
 }
 

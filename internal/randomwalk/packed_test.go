@@ -1,7 +1,6 @@
 package randomwalk
 
 import (
-	"context"
 	"testing"
 
 	"kqr/internal/graph"
@@ -18,9 +17,6 @@ func TestSimRowIdenticalLazyPackedAndRaw(t *testing.T) {
 
 	for pass, name := range []string{"lazy", "packed"} {
 		if pass == 1 {
-			if err := ex.Precompute(context.Background(), terms); err != nil {
-				t.Fatal(err)
-			}
 			ex.Pack()
 		}
 		for _, v := range terms {

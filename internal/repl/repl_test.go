@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -338,8 +339,8 @@ func TestBootstrapRefusedAcrossSolvers(t *testing.T) {
 		if err := f.Attach(m, &old); !errors.Is(err, ErrDiverged) {
 			t.Fatalf("attach to a leader without%s: err = %v, want ErrDiverged", tag, err)
 		}
-		if g := m.Current(); g.Clos.Resident() != 0 || g.Sim.Resident() != 0 {
-			t.Fatalf("refused bootstrap without%s left %d closeness and %d similarity rows behind", tag, g.Clos.Resident(), g.Sim.Resident())
+		if g := m.Current(); g.Clos.Rows() != nil || g.Sim.Rows() != nil {
+			t.Fatalf("refused bootstrap without%s left a table behind", tag)
 		}
 	}
 	// (This leader, old follower is the same string comparison run on
@@ -347,6 +348,43 @@ func TestBootstrapRefusedAcrossSolvers(t *testing.T) {
 	f, m := follower()
 	if err := f.Attach(m, snap); err != nil {
 		t.Fatalf("attach to a same-build leader: %v", err)
+	}
+}
+
+// A lazy leader's bootstrap carries the vocabulary and no tables, even
+// after a query has filled some of its rows, and yields a lazy follower
+// that answers like the leader.
+func TestLazyBootstrapStaysLazy(t *testing.T) {
+	mgr := mustManager(t)
+	query := []string{"uncertain", "data"}
+	want, err := mgr.Current().Core.Reformulate(query, 5)
+	if err != nil || len(want) == 0 {
+		t.Fatalf("leader answered %v, %v", want, err)
+	}
+	var buf bytes.Buffer
+	if err := writeSnapshot(&buf, mgr, mgr.Current(), position{}); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := readSnapshot(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for kind, rows := range snap.Artifact.Tables {
+		if rows != nil {
+			t.Fatalf("a lazy leader's bootstrap carries table %d with %d rows", kind, len(rows.Src))
+		}
+	}
+	m := managerOver(t, snap.DB)
+	if err := NewFollower("http://unused", FollowerOptions{}).Attach(m, snap); err != nil {
+		t.Fatal(err)
+	}
+	g := m.Current()
+	got, err := g.Core.Reformulate(query, 5)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("lazy follower answered %v (%v), leader %v", got, err, want)
+	}
+	if g.Sim.Rows() != nil || g.Clos.Rows() != nil {
+		t.Fatal("a lazy bootstrap left the follower with a published table")
 	}
 }
 
@@ -493,9 +531,9 @@ func assertAnswerable(t *testing.T, f *Follower, term string) {
 	}
 }
 
-// fullArtifact computes every term's rows on the generation and returns
-// its offline state: vocabulary plus complete similarity and closeness
-// tables.
+// fullArtifact computes and packs every term's rows on the generation
+// (nothing, if it is complete already) and returns its offline state:
+// vocabulary plus complete similarity and closeness tables.
 func fullArtifact(t *testing.T, g *live.Generation) *artifact.Snapshot {
 	t.Helper()
 	nodes := g.TG.TermNodeIDs()
@@ -505,6 +543,8 @@ func fullArtifact(t *testing.T, g *live.Generation) *artifact.Snapshot {
 	if err := g.Clos.Precompute(context.Background(), nodes); err != nil {
 		t.Fatal(err)
 	}
+	g.Sim.Pack()
+	g.Clos.Pack()
 	return live.ArtifactSnapshot(g, "cmp")
 }
 

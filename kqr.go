@@ -75,7 +75,7 @@
 // current generation once (a single atomic load) and reads only that
 // generation, so a promotion mid-request is invisible to it.
 //
-// The offline-stage writers — Warm, PrecomputeTerms, SaveArtifacts,
+// The offline-stage writers — Warm, SaveArtifacts,
 // LoadArtifacts, ReloadArtifacts, Ingest, Promote, Close — are
 // individually safe to call from any goroutine (promotions serialize
 // internally), with one caveat: LoadArtifacts replaces the current

@@ -26,6 +26,47 @@ func liveEngine(t *testing.T) *kqr.Engine {
 	return eng
 }
 
+// TestLazyPromotionStaysLazy: a promotion builds the next generation in
+// the state of the one it replaces. A lazy engine that has served a
+// query promotes without a precompute or a pack and stays lazy — its
+// snapshot carries no tables; once warmed, the next promotion
+// precomputes the successor in full.
+func TestLazyPromotionStaysLazy(t *testing.T) {
+	eng := liveEngine(t)
+	if _, err := eng.Reformulate([]string{"uncertain", "data"}, 5); err != nil {
+		t.Fatal(err)
+	}
+	promote := func(pid int) kqr.GenerationInfo {
+		t.Helper()
+		if err := eng.Ingest([]kqr.Delta{{Op: kqr.InsertTuple, Table: "papers", Values: []any{pid, "lazy promotion probe", 1}}}); err != nil {
+			t.Fatal(err)
+		}
+		info, err := eng.Promote(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info
+	}
+	if info := promote(9001); info.Precompute != 0 || info.Pack != 0 {
+		t.Fatalf("a lazy engine's promotion precomputed for %v and packed for %v", info.Precompute, info.Pack)
+	}
+	path := filepath.Join(t.TempDir(), "promoted.snapshot")
+	if err := eng.SaveArtifacts(path); err != nil {
+		t.Fatal(err)
+	}
+	for kind, rows := range readSnapshotFile(t, path).Tables {
+		if rows != nil {
+			t.Fatalf("the promoted lazy generation saved a %s table", artifact.TableKind(kind))
+		}
+	}
+	if err := eng.Warm(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if info := promote(9002); info.Precompute == 0 || info.Pack == 0 {
+		t.Fatalf("a warmed engine's promotion precomputed for %v and packed for %v", info.Precompute, info.Pack)
+	}
+}
+
 func TestCloseTermsUnknownFieldTypedError(t *testing.T) {
 	eng := liveEngine(t)
 	_, err := eng.CloseTerms("probabilistic", 5, "papers.abstract")

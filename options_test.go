@@ -31,6 +31,7 @@ func TestOpenRejectsInvalidOptions(t *testing.T) {
 		{"SearchMaxRadius -1", kqr.Options{SearchMaxRadius: -1}, "maxradius"},
 		{"TableMemBudget -1", kqr.Options{TableMemBudget: -1}, "tablemembudget"},
 		{"DiskMode without ArtifactPath", kqr.Options{DiskMode: true}, "artifactpath"},
+		{"DiskMode with Live", kqr.Options{DiskMode: true, ArtifactPath: "offline.paged", Live: true}, "live"},
 		{"StalenessMaxDeltas -1", kqr.Options{Live: true, StalenessMaxDeltas: -1}, "stalenessmaxdeltas"},
 	}
 	for _, c := range cases {

@@ -3,7 +3,6 @@ package kqr_test
 import (
 	"context"
 	"reflect"
-	"strings"
 	"testing"
 
 	"kqr"
@@ -48,21 +47,5 @@ func TestEngineWarmCancelled(t *testing.T) {
 	cancel()
 	if err := eng.Warm(ctx); err == nil {
 		t.Fatal("cancelled Warm returned nil")
-	}
-}
-
-// TestPrecomputeTermsUnknownTerm checks the offline pass names the
-// failing term instead of returning a bare resolution error.
-func TestPrecomputeTermsUnknownTerm(t *testing.T) {
-	eng, err := kqr.Open(bibliographyDataset(t), kqr.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = eng.PrecomputeTerms([]string{"probabilistic", "no-such-term-xyzzy"})
-	if err == nil {
-		t.Fatal("unknown term accepted")
-	}
-	if !strings.Contains(err.Error(), "no-such-term-xyzzy") {
-		t.Fatalf("error does not name the failing term: %v", err)
 	}
 }
