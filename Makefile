@@ -71,6 +71,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzKeyInjective -fuzztime=20s ./internal/serving/
 	$(GO) test -fuzz=FuzzCacheKeyCanonical -fuzztime=20s ./server/
 	$(GO) test -fuzz=FuzzAppendSuggestionJSON -fuzztime=20s ./server/
+	$(GO) test -fuzz=FuzzReformulateHandler -fuzztime=20s ./server/
 	$(GO) test -fuzz=FuzzFrame -fuzztime=20s ./internal/frame/
 	$(GO) test -fuzz='FuzzLoad$$' -fuzztime=20s ./internal/artifact/
 	$(GO) test -fuzz='FuzzLoadPaged$$' -fuzztime=20s ./internal/artifact/

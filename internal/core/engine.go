@@ -8,6 +8,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -76,6 +77,28 @@ type Options struct {
 // voidPenalty is the emission/transition score of a void state (§V-B);
 // only used when AllowDeletion is set.
 const voidPenalty = 0.05
+
+// MaxQueryTerms is the longest query the engine reformulates; a longer
+// one fails with ErrQueryTooLong. It is the smaller of two lengths,
+// taken at the default options (λ = 0.8, n = 10 candidates):
+//   - the length a smoothed model's paths can reach without underflow.
+//     The Eq. 5–6 background is the mean of a slot's scores, so with S
+//     <= n+2 states per slot every emission is at least (1-λ)/S and
+//     every transition at least (1-λ)/S² of its step's largest: a path
+//     loses at most e^10.7 per step, and after 64 steps it still holds
+//     e^25 above the smallest normal float64 (e^-708) for its initial
+//     factor (TestMaxQueryTermsCannotUnderflow redoes the sum);
+//   - the length at which a decode costs 20 typical misses: 64 terms
+//     take 3.1 ms against 0.17 ms for 7 terms (dblpgen P=2000, warmed,
+//     k = 50, 2 vCPUs). The paper's and the benchmark's queries have at
+//     most 7 terms.
+//
+// Past it, decode cost grows quadratically and, from about 300 terms,
+// every path underflows.
+const MaxQueryTerms = 64
+
+// ErrQueryTooLong reports a query of more than MaxQueryTerms terms.
+var ErrQueryTooLong = errors.New("core: query too long")
 
 // Resolve returns o with zero values replaced by their defaults, or the
 // first range error. New calls it; a config layer that validates
@@ -213,6 +236,9 @@ func (e *Engine) resolve(dst []graph.NodeID, query []string) ([]graph.NodeID, er
 	if len(query) == 0 {
 		return nil, fmt.Errorf("core: empty query")
 	}
+	if len(query) > MaxQueryTerms {
+		return nil, fmt.Errorf("%w: %d terms, at most %d", ErrQueryTooLong, len(query), MaxQueryTerms)
+	}
 	for _, q := range query {
 		v, err := e.ResolveTerm(q)
 		if err != nil {
@@ -333,10 +359,17 @@ func (e *Engine) decode(s *queryScratch, nodes []graph.NodeID, k int) ([]hmm.Pat
 		return nil, err
 	}
 	e.buildModelInto(s, len(nodes))
+	var paths []hmm.Path
+	var err error
 	if e.opts.Algorithm == AlgTopKViterbi {
-		return s.dec.TopKViterbi(&s.model, k)
+		paths, err = s.dec.TopKViterbi(&s.model, k)
+	} else {
+		paths, _, err = s.dec.TopKAStar(&s.model, k)
 	}
-	paths, _, err := s.dec.TopKAStar(&s.model, k)
+	if err == nil && len(paths) == 0 && s.model.HasPath() {
+		// Every path underflowed: an answer lost, not an empty one.
+		err = fmt.Errorf("core: %d-term query: %w", len(nodes), hmm.ErrUnderflow)
+	}
 	return paths, err
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -461,5 +463,42 @@ func TestExplainInternal(t *testing.T) {
 	}
 	if _, err := eng.Explain([]string{"zzz"}, []string{"zzz"}); err == nil {
 		t.Fatal("unknown terms accepted")
+	}
+}
+
+// TestMaxQueryTermsCannotUnderflow redoes the derivation behind
+// MaxQueryTerms from the default options — under the Eq. 5–6 smoothing
+// floors a cap-length path keeps e^25 above the smallest normal float64
+// for its initial factor — then checks the cap: a cap-length query
+// decodes suggestions, one term more is ErrQueryTooLong, and a scratch
+// grown past the cap does not go back to the pool.
+func TestMaxQueryTermsCannotUnderflow(t *testing.T) {
+	o, err := Options{}.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	states := float64(o.CandidatesPerTerm + 2) // original, candidates, void
+	floor := (1 - o.SmoothingLambda) / states
+	perStep := math.Log(floor) + math.Log(floor/states)
+	if headroom := MaxQueryTerms*perStep - math.Log(0x1p-1022); headroom < 25 {
+		t.Fatalf("a %d-term path may fall to e^%.1f of the smallest normal float64", MaxQueryTerms, -headroom)
+	}
+
+	_, eng := newFixtureEngine(t, Options{})
+	query := make([]string, MaxQueryTerms)
+	for i := range query {
+		query[i] = []string{"probabilistic", "data", "cleaning"}[i%3]
+	}
+	if refs, err := eng.Reformulate(query, 10); err != nil || len(refs) == 0 {
+		t.Fatalf("%d-term query: %d suggestions, %v", len(query), len(refs), err)
+	}
+	if _, err := eng.Reformulate(append(query, "data"), 10); !errors.Is(err, ErrQueryTooLong) {
+		t.Fatalf("%d-term query: err = %v, want ErrQueryTooLong", len(query)+1, err)
+	}
+	big := newQueryScratch()
+	big.slots = make([]slot, MaxQueryTerms+1)
+	eng.putScratch(big)
+	if eng.pool.Get() == big {
+		t.Fatal("a scratch grown past the cap went back to the pool")
 	}
 }

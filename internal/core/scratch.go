@@ -143,8 +143,14 @@ func (e *Engine) getScratch() *queryScratch {
 }
 
 // putScratch returns a scratch to the pool; the caller must have
-// finished with every path and slot view derived from it.
-func (e *Engine) putScratch(s *queryScratch) { e.pool.Put(s) }
+// finished with every path and slot view derived from it. A scratch
+// grown past MaxQueryTerms slots (DecodePaths takes its nodes as given)
+// is dropped, so the pool holds only what a capped query needs.
+func (e *Engine) putScratch(s *queryScratch) {
+	if len(s.slots) <= MaxQueryTerms {
+		e.pool.Put(s)
+	}
+}
 
 // buildSlotsInto fetches the candidate list of every query term into
 // the scratch's slots.

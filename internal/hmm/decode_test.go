@@ -247,3 +247,17 @@ func TestForwardSearchSplit(t *testing.T) {
 		t.Fatal("Forward on an empty model returned no error")
 	}
 }
+
+// HasPath tells a model whose every path underflowed — the decoders
+// return none, yet every factor along some path is positive — from one
+// where no path exists, which a zero transition makes.
+func TestHasPathTellsUnderflowFromNoPath(t *testing.T) {
+	m := underflowModel(rand.New(rand.NewSource(3)), 4, 3, 1e-160)
+	if ps, err := m.TopKViterbi(5); err != nil || len(ps) != 0 || !m.HasPath() {
+		t.Fatalf("underflowed model: %d paths (%v), HasPath %v; want none and true", len(ps), err, m.HasPath())
+	}
+	cut := &Model{Pi: []float64{1}, Emit: [][]float64{{1}, {1}}, Trans: func(int, int, int) float64 { return 0 }}
+	if ps, _, err := cut.TopKAStar(5); err != nil || len(ps) != 0 || cut.HasPath() {
+		t.Fatalf("model without a path: %d paths (%v), HasPath %v; want none and false", len(ps), err, cut.HasPath())
+	}
+}

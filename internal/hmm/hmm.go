@@ -19,6 +19,7 @@
 package hmm
 
 import (
+	"errors"
 	"fmt"
 	"math"
 )
@@ -28,8 +29,10 @@ import (
 type TransFunc func(step, from, to int) float64
 
 // Model describes one decoding problem. All probabilities are plain
-// (not log) values; with m <= a few dozen steps float64 underflow is not
-// a concern and zero stays a meaningful "impossible" marker.
+// (not log) values, so zero stays a meaningful "impossible" marker; a
+// long enough model underflows float64, which the decoders treat as
+// zero and HasPath tells apart (the core engine caps query length so
+// that its smoothed models cannot).
 type Model struct {
 	// Pi is the initial distribution over the states of step 0.
 	Pi []float64
@@ -73,6 +76,39 @@ func (m *Model) Validate() error {
 		return fmt.Errorf("hmm: multi-step model needs a transition function")
 	}
 	return nil
+}
+
+// ErrUnderflow reports a model whose every path has positive factors
+// but a probability that underflows float64 — "too long to score", not
+// "no path exists".
+var ErrUnderflow = errors.New("hmm: every path's probability underflows float64")
+
+// HasPath reports whether some path has every factor positive — a
+// nonzero probability in exact arithmetic. A decoder that returns no
+// path for a model that has one lost them all to underflow.
+func (m *Model) HasPath() bool {
+	reach := make([]bool, len(m.Emit[0]))
+	for i := range reach {
+		reach[i] = m.Pi[i] > 0 && m.Emit[0][i] > 0
+	}
+	for c := 1; c < len(m.Emit); c++ {
+		next := make([]bool, len(m.Emit[c]))
+		for j := range next {
+			for i, ok := range reach {
+				if ok && m.Emit[c][j] > 0 && m.Trans(c, i, j) > 0 {
+					next[j] = true
+					break
+				}
+			}
+		}
+		reach = next
+	}
+	for _, ok := range reach {
+		if ok {
+			return true
+		}
+	}
+	return false
 }
 
 // Path is a decoded hidden-state sequence with its probability
