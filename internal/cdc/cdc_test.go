@@ -446,3 +446,68 @@ func TestResumeRacesLateStage(t *testing.T) {
 		t.Fatalf("high-water mark %d, want %d", rs.Sources[0].LastSeq, n)
 	}
 }
+
+// A duplicate's ack carries the receiver's high-water mark, which can
+// run ahead of what a resumed session has sent: a dead stream's
+// buffered batches may be staged after the new stream's welcome. The
+// feeder must resume after that mark, not wait for an ack of a batch it
+// will never send. The receiver here welcomes at 2, answers batch 3
+// with an ack of 5 and acks the rest as they come.
+func TestFeederResumesAfterAckAhead(t *testing.T) {
+	var mu sync.Mutex
+	var got []uint64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ctrl := http.NewResponseController(w)
+		if err := ctrl.EnableFullDuplex(); err != nil {
+			t.Error(err)
+			return
+		}
+		br := bufio.NewReader(r.Body)
+		if err := readStreamHeader(br); err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := readFrame(br); err != nil { // hello
+			t.Error(err)
+			return
+		}
+		send := func(f frame) {
+			if err := writeFrame(w, f); err == nil {
+				ctrl.Flush()
+			}
+		}
+		w.WriteHeader(http.StatusOK)
+		writeStreamHeader(w)
+		send(frame{kind: kindWelcome, seq: 2})
+		for {
+			f, err := readFrame(br)
+			if err != nil {
+				return
+			}
+			if f.kind != kindBatch {
+				continue
+			}
+			mu.Lock()
+			got = append(got, f.seq)
+			mu.Unlock()
+			ack := f.seq
+			if f.seq == 3 {
+				ack = 5
+			}
+			send(frame{kind: kindAck, seq: ack})
+		}
+	}))
+	t.Cleanup(srv.Close)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	f := NewFeeder(srv.URL, FeederOptions{Source: "ahead", Window: 1})
+	err := f.Run(ctx, paperSource(6, 680_000))
+	mu.Lock()
+	defer mu.Unlock()
+	if err != nil {
+		t.Fatalf("Run: %v (sent %v)", err, got)
+	}
+	if len(got) != 2 || got[0] != 3 || got[1] != 6 {
+		t.Fatalf("sent batches %v, want [3 6]", got)
+	}
+}

@@ -259,6 +259,10 @@ func (f *Feeder) session(ctx context.Context, src Source) error {
 	sent, ended := welcome.seq, false
 	for {
 		a := f.Status().LastAcked
+		// A duplicate's ack carries the receiver's high-water mark, which
+		// can pass what this session sent when a dead stream's buffered
+		// batches were staged after our welcome: resume after it.
+		sent = max(sent, a)
 		if ended && a >= sent {
 			// Everything acked: close our half, then wait for the
 			// server to finish its side so final acks are not lost.
