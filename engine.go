@@ -209,8 +209,9 @@ func (o Options) resolve() (live.Config, live.Options, error) {
 	}
 	// The retire hook always runs: a retired generation may own a paged
 	// disk store (g.Pager) that must be closed once it stops being
-	// current. Close drains in-flight page faults before unmapping, so
-	// it runs off the promotion path; late readers fall back to compute.
+	// current. Close waits for in-flight page reads before closing the
+	// file, so it runs off the promotion path; late readers fall back
+	// to compute.
 	userRetire := o.OnRetire
 	mopts.OnRetire = func(g *live.Generation) {
 		if g.Pager != nil {

@@ -221,8 +221,8 @@ type Generation struct {
 	// Pager, when non-nil, owns the paged disk tables this generation's
 	// similarity and closeness views read (a diskmode.Store installed
 	// by the root package's disk mode). Retiring the generation must
-	// Close it — Close drains in-flight page faults before unmapping,
-	// and a reader that faults after the drain falls back to live
+	// Close it — Close waits for in-flight page reads before closing the
+	// file, and a reader that faults after the drain falls back to live
 	// computation, so closing is always safe. The Manager's OnRetire
 	// hook is where the root package does this.
 	Pager io.Closer

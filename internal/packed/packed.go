@@ -19,8 +19,8 @@
 // float32: similarity and closeness values are normalized relevance
 // weights in [0, 1] where 24 bits of mantissa are far beyond the
 // extractors' own noise floor, and halving the row bytes is what makes
-// the tables pageable (internal/diskmode serves the same rows from an
-// mmapped file). Scores are narrowed exactly once, by NewRow on the way
+// the tables pageable (internal/diskmode serves the same rows from
+// pages read out of a snapshot file). Scores are narrowed exactly once, by NewRow on the way
 // into a Store, so every later form of a row — overlay, RAM table,
 // snapshot file, disk page — carries the same bits.
 //

@@ -44,7 +44,7 @@ func Int(i int64) Value { return Value{kind: KindInt, num: i} }
 func (v Value) Kind() Kind { return v.kind }
 
 // Text returns the value rendered as text. Integers are formatted in
-// base 10. This is the form indexed by the text index.
+// base 10. This is the form the TAT graph tokenizes.
 func (v Value) Text() string {
 	if v.kind == KindInt {
 		return strconv.FormatInt(v.num, 10)

@@ -10,7 +10,6 @@
 package tatgraph
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -64,36 +63,35 @@ type Graph struct {
 	byText      map[string][]graph.NodeID // term text -> nodes across fields
 	termClasses map[string]bool           // field labels that have term nodes
 
-	db    *relstore.Database
-	index *textindex.Index
+	db  *relstore.Database
+	tok *textindex.Tokenizer
 }
 
 // Options configures Build.
 type Options struct {
 	// Tokenizer segments free-text fields; nil uses the default.
 	Tokenizer *textindex.Tokenizer
-	// FKWeight is the weight of a foreign-key edge (default 1).
-	FKWeight float64
-	// KeepAssociationTuples disables the collapsing of pure association
-	// tables. By default a table with no primary key, no searchable
-	// text and at least two foreign keys (e.g. an authorship or
-	// citation table) contributes direct edges between the tuples it
-	// links instead of tuple nodes — matching the paper's Figure 3,
-	// where authors connect straight to their papers.
-	KeepAssociationTuples bool
 	// Phrases additionally creates term nodes for adjacent-word pairs
 	// in segmented fields ("association rules"), so queries can match
 	// and substitute topical phrases (Definition 2: a keyword "is a
 	// word or a topical phrase"). Only bigrams occurring at least
-	// MinPhraseFreq times become nodes.
+	// minPhraseFreq times become nodes.
 	Phrases bool
-	// MinPhraseFreq is the minimum corpus frequency for a bigram to
-	// become a phrase node (default 2).
-	MinPhraseFreq int
 }
 
+const (
+	// fkWeight is the weight of a foreign-key edge.
+	fkWeight = 1
+	// minPhraseFreq is the corpus frequency a bigram needs to become a
+	// phrase node.
+	minPhraseFreq = 2
+)
+
 // isAssociation reports whether a table is pure linkage: key-less,
-// text-less, with at least two outgoing references.
+// text-less, with at least two outgoing references (e.g. an authorship
+// or citation table). Such a table contributes direct edges between the
+// tuples it links instead of tuple nodes — matching the paper's Figure
+// 3, where authors connect straight to their papers.
 func isAssociation(s relstore.Schema) bool {
 	if s.PrimaryKey != "" || len(s.ForeignKeys) < 2 {
 		return false
@@ -106,22 +104,17 @@ func isAssociation(s relstore.Schema) bool {
 	return true
 }
 
-// Build constructs the TAT graph and the backing inverted index from a
-// loaded database. Columns are handled per their TextMode: segmented
-// columns contribute one term node per distinct token, atomic columns
-// one node for the whole normalized value, and TextNone columns none.
+// Build constructs the TAT graph from a loaded database. Columns are
+// handled per their TextMode: segmented columns contribute one term node
+// per distinct token, with the token's count in the value as the edge
+// weight; atomic columns one node for the whole normalized value; and
+// TextNone columns none. The same scan counts each textual field's
+// documents, the N of its term nodes' idf: the tuples whose value
+// yields a term.
 func Build(db *relstore.Database, opts Options) (*Graph, error) {
-	if opts.FKWeight == 0 {
-		opts.FKWeight = 1
-	}
-	if opts.MinPhraseFreq == 0 {
-		opts.MinPhraseFreq = 2
-	}
-	if opts.MinPhraseFreq < 1 {
-		return nil, fmt.Errorf("tatgraph: MinPhraseFreq %d < 1", opts.MinPhraseFreq)
-	}
-	if opts.FKWeight < 0 {
-		return nil, fmt.Errorf("tatgraph: negative FKWeight %v", opts.FKWeight)
+	tok := opts.Tokenizer
+	if tok == nil {
+		tok = textindex.NewTokenizer()
 	}
 	tg := &Graph{
 		termNodes:   make(map[classKey]graph.NodeID),
@@ -129,7 +122,7 @@ func Build(db *relstore.Database, opts Options) (*Graph, error) {
 		byText:      make(map[string][]graph.NodeID),
 		termClasses: make(map[string]bool),
 		db:          db,
-		index:       textindex.NewIndex(opts.Tokenizer),
+		tok:         tok,
 	}
 	b := graph.NewBuilder()
 	classIDs := make(map[string]int32)
@@ -145,14 +138,20 @@ func Build(db *relstore.Database, opts Options) (*Graph, error) {
 	}
 
 	// First pass: create tuple nodes (skipping collapsed association
-	// tables) so FK edges can be added while scanning.
+	// tables) so FK edges can be added while scanning, and tokenize each
+	// segmented value, keeping the tokens in scan order for the second
+	// pass. With Phrases it also counts bigrams per segmented field, so
+	// only recurring phrases become nodes.
 	collapsed := make(map[string]bool)
+	phraseFreq := make(map[classKey]int)
+	var segmented [][]string
 	for _, tableName := range db.TableNames() {
 		table, err := db.Table(tableName)
 		if err != nil {
 			return nil, err
 		}
-		if !opts.KeepAssociationTuples && isAssociation(table.Schema()) {
+		schema := table.Schema()
+		if isAssociation(schema) {
 			collapsed[tableName] = true
 			continue
 		}
@@ -165,6 +164,16 @@ func Build(db *relstore.Database, opts Options) (*Graph, error) {
 			tg.terms = append(tg.terms, "")
 			tg.tuples = append(tg.tuples, tp.ID)
 			tg.tupleNodes[tp.ID] = id
+			for ci, col := range schema.Columns {
+				if col.Text != relstore.TextSegmented {
+					continue
+				}
+				toks := tok.Tokenize(tp.Values[ci].Text())
+				segmented = append(segmented, toks)
+				for i := 0; opts.Phrases && i+1 < len(toks); i++ {
+					phraseFreq[classKey{field: tableName + "." + col.Name, term: toks[i] + " " + toks[i+1]}]++
+				}
+			}
 			return true
 		})
 	}
@@ -185,38 +194,10 @@ func Build(db *relstore.Database, opts Options) (*Graph, error) {
 		return id
 	}
 
-	// Optional phrase pre-pass: count bigrams per segmented field so
-	// only recurring phrases become nodes.
-	phraseFreq := make(map[classKey]int)
-	if opts.Phrases {
-		for _, tableName := range db.TableNames() {
-			table, err := db.Table(tableName)
-			if err != nil {
-				return nil, err
-			}
-			if collapsed[tableName] {
-				continue
-			}
-			schema := table.Schema()
-			table.Scan(func(tp relstore.Tuple) bool {
-				for ci, col := range schema.Columns {
-					if col.Text != relstore.TextSegmented {
-						continue
-					}
-					field := tableName + "." + col.Name
-					toks := tg.index.Tokenizer().Tokenize(tp.Values[ci].Text())
-					for i := 0; i+1 < len(toks); i++ {
-						phraseFreq[classKey{field: field, term: toks[i] + " " + toks[i+1]}]++
-					}
-				}
-				return true
-			})
-		}
-	}
-
-	// Second pass: occurrence edges + inverted index + FK edges.
-	// Collapsed association tuples contribute pairwise edges between the
-	// tuples they reference instead.
+	// Second pass: occurrence edges, field document counts and FK
+	// edges. Collapsed association tuples contribute pairwise edges
+	// between the tuples they reference instead.
+	fieldDocs := make(map[string]int)
 	for _, tableName := range db.TableNames() {
 		table, err := db.Table(tableName)
 		if err != nil {
@@ -237,7 +218,7 @@ func Build(db *relstore.Database, opts Options) (*Graph, error) {
 						if a == b1 {
 							continue // self-citation style rows
 						}
-						if err := b.AddEdge(a, b1, opts.FKWeight); err != nil {
+						if err := b.AddEdge(a, b1, fkWeight); err != nil {
 							scanErr = err
 							return false
 						}
@@ -252,21 +233,23 @@ func Build(db *relstore.Database, opts Options) (*Graph, error) {
 		}
 		table.Scan(func(tp relstore.Tuple) bool {
 			tupleNode := tg.tupleNodes[tp.ID]
-			doc := textindex.DocID{Table: tp.ID.Table, Row: tp.ID.Row}
 			for ci, col := range schema.Columns {
 				if col.Text == relstore.TextNone {
 					continue
 				}
 				field := tableName + "." + col.Name
-				text := tp.Values[ci].Text()
 				switch col.Text {
 				case relstore.TextSegmented:
-					toks := tg.index.Tokenizer().Tokenize(text)
+					toks := segmented[0]
+					segmented = segmented[1:]
+					if len(toks) == 0 {
+						continue
+					}
+					fieldDocs[field]++
 					counts := make(map[string]int, len(toks))
 					for _, w := range toks {
 						counts[w]++
 					}
-					tg.index.AddText(doc, field, text)
 					for _, w := range toks {
 						if counts[w] == 0 {
 							continue // already added for this tuple
@@ -285,7 +268,7 @@ func Build(db *relstore.Database, opts Options) (*Graph, error) {
 							if seenPhrase[phrase] {
 								continue
 							}
-							if phraseFreq[classKey{field: field, term: phrase}] < opts.MinPhraseFreq {
+							if phraseFreq[classKey{field: field, term: phrase}] < minPhraseFreq {
 								continue
 							}
 							seenPhrase[phrase] = true
@@ -297,10 +280,11 @@ func Build(db *relstore.Database, opts Options) (*Graph, error) {
 						}
 					}
 				case relstore.TextAtomic:
-					v := tg.index.AddAtomic(doc, field, text)
+					v := textindex.Normalize(tp.Values[ci].Text())
 					if v == "" {
 						continue
 					}
+					fieldDocs[field]++
 					tn := addTermNode(field, v)
 					if err := b.AddEdge(tupleNode, tn, 1); err != nil {
 						scanErr = err
@@ -314,7 +298,7 @@ func Build(db *relstore.Database, opts Options) (*Graph, error) {
 				return false
 			}
 			for _, ref := range refs {
-				if err := b.AddEdge(tupleNode, tg.tupleNodes[ref], opts.FKWeight); err != nil {
+				if err := b.AddEdge(tupleNode, tg.tupleNodes[ref], fkWeight); err != nil {
 					scanErr = err
 					return false
 				}
@@ -326,11 +310,9 @@ func Build(db *relstore.Database, opts Options) (*Graph, error) {
 		}
 	}
 
-	// Record per-field document counts for idf of term classes.
-	for name, id := range classIDs {
-		if n := tg.index.DocCount(name); n > 0 {
-			tg.classDocs[id] = n
-		}
+	// A counted field has term nodes, hence a class.
+	for field, n := range fieldDocs {
+		tg.classDocs[classIDs[field]] = n
 	}
 	tg.g = b.Build()
 	// Per-node idf and per-class member lists: every walk reads them
@@ -354,9 +336,6 @@ func Build(db *relstore.Database, opts Options) (*Graph, error) {
 
 // CSR returns the underlying frozen graph.
 func (tg *Graph) CSR() *graph.Graph { return tg.g }
-
-// Index returns the inverted index built alongside the graph.
-func (tg *Graph) Index() *textindex.Index { return tg.index }
 
 // DB returns the database the graph was built from.
 func (tg *Graph) DB() *relstore.Database { return tg.db }
@@ -441,7 +420,7 @@ func (tg *Graph) FindTerm(text string) []graph.NodeID {
 	if nodes := tg.byText[norm]; nodes != nil {
 		return nodes
 	}
-	if toks := tg.index.Tokenizer().Tokenize(norm); len(toks) == 1 && toks[0] != norm {
+	if toks := tg.tok.Tokenize(norm); len(toks) == 1 && toks[0] != norm {
 		return tg.byText[toks[0]]
 	}
 	return nil

@@ -8,6 +8,7 @@ import (
 	"kqr/internal/graph"
 	"kqr/internal/relstore"
 	"kqr/internal/testcorpus"
+	"kqr/internal/textindex"
 )
 
 func buildFixture(t *testing.T) *Graph {
@@ -153,11 +154,89 @@ func TestIDFOrdering(t *testing.T) {
 	}
 }
 
+// buildEdgeFixture is the standard fixture plus two tuples whose text
+// yields no term: a title made only of stopwords and 1-rune words, and
+// an author name that is only whitespace.
+func buildEdgeFixture(t *testing.T) (*Graph, []relstore.TupleID) {
+	t.Helper()
+	db, err := testcorpus.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	title, err := db.Insert("papers", relstore.Int(100), relstore.String("A of the x, y & z"), relstore.Int(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	name, err := db.Insert("authors", relstore.Int(100), relstore.String(" \t  \n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tg, err := Build(db, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tg, []relstore.TupleID{title, name}
+}
+
+// fieldDocs counts, straight from the tables, the documents of every
+// textual field "table.column": the tuples whose value yields at least
+// one token (segmented) or a non-empty normalized string (atomic).
+func fieldDocs(t *testing.T, db *relstore.Database) map[string]int {
+	t.Helper()
+	tok := textindex.NewTokenizer()
+	docs := make(map[string]int)
+	for _, name := range db.TableNames() {
+		table, err := db.Table(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for row := 0; row < table.Len(); row++ {
+			tp, err := table.Tuple(row)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ci, col := range table.Schema().Columns {
+				text := tp.Values[ci].Text()
+				if (col.Text == relstore.TextSegmented && len(tok.Tokenize(text)) > 0) ||
+					(col.Text == relstore.TextAtomic && textindex.Normalize(text) != "") {
+					docs[name+"."+col.Name]++
+				}
+			}
+		}
+	}
+	return docs
+}
+
 // The cached class lists partition the nodes in ascending order and
 // agree with SameClass; the cached idf is ln(1 + docs/degree) of the
-// node's class.
+// node's class, where a term class's docs are its field's documents
+// counted from the tables. A value that yields no term neither counts
+// towards its field nor gets a term node.
 func TestClassMembersAndCachedIDF(t *testing.T) {
-	tg := buildFixture(t)
+	tg, blank := buildEdgeFixture(t)
+	docsOf := fieldDocs(t, tg.DB())
+	if docsOf["papers.title"] != len(testcorpus.Papers) || docsOf["authors.name"] != 7 {
+		t.Fatalf("oracle field docs %v, want papers.title %d and authors.name 7", docsOf, len(testcorpus.Papers))
+	}
+	for _, id := range blank {
+		v, ok := tg.TupleNode(id)
+		if !ok {
+			t.Fatalf("no tuple node for %v", id)
+		}
+		tg.CSR().Neighbors(v, func(u graph.NodeID, _ float64) bool {
+			if tg.Kind(u) == KindTerm {
+				t.Fatalf("%v has term neighbour %s", id, tg.DisplayLabel(u))
+			}
+			return true
+		})
+	}
+	for _, field := range []string{"papers.title", "authors.name"} {
+		for _, term := range []string{"", "a", "of", "the", "x"} {
+			if _, ok := tg.termNodes[classKey{field: field, term: term}]; ok {
+				t.Fatalf("term node %s:%q exists", field, term)
+			}
+		}
+	}
 	seen := 0
 	for v := graph.NodeID(0); int(v) < tg.NumNodes(); v++ {
 		members := tg.ClassMembers(v)
@@ -179,7 +258,7 @@ func TestClassMembersAndCachedIDF(t *testing.T) {
 		}
 		docs, deg := float64(tg.ClassSize(tg.Class(v))), float64(tg.CSR().Degree(v))
 		if tg.Kind(v) == KindTerm {
-			docs = float64(tg.Index().DocCount(tg.Class(v)))
+			docs = float64(docsOf[tg.Class(v)])
 		}
 		if want := math.Log(1 + math.Max(docs, deg)/math.Max(deg, 1)); tg.IDF(v) != want {
 			t.Fatalf("node %d: IDF = %v, want %v", v, tg.IDF(v), want)
@@ -298,13 +377,40 @@ func TestClassSize(t *testing.T) {
 	}
 }
 
-func TestBuildRejectsNegativeFKWeight(t *testing.T) {
-	db, err := testcorpus.New()
+// An occurrence edge's weight is the term's frequency in the value: the
+// tf a posting would carry.
+func TestTermFrequency(t *testing.T) {
+	db := relstore.NewDatabase()
+	if err := testcorpus.BibSchema(db); err != nil {
+		t.Fatal(err)
+	}
+	if err := testcorpus.Load(db, []testcorpus.Paper{
+		{Title: "Query query QUERY optimization of queries", Conf: "VLDB", Authors: []string{"A1"}},
+		{Title: "query plans", Conf: "VLDB", Authors: []string{"A1"}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	tg, err := Build(db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Build(db, Options{FKWeight: -1}); err == nil {
-		t.Fatal("negative FKWeight accepted")
+	p0, _ := tg.TupleNode(relstore.TupleID{Table: "papers", Row: 0})
+	p1, _ := tg.TupleNode(relstore.TupleID{Table: "papers", Row: 1})
+	for _, c := range []struct {
+		term  string
+		paper graph.NodeID
+		tf    float64
+	}{{"query", p0, 3}, {"optimization", p0, 1}, {"queries", p0, 1}, {"query", p1, 1}, {"plans", p1, 1}} {
+		v, ok := tg.TermNode("papers.title", c.term)
+		if !ok {
+			t.Fatalf("missing term node %q", c.term)
+		}
+		if w := tg.CSR().EdgeWeight(v, c.paper); w != c.tf {
+			t.Errorf("edge %q–%v weighs %v, want tf %v", c.term, c.paper, w, c.tf)
+		}
+	}
+	if q, _ := tg.TermNode("papers.title", "query"); tg.Freq(q) != 2 {
+		t.Fatalf("Freq(query) = %d, want 2 tuples", tg.Freq(q))
 	}
 }
 
@@ -333,7 +439,7 @@ func TestPhraseNodes(t *testing.T) {
 	if tg.Freq(phrase) != 2 {
 		t.Fatalf("phrase freq = %d, want 2", tg.Freq(phrase))
 	}
-	// "rules mining" occurs once → pruned by MinPhraseFreq.
+	// "rules mining" occurs once → pruned by minPhraseFreq.
 	if _, ok := tg.TermNode("papers.title", "rules mining"); ok {
 		t.Fatal("singleton bigram became a node")
 	}
@@ -353,17 +459,10 @@ func TestPhraseNodes(t *testing.T) {
 	if _, ok := tgPlain.TermNode("papers.title", "association rules"); ok {
 		t.Fatal("phrase node created without Phrases option")
 	}
-	// Option validation.
-	if _, err := Build(db, Options{Phrases: true, MinPhraseFreq: -1}); err == nil {
-		t.Fatal("negative MinPhraseFreq accepted")
-	}
 }
 
 func TestGraphAccessors(t *testing.T) {
 	tg := buildFixture(t)
-	if tg.Index() == nil {
-		t.Fatal("nil index")
-	}
 	if KindTuple.String() != "tuple" || KindTerm.String() != "term" {
 		t.Fatal("kind names wrong")
 	}

@@ -29,7 +29,7 @@ func FuzzTokenize(f *testing.F) {
 					t.Fatalf("token %q not lowercased", w)
 				}
 			}
-			if defaultStopwords[w] {
+			if stopwords[w] {
 				t.Fatalf("stopword %q leaked from %q", w, input)
 			}
 		}

@@ -1,8 +1,9 @@
-// Package textindex provides the full-text substrate: a tokenizer with a
-// stopword filter and an in-memory inverted index with term/document
-// frequency statistics. It replaces the Lucene index the original paper
-// used for keyword matching and for the frequency/idf statistics that
-// drive the contextual random walk.
+// Package textindex provides the text rules the TAT graph is built
+// with: a tokenizer for segmented fields (lowercase, split on anything
+// but letters and digits, drop stopwords and 1-rune fragments) and
+// Normalize for atomic values. There is no inverted index beside the
+// graph: a term node's tuple neighbours are its postings and the edge
+// weight is the term frequency (package tatgraph).
 package textindex
 
 import (
@@ -10,10 +11,10 @@ import (
 	"unicode"
 )
 
-// defaultStopwords is a compact English stopword list tuned for titles
+// stopwords is a compact English stopword list tuned for titles
 // and short attribute text; it removes glue words without erasing
 // domain terms.
-var defaultStopwords = map[string]bool{
+var stopwords = map[string]bool{
 	"a": true, "an": true, "and": true, "are": true, "as": true, "at": true,
 	"be": true, "by": true, "for": true, "from": true, "has": true, "in": true,
 	"is": true, "it": true, "its": true, "of": true, "on": true, "or": true,
@@ -22,33 +23,17 @@ var defaultStopwords = map[string]bool{
 	"based": true, "over": true, "under": true, "into": true, "about": true,
 }
 
+// minTokenLen is the number of runes a token needs to survive.
+const minTokenLen = 2
+
 // Tokenizer splits text into lowercase terms, dropping stopwords and
-// single-character fragments. The zero value is not usable; construct
-// with NewTokenizer.
+// single-character fragments. Construct with NewTokenizer.
 type Tokenizer struct {
-	stopwords   map[string]bool
-	minLen      int
 	foldPlurals bool
 }
 
 // TokenizerOption customizes a Tokenizer.
 type TokenizerOption func(*Tokenizer)
-
-// WithStopwords replaces the default stopword list.
-func WithStopwords(words []string) TokenizerOption {
-	return func(t *Tokenizer) {
-		t.stopwords = make(map[string]bool, len(words))
-		for _, w := range words {
-			t.stopwords[strings.ToLower(w)] = true
-		}
-	}
-}
-
-// WithMinTokenLength sets the minimum number of runes a token must have
-// to survive (default 2).
-func WithMinTokenLength(n int) TokenizerOption {
-	return func(t *Tokenizer) { t.minLen = n }
-}
 
 // WithPluralFolding makes the tokenizer fold regular English plurals
 // onto their singular ("queries"→"query", "indexes"→"index",
@@ -76,10 +61,10 @@ func foldPlural(w string) string {
 	}
 }
 
-// NewTokenizer returns a tokenizer with the default English stopword
-// list, optionally customized.
+// NewTokenizer returns a tokenizer with the English stopword list,
+// optionally folding plurals.
 func NewTokenizer(opts ...TokenizerOption) *Tokenizer {
-	t := &Tokenizer{stopwords: defaultStopwords, minLen: 2}
+	t := &Tokenizer{}
 	for _, o := range opts {
 		o(t)
 	}
@@ -99,7 +84,7 @@ func (t *Tokenizer) Tokenize(text string) []string {
 	out := make([]string, 0, len(fields))
 	for _, f := range fields {
 		w := strings.ToLower(f)
-		if len([]rune(w)) < t.minLen || t.stopwords[w] {
+		if len([]rune(w)) < minTokenLen || stopwords[w] {
 			continue
 		}
 		if t.foldPlurals {

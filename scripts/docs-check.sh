@@ -3,6 +3,8 @@
 # comment, or when a checked package has no package doc comment at all
 # (conventionally a doc.go). A cheap grep-style gate (paired with
 # `go vet` in the Makefile) over the packages whose godoc we guarantee.
+# It also runs test-names-check.sh: the documents may only cite tests
+# that exist.
 #
 # Usage: scripts/docs-check.sh DIR [DIR...]
 set -u
@@ -55,4 +57,5 @@ done
 if [ "$status" -ne 0 ]; then
     echo "docs-check: the declarations/packages above need doc comments" >&2
 fi
+sh "$(dirname "$0")/test-names-check.sh" || status=1
 exit $status
