@@ -3,9 +3,15 @@ package mend
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"unicode/utf8"
+
+	"kqr/internal/catgen"
+	"kqr/internal/dblpgen"
+	"kqr/internal/relstore"
+	"kqr/internal/tatgraph"
 )
 
 // refOSA is an independent full-matrix optimal-string-alignment
@@ -221,26 +227,29 @@ func TestDeletionKeysBounded(t *testing.T) {
 	}
 }
 
+// refDeletions is the recursive reference for the deletion
+// neighbourhood: it adds r and every string reachable from it by
+// deleting at most d runes, never the empty string, to keys.
+func refDeletions(r []rune, d int, keys map[string]struct{}) {
+	keys[string(r)] = struct{}{}
+	if d == 0 || len(r) <= 1 {
+		return
+	}
+	for i := range r {
+		buf := append(append([]rune{}, r[:i]...), r[i+1:]...)
+		refDeletions(buf, d-1, keys)
+	}
+}
+
 // TestDeletionKeysMatchesRecursive cross-checks the offset-based
 // enumeration against a straightforward recursive reference, over
 // repeated-rune and multi-byte inputs where dedup and byte slicing are
 // easy to get wrong.
 func TestDeletionKeysMatchesRecursive(t *testing.T) {
-	var ref func(r []rune, d int, keys map[string]struct{})
-	ref = func(r []rune, d int, keys map[string]struct{}) {
-		keys[string(r)] = struct{}{}
-		if d == 0 || len(r) <= 1 {
-			return
-		}
-		for i := range r {
-			buf := append(append([]rune{}, r[:i]...), r[i+1:]...)
-			ref(buf, d-1, keys)
-		}
-	}
 	for _, s := range []string{"a", "ab", "aab", "abcdefg", "aaaaaaa", "tümörs", "日本語デー"} {
 		for d := 0; d <= maxDist; d++ {
 			want := map[string]struct{}{}
-			ref([]rune(s), d, want)
+			refDeletions([]rune(s), d, want)
 			got := deletionKeys(s, d, nil)
 			if len(got) != len(want) {
 				t.Fatalf("%q d=%d: got %d keys %v, want %d", s, d, len(got), got, len(want))
@@ -248,6 +257,70 @@ func TestDeletionKeysMatchesRecursive(t *testing.T) {
 			for _, k := range got {
 				if _, ok := want[k]; !ok {
 					t.Fatalf("%q d=%d: unexpected key %q", s, d, k)
+				}
+			}
+		}
+	}
+}
+
+// TestIndexMatchesReference builds the deletion-neighbourhood index of
+// two generated corpora's vocabularies and compares its key -> term ids
+// map with one built from refDeletions over each term's first keyPrefix
+// runes: the same keys, each with the ids of exactly the terms that
+// generate it, strictly increasing.
+func TestIndexMatchesReference(t *testing.T) {
+	corpora := []struct {
+		name string
+		db   func() (*relstore.Database, error)
+	}{
+		{"dblpgen-p2000", func() (*relstore.Database, error) {
+			c, err := dblpgen.Generate(dblpgen.Config{Seed: 1, Papers: 2000})
+			if err != nil {
+				return nil, err
+			}
+			return c.DB, nil
+		}},
+		{"catgen", func() (*relstore.Database, error) {
+			c, err := catgen.Generate(catgen.Config{})
+			if err != nil {
+				return nil, err
+			}
+			return c.DB, nil
+		}},
+	}
+	for _, c := range corpora {
+		db, err := c.db()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		tg, err := tatgraph.Build(db, tatgraph.Options{Phrases: true})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		terms := tg.TermTexts()
+		want := map[string][]int32{}
+		for i, term := range terms {
+			r := []rune(term)
+			if len(r) > keyPrefix {
+				r = r[:keyPrefix]
+			}
+			keys := map[string]struct{}{}
+			refDeletions(r, maxDist, keys)
+			for k := range keys {
+				want[k] = append(want[k], int32(i))
+			}
+		}
+		ix := NewIndex(terms, nil)
+		if len(ix.dels) != len(want) {
+			t.Fatalf("%s: index has %d keys, reference %d", c.name, len(ix.dels), len(want))
+		}
+		for k, ids := range ix.dels {
+			if !slices.Equal(ids, want[k]) {
+				t.Fatalf("%s: key %q lists %v, reference %v", c.name, k, ids, want[k])
+			}
+			for j := 1; j < len(ids); j++ {
+				if ids[j] <= ids[j-1] {
+					t.Fatalf("%s: key %q lists %v, not strictly increasing", c.name, k, ids)
 				}
 			}
 		}

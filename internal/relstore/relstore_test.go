@@ -310,23 +310,44 @@ func TestLookupPKProperty(t *testing.T) {
 	}
 }
 
-// Property: string and int values with colliding textual forms (e.g.
-// Int(1) vs String("1")) never collide as primary keys.
+// String and int values with the same text (Int(7) and String("7"))
+// are different primary keys: on an int-keyed table only Int(7) finds
+// the row, on a string-keyed table only String("7"). Value is its own
+// map key, so == must agree with Equal on every pair.
 func TestPKKeyKindSeparation(t *testing.T) {
-	db := NewDatabase()
-	if err := db.CreateTable(Schema{
-		Name:       "t",
-		Columns:    []Column{{Name: "k", Kind: KindString}},
-		PrimaryKey: "k",
-	}); err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		kind      Kind
+		hit, miss Value
+	}{
+		{KindInt, Int(7), String("7")},
+		{KindString, String("7"), Int(7)},
+	} {
+		db := NewDatabase()
+		if err := db.CreateTable(Schema{
+			Name:       "t",
+			Columns:    []Column{{Name: "k", Kind: c.kind}},
+			PrimaryKey: "k",
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.Insert("t", c.hit); err != nil {
+			t.Fatal(err)
+		}
+		tab, _ := db.Table("t")
+		if _, ok := tab.LookupPK(c.miss); ok {
+			t.Fatalf("%s-keyed table: LookupPK(%s %q) hit", c.kind, c.miss.Kind(), c.miss.Text())
+		}
+		if tp, ok := tab.LookupPK(c.hit); !ok || tp.ID.Row != 0 {
+			t.Fatalf("%s-keyed table: LookupPK(%s %q) = %v, %v; want row 0", c.kind, c.hit.Kind(), c.hit.Text(), tp.ID, ok)
+		}
 	}
-	if _, err := db.Insert("t", String("1")); err != nil {
-		t.Fatal(err)
-	}
-	tab, _ := db.Table("t")
-	if _, ok := tab.LookupPK(Int(1)); ok {
-		t.Fatal("Int(1) matched String(\"1\") primary key")
+	vals := []Value{{}, String(""), String("7"), String("i:7"), Int(0), Int(7), Int(-7)}
+	for _, a := range vals {
+		for _, b := range vals {
+			if (a == b) != a.Equal(b) {
+				t.Fatalf("%s %q vs %s %q: == is %v, Equal is %v", a.Kind(), a.Text(), b.Kind(), b.Text(), a == b, a.Equal(b))
+			}
+		}
 	}
 }
 
