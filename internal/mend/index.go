@@ -82,7 +82,6 @@ type lookupScratch struct {
 	tr   []rune
 	cr   []rune
 	buf  []byte
-	buf2 []byte
 	rows [3][]int
 }
 
@@ -127,16 +126,19 @@ func NewIndex(terms []string, freqs []int) *Index {
 			ix.pref2len[t[0]-'a'][t[1]-'a'] |= 1 << bit
 		}
 	}
-	var keys []string
+	// Terms are indexed in id order, so every id list comes out strictly
+	// increasing — the deterministic candidate order — once an id that
+	// repeats a variant (a repeated rune) is skipped.
+	var buf []byte
 	for i, t := range ix.terms {
-		keys = deletionKeys(prefixOf(t), maxDist, keys)
-		for _, key := range keys {
-			ix.dels[key] = append(ix.dels[key], int32(i))
-		}
-	}
-	// Deterministic candidate order independent of map iteration.
-	for _, ids := range ix.dels {
-		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
+		id := int32(i)
+		variants(t, maxDist, &buf, func(key []byte) {
+			ids := ix.dels[string(key)]
+			if n := len(ids); n > 0 && ids[n-1] == id {
+				return
+			}
+			ix.dels[string(key)] = append(ids, id)
+		})
 	}
 	ix.logMax = math.Log1p(float64(ix.maxFreq))
 	ix.bytes = ix.estimateBytes()
@@ -293,51 +295,15 @@ func (ix *Index) LookupDist(tok string, cap, max int) []Candidate {
 			Score: ix.score(d, ix.freqs[id]),
 		})
 	}
-	// Enumerate the deletion variants of the token prefix in place,
-	// probing the maps through string(buf) expressions the compiler
-	// turns into allocation-free lookups. Duplicate variants (repeated
-	// runes) cost a redundant probe; the mark array dedups candidates.
-	p := prefixOf(tok)
-	if id, ok := ix.byTerm[p]; ok {
-		consider(id)
-	}
-	for _, id := range ix.dels[p] {
-		consider(id)
-	}
-	if cap >= 1 {
-		var off [keyPrefix + 1]int
-		n := 0
-		for i := range p {
-			off[n] = i
-			n++
+	// Only dels is probed: a term that equals a variant has at most
+	// keyPrefix runes, so it is its own zero-deletion key and dels lists
+	// it there. A repeated variant costs a redundant probe; the mark
+	// array dedups candidates.
+	variants(tok, cap, &sc.buf, func(key []byte) {
+		for _, id := range ix.dels[string(key)] {
+			consider(id)
 		}
-		off[n] = len(p)
-		if n > 1 {
-			for i := 0; i < n; i++ {
-				sc.buf = append(sc.buf[:0], p[:off[i]]...)
-				sc.buf = append(sc.buf, p[off[i+1]:]...)
-				if id, ok := ix.byTerm[string(sc.buf)]; ok {
-					consider(id)
-				}
-				for _, id := range ix.dels[string(sc.buf)] {
-					consider(id)
-				}
-				if cap >= 2 && n >= 3 {
-					for j := i + 1; j < n; j++ {
-						sc.buf2 = append(sc.buf2[:0], p[:off[i]]...)
-						sc.buf2 = append(sc.buf2, p[off[i+1]:off[j]]...)
-						sc.buf2 = append(sc.buf2, p[off[j+1]:]...)
-						if id, ok := ix.byTerm[string(sc.buf2)]; ok {
-							consider(id)
-						}
-						for _, id := range ix.dels[string(sc.buf2)] {
-							consider(id)
-						}
-					}
-				}
-			}
-		}
-	}
+	})
 	for _, id := range sc.ids {
 		sc.mark[id] = false
 	}
@@ -387,69 +353,31 @@ func prefixOf(s string) string {
 	return s
 }
 
-// deletionKeys appends to keys[:0] the string s itself and every
-// string reachable from it by deleting at most d runes, deduplicated,
-// never emitting strings shorter than one rune. s must be at most
-// keyPrefix runes; d is at most maxDist, so one- and two-deletion
-// variants are enumerated directly over rune byte offsets without
-// intermediate rune slices.
-func deletionKeys(s string, d int, keys []string) []string {
-	keys = append(keys[:0], s)
-	if d <= 0 {
-		return keys
-	}
+// variants calls fn with each deletion variant of s's first keyPrefix
+// runes: that prefix itself, then every string reachable from it by
+// deleting up to d runes (d at most maxDist), never the empty string.
+// Each variant is written into *buf, reused across calls, so fn must
+// not keep it. A variant repeats when the prefix repeats a rune.
+func variants(s string, d int, buf *[]byte, fn func(key []byte)) {
+	p := prefixOf(s)
+	b := append((*buf)[:0], p...)
+	fn(b)
 	var off [keyPrefix + 1]int
 	n := 0
-	for i := range s {
+	for i := range p {
 		off[n] = i
 		n++
 	}
-	off[n] = len(s)
-	if n <= 1 {
-		return keys
-	}
-	// When every rune is distinct, each deleted position pair yields a
-	// distinct string and the dedup scans can be skipped outright.
-	distinct := true
-	for i := 1; i < n && distinct; i++ {
-		a := s[off[i-1]:off[i]]
-		for j := i + 1; j <= n; j++ {
-			if s[off[j-1]:off[j]] == a {
-				distinct = false
-				break
-			}
+	off[n] = len(p)
+	for i := 0; d >= 1 && n > 1 && i < n; i++ {
+		b = append(append(b[:0], p[:off[i]]...), p[off[i+1]:]...)
+		fn(b)
+		for j := i + 1; d >= 2 && n > 2 && j < n; j++ {
+			b = append(append(append(b[:0], p[:off[i]]...), p[off[i+1]:off[j]]...), p[off[j+1]:]...)
+			fn(b)
 		}
 	}
-	for i := 0; i < n; i++ {
-		k1 := s[:off[i]] + s[off[i+1]:]
-		if distinct {
-			keys = append(keys, k1)
-		} else {
-			keys = appendKey(keys, k1)
-		}
-		if d >= 2 && n >= 3 {
-			for j := i + 1; j < n; j++ {
-				k2 := s[:off[i]] + s[off[i+1]:off[j]] + s[off[j+1]:]
-				if distinct {
-					keys = append(keys, k2)
-				} else {
-					keys = appendKey(keys, k2)
-				}
-			}
-		}
-	}
-	return keys
-}
-
-// appendKey appends k unless it is already present; the key lists are
-// small (at most 29 entries) so a linear scan beats a map.
-func appendKey(keys []string, k string) []string {
-	for _, e := range keys {
-		if e == k {
-			return keys
-		}
-	}
-	return append(keys, k)
+	*buf = b
 }
 
 // appendRunes decodes s into dst[:0], reusing its capacity.

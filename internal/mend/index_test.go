@@ -220,11 +220,27 @@ func TestLookupShortTokenNoEdits(t *testing.T) {
 }
 
 func TestDeletionKeysBounded(t *testing.T) {
-	keys := deletionKeys("abcdefg", maxDist, nil)
-	// C(7,2) + 7 + 1 = 29 distinct variants for distinct runes.
-	if len(keys) != 29 {
-		t.Fatalf("got %d keys, want 29", len(keys))
+	// C(7,2) + 7 + 1 = 29 variants, all distinct for distinct runes;
+	// only the first keyPrefix runes generate them.
+	for _, s := range []string{"abcdefg", "abcdefghij"} {
+		got := variantSet(s, maxDist)
+		if len(got) != 29 || got["abcdefg"] != 1 {
+			t.Fatalf("%q: %d variants %v, want 29 distinct of the prefix", s, len(got), got)
+		}
+		for k, n := range got {
+			if n != 1 {
+				t.Fatalf("%q: variant %q emitted %d times", s, k, n)
+			}
+		}
 	}
+}
+
+// variantSet collects variants' output for s as variant -> emissions.
+func variantSet(s string, d int) map[string]int {
+	got := map[string]int{}
+	var buf []byte
+	variants(s, d, &buf, func(key []byte) { got[string(key)]++ })
+	return got
 }
 
 // refDeletions is the recursive reference for the deletion
@@ -242,21 +258,22 @@ func refDeletions(r []rune, d int, keys map[string]struct{}) {
 }
 
 // TestDeletionKeysMatchesRecursive cross-checks the offset-based
-// enumeration against a straightforward recursive reference, over
-// repeated-rune and multi-byte inputs where dedup and byte slicing are
-// easy to get wrong.
+// enumeration's variant set against a straightforward recursive
+// reference, over repeated-rune and multi-byte inputs where byte
+// slicing is easy to get wrong. Repeats are allowed here;
+// TestIndexMatchesReference checks that the index drops them.
 func TestDeletionKeysMatchesRecursive(t *testing.T) {
 	for _, s := range []string{"a", "ab", "aab", "abcdefg", "aaaaaaa", "tümörs", "日本語デー"} {
 		for d := 0; d <= maxDist; d++ {
 			want := map[string]struct{}{}
 			refDeletions([]rune(s), d, want)
-			got := deletionKeys(s, d, nil)
+			got := variantSet(s, d)
 			if len(got) != len(want) {
-				t.Fatalf("%q d=%d: got %d keys %v, want %d", s, d, len(got), got, len(want))
+				t.Fatalf("%q d=%d: got %d variants %v, want %d", s, d, len(got), got, len(want))
 			}
-			for _, k := range got {
+			for k := range got {
 				if _, ok := want[k]; !ok {
-					t.Fatalf("%q d=%d: unexpected key %q", s, d, k)
+					t.Fatalf("%q d=%d: unexpected variant %q", s, d, k)
 				}
 			}
 		}
