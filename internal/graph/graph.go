@@ -5,8 +5,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // NodeID indexes a node. IDs are dense, assigned by Builder.AddNode in
@@ -73,22 +74,19 @@ func (b *Builder) check(u NodeID) error {
 }
 
 // Build freezes the builder into a CSR graph. Parallel edges between the
-// same pair are merged, accumulating weight. The builder remains usable.
+// same pair are merged, accumulating weight. Each adjacency list is
+// sorted and merged in place, so the builder remains usable: a later
+// Build sees the same multigraph, its parallel edges already summed.
 func (b *Builder) Build() *Graph {
 	n := len(b.adj)
 	g := &Graph{
 		offsets:   make([]int64, n+1),
 		weightSum: make([]float64, n),
 	}
-	// First pass: dedupe each adjacency list, counting merged sizes.
-	merged := make([][]Edge, n)
 	total := 0
 	for u, list := range b.adj {
-		if len(list) == 0 {
-			continue
-		}
-		sort.Slice(list, func(i, j int) bool { return list[i].To < list[j].To })
-		out := list[:0:0]
+		slices.SortFunc(list, func(x, y Edge) int { return cmp.Compare(x.To, y.To) })
+		out := list[:0]
 		for _, e := range list {
 			if len(out) > 0 && out[len(out)-1].To == e.To {
 				out[len(out)-1].Weight += e.Weight
@@ -96,15 +94,15 @@ func (b *Builder) Build() *Graph {
 				out = append(out, e)
 			}
 		}
-		merged[u] = out
+		b.adj[u] = out
 		total += len(out)
 	}
 	g.neighbors = make([]NodeID, total)
 	g.weights = make([]float64, total)
 	pos := int64(0)
-	for u := 0; u < n; u++ {
+	for u, list := range b.adj {
 		g.offsets[u] = pos
-		for _, e := range merged[u] {
+		for _, e := range list {
 			g.neighbors[pos] = e.To
 			g.weights[pos] = e.Weight
 			g.weightSum[u] += e.Weight

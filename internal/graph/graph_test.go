@@ -77,6 +77,17 @@ func TestParallelEdgesMerge(t *testing.T) {
 	if ws := g.WeightSum(u); ws != 6 {
 		t.Fatalf("WeightSum = %v, want 6", ws)
 	}
+	// Build merges in place; the builder keeps the same multigraph, so
+	// a second Build and a Build after one more edge still add up.
+	if w := b.Build().EdgeWeight(v, u); w != 6 {
+		t.Fatalf("second Build: merged weight = %v, want 6", w)
+	}
+	if err := b.AddEdge(v, u, 1); err != nil {
+		t.Fatal(err)
+	}
+	if g := b.Build(); g.NumEdges() != 1 || g.EdgeWeight(u, v) != 7 {
+		t.Fatalf("Build after AddEdge: %d edges, weight %v; want 1, 7", g.NumEdges(), g.EdgeWeight(u, v))
+	}
 }
 
 func TestNeighborsOrderAndEarlyStop(t *testing.T) {
