@@ -165,15 +165,15 @@ func TopoTables(db *relstore.Database) ([]string, error) {
 // removed because a row they referenced was deleted.
 func applyDeltas(base *relstore.Database, deltas []Delta) (db *relstore.Database, cascades int, err error) {
 	// Index the deletions per table by primary-key value.
-	dels := make(map[string]map[string]bool) // table -> pk text key -> true
+	dels := make(map[string]map[relstore.Value]bool) // table -> pk -> true
 	for _, d := range deltas {
 		if d.Op != OpDelete {
 			continue
 		}
 		if dels[d.Table] == nil {
-			dels[d.Table] = make(map[string]bool)
+			dels[d.Table] = make(map[relstore.Value]bool)
 		}
-		dels[d.Table][valueKey(d.Key)] = true
+		dels[d.Table][d.Key] = true
 	}
 
 	order, err := TopoTables(base)
@@ -194,6 +194,7 @@ func applyDeltas(base *relstore.Database, deltas []Delta) (db *relstore.Database
 	}
 
 	deleted := make(map[relstore.TupleID]bool)
+	var refs []relstore.TupleID
 
 	// Copy surviving base rows, parents before children, cascading
 	// deletions down the FK graph.
@@ -209,12 +210,12 @@ func applyDeltas(base *relstore.Database, deltas []Delta) (db *relstore.Database
 		}
 		var scanErr error
 		t.Scan(func(tp relstore.Tuple) bool {
-			if pkCol >= 0 && dels[name][valueKey(tp.Values[pkCol])] {
+			if pkCol >= 0 && dels[name][tp.Values[pkCol]] {
 				deleted[tp.ID] = true
 				return true
 			}
 			// Cascade: drop rows referencing a deleted row.
-			refs, err := base.References(tp.ID)
+			refs, err = base.References(tp.ID, refs)
 			if err != nil {
 				scanErr = err
 				return false
@@ -249,7 +250,7 @@ func applyDeltas(base *relstore.Database, deltas []Delta) (db *relstore.Database
 		}
 		s := t.Schema()
 		if s.PrimaryKey != "" {
-			if dels[d.Table][valueKey(d.Values[s.ColumnIndex(s.PrimaryKey)])] {
+			if dels[d.Table][d.Values[s.ColumnIndex(s.PrimaryKey)]] {
 				continue // inserted then deleted in one batch
 			}
 		}
@@ -258,13 +259,4 @@ func applyDeltas(base *relstore.Database, deltas []Delta) (db *relstore.Database
 		}
 	}
 	return db, cascades, nil
-}
-
-// valueKey renders a value as a map key, kind-tagged so Int(1) and
-// String("1") stay distinct.
-func valueKey(v relstore.Value) string {
-	if v.Kind() == relstore.KindInt {
-		return "i:" + v.Text()
-	}
-	return "s:" + v.Text()
 }

@@ -116,9 +116,12 @@ func (db *Database) Field(id TupleID, column string) (Value, error) {
 	return v, nil
 }
 
-// References returns, for the identified tuple, the tuples it references
-// through each of its foreign keys (its "parents" in the schema graph).
-func (db *Database) References(id TupleID) ([]TupleID, error) {
+// References appends to dst[:0] the tuples the identified tuple
+// references through each of its foreign keys (its "parents" in the
+// schema graph), in foreign-key order, and returns the extended slice.
+// A caller scanning many tuples passes the previous result back in, so
+// the scan reuses one buffer.
+func (db *Database) References(id TupleID, dst []TupleID) ([]TupleID, error) {
 	t, err := db.Table(id.Table)
 	if err != nil {
 		return nil, err
@@ -127,7 +130,7 @@ func (db *Database) References(id TupleID) ([]TupleID, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []TupleID
+	out := dst[:0]
 	for _, fk := range t.schema.ForeignKeys {
 		ref, err := db.Table(fk.RefTable)
 		if err != nil {

@@ -171,21 +171,22 @@ func TestReferences(t *testing.T) {
 	author := mustID(db.Insert("authors", Int(5), String("Ada Lovelace")))
 	w := mustID(db.Insert("writes", Int(5), Int(10)))
 
-	refs, err := db.References(w)
+	refs, err := db.References(w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(refs) != 2 || refs[0] != author || refs[1] != paper {
 		t.Fatalf("References(writes) = %v, want [%v %v]", refs, author, paper)
 	}
-	refs, err = db.References(paper)
+	// Each later call reuses the previous result as its buffer.
+	refs, err = db.References(paper, refs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(refs) != 1 || refs[0] != conf {
 		t.Fatalf("References(paper) = %v, want [%v]", refs, conf)
 	}
-	refs, err = db.References(conf)
+	refs, err = db.References(conf, refs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,10 +413,10 @@ func TestAccessors(t *testing.T) {
 			t.Fatal("empty text-mode name")
 		}
 	}
-	if _, err := db.References(TupleID{Table: "nope", Row: 0}); err == nil {
+	if _, err := db.References(TupleID{Table: "nope", Row: 0}, nil); err == nil {
 		t.Fatal("References on unknown table accepted")
 	}
-	if _, err := db.References(TupleID{Table: "conferences", Row: 42}); err == nil {
+	if _, err := db.References(TupleID{Table: "conferences", Row: 42}, nil); err == nil {
 		t.Fatal("References on bad row accepted")
 	}
 }

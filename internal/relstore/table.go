@@ -37,15 +37,16 @@ func (t Tuple) value(s *Schema, column string) (Value, bool) {
 type Table struct {
 	schema Schema
 	rows   [][]Value
-	// pkIndex maps primary-key value keys to row indexes. Nil when the
-	// schema has no primary key.
-	pkIndex map[string]int
+	// pkIndex maps primary-key values to row indexes. A Value is its own
+	// key: == compares kind and content, so Int(7) and String("7") stay
+	// distinct. Nil when the schema has no primary key.
+	pkIndex map[Value]int
 }
 
 func newTable(s Schema) *Table {
 	t := &Table{schema: s}
 	if s.PrimaryKey != "" {
-		t.pkIndex = make(map[string]int)
+		t.pkIndex = make(map[Value]int)
 	}
 	return t
 }
@@ -73,7 +74,7 @@ func (t *Table) LookupPK(v Value) (Tuple, bool) {
 	if t.pkIndex == nil {
 		return Tuple{}, false
 	}
-	row, ok := t.pkIndex[v.key()]
+	row, ok := t.pkIndex[v]
 	if !ok {
 		return Tuple{}, false
 	}
@@ -104,10 +105,10 @@ func (t *Table) insert(vals []Value) (int, error) {
 	}
 	if t.pkIndex != nil {
 		pk := vals[s.ColumnIndex(s.PrimaryKey)]
-		if _, dup := t.pkIndex[pk.key()]; dup {
+		if _, dup := t.pkIndex[pk]; dup {
 			return 0, fmt.Errorf("relstore: table %q duplicate primary key %q", s.Name, pk.Text())
 		}
-		t.pkIndex[pk.key()] = len(t.rows)
+		t.pkIndex[pk] = len(t.rows)
 	}
 	t.rows = append(t.rows, vals)
 	return len(t.rows) - 1, nil

@@ -28,6 +28,8 @@ func (k Kind) String() string {
 }
 
 // Value is a single typed cell value. The zero Value is the empty string.
+// Values are comparable, and == is Equal (String never sets num, Int
+// never sets str), so a Value serves as its own map key.
 type Value struct {
 	kind Kind
 	str  string
@@ -62,20 +64,4 @@ func (v Value) AsInt() (int64, error) {
 }
 
 // Equal reports whether two values have the same kind and content.
-func (v Value) Equal(o Value) bool {
-	if v.kind != o.kind {
-		return false
-	}
-	if v.kind == KindInt {
-		return v.num == o.num
-	}
-	return v.str == o.str
-}
-
-// key returns a map key uniquely identifying the value within a column.
-func (v Value) key() string {
-	if v.kind == KindInt {
-		return "i:" + strconv.FormatInt(v.num, 10)
-	}
-	return "s:" + v.str
-}
+func (v Value) Equal(o Value) bool { return v == o }

@@ -157,6 +157,7 @@ func Build(db *relstore.Database, opts Options) (*Graph, error) {
 		}
 		tableClass := classOf(tableName)
 		tg.classDocs[tableClass] = table.Len()
+		fields := fieldLabels(tableName, schema)
 		table.Scan(func(tp relstore.Tuple) bool {
 			id := b.AddNode()
 			tg.kinds = append(tg.kinds, KindTuple)
@@ -171,7 +172,7 @@ func Build(db *relstore.Database, opts Options) (*Graph, error) {
 				toks := tok.Tokenize(tp.Values[ci].Text())
 				segmented = append(segmented, toks)
 				for i := 0; opts.Phrases && i+1 < len(toks); i++ {
-					phraseFreq[classKey{field: tableName + "." + col.Name, term: toks[i] + " " + toks[i+1]}]++
+					phraseFreq[classKey{field: fields[ci], term: toks[i] + " " + toks[i+1]}]++
 				}
 			}
 			return true
@@ -198,6 +199,7 @@ func Build(db *relstore.Database, opts Options) (*Graph, error) {
 	// edges. Collapsed association tuples contribute pairwise edges
 	// between the tuples they reference instead.
 	fieldDocs := make(map[string]int)
+	var refs []relstore.TupleID
 	for _, tableName := range db.TableNames() {
 		table, err := db.Table(tableName)
 		if err != nil {
@@ -207,7 +209,7 @@ func Build(db *relstore.Database, opts Options) (*Graph, error) {
 		var scanErr error
 		if collapsed[tableName] {
 			table.Scan(func(tp relstore.Tuple) bool {
-				refs, err := db.References(tp.ID)
+				refs, err = db.References(tp.ID, refs)
 				if err != nil {
 					scanErr = err
 					return false
@@ -231,13 +233,14 @@ func Build(db *relstore.Database, opts Options) (*Graph, error) {
 			}
 			continue
 		}
+		fields := fieldLabels(tableName, schema)
 		table.Scan(func(tp relstore.Tuple) bool {
 			tupleNode := tg.tupleNodes[tp.ID]
 			for ci, col := range schema.Columns {
 				if col.Text == relstore.TextNone {
 					continue
 				}
-				field := tableName + "." + col.Name
+				field := fields[ci]
 				switch col.Text {
 				case relstore.TextSegmented:
 					toks := segmented[0]
@@ -292,7 +295,7 @@ func Build(db *relstore.Database, opts Options) (*Graph, error) {
 					}
 				}
 			}
-			refs, err := db.References(tp.ID)
+			refs, err = db.References(tp.ID, refs)
 			if err != nil {
 				scanErr = err
 				return false
@@ -332,6 +335,16 @@ func Build(db *relstore.Database, opts Options) (*Graph, error) {
 		tg.classNodes[c] = append(tg.classNodes[c], graph.NodeID(v))
 	}
 	return tg, nil
+}
+
+// fieldLabels returns the "table.column" label of each column of a
+// table, by column index.
+func fieldLabels(table string, s relstore.Schema) []string {
+	out := make([]string, len(s.Columns))
+	for i, col := range s.Columns {
+		out[i] = table + "." + col.Name
+	}
+	return out
 }
 
 // CSR returns the underlying frozen graph.
