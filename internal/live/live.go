@@ -299,7 +299,9 @@ func (m *Manager) Build(db *relstore.Database) (*Generation, error) {
 // corpus frequencies, a Resolve hook that mirrors the reformulator's
 // own term resolution (so mending never touches a token the engine
 // could already answer), and a context scorer backed by the
-// generation's closeness store.
+// generation's closeness store. The scorer resolves its texts through
+// FindTerm, which answers a stored text with one map lookup before any
+// normalization, so it needs no vocabulary map of its own.
 func buildMender(tg *tatgraph.Graph, clos *closeness.Store) *mend.Mender {
 	// bestNode picks the most frequent term node for a text — the one
 	// the closeness scorer should anchor on.
@@ -315,37 +317,19 @@ func buildMender(tg *tatgraph.Graph, clos *closeness.Store) *mend.Mender {
 	}
 	texts := tg.TermTexts()
 	freqs := make([]int, len(texts))
-	// nodeOf is precomputed for every canonical text: the context
-	// scorer runs per candidate on the query hot path and must not pay
-	// FindTerm's tokenization there.
-	nodeOf := make(map[string]graph.NodeID, len(texts))
 	for i, t := range texts {
-		f := 0
 		for _, v := range tg.FindTerm(t) {
-			f += tg.Freq(v)
-		}
-		freqs[i] = f
-		if v, ok := bestNode(t); ok {
-			nodeOf[t] = v
+			freqs[i] += tg.Freq(v)
 		}
 	}
-	ix := mend.NewIndex(texts, freqs)
-	// resolve falls back to FindTerm for texts outside the canonical
-	// vocabulary (anchors may resolve through plural folding).
-	resolve := func(text string) (graph.NodeID, bool) {
-		if v, ok := nodeOf[text]; ok {
-			return v, true
-		}
-		return bestNode(text)
-	}
-	return mend.New(ix, mend.Options{
+	return mend.New(mend.NewIndex(texts, freqs), mend.Options{
 		Resolve: func(tok string) bool { return len(tg.FindTerm(tok)) > 0 },
 		Context: func(anchor, cand string) float64 {
-			a, ok := resolve(anchor)
+			a, ok := bestNode(anchor)
 			if !ok {
 				return 0
 			}
-			c, ok := resolve(cand)
+			c, ok := bestNode(cand)
 			if !ok {
 				return 0
 			}
