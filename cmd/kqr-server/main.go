@@ -331,7 +331,12 @@ func run(cfg config) error {
 	}
 	if cfg.cdc {
 		mgr, _ := eng.Replication()
-		recv := cdc.NewReceiver(mgr, cdc.ReceiverOptions{MaxPending: cfg.cdcPending})
+		recv := cdc.NewReceiver(mgr, cdc.ReceiverOptions{
+			MaxPending: cfg.cdcPending,
+			Logf: func(format string, args ...any) {
+				fmt.Printf(format+"\n", args...)
+			},
+		})
 		opts = append(opts, server.WithCDC(recv))
 		fmt.Printf("CDC ingestion: streams on POST /cdc/stream, ack backpressure above %d staged deltas\n",
 			recv.Status().MaxPending)

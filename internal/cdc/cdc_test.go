@@ -276,7 +276,7 @@ func TestFingerprintMismatchRejected(t *testing.T) {
 func TestBackpressureThrottlesUntilPromotion(t *testing.T) {
 	mgr := mustManager(t)
 	base := paperCount(t, mgr)
-	recv := NewReceiver(mgr, ReceiverOptions{MaxPending: 2, PollInterval: time.Millisecond})
+	recv := NewReceiver(mgr, ReceiverOptions{MaxPending: 2})
 	srv := newStreamServer(t, recv)
 
 	// Drain the backlog with periodic promotions, as the staleness

@@ -15,10 +15,12 @@ import (
 	"kqr/internal/stream"
 )
 
-// Receiver defaults.
 const (
-	defaultMaxPending   = 5000
-	defaultPollInterval = 5 * time.Millisecond
+	// defaultMaxPending is ReceiverOptions.MaxPending's default.
+	defaultMaxPending = 5000
+	// pollInterval is how often a backpressured stream re-checks the
+	// pending backlog.
+	pollInterval = 5 * time.Millisecond
 )
 
 // ReceiverOptions tunes a Receiver. Zero values take the documented
@@ -29,9 +31,6 @@ type ReceiverOptions struct {
 	// acked until a promotion drains the backlog below the bound, so a
 	// fast feeder's bounded in-flight window stalls it (default 5000).
 	MaxPending int
-	// PollInterval is how often a backpressured stream re-checks the
-	// pending backlog (default 5ms).
-	PollInterval time.Duration
 	// Logf, if set, receives one line per stream event (connect,
 	// disconnect, rejection). Nil means silent.
 	Logf func(format string, args ...any)
@@ -40,9 +39,6 @@ type ReceiverOptions struct {
 func (o ReceiverOptions) withDefaults() ReceiverOptions {
 	if o.MaxPending <= 0 {
 		o.MaxPending = defaultMaxPending
-	}
-	if o.PollInterval <= 0 {
-		o.PollInterval = defaultPollInterval
 	}
 	return o
 }
@@ -389,7 +385,7 @@ func (rc *Receiver) waitBelowBound(ctx context.Context, src *sourceState) error 
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-time.After(rc.opts.PollInterval):
+		case <-time.After(pollInterval):
 		}
 		if rc.mgr.Pending() < rc.opts.MaxPending {
 			return nil
