@@ -101,7 +101,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"runtime/debug"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -145,9 +144,6 @@ const (
 	// followMaxLag is how many promotions a follower may trail the
 	// leader by before its /readyz reports not ready.
 	followMaxLag = 1
-	// diskModeGCHeadroom is how much garbage a disk-mode server lets
-	// gather between collections (see relaxGC).
-	diskModeGCHeadroom = 48 << 20
 )
 
 func main() {
@@ -270,7 +266,6 @@ func run(cfg config) error {
 		if ds, ok := eng.DiskTables(); ok {
 			fmt.Printf("disk mode: tables %.1f MiB on disk, budget %.1f MiB (index %.1f MiB resident)\n",
 				float64(ds.BlobBytes)/(1<<20), float64(ds.Budget)/(1<<20), float64(ds.MetaBytes)/(1<<20))
-			relaxGC(uint64(ds.CacheBudget), diskModeGCHeadroom)
 		}
 	}
 	if cfg.snapLoad != "" && !loaded {
@@ -373,28 +368,6 @@ func run(cfg config) error {
 	defer stop()
 	ready.Store(true)
 	return srv.Serve(ctx, cfg.addr)
-}
-
-// relaxGC sets the collector's pace for disk mode. Every page fault
-// decodes a page onto the heap and every eviction turns one into
-// garbage — under a small table budget some 290 KB per request — while
-// the live heap is whatever the corpus needs plus at most the page
-// cache: at the default GOGC=100 a 12 MB live heap is collected 70 times
-// a second, a seventh of both cores. So a disk-mode server lets at
-// least headroom bytes gather between collections, whatever its live
-// heap (cacheBudget is the part of it that has yet to fill); where twice
-// the live heap is already more than that, and where the operator set
-// GOGC, nothing changes.
-func relaxGC(cacheBudget, headroom uint64) {
-	if os.Getenv("GOGC") != "" {
-		return
-	}
-	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	if pct := headroom * 100 / (ms.HeapAlloc + cacheBudget); pct > 100 {
-		debug.SetGCPercent(int(pct))
-	}
 }
 
 // runFollower runs the server in follower mode: the corpus is the

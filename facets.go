@@ -44,8 +44,10 @@ func (e *Engine) Facets(terms []string, perField int) ([]Facet, error) {
 	// Aggregate closeness over the query terms: a facet term related to
 	// several query terms accumulates.
 	agg := make(map[graph.NodeID]float64)
+	var nodes []graph.NodeID
+	var scores []float32
 	for _, q := range queryNodes {
-		nodes, scores, _ := g.Clos.Row(q) // the closeness search never fails
+		nodes, scores, _ = g.Clos.AppendRow(q, nodes[:0], scores[:0]) // the closeness search never fails
 		for i, v := range nodes {
 			if !isQuery[v] {
 				agg[v] += float64(scores[i])

@@ -182,14 +182,22 @@ func (t *PagedTable) validate() error {
 	return nil
 }
 
-// DecodePage verifies raw — the blob bytes of page pg, entries
-// PageStarts[pg] to PageEnd(pg) — against the page's stored CRC and
-// decodes its (u32 node, f32 score) entries into nodes and scores, each
-// len(raw)/8 long. It is the one page-entry decoder: the sequential
-// restore below and diskmode's page fault both call it.
-func (t *PagedTable) DecodePage(pg int, raw []byte, nodes []graph.NodeID, scores []float32) error {
+// VerifyPage checks raw — the blob bytes of page pg, entries
+// PageStarts[pg] to PageEnd(pg) — against the page's stored CRC. It is
+// what diskmode's page fault runs; the fault keeps the raw bytes.
+func (t *PagedTable) VerifyPage(pg int, raw []byte) error {
 	if crc := crc32.ChecksumIEEE(raw); crc != t.PageCRCs[pg] {
 		return fmt.Errorf("%w: page %d CRC %08x, stored %08x", ErrChecksum, pg, crc, t.PageCRCs[pg])
+	}
+	return nil
+}
+
+// DecodePage verifies raw (VerifyPage) and decodes its (u32 node, f32
+// score) entries into nodes and scores, each len(raw)/8 long — the
+// sequential restore below.
+func (t *PagedTable) DecodePage(pg int, raw []byte, nodes []graph.NodeID, scores []float32) error {
+	if err := t.VerifyPage(pg, raw); err != nil {
+		return err
 	}
 	for i := range nodes {
 		nodes[i] = graph.NodeID(binary.LittleEndian.Uint32(raw[i*pagedEntrySize:]))

@@ -38,7 +38,7 @@ func BenchmarkFromCold(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		s.Row(nodes[0])
+		s.AppendRow(nodes[0], nil, nil)
 	}
 }
 
@@ -52,7 +52,7 @@ func BenchmarkClosWarm(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s.Row(a)
+	s.AppendRow(a, nil, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

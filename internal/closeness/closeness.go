@@ -76,15 +76,16 @@ func (o Options) Resolve() (Options, error) {
 // Store computes closeness rows per source node: its search function
 // runs the layered path search for one source, and the embedded row
 // store caches, packs and serves the results (Precompute and Pack for
-// the offline stage). Rows are sorted by neighbor node id, so Clos is a
-// binary probe over one contiguous row — the decoder's transition hot
-// path. It is safe for concurrent use.
+// the offline stage). Rows are sorted by neighbor node id, so ClosRow
+// is a binary probe per candidate over one row — the decoder's
+// transition hot path. It is safe for concurrent use.
 type Store struct {
 	*packed.Store
 
 	tg      *tatgraph.Graph
 	opts    Options
 	scratch sync.Pool // *scratch, one per concurrent search
+	pairs   sync.Pool // *pair, one per concurrent Clos
 }
 
 // New builds a closeness store over a TAT graph.
@@ -95,6 +96,7 @@ func New(tg *tatgraph.Graph, opts Options) (*Store, error) {
 	}
 	s := &Store{tg: tg, opts: opts}
 	s.scratch.New = func() any { return new(scratch) }
+	s.pairs.New = func() any { return new(pair) }
 	s.Store = packed.NewStore(tg.CSR().NumNodes(), s.search)
 	return s, nil
 }
@@ -201,19 +203,42 @@ func (s *Store) searchIn(sc *scratch, v graph.NodeID) []graph.Scored {
 // Clos returns clos(a, b): the shortest-path count from a to b divided
 // by the distance, 0 if b is unreachable within MaxLen. Identity is
 // defined as 0 — closeness measures co-coverage between *different*
-// terms. A packed row is probed without locks or allocation.
+// terms. It is ClosRow for one candidate, and like it allocates nothing
+// on a packed row.
 func (s *Store) Clos(a, b graph.NodeID) float64 {
-	if a == b {
-		return 0
+	p := s.pairs.Get().(*pair)
+	p.b[0] = b
+	s.ClosRow(a, p.b[:], p.c[:])
+	c := p.c[0]
+	s.pairs.Put(p)
+	return c
+}
+
+// pair is Clos's one-candidate probe, pooled: a slice handed to a
+// table's ProbeRow escapes, so a stack array would cost an allocation
+// per call.
+type pair struct {
+	b [1]graph.NodeID
+	c [1]float64
+}
+
+// ClosRow writes clos(a, bs[i]) to out[i] for every candidate, reading
+// a's row once — one probe per candidate of a row, not one row read per
+// pair: the decoder's transition hot path. out must be at least len(bs)
+// long.
+func (s *Store) ClosRow(a graph.NodeID, bs []graph.NodeID, out []float64) {
+	s.ProbeRow(a, bs, out) // search never fails
+	for i, b := range bs {
+		if b == a {
+			out[i] = 0
+		}
 	}
-	nodes, scores, _ := s.Row(a) // search never fails
-	return packed.Probe(nodes, scores, b)
 }
 
 // From returns the closeness of every term reachable from v within
 // MaxLen hops (v itself excluded) as a scored list in node-id order.
 func (s *Store) From(v graph.NodeID) []graph.Scored {
-	nodes, scores, _ := s.Row(v) // search never fails
+	nodes, scores, _ := s.AppendRow(v, nil, nil) // search never fails
 	return packed.Scored(nodes, scores, 0)
 }
 

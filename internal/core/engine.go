@@ -21,11 +21,12 @@ import (
 // SimilarityProvider supplies per-term candidate rows; both the
 // contextual random walk and the co-occurrence baseline satisfy it.
 type SimilarityProvider interface {
-	// SimRow returns t0's same-class similar nodes in rank order with
-	// scores normalized to [0,1] (best candidate at 1) as read-only
-	// views — lock- and allocation-free once the row is packed. ok is
-	// false only when the row could not be computed.
-	SimRow(t0 graph.NodeID) (nodes []graph.NodeID, scores []float32, ok bool)
+	// AppendRow appends t0's same-class similar nodes in rank order with
+	// scores normalized to [0,1] (best candidate at 1) to nodes and
+	// scores — a copy into the caller's slices, lock- and
+	// allocation-free once the row is packed and the slices have grown.
+	// It fails only when the row could not be computed.
+	AppendRow(t0 graph.NodeID, nodes []graph.NodeID, scores []float32) ([]graph.NodeID, []float32, error)
 	// Sim returns the similarity of t to t0 (1 for identity, 0 when
 	// unrelated).
 	Sim(t0, t graph.NodeID) (float64, error)
@@ -34,6 +35,9 @@ type SimilarityProvider interface {
 // ClosenessProvider supplies the pairwise closeness relation.
 type ClosenessProvider interface {
 	Clos(a, b graph.NodeID) float64
+	// ClosRow writes Clos(a, bs[i]) to out[i] for every candidate,
+	// reading a's row once.
+	ClosRow(a graph.NodeID, bs []graph.NodeID, out []float64)
 }
 
 // Algorithm selects the top-k decoder.
@@ -187,6 +191,10 @@ type slot struct {
 	// cands holds candidate nodes; a negative node marks the void state.
 	cands []graph.NodeID
 	sims  []float64 // raw similarity of each candidate to the query term
+	// simNodes and simScores hold the query term's similarity row,
+	// copied out of its table.
+	simNodes  []graph.NodeID
+	simScores []float32
 }
 
 const voidNode = graph.NodeID(-1)
@@ -203,10 +211,11 @@ func (e *Engine) fillSlot(sl *slot, i int, q graph.NodeID) error {
 		sl.cands = append(sl.cands, q)
 		sl.sims = append(sl.sims, 1)
 	}
-	nodes, scores, ok := e.sim.SimRow(q)
-	if !ok {
+	nodes, scores, err := e.sim.AppendRow(q, sl.simNodes[:0], sl.simScores[:0])
+	if err != nil {
 		return fmt.Errorf("core: similar terms of slot %d: no row for term node %d", i, q)
 	}
+	sl.simNodes, sl.simScores = nodes, scores
 	n := min(e.opts.CandidatesPerTerm, len(nodes))
 	for idx := 0; idx < n; idx++ {
 		if nodes[idx] == q {

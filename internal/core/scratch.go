@@ -171,7 +171,9 @@ func (e *Engine) buildSlotsInto(s *queryScratch, queryNodes []graph.NodeID) erro
 // one flat buffer, the initial distribution from term frequency, and
 // the per-step transition matrices precomputed (so decoding does each
 // closeness lookup once and the smoothing background is deterministic)
-// and flattened behind the scratch's reusable closure.
+// and flattened behind the scratch's reusable closure. Each previous
+// candidate's closeness row is read once per step, probed for every
+// current candidate at once.
 //
 // Smoothing note: Eq. 5–6 as printed mix a per-pair score with a sum
 // over the *whole* candidate query, which cannot be factored into a
@@ -253,15 +255,14 @@ func (e *Engine) buildModelInto(s *queryScratch, m int) {
 		bg, cnt, maxV := 0.0, 0, 0.0
 		for i, a := range prev.cands {
 			row := blk[i*nc : (i+1)*nc]
+			if a != voidNode {
+				e.clos.ClosRow(a, cur.cands, row)
+			}
 			for j, b := range cur.cands {
-				v := 0.0
-				switch {
-				case a == voidNode || b == voidNode:
-					v = voidPenalty
-				default:
-					v = e.clos.Clos(a, b)
+				if a == voidNode || b == voidNode {
+					row[j] = voidPenalty
 				}
-				row[j] = v
+				v := row[j]
 				bg += v
 				cnt++
 				if v > maxV {

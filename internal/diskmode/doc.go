@@ -10,22 +10,29 @@
 // query hot path is byte-for-byte the code it runs against RAM-backed
 // tables.
 //
-// A Row call walks the resident index, faults the one page holding the
-// row with a plain ReadAt, verifies the page against its stored CRC,
-// decodes it into typed node/score arrays and admits it to a sharded
-// LRU cache bounded by Options.Budget minus the resident index bytes —
-// total resident table state never exceeds the budget. A short read (a
-// file shrunk under the store: a corrupt page, never a SIGBUS) or a CRC
-// mismatch is counted and answers ok == false. Pages are row-aligned
-// (no row spans two pages), so a row is always one contiguous view into
-// one decoded page; evicted pages stay alive for exactly as long as a
-// reader still holds slices into them, courtesy of the garbage
-// collector.
+// A read walks the resident index to the one page holding the row and
+// looks the page up in a fixed arena of page frames, each the size of
+// the file's largest page, allocated on first use up to Options.Budget
+// minus the resident index bytes and never freed — total resident table
+// state never exceeds the budget. A miss takes a free frame or the
+// clock's victim, reads the page into it with a plain ReadAt and
+// verifies it against its stored CRC, outside the arena lock, then maps
+// it. A short read (a file shrunk under the store: a corrupt page,
+// never a SIGBUS) or a CRC mismatch hands the frame back, is counted
+// and answers ok == false. Pages are row-aligned (no row spans two
+// pages), so a row is one contiguous run of raw entries in one frame.
+//
+// A row leaves the store only by copy (View.AppendRow, decoding the
+// entries into the caller's slices) or by probe (View.ProbeRow, binary
+// searches over the raw entries), both under the frame's read lock. No
+// slice into a frame escapes, so an evicted frame is reused the moment
+// its last reader unlocks it: a fault allocates nothing once its frame
+// exists, and the page cache makes no garbage.
 //
 // Closing a Store while readers are mid-fault is the promotion path's
 // normal case, not an error: Close marks the store draining, waits for
 // in-flight readers to release, then closes the file. A reader that
-// arrives after the drain gets ok == false from Row — the same answer
+// arrives after the drain gets ok == false — the same answer
 // as an unwarmed term — and falls back to live computation, which
 // lands on the identical float32-quantized grid.
 package diskmode

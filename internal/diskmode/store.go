@@ -3,7 +3,7 @@ package diskmode
 import (
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -17,12 +17,11 @@ const pagedEntrySize = 8
 // Options tunes Open.
 type Options struct {
 	// Budget is the total resident byte budget for table state: the
-	// always-resident index arrays plus the decoded page cache. Open
-	// fails if the index alone exceeds it, or if what remains for the
-	// cache cannot hold one largest page per shard (the floor below
-	// which the resident ≤ budget guarantee would break). Zero means
-	// 64 MiB, which holds the index of any corpus this repo generates
-	// with room for a useful hot set.
+	// always-resident index arrays plus the page frames. Open fails if
+	// the index alone exceeds it, or if what remains cannot hold one
+	// frame of the file's largest page. Zero means 64 MiB, which holds
+	// the index of any corpus this repo generates with room for a
+	// useful hot set.
 	Budget int64
 }
 
@@ -46,21 +45,21 @@ type Stats struct {
 	Path string `json:"path"`
 	// Budget, MetaBytes and CacheBudget are the configured resident
 	// budget and its split: MetaBytes is always resident, CacheBudget
-	// (= Budget - MetaBytes) bounds the decoded page cache.
+	// (= Budget - MetaBytes) bounds the page frames.
 	Budget      int64 `json:"budget_bytes"`
 	MetaBytes   int64 `json:"meta_bytes"`
 	CacheBudget int64 `json:"cache_budget_bytes"`
 	// BlobBytes is what the tables would cost fully decoded in RAM —
 	// the number the budget is saving against.
 	BlobBytes int64 `json:"blob_bytes"`
-	// ResidentBytes is MetaBytes plus the decoded pages currently
-	// cached — the store's actual table footprint.
+	// ResidentBytes is MetaBytes plus the page frames allocated so far —
+	// the store's actual table footprint.
 	ResidentBytes int64 `json:"resident_bytes"`
 	// Tables counts the paged tables in the file.
 	Tables int `json:"tables"`
-	// Hits, Misses and Evictions are cumulative page-cache counters;
-	// CorruptPages counts faults that failed their page CRC (served by
-	// fallback computation instead).
+	// Hits, Misses and Evictions are cumulative page-cache counters (a
+	// miss is a fault); CorruptPages counts faults that failed their
+	// page read or CRC (served by fallback computation instead).
 	Hits         int64 `json:"page_hits"`
 	Misses       int64 `json:"page_misses"`
 	Evictions    int64 `json:"page_evictions"`
@@ -71,10 +70,11 @@ type Stats struct {
 // table views are valid for the store's whole lifetime; after Close
 // they answer ok == false instead of touching the closed file.
 type Store struct {
-	path  string
-	f     *os.File
-	idx   *artifact.PagedIndex
-	cache *pageCache
+	path   string
+	f      *os.File
+	idx    *artifact.PagedIndex
+	tables []*table // idx.Tables, each with its page → frame map
+	arena  *arena
 
 	budget      int64
 	metaBytes   int64
@@ -110,8 +110,16 @@ func Open(path, fingerprint string, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("diskmode: %s: %w", path, err)
 	}
 	s := &Store{path: path, f: f, idx: idx, budget: opts.Budget, done: make(chan struct{})}
+	frameBytes, pages := 0, 0
 	for _, t := range idx.Tables {
-		s.metaBytes += t.MetaBytes()
+		tab := &table{PagedTable: t, frameOf: make([]int32, len(t.PageStarts))}
+		for pg := range tab.frameOf {
+			tab.frameOf[pg] = -1
+			frameBytes = max(frameBytes, int(t.PageEnd(pg)-uint64(t.PageStarts[pg]))*pagedEntrySize)
+		}
+		s.tables = append(s.tables, tab)
+		s.metaBytes += t.MetaBytes() + int64(len(tab.frameOf))*4
+		pages += len(tab.frameOf)
 	}
 	s.cacheBudget = opts.Budget - s.metaBytes
 	if s.cacheBudget <= 0 {
@@ -119,33 +127,19 @@ func Open(path, fingerprint string, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("diskmode: %s: resident index needs %d bytes, budget is %d — raise the table memory budget",
 			path, s.metaBytes, opts.Budget)
 	}
-	// Every cache shard keeps its newest page even over budget (forward
-	// progress: the faulting page must be admittable), so the resident
-	// ≤ budget guarantee needs room for one largest page per shard.
-	// Reject budgets below that floor instead of silently overshooting.
-	if min := numShards * maxPageSize(idx); s.cacheBudget < min {
+	// A fault needs a frame to read into, so the budget must hold one.
+	if s.cacheBudget < int64(frameBytes) {
 		f.Close()
 		return nil, fmt.Errorf("diskmode: %s: page cache needs at least %d bytes for this file's page size (budget %d leaves %d) — raise the table memory budget",
-			path, min, opts.Budget, s.cacheBudget)
+			path, frameBytes, opts.Budget, s.cacheBudget)
 	}
-	s.cache = newPageCache(s.cacheBudget)
+	frames := pages // no more frames than pages
+	if frameBytes > 0 {
+		frames = min(frames, int(s.cacheBudget/int64(frameBytes)))
+	}
+	s.arena = newArena(frames, frameBytes)
 	s.refs.Store(1)
 	return s, nil
-}
-
-// maxPageSize returns the largest decoded page footprint across the
-// file's tables — the charge one cache shard can never evict below.
-func maxPageSize(idx *artifact.PagedIndex) int64 {
-	var max int64
-	for _, t := range idx.Tables {
-		for pg := range t.PageStarts {
-			entries := int64(t.PageEnd(pg)) - int64(t.PageStarts[pg])
-			if sz := entries*pagedEntrySize + entryOverhead; sz > max {
-				max = sz
-			}
-		}
-	}
-	return max
 }
 
 // Index exposes the resident index (vocabulary included), read-only.
@@ -160,17 +154,21 @@ func (s *Store) Stats() Stats {
 	for _, t := range s.idx.Tables {
 		blob += t.BlobBytes()
 	}
+	a := s.arena
+	a.mu.Lock()
+	frames, hits, misses, evictions := len(a.frames), a.hits, a.misses, a.evictions
+	a.mu.Unlock()
 	return Stats{
 		Path:          s.path,
 		Budget:        s.budget,
 		MetaBytes:     s.metaBytes,
 		CacheBudget:   s.cacheBudget,
 		BlobBytes:     blob,
-		ResidentBytes: s.metaBytes + s.cache.bytesResident(),
+		ResidentBytes: s.metaBytes + int64(frames)*int64(a.frameBytes),
 		Tables:        len(s.idx.Tables),
-		Hits:          s.cache.hits.Load(),
-		Misses:        s.cache.misses.Load(),
-		Evictions:     s.cache.evictions.Load(),
+		Hits:          hits,
+		Misses:        misses,
+		Evictions:     evictions,
 		CorruptPages:  s.corrupt.Load(),
 	}
 }
@@ -210,65 +208,42 @@ func (s *Store) Close() error {
 	return nil
 }
 
-// readPage loads the raw bytes of entries [lo, hi) of table t. A short
-// read — the file shrank under the store — is an error.
-func (s *Store) readPage(t *artifact.PagedTable, lo, hi uint64) ([]byte, error) {
-	buf := make([]byte, int64(hi-lo)*pagedEntrySize)
-	if n, err := s.f.ReadAt(buf, t.BlobOff+int64(lo)*pagedEntrySize); n < len(buf) {
-		return nil, fmt.Errorf("diskmode: page read %d of %d bytes: %v", n, len(buf), err)
-	}
-	return buf, nil
-}
-
-// fault loads, verifies and decodes page pg of table t, admitting it
-// to the cache. Corrupt pages (CRC mismatch) are counted and not
-// admitted; the caller falls back to live computation.
-func (s *Store) fault(t *artifact.PagedTable, pg int) (*page, bool) {
+// readPage reads page pg of table t into buf and verifies it against
+// its stored CRC. A short read — the file shrank under the store — or a
+// mismatch answers false.
+func (s *Store) readPage(t *artifact.PagedTable, pg int, buf []byte) bool {
 	lo, hi := uint64(t.PageStarts[pg]), t.PageEnd(pg)
-	n := int(hi - lo)
-	p := &page{
-		nodes:  make([]graph.NodeID, n),
-		scores: make([]float32, n),
-		size:   int64(n)*pagedEntrySize + entryOverhead,
-	}
-	raw, err := s.readPage(t, lo, hi)
-	if err == nil {
-		err = t.DecodePage(pg, raw, p.nodes, p.scores)
-	}
-	if err != nil {
-		s.corrupt.Add(1)
-		return nil, false
-	}
-	s.cache.put(pageKey{table: uint8(t.Kind), page: uint32(pg)}, p)
-	return p, true
+	raw := buf[:(hi-lo)*pagedEntrySize]
+	n, _ := s.f.ReadAt(raw, t.BlobOff+int64(lo)*pagedEntrySize)
+	return n == len(raw) && t.VerifyPage(pg, raw) == nil
 }
 
-// row serves one packed row of t: index walk, page fault (or cache
-// hit), contiguous sub-slice. ok is false when the row is absent, the
-// store is draining, or the page failed verification — every case the
-// caller handles by falling back to computation.
-func (s *Store) row(t *artifact.PagedTable, v graph.NodeID) ([]graph.NodeID, []float32, bool) {
+// pinRow finds v's row in t and pins the page holding it: index walk,
+// then a frame hit or a fault. It returns the frame read-locked and the
+// row's raw entries in it; the caller decodes them and unlocks. ok is
+// false when the row is absent, the store is draining, or the page
+// failed verification — every case the caller handles by falling back
+// to computation. An empty row answers ok with no frame.
+func (s *Store) pinRow(t *table, v graph.NodeID) (f *frame, raw []byte, ok bool) {
 	if !t.Has(v) {
 		return nil, nil, false
 	}
-	lo, hi := uint64(t.Off[v]), uint64(t.Off[v+1])
+	lo, hi := t.Off[v], t.Off[v+1]
 	if lo == hi {
-		return []graph.NodeID{}, []float32{}, true // cached-empty row
+		return nil, nil, true // cached-empty row
 	}
 	if !s.acquire() {
 		return nil, nil, false
 	}
 	defer s.release()
 	// The page holding entry lo holds the whole row (row alignment).
-	pg := sort.Search(len(t.PageStarts), func(i int) bool { return uint64(t.PageStarts[i]) > lo }) - 1
-	key := pageKey{table: uint8(t.Kind), page: uint32(pg)}
-	p, ok := s.cache.get(key)
-	if !ok {
-		if p, ok = s.fault(t, pg); !ok {
-			return nil, nil, false
-		}
+	pg, found := slices.BinarySearch(t.PageStarts, lo)
+	if !found {
+		pg--
 	}
-	start := lo - uint64(t.PageStarts[pg])
-	n := hi - lo
-	return p.nodes[start : start+n : start+n], p.scores[start : start+n : start+n], true
+	if f, ok = s.pin(t, pg); !ok {
+		return nil, nil, false
+	}
+	start := (lo - t.PageStarts[pg]) * pagedEntrySize
+	return f, f.buf[start : start+(hi-lo)*pagedEntrySize], true
 }

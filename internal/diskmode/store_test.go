@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -52,7 +53,7 @@ func ramTables(numNodes int, snap *artifact.Snapshot) (sim, clos *packed.RAMTabl
 }
 
 // writeSnap writes the snapshot as a paged file under t.TempDir().
-func writeSnap(t *testing.T, s *artifact.Snapshot, pageBytes int) string {
+func writeSnap(t testing.TB, s *artifact.Snapshot, pageBytes int) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "snap.kqrart")
 	f, err := os.Create(path)
@@ -68,8 +69,8 @@ func writeSnap(t *testing.T, s *artifact.Snapshot, pageBytes int) string {
 	return path
 }
 
-// TestBitIdentity: every row of the page-backed views must be
-// bit-identical to the RAM-backed tables built from the same maps —
+// TestBitIdentity: every row copied out of the page-backed views must
+// be bit-identical to the RAM-backed tables built from the same maps —
 // over the full vocabulary, under a budget small enough to force
 // evictions mid-sweep.
 func TestBitIdentity(t *testing.T) {
@@ -88,8 +89,8 @@ func TestBitIdentity(t *testing.T) {
 	}
 	for v := graph.NodeID(0); int(v) < numNodes; v++ {
 		for name, pair := range map[string][2]packed.Table{"sim": {ramSim, sim}, "clos": {ramClos, clos}} {
-			wantN, wantS, wantOK := pair[0].Row(v)
-			gotN, gotS, gotOK := pair[1].Row(v)
+			wantN, wantS, wantOK := pair[0].AppendRow(v, nil, nil)
+			gotN, gotS, gotOK := pair[1].AppendRow(v, nil, nil)
 			if wantOK != gotOK || len(wantN) != len(gotN) {
 				t.Fatalf("%s node %d: row shape mismatch", name, v)
 			}
@@ -111,8 +112,8 @@ func TestBitIdentity(t *testing.T) {
 	if st.Evictions == 0 {
 		t.Fatalf("sweep under budget never evicted: %+v", st)
 	}
-	if st.ResidentBytes > st.Budget+numShards*int64(st.CacheBudget/numShards) {
-		t.Fatalf("resident %d far exceeds budget %d", st.ResidentBytes, st.Budget)
+	if st.ResidentBytes > st.Budget {
+		t.Fatalf("resident %d exceeds budget %d", st.ResidentBytes, st.Budget)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -120,8 +121,8 @@ func TestBitIdentity(t *testing.T) {
 }
 
 // TestBudgetBound: after an over-budget sweep, resident bytes must sit
-// within the configured budget (per-shard granularity: each shard may
-// retain one oversized newest page).
+// within the configured budget: the index plus the frames allocated,
+// which never outnumber what the budget holds.
 func TestBudgetBound(t *testing.T) {
 	snap := synthSnapshot(600, 32)
 	path := writeSnap(t, snap, 1024)
@@ -131,9 +132,11 @@ func TestBudgetBound(t *testing.T) {
 	}
 	defer s.Close()
 	sim := s.Table(artifact.TableWalk)
+	var nodes []graph.NodeID
+	var scores []float32
 	for round := 0; round < 3; round++ {
 		for v := graph.NodeID(0); int(v) < 600; v++ {
-			sim.Row(v)
+			nodes, scores, _ = sim.AppendRow(v, nodes[:0], scores[:0])
 		}
 	}
 	st := s.Stats()
@@ -152,12 +155,11 @@ func TestTooSmallBudget(t *testing.T) {
 	if _, err := Open(path, "", Options{Budget: 64}); err == nil {
 		t.Fatal("tiny budget accepted")
 	}
-	// A budget that covers the index but leaves the page cache no room
-	// for one largest page per shard must also be rejected: every shard
-	// always keeps its newest page, so such a cache could exceed the
-	// budget it was asked to honor.
+	// A budget that covers the index but leaves no room for one frame
+	// of the largest page must also be rejected: a fault needs a frame
+	// to read into.
 	if _, err := Open(path, "", Options{Budget: 6 << 10}); err == nil {
-		t.Fatal("budget below the per-shard page floor accepted")
+		t.Fatal("budget below the one-frame floor accepted")
 	}
 }
 
@@ -185,8 +187,9 @@ func TestFingerprintAndVersion(t *testing.T) {
 }
 
 // TestCorruptPageFallsBack: a blob flip passes Open (the index never
-// reads blobs) but the faulted page fails its CRC — Row must answer
-// ok == false and count the corruption, never return wrong data.
+// reads blobs) but the faulted page fails its CRC — a copy or a probe
+// must answer ok == false and count the corruption, never return wrong
+// data.
 func TestCorruptPageFallsBack(t *testing.T) {
 	snap := synthSnapshot(100, 16)
 	path := writeSnap(t, snap, 512)
@@ -227,8 +230,11 @@ func TestCorruptPageFallsBack(t *testing.T) {
 	if v < 0 {
 		t.Fatal("no non-empty row")
 	}
-	if _, _, ok := sim.Row(v); ok {
+	if _, _, ok := sim.AppendRow(v, nil, nil); ok {
 		t.Fatal("corrupt page served")
+	}
+	if sim.ProbeRow(v, []graph.NodeID{0}, make([]float64, 1)) {
+		t.Fatal("corrupt page probed")
 	}
 	if s.Stats().CorruptPages == 0 {
 		t.Fatal("corruption not counted")
@@ -255,16 +261,16 @@ func TestCloseDrainsReaders(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
+			var out [1]float64
 			<-start
 			for i := 0; i < 4000; i++ {
 				v := graph.NodeID(rng.Intn(numNodes))
 				// ok may flip to false at any point once Close begins;
 				// both answers are legal, wrong data is not.
-				if nodes, scores, ok := sim.Row(v); ok && len(nodes) != len(scores) {
+				if nodes, scores, ok := sim.AppendRow(v, nil, nil); ok && len(nodes) != len(scores) {
 					panic("ragged row")
 				}
-				nodes, scores, _ := clos.Row(v)
-				packed.Probe(nodes, scores, graph.NodeID(rng.Intn(numNodes)))
+				clos.ProbeRow(v, []graph.NodeID{graph.NodeID(rng.Intn(numNodes))}, out[:])
 			}
 		}(int64(g))
 	}
@@ -274,11 +280,118 @@ func TestCloseDrainsReaders(t *testing.T) {
 	}
 	wg.Wait()
 	if _, nodes, _ := snap.Tables[artifact.TableWalk].Row(0); len(nodes) > 0 {
-		if _, _, ok := sim.Row(0); ok {
+		if _, _, ok := sim.AppendRow(0, nil, nil); ok {
 			t.Fatal("closed store still serving")
 		}
 	}
 	if err := s.Close(); err != nil { // idempotent
 		t.Fatal(err)
 	}
+}
+
+// openFrames reopens the snapshot at path with a budget of the index
+// plus the given number of frames of its largest page.
+func openFrames(tb testing.TB, path string, frames int) *Store {
+	tb.Helper()
+	s, err := Open(path, "", Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	budget := s.Stats().MetaBytes + int64(frames*s.arena.frameBytes)
+	s.Close()
+	if s, err = Open(path, "", Options{Budget: budget}); err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
+// TestFramesNeverRecycledUnderReaders: eight readers copy out and probe
+// random rows of both tables through an arena of three frames, so
+// nearly every read evicts a page some other reader may still be
+// copying from. Every answer must equal the RAM table's bit for bit —
+// run with -race, this is the check that no reader ever sees a frame
+// after it was handed to another page.
+func TestFramesNeverRecycledUnderReaders(t *testing.T) {
+	const numNodes = 400
+	snap := synthSnapshot(numNodes, 24)
+	path := writeSnap(t, snap, 512)
+	ramSim, ramClos := ramTables(numNodes, snap)
+	s := openFrames(t, path, 3)
+	defer s.Close()
+	tables := [2][2]packed.Table{{ramSim, s.Table(artifact.TableWalk)}, {ramClos, s.Table(artifact.TableCloseness)}}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			bs := make([]graph.NodeID, 8)
+			want, got := make([]float64, len(bs)), make([]float64, len(bs))
+			var wantN, gotN []graph.NodeID
+			var wantS, gotS []float32
+			for i := 0; i < 1500; i++ {
+				v := graph.NodeID(rng.Intn(numNodes))
+				pair := tables[i%2]
+				var wantOK, gotOK bool
+				wantN, wantS, wantOK = pair[0].AppendRow(v, wantN[:0], wantS[:0])
+				gotN, gotS, gotOK = pair[1].AppendRow(v, gotN[:0], gotS[:0])
+				if wantOK != gotOK || !slices.Equal(wantN, gotN) || !slices.Equal(wantS, gotS) {
+					t.Errorf("table %d node %d: copied row differs from the RAM table's", i%2, v)
+					return
+				}
+				// Probe the closeness row for a mix of its own nodes and
+				// random ones.
+				for j := range bs {
+					bs[j] = graph.NodeID(rng.Intn(numNodes))
+					if j%2 == 0 && len(wantN) > 0 && i%2 == 1 {
+						bs[j] = wantN[rng.Intn(len(wantN))]
+					}
+				}
+				wantOK = ramClos.ProbeRow(v, bs, want)
+				gotOK = tables[1][1].ProbeRow(v, bs, got)
+				if wantOK != gotOK || !slices.Equal(want, got) {
+					t.Errorf("node %d: probed %v, RAM table %v", v, got, want)
+					return
+				}
+			}
+		}(int64(g))
+	}
+	wg.Wait()
+	if st := s.Stats(); st.Evictions == 0 || st.ResidentBytes > st.Budget {
+		t.Fatalf("want evictions within the budget: %+v", st)
+	}
+}
+
+// BenchmarkFaultingRow copies out rows that each sit on a different
+// page through an arena of two frames, so every read faults: once the
+// frames exist a fault reads into one and allocates nothing.
+func BenchmarkFaultingRow(b *testing.B) {
+	const numNodes = 2000
+	snap := synthSnapshot(numNodes, 24)
+	path := writeSnap(b, snap, 1024)
+	s := openFrames(b, path, 2)
+	defer s.Close()
+	walk := s.Table(artifact.TableWalk)
+	// The first row of every page.
+	var firsts []graph.NodeID
+	for v := graph.NodeID(0); int(v) < numNodes; v++ {
+		lo := walk.t.Off[v]
+		if _, found := slices.BinarySearch(walk.t.PageStarts, lo); found && lo != walk.t.Off[v+1] {
+			firsts = append(firsts, v)
+		}
+	}
+	var nodes []graph.NodeID
+	var scores []float32
+	for _, v := range firsts { // grow the caller's slices and the arena
+		nodes, scores, _ = walk.AppendRow(v, nodes[:0], scores[:0])
+	}
+	before := s.Stats().Misses
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nodes, scores, _ = walk.AppendRow(firsts[i%len(firsts)], nodes[:0], scores[:0])
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(s.Stats().Misses-before)/float64(b.N), "faults/op")
 }

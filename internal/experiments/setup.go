@@ -9,6 +9,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"kqr/internal/closeness"
@@ -155,16 +156,17 @@ func (s *Setup) SampleQueries(count, length int, seed int64) ([][]string, error)
 	return nil, fmt.Errorf("experiments: could not sample %d resolvable queries of length %d", count, length)
 }
 
-// timeIt measures the average wall time of reps executions.
+// timeIt measures the wall time of the fastest of reps executions: a
+// preemption or a scheduler stall can only add time to a repetition, so
+// the minimum is the one least disturbed.
 func timeIt(reps int, f func() error) (time.Duration, error) {
-	if reps < 1 {
-		reps = 1
-	}
-	start := time.Now()
-	for i := 0; i < reps; i++ {
+	best := time.Duration(math.MaxInt64)
+	for i := 0; i < max(reps, 1); i++ {
+		start := time.Now()
 		if err := f(); err != nil {
 			return 0, err
 		}
+		best = min(best, time.Since(start))
 	}
-	return time.Since(start) / time.Duration(reps), nil
+	return best, nil
 }

@@ -125,7 +125,7 @@ type Fig8Row struct {
 // models: Decoder.Forward once per model, then Decoder.Search for each
 // k on the heuristic table that forward pass left behind (one Decoder
 // per model keeps every table alive between the two timings). Both
-// come back as per-model averages.
+// come back per model, from the fastest repetition (timeIt).
 func stageSplit(models []*hmm.Model, ks []int, reps int) (forward time.Duration, search []time.Duration, err error) {
 	decs := make([]hmm.Decoder, len(models))
 	n := time.Duration(len(models))

@@ -330,14 +330,14 @@ func TestPromoteMatchesFreshBuildBitForBit(t *testing.T) {
 
 	fresh := mustGen(t, g.DB)
 	for _, v := range g.TG.TermNodeIDs() {
-		gn, gs, ok := g.Sim.SimRow(v)
-		fn, fs, fok := fresh.Sim.SimRow(v)
-		if !ok || !fok || !reflect.DeepEqual(gn, fn) || !reflect.DeepEqual(gs, fs) {
+		gn, gs, err := g.Sim.AppendRow(v, nil, nil)
+		fn, fs, ferr := fresh.Sim.AppendRow(v, nil, nil)
+		if err != nil || ferr != nil || !reflect.DeepEqual(gn, fn) || !reflect.DeepEqual(gs, fs) {
 			t.Fatalf("node %d (%s): promoted similarity row differs from a fresh build",
 				v, g.TG.DisplayLabel(v))
 		}
-		gn, gs, _ = g.Clos.Row(v)
-		fn, fs, _ = fresh.Clos.Row(v)
+		gn, gs, _ = g.Clos.AppendRow(v, nil, nil)
+		fn, fs, _ = fresh.Clos.AppendRow(v, nil, nil)
 		if !reflect.DeepEqual(gn, fn) || !reflect.DeepEqual(gs, fs) {
 			t.Fatalf("node %d (%s): promoted closeness row differs from a fresh build",
 				v, g.TG.DisplayLabel(v))
@@ -349,7 +349,11 @@ func TestPromoteMatchesFreshBuildBitForBit(t *testing.T) {
 // as the store's state goes: complete, with every row computed on read.
 type noRows struct{}
 
-func (noRows) Row(graph.NodeID) ([]graph.NodeID, []float32, bool) { return nil, nil, false }
+func (noRows) AppendRow(_ graph.NodeID, nodes []graph.NodeID, scores []float32) ([]graph.NodeID, []float32, bool) {
+	return nodes, scores, false
+}
+
+func (noRows) ProbeRow(graph.NodeID, []graph.NodeID, []float64) bool { return false }
 
 // Promotion keeps the predecessor's state: it precomputes and packs the
 // successor exactly when the old generation is complete (warmed, or
@@ -364,7 +368,7 @@ func TestPromoteWarmsOnlyAfterWarmPredecessor(t *testing.T) {
 	}{
 		{"never warmed", func(*Generation) {}, false},
 		{"disk attached", func(g *Generation) { g.Sim.Install(noRows{}); g.Clos.Install(noRows{}) }, true},
-		{"one lazy row", func(g *Generation) { g.Sim.SimRow(g.TG.TermNodeIDs()[0]) }, false},
+		{"one lazy row", func(g *Generation) { g.Sim.AppendRow(g.TG.TermNodeIDs()[0], nil, nil) }, false},
 		{"warmed", func(g *Generation) { warm(t, g) }, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

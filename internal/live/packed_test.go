@@ -27,10 +27,10 @@ func TestPromotePacksNextGeneration(t *testing.T) {
 	sim := g.Sim.(*randomwalk.Extractor)
 	walks, searches := sim.Computes(), g.Clos.Computes()
 	for _, v := range g.TG.TermNodeIDs() {
-		if _, _, ok := g.Sim.SimRow(v); !ok {
+		if _, _, err := g.Sim.AppendRow(v, nil, nil); err != nil {
 			t.Fatalf("epoch %d: term %d has no row after promotion", g.Provenance.Epoch, v)
 		}
-		g.Clos.Row(v)
+		g.Clos.AppendRow(v, nil, nil)
 	}
 	if sim.Computes() != walks || g.Clos.Computes() != searches {
 		t.Fatal("a promoted, warmed generation computed rows on read")

@@ -52,7 +52,8 @@ type Index struct {
 	terms   []string
 	freqs   []int
 	byTerm  map[string]int32
-	dels    map[string][]int32
+	dels    map[string]int32 // deletion-variant key → index of its term-id list in lists
+	lists   [][]int32        // term ids per key, strictly increasing
 	logMax  float64
 	bytes   int64
 	maxFreq int
@@ -95,7 +96,7 @@ func NewIndex(terms []string, freqs []int) *Index {
 		terms:    make([]string, len(terms)),
 		freqs:    make([]int, len(terms)),
 		byTerm:   make(map[string]int32, len(terms)),
-		dels:     make(map[string][]int32),
+		dels:     make(map[string]int32),
 		runeLens: make([]uint8, len(terms)),
 	}
 	copy(ix.terms, terms)
@@ -129,15 +130,22 @@ func NewIndex(terms []string, freqs []int) *Index {
 	// Terms are indexed in id order, so every id list comes out strictly
 	// increasing — the deterministic candidate order — once an id that
 	// repeats a variant (a repeated rune) is skipped.
+	// A variant whose key is already known is a map lookup, which
+	// converts its bytes without allocating, and an append to its list;
+	// only a new key becomes a string.
 	var buf []byte
 	for i, t := range ix.terms {
 		id := int32(i)
 		variants(t, maxDist, &buf, func(key []byte) {
-			ids := ix.dels[string(key)]
-			if n := len(ids); n > 0 && ids[n-1] == id {
-				return
+			at, ok := ix.dels[string(key)]
+			if !ok {
+				at = int32(len(ix.lists))
+				ix.dels[string(key)] = at
+				ix.lists = append(ix.lists, nil)
 			}
-			ix.dels[string(key)] = append(ids, id)
+			if ids := ix.lists[at]; len(ids) == 0 || ids[len(ids)-1] != id {
+				ix.lists[at] = append(ids, id)
+			}
 		})
 	}
 	ix.logMax = math.Log1p(float64(ix.maxFreq))
@@ -300,8 +308,10 @@ func (ix *Index) LookupDist(tok string, cap, max int) []Candidate {
 	// it there. A repeated variant costs a redundant probe; the mark
 	// array dedups candidates.
 	variants(tok, cap, &sc.buf, func(key []byte) {
-		for _, id := range ix.dels[string(key)] {
-			consider(id)
+		if at, ok := ix.dels[string(key)]; ok {
+			for _, id := range ix.lists[at] {
+				consider(id)
+			}
 		}
 	})
 	for _, id := range sc.ids {
@@ -481,9 +491,9 @@ func (ix *Index) estimateBytes() int64 {
 	// byTerm: key header + ~16 bytes of bucket overhead per entry
 	// (keys share backing bytes with terms).
 	n += int64(len(ix.byTerm)) * 32
-	for key, ids := range ix.dels {
+	for key, at := range ix.dels {
 		n += int64(len(key)) + 16 // key bytes + header
-		n += int64(len(ids))*4 + 24
+		n += int64(len(ix.lists[at]))*4 + 24
 		n += 32 // bucket overhead
 	}
 	return n

@@ -331,7 +331,8 @@ func TestIndexMatchesReference(t *testing.T) {
 		if len(ix.dels) != len(want) {
 			t.Fatalf("%s: index has %d keys, reference %d", c.name, len(ix.dels), len(want))
 		}
-		for k, ids := range ix.dels {
+		for k, at := range ix.dels {
+			ids := ix.lists[at]
 			if !slices.Equal(ids, want[k]) {
 				t.Fatalf("%s: key %q lists %v, reference %v", c.name, k, ids, want[k])
 			}
@@ -358,5 +359,24 @@ func BenchmarkLookup(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ix.Lookup(toks[i%len(toks)], 8)
+	}
+}
+
+// BenchmarkNewIndex builds the index over the dblpgen P=2000
+// vocabulary.
+func BenchmarkNewIndex(b *testing.B) {
+	c, err := dblpgen.Generate(dblpgen.Config{Seed: 1, Papers: 2000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tg, err := tatgraph.Build(c.DB, tatgraph.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	terms := tg.TermTexts()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		NewIndex(terms, nil)
 	}
 }

@@ -14,7 +14,7 @@
 //
 // A similarity row keeps its candidates in rank order (best first); a
 // closeness row is sorted by neighbor node id so a pairwise lookup is
-// one offsets load plus a binary probe (Probe) over one contiguous
+// one offsets load plus a binary probe (ProbeRow) over one contiguous
 // cache-resident row — no map or pointer chase. Scores are stored as
 // float32: similarity and closeness values are normalized relevance
 // weights in [0, 1] where 24 bits of mantissa are far beyond the
@@ -38,12 +38,22 @@ import (
 // internal/diskmode. A Store binds one Table and never branches on the
 // backing: a RAM row and a paged row answer identically, so swapping
 // RAM for disk is a publication-time decision, not a hot-path one.
+//
+// A row leaves a table only by copy (AppendRow) or by probe (ProbeRow):
+// no slice into the table's memory is ever handed out, which is what
+// lets a paged table reuse a page's memory the moment it evicts it.
+// Both answer ok == false when the table has no row for the node (or
+// cannot serve it right now — a draining disk store, a corrupt page),
+// in which case the Store computes the row for its caller.
 type Table interface {
-	// Row returns v's row; ok is false when the table has no row for v
-	// (or cannot serve it right now — a draining disk store, a corrupt
-	// page), in which case the Store computes the row for its caller.
-	// The slices are read-only views.
-	Row(v graph.NodeID) (nodes []graph.NodeID, scores []float32, ok bool)
+	// AppendRow appends v's row, in stored order, to nodes and scores
+	// and returns the extended slices; on ok == false they come back
+	// unchanged.
+	AppendRow(v graph.NodeID, nodes []graph.NodeID, scores []float32) ([]graph.NodeID, []float32, bool)
+	// ProbeRow looks each bs[i] up in a's row, which must be sorted by
+	// node id (a closeness row), and writes its score to out[i] — 0 for
+	// a node the row does not hold. out must be at least len(bs) long.
+	ProbeRow(a graph.NodeID, bs []graph.NodeID, out []float64) bool
 }
 
 // Quantize narrows a score to the float32 grid rows are stored on.
@@ -83,23 +93,17 @@ func Scored(nodes []graph.NodeID, scores []float32, k int) []graph.Scored {
 	return out
 }
 
-// Probe binary-searches a row sorted by node id (a closeness row) for
-// b and returns its score, 0 when b is absent — within a present row a
-// missing neighbor is a true zero, unreachable inside the horizon.
-func Probe(nodes []graph.NodeID, scores []float32, b graph.NodeID) float64 {
-	lo, hi := 0, len(nodes)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		switch {
-		case nodes[mid] == b:
-			return float64(scores[mid])
-		case nodes[mid] < b:
-			lo = mid + 1
-		default:
-			hi = mid
+// ProbeRow writes the score of each bs[i] in a row sorted by node id
+// (a closeness row) to out[i], 0 when bs[i] is absent — within a
+// present row a missing neighbor is a true zero, unreachable inside the
+// horizon. Each lookup is a binary search.
+func ProbeRow(nodes []graph.NodeID, scores []float32, bs []graph.NodeID, out []float64) {
+	for i, b := range bs {
+		out[i] = 0
+		if at, found := slices.BinarySearch(nodes, b); found {
+			out[i] = float64(scores[at])
 		}
 	}
-	return 0
 }
 
 // Rows is the serial form of a table — what a snapshot section holds
@@ -201,14 +205,33 @@ type RAMTable struct {
 	rows    int
 }
 
-// Row returns v's packed row with ok false when v has none. The
-// returned slices alias the table and must not be mutated.
-func (t *RAMTable) Row(v graph.NodeID) (nodes []graph.NodeID, scores []float32, ok bool) {
-	if v < 0 || int(v) >= len(t.off)-1 || t.present[uint(v)>>6]&(1<<(uint(v)&63)) == 0 {
-		return nil, nil, false
+// AppendRow appends v's packed row to nodes and scores; ok is false
+// when v has none.
+func (t *RAMTable) AppendRow(v graph.NodeID, nodes []graph.NodeID, scores []float32) ([]graph.NodeID, []float32, bool) {
+	lo, hi, ok := t.span(v)
+	if !ok {
+		return nodes, scores, false
 	}
-	lo, hi := t.off[v], t.off[v+1]
-	return t.nodes[lo:hi], t.scores[lo:hi], true
+	return append(nodes, t.nodes[lo:hi]...), append(scores, t.scores[lo:hi]...), true
+}
+
+// ProbeRow writes the score of each bs[i] in a's row to out[i]; ok is
+// false when a has no row.
+func (t *RAMTable) ProbeRow(a graph.NodeID, bs []graph.NodeID, out []float64) bool {
+	lo, hi, ok := t.span(a)
+	if ok {
+		ProbeRow(t.nodes[lo:hi], t.scores[lo:hi], bs, out)
+	}
+	return ok
+}
+
+// span returns where v's row lies in the entry arrays, ok false when v
+// has none.
+func (t *RAMTable) span(v graph.NodeID) (lo, hi uint32, ok bool) {
+	if v < 0 || int(v) >= len(t.off)-1 || t.present[uint(v)>>6]&(1<<(uint(v)&63)) == 0 {
+		return 0, 0, false
+	}
+	return t.off[v], t.off[v+1], true
 }
 
 // Rows returns how many rows are present.

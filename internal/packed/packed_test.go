@@ -26,7 +26,7 @@ func TestTableRoundTrip(t *testing.T) {
 		t.Fatalf("Rows() = %d, want 3", got)
 	}
 
-	nodes, scores, ok := tab.Row(0)
+	nodes, scores, ok := tab.AppendRow(0, nil, nil)
 	if !ok {
 		t.Fatal("Row(0) missing")
 	}
@@ -38,17 +38,17 @@ func TestTableRoundTrip(t *testing.T) {
 				i, nodes[i], scores[i], wantNodes[i], wantScores[i])
 		}
 	}
-	if nodes, _, ok := tab.Row(2); !ok || len(nodes) != 0 {
+	if nodes, _, ok := tab.AppendRow(2, nil, nil); !ok || len(nodes) != 0 {
 		t.Fatalf("Row(2) = (%v, ok=%v), want present empty row", nodes, ok)
 	}
 	for _, v := range []graph.NodeID{1, -1, 99} {
-		if _, _, ok := tab.Row(v); ok {
+		if _, _, ok := tab.AppendRow(v, nil, nil); ok {
 			t.Fatalf("Row(%d) present, want missing", v)
 		}
 	}
 }
 
-// Probe over id-sorted rows: hits return the stored value, misses are
+// ProbeRow over id-sorted rows: hits return the stored value, misses are
 // true zeros, and an empty row is all zeros.
 func TestProbeRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -72,14 +72,20 @@ func TestProbeRandomized(t *testing.T) {
 		appendRow(rows, v, list)
 	}
 	tab := rows.Table(n)
+	bs := make([]graph.NodeID, n)
+	for b := range bs {
+		bs[b] = graph.NodeID(b)
+	}
+	out := make([]float64, n)
 	for v := graph.NodeID(0); v < n; v++ {
-		nodes, scores, ok := tab.Row(v)
+		clear(out)
+		ok := tab.ProbeRow(v, bs, out)
 		if _, held := want[v]; ok != held {
-			t.Fatalf("Row(%d) ok = %v, want %v", v, ok, held)
+			t.Fatalf("ProbeRow(%d) ok = %v, want %v", v, ok, held)
 		}
-		for b := graph.NodeID(0); b < n; b++ {
-			if got := Probe(nodes, scores, b); got != float64(want[v][b]) {
-				t.Fatalf("Probe(row %d, %d) = %v, want %v", v, b, got, want[v][b])
+		for _, b := range bs {
+			if got := out[b]; got != float64(want[v][b]) {
+				t.Fatalf("ProbeRow(row %d, %d) = %v, want %v", v, b, got, want[v][b])
 			}
 		}
 	}
@@ -127,7 +133,7 @@ func TestRowsTable(t *testing.T) {
 	}
 	for i, v := range r.Src[:3] {
 		_, wantNodes, wantScores := r.Row(i)
-		nodes, scores, ok := tab.Row(v)
+		nodes, scores, ok := tab.AppendRow(v, nil, nil)
 		if !ok || len(nodes) != len(wantNodes) {
 			t.Fatalf("Row(%d) = %v, %v, want %v", v, nodes, ok, wantNodes)
 		}
@@ -138,7 +144,7 @@ func TestRowsTable(t *testing.T) {
 		}
 	}
 	for _, v := range []graph.NodeID{1, 3, 4, 9} {
-		if _, _, ok := tab.Row(v); ok {
+		if _, _, ok := tab.AppendRow(v, nil, nil); ok {
 			t.Fatalf("Row(%d) present, want missing", v)
 		}
 	}

@@ -3,6 +3,7 @@ package packed
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -32,7 +33,7 @@ type Store struct {
 	numNodes int
 	// compute fills rows[i] with nodes[i]'s row, for at most batch
 	// nodes per call. A row must not depend on what shares its call:
-	// Row asks for one node, Precompute for batch at a time.
+	// a read asks for one node, Precompute for batch at a time.
 	compute func(nodes []graph.NodeID, rows [][]graph.Scored) error
 	batch   int
 
@@ -80,25 +81,54 @@ func (s *Store) table() Table {
 // (Pack, Load or Install) and serves every read.
 func (s *Store) Complete() bool { return s.table() != nil }
 
-// Row returns v's row. A packed row is served without locks or
-// allocation — the query hot path. The slices are read-only views.
-func (s *Store) Row(v graph.NodeID) ([]graph.NodeID, []float32, error) {
+// AppendRow appends v's row to nodes and scores and returns the
+// extended slices. A packed row is copied without locks or allocation
+// beyond the caller's slices' growth — the query hot path's similarity
+// read.
+func (s *Store) AppendRow(v graph.NodeID, nodes []graph.NodeID, scores []float32) ([]graph.NodeID, []float32, error) {
 	if t := s.table(); t != nil {
-		if nodes, scores, ok := t.Row(v); ok {
-			return nodes, scores, nil
+		if n, sc, ok := t.AppendRow(v, nodes, scores); ok {
+			return n, sc, nil
 		}
+	}
+	r, err := s.row(v)
+	if err != nil {
+		return nodes, scores, err
+	}
+	return append(nodes, r.Nodes...), append(scores, r.Scores...), nil
+}
+
+// ProbeRow writes the score of each bs[i] in a's row — which must be
+// sorted by node id, as closeness rows are — to out[i], 0 when absent.
+// A packed row is probed without locks or allocation: the query hot
+// path reads a closeness row once per candidate this way, not once per
+// pair.
+func (s *Store) ProbeRow(a graph.NodeID, bs []graph.NodeID, out []float64) error {
+	if t := s.table(); t != nil && t.ProbeRow(a, bs, out) {
+		return nil
+	}
+	r, err := s.row(a)
+	if err == nil {
+		ProbeRow(r.Nodes, r.Scores, bs, out)
+	}
+	return err
+}
+
+// row returns a row the published table could not serve, computed for
+// this caller alone, or — while the store is lazy — the overlay's row
+// or a computation shared by concurrent cold misses for v.
+func (s *Store) row(v graph.NodeID) (Row, error) {
+	if s.table() != nil {
 		rows, err := s.fill([]graph.NodeID{v})
 		if err != nil {
-			return nil, nil, err
+			return Row{}, err
 		}
-		return rows[0].Nodes, rows[0].Scores, nil
+		return rows[0], nil
 	}
-	// Lazy: the overlay, or a computation shared by concurrent cold
-	// misses for v.
 	if r, ok := s.kept(v); ok {
-		return r.Nodes, r.Scores, nil
+		return r, nil
 	}
-	r, err := s.flight.Do(v, func() (Row, error) {
+	return s.flight.Do(v, func() (Row, error) {
 		// Re-check: this caller may have missed just before a previous
 		// flight for v kept its row.
 		if r, ok := s.kept(v); ok {
@@ -110,7 +140,6 @@ func (s *Store) Row(v graph.NodeID) ([]graph.NodeID, []float32, error) {
 		}
 		return rows[0], nil
 	})
-	return r.Nodes, r.Scores, err
 }
 
 // kept looks v up in the overlay.
@@ -146,7 +175,7 @@ func (s *Store) fill(nodes []graph.NodeID) ([]Row, error) {
 
 // Computes returns how many rows were actually computed — cold misses,
 // Precompute chunks and a complete store's misses, excluding coalesced
-// Row callers.
+// readers.
 func (s *Store) Computes() int64 { return s.computes.Load() }
 
 // Precompute computes the rows of the given nodes (the paper's offline
@@ -184,9 +213,9 @@ func (s *Store) Pack() {
 	for _, r := range s.overlay {
 		total += len(r.Nodes)
 	}
-	s.publishLocked(s.collect(total, func(v graph.NodeID) ([]graph.NodeID, []float32, bool) {
+	s.publishLocked(s.collect(total, func(v graph.NodeID, nodes []graph.NodeID, scores []float32) ([]graph.NodeID, []float32, bool) {
 		r, ok := s.overlay[v]
-		return r.Nodes, r.Scores, ok
+		return append(nodes, r.Nodes...), append(scores, r.Scores...), ok
 	}).Table(s.numNodes))
 }
 
@@ -231,18 +260,18 @@ func (s *Store) Rows() *Rows {
 	if ram, ok := t.(*RAMTable); ok {
 		total = len(ram.nodes)
 	}
-	return s.collect(total, t.Row)
+	return s.collect(total, t.AppendRow)
 }
 
-// collect copies every row get reports, in ascending node order, into
-// serial form sized for total entries.
-func (s *Store) collect(total int, get func(graph.NodeID) ([]graph.NodeID, []float32, bool)) *Rows {
+// collect appends every row get reports, in ascending node order,
+// straight into serial form sized for total entries.
+func (s *Store) collect(total int, get func(graph.NodeID, []graph.NodeID, []float32) ([]graph.NodeID, []float32, bool)) *Rows {
 	out := &Rows{Nodes: make([]graph.NodeID, 0, total), Scores: make([]float32, 0, total)}
 	for v := graph.NodeID(0); int(v) < s.numNodes; v++ {
-		if nodes, scores, ok := get(v); ok {
-			dn, ds := out.Append(v, len(nodes))
-			copy(dn, nodes)
-			copy(ds, scores)
+		var ok bool
+		if out.Nodes, out.Scores, ok = get(v, out.Nodes, out.Scores); ok {
+			out.Src = append(out.Src, v)
+			out.End = append(out.End, uint32(len(out.Nodes)))
 		}
 	}
 	return out
@@ -253,11 +282,12 @@ func (s *Store) collect(total int, get func(graph.NodeID) ([]graph.NodeID, []flo
 // extractors.
 type Ranked struct{ *Store }
 
-// SimRow returns t0's candidate row in rank order (best first, scores
-// normalized so the best is 1) — the allocation-free read the decoder
-// uses. ok is false only when the row could not be computed.
+// SimRow returns a copy of t0's candidate row in rank order (best
+// first, scores normalized so the best is 1). ok is false only when the
+// row could not be computed. The decoder copies into its own scratch
+// with AppendRow instead.
 func (r Ranked) SimRow(t0 graph.NodeID) ([]graph.NodeID, []float32, bool) {
-	nodes, scores, err := r.Row(t0)
+	nodes, scores, err := r.AppendRow(t0, nil, nil)
 	return nodes, scores, err == nil
 }
 
@@ -265,7 +295,7 @@ func (r Ranked) SimRow(t0 graph.NodeID) ([]graph.NodeID, []float32, bool) {
 // (k <= 0 means the whole row), reporting why a row could not be
 // computed.
 func (r Ranked) SimilarNodes(t0 graph.NodeID, k int) ([]graph.Scored, error) {
-	nodes, scores, err := r.Row(t0)
+	nodes, scores, err := r.AppendRow(t0, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -278,14 +308,12 @@ func (r Ranked) Sim(t0, t graph.NodeID) (float64, error) {
 	if t0 == t {
 		return 1, nil
 	}
-	nodes, scores, err := r.Row(t0)
+	nodes, scores, err := r.AppendRow(t0, nil, nil)
 	if err != nil {
 		return 0, err
 	}
-	for i, v := range nodes {
-		if v == t {
-			return float64(scores[i]), nil
-		}
+	if i := slices.Index(nodes, t); i >= 0 {
+		return float64(scores[i]), nil
 	}
 	return 0, nil
 }

@@ -25,16 +25,16 @@ func newFakeStore(n int) *Store {
 	return NewStore(n, func(v graph.NodeID) ([]graph.Scored, error) { return fakeRow(v), nil })
 }
 
-// rowsOf reads every node's row through the store.
+// rowsOf copies every node's row out of the store.
 func rowsOf(t *testing.T, s *Store, n int) []Row {
 	t.Helper()
 	out := make([]Row, n)
 	for v := range out {
-		nodes, scores, err := s.Row(graph.NodeID(v))
+		nodes, scores, err := s.AppendRow(graph.NodeID(v), []graph.NodeID{}, []float32{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		out[v] = Row{Nodes: append([]graph.NodeID{}, nodes...), Scores: append([]float32{}, scores...)}
+		out[v] = Row{Nodes: nodes, Scores: scores}
 	}
 	return out
 }
@@ -95,11 +95,11 @@ func TestStoreRowIdenticalInEveryForm(t *testing.T) {
 // computed after the Pack is not kept.
 func TestStorePackFoldsOverlayIntoTable(t *testing.T) {
 	s := newFakeStore(16)
-	s.Row(3)
-	s.Row(7)
+	s.AppendRow(3, nil, nil)
+	s.AppendRow(7, nil, nil)
 	s.Pack()
 	for _, v := range []graph.NodeID{3, 7} {
-		if _, _, ok := s.table().Row(v); !ok {
+		if _, _, ok := s.table().AppendRow(v, nil, nil); !ok {
 			t.Fatalf("row %d missing from the packed table", v)
 		}
 	}
@@ -107,7 +107,7 @@ func TestStorePackFoldsOverlayIntoTable(t *testing.T) {
 	if err := s.Precompute(context.Background(), []graph.NodeID{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	s.Row(9)
+	s.AppendRow(9, nil, nil)
 	s.Pack()
 	if !s.Complete() || s.table() != tab || len(s.overlay) != 0 || s.Computes() != 3 {
 		t.Fatalf("complete %v, table replaced %v, %d overlay rows, %d computed: want the packed table alone and 3 rows computed",
@@ -118,11 +118,15 @@ func TestStorePackFoldsOverlayIntoTable(t *testing.T) {
 // halfView serves even rows only, like a disk view missing some rows.
 type halfView struct{ t Table }
 
-func (h halfView) Row(v graph.NodeID) ([]graph.NodeID, []float32, bool) {
+func (h halfView) AppendRow(v graph.NodeID, nodes []graph.NodeID, scores []float32) ([]graph.NodeID, []float32, bool) {
 	if v%2 != 0 {
-		return nil, nil, false
+		return nodes, scores, false
 	}
-	return h.t.Row(v)
+	return h.t.AppendRow(v, nodes, scores)
+}
+
+func (h halfView) ProbeRow(a graph.NodeID, bs []graph.NodeID, out []float64) bool {
+	return a%2 == 0 && h.t.ProbeRow(a, bs, out)
 }
 
 // An installed view answers first; a row it cannot serve is computed
@@ -164,7 +168,7 @@ func TestStoreConcurrentColdMissSingleCompute(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			nodes, _, err := s.Row(11)
+			nodes, _, err := s.AppendRow(11, nil, nil)
 			if err != nil {
 				t.Error(err)
 			}
@@ -221,8 +225,11 @@ func TestStorePrecomputeErrors(t *testing.T) {
 	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "node 5") {
 		t.Fatalf("err = %v, want boom naming node 5", err)
 	}
-	if _, _, err := s.Row(5); !errors.Is(err, boom) {
-		t.Fatalf("Row(5) err = %v", err)
+	if _, _, err := s.AppendRow(5, nil, nil); !errors.Is(err, boom) {
+		t.Fatalf("AppendRow(5) err = %v", err)
+	}
+	if err := s.ProbeRow(5, []graph.NodeID{1}, make([]float64, 1)); !errors.Is(err, boom) {
+		t.Fatalf("ProbeRow(5) err = %v", err)
 	}
 	if _, _, ok := (Ranked{s}).SimRow(5); ok {
 		t.Fatal("SimRow reported ok for a failed row")
@@ -252,7 +259,7 @@ func TestStoreReadersRacePackAndLoad(t *testing.T) {
 					return
 				default:
 				}
-				nodes, scores, err := s.Row(v)
+				nodes, scores, err := s.AppendRow(v, nil, nil)
 				if err != nil || len(nodes) != int(v)%4 || len(scores) != len(nodes) {
 					t.Errorf("row %d: %d nodes, %d scores, err %v", v, len(nodes), len(scores), err)
 					return

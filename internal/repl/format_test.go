@@ -183,7 +183,7 @@ func TestCorruptionMatrix(t *testing.T) {
 		g := mgr.Current()
 		for _, v := range g.TG.TermNodeIDs()[:3] {
 			g.Sim.SimilarNodes(v, 0)
-			g.Clos.Row(v)
+			g.Clos.AppendRow(v, nil, nil)
 		}
 		var buf bytes.Buffer
 		if err := writeSnapshot(&buf, mgr, g, position{next: 2, bytes: 99}); err != nil {
