@@ -10,13 +10,6 @@ import (
 	"kqr/internal/graph"
 )
 
-// Frame states, guarded by the arena lock.
-const (
-	frameFree    = iota // on the free list
-	frameLoading        // owned by one fault, mapped to no page
-	frameMapped         // holds table.frameOf's page, readable
-)
-
 // frame is one page-sized buffer of the arena. Its buffer is allocated
 // on the frame's first fault and reused by every later one.
 type frame struct {
@@ -28,11 +21,12 @@ type frame struct {
 	mu  sync.RWMutex
 	buf []byte // the page's CRC-verified raw v2 entries
 
-	// Guarded by the arena lock.
-	state uint8
-	ref   bool   // clock reference bit: read since the hand last passed
-	tab   *table // the page held while mapped
-	page  int32
+	// Guarded by the arena lock. An unmapped frame is on the free list
+	// or owned by the one fault filling it.
+	mapped bool
+	ref    bool   // clock reference bit: read since the hand last passed
+	tab    *table // the page held while mapped
+	page   int32
 }
 
 // table is one paged table of the store with its page → frame map.
@@ -48,7 +42,7 @@ type table struct {
 // eviction does turns into garbage.
 type arena struct {
 	mu         sync.Mutex
-	frameFreed sync.Cond // a loading frame was mapped or handed back
+	frameFreed sync.Cond // a taken frame was mapped or handed back
 	frames     []*frame
 	free       []int32
 	max        int
@@ -64,19 +58,18 @@ func newArena(max, frameBytes int) *arena {
 	return a
 }
 
-// take returns a frame in the loading state: a free one, a new one
-// while the arena is below max, or the clock's victim, unmapped. With
-// every frame loading it waits for one. The caller holds mu.
+// take returns an unmapped frame for the caller to fill: a free one, a
+// new one while the arena is below max, or the clock's victim, unmapped.
+// With every frame being filled it waits for one. The caller holds mu.
 func (a *arena) take() int32 {
 	for {
 		if n := len(a.free); n > 0 {
 			fi := a.free[n-1]
 			a.free = a.free[:n-1]
-			a.frames[fi].state = frameLoading
 			return fi
 		}
 		if len(a.frames) < a.max {
-			a.frames = append(a.frames, &frame{state: frameLoading})
+			a.frames = append(a.frames, &frame{})
 			return int32(len(a.frames) - 1)
 		}
 		// Two sweeps: the first may only clear reference bits.
@@ -84,7 +77,7 @@ func (a *arena) take() int32 {
 			fi := a.hand
 			a.hand = (a.hand + 1) % len(a.frames)
 			f := a.frames[fi]
-			if f.state != frameMapped {
+			if !f.mapped {
 				continue
 			}
 			if f.ref {
@@ -92,7 +85,7 @@ func (a *arena) take() int32 {
 				continue
 			}
 			f.tab.frameOf[f.page] = -1
-			f.state = frameLoading
+			f.mapped = false
 			a.evictions++
 			return int32(fi)
 		}
@@ -100,9 +93,8 @@ func (a *arena) take() int32 {
 	}
 }
 
-// giveBack returns a loading frame to the free list. The caller holds mu.
+// giveBack returns a taken frame to the free list. The caller holds mu.
 func (a *arena) giveBack(fi int32) {
-	a.frames[fi].state = frameFree
 	a.free = append(a.free, fi)
 	a.frameFreed.Broadcast()
 }
@@ -148,7 +140,7 @@ func (s *Store) pin(t *table, pg int) (*frame, bool) {
 		f = a.frames[other]
 	} else {
 		t.frameOf[pg] = fi
-		f.tab, f.page, f.state = t, int32(pg), frameMapped
+		f.tab, f.page, f.mapped = t, int32(pg), true
 		a.frameFreed.Broadcast()
 	}
 	f.ref = true
@@ -162,7 +154,7 @@ func appendEntries(raw []byte, nodes []graph.NodeID, scores []float32) ([]graph.
 	nodes, scores = slices.Grow(nodes, n), slices.Grow(scores, n)
 	for e := 0; e < len(raw); e += pagedEntrySize {
 		nodes = append(nodes, entryNode(raw, e))
-		scores = append(scores, math.Float32frombits(binary.LittleEndian.Uint32(raw[e+4:])))
+		scores = append(scores, entryScore(raw, e))
 	}
 	return nodes, scores
 }
@@ -177,7 +169,7 @@ func probeEntries(raw []byte, bs []graph.NodeID, out []float64) {
 			mid := int(uint(lo+hi) >> 1)
 			switch v := entryNode(raw, mid*pagedEntrySize); {
 			case v == b:
-				out[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(raw[mid*pagedEntrySize+4:])))
+				out[i] = float64(entryScore(raw, mid*pagedEntrySize))
 				lo = hi
 			case v < b:
 				lo = mid + 1
@@ -188,7 +180,12 @@ func probeEntries(raw []byte, bs []graph.NodeID, out []float64) {
 	}
 }
 
-// entryNode decodes the node of the entry at byte offset e.
+// entryNode and entryScore decode the halves of the entry at byte
+// offset e.
 func entryNode(raw []byte, e int) graph.NodeID {
 	return graph.NodeID(binary.LittleEndian.Uint32(raw[e:]))
+}
+
+func entryScore(raw []byte, e int) float32 {
+	return math.Float32frombits(binary.LittleEndian.Uint32(raw[e+4:]))
 }
