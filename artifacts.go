@@ -88,7 +88,7 @@ func (e *Engine) SaveArtifacts(path string) error {
 // snapshot: the same vocabulary and tables as SaveArtifacts, but with
 // each table split into a resident page index and a page-aligned entry
 // blob, so a later Open with Options.DiskMode can serve it without
-// decoding the tables into RAM. A v2 file also loads through the plain
+// loading the tables into RAM. A v2 file also loads through the plain
 // restore path (Options.ArtifactPath without DiskMode) — paged saving
 // costs nothing in compatibility. The write is temp-file atomic like
 // SaveArtifacts.

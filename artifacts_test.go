@@ -14,6 +14,8 @@ import (
 	"kqr"
 	"kqr/internal/artifact"
 	"kqr/internal/closeness"
+	"kqr/internal/dblpgen"
+	"kqr/internal/graph"
 	"kqr/internal/packed"
 	"kqr/internal/randomwalk"
 	"kqr/synthetic"
@@ -145,10 +147,8 @@ func TestArtifactPartialRefused(t *testing.T) {
 		{"a similarity row short", func(s *artifact.Snapshot) {
 			rows, out := s.Tables[artifact.TableWalk], &packed.Rows{}
 			for i := 1; i < len(rows.Src); i++ {
-				v, nodes, scores := rows.Row(i)
-				dn, ds := out.Append(v, len(nodes))
-				copy(dn, nodes)
-				copy(ds, scores)
+				v, raw := rows.Row(i)
+				copy(out.Append(v, len(raw)/packed.EntrySize), raw)
 			}
 			s.Tables[artifact.TableWalk] = out
 		}},
@@ -514,5 +514,73 @@ func TestLoadArtifactsAllocatesPerTable(t *testing.T) {
 	// allocations per row of each table on top of that.
 	if limit := float64(rows + rows/2 + 200); allocs > limit {
 		t.Fatalf("LoadArtifacts made %.0f allocations for %d vocabulary terms, want ≤ %.0f", allocs, rows, limit)
+	}
+}
+
+// TestPagedBlobEqualsTableBytes: a v2 file is written from the tables'
+// own entry bytes, with no encoder of its own. For each table of a
+// warmed engine, the blob region of its SaveArtifactsPaged file, and of
+// the same snapshot written in 256-byte pages, equals the store's
+// entry bytes byte for byte — and each row's bytes are the one
+// encoder's (packed.PutEntry) bytes for the row the store serves.
+func TestPagedBlobEqualsTableBytes(t *testing.T) {
+	c, err := dblpgen.Generate(dblpgen.Config{Seed: 20120401, Topics: 4, Confs: 8, Authors: 80, Papers: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := kqr.Open(kqr.WrapDatabase(c.DB), kqr.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if err := eng.Warm(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	saved := filepath.Join(t.TempDir(), "offline.paged")
+	if err := eng.SaveArtifactsPaged(saved); err != nil {
+		t.Fatal(err)
+	}
+	file, err := os.ReadFile(saved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var small bytes.Buffer
+	if err := readSnapshotFile(t, saved).WritePaged(&small, artifact.PagedOptions{PageBytes: 256}); err != nil {
+		t.Fatal(err)
+	}
+
+	mgr, _ := eng.Replication()
+	g := mgr.Current()
+	type store interface {
+		AppendRow(graph.NodeID, []graph.NodeID, []float32) ([]graph.NodeID, []float32, error)
+		Rows() *packed.Rows
+	}
+	for kind, st := range map[artifact.TableKind]store{g.SimKind: g.Sim, artifact.TableCloseness: g.Clos} {
+		want := st.Rows().Entries
+		for _, enc := range [][]byte{file, small.Bytes()} {
+			idx, err := artifact.ReadPagedIndex(bytes.NewReader(enc), "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			pt := idx.Table(kind)
+			blob := enc[pt.BlobOff : pt.BlobOff+pt.BlobBytes()]
+			if len(want) == 0 || !bytes.Equal(blob, want) {
+				t.Fatalf("%s (%d pages): blob of %d bytes differs from the table's %d entry bytes",
+					kind, len(pt.PageStarts), len(blob), len(want))
+			}
+			for _, v := range g.TG.TermNodeIDs() {
+				nodes, scores, err := st.AppendRow(v, nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				row := make([]byte, len(nodes)*packed.EntrySize)
+				for i := range nodes {
+					packed.PutEntry(row[i*packed.EntrySize:], nodes[i], scores[i])
+				}
+				if got := blob[pt.Off[v]*packed.EntrySize : pt.Off[v+1]*packed.EntrySize]; !bytes.Equal(got, row) {
+					t.Fatalf("%s row %d: blob bytes %x, served row encodes to %x", kind, v, got, row)
+				}
+			}
+		}
 	}
 }

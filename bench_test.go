@@ -11,12 +11,17 @@
 package kqr_test
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"kqr"
 	"kqr/internal/dblpgen"
 	"kqr/internal/experiments"
 	"kqr/internal/hmm"
@@ -423,4 +428,80 @@ func Benchmark_ServingCache(b *testing.B) {
 			cache.Put(key, body)
 		}
 	})
+}
+
+// BenchmarkReformulateWarm answers 256 seeded queries of 4–7 distinct
+// title words at k=50 — the http_miss request shape — on a warmed
+// dblpgen P=2000 engine, one query per op: "ram" with the tables in
+// memory, "disk" serving them from a paged snapshot under disk_miss's
+// 4 MiB table budget.
+func BenchmarkReformulateWarm(b *testing.B) {
+	corpus := func() *kqr.Dataset {
+		c, err := dblpgen.Generate(dblpgen.Config{Seed: 1, Papers: 2000})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return kqr.WrapDatabase(c.DB)
+	}
+	ram, err := kqr.Open(corpus(), kqr.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ram.Close()
+	if err := ram.Warm(context.Background()); err != nil {
+		b.Fatal(err)
+	}
+	paged := filepath.Join(b.TempDir(), "offline.paged")
+	if err := ram.SaveArtifactsPaged(paged); err != nil {
+		b.Fatal(err)
+	}
+	disk, err := kqr.Open(corpus(), kqr.Options{ArtifactPath: paged, DiskMode: true, TableMemBudget: 4 << 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer disk.Close()
+
+	c, err := dblpgen.Generate(dblpgen.Config{Seed: 1, Papers: 2000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tbl, err := c.DB.Table("papers")
+	if err != nil {
+		b.Fatal(err)
+	}
+	seen := map[string]bool{}
+	var words []string
+	for i := 0; i < tbl.Len(); i++ {
+		tp, err := tbl.Tuple(i)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, w := range strings.Fields(tp.Values[1].Text()) {
+			if !seen[w] {
+				seen[w] = true
+				words = append(words, w)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	queries := make([][]string, 256)
+	for i := range queries {
+		for _, j := range rng.Perm(len(words))[:4+rng.Intn(4)] {
+			queries[i] = append(queries[i], words[j])
+		}
+	}
+
+	for _, mode := range []struct {
+		name string
+		eng  *kqr.Engine
+	}{{"ram", ram}, {"disk", disk}} {
+		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := mode.eng.Reformulate(queries[i%len(queries)], 50); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -24,9 +24,10 @@ type row struct {
 func mkRows(rs ...row) *packed.Rows {
 	t := &packed.Rows{}
 	for _, r := range rs {
-		nodes, scores := t.Append(r.src, len(r.nodes))
-		copy(nodes, r.nodes)
-		copy(scores, r.scores)
+		raw := t.Append(r.src, len(r.nodes))
+		for i := range r.nodes {
+			packed.PutEntry(raw[i*packed.EntrySize:], r.nodes[i], r.scores[i])
+		}
 	}
 	return t
 }
@@ -191,8 +192,11 @@ func TestRowOrderEnforced(t *testing.T) {
 	}
 	unsorted := func(r *packed.Rows) *packed.Rows {
 		c := *r
-		c.Nodes = append([]graph.NodeID(nil), r.Nodes...)
-		c.Nodes[0], c.Nodes[1] = c.Nodes[1], c.Nodes[0]
+		c.Entries = append([]byte(nil), r.Entries...)
+		n0, s0 := packed.Entry(c.Entries, 0)
+		n1, s1 := packed.Entry(c.Entries, 1)
+		packed.PutEntry(c.Entries, n1, s0)
+		packed.PutEntry(c.Entries[packed.EntrySize:], n0, s1)
 		return &c
 	}
 	cases := map[string]func(*Snapshot){
@@ -343,7 +347,7 @@ func TestGoldenFixtures(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.file, err)
 		}
-		if snap.Version != tc.version || snap.Tables[TableWalk] == nil || snap.Tables[TableCloseness] == nil || len(snap.Tables[TableWalk].Nodes) == 0 {
+		if snap.Version != tc.version || snap.Tables[TableWalk] == nil || snap.Tables[TableCloseness] == nil || len(snap.Tables[TableWalk].Entries) == 0 {
 			t.Fatalf("%s: decoded v%d, walk %v, closeness %v", tc.file, snap.Version, snap.Tables[TableWalk] != nil, snap.Tables[TableCloseness] != nil)
 		}
 		re := encode(t, snap)
@@ -402,9 +406,9 @@ func TestLoadAllocatesPerTable(t *testing.T) {
 	const rows = 4000
 	for v := 0; v < rows; v++ {
 		for _, tb := range []*packed.Rows{s.Tables[TableWalk], s.Tables[TableCloseness]} {
-			nodes, scores := tb.Append(graph.NodeID(v), 8)
-			for i := range nodes {
-				nodes[i], scores[i] = graph.NodeID(v+i+1), 0.5
+			raw := tb.Append(graph.NodeID(v), 8)
+			for i := range 8 {
+				packed.PutEntry(raw[i*packed.EntrySize:], graph.NodeID(v+i+1), 0.5)
 			}
 		}
 	}

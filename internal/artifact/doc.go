@@ -11,10 +11,14 @@
 // BENCH_system.json).
 //
 // A Snapshot holds each table as packed.Rows, the row store's own
-// serial form: a writer streams the rows as they lie, a reader appends
-// them and the store indexes the result in place. Nothing on either
-// path sorts or builds a map. All byte-level work — running CRCs, byte
-// budgets, typed errors — is internal/frame's.
+// serial form — its rows' entry bytes in packed's one encoding — and
+// the store indexes a loaded one in place. A v2 (paged) section is
+// those bytes: the writer emits them as the blob and the reader reads
+// the blob back into the rows' entries, checking each page's CRC,
+// without touching an entry. A v1 section stores f64 scores, so its
+// writer widens each entry and its reader encodes each entry as it
+// reads. Nothing on either path sorts or builds a map. All byte-level
+// work — running CRCs, byte budgets, typed errors — is internal/frame's.
 //
 // # File format
 //
@@ -44,7 +48,7 @@
 // it is never buffered — and Load mirrors it, checking every count
 // against the section's remaining bytes and growing buffers only as
 // bytes arrive, so a multi-GB snapshot costs O(1) extra memory beyond
-// the decoded tables themselves and a hostile one costs what it holds.
+// the tables themselves and a hostile one costs what it holds.
 //
 // # Errors
 //

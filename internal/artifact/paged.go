@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 
 	"kqr/internal/frame"
 	"kqr/internal/packed"
@@ -26,12 +25,6 @@ const (
 	secCooccurPaged   uint8 = 6
 	secClosenessPaged uint8 = 7
 )
-
-// pagedEntrySize is the encoded size of one paged (node, score) pair:
-// u32 node + f32 score. Halving the v1 entry is what makes rows
-// pageable; every stored score is already on the float32 grid
-// (packed.Quantize), so v1's f64 carries nothing more.
-const pagedEntrySize = 4 + 4
 
 // DefaultPageBytes is the target page capacity when PagedOptions leaves
 // PageBytes zero: 32 KiB ≈ 4096 entries, a few dozen rows — big enough
@@ -90,50 +83,39 @@ func (k TableKind) String() string {
 }
 
 // buildPaged lays a table out as one paged section over numNodes
-// nodes: CSR offsets and presence bitmap, a row-aligned page index, and
-// the entry blob with a CRC per page, so a disk-mode reader can verify
-// a faulted page without trusting anything beyond the resident prelude.
-// The blob is built in memory — it is the size of the table itself.
+// nodes: the table's own CSR index, a row-aligned page index, and the
+// entry blob — the rows' entry bytes as they are — with a CRC per page,
+// so a disk-mode reader can verify a faulted page without trusting
+// anything beyond the resident prelude.
 func buildPaged(kind TableKind, numNodes, pageBytes int, rows *packed.Rows) (*PagedTable, []byte) {
+	x := packed.NewIndex(numNodes, rows)
 	t := &PagedTable{
 		Kind:       kind,
 		NumNodes:   numNodes,
 		PageBytes:  pageBytes,
-		EntryCount: uint64(len(rows.Nodes)),
-		Off:        make([]uint32, numNodes+1),
-		Present:    make([]uint64, (numNodes+63)/64),
+		EntryCount: uint64(x.Entries()),
+		Index:      x,
 	}
-	blob := make([]byte, 0, len(rows.Nodes)*pagedEntrySize)
-	perPage := max(pageBytes/pagedEntrySize, 1)
+	perPage := max(pageBytes/packed.EntrySize, 1)
 	pageLen := 0 // entries in the open page
-	next := 0
-	for v := 0; v <= numNodes; v++ {
-		t.Off[v] = uint32(len(blob) / pagedEntrySize)
-		if next == len(rows.Src) || int(rows.Src[next]) != v {
-			continue
-		}
-		_, nodes, scores := rows.Row(next)
-		next++
-		t.Present[uint(v)>>6] |= 1 << (uint(v) & 63)
-		if len(nodes) == 0 {
-			continue // cached-empty row: present bit only, no page
+	for v := 0; v < numNodes; v++ {
+		n := int(x.Off[v+1] - x.Off[v])
+		if n == 0 {
+			continue // no row, or a cached-empty one: no page
 		}
 		// Row-aligned paging: open a new page when this row would
 		// overflow the current one (an oversized row still gets exactly
 		// one page — its own).
-		if pageLen == 0 || pageLen+len(nodes) > perPage {
-			t.PageStarts = append(t.PageStarts, t.Off[v])
+		if pageLen == 0 || pageLen+n > perPage {
+			t.PageStarts = append(t.PageStarts, x.Off[v])
 			pageLen = 0
 		}
-		pageLen += len(nodes)
-		for i := range nodes {
-			blob = frame.AppendU32(blob, uint32(nodes[i]))
-			blob = frame.AppendU32(blob, math.Float32bits(scores[i]))
-		}
+		pageLen += n
 	}
+	blob := rows.Entries[:t.BlobBytes()]
 	t.PageCRCs = make([]uint32, len(t.PageStarts))
-	for pg, start := range t.PageStarts {
-		t.PageCRCs[pg] = crc32.ChecksumIEEE(blob[uint64(start)*pagedEntrySize : t.PageEnd(pg)*pagedEntrySize])
+	for pg := range t.PageStarts {
+		t.PageCRCs[pg] = crc32.ChecksumIEEE(t.page(blob, pg))
 	}
 	return t, blob
 }

@@ -13,11 +13,12 @@ import (
 )
 
 // PagedTable is the resident prelude of one paged table section: the
-// CSR offsets, presence bitmap and page index. A disk-mode reader keeps
-// it in memory while the entry blob stays on disk at BlobOff; the
-// sequential loader and the writer use the same struct. Entry e of the
-// blob occupies bytes [e*8, e*8+8) relative to BlobOff; page pg covers
-// entries [PageStarts[pg], PageStarts[pg+1]) (EntryCount-terminated).
+// table's CSR index (packed.Index) and its page index. A disk-mode
+// reader keeps it in memory while the entry blob stays on disk at
+// BlobOff; the sequential loader and the writer use the same struct.
+// Entry e of the blob occupies bytes [e*8, e*8+8) relative to BlobOff;
+// page pg covers entries [PageStarts[pg], PageStarts[pg+1])
+// (EntryCount-terminated).
 type PagedTable struct {
 	// Kind names which table this is.
 	Kind TableKind
@@ -27,23 +28,15 @@ type PagedTable struct {
 	PageBytes int
 	// EntryCount is the total number of 8-byte entries in the blob.
 	EntryCount uint64
-	// Off, Present, PageStarts and PageCRCs are the resident arrays —
-	// see the package comment's v2 layout.
-	Off        []uint32
-	Present    []uint64
+	// Index holds the row offsets and presence bitmap.
+	packed.Index
+	// PageStarts and PageCRCs are the page index: each page's first
+	// entry and the CRC of its bytes.
 	PageStarts []uint32
 	PageCRCs   []uint32
 	// BlobOff is the absolute file offset of the entry blob (set by
 	// ReadPagedIndex only).
 	BlobOff int64
-}
-
-// Has reports whether v has a (possibly empty) row.
-func (t *PagedTable) Has(v graph.NodeID) bool {
-	if v < 0 || int(v) >= t.NumNodes {
-		return false
-	}
-	return t.Present[uint(v)>>6]&(1<<(uint(v)&63)) != 0
 }
 
 // PageEnd returns the first entry index past page pg.
@@ -61,8 +54,47 @@ func (t *PagedTable) MetaBytes() int64 {
 }
 
 // BlobBytes is the on-disk size of the entry blob — what the table
-// would cost resident if fully decoded.
-func (t *PagedTable) BlobBytes() int64 { return int64(t.EntryCount) * pagedEntrySize }
+// costs resident in RAM mode.
+func (t *PagedTable) BlobBytes() int64 { return int64(t.EntryCount) * packed.EntrySize }
+
+// PageSize returns the byte length of page pg.
+func (t *PagedTable) PageSize(pg int) int {
+	return int(t.PageEnd(pg)-uint64(t.PageStarts[pg])) * packed.EntrySize
+}
+
+// page returns page pg's bytes out of the whole blob.
+func (t *PagedTable) page(blob []byte, pg int) []byte {
+	return blob[uint64(t.PageStarts[pg])*packed.EntrySize : t.PageEnd(pg)*packed.EntrySize]
+}
+
+// Locate returns the page holding entries lo to hi — one row, which
+// pages never split — and the byte range from:to the row takes in it.
+func (t *PagedTable) Locate(lo, hi uint32) (pg, from, to int) {
+	// The last page starting at or before lo.
+	first, last := 0, len(t.PageStarts)
+	for last-first > 1 {
+		if mid := int(uint(first+last) >> 1); t.PageStarts[mid] <= lo {
+			first = mid
+		} else {
+			last = mid
+		}
+	}
+	from = int(lo-t.PageStarts[first]) * packed.EntrySize
+	return first, from, from + int(hi-lo)*packed.EntrySize
+}
+
+// ReadPage reads page pg from r, the file the index was read from,
+// into buf (at least PageSize(pg) long) and verifies it against the
+// page's stored CRC — a disk-mode fault. A short read (the file shrank
+// under its reader) fails with ErrTruncated, a mismatch with
+// ErrChecksum.
+func (t *PagedTable) ReadPage(r io.ReaderAt, pg int, buf []byte) error {
+	raw := buf[:t.PageSize(pg)]
+	if n, _ := r.ReadAt(raw, t.BlobOff+int64(t.PageStarts[pg])*packed.EntrySize); n != len(raw) {
+		return fmt.Errorf("%w: page %d read %d of %d bytes", ErrTruncated, pg, n, len(raw))
+	}
+	return t.checkPage(pg, raw)
+}
 
 // preludeFixed is the prelude's fixed head: numNodes, pageBytes,
 // entryCount, pageCount.
@@ -116,7 +148,7 @@ func readPrelude(rr *frame.Reader, kind TableKind) *PagedTable {
 		rr.Fail(err)
 		return nil
 	}
-	if left := rr.Left(); left/pagedEntrySize != t.EntryCount || left%pagedEntrySize != 0 {
+	if left := rr.Left(); left/packed.EntrySize != t.EntryCount || left%packed.EntrySize != 0 {
 		rr.Failf("paged section leaves %d bytes for %d entries", left, t.EntryCount)
 		return nil
 	}
@@ -182,49 +214,31 @@ func (t *PagedTable) validate() error {
 	return nil
 }
 
-// VerifyPage checks raw — the blob bytes of page pg, entries
-// PageStarts[pg] to PageEnd(pg) — against the page's stored CRC. It is
-// what diskmode's page fault runs; the fault keeps the raw bytes.
-func (t *PagedTable) VerifyPage(pg int, raw []byte) error {
+// checkPage checks raw — the bytes of page pg — against the page's
+// stored CRC.
+func (t *PagedTable) checkPage(pg int, raw []byte) error {
 	if crc := crc32.ChecksumIEEE(raw); crc != t.PageCRCs[pg] {
 		return fmt.Errorf("%w: page %d CRC %08x, stored %08x", ErrChecksum, pg, crc, t.PageCRCs[pg])
 	}
 	return nil
 }
 
-// DecodePage verifies raw (VerifyPage) and decodes its (u32 node, f32
-// score) entries into nodes and scores, each len(raw)/8 long — the
-// sequential restore below.
-func (t *PagedTable) DecodePage(pg int, raw []byte, nodes []graph.NodeID, scores []float32) error {
-	if err := t.VerifyPage(pg, raw); err != nil {
-		return err
-	}
-	for i := range nodes {
-		nodes[i] = graph.NodeID(binary.LittleEndian.Uint32(raw[i*pagedEntrySize:]))
-		scores[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[i*pagedEntrySize+4:]))
-	}
-	return nil
-}
-
-// readPagedRows decodes a paged table section sequentially — the
-// restore path of a v2 file opened without disk mode. The prelude is
-// the table's index as it stands; the blob is read page by page, each
-// verified against its stored CRC.
+// readPagedRows restores a paged table section sequentially — the path
+// of a v2 file opened without disk mode. The prelude is the table's
+// index as it stands; the blob is read as a whole into the rows'
+// entries and each page is verified against its stored CRC, with no
+// entry touched.
 func readPagedRows(rr *frame.Reader, kind TableKind) *packed.Rows {
 	t := readPrelude(rr, kind)
 	if t == nil {
 		return nil
 	}
-	rows := &packed.Rows{}
-	for pg, start := range t.PageStarts {
-		b := rr.Block((t.PageEnd(pg) - uint64(start)) * pagedEntrySize)
-		if rr.Err() != nil {
-			return nil
-		}
-		n := len(b) / pagedEntrySize
-		rows.Nodes = append(rows.Nodes, make([]graph.NodeID, n)...)
-		rows.Scores = append(rows.Scores, make([]float32, n)...)
-		if err := t.DecodePage(pg, b, rows.Nodes[start:], rows.Scores[start:]); err != nil {
+	rows := &packed.Rows{Entries: rr.Append(nil, uint64(t.BlobBytes()))}
+	if rr.Err() != nil {
+		return nil
+	}
+	for pg := range t.PageStarts {
+		if err := t.checkPage(pg, t.page(rows.Entries, pg)); err != nil {
 			rr.Fail(err)
 			return nil
 		}

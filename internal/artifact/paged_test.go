@@ -2,14 +2,13 @@ package artifact
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"hash/crc32"
-	"math"
 	"reflect"
 	"testing"
 
 	"kqr/internal/graph"
+	"kqr/internal/packed"
 )
 
 // TestPagedRoundTrip: Load must decode a v2 file back into the same
@@ -33,7 +32,7 @@ func TestPagedRoundTrip(t *testing.T) {
 }
 
 // TestReadPagedIndex: the resident index must describe the same rows
-// Load decodes, and its blob regions must decode to the same entries.
+// Load decodes, and its blob regions must hold the same entry bytes.
 func TestReadPagedIndex(t *testing.T) {
 	want := sample()
 	enc := encodePaged(t, want, minPageBytes)
@@ -54,8 +53,8 @@ func TestReadPagedIndex(t *testing.T) {
 	if walk == nil || idx.Table(TableCooccur) == nil || idx.Table(TableCloseness) == nil {
 		t.Fatalf("missing table kinds: %+v", idx.Tables)
 	}
-	// Decode every present row straight from the blob and compare with
-	// the source rows — offsets, presence and payload must agree.
+	// Compare every present row's blob region with the source rows —
+	// offsets, presence and payload must agree.
 	next := 0
 	for v := graph.NodeID(0); int(v) < walk.NumNodes; v++ {
 		ok := next < len(want.Tables[TableWalk].Src) && want.Tables[TableWalk].Src[next] == v
@@ -65,19 +64,11 @@ func TestReadPagedIndex(t *testing.T) {
 		if !ok {
 			continue
 		}
-		_, nodes, scores := want.Tables[TableWalk].Row(next)
+		_, raw := want.Tables[TableWalk].Row(next)
 		next++
-		lo, hi := walk.Off[v], walk.Off[v+1]
-		if int(hi-lo) != len(nodes) {
-			t.Fatalf("node %d: row length %d, want %d", v, hi-lo, len(nodes))
-		}
-		b := enc[walk.BlobOff+int64(lo)*pagedEntrySize:]
-		for i := range nodes {
-			node := graph.NodeID(binary.LittleEndian.Uint32(b[i*pagedEntrySize:]))
-			score := math.Float32frombits(binary.LittleEndian.Uint32(b[i*pagedEntrySize+4:]))
-			if node != nodes[i] || score != scores[i] {
-				t.Fatalf("node %d entry %d: (%d, %v), want (%d, %v)", v, i, node, score, nodes[i], scores[i])
-			}
+		lo, hi := int64(walk.Off[v]), int64(walk.Off[v+1])
+		if got := enc[walk.BlobOff+lo*packed.EntrySize : walk.BlobOff+hi*packed.EntrySize]; !bytes.Equal(got, raw) {
+			t.Fatalf("node %d: blob row %x, want %x", v, got, raw)
 		}
 	}
 	if next != len(want.Tables[TableWalk].Src) {
@@ -85,8 +76,8 @@ func TestReadPagedIndex(t *testing.T) {
 	}
 	// Per-page CRCs must verify over the raw blob regions.
 	for p := range walk.PageStarts {
-		lo := walk.BlobOff + int64(walk.PageStarts[p])*pagedEntrySize
-		hi := walk.BlobOff + int64(walk.PageEnd(p))*pagedEntrySize
+		lo := walk.BlobOff + int64(walk.PageStarts[p])*packed.EntrySize
+		hi := walk.BlobOff + int64(walk.PageEnd(p))*packed.EntrySize
 		if crc32.ChecksumIEEE(enc[lo:hi]) != walk.PageCRCs[p] {
 			t.Fatalf("page %d CRC mismatch", p)
 		}

@@ -131,9 +131,9 @@ func readVocabulary(rr *frame.Reader) (classes []string, vocab []Term) {
 	return classes, vocab
 }
 
-// readRows decodes a v1 table section, narrowing each stored float64
-// to the float32 the store keeps (exact: every published score is
-// float32-quantized).
+// readRows decodes a v1 table section into the rows' entry bytes as it
+// reads, narrowing each stored float64 to the float32 the store keeps
+// (exact: every published score is float32-quantized).
 func readRows(rr *frame.Reader, kind TableKind) *packed.Rows {
 	srcCount := rr.U64()
 	const minRecord = 4 + 4 // source + empty list
@@ -154,10 +154,11 @@ func readRows(rr *frame.Reader, kind TableKind) *packed.Rows {
 			return nil
 		}
 		prev = int64(src)
-		nodes, scores := t.Append(graph.NodeID(src), int(n))
-		for j := range nodes {
-			nodes[j] = graph.NodeID(binary.LittleEndian.Uint32(b[j*scoredEntrySize:]))
-			scores[j] = packed.Quantize(math.Float64frombits(binary.LittleEndian.Uint64(b[j*scoredEntrySize+4:])))
+		raw := t.Append(graph.NodeID(src), int(n))
+		for j := range int(n) {
+			e := b[j*scoredEntrySize:]
+			packed.PutEntry(raw[j*packed.EntrySize:], graph.NodeID(binary.LittleEndian.Uint32(e)),
+				packed.Quantize(math.Float64frombits(binary.LittleEndian.Uint64(e[4:]))))
 		}
 	}
 	return t
@@ -174,9 +175,10 @@ func checkNeighborOrder(rr *frame.Reader, t *packed.Rows) {
 		return
 	}
 	for i := range t.Src {
-		src, nodes, _ := t.Row(i)
-		for j := 1; j < len(nodes); j++ {
-			if nodes[j] <= nodes[j-1] {
+		src, raw := t.Row(i)
+		for j := 1; j < len(raw)/packed.EntrySize; j++ {
+			prev, _ := packed.Entry(raw, j-1)
+			if node, _ := packed.Entry(raw, j); node <= prev {
 				rr.Failf("closeness row of node %d is not in neighbor order", src)
 				return
 			}

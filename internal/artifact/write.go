@@ -66,24 +66,26 @@ const scoredEntrySize = 4 + 8
 // writeRows frames one v1 table section: id, payload length (known
 // from the table's row and entry counts, so the payload is never
 // buffered), row count, then per row its source, entry count and
-// entries; CRC over all of it.
+// entries, each widened from the table's entry bytes; CRC over all of
+// it.
 func writeRows(ww *frame.Writer, id uint8, t *packed.Rows) {
 	ww.U8(id)
-	ww.U64(8 + uint64(len(t.Src))*(4+4) + uint64(len(t.Nodes))*scoredEntrySize)
+	ww.U64(8 + uint64(len(t.Src))*(4+4) + uint64(len(t.Entries)/packed.EntrySize)*scoredEntrySize)
 	ww.U64(uint64(len(t.Src)))
 	for i := range t.Src {
-		src, nodes, scores := t.Row(i)
+		src, raw := t.Row(i)
 		ww.U32(uint32(src))
-		ww.U32(uint32(len(nodes)))
+		ww.U32(uint32(len(raw) / packed.EntrySize))
 		const batch = 4096 // entries per Reserve: under the writer's block
-		for len(nodes) > 0 {
-			n := min(len(nodes), batch)
+		for len(raw) > 0 {
+			n := min(len(raw)/packed.EntrySize, batch)
 			b := ww.Reserve(n * scoredEntrySize)
-			for j := 0; j < n; j++ {
-				binary.LittleEndian.PutUint32(b[j*scoredEntrySize:], uint32(nodes[j]))
-				binary.LittleEndian.PutUint64(b[j*scoredEntrySize+4:], math.Float64bits(float64(scores[j])))
+			for j := range n {
+				node, score := packed.Entry(raw, j)
+				binary.LittleEndian.PutUint32(b[j*scoredEntrySize:], uint32(node))
+				binary.LittleEndian.PutUint64(b[j*scoredEntrySize+4:], math.Float64bits(float64(score)))
 			}
-			nodes, scores = nodes[n:], scores[n:]
+			raw = raw[n*packed.EntrySize:]
 		}
 	}
 	ww.Checksum()

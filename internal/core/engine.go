@@ -169,20 +169,15 @@ type Reformulation struct {
 func (r Reformulation) String() string { return strings.Join(r.Terms, " ") }
 
 // ResolveTerm maps a query keyword to its term node, choosing the most
-// frequent node when the text exists in several fields. It returns a
-// descriptive error for unknown terms.
+// frequent node when the text exists in several fields
+// (tatgraph.Graph.ResolveTerm). It returns a descriptive error for
+// unknown terms.
 func (e *Engine) ResolveTerm(text string) (graph.NodeID, error) {
-	nodes := e.tg.FindTerm(text)
-	if len(nodes) == 0 {
+	v, ok := e.tg.ResolveTerm(text)
+	if !ok {
 		return 0, fmt.Errorf("core: query term %q does not occur in the data", text)
 	}
-	best := nodes[0]
-	for _, v := range nodes[1:] {
-		if e.tg.Freq(v) > e.tg.Freq(best) {
-			best = v
-		}
-	}
-	return best, nil
+	return v, nil
 }
 
 // slot is one query position with its candidate states.

@@ -1,13 +1,9 @@
 package diskmode
 
 import (
-	"encoding/binary"
-	"math"
-	"slices"
 	"sync"
 
 	"kqr/internal/artifact"
-	"kqr/internal/graph"
 )
 
 // frame is one page-sized buffer of the arena. Its buffer is allocated
@@ -19,7 +15,7 @@ type frame struct {
 	// not, so eviction waits out the readers of the page it drops and
 	// no reader ever sees a refilled frame.
 	mu  sync.RWMutex
-	buf []byte // the page's CRC-verified raw v2 entries
+	buf []byte // the page's CRC-verified bytes
 
 	// Guarded by the arena lock. An unmapped frame is on the free list
 	// or owned by the one fault filling it.
@@ -29,9 +25,11 @@ type frame struct {
 	page   int32
 }
 
-// table is one paged table of the store with its page → frame map.
+// table is one paged table of the store with its page → frame map:
+// the packed.Pages behind the store's packed.Table of that kind.
 type table struct {
 	*artifact.PagedTable
+	s       *Store
 	frameOf []int32 // page → arena frame index, -1 when not resident; guarded by the arena lock
 }
 
@@ -124,7 +122,7 @@ func (s *Store) pin(t *table, pg int) (*frame, bool) {
 	if f.buf == nil {
 		f.buf = make([]byte, a.frameBytes)
 	}
-	ok := s.readPage(t.PagedTable, pg, f.buf)
+	ok := t.ReadPage(s.f, pg, f.buf) == nil
 	f.mu.Unlock()
 
 	a.mu.Lock()
@@ -146,46 +144,4 @@ func (s *Store) pin(t *table, pg int) (*frame, bool) {
 	f.ref = true
 	f.mu.RLock()
 	return f, true
-}
-
-// appendEntries decodes raw v2 entries onto nodes and scores.
-func appendEntries(raw []byte, nodes []graph.NodeID, scores []float32) ([]graph.NodeID, []float32) {
-	n := len(raw) / pagedEntrySize
-	nodes, scores = slices.Grow(nodes, n), slices.Grow(scores, n)
-	for e := 0; e < len(raw); e += pagedEntrySize {
-		nodes = append(nodes, entryNode(raw, e))
-		scores = append(scores, entryScore(raw, e))
-	}
-	return nodes, scores
-}
-
-// probeEntries writes the score of each bs[i] in raw — the v2 entries
-// of a row sorted by node id — to out[i], 0 when absent.
-func probeEntries(raw []byte, bs []graph.NodeID, out []float64) {
-	for i, b := range bs {
-		out[i] = 0
-		lo, hi := 0, len(raw)/pagedEntrySize
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			switch v := entryNode(raw, mid*pagedEntrySize); {
-			case v == b:
-				out[i] = float64(entryScore(raw, mid*pagedEntrySize))
-				lo = hi
-			case v < b:
-				lo = mid + 1
-			default:
-				hi = mid
-			}
-		}
-	}
-}
-
-// entryNode and entryScore decode the halves of the entry at byte
-// offset e.
-func entryNode(raw []byte, e int) graph.NodeID {
-	return graph.NodeID(binary.LittleEndian.Uint32(raw[e:]))
-}
-
-func entryScore(raw []byte, e int) float32 {
-	return math.Float32frombits(binary.LittleEndian.Uint32(raw[e+4:]))
 }

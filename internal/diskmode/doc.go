@@ -3,31 +3,33 @@
 // memory, so one engine can serve corpora whose tables exceed RAM.
 //
 // A v2 file (internal/artifact.WritePaged) splits every table into a
-// small resident prelude — CSR offsets, presence bitmap, page index,
-// per-page CRCs — and a page-aligned entry blob. Open reads the
-// preludes and keeps only them resident; Store's table views satisfy
-// packed.Table, so the row stores publish them via Install and the
-// query hot path is byte-for-byte the code it runs against RAM-backed
-// tables.
+// small resident prelude — the table's packed.Index (CSR offsets,
+// presence bitmap), page index, per-page CRCs — and a page-aligned
+// entry blob. Open reads the preludes and keeps only them resident.
+// Store.Table hands out a packed.Table over each prelude's index whose
+// packed.Pages is the store's page cache, so the row stores publish it
+// via Install and the query hot path runs the very code, over the very
+// bytes, it runs against a RAM table.
 //
-// A read walks the resident index to the one page holding the row and
-// looks the page up in a fixed arena of page frames, each the size of
-// the file's largest page, allocated on first use up to Options.Budget
-// minus the resident index bytes and never freed — total resident table
-// state never exceeds the budget. A miss takes a free frame or the
-// clock's victim, reads the page into it with a plain ReadAt and
-// verifies it against its stored CRC, outside the arena lock, then maps
+// The package pins pages and knows nothing of entries. packed asks it
+// for a row's entries; it asks the file's artifact.PagedTable which
+// page holds them and where they sit in it, and looks the page up in a
+// fixed arena of page frames, each the size of the file's largest page,
+// allocated on first use up to Options.Budget minus the resident index
+// bytes and never freed — total resident table state never exceeds the
+// budget. A miss takes a free frame or the clock's victim and has
+// PagedTable.ReadPage read the page into it with a plain ReadAt and
+// verify it against its stored CRC, outside the arena lock, then maps
 // it. A short read (a file shrunk under the store: a corrupt page,
 // never a SIGBUS) or a CRC mismatch hands the frame back, is counted
 // and answers ok == false. Pages are row-aligned (no row spans two
-// pages), so a row is one contiguous run of raw entries in one frame.
+// pages), so a row is one contiguous run of bytes in one frame.
 //
-// A row leaves the store only by copy (View.AppendRow, decoding the
-// entries into the caller's slices) or by probe (View.ProbeRow, binary
-// searches over the raw entries), both under the frame's read lock. No
-// slice into a frame escapes, so an evicted frame is reused the moment
-// its last reader unlocks it: a fault allocates nothing once its frame
-// exists, and the page cache makes no garbage.
+// Pin returns those bytes with the frame read-locked; packed copies
+// the row out or probes it and unlocks. No slice into a frame escapes,
+// so an evicted frame is reused the moment its last reader unlocks it:
+// a fault allocates nothing once its frame exists, and the page cache
+// makes no garbage.
 //
 // Closing a Store while readers are mid-fault is the promotion path's
 // normal case, not an error: Close marks the store draining, waits for

@@ -3,16 +3,12 @@ package diskmode
 import (
 	"fmt"
 	"os"
-	"slices"
 	"sync"
 	"sync/atomic"
 
 	"kqr/internal/artifact"
-	"kqr/internal/graph"
+	"kqr/internal/packed"
 )
-
-// pagedEntrySize mirrors the v2 blob entry: u32 node + f32 score.
-const pagedEntrySize = 8
 
 // Options tunes Open.
 type Options struct {
@@ -49,8 +45,8 @@ type Stats struct {
 	Budget      int64 `json:"budget_bytes"`
 	MetaBytes   int64 `json:"meta_bytes"`
 	CacheBudget int64 `json:"cache_budget_bytes"`
-	// BlobBytes is what the tables would cost fully decoded in RAM —
-	// the number the budget is saving against.
+	// BlobBytes is what the tables cost resident in RAM mode — the
+	// number the budget is saving against.
 	BlobBytes int64 `json:"blob_bytes"`
 	// ResidentBytes is MetaBytes plus the page frames allocated so far —
 	// the store's actual table footprint.
@@ -112,10 +108,10 @@ func Open(path, fingerprint string, opts Options) (*Store, error) {
 	s := &Store{path: path, f: f, idx: idx, budget: opts.Budget, done: make(chan struct{})}
 	frameBytes, pages := 0, 0
 	for _, t := range idx.Tables {
-		tab := &table{PagedTable: t, frameOf: make([]int32, len(t.PageStarts))}
+		tab := &table{PagedTable: t, s: s, frameOf: make([]int32, len(t.PageStarts))}
 		for pg := range tab.frameOf {
 			tab.frameOf[pg] = -1
-			frameBytes = max(frameBytes, int(t.PageEnd(pg)-uint64(t.PageStarts[pg]))*pagedEntrySize)
+			frameBytes = max(frameBytes, t.PageSize(pg))
 		}
 		s.tables = append(s.tables, tab)
 		s.metaBytes += t.MetaBytes() + int64(len(tab.frameOf))*4
@@ -208,42 +204,35 @@ func (s *Store) Close() error {
 	return nil
 }
 
-// readPage reads page pg of table t into buf and verifies it against
-// its stored CRC. A short read — the file shrank under the store — or a
-// mismatch answers false.
-func (s *Store) readPage(t *artifact.PagedTable, pg int, buf []byte) bool {
-	lo, hi := uint64(t.PageStarts[pg]), t.PageEnd(pg)
-	raw := buf[:(hi-lo)*pagedEntrySize]
-	n, _ := s.f.ReadAt(raw, t.BlobOff+int64(lo)*pagedEntrySize)
-	return n == len(raw) && t.VerifyPage(pg, raw) == nil
+// Table returns the store's page-backed table of the given kind, nil
+// when the file carries no such section. It is the value the root
+// package hands to a row store's Install in disk mode: packed serves
+// its rows from the frames Pin hands out, and every miss (absent row,
+// draining store, corrupt page) answers ok == false, which the row
+// store answers by computing the row for its caller without keeping it.
+func (s *Store) Table(kind artifact.TableKind) *packed.Table {
+	for _, t := range s.tables {
+		if t.Kind == kind {
+			return packed.NewTable(t.Index, t)
+		}
+	}
+	return nil
 }
 
-// pinRow finds v's row in t and pins the page holding it: index walk,
-// then a frame hit or a fault. It returns the frame read-locked and the
-// row's raw entries in it; the caller decodes them and unlocks. ok is
-// false when the row is absent, the store is draining, or the page
-// failed verification — every case the caller handles by falling back
-// to computation. An empty row answers ok with no frame.
-func (s *Store) pinRow(t *table, v graph.NodeID) (f *frame, raw []byte, ok bool) {
-	if !t.Has(v) {
+// Pin pins the page holding entries lo to hi — one row, by row
+// alignment — and returns the row's bytes in its frame with the frame
+// read-locked: packed copies or probes the row and unlocks. ok is false
+// when the store is draining or the page failed its read or CRC — the
+// cases the row store handles by computing the row.
+func (t *table) Pin(lo, hi uint32) ([]byte, *sync.RWMutex, bool) {
+	if !t.s.acquire() {
 		return nil, nil, false
 	}
-	lo, hi := t.Off[v], t.Off[v+1]
-	if lo == hi {
-		return nil, nil, true // cached-empty row
-	}
-	if !s.acquire() {
+	defer t.s.release()
+	pg, from, to := t.Locate(lo, hi)
+	f, ok := t.s.pin(t, pg)
+	if !ok {
 		return nil, nil, false
 	}
-	defer s.release()
-	// The page holding entry lo holds the whole row (row alignment).
-	pg, found := slices.BinarySearch(t.PageStarts, lo)
-	if !found {
-		pg--
-	}
-	if f, ok = s.pin(t, pg); !ok {
-		return nil, nil, false
-	}
-	start := (lo - t.PageStarts[pg]) * pagedEntrySize
-	return f, f.buf[start : start+(hi-lo)*pagedEntrySize], true
+	return f.buf[from:to], &f.mu, true
 }

@@ -29,27 +29,30 @@ func synthSnapshot(numNodes, rowLen int) *artifact.Snapshot {
 	for v := 0; v < numNodes; v++ {
 		s.Vocabulary = append(s.Vocabulary, artifact.Term{Node: graph.NodeID(v), Class: 0, Text: "t"})
 		n := rng.Intn(rowLen + 1)
-		nodes, scores := s.Tables[artifact.TableWalk].Append(graph.NodeID(v), n)
-		for i := range nodes {
-			nodes[i], scores[i] = graph.NodeID(rng.Intn(numNodes)), packed.Quantize(rng.Float64())
+		raw := s.Tables[artifact.TableWalk].Append(graph.NodeID(v), n)
+		for i := range n {
+			packed.PutEntry(raw[i*packed.EntrySize:], graph.NodeID(rng.Intn(numNodes)), packed.Quantize(rng.Float64()))
 		}
 		neighbors := make([]int, 0, n)
 		for _, u := range rng.Perm(numNodes)[:n] {
 			neighbors = append(neighbors, u)
 		}
 		sort.Ints(neighbors)
-		nodes, scores = s.Tables[artifact.TableCloseness].Append(graph.NodeID(v), n)
-		for i := range nodes {
-			nodes[i], scores[i] = graph.NodeID(neighbors[i]), packed.Quantize(rng.Float64())
+		raw = s.Tables[artifact.TableCloseness].Append(graph.NodeID(v), n)
+		for i := range n {
+			packed.PutEntry(raw[i*packed.EntrySize:], graph.NodeID(neighbors[i]), packed.Quantize(rng.Float64()))
 		}
 	}
 	return s
 }
 
-// ramTables indexes the snapshot's rows as RAM tables — the oracle the
-// paged views are compared against.
-func ramTables(numNodes int, snap *artifact.Snapshot) (sim, clos *packed.RAMTable) {
-	return snap.Tables[artifact.TableWalk].Table(numNodes), snap.Tables[artifact.TableCloseness].Table(numNodes)
+// ramTables indexes the snapshot's rows as tables over their entries in
+// RAM — the oracle the page-backed tables are compared against.
+func ramTables(numNodes int, snap *artifact.Snapshot) (sim, clos *packed.Table) {
+	ram := func(r *packed.Rows) *packed.Table {
+		return packed.NewTable(packed.NewIndex(numNodes, r), packed.Bytes(r.Entries))
+	}
+	return ram(snap.Tables[artifact.TableWalk]), ram(snap.Tables[artifact.TableCloseness])
 }
 
 // writeSnap writes the snapshot as a paged file under t.TempDir().
@@ -69,8 +72,8 @@ func writeSnap(t testing.TB, s *artifact.Snapshot, pageBytes int) string {
 	return path
 }
 
-// TestBitIdentity: every row copied out of the page-backed views must
-// be bit-identical to the RAM-backed tables built from the same maps —
+// TestBitIdentity: every row copied out of the page-backed tables must
+// be bit-identical to the RAM-backed tables built from the same rows —
 // over the full vocabulary, under a budget small enough to force
 // evictions mid-sweep.
 func TestBitIdentity(t *testing.T) {
@@ -85,10 +88,10 @@ func TestBitIdentity(t *testing.T) {
 	}
 	sim, clos := s.Table(artifact.TableWalk), s.Table(artifact.TableCloseness)
 	if sim == nil || clos == nil {
-		t.Fatal("missing table views")
+		t.Fatal("missing tables")
 	}
 	for v := graph.NodeID(0); int(v) < numNodes; v++ {
-		for name, pair := range map[string][2]packed.Table{"sim": {ramSim, sim}, "clos": {ramClos, clos}} {
+		for name, pair := range map[string][2]*packed.Table{"sim": {ramSim, sim}, "clos": {ramClos, clos}} {
 			wantN, wantS, wantOK := pair[0].AppendRow(v, nil, nil)
 			gotN, gotS, gotOK := pair[1].AppendRow(v, nil, nil)
 			if wantOK != gotOK || len(wantN) != len(gotN) {
@@ -279,7 +282,7 @@ func TestCloseDrainsReaders(t *testing.T) {
 		t.Fatal(err)
 	}
 	wg.Wait()
-	if _, nodes, _ := snap.Tables[artifact.TableWalk].Row(0); len(nodes) > 0 {
+	if _, raw := snap.Tables[artifact.TableWalk].Row(0); len(raw) > 0 {
 		if _, _, ok := sim.AppendRow(0, nil, nil); ok {
 			t.Fatal("closed store still serving")
 		}
@@ -318,7 +321,7 @@ func TestFramesNeverRecycledUnderReaders(t *testing.T) {
 	ramSim, ramClos := ramTables(numNodes, snap)
 	s := openFrames(t, path, 3)
 	defer s.Close()
-	tables := [2][2]packed.Table{{ramSim, s.Table(artifact.TableWalk)}, {ramClos, s.Table(artifact.TableCloseness)}}
+	tables := [2][2]*packed.Table{{ramSim, s.Table(artifact.TableWalk)}, {ramClos, s.Table(artifact.TableCloseness)}}
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -372,12 +375,12 @@ func BenchmarkFaultingRow(b *testing.B) {
 	path := writeSnap(b, snap, 1024)
 	s := openFrames(b, path, 2)
 	defer s.Close()
-	walk := s.Table(artifact.TableWalk)
+	walk, pages := s.Table(artifact.TableWalk), s.Index().Table(artifact.TableWalk).PageStarts
 	// The first row of every page.
 	var firsts []graph.NodeID
 	for v := graph.NodeID(0); int(v) < numNodes; v++ {
-		lo := walk.t.Off[v]
-		if _, found := slices.BinarySearch(walk.t.PageStarts, lo); found && lo != walk.t.Off[v+1] {
+		lo := walk.Off[v]
+		if _, found := slices.BinarySearch(pages, lo); found && lo != walk.Off[v+1] {
 			firsts = append(firsts, v)
 		}
 	}

@@ -292,24 +292,29 @@ func readError(err error) error {
 // next Block, Skip or Str; callers must check Err (n may be zero, in
 // which case the slice is legitimately empty).
 func (r *Reader) Block(n uint64) []byte {
+	r.scratch = r.Append(r.scratch[:0], n)
+	return r.scratch
+}
+
+// Append bulk-reads n bytes onto the end of b and returns the extended
+// slice, which grows as the bytes arrive, never ahead of them — for a
+// payload the caller keeps, read once into its own memory. On failure
+// the caller must check Err.
+func (r *Reader) Append(b []byte, n uint64) []byte {
 	if !r.need(n) {
-		return nil
-	}
-	if n <= uint64(cap(r.scratch)) {
-		b := r.scratch[:n]
-		r.read(b)
 		return b
 	}
-	b := r.scratch[:0]
-	for uint64(len(b)) < n && r.err == nil {
-		step := max(blockStep, len(b))
-		if left := n - uint64(len(b)); left < uint64(step) {
-			step = int(left)
-		}
-		b = slices.Grow(b, step)[:len(b)+step]
-		r.read(b[len(b)-step:])
+	if n <= uint64(cap(b)-len(b)) {
+		b = b[:len(b)+int(n)]
+		r.read(b[len(b)-int(n):])
+		return b
 	}
-	r.scratch = b
+	for got := uint64(0); got < n && r.err == nil; {
+		step := min(max(blockStep, got), n-got)
+		b = slices.Grow(b, int(step))[:len(b)+int(step)]
+		r.read(b[len(b)-int(step):])
+		got += step
+	}
 	return b
 }
 

@@ -157,7 +157,7 @@ type SimTables interface {
 	SimilarNodes(t0 graph.NodeID, k int) ([]graph.Scored, error)
 	Precompute(ctx context.Context, nodes []graph.NodeID) error
 	Pack()
-	Install(packed.Table)
+	Install(*packed.Table)
 	Load(*packed.Rows)
 	Rows() *packed.Rows
 	Complete() bool
@@ -299,22 +299,11 @@ func (m *Manager) Build(db *relstore.Database) (*Generation, error) {
 // corpus frequencies, a Resolve hook that mirrors the reformulator's
 // own term resolution (so mending never touches a token the engine
 // could already answer), and a context scorer backed by the
-// generation's closeness store. The scorer resolves its texts through
-// FindTerm, which answers a stored text with one map lookup before any
-// normalization, so it needs no vocabulary map of its own.
+// generation's closeness store. The scorer resolves its texts the way
+// the reformulator does (tatgraph.Graph.ResolveTerm, through FindTerm,
+// which answers a stored text with one map lookup before any
+// normalization), so it needs no vocabulary map of its own.
 func buildMender(tg *tatgraph.Graph, clos *closeness.Store) *mend.Mender {
-	// bestNode picks the most frequent term node for a text — the one
-	// the closeness scorer should anchor on.
-	bestNode := func(text string) (graph.NodeID, bool) {
-		var best graph.NodeID
-		bf := -1
-		for _, v := range tg.FindTerm(text) {
-			if f := tg.Freq(v); f > bf {
-				best, bf = v, f
-			}
-		}
-		return best, bf >= 0
-	}
 	texts := tg.TermTexts()
 	freqs := make([]int, len(texts))
 	for i, t := range texts {
@@ -325,11 +314,11 @@ func buildMender(tg *tatgraph.Graph, clos *closeness.Store) *mend.Mender {
 	return mend.New(mend.NewIndex(texts, freqs), mend.Options{
 		Resolve: func(tok string) bool { return len(tg.FindTerm(tok)) > 0 },
 		Context: func(anchor, cand string) float64 {
-			a, ok := bestNode(anchor)
+			a, ok := tg.ResolveTerm(anchor)
 			if !ok {
 				return 0
 			}
-			c, ok := bestNode(cand)
+			c, ok := tg.ResolveTerm(cand)
 			if !ok {
 				return 0
 			}

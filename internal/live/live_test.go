@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"kqr/internal/graph"
 	"kqr/internal/packed"
 	"kqr/internal/relstore"
 	"kqr/internal/testcorpus"
@@ -345,15 +344,9 @@ func TestPromoteMatchesFreshBuildBitForBit(t *testing.T) {
 	}
 }
 
-// noRows is a published view that serves nothing — a disk attach as far
+// noRows is a published table that serves nothing — a disk attach as far
 // as the store's state goes: complete, with every row computed on read.
-type noRows struct{}
-
-func (noRows) AppendRow(_ graph.NodeID, nodes []graph.NodeID, scores []float32) ([]graph.NodeID, []float32, bool) {
-	return nodes, scores, false
-}
-
-func (noRows) ProbeRow(graph.NodeID, []graph.NodeID, []float64) bool { return false }
+func noRows() *packed.Table { return packed.NewTable(packed.NewIndex(0, nil), nil) }
 
 // Promotion keeps the predecessor's state: it precomputes and packs the
 // successor exactly when the old generation is complete (warmed, or
@@ -367,7 +360,7 @@ func TestPromoteWarmsOnlyAfterWarmPredecessor(t *testing.T) {
 		wantWarm bool
 	}{
 		{"never warmed", func(*Generation) {}, false},
-		{"disk attached", func(g *Generation) { g.Sim.Install(noRows{}); g.Clos.Install(noRows{}) }, true},
+		{"disk attached", func(g *Generation) { g.Sim.Install(noRows()); g.Clos.Install(noRows()) }, true},
 		{"one lazy row", func(g *Generation) { g.Sim.AppendRow(g.TG.TermNodeIDs()[0], nil, nil) }, false},
 		{"warmed", func(g *Generation) { warm(t, g) }, true},
 	} {

@@ -1,0 +1,13 @@
+package packed
+
+// Hooks for the external tests of this package.
+
+// OverlayRows returns how many rows the store's overlay keeps.
+func (s *Store) OverlayRows() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.overlay)
+}
+
+// Published returns the store's table, nil while it is lazy.
+func (s *Store) Published() *Table { return s.table() }

@@ -1,6 +1,7 @@
 package packed
 
 import (
+	"math/bits"
 	"math/rand"
 	"sort"
 	"testing"
@@ -10,10 +11,16 @@ import (
 
 // appendRow adds v's row to r in stored form.
 func appendRow(r *Rows, v graph.NodeID, list []graph.Scored) {
-	row := NewRow(list)
-	nodes, scores := r.Append(v, len(list))
-	copy(nodes, row.Nodes)
-	copy(scores, row.Scores)
+	copy(r.Append(v, len(list)), NewRow(list))
+}
+
+// rowCount counts the rows an index holds.
+func rowCount(x Index) int {
+	n := 0
+	for _, w := range x.Present {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }
 
 func TestTableRoundTrip(t *testing.T) {
@@ -21,9 +28,9 @@ func TestTableRoundTrip(t *testing.T) {
 	appendRow(rows, 0, []graph.Scored{{Node: 3, Score: 0.75}, {Node: 1, Score: 0.5}, {Node: 2, Score: 0.25}})
 	appendRow(rows, 2, nil) // a computed empty row must stay distinguishable from "missing"
 	appendRow(rows, 5, []graph.Scored{{Node: 0, Score: 1}})
-	tab := rows.Table(6)
-	if got := tab.Rows(); got != 3 {
-		t.Fatalf("Rows() = %d, want 3", got)
+	tab := heapTable(6, rows)
+	if got := rowCount(tab.Index); got != 3 {
+		t.Fatalf("%d rows, want 3", got)
 	}
 
 	nodes, scores, ok := tab.AppendRow(0, nil, nil)
@@ -71,7 +78,7 @@ func TestProbeRandomized(t *testing.T) {
 		want[v] = vec
 		appendRow(rows, v, list)
 	}
-	tab := rows.Table(n)
+	tab := heapTable(n, rows)
 	bs := make([]graph.NodeID, n)
 	for b := range bs {
 		bs[b] = graph.NodeID(b)
@@ -99,40 +106,41 @@ func TestNewRowQuantizes(t *testing.T) {
 	for i := 2; i < 1000; i++ {
 		list = append(list, graph.Scored{Node: graph.NodeID(i), Score: rng.Float64()})
 	}
-	r := NewRow(list)
-	if r.Scores[0] != 0 || r.Scores[1] != 1 {
+	nodes, scores := AppendEntries(NewRow(list), nil, nil)
+	if scores[0] != 0 || scores[1] != 1 {
 		t.Fatal("quantization must fix 0 and 1")
 	}
-	back := Scored(r.Nodes, r.Scores, 0)
-	again := NewRow(back)
+	back := Scored(nodes, scores, 0)
+	_, again := AppendEntries(NewRow(back), nil, nil)
 	for i := range back {
-		if back[i].Node != list[i].Node || again.Scores[i] != r.Scores[i] {
-			t.Fatalf("entry %d does not round-trip: %v -> %v -> %v", i, list[i], back[i], again.Scores[i])
+		if back[i].Node != list[i].Node || again[i] != scores[i] {
+			t.Fatalf("entry %d does not round-trip: %v -> %v -> %v", i, list[i], back[i], again[i])
 		}
 	}
-	if got := Scored(r.Nodes, r.Scores, 3); len(got) != 3 {
+	if got := Scored(nodes, scores, 3); len(got) != 3 {
 		t.Fatalf("Scored(k=3) returned %d entries", len(got))
 	}
 }
 
 // Rows is the serial form: rows appended in node order index into the
-// same table Build makes, rows beyond the graph are dropped (they are
+// table Pack and Load make, rows beyond the graph are dropped (they are
 // the tail — sources ascend), a nil Rows is the empty table, and an
 // out-of-order append is a bug that panics rather than mis-indexes.
 func TestRowsTable(t *testing.T) {
 	r := &Rows{}
 	for _, v := range []graph.NodeID{0, 2, 5, 9} {
-		nodes, scores := r.Append(v, int(v)%3)
-		for i := range nodes {
-			nodes[i], scores[i] = v+graph.NodeID(i)+1, float32(i)+0.5
+		raw := r.Append(v, int(v)%3)
+		for i := range int(v) % 3 {
+			PutEntry(raw[i*EntrySize:], v+graph.NodeID(i)+1, float32(i)+0.5)
 		}
 	}
-	tab := r.Table(6)
-	if tab.Rows() != 3 {
-		t.Fatalf("Rows() = %d, want 3 (node 9 is outside a 6-node graph)", tab.Rows())
+	tab := heapTable(6, r)
+	if got := rowCount(tab.Index); got != 3 {
+		t.Fatalf("%d rows, want 3 (node 9 is outside a 6-node graph)", got)
 	}
 	for i, v := range r.Src[:3] {
-		_, wantNodes, wantScores := r.Row(i)
+		_, raw := r.Row(i)
+		wantNodes, wantScores := AppendEntries(raw, nil, nil)
 		nodes, scores, ok := tab.AppendRow(v, nil, nil)
 		if !ok || len(nodes) != len(wantNodes) {
 			t.Fatalf("Row(%d) = %v, %v, want %v", v, nodes, ok, wantNodes)
@@ -148,7 +156,7 @@ func TestRowsTable(t *testing.T) {
 			t.Fatalf("Row(%d) present, want missing", v)
 		}
 	}
-	if empty := (*Rows)(nil).Table(4); empty.Rows() != 0 {
+	if empty := heapTable(4, nil); rowCount(empty.Index) != 0 {
 		t.Fatal("nil Rows did not index to the empty table")
 	}
 	for _, v := range []graph.NodeID{9, 3, -1} {

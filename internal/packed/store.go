@@ -18,11 +18,11 @@ import (
 //   - lazy, as built: a row is computed on first use and kept in an
 //     overlay, concurrent cold misses for one key sharing one
 //     computation;
-//   - complete, once Pack, Load or Install publishes a Table (a
-//     RAMTable, or a page-backed disk view) holding every term's row:
-//     reads take no lock, and a row the table cannot serve (a corrupt
-//     or draining page, a node with no row) is computed for that caller
-//     and not kept.
+//   - complete, once Pack, Load or Install publishes a Table (over
+//     entries in RAM, or over a disk store's pages) holding every
+//     term's row: reads take no lock, and a row the table cannot serve
+//     (a corrupt or draining page, a node with no row) is computed for
+//     that caller and not kept.
 //
 // It is safe for concurrent use.
 type Store struct {
@@ -37,9 +37,8 @@ type Store struct {
 	compute func(nodes []graph.NodeID, rows [][]graph.Scored) error
 	batch   int
 
-	// pk is boxed because atomic.Pointer needs a concrete type; nil
-	// while the store is lazy.
-	pk atomic.Pointer[published]
+	// pk is the published table, nil while the store is lazy.
+	pk atomic.Pointer[Table]
 
 	mu      sync.Mutex // guards overlay, and publication against it
 	overlay map[graph.NodeID]Row
@@ -48,11 +47,9 @@ type Store struct {
 	computes atomic.Int64
 }
 
-type published struct{ t Table }
-
 // NewStore builds an empty, lazy store over a graph of numNodes nodes.
 // compute produces v's row in its final entry order (rank order for
-// similarity, neighbor-id order for closeness); the store narrows it to
+// similarity, neighbor-id order for closeness); the store encodes it to
 // row form once, on entry.
 func NewStore(numNodes int, compute func(v graph.NodeID) ([]graph.Scored, error)) *Store {
 	return NewBatchStore(numNodes, 1, func(nodes []graph.NodeID, rows [][]graph.Scored) (err error) {
@@ -70,12 +67,7 @@ func NewBatchStore(numNodes, batch int, compute func(nodes []graph.NodeID, rows 
 }
 
 // table returns the published table, nil while the store is lazy.
-func (s *Store) table() Table {
-	if b := s.pk.Load(); b != nil {
-		return b.t
-	}
-	return nil
-}
+func (s *Store) table() *Table { return s.pk.Load() }
 
 // Complete reports whether the store is complete: a table is published
 // (Pack, Load or Install) and serves every read.
@@ -95,7 +87,8 @@ func (s *Store) AppendRow(v graph.NodeID, nodes []graph.NodeID, scores []float32
 	if err != nil {
 		return nodes, scores, err
 	}
-	return append(nodes, r.Nodes...), append(scores, r.Scores...), nil
+	nodes, scores = AppendEntries(r, nodes, scores)
+	return nodes, scores, nil
 }
 
 // ProbeRow writes the score of each bs[i] in a's row — which must be
@@ -109,7 +102,7 @@ func (s *Store) ProbeRow(a graph.NodeID, bs []graph.NodeID, out []float64) error
 	}
 	r, err := s.row(a)
 	if err == nil {
-		ProbeRow(r.Nodes, r.Scores, bs, out)
+		ProbeEntries(r, bs, out)
 	}
 	return err
 }
@@ -121,7 +114,7 @@ func (s *Store) row(v graph.NodeID) (Row, error) {
 	if s.table() != nil {
 		rows, err := s.fill([]graph.NodeID{v})
 		if err != nil {
-			return Row{}, err
+			return nil, err
 		}
 		return rows[0], nil
 	}
@@ -136,7 +129,7 @@ func (s *Store) row(v graph.NodeID) (Row, error) {
 		}
 		rows, err := s.fill([]graph.NodeID{v})
 		if err != nil {
-			return Row{}, err
+			return nil, err
 		}
 		return rows[0], nil
 	})
@@ -200,8 +193,9 @@ func (s *Store) Precompute(ctx context.Context, nodes []graph.NodeID) error {
 	})
 }
 
-// Pack publishes a lazy store's overlay as a RAMTable, making the store
-// complete — after a Precompute over every term, the full table. A
+// Pack publishes a lazy store's overlay as its table, making the store
+// complete — after a Precompute over every term, the full table. The
+// overlay's rows are collected straight into the table's entries. A
 // complete store has nothing to pack.
 func (s *Store) Pack() {
 	s.mu.Lock()
@@ -211,30 +205,30 @@ func (s *Store) Pack() {
 	}
 	total := 0
 	for _, r := range s.overlay {
-		total += len(r.Nodes)
+		total += len(r)
 	}
-	s.publishLocked(s.collect(total, func(v graph.NodeID, nodes []graph.NodeID, scores []float32) ([]graph.NodeID, []float32, bool) {
+	s.publishLocked(heapTable(s.numNodes, s.collect(total, func(v graph.NodeID, b []byte) ([]byte, bool) {
 		r, ok := s.overlay[v]
-		return append(nodes, r.Nodes...), append(scores, r.Scores...), ok
-	}).Table(s.numNodes))
+		return append(b, r...), ok
+	})))
 }
 
 // Load publishes the given rows, indexed, as the store's table — the
 // bulk entry at the artifact boundary (snapshot load, follower
 // bootstrap). Rows are trusted as-is; callers must ensure they were
 // computed over an identically built graph and hold every term's row.
-// The store takes over the rows' entry arrays.
+// The store takes over the rows' entries.
 func (s *Store) Load(rows *Rows) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.publishLocked(rows.Table(s.numNodes))
+	s.publishLocked(heapTable(s.numNodes, rows))
 }
 
-// Install publishes an externally built table — a page-backed disk view
-// (internal/diskmode) — as the store's table. It must hold every term's
-// row; one it cannot serve right now (a draining disk store, a corrupt
-// page) is computed for its caller and not kept.
-func (s *Store) Install(t Table) {
+// Install publishes an externally built table — one over a disk
+// store's pages (internal/diskmode) — as the store's table. It must
+// hold every term's row; one it cannot serve right now (a draining disk
+// store, a corrupt page) is computed for its caller and not kept.
+func (s *Store) Install(t *Table) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.publishLocked(t)
@@ -242,8 +236,8 @@ func (s *Store) Install(t Table) {
 
 // publishLocked makes t the store's table and drops the overlay. The
 // caller holds mu.
-func (s *Store) publishLocked(t Table) {
-	s.pk.Store(&published{t: t})
+func (s *Store) publishLocked(t *Table) {
+	s.pk.Store(t)
 	s.overlay = make(map[graph.NodeID]Row)
 }
 
@@ -256,22 +250,18 @@ func (s *Store) Rows() *Rows {
 	if t == nil {
 		return nil
 	}
-	total := 0 // exact for a RAM table; a paged view's rows grow the arrays
-	if ram, ok := t.(*RAMTable); ok {
-		total = len(ram.nodes)
-	}
-	return s.collect(total, t.AppendRow)
+	return s.collect(int(t.Entries())*EntrySize, t.appendRaw)
 }
 
-// collect appends every row get reports, in ascending node order,
-// straight into serial form sized for total entries.
-func (s *Store) collect(total int, get func(graph.NodeID, []graph.NodeID, []float32) ([]graph.NodeID, []float32, bool)) *Rows {
-	out := &Rows{Nodes: make([]graph.NodeID, 0, total), Scores: make([]float32, 0, total)}
+// collect appends the entries of every row get reports, in ascending
+// node order, straight into serial form sized for total bytes.
+func (s *Store) collect(total int, get func(graph.NodeID, []byte) ([]byte, bool)) *Rows {
+	out := &Rows{Entries: make([]byte, 0, total)}
 	for v := graph.NodeID(0); int(v) < s.numNodes; v++ {
 		var ok bool
-		if out.Nodes, out.Scores, ok = get(v, out.Nodes, out.Scores); ok {
+		if out.Entries, ok = get(v, out.Entries); ok {
 			out.Src = append(out.Src, v)
-			out.End = append(out.End, uint32(len(out.Nodes)))
+			out.End = append(out.End, uint32(len(out.Entries)/EntrySize))
 		}
 	}
 	return out

@@ -25,69 +25,24 @@ func newFakeStore(n int) *Store {
 	return NewStore(n, func(v graph.NodeID) ([]graph.Scored, error) { return fakeRow(v), nil })
 }
 
+// typedRow is a row as AppendRow copies it out.
+type typedRow struct {
+	Nodes  []graph.NodeID
+	Scores []float32
+}
+
 // rowsOf copies every node's row out of the store.
-func rowsOf(t *testing.T, s *Store, n int) []Row {
+func rowsOf(t *testing.T, s *Store, n int) []typedRow {
 	t.Helper()
-	out := make([]Row, n)
+	out := make([]typedRow, n)
 	for v := range out {
 		nodes, scores, err := s.AppendRow(graph.NodeID(v), []graph.NodeID{}, []float32{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		out[v] = Row{Nodes: nodes, Scores: scores}
+		out[v] = typedRow{Nodes: nodes, Scores: scores}
 	}
 	return out
-}
-
-// The store's one property: a row is the same whether it was just
-// computed (overlay), packed, bulk-loaded or read through an installed
-// view — and a computed-empty row is held, never recomputed.
-func TestStoreRowIdenticalInEveryForm(t *testing.T) {
-	const n = 40
-	s := newFakeStore(n)
-	lazy := rowsOf(t, s, n)
-	if got := s.Computes(); got != n {
-		t.Fatalf("computed %d rows for %d nodes", got, n)
-	}
-	if len(s.overlay) != n {
-		t.Fatalf("%d overlay rows for %d computed", len(s.overlay), n)
-	}
-	for v, r := range lazy {
-		if want := NewRow(fakeRow(graph.NodeID(v))); len(r.Nodes) != len(want.Nodes) {
-			t.Fatalf("row %d has %d entries, want %d", v, len(r.Nodes), len(want.Nodes))
-		}
-	}
-
-	s.Pack()
-	if got := rowsOf(t, s, n); !reflect.DeepEqual(got, lazy) {
-		t.Fatal("rows changed across Pack")
-	}
-	if tab, ok := s.table().(*RAMTable); !ok || tab.Rows() != n || len(s.overlay) != 0 {
-		t.Fatalf("Pack left table %T / %d overlay rows", s.table(), len(s.overlay))
-	}
-
-	// Export → bulk load into a fresh store (the artifact boundary).
-	exported := s.Rows()
-	if len(exported.Src) != n {
-		t.Fatalf("Rows exported %d of %d rows", len(exported.Src), n)
-	}
-	loaded := newFakeStore(n)
-	loaded.Load(exported)
-	if got := rowsOf(t, loaded, n); !reflect.DeepEqual(got, lazy) {
-		t.Fatal("rows changed across Rows → Load")
-	}
-
-	// The loaded store's table installed as an external view of a third.
-	viewed := newFakeStore(n)
-	viewed.Install(loaded.table())
-	if got := rowsOf(t, viewed, n); !reflect.DeepEqual(got, lazy) {
-		t.Fatal("rows changed through an installed view")
-	}
-
-	// None of the re-reads — empty rows included — computed anything.
-	if s.Computes() != n || loaded.Computes() != 0 || viewed.Computes() != 0 {
-		t.Fatalf("held rows recomputed: %d/%d/%d", s.Computes(), loaded.Computes(), viewed.Computes())
-	}
 }
 
 // Pack publishes the overlay as the table and leaves the store
@@ -115,22 +70,21 @@ func TestStorePackFoldsOverlayIntoTable(t *testing.T) {
 	}
 }
 
-// halfView serves even rows only, like a disk view missing some rows.
-type halfView struct{ t Table }
+// halfPages serves the rows of even nodes only, like a disk table
+// whose odd rows' pages fail their CRC.
+type halfPages struct{ t *Table }
 
-func (h halfView) AppendRow(v graph.NodeID, nodes []graph.NodeID, scores []float32) ([]graph.NodeID, []float32, bool) {
-	if v%2 != 0 {
-		return nodes, scores, false
+func (h halfPages) Pin(lo, hi uint32) ([]byte, *sync.RWMutex, bool) {
+	for v := range len(h.t.Off) - 1 {
+		if h.t.Off[v] == lo && h.t.Off[v+1] == hi && v%2 != 0 {
+			return nil, nil, false
+		}
 	}
-	return h.t.AppendRow(v, nodes, scores)
+	return h.t.pages.Pin(lo, hi)
 }
 
-func (h halfView) ProbeRow(a graph.NodeID, bs []graph.NodeID, out []float64) bool {
-	return a%2 == 0 && h.t.ProbeRow(a, bs, out)
-}
-
-// An installed view answers first; a row it cannot serve is computed
-// for each caller and never kept; and Pack leaves the view published.
+// An installed table answers first; a row it cannot serve is computed
+// for each caller and never kept; and Pack leaves the table published.
 func TestStoreInstalledView(t *testing.T) {
 	const n = 12
 	full := newFakeStore(n)
@@ -138,7 +92,8 @@ func TestStoreInstalledView(t *testing.T) {
 	full.Pack()
 
 	s := newFakeStore(n)
-	s.Install(halfView{full.table()})
+	installed := NewTable(full.table().Index, halfPages{full.table()})
+	s.Install(installed)
 	for pass := 1; pass <= 2; pass++ {
 		if got := rowsOf(t, s, n); !reflect.DeepEqual(got, want) {
 			t.Fatalf("pass %d: rows differ through a partial view", pass)
@@ -149,8 +104,8 @@ func TestStoreInstalledView(t *testing.T) {
 		}
 	}
 	s.Pack()
-	if _, ok := s.table().(halfView); !ok {
-		t.Fatalf("Pack replaced the installed view with %T", s.table())
+	if s.table() != installed {
+		t.Fatal("Pack replaced the installed table")
 	}
 }
 
@@ -271,10 +226,7 @@ func TestStoreReadersRacePackAndLoad(t *testing.T) {
 		s.Pack()
 		if i%10 == 9 {
 			one := &Rows{}
-			nodes, scores := one.Append(1, 1)
-			r := NewRow(fakeRow(1))
-			copy(nodes, r.Nodes)
-			copy(scores, r.Scores)
+			copy(one.Append(1, 1), NewRow(fakeRow(1)))
 			s.Load(one)
 		}
 	}

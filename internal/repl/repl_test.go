@@ -17,6 +17,7 @@ import (
 	"kqr/internal/artifact"
 	"kqr/internal/closeness"
 	"kqr/internal/live"
+	"kqr/internal/packed"
 	"kqr/internal/randomwalk"
 	"kqr/internal/relstore"
 	"kqr/internal/testcorpus"
@@ -573,12 +574,13 @@ func assertIdenticalArtifacts(t *testing.T, leaderMgr *live.Manager, f *Follower
 	}
 	// The comparison must be able to fail: nudge one follower score by
 	// one float32 step and the serialisations must part.
-	scores := fsnap.Tables[artifact.TableWalk].Scores
-	if len(scores) == 0 {
+	entries := fsnap.Tables[artifact.TableWalk].Entries
+	if len(entries) == 0 {
 		t.Fatal("follower similarity table is empty after a full precompute")
 	}
-	at := len(scores) / 2
-	scores[at] = math.Nextafter32(scores[at], 2)
+	at := len(entries) / packed.EntrySize / 2
+	node, score := packed.Entry(entries, at)
+	packed.PutEntry(entries[at*packed.EntrySize:], node, math.Nextafter32(score, 2))
 	if bytes.Equal(lb, artifactBytes(t, fsnap)) {
 		t.Fatal("a perturbed follower row still compares equal: the identity check is blind")
 	}

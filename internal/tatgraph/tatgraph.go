@@ -420,8 +420,7 @@ func (tg *Graph) TupleNode(id relstore.TupleID) (graph.NodeID, bool) {
 // input, across fields, in creation order. Single words that miss are
 // retried through the graph's tokenizer, so query terms receive the same
 // normalization (e.g. plural folding) the indexed text did. The most
-// frequent node is usually the intended one; callers that care pick by
-// Freq.
+// frequent node is usually the intended one; ResolveTerm picks it.
 func (tg *Graph) FindTerm(text string) []graph.NodeID {
 	// Texts are stored normalized, so one that is found as given is its
 	// own normal form: the serving path's mended terms resolve here,
@@ -437,6 +436,25 @@ func (tg *Graph) FindTerm(text string) []graph.NodeID {
 		return tg.byText[toks[0]]
 	}
 	return nil
+}
+
+// ResolveTerm returns the term node a text stands for: of the nodes
+// FindTerm finds, the most frequent, and the first in FindTerm order on
+// a tie. ok is false when the text occurs nowhere. The reformulator
+// resolves query terms by it and the mender anchors its context scores
+// by it, so both read a text as the same node.
+func (tg *Graph) ResolveTerm(text string) (v graph.NodeID, ok bool) {
+	nodes := tg.FindTerm(text)
+	if len(nodes) == 0 {
+		return 0, false
+	}
+	v = nodes[0]
+	for _, u := range nodes[1:] {
+		if tg.Freq(u) > tg.Freq(v) {
+			v = u
+		}
+	}
+	return v, true
 }
 
 // Freq returns the occurrence frequency of a node: for a term node the
