@@ -2,20 +2,24 @@
 
 GO ?= go
 
-.PHONY: all check build vet test test-race race cover bench bench-offline bench-system docs-check fuzz experiments demo clean
+.PHONY: all check build vet fmt-check test test-race race cover bench bench-offline bench-system docs-check fuzz experiments demo clean
 
 all: check
 
-# Default gate: compile, static checks, doc-comment coverage, tests,
-# and the race detector (the serving layer is lock-heavy, so -race is
-# part of the gate).
-check: build vet docs-check test test-race
+# Default gate: compile, static checks, formatting, doc-comment
+# coverage, tests, and the race detector (the serving layer is
+# lock-heavy, so -race is part of the gate).
+check: build vet fmt-check docs-check test test-race
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: fails, naming the files, when gofmt would change any.
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 # Doc-comment gate: every exported identifier in the listed packages
 # must carry a godoc comment, and every listed package must carry a

@@ -23,16 +23,15 @@
 //	kqr-server -snapshot-load offline.snapshot         # every restart
 //
 // For corpora whose offline tables exceed RAM, -disk-mode serves them
-// page-by-page straight from a paged (v2) snapshot instead of decoding
+// page-by-page straight from a paged (v2) snapshot instead of loading
 // them: save one with -snapshot-save-paged, then point -snapshot-load
 // at it with -disk-mode on. Only the page index stays resident; rows
-// fault on demand through a page cache bounded by -table-mem-budget
-// MiB, and /api/metrics gains a "disk" block with hit/miss/eviction
-// counters and resident bytes. Disk mode is read-only: -disk-mode
-// refuses -warm, the save flags and -live — each would pull whole
-// tables back into RAM. A disk-mode
-// server also lets at least 48 MiB of garbage (evicted decoded pages,
-// mostly) gather between collections unless GOGC is set:
+// fault on demand into a fixed set of page frames, allocated on first
+// use and reused by every later fault, whose number -table-mem-budget
+// MiB bounds, and /api/metrics gains a "disk" block with
+// hit/miss/eviction counters and resident bytes. Disk mode is
+// read-only: -disk-mode refuses -warm, the save flags and -live — each
+// would pull whole tables back into RAM:
 //
 //	kqr-server -snapshot-save-paged offline.paged          # first deploy
 //	kqr-server -snapshot-load offline.paged -disk-mode \
@@ -156,7 +155,7 @@ func main() {
 	flag.StringVar(&cfg.snapSavePgd, "snapshot-save-paged", "", "write the offline tables as a paged (v2) snapshot here after warming, for -disk-mode serving (implies -warm)")
 	flag.StringVar(&cfg.snapLoad, "snapshot-load", "", "restore the offline tables from this snapshot at startup (falls back to live compute)")
 	flag.BoolVar(&cfg.diskMode, "disk-mode", false, "serve the offline tables page-by-page from the -snapshot-load file (must be paged/v2) instead of decoding them into RAM")
-	flag.Int64Var(&cfg.tableMemMB, "table-mem-budget", 64, "resident table byte budget in MiB for -disk-mode (page index + decoded-page cache)")
+	flag.Int64Var(&cfg.tableMemMB, "table-mem-budget", 64, "resident table byte budget in MiB for -disk-mode (page index + page frames)")
 	flag.IntVar(&cfg.cacheMB, "cache-mb", 64, "response cache size in MiB (0 disables caching)")
 	flag.IntVar(&cfg.maxInflight, "max-inflight", 4*runtime.GOMAXPROCS(0), "max concurrently executing requests (0 = unlimited)")
 	flag.IntVar(&cfg.maxQueue, "max-queue", 64, "max requests waiting for an execution slot before shedding")

@@ -117,8 +117,8 @@ type Options struct {
 	// read-only: Open refuses it with Live.
 	DiskMode bool
 	// TableMemBudget bounds resident table bytes in disk mode: the
-	// always-resident page index plus the decoded-page cache (default
-	// 64 MiB). Open fails if the index alone exceeds it. Ignored when
+	// always-resident page index plus the page frames faulted rows are
+	// read into (default 64 MiB). Open fails if the index alone exceeds it. Ignored when
 	// DiskMode is false.
 	TableMemBudget int64
 	// Live enables the delta-ingestion API (Ingest, Promote): the

@@ -16,11 +16,11 @@ func smallCfg(seed int64) Config {
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{Topics: -1},
-		{Topics: 10, Confs: 5},                            // fewer confs than topics
-		{Topics: 10, Confs: 10, Authors: 5},               // fewer authors than topics
+		{Topics: 10, Confs: 5},              // fewer confs than topics
+		{Topics: 10, Confs: 10, Authors: 5}, // fewer authors than topics
 		{Papers: -1},
-		{MinTitle: 1, MaxTitle: 5},                        // too-short titles
-		{MinTitle: 5, MaxTitle: 3},                        // inverted range
+		{MinTitle: 1, MaxTitle: 5}, // too-short titles
+		{MinTitle: 5, MaxTitle: 3}, // inverted range
 		{MaxAuthors: -2},
 		{CiteProb: 1.5},
 	}
