@@ -263,7 +263,7 @@ func (e *Engine) BuildQueryModel(query []string) (*hmm.Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := newQueryScratch()
+	s := new(queryScratch)
 	if err := e.buildSlotsInto(s, nodes); err != nil {
 		return nil, err
 	}

@@ -495,7 +495,7 @@ func TestMaxQueryTermsCannotUnderflow(t *testing.T) {
 	if _, err := eng.Reformulate(append(query, "data"), 10); !errors.Is(err, ErrQueryTooLong) {
 		t.Fatalf("%d-term query: err = %v, want ErrQueryTooLong", len(query)+1, err)
 	}
-	big := newQueryScratch()
+	big := new(queryScratch)
 	big.slots = make([]slot, MaxQueryTerms+1)
 	eng.putScratch(big)
 	if eng.pool.Get() == big {

@@ -287,8 +287,9 @@ func TestBuildQueryModelOwnsItsScratch(t *testing.T) {
 						continue
 					}
 					for i := range want.Emit[c-1] {
-						if got, w := m.Trans(c, i, j), want.Trans(c, i, j); got != w {
-							t.Fatalf("opts %+v, %s: Trans(%d,%d,%d) = %v, oracle %v", opts, when, c, i, j, got, w)
+						x := i*len(want.Emit[c]) + j
+						if got, w := m.Trans[c][x], want.Trans[c][x]; got != w {
+							t.Fatalf("opts %+v, %s: Trans[%d][%d·n+%d] = %v, oracle %v", opts, when, c, i, j, got, w)
 						}
 					}
 				}

@@ -79,10 +79,10 @@ func (e *Engine) buildModel(slots []slot) *hmm.Model {
 
 	// Precompute per-step transition matrices so decoding does map
 	// lookups once, and so the smoothing background is deterministic.
-	trans := make([][][]float64, m)
+	trans := make([][]float64, m)
 	for c := 1; c < m; c++ {
 		prev, cur := slots[c-1], slots[c]
-		tbl := make([][]float64, len(prev.cands))
+		tbl := make([]float64, 0, len(prev.cands)*len(cur.cands))
 		raw := make([][]float64, len(prev.cands))
 		bg, cnt, maxV := 0.0, 0, 0.0
 		for i, a := range prev.cands {
@@ -113,21 +113,14 @@ func (e *Engine) buildModel(slots []slot) *hmm.Model {
 			scale = 1 / maxV
 		}
 		for i := range raw {
-			tbl[i] = make([]float64, len(raw[i]))
 			for j := range raw[i] {
-				tbl[i][j] = (lam*raw[i][j] + (1-lam)*bg) * scale
+				tbl = append(tbl, (lam*raw[i][j]+(1-lam)*bg)*scale)
 			}
 		}
 		trans[c] = tbl
 	}
 
-	return &hmm.Model{
-		Pi:   pi,
-		Emit: emit,
-		Trans: func(step, from, to int) float64 {
-			return trans[step][from][to]
-		},
-	}
+	return &hmm.Model{Pi: pi, Emit: emit, Trans: trans}
 }
 
 // ReformulateRef is Reformulate on the allocating path: the same table

@@ -9,15 +9,11 @@ import (
 
 // queryScratch owns every buffer the per-query hot path writes: slot
 // candidate lists, the HMM's emission/initial/transition storage (flat,
-// with the transition tables flattened per step behind a closure built
-// once), the flat hmm.Decoder and the filter its paths go through.
-// Engines recycle scratches through a sync.Pool, so after a few warm-up
-// queries the whole online stage — query resolution and candidate fetch
-// through the filtered top-k rows — runs without touching the heap.
-//
-// The embedded model's Trans closure reads the scratch's own transBuf/
-// transOff/transStride fields, so it is created once per scratch rather
-// than once per query.
+// each step's column and table a window of one buffer), the flat
+// hmm.Decoder and the filter its paths go through. Engines recycle
+// scratches through a sync.Pool, so after a few warm-up queries the
+// whole online stage — query resolution and candidate fetch through the
+// filtered top-k rows — runs without touching the heap.
 type queryScratch struct {
 	qnodes []graph.NodeID // the resolved query
 	slots  []slot
@@ -26,12 +22,10 @@ type queryScratch struct {
 	emitBuf []float64
 	pi      []float64
 
-	// Flattened per-step transition tables: step c's table occupies
-	// transBuf[transOff[c] : transOff[c]+prevN*transStride[c]], row-major
-	// with stride transStride[c] (= the state count of step c).
-	transBuf    []float64
-	transOff    []int32
-	transStride []int32
+	// Per-step transition tables: trans[c] is step c's row-major table,
+	// a window of transBuf; trans[0] is unused.
+	trans    [][]float64
+	transBuf []float64
 
 	model hmm.Model
 	dec   hmm.Decoder
@@ -123,23 +117,13 @@ func hashTexts(texts []string) uint64 {
 	return h
 }
 
-// newQueryScratch builds a scratch with its model's transition closure
-// bound to the scratch's flat tables.
-func newQueryScratch() *queryScratch {
-	s := &queryScratch{}
-	s.model.Trans = func(step, from, to int) float64 {
-		return s.transBuf[int(s.transOff[step])+from*int(s.transStride[step])+to]
-	}
-	return s
-}
-
 // getScratch takes a warmed scratch from the engine's pool (or builds
 // the first one).
 func (e *Engine) getScratch() *queryScratch {
 	if s, ok := e.pool.Get().(*queryScratch); ok {
 		return s
 	}
-	return newQueryScratch()
+	return new(queryScratch)
 }
 
 // putScratch returns a scratch to the pool; the caller must have
@@ -171,7 +155,7 @@ func (e *Engine) buildSlotsInto(s *queryScratch, queryNodes []graph.NodeID) erro
 // one flat buffer, the initial distribution from term frequency, and
 // the per-step transition matrices precomputed (so decoding does each
 // closeness lookup once and the smoothing background is deterministic)
-// and flattened behind the scratch's reusable closure. Each previous
+// as row-major windows of one flat buffer. Each previous
 // candidate's closeness row is read once per step, probed for every
 // current candidate at once.
 //
@@ -237,8 +221,8 @@ func (e *Engine) buildModelInto(s *queryScratch, m int) {
 		}
 	}
 
-	s.transOff = growI32(s.transOff, m)
-	s.transStride = growI32(s.transStride, m)
+	s.trans = growCols(s.trans, m)
+	s.trans[0] = nil
 	tTotal := 0
 	for c := 1; c < m; c++ {
 		tTotal += len(slots[c-1].cands) * len(slots[c].cands)
@@ -249,8 +233,7 @@ func (e *Engine) buildModelInto(s *queryScratch, m int) {
 		prev, cur := &slots[c-1], &slots[c]
 		np, nc := len(prev.cands), len(cur.cands)
 		blk := s.transBuf[at : at+np*nc]
-		s.transOff[c] = int32(at)
-		s.transStride[c] = int32(nc)
+		s.trans[c] = blk
 		at += np * nc
 		bg, cnt, maxV := 0.0, 0, 0.0
 		for i, a := range prev.cands {
@@ -286,20 +269,13 @@ func (e *Engine) buildModelInto(s *queryScratch, m int) {
 
 	s.model.Pi = s.pi
 	s.model.Emit = s.emit[:m]
+	s.model.Trans = s.trans[:m]
 }
 
 // growF64 returns s with length n, reusing capacity when possible.
 func growF64(s []float64, n int) []float64 {
 	if cap(s) < n {
 		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-// growI32 returns s with length n, reusing capacity when possible.
-func growI32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
 	}
 	return s[:n]
 }

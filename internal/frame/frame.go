@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"slices"
 )
 
 // Sentinel errors; every failure this package reports wraps one of
@@ -298,8 +297,11 @@ func (r *Reader) Block(n uint64) []byte {
 
 // Append bulk-reads n bytes onto the end of b and returns the extended
 // slice, which grows as the bytes arrive, never ahead of them — for a
-// payload the caller keeps, read once into its own memory. On failure
-// the caller must check Err.
+// payload the caller keeps, read once into its own memory. Each growth
+// is sized to its step: at most what has arrived so far (or blockStep)
+// and at most what is left of n, so the last one ends at exactly n and
+// a kept payload carries no spare capacity. On failure the caller must
+// check Err.
 func (r *Reader) Append(b []byte, n uint64) []byte {
 	if !r.need(n) {
 		return b
@@ -311,7 +313,10 @@ func (r *Reader) Append(b []byte, n uint64) []byte {
 	}
 	for got := uint64(0); got < n && r.err == nil; {
 		step := min(max(blockStep, got), n-got)
-		b = slices.Grow(b, int(step))[:len(b)+int(step)]
+		if uint64(cap(b)-len(b)) < step {
+			b = append(make([]byte, 0, len(b)+int(step)), b...)
+		}
+		b = b[:len(b)+int(step)]
 		r.read(b[len(b)-int(step):])
 		got += step
 	}

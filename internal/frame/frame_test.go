@@ -214,6 +214,26 @@ func TestBlockGrowsAcrossSizes(t *testing.T) {
 	}
 }
 
+// TestAppendEndsAtN: a payload read with Append grows in steps, and the
+// last step ends at exactly the declared length — the caller keeps a
+// buffer with no spare capacity, whatever the number of steps.
+func TestAppendEndsAtN(t *testing.T) {
+	data := make([]byte, 819_904)
+	for i := range data {
+		data[i] = byte(i * 13)
+	}
+	for _, n := range []int{1, 64 << 10, 64<<10 + 1, 200_000, len(data)} {
+		r := frame.NewReader(bytes.NewReader(data))
+		got := r.Append(nil, uint64(n))
+		if r.Err() != nil || !bytes.Equal(got, data[:n]) {
+			t.Fatalf("Append(%d): err %v, wrong bytes", n, r.Err())
+		}
+		if cap(got) != n {
+			t.Errorf("Append(%d) kept a %d-byte buffer", n, cap(got))
+		}
+	}
+}
+
 func TestBudget(t *testing.T) {
 	r := frame.NewReader(bytes.NewReader(make([]byte, 64)))
 	r.Limit(10)

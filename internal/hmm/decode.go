@@ -13,9 +13,10 @@ import (
 //     through per-step offsets;
 //   - Algorithm 2's per-(step,state) candidate lists live in one
 //     fixed-stride arena of pathEntry cells;
-//   - Algorithm 3's frontier is a hand-rolled binary max-heap of int32
-//     indices into a flat node arena (no node pointers, no
-//     container/heap interface boxing);
+//   - Algorithm 3's frontier is a hand-rolled binary max-heap of items
+//     that carry their own sort keys (f, step, front) next to the index
+//     of their node in a flat arena, so comparisons never touch the
+//     arena (no node pointers, no container/heap interface boxing);
 //   - decoded paths share one flat states arena, pre-reserved before
 //     reconstruction so earlier Path.States slices never move.
 //
@@ -49,9 +50,9 @@ type Decoder struct {
 	tails   tailSorter
 
 	// Algorithm 3 scratch: arena-allocated nodes index-linked through
-	// next, and a binary max-heap of arena indices.
+	// next, and a binary max-heap of keyed items pointing into it.
 	arena []flatNode
-	heap  []int32
+	heap  []frontItem
 
 	// Output arenas shared by both algorithms.
 	paths  []Path
@@ -69,17 +70,26 @@ type pathEntry struct {
 }
 
 // flatNode is a partial path of Algorithm 3 covering steps step..m-1,
-// built backwards; next is the arena index of its suffix continuation
-// (the state at step+1, ...; -1 terminates the chain). g is the product
-// of every factor strictly after this step's heuristic:
-// Π_{t=step+1..m-1} Trans(t, s_{t-1}, s_t)·Emit[t][s_t]. The priority is
-// f = h[step][front]·g, an exact upper bound on any completion: h is
-// the best achievable prefix through front, and g is the fixed suffix.
+// built backwards, holding what expansion and reconstruction read: its
+// front state, next, the arena index of its suffix continuation (the
+// state at step+1, ...; -1 terminates the chain), and g, the product of
+// every factor strictly after this step's heuristic:
+// Π_{t=step+1..m-1} Trans[t][s_{t-1}·len(Emit[t])+s_t]·Emit[t][s_t].
 type flatNode struct {
-	g, f  float64
-	step  int32
+	g     float64
 	front int32
 	next  int32
+}
+
+// frontItem is a frontier entry: the node at arena index node, with the
+// keys the heap orders by. The priority is f = h[step][front]·g, an
+// exact upper bound on any completion: h is the best achievable prefix
+// through front, and g is the fixed suffix.
+type frontItem struct {
+	f     float64
+	step  int32
+	front int32
+	node  int32
 }
 
 // entrySorter sorts a pathEntry buffer by score descending, then
@@ -145,7 +155,7 @@ func (d *Decoder) layout(m *Model) int {
 // score ending at state j of step c —
 //
 //	h[0][i] = Pi[i]·Emit[0][i]
-//	h[c][j] = max_i h[c-1][i]·Trans(c, i, j) · Emit[c][j]
+//	h[c][j] = max_i h[c-1][i]·Trans[c][i·n+j] · Emit[c][j]
 //
 // (no backpointers: the backward search rebuilds paths itself) — for
 // Search to consume. TopKAStar runs both; they are separate so the two
@@ -165,13 +175,14 @@ func (d *Decoder) Forward(m *Model) error {
 	for c := 1; c < steps; c++ {
 		prev := d.h[d.off[c-1]:d.off[c]]
 		cur := d.h[d.off[c]:d.off[c+1]]
+		n, tr := len(cur), m.Trans[c]
 		for j := range cur {
 			best := 0.0
 			for i := range prev {
 				if prev[i] == 0 {
 					continue
 				}
-				if s := prev[i] * m.Trans(c, i, j); s > best {
+				if s := prev[i] * tr[i*n+j]; s > best {
 					best = s
 				}
 			}
@@ -187,7 +198,7 @@ func (d *Decoder) Forward(m *Model) error {
 // score —
 //
 //	cell(0, i) = {Pi[i]·Emit[0][i]}
-//	cell(c, j) = top-k over i, r of cell(c-1, i)[r]·Trans(c, i, j)·Emit[c][j]
+//	cell(c, j) = top-k over i, r of cell(c-1, i)[r]·Trans[c][i·n+j]·Emit[c][j]
 //
 // — then the global top k over the last step's cells, reconstructed
 // through the parent references. Zero-probability paths are pruned
@@ -219,6 +230,7 @@ func (d *Decoder) TopKViterbi(m *Model, k int) ([]Path, error) {
 	for c := 1; c < steps; c++ {
 		n := len(m.Emit[c])
 		prevN := len(m.Emit[c-1])
+		trans := m.Trans[c]
 		base, prevBase := int(d.off[c]), int(d.off[c-1])
 		for j := 0; j < n; j++ {
 			cell := base + j
@@ -233,7 +245,7 @@ func (d *Decoder) TopKViterbi(m *Model, k int) ([]Path, error) {
 				if plen == 0 {
 					continue
 				}
-				tr := m.Trans(c, i, j)
+				tr := trans[i*n+j]
 				if tr == 0 {
 					continue
 				}
@@ -333,8 +345,8 @@ func (d *Decoder) Search(m *Model, k int) ([]Path, *AStarStats, error) {
 	hLast := d.h[d.off[last]:d.off[last+1]]
 	for i, hi := range hLast {
 		if hi > 0 {
-			d.arena = append(d.arena, flatNode{step: int32(last), front: int32(i), g: 1, f: hi, next: -1})
-			d.heap = append(d.heap, int32(len(d.arena)-1))
+			d.arena = append(d.arena, flatNode{front: int32(i), g: 1, next: -1})
+			d.heap = append(d.heap, frontItem{f: hi, step: int32(last), front: int32(i), node: int32(len(d.arena) - 1)})
 			d.stats.Pushed++
 		}
 	}
@@ -347,43 +359,44 @@ func (d *Decoder) Search(m *Model, k int) ([]Path, *AStarStats, error) {
 	d.states = growInts(d.states, k*steps)
 	nOut := 0
 	for len(d.heap) > 0 && nOut < k {
-		ndIdx := d.heapPop()
-		nd := d.arena[ndIdx]
+		it := d.heapPop()
 		d.stats.Expanded++
-		if nd.step == 0 {
+		if it.step == 0 {
 			states := d.states[nOut*steps : (nOut+1)*steps]
-			states[0] = int(nd.front)
-			for c, nx := 1, nd.next; nx >= 0; c, nx = c+1, d.arena[nx].next {
+			states[0] = int(it.front)
+			for c, nx := 1, d.arena[it.node].next; nx >= 0; c, nx = c+1, d.arena[nx].next {
 				states[c] = int(d.arena[nx].front)
 			}
-			d.paths = append(d.paths, Path{States: states, Score: nd.f})
+			d.paths = append(d.paths, Path{States: states, Score: it.f})
 			nOut++
 			continue
 		}
-		c := int(nd.step)
-		suffixEmit := m.Emit[c][nd.front]
+		c, front := int(it.step), int(it.front)
+		suffixEmit := m.Emit[c][front]
 		if suffixEmit == 0 {
 			continue
 		}
 		hPrev := d.h[d.off[c-1]:d.off[c]]
-		// nd is a copy and ndIdx stays valid: popped nodes are never
-		// evicted from the arena, so children can keep linking to them
-		// even as appends reallocate the backing array.
-		for j := range m.Emit[c-1] {
-			if hPrev[j] == 0 {
+		n, tr := len(m.Emit[c]), m.Trans[c]
+		// it.node stays valid: popped nodes are never evicted from the
+		// arena, so children can keep linking to them even as appends
+		// reallocate the backing array.
+		g0 := d.arena[it.node].g
+		for j, hj := range hPrev {
+			if hj == 0 {
 				continue
 			}
-			tr := m.Trans(c, j, int(nd.front))
-			if tr == 0 {
+			t := tr[j*n+front]
+			if t == 0 {
 				continue
 			}
-			g := nd.g * tr * suffixEmit
-			f := hPrev[j] * g
+			g := g0 * t * suffixEmit
+			f := hj * g
 			if f == 0 {
 				continue
 			}
-			d.arena = append(d.arena, flatNode{step: int32(c - 1), front: int32(j), g: g, f: f, next: ndIdx})
-			d.heapPush(int32(len(d.arena) - 1))
+			d.arena = append(d.arena, flatNode{front: int32(j), g: g, next: it.node})
+			d.heapPush(frontItem{f: f, step: int32(c - 1), front: int32(j), node: int32(len(d.arena) - 1)})
 			d.stats.Pushed++
 		}
 	}
@@ -391,8 +404,7 @@ func (d *Decoder) Search(m *Model, k int) ([]Path, *AStarStats, error) {
 }
 
 // heapLess orders the frontier: max on f, then step asc, front asc.
-func (d *Decoder) heapLess(a, b int32) bool {
-	x, y := &d.arena[a], &d.arena[b]
+func heapLess(x, y *frontItem) bool {
 	if x.f != y.f {
 		return x.f > y.f
 	}
@@ -415,21 +427,22 @@ func (d *Decoder) heapInit() {
 	}
 }
 
-func (d *Decoder) heapPush(x int32) {
+func (d *Decoder) heapPush(x frontItem) {
 	d.heap = append(d.heap, x)
+	h := d.heap
 	// Sift up from the new leaf.
-	j := len(d.heap) - 1
+	j := len(h) - 1
 	for {
 		i := (j - 1) / 2
-		if i == j || !d.heapLess(d.heap[j], d.heap[i]) {
+		if i == j || !heapLess(&h[j], &h[i]) {
 			break
 		}
-		d.heap[i], d.heap[j] = d.heap[j], d.heap[i]
+		h[i], h[j] = h[j], h[i]
 		j = i
 	}
 }
 
-func (d *Decoder) heapPop() int32 {
+func (d *Decoder) heapPop() frontItem {
 	n := len(d.heap) - 1
 	d.heap[0], d.heap[n] = d.heap[n], d.heap[0]
 	d.heapDown(0, n)
@@ -439,6 +452,7 @@ func (d *Decoder) heapPop() int32 {
 }
 
 func (d *Decoder) heapDown(i0, n int) {
+	h := d.heap
 	i := i0
 	for {
 		j1 := 2*i + 1
@@ -446,13 +460,13 @@ func (d *Decoder) heapDown(i0, n int) {
 			break
 		}
 		j := j1
-		if j2 := j1 + 1; j2 < n && d.heapLess(d.heap[j2], d.heap[j1]) {
+		if j2 := j1 + 1; j2 < n && heapLess(&h[j2], &h[j1]) {
 			j = j2
 		}
-		if !d.heapLess(d.heap[j], d.heap[i]) {
+		if !heapLess(&h[j], &h[i]) {
 			break
 		}
-		d.heap[i], d.heap[j] = d.heap[j], d.heap[i]
+		h[i], h[j] = h[j], h[i]
 		i = j
 	}
 }

@@ -11,11 +11,16 @@ import (
 
 // Regression: Score on a multi-step model with nil Trans must return
 // the Validate error instead of panicking (it used to dereference
-// m.Trans unconditionally).
+// m.Trans unconditionally), and so must Score on a table too short for
+// its steps' state lists.
 func TestScoreNilTransRegression(t *testing.T) {
 	m := &Model{Pi: []float64{1, 0}, Emit: [][]float64{{0.5, 0.5}, {0.5, 0.5}}}
 	if _, err := m.Score([]int{0, 1}); err == nil {
 		t.Fatal("Score on nil-Trans multi-step model returned no error")
+	}
+	m.Trans = [][]float64{nil, {1, 1, 1}}
+	if _, err := m.Score([]int{1, 1}); err == nil {
+		t.Fatal("Score on a short transition table returned no error")
 	}
 	// Single-step models never consult Trans and must keep working.
 	one := &Model{Pi: []float64{0.5}, Emit: [][]float64{{0.8}}}
@@ -35,9 +40,10 @@ func underflowModel(rng *rand.Rand, steps, maxStates int, scale float64) *Model 
 			m.Emit[c][i] *= scale
 		}
 	}
-	inner := m.Trans
-	if inner != nil {
-		m.Trans = func(step, from, to int) float64 { return inner(step, from, to) * scale }
+	for _, tbl := range m.Trans {
+		for x := range tbl {
+			tbl[x] *= scale
+		}
 	}
 	return m
 }
@@ -159,9 +165,90 @@ func TestDecoderBitIdenticalToRef(t *testing.T) {
 	}
 }
 
+// tieModel draws every probability from a set of two or three values,
+// exact powers of two (and zero), so that many products come out equal
+// bit for bit.
+func tieModel(rng *rand.Rand, steps, maxStates int) *Model {
+	vals := [][]float64{{0.5, 1}, {0.25, 0.5, 1}, {0, 0.5, 1}}[rng.Intn(3)]
+	draw := func(dst []float64) []float64 {
+		for i := range dst {
+			dst[i] = vals[rng.Intn(len(vals))]
+		}
+		return dst
+	}
+	ns := make([]int, steps)
+	for c := range ns {
+		ns[c] = 1 + rng.Intn(maxStates)
+	}
+	m := &Model{Pi: draw(make([]float64, ns[0])), Emit: make([][]float64, steps), Trans: make([][]float64, steps)}
+	for c := range ns {
+		m.Emit[c] = draw(make([]float64, ns[c]))
+		if c > 0 {
+			m.Trans[c] = draw(make([]float64, ns[c-1]*ns[c]))
+		}
+	}
+	return m
+}
+
+// Property: on models full of exact ties the flat decoder still equals
+// the reference bit for bit — paths, their order, == scores and
+// AStarStats. Two A* frontier nodes with the same f, step and front
+// compare equal, and which pops first depends only on the heap's sift
+// history, so this is where a decoder that keeps its own heap has to
+// replicate container/heap move for move. Two decoded paths with the
+// same score and the same first state are two such step-0 nodes; the
+// test counts models that produce them and requires plenty.
+func TestDecoderBitIdenticalToRefOnTies(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	d := new(Decoder)
+	const models = 400
+	tied := 0
+	for n := 0; n < models; n++ {
+		m := tieModel(rng, 2+rng.Intn(4), 5)
+		k := 1 + rng.Intn(12)
+
+		wantV, err := hmmtest.TopKViterbiRef(m, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotV, err := d.TopKViterbi(m, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !samePathsExact(gotV, wantV) {
+			t.Fatalf("model %d, k=%d: TopKViterbi\n got %v\nwant %v", n, k, gotV, wantV)
+		}
+
+		wantA, wantStats, err := hmmtest.TopKAStarRef(m, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotA, gotStats, err := d.TopKAStar(m, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !samePathsExact(gotA, wantA) || *gotStats != *wantStats {
+			t.Fatalf("model %d, k=%d: TopKAStar\n got %v %+v\nwant %v %+v", n, k, gotA, *gotStats, wantA, *wantStats)
+		}
+	search:
+		for i := range wantA {
+			for j := i + 1; j < len(wantA); j++ {
+				if wantA[i].Score == wantA[j].Score && wantA[i].States[0] == wantA[j].States[0] {
+					tied++
+					break search
+				}
+			}
+		}
+	}
+	t.Logf("%d of %d models decoded full frontier ties", tied, models)
+	if tied < models/4 {
+		t.Fatalf("only %d of %d models decoded a full frontier tie", tied, models)
+	}
+}
+
 // The warmed decoder must not allocate: every buffer sits at its
-// high-water mark, results alias the arenas, and the transition closure
-// belongs to the model. Run AllocsPerRun twice and keep the minimum so
+// high-water mark, results alias the arenas, and the transition tables
+// belong to the model. Run AllocsPerRun twice and keep the minimum so
 // an unlucky GC-driven pool refill cannot flake the assertion.
 func TestDecoderZeroAllocsWarm(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -256,7 +343,7 @@ func TestHasPathTellsUnderflowFromNoPath(t *testing.T) {
 	if ps, err := m.TopKViterbi(5); err != nil || len(ps) != 0 || !m.HasPath() {
 		t.Fatalf("underflowed model: %d paths (%v), HasPath %v; want none and true", len(ps), err, m.HasPath())
 	}
-	cut := &Model{Pi: []float64{1}, Emit: [][]float64{{1}, {1}}, Trans: func(int, int, int) float64 { return 0 }}
+	cut := &Model{Pi: []float64{1}, Emit: [][]float64{{1}, {1}}, Trans: [][]float64{nil, {0}}}
 	if ps, _, err := cut.TopKAStar(5); err != nil || len(ps) != 0 || cut.HasPath() {
 		t.Fatalf("model without a path: %d paths (%v), HasPath %v; want none and false", len(ps), err, cut.HasPath())
 	}

@@ -11,8 +11,9 @@
 //     that can still reach the top k (Decoder.Search).
 //
 // The model is positional: step c has its own state list (the candidate
-// terms of query slot c), its own emission column, and transitions are
-// evaluated lazily through a function (a closeness lookup in practice).
+// terms of query slot c), its own emission column, and its own
+// row-major transition table from the states of step c-1 (filled from
+// closeness rows in practice).
 //
 // The pointer/container-heap reference implementations the Decoder is
 // tested bit-for-bit against live in the test-support package hmmtest.
@@ -23,10 +24,6 @@ import (
 	"fmt"
 	"math"
 )
-
-// TransFunc returns the transition probability of moving from state
-// `from` of step-1 `step-1` to state `to` of step `step` (1 <= step < m).
-type TransFunc func(step, from, to int) float64
 
 // Model describes one decoding problem. All probabilities are plain
 // (not log) values, so zero stays a meaningful "impossible" marker; a
@@ -40,16 +37,20 @@ type Model struct {
 	// c from hidden state i of step c. len(Emit) is the step count m;
 	// len(Emit[c]) is the state count of step c.
 	Emit [][]float64
-	// Trans evaluates transition probabilities between adjacent steps.
-	Trans TransFunc
+	// Trans holds one row-major transition table per step:
+	// Trans[c][from*len(Emit[c])+to] is the probability of moving from
+	// state from of step c-1 to state to of step c (1 <= c < m).
+	// Trans[0] is unused, and a one-step model needs no tables.
+	Trans [][]float64
 }
 
 // Steps returns the number of steps m.
 func (m *Model) Steps() int { return len(m.Emit) }
 
 // Validate checks structural consistency: at least one step, matching
-// Pi length, non-empty state lists, non-negative finite probabilities,
-// and a transition function when m > 1.
+// Pi length, non-empty state lists, non-negative finite initial and
+// emission probabilities, and, when m > 1, one transition table per
+// step of the length its two state lists make.
 func (m *Model) Validate() error {
 	if len(m.Emit) == 0 {
 		return fmt.Errorf("hmm: model has no steps")
@@ -72,8 +73,22 @@ func (m *Model) Validate() error {
 			return fmt.Errorf("hmm: Pi[%d] = %v invalid", i, p)
 		}
 	}
-	if len(m.Emit) > 1 && m.Trans == nil {
-		return fmt.Errorf("hmm: multi-step model needs a transition function")
+	return m.checkTrans()
+}
+
+// checkTrans checks that a multi-step model has one transition table
+// per step, each len(Emit[c-1])·len(Emit[c]) long.
+func (m *Model) checkTrans() error {
+	if len(m.Emit) <= 1 {
+		return nil
+	}
+	if len(m.Trans) != len(m.Emit) {
+		return fmt.Errorf("hmm: %d-step model has %d transition tables, want one per step", len(m.Emit), len(m.Trans))
+	}
+	for c := 1; c < len(m.Emit); c++ {
+		if want := len(m.Emit[c-1]) * len(m.Emit[c]); len(m.Trans[c]) != want {
+			return fmt.Errorf("hmm: transition table of step %d has %d entries, want %d", c, len(m.Trans[c]), want)
+		}
 	}
 	return nil
 }
@@ -92,10 +107,11 @@ func (m *Model) HasPath() bool {
 		reach[i] = m.Pi[i] > 0 && m.Emit[0][i] > 0
 	}
 	for c := 1; c < len(m.Emit); c++ {
-		next := make([]bool, len(m.Emit[c]))
+		n, tr := len(m.Emit[c]), m.Trans[c]
+		next := make([]bool, n)
 		for j := range next {
 			for i, ok := range reach {
-				if ok && m.Emit[c][j] > 0 && m.Trans(c, i, j) > 0 {
+				if ok && m.Emit[c][j] > 0 && tr[i*n+j] > 0 {
 					next[j] = true
 					break
 				}
@@ -129,14 +145,14 @@ func (m *Model) Score(states []int) (float64, error) {
 			return 0, fmt.Errorf("hmm: state %d out of range at step %d", s, c)
 		}
 	}
-	if len(states) > 1 && m.Trans == nil {
-		// Same structural error Validate reports; without this guard a
-		// multi-step path on a transition-less model would panic below.
-		return 0, fmt.Errorf("hmm: multi-step model needs a transition function")
+	// Same structural error Validate reports; without this guard a
+	// multi-step path on a model without its tables would panic below.
+	if err := m.checkTrans(); err != nil {
+		return 0, err
 	}
 	score := m.Pi[states[0]] * m.Emit[0][states[0]]
 	for c := 1; c < len(states); c++ {
-		score *= m.Trans(c, states[c-1], states[c]) * m.Emit[c][states[c]]
+		score *= m.Trans[c][states[c-1]*len(m.Emit[c])+states[c]] * m.Emit[c][states[c]]
 	}
 	return score, nil
 }

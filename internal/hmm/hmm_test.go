@@ -12,16 +12,13 @@ import (
 
 // tinyModel: 3 steps, 2 states each, hand-checkable.
 func tinyModel() *Model {
-	trans := [][][]float64{
-		nil,
-		{{0.7, 0.3}, {0.4, 0.6}}, // step 1: trans[i][j]
-		{{0.5, 0.5}, {0.2, 0.8}}, // step 2
-	}
 	return &Model{
 		Pi:   []float64{0.6, 0.4},
 		Emit: [][]float64{{0.9, 0.1}, {0.5, 0.5}, {0.3, 0.7}},
-		Trans: func(step, from, to int) float64 {
-			return trans[step][from][to]
+		Trans: [][]float64{
+			nil,
+			{0.7, 0.3, 0.4, 0.6}, // step 1, row-major: from 0, then from 1
+			{0.5, 0.5, 0.2, 0.8}, // step 2
 		},
 	}
 }
@@ -33,11 +30,12 @@ func TestValidate(t *testing.T) {
 	}{
 		{"no steps", &Model{}},
 		{"pi mismatch", &Model{Pi: []float64{1}, Emit: [][]float64{{0.5, 0.5}}}},
-		{"empty step", &Model{Pi: []float64{1}, Emit: [][]float64{{1}, {}},
-			Trans: func(int, int, int) float64 { return 1 }}},
+		{"empty step", &Model{Pi: []float64{1}, Emit: [][]float64{{1}, {}}, Trans: [][]float64{nil, {}}}},
 		{"negative emission", &Model{Pi: []float64{1}, Emit: [][]float64{{-0.5}}}},
 		{"nan pi", &Model{Pi: []float64{math.NaN()}, Emit: [][]float64{{1}}}},
 		{"missing trans", &Model{Pi: []float64{1}, Emit: [][]float64{{1}, {1}}}},
+		{"missing step table", &Model{Pi: []float64{1}, Emit: [][]float64{{1}, {1}, {1}}, Trans: [][]float64{nil, {1}}}},
+		{"short trans table", &Model{Pi: []float64{1, 1}, Emit: [][]float64{{1, 1}, {1, 1}}, Trans: [][]float64{nil, {1, 1, 1}}}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -95,7 +93,7 @@ func TestViterbiAllZero(t *testing.T) {
 	m := &Model{
 		Pi:    []float64{1, 1},
 		Emit:  [][]float64{{0, 0}, {1, 1}},
-		Trans: func(int, int, int) float64 { return 1 },
+		Trans: [][]float64{nil, {1, 1, 1, 1}},
 	}
 	_, ok, err := hmmtest.Viterbi(m)
 	if err != nil {
@@ -184,27 +182,18 @@ func randomModel(rng *rand.Rand, steps, maxStates int) *Model {
 	for i := range pi {
 		pi[i] = rng.Float64()
 	}
-	// Dense transition tables per step with some zeros.
-	tables := make([][][]float64, steps)
+	// Dense row-major transition tables per step with some zeros.
+	trans := make([][]float64, steps)
 	for c := 1; c < steps; c++ {
-		tables[c] = make([][]float64, ns[c-1])
-		for i := range tables[c] {
-			tables[c][i] = make([]float64, ns[c])
-			for j := range tables[c][i] {
-				if rng.Float64() < 0.2 {
-					continue
-				}
-				tables[c][i][j] = rng.Float64()
+		trans[c] = make([]float64, ns[c-1]*ns[c])
+		for x := range trans[c] {
+			if rng.Float64() < 0.2 {
+				continue
 			}
+			trans[c][x] = rng.Float64()
 		}
 	}
-	return &Model{
-		Pi:   pi,
-		Emit: emit,
-		Trans: func(step, from, to int) float64 {
-			return tables[step][from][to]
-		},
-	}
+	return &Model{Pi: pi, Emit: emit, Trans: trans}
 }
 
 // Property: all three decoders agree with brute force on random models,
@@ -352,14 +341,9 @@ func TestTopKWithKLessThanOne(t *testing.T) {
 func TestZeroTransitionsBlockPaths(t *testing.T) {
 	// Two steps; transition only allows 0->1.
 	m := &Model{
-		Pi:   []float64{1, 1},
-		Emit: [][]float64{{0.5, 0.5}, {0.5, 0.5}},
-		Trans: func(step, from, to int) float64 {
-			if from == 0 && to == 1 {
-				return 1
-			}
-			return 0
-		},
+		Pi:    []float64{1, 1},
+		Emit:  [][]float64{{0.5, 0.5}, {0.5, 0.5}},
+		Trans: [][]float64{nil, {0, 1, 0, 0}},
 	}
 	ps, err := m.TopKViterbi(10)
 	if err != nil {

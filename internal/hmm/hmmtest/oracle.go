@@ -41,7 +41,7 @@ func forward(m *hmm.Model) (h [][]float64, back [][]int) {
 				if h[c-1][i] == 0 {
 					continue
 				}
-				s := h[c-1][i] * m.Trans(c, i, j)
+				s := h[c-1][i] * m.Trans[c][i*n+j]
 				if s > best {
 					best, bestPrev = s, i
 				}
@@ -126,7 +126,7 @@ func TopKViterbiRef(m *hmm.Model, k int) ([]hmm.Path, error) {
 				if len(lists[c-1][i]) == 0 {
 					continue
 				}
-				tr := m.Trans(c, i, j)
+				tr := m.Trans[c][i*n+j]
 				if tr == 0 {
 					continue
 				}
@@ -202,9 +202,10 @@ func sortEntries(es []pathEntry) {
 
 // astarNode is a partial path covering steps c..m-1, built backwards.
 // g is the product of every factor strictly after step c's heuristic:
-// Π_{t=c+1..m-1} Trans(t, s_{t-1}, s_t)·Emit[t][s_t]. The priority is
-// f = h[c][front]·g, an exact upper bound on any completion: h is the
-// best achievable prefix through front, and g is the fixed suffix.
+// Π_{t=c+1..m-1} Trans[t][s_{t-1}·len(Emit[t])+s_t]·Emit[t][s_t]. The
+// priority is f = h[c][front]·g, an exact upper bound on any completion:
+// h is the best achievable prefix through front, and g is the fixed
+// suffix.
 type astarNode struct {
 	step  int
 	front int
@@ -309,7 +310,7 @@ func TopKAStarWithHeuristic(m *hmm.Model, k int, h [][]float64) ([]hmm.Path, *hm
 			if h[c-1][j] == 0 {
 				continue
 			}
-			tr := m.Trans(c, j, nd.front)
+			tr := m.Trans[c][j*len(m.Emit[c])+nd.front]
 			if tr == 0 {
 				continue
 			}

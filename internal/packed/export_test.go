@@ -11,3 +11,10 @@ func (s *Store) OverlayRows() int {
 
 // Published returns the store's table, nil while it is lazy.
 func (s *Store) Published() *Table { return s.table() }
+
+// RAMBytes returns the entry bytes a RAM table serves from, nil for a
+// table over another backing.
+func (t *Table) RAMBytes() Bytes {
+	b, _ := t.pages.(Bytes)
+	return b
+}

@@ -149,3 +149,47 @@ func TestStoreRowIdenticalInEveryForm(t *testing.T) {
 		t.Fatalf("the disk form faulted no page: %+v", st)
 	}
 }
+
+// TestV2LoadKeepsEntriesWithoutSlack: a v2 snapshot loaded in RAM reads
+// each table's blob into entries with no spare capacity — the reader
+// grows its buffer step by step and the last step ends at the blob's
+// end — so Store.Load takes those entries over as they are instead of
+// cloning them to shed the slack (a transient second copy of every
+// table during a load). The tables here span several read steps.
+func TestV2LoadKeepsEntriesWithoutSlack(t *testing.T) {
+	const n = 12000 // 192 KB per table in 8-byte entries: three read steps
+	rows := func(shift int) *packed.Rows {
+		r := &packed.Rows{}
+		for v := graph.NodeID(0); int(v) < n; v++ {
+			raw := r.Append(v, 1+(int(v)+shift)%3)
+			for i := 0; i < len(raw)/packed.EntrySize; i++ {
+				packed.PutEntry(raw[i*packed.EntrySize:], v+graph.NodeID(i)+1, 0.5)
+			}
+		}
+		return r
+	}
+	snap := &artifact.Snapshot{Fingerprint: "slack"}
+	snap.Tables[artifact.TableWalk], snap.Tables[artifact.TableCloseness] = rows(0), rows(1)
+	var v2 bytes.Buffer
+	if err := snap.WritePaged(&v2, artifact.PagedOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	back, err := artifact.Load(bytes.NewReader(v2.Bytes()), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []artifact.TableKind{artifact.TableWalk, artifact.TableCloseness} {
+		entries := back.Tables[kind].Entries
+		if len(entries) < 2*64<<10 {
+			t.Fatalf("table %d: %d entry bytes, the test needs more than two read steps", kind, len(entries))
+		}
+		if cap(entries) != len(entries) {
+			t.Errorf("table %d: %d entry bytes loaded into a %d-byte buffer", kind, len(entries), cap(entries))
+		}
+		st := packed.NewStore(n, sortedRow)
+		st.Load(back.Tables[kind])
+		if got := st.Published().RAMBytes(); len(got) != len(entries) || &got[0] != &entries[0] {
+			t.Errorf("table %d: Store.Load serves a copy of the loaded entries", kind)
+		}
+	}
+}

@@ -19,6 +19,27 @@ import (
 
 const hexDigits = "0123456789abcdef"
 
+// The classes of jsonClass, one per byte value.
+const (
+	bareByte   = iota // printable ASCII that neither JSON nor the query syntax touches
+	spaceByte         // ' ': verbatim in JSON, but it splits (and quotes) a query term
+	escapeByte        // JSON escapes it, or it starts a multi-byte UTF-8 sequence
+)
+
+// jsonClass classes every byte for appendJSONString's one table test and
+// for bareTerm.
+var jsonClass = func() (t [256]uint8) {
+	for b := range t {
+		switch {
+		case b < ' ' || b >= utf8.RuneSelf || b == '"' || b == '\\' || b == '<' || b == '>' || b == '&':
+			t[b] = escapeByte
+		case b == ' ':
+			t[b] = spaceByte
+		}
+	}
+	return t
+}()
+
 // appendJSONString appends s as a JSON string literal: quotes, the
 // two-character escapes \\ \" \b \f \n \r \t, \u00XX for the other
 // control bytes and for < > & (json.Marshal's HTML-safe default),
@@ -28,11 +49,12 @@ func appendJSONString[S []byte | string](dst []byte, s S) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); {
-		if b := s[i]; b < utf8.RuneSelf {
-			if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
-				i++
-				continue
-			}
+		b := s[i]
+		if jsonClass[b] != escapeByte {
+			i++
+			continue
+		}
+		if b < utf8.RuneSelf {
 			dst = append(dst, s[start:i]...)
 			switch b {
 			case '\\', '"':
@@ -71,21 +93,55 @@ func appendJSONString[S []byte | string](dst []byte, s S) []byte {
 	return append(dst, '"')
 }
 
-// appendJSONStrings appends a non-nil string slice as a JSON array.
-func appendJSONStrings(dst []byte, ss []string) []byte {
+// bareTerm reports whether t is a bare term: non-empty and made only of
+// bare bytes, so that JSON escapes nothing in it and
+// kqr.Suggestion.String neither quotes nor escapes it.
+func bareTerm(t string) bool {
+	for i := 0; i < len(t); i++ {
+		if jsonClass[t[i]] != bareByte {
+			return false
+		}
+	}
+	return t != ""
+}
+
+// appendJSONTerms appends a non-nil term slice as a JSON array and
+// reports whether every term is bare. A bare term is copied between
+// its quotes after the one scan that tells it bare.
+func appendJSONTerms(dst []byte, terms []string) ([]byte, bool) {
 	dst = append(dst, '[')
-	for i, s := range ss {
+	allBare := true
+	for i, t := range terms {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = appendJSONString(dst, s)
+		if bareTerm(t) {
+			dst = append(dst, '"')
+			dst = append(dst, t...)
+			dst = append(dst, '"')
+			continue
+		}
+		allBare = false
+		dst = appendJSONString(dst, t)
 	}
-	return append(dst, ']')
+	return append(dst, ']'), allBare
 }
 
 // appendJSONQuery appends, as a JSON string, the terms joined into one
-// parseable query — kqr.Suggestion.String's rendering.
-func appendJSONQuery(dst []byte, terms []string) []byte {
+// parseable query — kqr.Suggestion.String's rendering. Bare terms are
+// that rendering as they stand, joined by spaces, and need no escaping;
+// any other term takes the rendering through the JSON escaper.
+func appendJSONQuery(dst []byte, terms []string, bare bool) []byte {
+	if bare {
+		dst = append(dst, '"')
+		for i, t := range terms {
+			if i > 0 {
+				dst = append(dst, ' ')
+			}
+			dst = append(dst, t...)
+		}
+		return append(dst, '"')
+	}
 	var a [256]byte // most queries fit; a longer one spills to the heap
 	return appendJSONString(dst, kqr.Suggestion{Terms: terms}.AppendString(a[:0]))
 }
@@ -121,9 +177,9 @@ func appendSuggestion(dst []byte, i int, sg kqr.Suggestion) ([]byte, error) {
 		dst = append(dst, ',')
 	}
 	dst = append(dst, `{"terms":`...)
-	dst = appendJSONStrings(dst, sg.Terms)
+	dst, bare := appendJSONTerms(dst, sg.Terms)
 	dst = append(dst, `,"query":`...)
-	dst = appendJSONQuery(dst, sg.Terms)
+	dst = appendJSONQuery(dst, sg.Terms, bare)
 	dst = append(dst, `,"score":`...)
 	dst, err := appendJSONFloat(dst, sg.Score)
 	return append(dst, '}'), err

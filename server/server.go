@@ -351,6 +351,12 @@ func putBody(buf *[]byte) {
 	}
 }
 
+// preChunkingBytes is the response buffer net/http fills before it
+// commits to a framing: a handler that has written no more than this
+// when it returns gets a Content-Length from net/http itself, and one
+// that writes more without declaring a length is sent chunked.
+const preChunkingBytes = 2048
+
 // jsonContentType is the Content-Type value of every API response,
 // shared rather than allocated per request; nothing appends to it.
 var jsonContentType = []string{"application/json"}
@@ -371,8 +377,10 @@ func (s *Server) cacheKey(endpoint string, req request) string {
 // access-log line per request (buffered, see accesslog.go). Every
 // request that is not a hit takes the same path: respond into a pooled
 // buffer, offer a successful cacheable body to Cache.Put, write, return
-// the buffer. A request whose parameters do not parse is answered with
-// its 400 and touches neither cache nor engine.
+// the buffer. A body too large for net/http's pre-chunking buffer is
+// sent with its Content-Length declared (see preChunkingBytes). A
+// request whose parameters do not parse is answered with its 400 and
+// touches neither cache nor engine.
 func (s *Server) wrap(name string, parse func(q url.Values) (request, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -430,6 +438,13 @@ func (s *Server) wrap(name string, parse func(q url.Values) (request, error)) ht
 		if err != nil {
 			em.Errors.Add(1)
 			status, body = errorResponse(err)
+		}
+		if len(body) > preChunkingBytes {
+			// Declared, a large body leaves as header plus body in two
+			// writes; undeclared, net/http would chunk it in three.
+			w.Header()["Content-Length"] = []string{strconv.Itoa(len(body))}
+		}
+		if status != http.StatusOK {
 			w.WriteHeader(status)
 		}
 		if _, werr := w.Write(body); werr != nil {
@@ -569,10 +584,10 @@ func (s *Server) appendReformulate(dst []byte, query, terms []string, k int, men
 		}
 	}
 	dst = append(dst, `{"query":`...)
-	dst = appendJSONStrings(dst, query)
+	dst, _ = appendJSONTerms(dst, query)
 	if mended != nil && (mended.Changed || mode == "on") {
 		dst = append(dst, `,"corrected_query":`...)
-		dst = appendJSONQuery(dst, terms)
+		dst = appendJSONQuery(dst, terms, false)
 		// The provenance block is small, nested and present on the
 		// repaired minority of requests only: it stays reflective.
 		block, err := json.Marshal(mended)
