@@ -27,6 +27,7 @@ import (
 	"kqr/internal/hmm"
 	"kqr/internal/randomwalk"
 	"kqr/internal/serving"
+	"kqr/synthetic"
 )
 
 var (
@@ -432,16 +433,20 @@ func Benchmark_ServingCache(b *testing.B) {
 
 // BenchmarkReformulateWarm answers 256 seeded queries of 4–7 distinct
 // title words at k=50 — the http_miss request shape — on a warmed
-// dblpgen P=2000 engine, one query per op: "ram" with the tables in
-// memory, "disk" serving them from a paged snapshot under disk_miss's
-// 4 MiB table budget.
+// engine over the corpus kqr-server serves (seed 20120401, 2,000
+// papers), one query per op: "ram" with the tables in memory, "disk"
+// serving them from a paged snapshot under disk_miss's 4 MiB table
+// budget. Besides time it reports the A* search's work per query,
+// expanded/op (heap pops) and pushed/op (children generated): counts,
+// which a noisy box cannot move.
 func BenchmarkReformulateWarm(b *testing.B) {
+	const seed, papers = 20120401, 2000
 	corpus := func() *kqr.Dataset {
-		c, err := dblpgen.Generate(dblpgen.Config{Seed: 1, Papers: 2000})
+		c, err := synthetic.Bibliography(synthetic.Config{Seed: seed, Papers: papers})
 		if err != nil {
 			b.Fatal(err)
 		}
-		return kqr.WrapDatabase(c.DB)
+		return c.Dataset
 	}
 	ram, err := kqr.Open(corpus(), kqr.Options{})
 	if err != nil {
@@ -461,7 +466,8 @@ func BenchmarkReformulateWarm(b *testing.B) {
 	}
 	defer disk.Close()
 
-	c, err := dblpgen.Generate(dblpgen.Config{Seed: 1, Papers: 2000})
+	// The generator synthetic.Bibliography wraps, for the titles.
+	c, err := dblpgen.Generate(dblpgen.Config{Seed: seed, Papers: papers})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -490,6 +496,17 @@ func BenchmarkReformulateWarm(b *testing.B) {
 			queries[i] = append(queries[i], words[j])
 		}
 	}
+	const k = 50
+	mgr, _ := ram.Replication()
+	var expanded, pushed int
+	for _, q := range queries {
+		st, err := mgr.Current().Core.SearchStats(q, k)
+		if err != nil {
+			b.Fatal(err)
+		}
+		expanded += st.Expanded
+		pushed += st.Pushed
+	}
 
 	for _, mode := range []struct {
 		name string
@@ -498,10 +515,12 @@ func BenchmarkReformulateWarm(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := mode.eng.Reformulate(queries[i%len(queries)], 50); err != nil {
+				if _, err := mode.eng.Reformulate(queries[i%len(queries)], k); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(expanded)/float64(len(queries)), "expanded/op")
+			b.ReportMetric(float64(pushed)/float64(len(queries)), "pushed/op")
 		})
 	}
 }

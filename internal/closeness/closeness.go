@@ -77,8 +77,9 @@ func (o Options) Resolve() (Options, error) {
 // runs the layered path search for one source, and the embedded row
 // store caches, packs and serves the results (Precompute and Pack for
 // the offline stage). Rows are sorted by neighbor node id, so ClosRow
-// is a binary probe per candidate over one row — the decoder's
-// transition hot path. It is safe for concurrent use.
+// is one pass of binary searches over one row, every candidate searched
+// in lockstep (packed.ProbeEntries) — the decoder's transition hot
+// path. It is safe for concurrent use.
 type Store struct {
 	*packed.Store
 

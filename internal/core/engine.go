@@ -286,41 +286,65 @@ type Visitor func(i, n int, r Reformulation)
 func (e *Engine) VisitReformulations(query []string, k int, visit Visitor) error {
 	s := e.getScratch()
 	defer e.putScratch(s)
+	if _, err := e.filterRows(s, query, k); err != nil {
+		return err
+	}
+	s.rows.visit(visit)
+	return nil
+}
+
+// SearchStats runs VisitReformulations' decode of query at k, without a
+// visitor, and returns Algorithm 3's work counters for it (zero under
+// AlgTopKViterbi): what the benchmarks report per query, as counts.
+func (e *Engine) SearchStats(query []string, k int) (hmm.AStarStats, error) {
+	s := e.getScratch()
+	defer e.putScratch(s)
+	stats, err := e.filterRows(s, query, k)
+	if stats == nil {
+		return hmm.AStarStats{}, err
+	}
+	return *stats, err
+}
+
+// filterRows resolves query and decodes it into s.rows: up to k
+// accepted rows, best first. The decoder may complete up to
+// k+len(query)+2 paths, so that identity and duplicate filtering still
+// leaves k; each path goes through the filter as the decoder completes
+// it, and decoding stops at the k-th accepted row — the rows filtering
+// all k+len(query)+2 paths would accept first.
+func (e *Engine) filterRows(s *queryScratch, query []string, k int) (*hmm.AStarStats, error) {
 	nodes, err := e.resolve(s.qnodes[:0], query)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	s.qnodes = nodes
 	if k < 1 {
 		k = 1
 	}
-	// Ask for extra paths so identity/duplicate filtering still leaves k.
-	paths, err := e.decode(s, nodes, k+len(nodes)+2)
-	if err != nil {
-		return err
-	}
-	slots := s.slots[:len(nodes)]
 	s.rows.reset()
-	for _, p := range paths {
-		if s.rows.len() >= k {
-			break
+	s.want = k
+	return e.decode(s, nodes, k+len(nodes)+2, s.accept)
+}
+
+// acceptPath is the decode sink of filterRows, bound once per scratch
+// as s.accept: it maps a path's states to terms, commits the row to the
+// filter, and asks for more paths while fewer than s.want rows are in.
+func (e *Engine) acceptPath(s *queryScratch, p hmm.Path) bool {
+	slots := s.slots[:len(s.qnodes)]
+	identity := true
+	for c, si := range p.States {
+		v := slots[c].cands[si]
+		if v == voidNode {
+			identity = false
+			continue
 		}
-		identity := true
-		for c, si := range p.States {
-			v := slots[c].cands[si]
-			if v == voidNode {
-				identity = false
-				continue
-			}
-			if v != slots[c].query {
-				identity = false
-			}
-			s.rows.push(v, e.tg.TermText(v))
+		if v != slots[c].query {
+			identity = false
 		}
-		s.rows.commit(p.Score, identity)
+		s.rows.push(v, e.tg.TermText(v))
 	}
-	s.rows.visit(visit)
-	return nil
+	s.rows.commit(p.Score, identity)
+	return s.rows.len() < s.want
 }
 
 // Reformulate returns up to k reformulated queries for the input query
@@ -356,29 +380,37 @@ func collect(run func(query []string, k int, visit Visitor) error, query []strin
 }
 
 // decode is the online stage on the given scratch: packed candidate
-// fetch, model build, flat top-k decode with the engine's algorithm.
-// The returned paths alias the scratch.
-func (e *Engine) decode(s *queryScratch, nodes []graph.NodeID, k int) ([]hmm.Path, error) {
+// fetch, model build, flat top-k decode with the engine's algorithm,
+// each path handed to yield, best first, until yield returns false or
+// k paths are out. Under AlgAStar the search itself stops there and its
+// stats are returned; AlgTopKViterbi decodes all k first.
+func (e *Engine) decode(s *queryScratch, nodes []graph.NodeID, k int, yield func(hmm.Path) bool) (*hmm.AStarStats, error) {
 	if err := e.buildSlotsInto(s, nodes); err != nil {
 		return nil, err
 	}
 	e.buildModelInto(s, len(nodes))
 	var paths []hmm.Path
+	var stats *hmm.AStarStats
 	var err error
 	if e.opts.Algorithm == AlgTopKViterbi {
 		paths, err = s.dec.TopKViterbi(&s.model, k)
-	} else {
-		paths, _, err = s.dec.TopKAStar(&s.model, k)
+		for _, p := range paths {
+			if !yield(p) {
+				break
+			}
+		}
+	} else if err = s.dec.Forward(&s.model); err == nil {
+		paths, stats, err = s.dec.SearchFunc(&s.model, k, yield)
 	}
 	if err == nil && len(paths) == 0 && s.model.HasPath() {
 		// Every path underflowed: an answer lost, not an empty one.
 		err = fmt.Errorf("core: %d-term query: %w", len(nodes), hmm.ErrUnderflow)
 	}
-	return paths, err
+	return stats, err
 }
 
 // DecodePaths runs the decode hot path for a resolved query and streams
-// the decoded paths to visit (stop early by returning false). The
+// the decoded paths to visit; returning false stops the decode. The
 // visited Paths alias pooled scratch and are valid only inside the
 // callback. On a warmed engine a DecodePaths call performs zero heap
 // allocations.
@@ -389,16 +421,11 @@ func (e *Engine) DecodePaths(nodes []graph.NodeID, k int, visit func(hmm.Path) b
 	if k < 1 {
 		k = 1
 	}
+	if visit == nil {
+		visit = func(hmm.Path) bool { return true }
+	}
 	s := e.getScratch()
 	defer e.putScratch(s)
-	paths, err := e.decode(s, nodes, k)
-	if err != nil {
-		return err
-	}
-	for _, p := range paths {
-		if visit != nil && !visit(p) {
-			break
-		}
-	}
-	return nil
+	_, err := e.decode(s, nodes, k, visit)
+	return err
 }

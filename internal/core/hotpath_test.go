@@ -3,24 +3,34 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 
+	"kqr/internal/catgen"
 	"kqr/internal/closeness"
 	"kqr/internal/graph"
 	"kqr/internal/hmm"
 	"kqr/internal/randomwalk"
+	"kqr/internal/relstore"
 	"kqr/internal/tatgraph"
 	"kqr/internal/testcorpus"
 )
 
-// newWarmFixtureEngine builds the full pipeline, precomputes every term
-// and packs the stores, so the engine serves from the flat path.
+// newWarmFixtureEngine builds the full pipeline over the test corpus,
+// precomputes every term and packs the stores, so the engine serves
+// from the flat path.
 func newWarmFixtureEngine(t *testing.T, opts Options) (*tatgraph.Graph, *Engine) {
 	t.Helper()
 	db, err := testcorpus.New()
 	if err != nil {
 		t.Fatal(err)
 	}
+	return newWarmEngine(t, db, opts)
+}
+
+// newWarmEngine is newWarmFixtureEngine over any database.
+func newWarmEngine(t *testing.T, db *relstore.Database, opts Options) (*tatgraph.Graph, *Engine) {
+	t.Helper()
 	tg, err := tatgraph.Build(db, tatgraph.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -116,6 +126,86 @@ func TestReformulateMatchesRefCold(t *testing.T) {
 		if !sameReformulations(fast, ref) {
 			t.Fatalf("query %v: cold fast path diverges from ref", q)
 		}
+	}
+}
+
+// VisitReformulations filters each path as the search completes it and
+// stops the search at the k-th accepted row; the oracle decodes all
+// k+len(query)+2 paths first and then filters them. They must accept
+// the same rows where the filter has work to do: identity rows, and
+// rows that repeat an accepted row's texts — under void states, through
+// the same nodes or, on the catalog corpus, whose texts live in two
+// fields, through other nodes. The test requires every kind of drop,
+// and searches the stop cut short.
+func TestEarlyStopMatchesRefWhereFilterDrops(t *testing.T) {
+	c, err := catgen.Generate(catgen.Config{Seed: 1, Products: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all refDrops
+	for _, opts := range []Options{{}, {AllowDeletion: true}, {DropOriginal: true}, {CandidatesPerTerm: 25}} {
+		tg, eng := newWarmEngine(t, c.DB, opts)
+		var texts []string
+		for _, v := range tg.TermNodeIDs() {
+			texts = append(texts, tg.TermText(v))
+		}
+		rng := rand.New(rand.NewSource(52))
+		var drops refDrops
+		cut := 0
+		for n := 0; n < 150; n++ {
+			q := make([]string, 1+rng.Intn(4))
+			for i := range q {
+				q[i] = texts[rng.Intn(len(texts))]
+			}
+			nodes, err := eng.resolve(nil, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range []int{1, 5, 50} {
+				fast, err := eng.Reformulate(q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, d, err := eng.reformulateNodesRef(nodes, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameReformulations(fast, ref) {
+					t.Fatalf("opts %+v query %q k=%d: streamed rows diverge from decode-then-filter\nfast: %+v\nref:  %+v", opts, q, k, fast, ref)
+				}
+				drops.identity += d.identity
+				drops.sameNodes += d.sameNodes
+				drops.otherNodes += d.otherNodes
+				stats, err := eng.SearchStats(q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				model, err := eng.BuildQueryModel(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, full, err := model.TopKAStar(k + len(q) + 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if stats.Expanded > full.Expanded || stats.Pushed > full.Pushed {
+					t.Fatalf("query %q k=%d: early stop did more work (%+v) than the full decode (%+v)", q, k, stats, *full)
+				}
+				if stats.Expanded < full.Expanded {
+					cut++
+				}
+			}
+		}
+		t.Logf("opts %+v: dropped %+v; %d searches stopped early", opts, drops, cut)
+		if cut == 0 {
+			t.Fatalf("opts %+v: no search stopped early", opts)
+		}
+		all.identity += drops.identity
+		all.sameNodes += drops.sameNodes
+		all.otherNodes += drops.otherNodes
+	}
+	if all.identity == 0 || all.sameNodes == 0 || all.otherNodes == 0 {
+		t.Fatalf("dropped %+v; every kind of drop must occur", all)
 	}
 }
 

@@ -10,6 +10,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"kqr/internal/graph"
@@ -133,14 +134,22 @@ func (e *Engine) ReformulateRef(query []string, k int) ([]Reformulation, error) 
 	if k < 1 {
 		k = 1
 	}
-	return e.reformulateNodesRef(nodes, k)
+	out, _, err := e.reformulateNodesRef(nodes, k)
+	return out, err
 }
 
-// reformulateNodesRef is reformulateNodes over the allocating path.
-func (e *Engine) reformulateNodesRef(nodes []graph.NodeID, k int) ([]Reformulation, error) {
+// refDrops counts the rows the reference filter dropped before it had
+// k: identity rows, and rows repeating an accepted row's texts — with
+// the same nodes (void states let two paths drop to one row), or
+// through other nodes that carry the same texts in another field.
+type refDrops struct{ identity, sameNodes, otherNodes int }
+
+// reformulateNodesRef decodes k+len(nodes)+2 paths with the Ref
+// decoders, then filters them.
+func (e *Engine) reformulateNodesRef(nodes []graph.NodeID, k int) ([]Reformulation, refDrops, error) {
 	slots, err := e.buildSlots(nodes)
 	if err != nil {
-		return nil, err
+		return nil, refDrops{}, err
 	}
 	model := e.buildModel(slots)
 	fetch := k + len(nodes) + 2
@@ -152,9 +161,10 @@ func (e *Engine) reformulateNodesRef(nodes []graph.NodeID, k int) ([]Reformulati
 		paths, _, err = hmmtest.TopKAStarRef(model, fetch)
 	}
 	if err != nil {
-		return nil, err
+		return nil, refDrops{}, err
 	}
-	return e.pathsToReformulationsRef(slots, paths, k), nil
+	out, drops := e.pathsToReformulationsRef(slots, paths, k)
+	return out, drops, nil
 }
 
 // DecodePathsRef is DecodePaths over the allocating path (per-query
@@ -193,9 +203,10 @@ func (e *Engine) DecodePathsRef(nodes []graph.NodeID, k int, visit func(hmm.Path
 // pathsToReformulationsRef maps decoded state sequences back to term
 // texts, dropping void slots, filtering the identity query and
 // duplicates — what VisitReformulations' rowFilter must reproduce.
-func (e *Engine) pathsToReformulationsRef(slots []slot, paths []hmm.Path, k int) []Reformulation {
+func (e *Engine) pathsToReformulationsRef(slots []slot, paths []hmm.Path, k int) ([]Reformulation, refDrops) {
 	out := make([]Reformulation, 0, k)
-	seen := make(map[string]bool)
+	var drops refDrops
+	seen := make(map[string][]graph.NodeID)
 	for _, p := range paths {
 		if len(out) >= k {
 			break
@@ -215,14 +226,22 @@ func (e *Engine) pathsToReformulationsRef(slots []slot, paths []hmm.Path, k int)
 			r.Terms = append(r.Terms, e.tg.TermText(v))
 		}
 		if identity || len(r.Terms) == 0 {
+			if identity {
+				drops.identity++
+			}
 			continue
 		}
 		key := strings.Join(r.Terms, "\x00")
-		if seen[key] {
+		if nodes, ok := seen[key]; ok {
+			if slices.Equal(nodes, r.Nodes) {
+				drops.sameNodes++
+			} else {
+				drops.otherNodes++
+			}
 			continue
 		}
-		seen[key] = true
+		seen[key] = r.Nodes
 		out = append(out, r)
 	}
-	return out
+	return out, drops
 }

@@ -30,7 +30,12 @@ type queryScratch struct {
 	model hmm.Model
 	dec   hmm.Decoder
 
-	rows rowFilter
+	// rows filters decoded paths as the decoder completes them: accept
+	// is Engine.acceptPath bound to this scratch, want the row count at
+	// which it stops the decode.
+	rows   rowFilter
+	accept func(hmm.Path) bool
+	want   int
 }
 
 // rowFilter is the filter between an enumeration of candidate queries
@@ -118,12 +123,14 @@ func hashTexts(texts []string) uint64 {
 }
 
 // getScratch takes a warmed scratch from the engine's pool (or builds
-// the first one).
+// the first one, binding its decode sink once).
 func (e *Engine) getScratch() *queryScratch {
 	if s, ok := e.pool.Get().(*queryScratch); ok {
 		return s
 	}
-	return new(queryScratch)
+	s := new(queryScratch)
+	s.accept = func(p hmm.Path) bool { return e.acceptPath(s, p) }
+	return s
 }
 
 // putScratch returns a scratch to the pool; the caller must have

@@ -17,14 +17,22 @@ import (
 //     that carry their own sort keys (f, step, front) next to the index
 //     of their node in a flat arena, so comparisons never touch the
 //     arena (no node pointers, no container/heap interface boxing);
+//   - the search runs lazily first: each expanded node's children form
+//     one sorted block, and only a block's best untaken member is on
+//     the heap; at a full tie at the top, where the exact heap's pop
+//     would depend on its sift history, it hands over to the exact
+//     search (see lazySearch);
 //   - decoded paths share one flat states arena, pre-reserved before
-//     reconstruction so earlier Path.States slices never move.
+//     reconstruction so earlier Path.States slices never move, and can
+//     be handed to a caller one by one as the search completes them, so
+//     a caller that filters them stops the search once it has enough.
 //
 // Every buffer grows to its high-water mark and is then reused, so a
 // warmed Decoder performs zero heap allocations per decode. All
 // floating-point operations, iteration orders, comparison functions,
-// and heap sift semantics mirror the reference implementations in
-// hmmtest exactly, which makes the results bit-identical — a property
+// and the exact search's heap sift semantics mirror the reference
+// implementations in hmmtest exactly, and the lazy search pops what the
+// exact one pops, which makes the results bit-identical — a property
 // the tests enforce against both those and brute-force enumeration.
 
 // Decoder is reusable scratch state for the flat decode hot path. A
@@ -50,9 +58,11 @@ type Decoder struct {
 	tails   tailSorter
 
 	// Algorithm 3 scratch: arena-allocated nodes index-linked through
-	// next, and a binary max-heap of keyed items pointing into it.
+	// next, a binary max-heap of keyed items pointing into it (exact
+	// search) or into sibs, the lazy search's sorted child blocks.
 	arena []flatNode
 	heap  []frontItem
+	sibs  []sibling
 
 	// Output arenas shared by both algorithms.
 	paths  []Path
@@ -81,15 +91,28 @@ type flatNode struct {
 	next  int32
 }
 
-// frontItem is a frontier entry: the node at arena index node, with the
-// keys the heap orders by. The priority is f = h[step][front]·g, an
-// exact upper bound on any completion: h is the best achievable prefix
-// through front, and g is the fixed suffix.
+// frontItem is a frontier entry with the keys the heap orders by. The
+// priority is f = h[step][front]·g, an exact upper bound on any
+// completion: h is the best achievable prefix through front, and g is
+// the fixed suffix. In the exact search node is the item's arena index;
+// in the lazy search it is the item's slot in sibs, and end is where
+// the item's block ends there.
 type frontItem struct {
 	f     float64
 	step  int32
 	front int32
 	node  int32
+	end   int32
+}
+
+// sibling is a child in a lazy search's block, not yet in the arena:
+// its f and g, its front, and the arena index of the node it extends
+// (-1 for a last-step seed).
+type sibling struct {
+	f      float64
+	g      float64
+	front  int32
+	parent int32
 }
 
 // entrySorter sorts a pathEntry buffer by score descending, then
@@ -325,6 +348,20 @@ func (d *Decoder) TopKAStar(m *Model, k int) ([]Path, *AStarStats, error) {
 // paths exist. The returned paths and stats alias the Decoder and are
 // valid until the next call.
 func (d *Decoder) Search(m *Model, k int) ([]Path, *AStarStats, error) {
+	return d.SearchFunc(m, k, nil)
+}
+
+// SearchFunc is Search handing each path to yield as soon as the search
+// completes it, best first, and stopping as soon as yield returns false
+// — a caller that filters paths stops the search once it has enough. A
+// nil yield takes all k. The returned paths are the ones completed; the
+// stats count the work done up to the stop.
+//
+// The search runs on a lazy frontier (lazySearch) that pops what the
+// exact heap would pop; where the exact heap's choice would depend on
+// its sift history it hands over to exactSearch, which replays the
+// search from the start and yields only the paths not yet yielded.
+func (d *Decoder) SearchFunc(m *Model, k int, yield func(Path) bool) ([]Path, *AStarStats, error) {
 	steps := m.Steps()
 	if len(d.off) != steps+1 || len(d.h) != int(d.off[steps]) {
 		return nil, nil, fmt.Errorf("hmm: Search on a %d-step model without a Forward pass over it", steps)
@@ -337,6 +374,31 @@ func (d *Decoder) Search(m *Model, k int) ([]Path, *AStarStats, error) {
 	if k < 1 {
 		k = 1
 	}
+	d.paths = growPaths(d.paths, k)
+	// Pre-reserve the whole states arena so appending one decoded path
+	// never moves the backing array under an earlier Path.States.
+	d.states = growInts(d.states, k*steps)
+	if !d.lazySearch(m, k, yield) {
+		yielded := len(d.paths)
+		if searchFallback != nil {
+			searchFallback(yielded)
+		}
+		d.exactSearch(m, k, yielded, yield)
+	}
+	return d.paths, &d.stats, nil
+}
+
+// searchFallback, when set (by tests only), is told each time a lazy
+// search hands over to the exact one, with the number of paths it had
+// already yielded.
+var searchFallback func(yielded int)
+
+// exactSearch is Algorithm 3's backward search with every child of an
+// expanded node pushed onto one heap — the search hmmtest's reference
+// mirrors move for move. It yields the completed paths after the first
+// skip, which a lazy search before it has already yielded.
+func (d *Decoder) exactSearch(m *Model, k, skip int, yield func(Path) bool) {
+	steps := m.Steps()
 	last := steps - 1
 	d.stats = AStarStats{ForwardStates: int(d.off[steps])}
 
@@ -352,23 +414,15 @@ func (d *Decoder) Search(m *Model, k int) ([]Path, *AStarStats, error) {
 	}
 	d.heapInit()
 
-	d.paths = growPaths(d.paths, k)
 	d.paths = d.paths[:0]
-	// Pre-reserve the whole states arena so appending one decoded path
-	// never moves the backing array under an earlier Path.States.
-	d.states = growInts(d.states, k*steps)
-	nOut := 0
-	for len(d.heap) > 0 && nOut < k {
+	for len(d.heap) > 0 && len(d.paths) < k {
 		it := d.heapPop()
 		d.stats.Expanded++
 		if it.step == 0 {
-			states := d.states[nOut*steps : (nOut+1)*steps]
-			states[0] = int(it.front)
-			for c, nx := 1, d.arena[it.node].next; nx >= 0; c, nx = c+1, d.arena[nx].next {
-				states[c] = int(d.arena[nx].front)
+			p := d.addPath(steps, it.front, d.arena[it.node].next, it.f)
+			if len(d.paths) > skip && yield != nil && !yield(p) {
+				break
 			}
-			d.paths = append(d.paths, Path{States: states, Score: it.f})
-			nOut++
 			continue
 		}
 		c, front := int(it.step), int(it.front)
@@ -400,7 +454,128 @@ func (d *Decoder) Search(m *Model, k int) ([]Path, *AStarStats, error) {
 			d.stats.Pushed++
 		}
 	}
-	return d.paths, &d.stats, nil
+}
+
+// lazySearch is exactSearch with a frontier of one item per block: the
+// children of one expanded node (or the last step's seeds) are computed
+// as exactSearch computes them, kept in d.sibs sorted in heap order —
+// f descending, then front ascending, since siblings share a step — and
+// only a block's best untaken member is on the heap; popping it pushes
+// the next. The best untaken member of every block is therefore always
+// on the heap, so the heap's top is the top of exactSearch's full
+// frontier, and while every pop is a unique maximum the two searches
+// pop the same items in the same order: the same paths, scores and
+// stats. A node enters the arena when it is expanded, so paths are
+// rebuilt from the same chains.
+//
+// Two frontier items with equal (f, step, front) are never siblings, so
+// both are their blocks' best and on the heap: a full tie at the top
+// shows as a new top equal to the item just popped. That is the one
+// case in which exactSearch's pop depends on its heap's sift history,
+// and there lazySearch stops and returns false; so does a NaN priority,
+// which orders nothing. Every pop before it was a unique maximum, so
+// the paths it yielded are exactSearch's first ones.
+func (d *Decoder) lazySearch(m *Model, k int, yield func(Path) bool) bool {
+	steps := m.Steps()
+	last := steps - 1
+	d.stats = AStarStats{ForwardStates: int(d.off[steps])}
+
+	d.arena = d.arena[:0]
+	d.heap = d.heap[:0]
+	d.sibs = d.sibs[:0]
+	hLast := d.h[d.off[last]:d.off[last+1]]
+	for i, hi := range hLast {
+		if hi > 0 {
+			d.addSibling(0, sibling{f: hi, g: 1, front: int32(i), parent: -1})
+			d.stats.Pushed++
+		}
+	}
+	d.pushBlock(0, int32(last))
+
+	d.paths = d.paths[:0]
+	for len(d.heap) > 0 && len(d.paths) < k {
+		it := d.heapPop()
+		if len(d.heap) > 0 && d.heap[0].f == it.f && d.heap[0].step == it.step && d.heap[0].front == it.front {
+			return false
+		}
+		d.stats.Expanded++
+		sb := d.sibs[it.node]
+		if next := it.node + 1; next < it.end {
+			d.heapPush(frontItem{f: d.sibs[next].f, step: it.step, front: d.sibs[next].front, node: next, end: it.end})
+		}
+		if it.step == 0 {
+			if p := d.addPath(steps, sb.front, sb.parent, it.f); yield != nil && !yield(p) {
+				return true
+			}
+			continue
+		}
+		c, front := int(it.step), int(it.front)
+		suffixEmit := m.Emit[c][front]
+		if suffixEmit == 0 {
+			continue
+		}
+		node := int32(len(d.arena))
+		d.arena = append(d.arena, flatNode{front: sb.front, g: sb.g, next: sb.parent})
+		hPrev := d.h[d.off[c-1]:d.off[c]]
+		n, tr := len(m.Emit[c]), m.Trans[c]
+		lo := len(d.sibs)
+		for j, hj := range hPrev {
+			if hj == 0 {
+				continue
+			}
+			t := tr[j*n+front]
+			if t == 0 {
+				continue
+			}
+			g := sb.g * t * suffixEmit
+			f := hj * g
+			if f == 0 {
+				continue
+			}
+			if f != f {
+				return false
+			}
+			d.addSibling(lo, sibling{f: f, g: g, front: int32(j), parent: node})
+			d.stats.Pushed++
+		}
+		d.pushBlock(lo, int32(c-1))
+	}
+	return true
+}
+
+// addPath appends and returns the complete path of the given score
+// whose step-0 state is front and whose suffix continues at arena index
+// next, its states in the window of the pre-reserved states arena that
+// the path's index owns.
+func (d *Decoder) addPath(steps int, front, next int32, score float64) Path {
+	nOut := len(d.paths)
+	states := d.states[nOut*steps : (nOut+1)*steps]
+	states[0] = int(front)
+	for c, nx := 1, next; nx >= 0; c, nx = c+1, d.arena[nx].next {
+		states[c] = int(d.arena[nx].front)
+	}
+	d.paths = append(d.paths, Path{States: states, Score: score})
+	return d.paths[nOut]
+}
+
+// addSibling adds s to the open block d.sibs[lo:], keeping it sorted by
+// f descending; s's front is above every front in the block, so among
+// equal f it goes last.
+func (d *Decoder) addSibling(lo int, s sibling) {
+	d.sibs = append(d.sibs, s)
+	p := len(d.sibs) - 1
+	for ; p > lo && d.sibs[p-1].f < s.f; p-- {
+		d.sibs[p] = d.sibs[p-1]
+	}
+	d.sibs[p] = s
+}
+
+// pushBlock closes the block d.sibs[lo:] of step step and pushes its
+// best member, if it has one.
+func (d *Decoder) pushBlock(lo int, step int32) {
+	if end := int32(len(d.sibs)); int32(lo) < end {
+		d.heapPush(frontItem{f: d.sibs[lo].f, step: step, front: d.sibs[lo].front, node: int32(lo), end: end})
+	}
 }
 
 // heapLess orders the frontier: max on f, then step asc, front asc.

@@ -23,8 +23,9 @@
 //
 // A similarity row keeps its candidates in rank order (best first); a
 // closeness row is sorted by neighbor node id so a pairwise lookup is
-// one offsets load plus a binary probe (ProbeEntries) over one
-// contiguous cache-resident row — no map or pointer chase. Scores are
+// one offsets load plus a binary probe (ProbeEntries, every candidate
+// of a row searched in lockstep) over one contiguous cache-resident
+// row — no map or pointer chase. Scores are
 // stored as float32: similarity and closeness values are normalized
 // relevance weights in [0, 1] where 24 bits of mantissa are far beyond
 // the extractors' own noise floor, and halving the row bytes is what
@@ -76,25 +77,59 @@ func AppendEntries(raw []byte, nodes []graph.NodeID, scores []float32) ([]graph.
 // ProbeEntries writes the score of each bs[i] in raw — the entries of a
 // row sorted by node id (a closeness row) — to out[i], 0 when bs[i] is
 // absent: within a present row a missing neighbor is a true zero,
-// unreachable inside the horizon. Each lookup is a binary search.
+// unreachable inside the horizon. Each lookup is a lower-bound binary
+// search, and the searches run in lockstep, up to probeLanes at a time:
+// one level of every candidate's search, then the next, each step a
+// branch-free `base += half` when the entry there is below the
+// candidate — so the candidates' loads overlap instead of each waiting
+// on a mispredicted branch — and a final check reads the entry at each
+// base.
 func ProbeEntries(raw []byte, bs []graph.NodeID, out []float64) {
 	n := len(raw) / EntrySize
-	for i, b := range bs {
-		lo, hi := 0, n
-		for lo < hi {
-			if mid := int(uint(lo+hi) >> 1); graph.NodeID(binary.LittleEndian.Uint32(raw[mid*EntrySize:])) < b {
-				lo = mid + 1
-			} else {
-				hi = mid
+	if n == 0 {
+		clear(out[:len(bs)])
+		return
+	}
+	var bases [probeLanes]int
+	for lo := 0; lo < len(bs); lo += probeLanes {
+		cs := bs[lo:min(lo+probeLanes, len(bs))]
+		base := bases[:len(cs)]
+		clear(base)
+		for w := n; w > 1; {
+			half := w / 2
+			for i, b := range cs {
+				// All ones when the entry at base+half is below b.
+				below := (int64(entryNode(raw, base[i]+half)) - int64(b)) >> 63
+				base[i] += half & int(below)
 			}
+			w -= half
 		}
-		out[i] = 0
-		if lo < n {
-			if node, score := Entry(raw, lo); node == b {
-				out[i] = float64(score)
+		dst := out[lo : lo+len(cs)]
+		for i, b := range cs {
+			// base[i] is the last entry below b, or 0 when none is:
+			// the lower bound is base[i]+1 or base[i].
+			j := base[i]
+			if entryNode(raw, j) < b {
+				j++
+			}
+			dst[i] = 0
+			if j < n {
+				if node, score := Entry(raw, j); node == b {
+					dst[i] = float64(score)
+				}
 			}
 		}
 	}
+}
+
+// probeLanes is how many candidate searches ProbeEntries runs in
+// lockstep: more than a slot's candidates (n = 10 by default, plus the
+// original term).
+const probeLanes = 16
+
+// entryNode decodes the node of entry i of raw.
+func entryNode(raw []byte, i int) graph.NodeID {
+	return graph.NodeID(binary.LittleEndian.Uint32(raw[i*EntrySize:]))
 }
 
 // Quantize narrows a score to the float32 grid rows are stored on.

@@ -98,6 +98,67 @@ func TestProbeRandomized(t *testing.T) {
 	}
 }
 
+// ProbeEntries against a linear scan for the first entry holding each
+// candidate: rows of 0, 1, 2, 2^j−1, 2^j and 2^j+1 entries up to about
+// 1,100, and candidate lists that are unsorted, repeat themselves, fall
+// below or above every entry (the void marker −1 included), miss the
+// row, and run past one lockstep chunk.
+func TestProbeEntriesIdenticalToScan(t *testing.T) {
+	scan := func(raw []byte, b graph.NodeID) float64 {
+		for i := 0; i < len(raw)/EntrySize; i++ {
+			if node, score := Entry(raw, i); node == b {
+				return float64(score)
+			}
+		}
+		return 0
+	}
+	lengths := []int{0, 1, 2, 1100}
+	for j := 2; j <= 10; j++ {
+		lengths = append(lengths, 1<<j-1, 1<<j, 1<<j+1)
+	}
+	rng := rand.New(rand.NewSource(52))
+	for _, n := range lengths {
+		// Node ids ascend with gaps, from 1, so 0 and every gap are
+		// absent.
+		raw := make([]byte, n*EntrySize)
+		ids := make([]graph.NodeID, n)
+		for i, id := 0, graph.NodeID(1); i < n; i++ {
+			ids[i] = id
+			PutEntry(raw[i*EntrySize:], id, Quantize(rng.Float64()))
+			id += graph.NodeID(1 + rng.Intn(3))
+		}
+		top := graph.NodeID(1)
+		if n > 0 {
+			top = ids[n-1] + 1
+		}
+		for trial := 0; trial < 20; trial++ {
+			bs := make([]graph.NodeID, rng.Intn(3*probeLanes+2))
+			for i := range bs {
+				switch r := rng.Intn(10); {
+				case r < 5 && n > 0:
+					bs[i] = ids[rng.Intn(n)]
+				case r < 6 && i > 0:
+					bs[i] = bs[rng.Intn(i)]
+				case r < 7:
+					bs[i] = []graph.NodeID{-1, 0, top, top + 1000, 1 << 30}[rng.Intn(5)]
+				default:
+					bs[i] = graph.NodeID(rng.Intn(int(top) + 2))
+				}
+			}
+			out := make([]float64, len(bs))
+			for i := range out {
+				out[i] = -1 // must be overwritten, absences included
+			}
+			ProbeEntries(raw, bs, out)
+			for i, b := range bs {
+				if want := scan(raw, b); out[i] != want {
+					t.Fatalf("row of %d entries, %d candidates: candidate %d (node %d) = %v, scan %v", n, len(bs), i, b, out[i], want)
+				}
+			}
+		}
+	}
+}
+
 // NewRow is the one rounding boundary: whatever it stores widens back
 // to itself, and 0 and 1 (identity, absence) are fixed points.
 func TestNewRowQuantizes(t *testing.T) {
