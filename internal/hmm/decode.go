@@ -13,15 +13,15 @@ import (
 //     through per-step offsets;
 //   - Algorithm 2's per-(step,state) candidate lists live in one
 //     fixed-stride arena of pathEntry cells;
-//   - Algorithm 3's frontier is a hand-rolled binary max-heap of items
-//     that carry their own sort keys (f, step, front) next to the index
-//     of their node in a flat arena, so comparisons never touch the
-//     arena (no node pointers, no container/heap interface boxing);
-//   - the search runs lazily first: each expanded node's children form
-//     one sorted block, and only a block's best untaken member is on
-//     the heap; at a full tie at the top, where the exact heap's pop
-//     would depend on its sift history, it hands over to the exact
-//     search (see lazySearch);
+//   - Algorithm 3's nodes live in one flat array of sorted child
+//     blocks, each expanded node's children appended as one block and
+//     linked to their parent by index;
+//   - its frontier is a hand-rolled binary max-heap holding only each
+//     block's best untaken member, as an item that carries its own sort
+//     keys (f, step, front, node), so comparisons never touch the nodes
+//     (no node pointers, no container/heap interface boxing). The keys
+//     order the frontier totally, so any correct heap pops the same
+//     sequence (see SearchFunc);
 //   - decoded paths share one flat states arena, pre-reserved before
 //     reconstruction so earlier Path.States slices never move, and can
 //     be handed to a caller one by one as the search completes them, so
@@ -29,11 +29,10 @@ import (
 //
 // Every buffer grows to its high-water mark and is then reused, so a
 // warmed Decoder performs zero heap allocations per decode. All
-// floating-point operations, iteration orders, comparison functions,
-// and the exact search's heap sift semantics mirror the reference
-// implementations in hmmtest exactly, and the lazy search pops what the
-// exact one pops, which makes the results bit-identical — a property
-// the tests enforce against both those and brute-force enumeration.
+// floating-point operations, iteration orders and comparison functions
+// mirror the reference implementations in hmmtest exactly, which makes
+// the results bit-identical — a property the tests enforce against both
+// those and brute-force enumeration.
 
 // Decoder is reusable scratch state for the flat decode hot path. A
 // Decoder is not safe for concurrent use; get one per goroutine from
@@ -57,12 +56,11 @@ type Decoder struct {
 	cands   entrySorter
 	tails   tailSorter
 
-	// Algorithm 3 scratch: arena-allocated nodes index-linked through
-	// next, a binary max-heap of keyed items pointing into it (exact
-	// search) or into sibs, the lazy search's sorted child blocks.
-	arena []flatNode
-	heap  []frontItem
-	sibs  []sibling
+	// Algorithm 3 scratch: the search's nodes in sorted child blocks,
+	// index-linked through parent, and a binary max-heap of keyed items
+	// pointing into them.
+	heap []frontItem
+	sibs []sibling
 
 	// Output arenas shared by both algorithms.
 	paths  []Path
@@ -79,23 +77,10 @@ type pathEntry struct {
 	prev     int // previous state; -1 at step 0
 }
 
-// flatNode is a partial path of Algorithm 3 covering steps step..m-1,
-// built backwards, holding what expansion and reconstruction read: its
-// front state, next, the arena index of its suffix continuation (the
-// state at step+1, ...; -1 terminates the chain), and g, the product of
-// every factor strictly after this step's heuristic:
-// Π_{t=step+1..m-1} Trans[t][s_{t-1}·len(Emit[t])+s_t]·Emit[t][s_t].
-type flatNode struct {
-	g     float64
-	front int32
-	next  int32
-}
-
 // frontItem is a frontier entry with the keys the heap orders by. The
 // priority is f = h[step][front]·g, an exact upper bound on any
 // completion: h is the best achievable prefix through front, and g is
-// the fixed suffix. In the exact search node is the item's arena index;
-// in the lazy search it is the item's slot in sibs, and end is where
+// the fixed suffix. node is the item's slot in sibs, and end is where
 // the item's block ends there.
 type frontItem struct {
 	f     float64
@@ -105,9 +90,12 @@ type frontItem struct {
 	end   int32
 }
 
-// sibling is a child in a lazy search's block, not yet in the arena:
-// its f and g, its front, and the arena index of the node it extends
-// (-1 for a last-step seed).
+// sibling is a node of Algorithm 3, a partial path covering steps
+// step..m-1 built backwards, holding what expansion and reconstruction
+// read: its priority f, its front state, parent, the slot of the node
+// it extends (the state at step+1, ...; -1 for a last-step seed), and
+// g, the product of every factor strictly after this step's heuristic:
+// Π_{t=step+1..m-1} Trans[t][s_{t-1}·len(Emit[t])+s_t]·Emit[t][s_t].
 type sibling struct {
 	f      float64
 	g      float64
@@ -355,12 +343,22 @@ func (d *Decoder) Search(m *Model, k int) ([]Path, *AStarStats, error) {
 // completes it, best first, and stopping as soon as yield returns false
 // — a caller that filters paths stops the search once it has enough. A
 // nil yield takes all k. The returned paths are the ones completed; the
-// stats count the work done up to the stop.
+// stats count the work done up to the stop. A NaN priority (a NaN
+// transition entry, or a product of an infinity and a zero) orders
+// nothing, so the search returns an error naming the step it expanded.
 //
-// The search runs on a lazy frontier (lazySearch) that pops what the
-// exact heap would pop; where the exact heap's choice would depend on
-// its sift history it hands over to exactSearch, which replays the
-// search from the start and yields only the paths not yet yielded.
+// The children of an expanded node (or the last step's seeds) form one
+// block of d.sibs, sorted by f descending, then front ascending, since
+// siblings share a step; only a block's best untaken member is on the
+// heap, and popping it pushes the next. The best untaken member of
+// every block is therefore on the heap, so the heap's top is the top of
+// the full frontier of Algorithm 3's search. The frontier is ordered by
+// f descending, then step, front and node ascending, where node is the
+// item's slot in d.sibs. Blocks are appended in expansion order, so
+// among items equal in (f, step, front), which are never siblings, the
+// child of the parent expanded first pops first. No two items share a
+// slot, so the order is total and the pops, paths and stats do not
+// depend on how the heap breaks ties.
 func (d *Decoder) SearchFunc(m *Model, k int, yield func(Path) bool) ([]Path, *AStarStats, error) {
 	steps := m.Steps()
 	if len(d.off) != steps+1 || len(d.h) != int(d.off[steps]) {
@@ -378,109 +376,9 @@ func (d *Decoder) SearchFunc(m *Model, k int, yield func(Path) bool) ([]Path, *A
 	// Pre-reserve the whole states arena so appending one decoded path
 	// never moves the backing array under an earlier Path.States.
 	d.states = growInts(d.states, k*steps)
-	if !d.lazySearch(m, k, yield) {
-		yielded := len(d.paths)
-		if searchFallback != nil {
-			searchFallback(yielded)
-		}
-		d.exactSearch(m, k, yielded, yield)
-	}
-	return d.paths, &d.stats, nil
-}
-
-// searchFallback, when set (by tests only), is told each time a lazy
-// search hands over to the exact one, with the number of paths it had
-// already yielded.
-var searchFallback func(yielded int)
-
-// exactSearch is Algorithm 3's backward search with every child of an
-// expanded node pushed onto one heap — the search hmmtest's reference
-// mirrors move for move. It yields the completed paths after the first
-// skip, which a lazy search before it has already yielded.
-func (d *Decoder) exactSearch(m *Model, k, skip int, yield func(Path) bool) {
-	steps := m.Steps()
 	last := steps - 1
 	d.stats = AStarStats{ForwardStates: int(d.off[steps])}
 
-	d.arena = d.arena[:0]
-	d.heap = d.heap[:0]
-	hLast := d.h[d.off[last]:d.off[last+1]]
-	for i, hi := range hLast {
-		if hi > 0 {
-			d.arena = append(d.arena, flatNode{front: int32(i), g: 1, next: -1})
-			d.heap = append(d.heap, frontItem{f: hi, step: int32(last), front: int32(i), node: int32(len(d.arena) - 1)})
-			d.stats.Pushed++
-		}
-	}
-	d.heapInit()
-
-	d.paths = d.paths[:0]
-	for len(d.heap) > 0 && len(d.paths) < k {
-		it := d.heapPop()
-		d.stats.Expanded++
-		if it.step == 0 {
-			p := d.addPath(steps, it.front, d.arena[it.node].next, it.f)
-			if len(d.paths) > skip && yield != nil && !yield(p) {
-				break
-			}
-			continue
-		}
-		c, front := int(it.step), int(it.front)
-		suffixEmit := m.Emit[c][front]
-		if suffixEmit == 0 {
-			continue
-		}
-		hPrev := d.h[d.off[c-1]:d.off[c]]
-		n, tr := len(m.Emit[c]), m.Trans[c]
-		// it.node stays valid: popped nodes are never evicted from the
-		// arena, so children can keep linking to them even as appends
-		// reallocate the backing array.
-		g0 := d.arena[it.node].g
-		for j, hj := range hPrev {
-			if hj == 0 {
-				continue
-			}
-			t := tr[j*n+front]
-			if t == 0 {
-				continue
-			}
-			g := g0 * t * suffixEmit
-			f := hj * g
-			if f == 0 {
-				continue
-			}
-			d.arena = append(d.arena, flatNode{front: int32(j), g: g, next: it.node})
-			d.heapPush(frontItem{f: f, step: int32(c - 1), front: int32(j), node: int32(len(d.arena) - 1)})
-			d.stats.Pushed++
-		}
-	}
-}
-
-// lazySearch is exactSearch with a frontier of one item per block: the
-// children of one expanded node (or the last step's seeds) are computed
-// as exactSearch computes them, kept in d.sibs sorted in heap order —
-// f descending, then front ascending, since siblings share a step — and
-// only a block's best untaken member is on the heap; popping it pushes
-// the next. The best untaken member of every block is therefore always
-// on the heap, so the heap's top is the top of exactSearch's full
-// frontier, and while every pop is a unique maximum the two searches
-// pop the same items in the same order: the same paths, scores and
-// stats. A node enters the arena when it is expanded, so paths are
-// rebuilt from the same chains.
-//
-// Two frontier items with equal (f, step, front) are never siblings, so
-// both are their blocks' best and on the heap: a full tie at the top
-// shows as a new top equal to the item just popped. That is the one
-// case in which exactSearch's pop depends on its heap's sift history,
-// and there lazySearch stops and returns false; so does a NaN priority,
-// which orders nothing. Every pop before it was a unique maximum, so
-// the paths it yielded are exactSearch's first ones.
-func (d *Decoder) lazySearch(m *Model, k int, yield func(Path) bool) bool {
-	steps := m.Steps()
-	last := steps - 1
-	d.stats = AStarStats{ForwardStates: int(d.off[steps])}
-
-	d.arena = d.arena[:0]
 	d.heap = d.heap[:0]
 	d.sibs = d.sibs[:0]
 	hLast := d.h[d.off[last]:d.off[last+1]]
@@ -495,17 +393,13 @@ func (d *Decoder) lazySearch(m *Model, k int, yield func(Path) bool) bool {
 	d.paths = d.paths[:0]
 	for len(d.heap) > 0 && len(d.paths) < k {
 		it := d.heapPop()
-		if len(d.heap) > 0 && d.heap[0].f == it.f && d.heap[0].step == it.step && d.heap[0].front == it.front {
-			return false
-		}
 		d.stats.Expanded++
-		sb := d.sibs[it.node]
 		if next := it.node + 1; next < it.end {
 			d.heapPush(frontItem{f: d.sibs[next].f, step: it.step, front: d.sibs[next].front, node: next, end: it.end})
 		}
 		if it.step == 0 {
-			if p := d.addPath(steps, sb.front, sb.parent, it.f); yield != nil && !yield(p) {
-				return true
+			if p := d.addPath(steps, it.node, it.f); yield != nil && !yield(p) {
+				break
 			}
 			continue
 		}
@@ -514,8 +408,7 @@ func (d *Decoder) lazySearch(m *Model, k int, yield func(Path) bool) bool {
 		if suffixEmit == 0 {
 			continue
 		}
-		node := int32(len(d.arena))
-		d.arena = append(d.arena, flatNode{front: sb.front, g: sb.g, next: sb.parent})
+		g0 := d.sibs[it.node].g
 		hPrev := d.h[d.off[c-1]:d.off[c]]
 		n, tr := len(m.Emit[c]), m.Trans[c]
 		lo := len(d.sibs)
@@ -527,32 +420,30 @@ func (d *Decoder) lazySearch(m *Model, k int, yield func(Path) bool) bool {
 			if t == 0 {
 				continue
 			}
-			g := sb.g * t * suffixEmit
+			g := g0 * t * suffixEmit
 			f := hj * g
 			if f == 0 {
 				continue
 			}
 			if f != f {
-				return false
+				return nil, nil, fmt.Errorf("hmm: NaN search priority expanding step %d state %d", c, front)
 			}
-			d.addSibling(lo, sibling{f: f, g: g, front: int32(j), parent: node})
+			d.addSibling(lo, sibling{f: f, g: g, front: int32(j), parent: it.node})
 			d.stats.Pushed++
 		}
 		d.pushBlock(lo, int32(c-1))
 	}
-	return true
+	return d.paths, &d.stats, nil
 }
 
 // addPath appends and returns the complete path of the given score
-// whose step-0 state is front and whose suffix continues at arena index
-// next, its states in the window of the pre-reserved states arena that
-// the path's index owns.
-func (d *Decoder) addPath(steps int, front, next int32, score float64) Path {
+// whose step-0 node is the slot node of d.sibs, its states in the window
+// of the pre-reserved states arena that the path's index owns.
+func (d *Decoder) addPath(steps int, node int32, score float64) Path {
 	nOut := len(d.paths)
 	states := d.states[nOut*steps : (nOut+1)*steps]
-	states[0] = int(front)
-	for c, nx := 1, next; nx >= 0; c, nx = c+1, d.arena[nx].next {
-		states[c] = int(d.arena[nx].front)
+	for c, nx := 0, node; nx >= 0; c, nx = c+1, d.sibs[nx].parent {
+		states[c] = int(d.sibs[nx].front)
 	}
 	d.paths = append(d.paths, Path{States: states, Score: score})
 	return d.paths[nOut]
@@ -578,7 +469,8 @@ func (d *Decoder) pushBlock(lo int, step int32) {
 	}
 }
 
-// heapLess orders the frontier: max on f, then step asc, front asc.
+// heapLess orders the frontier totally: max on f, then step, front and
+// node ascending.
 func heapLess(x, y *frontItem) bool {
 	if x.f != y.f {
 		return x.f > y.f
@@ -586,30 +478,19 @@ func heapLess(x, y *frontItem) bool {
 	if x.step != y.step {
 		return x.step < y.step
 	}
-	return x.front < y.front
-}
-
-// The three heap primitives replicate container/heap's Init/Push/Pop
-// sift semantics exactly (same child choice, same swap sequence), so a
-// frontier fed the same nodes in the same order pops in the same order
-// as the reference's container/heap — including among full ties, where
-// the result depends on sift history rather than the comparator.
-
-func (d *Decoder) heapInit() {
-	n := len(d.heap)
-	for i := n/2 - 1; i >= 0; i-- {
-		d.heapDown(i, n)
+	if x.front != y.front {
+		return x.front < y.front
 	}
+	return x.node < y.node
 }
 
+// heapPush adds x to the frontier heap, sifting it up from a new leaf.
 func (d *Decoder) heapPush(x frontItem) {
 	d.heap = append(d.heap, x)
 	h := d.heap
-	// Sift up from the new leaf.
-	j := len(h) - 1
-	for {
+	for j := len(h) - 1; j > 0; {
 		i := (j - 1) / 2
-		if i == j || !heapLess(&h[j], &h[i]) {
+		if !heapLess(&h[j], &h[i]) {
 			break
 		}
 		h[i], h[j] = h[j], h[i]
@@ -617,26 +498,21 @@ func (d *Decoder) heapPush(x frontItem) {
 	}
 }
 
+// heapPop removes and returns the frontier heap's top, sifting the last
+// leaf down from the root in its place.
 func (d *Decoder) heapPop() frontItem {
+	top := d.heap[0]
 	n := len(d.heap) - 1
-	d.heap[0], d.heap[n] = d.heap[n], d.heap[0]
-	d.heapDown(0, n)
-	x := d.heap[n]
+	d.heap[0] = d.heap[n]
 	d.heap = d.heap[:n]
-	return x
-}
-
-func (d *Decoder) heapDown(i0, n int) {
 	h := d.heap
-	i := i0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 {
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
 			break
 		}
-		j := j1
-		if j2 := j1 + 1; j2 < n && heapLess(&h[j2], &h[j1]) {
-			j = j2
+		if j+1 < n && heapLess(&h[j+1], &h[j]) {
+			j++
 		}
 		if !heapLess(&h[j], &h[i]) {
 			break
@@ -644,6 +520,7 @@ func (d *Decoder) heapDown(i0, n int) {
 		h[i], h[j] = h[j], h[i]
 		i = j
 	}
+	return top
 }
 
 // growI32 returns s with length n, reusing capacity when possible.

@@ -193,11 +193,12 @@ func tieModel(rng *rand.Rand, steps, maxStates int) *Model {
 // Property: on models full of exact ties the flat decoder still equals
 // the reference bit for bit — paths, their order, == scores and
 // AStarStats. Two A* frontier nodes with the same f, step and front
-// compare equal, and which pops first depends only on the heap's sift
-// history, so this is where a decoder that keeps its own heap has to
-// replicate container/heap move for move. Two decoded paths with the
-// same score and the same first state are two such step-0 nodes; the
-// test counts models that produce them and requires plenty.
+// are ordered only by the last key of the total order (which parent was
+// expanded first), so this is where a decoder whose frontier loses that
+// key, or lets its heap break such ties, departs from the reference's
+// linear-scan pops. Two decoded paths with the same score and the same
+// first state are two such step-0 nodes; the test counts models that
+// produce them and requires plenty.
 func TestDecoderBitIdenticalToRefOnTies(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	d := new(Decoder)

@@ -15,8 +15,8 @@
 // row-major transition table from the states of step c-1 (filled from
 // closeness rows in practice).
 //
-// The pointer/container-heap reference implementations the Decoder is
-// tested bit-for-bit against live in the test-support package hmmtest.
+// The pointer-based reference implementations the Decoder is tested
+// bit-for-bit against live in the test-support package hmmtest.
 package hmm
 
 import (

@@ -5,12 +5,13 @@
 // imports it, so the shipping binaries carry one decoder.
 //
 // The Decoder's results are bit-identical to these by construction
-// (same floating-point operations, iteration orders, comparison
-// functions and heap sift semantics) and by test.
+// (same floating-point operations, iteration orders and comparison
+// functions) and by test. The A* reference keeps its frontier in a plain
+// slice and pops by a linear scan for the best node under a total order,
+// so no data structure's tie handling can reach its answers.
 package hmmtest
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 
@@ -207,34 +208,28 @@ func sortEntries(es []pathEntry) {
 // h is the best achievable prefix through front, and g is the fixed
 // suffix.
 type astarNode struct {
-	step  int
-	front int
-	g     float64
-	f     float64
-	next  *astarNode // suffix continuation (state at step+1, ...)
+	step      int
+	front     int
+	parentPop int // pop number of the node this one extends; -1 for a seed
+	g         float64
+	f         float64
+	next      *astarNode // suffix continuation (state at step+1, ...)
 }
 
-// nodeHeap is a max-heap on f with deterministic tie-breaks.
-type nodeHeap []*astarNode
-
-func (h nodeHeap) Len() int { return len(h) }
-func (h nodeHeap) Less(i, j int) bool {
-	if h[i].f != h[j].f {
-		return h[i].f > h[j].f
+// less orders the frontier: max on f, then step, front and the parent's
+// pop number ascending. Nodes with one parent differ in front, and the
+// seeds are the only nodes without one, so no two frontier nodes tie.
+func less(x, y *astarNode) bool {
+	if x.f != y.f {
+		return x.f > y.f
 	}
-	if h[i].step != h[j].step {
-		return h[i].step < h[j].step
+	if x.step != y.step {
+		return x.step < y.step
 	}
-	return h[i].front < h[j].front
-}
-func (h nodeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *nodeHeap) Push(x any)   { *h = append(*h, x.(*astarNode)) }
-func (h *nodeHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+	if x.front != y.front {
+		return x.front < y.front
+	}
+	return x.parentPop < y.parentPop
 }
 
 // TopKAStarRef is the reference implementation of the paper's
@@ -279,18 +274,25 @@ func TopKAStarWithHeuristic(m *hmm.Model, k int, h [][]float64) ([]hmm.Path, *hm
 	steps := m.Steps()
 	last := steps - 1
 
-	frontier := make(nodeHeap, 0, len(h[last]))
+	var frontier []*astarNode
 	for i, hi := range h[last] {
 		if hi > 0 {
-			frontier = append(frontier, &astarNode{step: last, front: i, g: 1, f: hi})
+			frontier = append(frontier, &astarNode{step: last, front: i, parentPop: -1, g: 1, f: hi})
 			stats.Pushed++
 		}
 	}
-	heap.Init(&frontier)
 
 	out := make([]hmm.Path, 0, k)
-	for frontier.Len() > 0 && len(out) < k {
-		nd := heap.Pop(&frontier).(*astarNode)
+	for pop := 0; len(frontier) > 0 && len(out) < k; pop++ {
+		best := 0
+		for i := range frontier {
+			if less(frontier[i], frontier[best]) {
+				best = i
+			}
+		}
+		nd := frontier[best]
+		frontier[best] = frontier[len(frontier)-1]
+		frontier = frontier[:len(frontier)-1]
 		stats.Expanded++
 		if nd.step == 0 {
 			// Complete: states fully determined from front to tail.
@@ -319,7 +321,7 @@ func TopKAStarWithHeuristic(m *hmm.Model, k int, h [][]float64) ([]hmm.Path, *hm
 			if f == 0 {
 				continue
 			}
-			heap.Push(&frontier, &astarNode{step: c - 1, front: j, g: g, f: f, next: nd})
+			frontier = append(frontier, &astarNode{step: c - 1, front: j, parentPop: pop, g: g, f: f, next: nd})
 			stats.Pushed++
 		}
 	}
