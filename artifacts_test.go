@@ -25,7 +25,7 @@ import (
 // snapshot, returning the engine and the snapshot path.
 func warmAndSave(t *testing.T, mode kqr.SimilarityMode) (*kqr.Engine, string) {
 	t.Helper()
-	eng, err := kqr.Open(bibliographyDataset(t), kqr.Options{Similarity: mode, PrecomputeWorkers: 4})
+	eng, err := kqr.Open(bibliographyDataset(t), kqr.Options{Similarity: mode})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -135,15 +135,10 @@ type config struct {
 	mend        bool
 }
 
-const (
-	// cacheTTL is how long a response-cache entry stays valid. Entries
-	// are also keyed by generation epoch, so the TTL only bounds how
-	// long a cold entry occupies the LRU.
-	cacheTTL = 5 * time.Minute
-	// followMaxLag is how many promotions a follower may trail the
-	// leader by before its /readyz reports not ready.
-	followMaxLag = 1
-)
+// cacheTTL is how long a response-cache entry stays valid. Entries are
+// also keyed by generation epoch, so the TTL only bounds how long a cold
+// entry occupies the LRU.
+const cacheTTL = 5 * time.Minute
 
 func main() {
 	var cfg config
@@ -313,7 +308,7 @@ func run(cfg config) error {
 	}
 	if cfg.replDir != "" {
 		mgr, _ := eng.Replication()
-		leader, err := repl.NewLeader(mgr, cfg.replDir, repl.LeaderOptions{})
+		leader, err := repl.NewLeader(mgr, cfg.replDir)
 		if err != nil {
 			return err
 		}
@@ -413,8 +408,8 @@ func runFollower(cfg config) error {
 
 	var ready atomic.Bool
 	opts := append(cfg.servingOptions(snap.DB.Stats().String(), &ready),
-		server.WithReplicationFollower(f, followMaxLag))
-	fmt.Printf("follower mode: admin writes rejected, ready within %d promotions of the leader\n", followMaxLag)
+		server.WithReplicationFollower(f))
+	fmt.Printf("follower mode: admin writes rejected, ready within %d promotions of the leader\n", server.FollowerMaxEpochLag)
 	srv, err := server.New(eng, opts...)
 	if err != nil {
 		return err

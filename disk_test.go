@@ -16,7 +16,7 @@ import (
 // saves a v2 paged snapshot.
 func warmAndSavePaged(t *testing.T, mode kqr.SimilarityMode) (*kqr.Engine, string) {
 	t.Helper()
-	eng, err := kqr.Open(bibliographyDataset(t), kqr.Options{Similarity: mode, PrecomputeWorkers: 4})
+	eng, err := kqr.Open(bibliographyDataset(t), kqr.Options{Similarity: mode})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestDiskModeTruncatedUnderStore(t *testing.T) {
 		}
 		return c.Dataset
 	}
-	warm, err := kqr.Open(corpus(), kqr.Options{PrecomputeWorkers: 4})
+	warm, err := kqr.Open(corpus(), kqr.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

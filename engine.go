@@ -35,17 +35,6 @@ const (
 	Cooccurrence = live.ModeCooccur
 )
 
-// DecodeAlgorithm selects the online top-k decoder.
-type DecodeAlgorithm = core.Algorithm
-
-const (
-	// AStar is the paper's Algorithm 3 (Viterbi forward + A* backward),
-	// the default.
-	AStar = core.AlgAStar
-	// TopKViterbi is the paper's Algorithm 2.
-	TopKViterbi = core.AlgTopKViterbi
-)
-
 // Options tunes an Engine. Zero values take the documented defaults;
 // Open refuses out-of-range values before it builds anything.
 type Options struct {
@@ -64,8 +53,6 @@ type Options struct {
 	// ClosenessBeam prunes each closeness BFS level to the heaviest
 	// Beam nodes (0 = exact).
 	ClosenessBeam int
-	// Algorithm selects the decoder (default AStar).
-	Algorithm DecodeAlgorithm
 	// AllowDeletion adds void states so suggestions may drop terms.
 	AllowDeletion bool
 	// DropOriginal removes the original term from each slot's
@@ -93,11 +80,6 @@ type Options struct {
 	// unaffected. Queries made entirely of vocabulary terms always
 	// pass through byte-identically.
 	Mend bool
-	// PrecomputeWorkers bounds the goroutines the offline stage (Warm,
-	// and each promotion of a warmed engine) fans out over; <= 0 means
-	// runtime.GOMAXPROCS(0). Per-term extraction is independent, so
-	// precompute throughput scales with cores.
-	PrecomputeWorkers int
 	// ArtifactPath, when non-empty, names a snapshot file previously
 	// written by Engine.SaveArtifacts. Open tries to restore the
 	// offline tables (similarity and closeness) from it instead of
@@ -184,7 +166,6 @@ func (o Options) resolve() (live.Config, live.Options, error) {
 	}
 	cfg := live.Config{
 		Mode:      o.Similarity,
-		Workers:   o.PrecomputeWorkers,
 		Walk:      randomwalk.Options{Damping: o.Damping},
 		Closeness: closeness.Options{MaxLen: o.ClosenessMaxLen, Beam: o.ClosenessBeam},
 		Online: core.Options{
@@ -192,7 +173,6 @@ func (o Options) resolve() (live.Config, live.Options, error) {
 			SmoothingLambda:   o.SmoothingLambda,
 			DropOriginal:      o.DropOriginal,
 			AllowDeletion:     o.AllowDeletion,
-			Algorithm:         o.Algorithm,
 		},
 		Search:      keywordsearch.Options{MaxResults: o.SearchMaxResults, MaxRadius: o.SearchMaxRadius},
 		Phrases:     o.Phrases,

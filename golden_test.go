@@ -302,7 +302,7 @@ func goldenFaulting(t *testing.T, name, v1 string, open func(kqr.Options) *kqr.E
 func goldenFollower(t *testing.T, leader *kqr.Engine) *kqr.Engine {
 	t.Helper()
 	mgr, _ := leader.Replication()
-	l, err := repl.NewLeader(mgr, t.TempDir(), repl.LeaderOptions{NoSync: true})
+	l, err := repl.NewLeader(mgr, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

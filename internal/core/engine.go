@@ -4,7 +4,7 @@
 // the HMM of §V-B (emissions from similarity, transitions from
 // closeness, initial distribution from term frequency), applies the
 // smoothing of Eq. 5–6, and decodes the top-k hidden state sequences —
-// the reformulated queries — with Algorithm 2 or Algorithm 3.
+// the reformulated queries — with Algorithm 3.
 package core
 
 import (
@@ -40,25 +40,6 @@ type ClosenessProvider interface {
 	ClosRow(a graph.NodeID, bs []graph.NodeID, out []float64)
 }
 
-// Algorithm selects the top-k decoder.
-type Algorithm int
-
-const (
-	// AlgAStar is the paper's Algorithm 3 (Viterbi + A* backward
-	// search), the default and the faster of the two.
-	AlgAStar Algorithm = iota
-	// AlgTopKViterbi is the paper's Algorithm 2.
-	AlgTopKViterbi
-)
-
-// String names the algorithm.
-func (a Algorithm) String() string {
-	if a == AlgTopKViterbi {
-		return "topk-viterbi"
-	}
-	return "astar"
-}
-
 // Options configures the engine.
 type Options struct {
 	// CandidatesPerTerm is n, the size of each slot's similar-term list
@@ -67,15 +48,13 @@ type Options struct {
 	// SmoothingLambda is λ in Eq. 5–6 (default 0.8). 1 disables
 	// smoothing; lower values blur scores toward the slot background.
 	SmoothingLambda float64
-	// KeepOriginal adds each query term itself as a candidate state
-	// ("original states", §V-B), enabling partial reformulations.
-	// Default true; set DropOriginal to disable.
+	// DropOriginal removes each query term itself from its slot's
+	// candidate states ("original states", §V-B). By default the term is
+	// kept, which enables partial reformulations.
 	DropOriginal bool
 	// AllowDeletion adds a void state per slot ("void states", §V-B) so
 	// decoded queries may drop terms. Off by default.
 	AllowDeletion bool
-	// Algorithm selects the decoder (default AlgAStar).
-	Algorithm Algorithm
 }
 
 // voidPenalty is the emission/transition score of a void state (§V-B);
@@ -119,9 +98,6 @@ func (o Options) Resolve() (Options, error) {
 	}
 	if o.SmoothingLambda < 0 || o.SmoothingLambda > 1 {
 		return o, fmt.Errorf("core: SmoothingLambda %v outside [0,1]", o.SmoothingLambda)
-	}
-	if o.Algorithm != AlgAStar && o.Algorithm != AlgTopKViterbi {
-		return o, fmt.Errorf("core: unknown algorithm %d", int(o.Algorithm))
 	}
 	return o, nil
 }
@@ -294,8 +270,8 @@ func (e *Engine) VisitReformulations(query []string, k int, visit Visitor) error
 }
 
 // SearchStats runs VisitReformulations' decode of query at k, without a
-// visitor, and returns Algorithm 3's work counters for it (zero under
-// AlgTopKViterbi): what the benchmarks report per query, as counts.
+// visitor, and returns Algorithm 3's work counters for it: what the
+// benchmarks report per query, as counts.
 func (e *Engine) SearchStats(query []string, k int) (hmm.AStarStats, error) {
 	s := e.getScratch()
 	defer e.putScratch(s)
@@ -307,11 +283,12 @@ func (e *Engine) SearchStats(query []string, k int) (hmm.AStarStats, error) {
 }
 
 // filterRows resolves query and decodes it into s.rows: up to k
-// accepted rows, best first. The decoder may complete up to
-// k+len(query)+2 paths, so that identity and duplicate filtering still
-// leaves k; each path goes through the filter as the decoder completes
-// it, and decoding stops at the k-th accepted row — the rows filtering
-// all k+len(query)+2 paths would accept first.
+// accepted rows, best first, and the search's work counters. It fetches
+// the packed candidates, builds the model and runs Algorithm 3, which
+// may complete up to k+len(query)+2 paths, so that identity and
+// duplicate filtering still leaves k; each path goes through the filter
+// as the search completes it, and the search stops at the k-th accepted
+// row — the rows filtering all k+len(query)+2 paths would accept first.
 func (e *Engine) filterRows(s *queryScratch, query []string, k int) (*hmm.AStarStats, error) {
 	nodes, err := e.resolve(s.qnodes[:0], query)
 	if err != nil {
@@ -323,7 +300,19 @@ func (e *Engine) filterRows(s *queryScratch, query []string, k int) (*hmm.AStarS
 	}
 	s.rows.reset()
 	s.want = k
-	return e.decode(s, nodes, k+len(nodes)+2, s.accept)
+	if err := e.buildSlotsInto(s, nodes); err != nil {
+		return nil, err
+	}
+	e.buildModelInto(s, len(nodes))
+	if err := s.dec.Forward(&s.model); err != nil {
+		return nil, err
+	}
+	paths, stats, err := s.dec.SearchFunc(&s.model, k+len(nodes)+2, s.accept)
+	if err == nil && len(paths) == 0 && s.model.HasPath() {
+		// Every path underflowed: an answer lost, not an empty one.
+		err = fmt.Errorf("core: %d-term query: %w", len(nodes), hmm.ErrUnderflow)
+	}
+	return stats, err
 }
 
 // acceptPath is the decode sink of filterRows, bound once per scratch
@@ -377,55 +366,4 @@ func collect(run func(query []string, k int, visit Visitor) error, query []strin
 		return nil, err
 	}
 	return out, nil
-}
-
-// decode is the online stage on the given scratch: packed candidate
-// fetch, model build, flat top-k decode with the engine's algorithm,
-// each path handed to yield, best first, until yield returns false or
-// k paths are out. Under AlgAStar the search itself stops there and its
-// stats are returned; AlgTopKViterbi decodes all k first.
-func (e *Engine) decode(s *queryScratch, nodes []graph.NodeID, k int, yield func(hmm.Path) bool) (*hmm.AStarStats, error) {
-	if err := e.buildSlotsInto(s, nodes); err != nil {
-		return nil, err
-	}
-	e.buildModelInto(s, len(nodes))
-	var paths []hmm.Path
-	var stats *hmm.AStarStats
-	var err error
-	if e.opts.Algorithm == AlgTopKViterbi {
-		paths, err = s.dec.TopKViterbi(&s.model, k)
-		for _, p := range paths {
-			if !yield(p) {
-				break
-			}
-		}
-	} else if err = s.dec.Forward(&s.model); err == nil {
-		paths, stats, err = s.dec.SearchFunc(&s.model, k, yield)
-	}
-	if err == nil && len(paths) == 0 && s.model.HasPath() {
-		// Every path underflowed: an answer lost, not an empty one.
-		err = fmt.Errorf("core: %d-term query: %w", len(nodes), hmm.ErrUnderflow)
-	}
-	return stats, err
-}
-
-// DecodePaths runs the decode hot path for a resolved query and streams
-// the decoded paths to visit; returning false stops the decode. The
-// visited Paths alias pooled scratch and are valid only inside the
-// callback. On a warmed engine a DecodePaths call performs zero heap
-// allocations.
-func (e *Engine) DecodePaths(nodes []graph.NodeID, k int, visit func(hmm.Path) bool) error {
-	if len(nodes) == 0 {
-		return fmt.Errorf("core: empty query")
-	}
-	if k < 1 {
-		k = 1
-	}
-	if visit == nil {
-		visit = func(hmm.Path) bool { return true }
-	}
-	s := e.getScratch()
-	defer e.putScratch(s)
-	_, err := e.decode(s, nodes, k, visit)
-	return err
 }

@@ -57,7 +57,6 @@ func TestNewValidation(t *testing.T) {
 		{CandidatesPerTerm: -1},
 		{SmoothingLambda: 2},
 		{SmoothingLambda: -0.5},
-		{Algorithm: Algorithm(9)},
 	}
 	for _, o := range bad {
 		if _, err := New(tg, sim, clos, o); err == nil {
@@ -141,15 +140,19 @@ func TestReformulateErrors(t *testing.T) {
 	}
 }
 
+// Algorithms 2 and 3 agree on the model the engine decodes: the same
+// scores rank for rank, term sequences differing only on exact ties.
 func TestAlgorithmsAgree(t *testing.T) {
-	_, astar := newFixtureEngine(t, Options{Algorithm: AlgAStar})
-	_, viterbi := newFixtureEngine(t, Options{Algorithm: AlgTopKViterbi})
-	query := []string{"uncertain", "query"}
-	a, err := astar.Reformulate(query, 8)
+	_, eng := newFixtureEngine(t, Options{})
+	m, err := eng.BuildQueryModel([]string{"uncertain", "query"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := viterbi.Reformulate(query, 8)
+	a, _, err := m.TopKAStar(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := m.TopKViterbi(8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,14 +160,13 @@ func TestAlgorithmsAgree(t *testing.T) {
 		t.Fatalf("A* returned %d, Viterbi %d", len(a), len(v))
 	}
 	for i := range a {
-		// Scores must agree; term sequences may differ only on exact ties.
 		diff := a[i].Score - v[i].Score
 		if diff < 0 {
 			diff = -diff
 		}
 		if diff > 1e-9*(1+a[i].Score) {
 			t.Fatalf("rank %d: A* %v (%v) vs Viterbi %v (%v)",
-				i, a[i].Score, a[i].Terms, v[i].Score, v[i].Terms)
+				i, a[i].Score, a[i].States, v[i].Score, v[i].States)
 		}
 	}
 }
@@ -434,9 +436,6 @@ func TestOptionsAndAlgorithmNames(t *testing.T) {
 	opts := eng.Options()
 	if opts.CandidatesPerTerm != 10 || opts.SmoothingLambda != 0.8 {
 		t.Fatalf("defaults not applied: %+v", opts)
-	}
-	if AlgAStar.String() != "astar" || AlgTopKViterbi.String() != "topk-viterbi" {
-		t.Fatalf("algorithm names: %q, %q", AlgAStar.String(), AlgTopKViterbi.String())
 	}
 }
 

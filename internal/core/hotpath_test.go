@@ -9,7 +9,6 @@ import (
 	"kqr/internal/catgen"
 	"kqr/internal/closeness"
 	"kqr/internal/graph"
-	"kqr/internal/hmm"
 	"kqr/internal/randomwalk"
 	"kqr/internal/relstore"
 	"kqr/internal/tatgraph"
@@ -83,14 +82,13 @@ func sameReformulations(a, b []Reformulation) bool {
 
 // Tentpole invariant: the pooled path and the allocating Ref path must
 // produce bit-identical reformulations (same terms, nodes, and exact
-// scores) for both decoding algorithms, with and without void states.
+// scores), with and without void states.
 func TestReformulateMatchesRefBitIdentical(t *testing.T) {
 	for _, opts := range []Options{
 		{},
-		{Algorithm: AlgTopKViterbi},
 		{AllowDeletion: true},
 		{DropOriginal: true},
-		{Algorithm: AlgTopKViterbi, AllowDeletion: true, CandidatesPerTerm: 25},
+		{AllowDeletion: true, CandidatesPerTerm: 25},
 	} {
 		_, eng := newWarmFixtureEngine(t, opts)
 		for _, q := range hotpathQueries {
@@ -206,92 +204,6 @@ func TestEarlyStopMatchesRefWhereFilterDrops(t *testing.T) {
 	}
 	if all.identity == 0 || all.sameNodes == 0 || all.otherNodes == 0 {
 		t.Fatalf("dropped %+v; every kind of drop must occur", all)
-	}
-}
-
-// DecodePaths must visit exactly the paths DecodePathsRef visits.
-func TestDecodePathsMatchesRef(t *testing.T) {
-	_, eng := newWarmFixtureEngine(t, Options{})
-	for _, q := range hotpathQueries {
-		nodes := make([]graph.NodeID, len(q))
-		for i, w := range q {
-			v, err := eng.ResolveTerm(w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			nodes[i] = v
-		}
-		collect := func(decode func([]graph.NodeID, int, func(hmm.Path) bool) error) []hmm.Path {
-			var out []hmm.Path
-			if err := decode(nodes, 10, func(p hmm.Path) bool {
-				cp := make([]int, len(p.States))
-				copy(cp, p.States)
-				out = append(out, hmm.Path{States: cp, Score: p.Score})
-				return true
-			}); err != nil {
-				t.Fatal(err)
-			}
-			return out
-		}
-		fast := collect(eng.DecodePaths)
-		ref := collect(eng.DecodePathsRef)
-		if len(fast) != len(ref) {
-			t.Fatalf("query %v: %d fast paths, %d ref paths", q, len(fast), len(ref))
-		}
-		for i := range fast {
-			if fast[i].Score != ref[i].Score {
-				t.Fatalf("query %v path %d: score %v != %v", q, i, fast[i].Score, ref[i].Score)
-			}
-			for c := range fast[i].States {
-				if fast[i].States[c] != ref[i].States[c] {
-					t.Fatalf("query %v path %d: states diverge", q, i)
-				}
-			}
-		}
-	}
-}
-
-// Satellite: a warmed engine decodes with zero heap allocations.
-// AllocsPerRun runs twice, keeping the minimum, so a GC emptying the
-// scratch pool mid-measurement cannot flake the assertion.
-func TestDecodePathsZeroAllocsWarm(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops Put items under the race detector by design; internal/hmm asserts the pool-free zero-alloc invariant under race")
-	}
-	_, eng := newWarmFixtureEngine(t, Options{})
-	queries := make([][]graph.NodeID, 0, len(hotpathQueries))
-	for _, q := range hotpathQueries {
-		nodes := make([]graph.NodeID, len(q))
-		for i, w := range q {
-			v, err := eng.ResolveTerm(w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			nodes[i] = v
-		}
-		queries = append(queries, nodes)
-	}
-	sink := 0
-	decodeAll := func() {
-		for _, nodes := range queries {
-			if err := eng.DecodePaths(nodes, 10, func(p hmm.Path) bool {
-				sink += len(p.States)
-				return true
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	decodeAll()
-	decodeAll()
-
-	run := func() float64 { return testing.AllocsPerRun(100, decodeAll) }
-	allocs := run()
-	if a := run(); a < allocs {
-		allocs = a
-	}
-	if allocs != 0 {
-		t.Fatalf("warmed DecodePaths allocates %.1f times per sweep, want 0 (sink=%d)", allocs, sink)
 	}
 }
 

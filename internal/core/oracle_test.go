@@ -9,7 +9,6 @@ package core
 // pooled rowFilter replaced.
 
 import (
-	"fmt"
 	"slices"
 	"strings"
 
@@ -153,51 +152,12 @@ func (e *Engine) reformulateNodesRef(nodes []graph.NodeID, k int) ([]Reformulati
 	}
 	model := e.buildModel(slots)
 	fetch := k + len(nodes) + 2
-	var paths []hmm.Path
-	switch e.opts.Algorithm {
-	case AlgTopKViterbi:
-		paths, err = hmmtest.TopKViterbiRef(model, fetch)
-	default:
-		paths, _, err = hmmtest.TopKAStarRef(model, fetch)
-	}
+	paths, _, err := hmmtest.TopKAStarRef(model, fetch)
 	if err != nil {
 		return nil, refDrops{}, err
 	}
 	out, drops := e.pathsToReformulationsRef(slots, paths, k)
 	return out, drops, nil
-}
-
-// DecodePathsRef is DecodePaths over the allocating path (per-query
-// slots and model, Ref decoders). The visited Paths are caller-safe
-// copies by construction.
-func (e *Engine) DecodePathsRef(nodes []graph.NodeID, k int, visit func(hmm.Path) bool) error {
-	if len(nodes) == 0 {
-		return fmt.Errorf("core: empty query")
-	}
-	if k < 1 {
-		k = 1
-	}
-	slots, err := e.buildSlots(nodes)
-	if err != nil {
-		return err
-	}
-	model := e.buildModel(slots)
-	var paths []hmm.Path
-	switch e.opts.Algorithm {
-	case AlgTopKViterbi:
-		paths, err = hmmtest.TopKViterbiRef(model, k)
-	default:
-		paths, _, err = hmmtest.TopKAStarRef(model, k)
-	}
-	if err != nil {
-		return err
-	}
-	for _, p := range paths {
-		if visit != nil && !visit(p) {
-			break
-		}
-	}
-	return nil
 }
 
 // pathsToReformulationsRef maps decoded state sequences back to term

@@ -135,8 +135,8 @@ func (e *Engine) getScratch() *queryScratch {
 
 // putScratch returns a scratch to the pool; the caller must have
 // finished with every path and slot view derived from it. A scratch
-// grown past MaxQueryTerms slots (DecodePaths takes its nodes as given)
-// is dropped, so the pool holds only what a capped query needs.
+// grown past MaxQueryTerms slots is dropped, so the pool holds only what
+// a capped query needs.
 func (e *Engine) putScratch(s *queryScratch) {
 	if len(s.slots) <= MaxQueryTerms {
 		e.pool.Put(s)
@@ -181,8 +181,8 @@ func (e *Engine) buildModelInto(s *queryScratch, m int) {
 	for c := range slots {
 		total += len(slots[c].cands)
 	}
-	s.emitBuf = growF64(s.emitBuf, total)
-	s.emit = growCols(s.emit, m)
+	s.emitBuf = grow(s.emitBuf, total)
+	s.emit = grow(s.emit, m)
 	at := 0
 	for c := range slots {
 		sl := &slots[c]
@@ -210,7 +210,7 @@ func (e *Engine) buildModelInto(s *queryScratch, m int) {
 	}
 
 	n0 := len(slots[0].cands)
-	s.pi = growF64(s.pi, n0)
+	s.pi = grow(s.pi, n0)
 	zPi := 0.0
 	for i, v := range slots[0].cands {
 		f := 1.0
@@ -228,13 +228,13 @@ func (e *Engine) buildModelInto(s *queryScratch, m int) {
 		}
 	}
 
-	s.trans = growCols(s.trans, m)
+	s.trans = grow(s.trans, m)
 	s.trans[0] = nil
 	tTotal := 0
 	for c := 1; c < m; c++ {
 		tTotal += len(slots[c-1].cands) * len(slots[c].cands)
 	}
-	s.transBuf = growF64(s.transBuf, tTotal)
+	s.transBuf = grow(s.transBuf, tTotal)
 	at = 0
 	for c := 1; c < m; c++ {
 		prev, cur := &slots[c-1], &slots[c]
@@ -279,18 +279,10 @@ func (e *Engine) buildModelInto(s *queryScratch, m int) {
 	s.model.Trans = s.trans[:m]
 }
 
-// growF64 returns s with length n, reusing capacity when possible.
-func growF64(s []float64, n int) []float64 {
+// grow returns s with length n, reusing capacity when possible.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-// growCols returns s with length n, reusing capacity when possible.
-func growCols(s [][]float64, n int) [][]float64 {
-	if cap(s) < n {
-		return make([][]float64, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }

@@ -151,7 +151,7 @@ func (s *tailSorter) Swap(i, j int) { s.ts[i], s.ts[j] = s.ts[j], s.ts[i] }
 // and returns the total state count.
 func (d *Decoder) layout(m *Model) int {
 	steps := m.Steps()
-	d.off = growI32(d.off, steps+1)
+	d.off = grow(d.off, steps+1)
 	total := 0
 	for c := 0; c < steps; c++ {
 		d.off[c] = int32(total)
@@ -177,7 +177,7 @@ func (d *Decoder) Forward(m *Model) error {
 	}
 	steps := m.Steps()
 	total := d.layout(m)
-	d.h = growF64(d.h, total)
+	d.h = grow(d.h, total)
 
 	h0 := d.h[:len(m.Emit[0])]
 	for i := range h0 {
@@ -227,8 +227,8 @@ func (d *Decoder) TopKViterbi(m *Model, k int) ([]Path, error) {
 	}
 	steps := m.Steps()
 	total := d.layout(m)
-	d.cells = growEntries(d.cells, total*k)
-	d.cellLen = growI32(d.cellLen, total)
+	d.cells = grow(d.cells, total*k)
+	d.cellLen = grow(d.cellLen, total)
 
 	for i := range m.Emit[0] {
 		if s := m.Pi[i] * m.Emit[0][i]; s > 0 {
@@ -299,8 +299,8 @@ func (d *Decoder) TopKViterbi(m *Model, k int) ([]Path, error) {
 		nt = k
 	}
 
-	d.paths = growPaths(d.paths, nt)
-	d.states = growInts(d.states, nt*steps)
+	d.paths = grow(d.paths, nt)
+	d.states = grow(d.states, nt*steps)
 	for t := 0; t < nt; t++ {
 		tl := d.tails.ts[t]
 		states := d.states[t*steps : (t+1)*steps]
@@ -372,10 +372,10 @@ func (d *Decoder) SearchFunc(m *Model, k int, yield func(Path) bool) ([]Path, *A
 	if k < 1 {
 		k = 1
 	}
-	d.paths = growPaths(d.paths, k)
+	d.paths = grow(d.paths, k)
 	// Pre-reserve the whole states arena so appending one decoded path
 	// never moves the backing array under an earlier Path.States.
-	d.states = growInts(d.states, k*steps)
+	d.states = grow(d.states, k*steps)
 	last := steps - 1
 	d.stats = AStarStats{ForwardStates: int(d.off[steps])}
 
@@ -523,42 +523,10 @@ func (d *Decoder) heapPop() frontItem {
 	return top
 }
 
-// growI32 returns s with length n, reusing capacity when possible.
-func growI32(s []int32, n int) []int32 {
+// grow returns s with length n, reusing capacity when possible.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-// growF64 returns s with length n, reusing capacity when possible.
-func growF64(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-// growInts returns s with length n, reusing capacity when possible.
-func growInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
-// growEntries returns s with length n, reusing capacity when possible.
-func growEntries(s []pathEntry, n int) []pathEntry {
-	if cap(s) < n {
-		return make([]pathEntry, n)
-	}
-	return s[:n]
-}
-
-// growPaths returns s with length n, reusing capacity when possible.
-func growPaths(s []Path, n int) []Path {
-	if cap(s) < n {
-		return make([]Path, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }

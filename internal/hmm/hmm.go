@@ -48,9 +48,9 @@ type Model struct {
 func (m *Model) Steps() int { return len(m.Emit) }
 
 // Validate checks structural consistency: at least one step, matching
-// Pi length, non-empty state lists, non-negative finite initial and
-// emission probabilities, and, when m > 1, one transition table per
-// step of the length its two state lists make.
+// Pi length, non-empty state lists, non-negative finite initial,
+// emission and transition probabilities, and, when m > 1, one
+// transition table per step of the length its two state lists make.
 func (m *Model) Validate() error {
 	if len(m.Emit) == 0 {
 		return fmt.Errorf("hmm: model has no steps")
@@ -73,7 +73,17 @@ func (m *Model) Validate() error {
 			return fmt.Errorf("hmm: Pi[%d] = %v invalid", i, p)
 		}
 	}
-	return m.checkTrans()
+	if err := m.checkTrans(); err != nil {
+		return err
+	}
+	for c := 1; c < len(m.Emit); c++ {
+		for i, p := range m.Trans[c] {
+			if p < 0 || math.IsNaN(p) || math.IsInf(p, 0) {
+				return fmt.Errorf("hmm: step %d transition[%d] = %v invalid", c, i, p)
+			}
+		}
+	}
+	return nil
 }
 
 // checkTrans checks that a multi-step model has one transition table

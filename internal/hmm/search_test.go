@@ -69,7 +69,10 @@ func TestLazySearchIdenticalToRef(t *testing.T) {
 
 // A NaN priority orders nothing: a model with one NaN transition entry
 // on the search's way gets an error naming the step, not a panic and
-// not a path, from TopKAStar and from SearchFunc alike.
+// not a path, from TopKAStar and from SearchFunc alike. Validate refuses
+// the NaN before TopKAStar searches, so SearchFunc meets it in a table
+// changed after a valid Forward pass — where only the search's own
+// guard can catch it.
 func TestSearchNaNPriorityIsAnError(t *testing.T) {
 	m := &Model{
 		Pi:    []float64{0.5, 0.5},
@@ -79,16 +82,37 @@ func TestSearchNaNPriorityIsAnError(t *testing.T) {
 	if _, _, err := m.TopKAStar(3); err == nil || !strings.Contains(err.Error(), "step 1") {
 		t.Fatalf("TopKAStar on a NaN transition: err = %v, want one naming step 1", err)
 	}
+	m.Trans[1][0] = 0.25
 	d := new(Decoder)
 	if err := d.Forward(m); err != nil {
 		t.Fatal(err)
 	}
+	m.Trans[1][0] = math.NaN()
 	yielded := 0
 	if _, _, err := d.SearchFunc(m, 3, func(Path) bool { yielded++; return true }); err == nil || !strings.Contains(err.Error(), "step 1") {
 		t.Fatalf("SearchFunc on a NaN transition: err = %v, want one naming step 1", err)
 	}
 	if yielded != 0 {
 		t.Fatalf("SearchFunc yielded %d paths before the NaN", yielded)
+	}
+}
+
+// A negative or infinite transition entry is as invalid as one in Pi or
+// Emit: both decoders refuse the model with an error naming the step,
+// rather than decode it into a path.
+func TestInvalidTransitionIsAnError(t *testing.T) {
+	for _, bad := range []float64{-0.5, math.Inf(1)} {
+		m := &Model{
+			Pi:    []float64{0.5, 0.5},
+			Emit:  [][]float64{{1, 1}, {1}},
+			Trans: [][]float64{nil, {bad, 0.5}},
+		}
+		if paths, _, err := m.TopKAStar(3); err == nil || !strings.Contains(err.Error(), "step 1") {
+			t.Errorf("TopKAStar, transition %v: paths %v, err = %v; want an error naming step 1", bad, paths, err)
+		}
+		if paths, err := m.TopKViterbi(3); err == nil || !strings.Contains(err.Error(), "step 1") {
+			t.Errorf("TopKViterbi, transition %v: paths %v, err = %v; want an error naming step 1", bad, paths, err)
+		}
 	}
 }
 

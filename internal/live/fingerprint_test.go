@@ -44,12 +44,10 @@ func TestTableFingerprint(t *testing.T) {
 		"FoldPlurals":      {{FoldPlurals: true}},
 	}
 	onlineOnly := map[string][]Config{
-		"Workers":                  {{Workers: 3}},
 		"Online.CandidatesPerTerm": {{Online: core.Options{CandidatesPerTerm: 4}}},
 		"Online.SmoothingLambda":   {{Online: core.Options{SmoothingLambda: 0.5}}},
 		"Online.DropOriginal":      {{Online: core.Options{DropOriginal: true}}},
 		"Online.AllowDeletion":     {{Online: core.Options{AllowDeletion: true}}},
-		"Online.Algorithm":         {{Online: core.Options{Algorithm: core.AlgTopKViterbi}}},
 		"Search.MaxResults":        {{Search: keywordsearch.Options{MaxResults: 5}}},
 		"Search.MaxRadius":         {{Search: keywordsearch.Options{MaxRadius: 2}}},
 		"Mend":                     {{Mend: true}},

@@ -83,16 +83,12 @@ func (m Mode) String() string {
 type Config struct {
 	// Mode selects the similarity model (default ModeContextual).
 	Mode Mode
-	// Workers bounds the offline fan-out of all three row stores
-	// (<= 0 = GOMAXPROCS).
-	Workers int
 	// Walk is the random walk's λ (Alg. 1); unused by ModeCooccur.
 	Walk randomwalk.Options
 	// Closeness is the path search's hop bound and beam (§IV-C).
 	Closeness closeness.Options
 	// Online is the HMM assembly and decoding of §V: n candidates per
-	// slot, the Eq. 5–6 smoothing weight, original and void states,
-	// Alg. 2 vs Alg. 3.
+	// slot, the Eq. 5–6 smoothing weight, original and void states.
 	Online core.Options
 	// Search bounds keyword search over the tuple graph (Def. 3).
 	Search keywordsearch.Options
@@ -264,19 +260,14 @@ func (m *Manager) Build(db *relstore.Database) (*Generation, error) {
 		if cfg.Mode == ModeIndividual {
 			pref = randomwalk.Individual
 		}
-		ex := randomwalk.NewExtractor(tg, pref, cfg.Walk)
-		ex.Workers = cfg.Workers
-		sim = ex
+		sim = randomwalk.NewExtractor(tg, pref, cfg.Walk)
 	case ModeCooccur:
-		co := cooccur.NewExtractor(tg)
-		co.Workers = cfg.Workers
-		sim, simKind = co, artifact.TableCooccur
+		sim, simKind = cooccur.NewExtractor(tg), artifact.TableCooccur
 	}
 	clos, err := closeness.New(tg, cfg.Closeness)
 	if err != nil {
 		return nil, err
 	}
-	clos.Workers = cfg.Workers
 	eng, err := core.New(tg, sim, clos, cfg.Online)
 	if err != nil {
 		return nil, err

@@ -74,7 +74,7 @@ func TestGoldenSegment(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, segmentName(0)), want, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l, err := OpenLog(dir, LogOptions{NoSync: true})
+	l, err := OpenLog(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestGoldenSegment(t *testing.T) {
 		t.Fatalf("log counts %d record bytes, the fixture holds %d", l.Bytes(), len(want)-segHeaderSize)
 	}
 	fresh := t.TempDir()
-	l2, err := OpenLog(fresh, LogOptions{NoSync: true})
+	l2, err := OpenLog(fresh)
 	if err != nil {
 		t.Fatal(err)
 	}

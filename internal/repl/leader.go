@@ -12,15 +12,6 @@ import (
 	"kqr/internal/stream"
 )
 
-// LeaderOptions tunes a replication leader.
-type LeaderOptions struct {
-	// SegmentBytes rotates log segments at this size (default 4 MiB).
-	SegmentBytes int64
-	// NoSync skips per-append fsync (tests and in-process benchmarks
-	// only).
-	NoSync bool
-}
-
 // Leader journals every epoch transition of a live.Manager into a
 // durable delta log and serves the replication protocol: a bootstrap
 // snapshot paired with a resume offset, and a long-lived record stream.
@@ -42,8 +33,8 @@ type Leader struct {
 // to match the manager's current epoch — a fresh corpus over an old log
 // directory is refused rather than silently shipping a log followers
 // cannot apply.
-func NewLeader(mgr *live.Manager, dir string, opts LeaderOptions) (*Leader, error) {
-	log, err := OpenLog(dir, LogOptions{SegmentBytes: opts.SegmentBytes, NoSync: opts.NoSync})
+func NewLeader(mgr *live.Manager, dir string) (*Leader, error) {
+	log, err := OpenLog(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -103,10 +94,6 @@ func (l *Leader) resumePosition(epoch uint64) (position, bool) {
 	p, ok := l.nextByEpoch[epoch]
 	return p, ok
 }
-
-// Log exposes the leader's delta log (read-only use: End, Bytes,
-// Cursor).
-func (l *Leader) Log() *Log { return l.log }
 
 // LeaderStatus is the leader's replication state, served as JSON by
 // /repl/status and embedded in the server's metrics.

@@ -21,19 +21,9 @@ const logVersion uint16 = 1
 // first record index, u32 CRC over the preceding 16 bytes.
 const segHeaderSize = 6 + 2 + 8 + 4
 
-// defaultSegmentBytes rotates segments once their record payload
-// crosses 4 MiB.
-const defaultSegmentBytes = 4 << 20
-
-// LogOptions tunes a delta log.
-type LogOptions struct {
-	// SegmentBytes rotates to a new segment once the current one holds
-	// at least this many record bytes (default 4 MiB).
-	SegmentBytes int64
-	// NoSync skips the fsync after each append. Only tests and
-	// in-process benchmarks should set it; a real leader must not.
-	NoSync bool
-}
+// segmentBytes rotates segments once their record payload crosses
+// 4 MiB.
+const segmentBytes = 4 << 20
 
 // Log is the leader's ordered, durable delta log: CRC-framed records
 // appended to segment files named by the index of their first record.
@@ -41,8 +31,11 @@ type LogOptions struct {
 // index at or below End()-1 is readable after a crash. The log is never
 // compacted — any follower offset stays resumable.
 type Log struct {
-	dir  string
-	opts LogOptions
+	dir string
+	// rotateAt rotates to a new segment once the active one holds at
+	// least this many record bytes: segmentBytes, lowered by the
+	// rotation tests.
+	rotateAt int64
 
 	mu       sync.Mutex
 	cur      *os.File // active segment, opened for append
@@ -63,14 +56,11 @@ func segmentName(first uint64) string {
 // tail of the last segment (an append interrupted mid-write). Any
 // corruption before the tail is fatal: the log is the replication
 // source of truth and must not silently skip records.
-func OpenLog(dir string, opts LogOptions) (*Log, error) {
-	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = defaultSegmentBytes
-	}
+func OpenLog(dir string) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("repl: opening log: %w", err)
 	}
-	l := &Log{dir: dir, opts: opts}
+	l := &Log{dir: dir, rotateAt: segmentBytes}
 	firsts, err := l.segmentFirsts()
 	if err != nil {
 		return nil, err
@@ -273,7 +263,7 @@ func syncDir(dir string) error {
 func (l *Log) Append(rec Record) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.curBytes >= l.opts.SegmentBytes {
+	if l.curBytes >= l.rotateAt {
 		if err := l.rotateLocked(l.next); err != nil {
 			return 0, err
 		}
@@ -283,10 +273,8 @@ func (l *Log) Append(rec Record) (uint64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("repl: appending record %d: %w", rec.Index, err)
 	}
-	if !l.opts.NoSync {
-		if err := l.cur.Sync(); err != nil {
-			return 0, fmt.Errorf("repl: syncing record %d: %w", rec.Index, err)
-		}
+	if err := l.cur.Sync(); err != nil {
+		return 0, fmt.Errorf("repl: syncing record %d: %w", rec.Index, err)
 	}
 	// Only now does the record become visible: cursors gate on End(),
 	// so they never observe a partially-written frame.

@@ -117,7 +117,7 @@ func logRecords(n int) []Record {
 
 func TestLogAppendReopenCursor(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenLog(dir, LogOptions{})
+	l, err := OpenLog(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestLogAppendReopenCursor(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2, err := OpenLog(dir, LogOptions{})
+	l2, err := OpenLog(dir)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -166,10 +166,11 @@ func TestLogAppendReopenCursor(t *testing.T) {
 
 func TestLogRotation(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenLog(dir, LogOptions{SegmentBytes: 1}) // rotate after every record
+	l, err := OpenLog(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	l.rotateAt = 1 // rotate after every record
 	recs := logRecords(4)
 	appendAll(t, l, recs)
 	if segs := l.Segments(); segs != 4 {
@@ -180,7 +181,7 @@ func TestLogRotation(t *testing.T) {
 	}
 	l.Close()
 
-	l2, err := OpenLog(dir, LogOptions{SegmentBytes: 1})
+	l2, err := OpenLog(dir)
 	if err != nil {
 		t.Fatalf("reopen rotated log: %v", err)
 	}
@@ -195,7 +196,7 @@ func TestLogRotation(t *testing.T) {
 
 func TestLogTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenLog(dir, LogOptions{})
+	l, err := OpenLog(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +213,7 @@ func TestLogTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2, err := OpenLog(dir, LogOptions{})
+	l2, err := OpenLog(dir)
 	if err != nil {
 		t.Fatalf("reopen torn log: %v", err)
 	}
@@ -235,10 +236,11 @@ func TestLogTornTailTruncated(t *testing.T) {
 
 func TestLogCorruptionBeforeTailIsFatal(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenLog(dir, LogOptions{SegmentBytes: 1})
+	l, err := OpenLog(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	l.rotateAt = 1
 	appendAll(t, l, logRecords(3))
 	l.Close()
 
@@ -252,7 +254,7 @@ func TestLogCorruptionBeforeTailIsFatal(t *testing.T) {
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenLog(dir, LogOptions{SegmentBytes: 1}); !errors.Is(err, ErrCorrupt) {
+	if _, err := OpenLog(dir); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupt non-last segment: got %v, want ErrCorrupt", err)
 	}
 }
@@ -436,7 +438,7 @@ func TestLeaderFollowerLockstep(t *testing.T) {
 
 func lockstep(t *testing.T, followers int) {
 	mgr := mustManager(t)
-	leader, err := NewLeader(mgr, t.TempDir(), LeaderOptions{NoSync: true})
+	leader, err := NewLeader(mgr, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,8 +495,8 @@ func lockstep(t *testing.T, followers int) {
 		if st.Epoch != mgr.Epoch() {
 			t.Errorf("follower %d epoch %d, leader %d", i, st.Epoch, mgr.Epoch())
 		}
-		if st.NextIndex != leader.Log().End() {
-			t.Errorf("follower %d next index %d, log end %d", i, st.NextIndex, leader.Log().End())
+		if st.NextIndex != leader.log.End() {
+			t.Errorf("follower %d next index %d, log end %d", i, st.NextIndex, leader.log.End())
 		}
 		if st.BytesBehind != 0 {
 			t.Errorf("caught-up follower %d is %d bytes behind", i, st.BytesBehind)
@@ -591,7 +593,7 @@ func assertIdenticalArtifacts(t *testing.T, leaderMgr *live.Manager, f *Follower
 
 func TestFollowerKillAndResume(t *testing.T) {
 	mgr := mustManager(t)
-	leader, err := NewLeader(mgr, t.TempDir(), LeaderOptions{NoSync: true})
+	leader, err := NewLeader(mgr, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -649,7 +651,7 @@ func TestFollowerKillAndResume(t *testing.T) {
 func TestFollowerReconnectsAfterLeaderRestart(t *testing.T) {
 	dir := t.TempDir()
 	mgr := mustManager(t)
-	leader, err := NewLeader(mgr, dir, LeaderOptions{NoSync: true})
+	leader, err := NewLeader(mgr, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -692,7 +694,7 @@ func TestFollowerReconnectsAfterLeaderRestart(t *testing.T) {
 func TestNewLeaderRefusesStaleLog(t *testing.T) {
 	dir := t.TempDir()
 	mgr := mustManager(t)
-	leader, err := NewLeader(mgr, dir, LeaderOptions{NoSync: true})
+	leader, err := NewLeader(mgr, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -707,7 +709,7 @@ func TestNewLeaderRefusesStaleLog(t *testing.T) {
 	// A fresh manager (epoch 1) over the old log (ends at epoch 2) is a
 	// stale-journal hazard and must be refused.
 	mgr2 := mustManager(t)
-	if _, err := NewLeader(mgr2, dir, LeaderOptions{NoSync: true}); err == nil {
+	if _, err := NewLeader(mgr2, dir); err == nil {
 		t.Fatal("NewLeader accepted a log from a different corpus history")
 	}
 }
@@ -715,7 +717,7 @@ func TestNewLeaderRefusesStaleLog(t *testing.T) {
 func TestLeaderResumesOwnLog(t *testing.T) {
 	dir := t.TempDir()
 	mgr := mustManager(t)
-	leader, err := NewLeader(mgr, dir, LeaderOptions{NoSync: true})
+	leader, err := NewLeader(mgr, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -729,20 +731,20 @@ func TestLeaderResumesOwnLog(t *testing.T) {
 
 	// Same manager state, same log: reopening must succeed and keep the
 	// log end.
-	leader2, err := NewLeader(mgr, dir, LeaderOptions{NoSync: true})
+	leader2, err := NewLeader(mgr, dir)
 	if err != nil {
 		t.Fatalf("reopening own log: %v", err)
 	}
 	defer leader2.Close()
-	if leader2.Log().End() != 1 {
-		t.Errorf("resumed log end %d, want 1", leader2.Log().End())
+	if leader2.log.End() != 1 {
+		t.Errorf("resumed log end %d, want 1", leader2.log.End())
 	}
 }
 
 func TestJournalFailureAbortsPromotion(t *testing.T) {
 	mgr := mustManager(t)
 	dir := t.TempDir()
-	leader, err := NewLeader(mgr, dir, LeaderOptions{NoSync: true})
+	leader, err := NewLeader(mgr, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -751,7 +753,7 @@ func TestJournalFailureAbortsPromotion(t *testing.T) {
 
 	// Close the log out from under the journal: the next promotion must
 	// fail and leave the epoch unchanged.
-	leader.Log().Close()
+	leader.log.Close()
 	before := mgr.Epoch()
 	if err := mgr.Ingest(leaderDeltas(1)); err != nil {
 		t.Fatal(err)

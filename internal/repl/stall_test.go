@@ -153,7 +153,7 @@ func TestStalledEndResumes(t *testing.T) {
 	} {
 		t.Run(tc.end, func(t *testing.T) {
 			mgr := mustManager(t)
-			leader, err := NewLeader(mgr, t.TempDir(), LeaderOptions{NoSync: true})
+			leader, err := NewLeader(mgr, t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -206,9 +206,9 @@ func TestStalledEndResumes(t *testing.T) {
 			if st.Connects != 2 || st.SnapshotFetches != 1 {
 				t.Fatalf("after one stall: %d connects, %d snapshot fetches, want 2 and 1", st.Connects, st.SnapshotFetches)
 			}
-			if st.Epoch != mgr.Epoch() || st.NextIndex != leader.Log().End() {
+			if st.Epoch != mgr.Epoch() || st.NextIndex != leader.log.End() {
 				t.Fatalf("follower at epoch %d index %d, leader at epoch %d log end %d",
-					st.Epoch, st.NextIndex, mgr.Epoch(), leader.Log().End())
+					st.Epoch, st.NextIndex, mgr.Epoch(), leader.log.End())
 			}
 			assertIdenticalArtifacts(t, mgr, f)
 		})

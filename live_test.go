@@ -176,7 +176,7 @@ func TestQueriesRaceAcrossPromotions(t *testing.T) {
 // record identical provenance, and that LoadArtifacts clears a previous
 // fallback.
 func TestLoadArtifactsProvenanceParity(t *testing.T) {
-	warm, err := kqr.Open(bibliographyDataset(t), kqr.Options{PrecomputeWorkers: 2})
+	warm, err := kqr.Open(bibliographyDataset(t), kqr.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

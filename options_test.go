@@ -26,7 +26,6 @@ func TestOpenRejectsInvalidOptions(t *testing.T) {
 		{"SmoothingLambda -0.1", kqr.Options{SmoothingLambda: -0.1}, "smoothinglambda"},
 		{"SmoothingLambda 1.5", kqr.Options{SmoothingLambda: 1.5}, "smoothinglambda"},
 		{"Similarity 7", kqr.Options{Similarity: 7}, "similarity"},
-		{"Algorithm 7", kqr.Options{Algorithm: 7}, "algorithm"},
 		{"SearchMaxResults -1", kqr.Options{SearchMaxResults: -1}, "maxresults"},
 		{"SearchMaxRadius -1", kqr.Options{SearchMaxRadius: -1}, "maxradius"},
 		{"TableMemBudget -1", kqr.Options{TableMemBudget: -1}, "tablemembudget"},

@@ -40,11 +40,11 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		resp.Ready = false
 		resp.Reasons = append(resp.Reasons, "startup not finished")
 	}
-	if s.replFollower != nil && !s.replFollower.CaughtUp(s.replMaxLag) {
+	if s.replFollower != nil && !s.replFollower.CaughtUp(FollowerMaxEpochLag) {
 		resp.Ready = false
 		st := s.replFollower.Status()
 		resp.Reasons = append(resp.Reasons, fmt.Sprintf(
-			"replication lag: %d promotions behind leader (bound %d)", st.EpochLag(), s.replMaxLag))
+			"replication lag: %d promotions behind leader (bound %d)", st.EpochLag(), FollowerMaxEpochLag))
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if !resp.Ready {

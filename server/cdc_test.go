@@ -170,7 +170,7 @@ func TestWithCDCRejectedOnFollower(t *testing.T) {
 	mgr, _ := eng.Replication()
 	f := repl.NewFollower("http://127.0.0.1:0", repl.FollowerOptions{})
 	_, err = New(eng,
-		WithReplicationFollower(f, 0),
+		WithReplicationFollower(f),
 		WithCDC(cdc.NewReceiver(mgr, cdc.ReceiverOptions{})))
 	if err == nil {
 		t.Fatal("New accepted CDC on a follower")

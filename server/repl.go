@@ -21,17 +21,18 @@ func WithReplicationLeader(l *repl.Leader) Option {
 	return func(s *Server) { s.replLeader = l }
 }
 
+// FollowerMaxEpochLag is how many promotions a follower may trail the
+// leader by before its /readyz reports not ready.
+const FollowerMaxEpochLag = 1
+
 // WithReplicationFollower marks this server as a follower replica: the
 // follower's replication lag is included in /api/metrics, /readyz
-// additionally requires the follower to be within maxEpochLag
+// additionally requires the follower to be within FollowerMaxEpochLag
 // promotions of the leader, and the admin write endpoints
 // (/api/admin/ingest, /api/admin/promote) are rejected with 409 — a
 // follower's corpus changes only by replaying the leader's log.
-func WithReplicationFollower(f *repl.Follower, maxEpochLag uint64) Option {
-	return func(s *Server) {
-		s.replFollower = f
-		s.replMaxLag = maxEpochLag
-	}
+func WithReplicationFollower(f *repl.Follower) Option {
+	return func(s *Server) { s.replFollower = f }
 }
 
 // replicationMetrics is the "replication" block of /api/metrics,

@@ -31,9 +31,7 @@ func leaderServer(t *testing.T) (*httptest.Server, *kqr.Engine, *repl.Leader) {
 	}
 	t.Cleanup(eng.Close)
 	mgr, _ := eng.Replication()
-	leader, err := repl.NewLeader(mgr, t.TempDir(), repl.LeaderOptions{
-		NoSync: true,
-	})
+	leader, err := repl.NewLeader(mgr, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +50,7 @@ func leaderServer(t *testing.T) (*httptest.Server, *kqr.Engine, *repl.Leader) {
 // followerServer bootstraps a follower from the leader server and
 // builds a follower-mode server around it. It returns the follower so
 // tests can drive Run.
-func followerServer(t *testing.T, leaderURL string, maxLag uint64) (*httptest.Server, *kqr.Engine, *repl.Follower) {
+func followerServer(t *testing.T, leaderURL string) (*httptest.Server, *kqr.Engine, *repl.Follower) {
 	t.Helper()
 	f := repl.NewFollower(leaderURL, repl.FollowerOptions{})
 	snap, err := f.Bootstrap(context.Background())
@@ -70,7 +68,7 @@ func followerServer(t *testing.T, leaderURL string, maxLag uint64) (*httptest.Se
 	}
 	srv, err := New(eng,
 		WithLogger(log.New(io.Discard, "", 0)),
-		WithReplicationFollower(f, maxLag))
+		WithReplicationFollower(f))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +167,7 @@ func TestLeaderServerServesReplProtocol(t *testing.T) {
 
 func TestFollowerServerEndToEnd(t *testing.T) {
 	lts, leng, _ := leaderServer(t)
-	fts, feng, f := followerServer(t, lts.URL, 0)
+	fts, feng, f := followerServer(t, lts.URL)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -255,7 +253,7 @@ func TestFollowerReadyzGatedBeforeBootstrap(t *testing.T) {
 	f := repl.NewFollower("http://127.0.0.1:0", repl.FollowerOptions{})
 	srv, err := New(eng,
 		WithLogger(log.New(io.Discard, "", 0)),
-		WithReplicationFollower(f, 0))
+		WithReplicationFollower(f))
 	if err != nil {
 		t.Fatal(err)
 	}

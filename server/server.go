@@ -113,10 +113,9 @@ type Server struct {
 
 	// replLeader, when set, mounts the replication protocol and reports
 	// leader status in metrics; replFollower marks a read-only replica
-	// whose /readyz requires replication lag within replMaxLag.
+	// whose /readyz requires replication lag within FollowerMaxEpochLag.
 	replLeader   *repl.Leader
 	replFollower *repl.Follower
-	replMaxLag   uint64
 
 	// cdcRecv, when set, mounts POST /cdc/stream and reports CDC
 	// ingestion status in metrics.

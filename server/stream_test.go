@@ -41,7 +41,7 @@ func TestStreamsOutliveServerTimeouts(t *testing.T) {
 	}
 	t.Cleanup(eng.Close)
 	mgr, _ := eng.Replication()
-	leader, err := repl.NewLeader(mgr, t.TempDir(), repl.LeaderOptions{NoSync: true})
+	leader, err := repl.NewLeader(mgr, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestStreamsOutliveServerTimeouts(t *testing.T) {
 	ts.Start()
 	t.Cleanup(ts.Close)
 
-	_, feng, f := followerServer(t, ts.URL, 0)
+	_, feng, f := followerServer(t, ts.URL)
 	feeder := cdc.NewFeeder(ts.URL, cdc.FeederOptions{Source: "timeouts", BatchesPerSec: 4})
 	ctx, cancel := context.WithCancel(context.Background())
 	followed, fed := make(chan error, 1), make(chan error, 1)

@@ -13,7 +13,7 @@ import (
 // cold one answer identically.
 func TestEngineWarm(t *testing.T) {
 	for _, mode := range []kqr.SimilarityMode{kqr.ContextualWalk, kqr.Cooccurrence} {
-		eng, err := kqr.Open(bibliographyDataset(t), kqr.Options{Similarity: mode, PrecomputeWorkers: 4})
+		eng, err := kqr.Open(bibliographyDataset(t), kqr.Options{Similarity: mode})
 		if err != nil {
 			t.Fatal(err)
 		}
