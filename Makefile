@@ -2,14 +2,14 @@
 
 GO ?= go
 
-.PHONY: all check build vet fmt-check test test-race race cover bench bench-offline bench-system docs-check fuzz experiments demo clean
+.PHONY: all check build vet fmt-check fma-check test test-race race cover bench bench-offline bench-system docs-check fuzz experiments demo clean
 
 all: check
 
 # Default gate: compile, static checks, formatting, doc-comment
-# coverage, tests, and the race detector (the serving layer is
-# lock-heavy, so -race is part of the gate).
-check: build vet fmt-check docs-check test test-race
+# coverage, no fused multiply-adds, tests, and the race detector (the
+# serving layer is lock-heavy, so -race is part of the gate).
+check: build vet fmt-check docs-check fma-check test test-race
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,13 @@ vet:
 # Formatting gate: fails, naming the files, when gofmt would change any.
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
+
+# Same-bits gate: cross-compiles kqr-server for arm64, ppc64le and
+# riscv64 and fails, naming function and file:line, on any fused
+# multiply-add instruction in kqr code (amd64 never fuses, so a fused
+# line computes other bits on those architectures).
+fma-check:
+	GO=$(GO) sh scripts/fma-check.sh
 
 # Doc-comment gate: every exported identifier in the listed packages
 # must carry a godoc comment, and every listed package must carry a

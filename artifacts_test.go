@@ -263,7 +263,7 @@ func TestArtifactFingerprintMismatch(t *testing.T) {
 	}
 
 	// Different offline parameters over the same corpus.
-	eng, err = kqr.Open(bibliographyDataset(t), kqr.Options{ClosenessMaxLen: 2})
+	eng, err = kqr.Open(bibliographyDataset(t), kqr.Options{FoldPlurals: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,13 +11,10 @@ import (
 	"unicode"
 	"unicode/utf8"
 
-	"kqr/internal/closeness"
 	"kqr/internal/core"
 	"kqr/internal/diskmode"
 	"kqr/internal/graph"
-	"kqr/internal/keywordsearch"
 	"kqr/internal/live"
-	"kqr/internal/randomwalk"
 	"kqr/internal/tatgraph"
 )
 
@@ -40,29 +37,11 @@ const (
 type Options struct {
 	// Similarity selects the offline similarity model.
 	Similarity SimilarityMode
-	// Damping is the random-walk restart complement λ (default 0.8).
-	Damping float64
-	// CandidatesPerTerm is the per-slot candidate list size n
-	// (default 10).
-	CandidatesPerTerm int
-	// SmoothingLambda is the Eq. 5–6 smoothing weight (default 0.8;
-	// 1 disables smoothing).
-	SmoothingLambda float64
-	// ClosenessMaxLen bounds closeness path length in hops (default 4).
-	ClosenessMaxLen int
-	// ClosenessBeam prunes each closeness BFS level to the heaviest
-	// Beam nodes (0 = exact).
-	ClosenessBeam int
 	// AllowDeletion adds void states so suggestions may drop terms.
 	AllowDeletion bool
 	// DropOriginal removes the original term from each slot's
 	// candidates, forcing full reformulations.
 	DropOriginal bool
-	// SearchMaxResults caps materialized search result trees
-	// (default 50).
-	SearchMaxResults int
-	// SearchMaxRadius bounds the keyword-search join radius (default 3).
-	SearchMaxRadius int
 	// Phrases also indexes recurring adjacent-word pairs of segmented
 	// fields as topical phrases ("association rules"), so queries can
 	// match and substitute them (Definition 2 allows a keyword to be "a
@@ -128,7 +107,7 @@ type Options struct {
 // immutable index generations behind an atomic pointer. See the package
 // comment's Concurrency section for which methods may race.
 type Engine struct {
-	// mgr owns the generations and the resolved configuration they are
+	// mgr owns the generations and the configuration they are
 	// built with (mgr.Config() — the engine keeps no second copy).
 	mgr *live.Manager
 	// live gates Ingest and Promote (Options.Live).
@@ -146,9 +125,9 @@ func (e *Engine) cur() *live.Generation { return e.mgr.Current() }
 
 // resolve is the one translation of the public Options into what the
 // generation manager takes. The knobs this package consumes itself —
-// staleness bounds, disk mode and its budget — are checked here; every
-// other default and range belongs to the package that consumes the knob
-// and is applied by live.NewManager before it builds anything.
+// staleness bounds, disk mode and its budget — are checked here; the
+// similarity mode is checked by live.NewManager before it builds
+// anything.
 func (o Options) resolve() (live.Config, live.Options, error) {
 	if o.StalenessMaxDeltas < 0 || o.StalenessMaxAge < 0 {
 		return live.Config{}, live.Options{}, fmt.Errorf("kqr: negative staleness bound (Options.StalenessMaxDeltas %d, StalenessMaxAge %v)",
@@ -165,19 +144,12 @@ func (o Options) resolve() (live.Config, live.Options, error) {
 		return live.Config{}, live.Options{}, fmt.Errorf("kqr: Options.TableMemBudget: %w", err)
 	}
 	cfg := live.Config{
-		Mode:      o.Similarity,
-		Walk:      randomwalk.Options{Damping: o.Damping},
-		Closeness: closeness.Options{MaxLen: o.ClosenessMaxLen, Beam: o.ClosenessBeam},
-		Online: core.Options{
-			CandidatesPerTerm: o.CandidatesPerTerm,
-			SmoothingLambda:   o.SmoothingLambda,
-			DropOriginal:      o.DropOriginal,
-			AllowDeletion:     o.AllowDeletion,
-		},
-		Search:      keywordsearch.Options{MaxResults: o.SearchMaxResults, MaxRadius: o.SearchMaxRadius},
-		Phrases:     o.Phrases,
-		FoldPlurals: o.FoldPlurals,
-		Mend:        o.Mend,
+		Mode:          o.Similarity,
+		DropOriginal:  o.DropOriginal,
+		AllowDeletion: o.AllowDeletion,
+		Phrases:       o.Phrases,
+		FoldPlurals:   o.FoldPlurals,
+		Mend:          o.Mend,
 	}
 	if o.DiskMode {
 		cfg.TableMemBudget = disk.Budget
@@ -685,7 +657,7 @@ func (e *Engine) PendingDeltas() int { return e.mgr.Pending() }
 // Ingest/Promote gate.
 func (e *Engine) Live() bool { return e.live }
 
-// Replication exposes the engine's generation manager and its resolved
+// Replication exposes the engine's generation manager and its
 // build config to the replication subsystem (internal/repl): the leader
 // journals the manager's epoch transitions, a follower drives the
 // manager in lockstep with the leader's journal. The returned types

@@ -170,7 +170,7 @@ func (s *Store) searchIn(sc *scratch, v graph.NodeID) []graph.Scored {
 					sc.mass[u] = scale * weights[i]
 					touched = append(touched, u)
 				case l == here:
-					sc.mass[u] += scale * weights[i]
+					sc.mass[u] += float64(scale * weights[i])
 				} // otherwise already reached by a shorter path
 			}
 		}

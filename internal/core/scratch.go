@@ -134,14 +134,10 @@ func (e *Engine) getScratch() *queryScratch {
 }
 
 // putScratch returns a scratch to the pool; the caller must have
-// finished with every path and slot view derived from it. A scratch
-// grown past MaxQueryTerms slots is dropped, so the pool holds only what
-// a capped query needs.
-func (e *Engine) putScratch(s *queryScratch) {
-	if len(s.slots) <= MaxQueryTerms {
-		e.pool.Put(s)
-	}
-}
+// finished with every path and slot view derived from it. resolve caps
+// every query at MaxQueryTerms, so no scratch grows past that many
+// slots.
+func (e *Engine) putScratch(s *queryScratch) { e.pool.Put(s) }
 
 // buildSlotsInto fetches the candidate list of every query term into
 // the scratch's slots.
@@ -198,7 +194,7 @@ func (e *Engine) buildModelInto(s *queryScratch, m int) {
 		}
 		colSum := 0.0
 		for i, sim := range sl.sims {
-			col[i] = lam*sim + (1-lam)*bg
+			col[i] = float64(lam*sim) + float64((1-lam)*bg)
 			colSum += col[i]
 		}
 		if colSum > 0 { // normalization Z_B of Eq. 9
@@ -270,7 +266,7 @@ func (e *Engine) buildModelInto(s *queryScratch, m int) {
 			scale = 1 / maxV
 		}
 		for i := range blk {
-			blk[i] = (lam*blk[i] + (1-lam)*bg) * scale
+			blk[i] = (float64(lam*blk[i]) + float64((1-lam)*bg)) * scale
 		}
 	}
 

@@ -73,25 +73,21 @@ func (m Mode) String() string {
 	}
 }
 
-// Config is an engine's configuration: every knob a generation is built
-// with, each in the options struct of the package that consumes it — so
-// its default and its range are that package's, declared once.
-// NewManager resolves it once (zero values become those defaults,
-// out-of-range values are refused) and the Manager's copy
-// (Manager.Config) is the one every later reader uses: promotion,
-// reload, both fingerprints, disk attach.
+// Config is an engine's configuration: the values a caller chooses per
+// engine. Everything else a generation is built with — the walk's λ,
+// the closeness hop bound and beam, the candidate list size n, the
+// smoothing weight, the search bounds — is its package's default,
+// written once in that package's Options.Resolve. NewManager checks
+// Config once, and the Manager's copy (Manager.Config) is the one every
+// later reader uses: promotion, reload, both fingerprints, disk attach.
 type Config struct {
 	// Mode selects the similarity model (default ModeContextual).
 	Mode Mode
-	// Walk is the random walk's λ (Alg. 1); unused by ModeCooccur.
-	Walk randomwalk.Options
-	// Closeness is the path search's hop bound and beam (§IV-C).
-	Closeness closeness.Options
-	// Online is the HMM assembly and decoding of §V: n candidates per
-	// slot, the Eq. 5–6 smoothing weight, original and void states.
-	Online core.Options
-	// Search bounds keyword search over the tuple graph (Def. 3).
-	Search keywordsearch.Options
+	// DropOriginal removes each query term from its slot's candidates
+	// (§V-B's original states).
+	DropOriginal bool
+	// AllowDeletion adds a void state per slot (§V-B's void states).
+	AllowDeletion bool
 	// Phrases also indexes recurring adjacent-word pairs.
 	Phrases bool
 	// FoldPlurals folds regular English plurals during tokenization.
@@ -109,37 +105,20 @@ type Config struct {
 	TableMemBudget int64
 }
 
-// Resolve returns cfg with every zero value replaced by its default, or
-// the first range error, by asking each consuming package.
-func (cfg Config) Resolve() (Config, error) {
-	if cfg.Mode < ModeContextual || cfg.Mode > ModeCooccur {
-		return cfg, fmt.Errorf("live: unknown similarity mode %d", int(cfg.Mode))
-	}
-	var err error
-	if cfg.Walk, err = cfg.Walk.Resolve(); err != nil {
-		return cfg, err
-	}
-	if cfg.Closeness, err = cfg.Closeness.Resolve(); err != nil {
-		return cfg, err
-	}
-	if cfg.Online, err = cfg.Online.Resolve(); err != nil {
-		return cfg, err
-	}
-	cfg.Search, err = cfg.Search.Resolve()
-	return cfg, err
-}
-
 // TableFingerprint renders everything that determines the bits of a
 // generation's offline tables: every Config field the extractors read,
-// the walk solver, what a closeness row holds, and the shape of the
-// graph they run over. The
-// snapshot fingerprint (root package) and the replication fingerprint
-// (internal/repl) are this plus their own prefix and corpus description
-// — a table-affecting knob is added here, once.
+// the walk's λ and the closeness bounds (their packages' defaults), the
+// walk solver, what a closeness row holds, and the shape of the graph
+// they run over. The snapshot fingerprint (root package) and the
+// replication fingerprint (internal/repl) are this plus their own
+// prefix and corpus description — a table-affecting value is added
+// here, once.
 func (m *Manager) TableFingerprint(g *Generation) string {
 	cfg := m.cfg
+	walk, _ := randomwalk.Options{}.Resolve() // the zero value always resolves
+	clos, _ := closeness.Options{}.Resolve()
 	return fmt.Sprintf("mode=%s solver=%s damping=%g closmax=%d closbeam=%d closrows=%s phrases=%t plurals=%t nodes=%d terms=%d edges=%d",
-		cfg.Mode, randomwalk.Solver, cfg.Walk.Damping, cfg.Closeness.MaxLen, cfg.Closeness.Beam, closeness.Rows, cfg.Phrases, cfg.FoldPlurals,
+		cfg.Mode, randomwalk.Solver, walk.Damping, clos.MaxLen, clos.Beam, closeness.Rows, cfg.Phrases, cfg.FoldPlurals,
 		g.TG.NumNodes(), g.TG.NumTermNodes(), g.TG.CSR().NumEdges())
 }
 
@@ -230,6 +209,27 @@ type Generation struct {
 // Complete reports whether both row stores are complete.
 func (g *Generation) Complete() bool { return g.Sim.Complete() && g.Clos.Complete() }
 
+// Warm makes g complete: it precomputes both row stores over the whole
+// vocabulary, then packs them, and reports how long each phase took.
+// Engine.Warm and a promotion after a complete generation both go
+// through it. An error names the store it came from ("similarity: …",
+// "closeness: …"); rows computed before it stay cached as lazy rows.
+func (g *Generation) Warm(ctx context.Context) (precompute, pack time.Duration, err error) {
+	t0 := time.Now()
+	nodes := g.TG.TermNodeIDs()
+	if err := g.Sim.Precompute(ctx, nodes); err != nil {
+		return 0, 0, fmt.Errorf("similarity: %w", err)
+	}
+	if err := g.Clos.Precompute(ctx, nodes); err != nil {
+		return 0, 0, fmt.Errorf("closeness: %w", err)
+	}
+	precompute = time.Since(t0)
+	t0 = time.Now()
+	g.Sim.Pack()
+	g.Clos.Pack()
+	return precompute, time.Since(t0), nil
+}
+
 // Build constructs a generation over db, its row stores lazy, under the
 // manager's config: the structural fields plus the Provenance.Mend timing of the
 // mend-index construction (the Manager stamps the rest when it
@@ -260,19 +260,19 @@ func (m *Manager) Build(db *relstore.Database) (*Generation, error) {
 		if cfg.Mode == ModeIndividual {
 			pref = randomwalk.Individual
 		}
-		sim = randomwalk.NewExtractor(tg, pref, cfg.Walk)
+		sim = randomwalk.NewExtractor(tg, pref, randomwalk.Options{})
 	case ModeCooccur:
 		sim, simKind = cooccur.NewExtractor(tg), artifact.TableCooccur
 	}
-	clos, err := closeness.New(tg, cfg.Closeness)
+	clos, err := closeness.New(tg, closeness.Options{})
 	if err != nil {
 		return nil, err
 	}
-	eng, err := core.New(tg, sim, clos, cfg.Online)
+	eng, err := core.New(tg, sim, clos, core.Options{DropOriginal: cfg.DropOriginal, AllowDeletion: cfg.AllowDeletion})
 	if err != nil {
 		return nil, err
 	}
-	searcher, err := keywordsearch.New(tg, cfg.Search)
+	searcher, err := keywordsearch.New(tg, keywordsearch.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -286,15 +286,9 @@ func TestPromoteFailureRestoresPending(t *testing.T) {
 // warm runs the full offline stage on g.
 func warm(t *testing.T, g *Generation) {
 	t.Helper()
-	nodes := g.TG.TermNodeIDs()
-	if err := g.Sim.Precompute(context.Background(), nodes); err != nil {
+	if _, _, err := g.Warm(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Clos.Precompute(context.Background(), nodes); err != nil {
-		t.Fatal(err)
-	}
-	g.Sim.Pack()
-	g.Clos.Pack()
 }
 
 // rowCount is how many rows a store's published table holds, 0 while

@@ -47,13 +47,12 @@ type Manager struct {
 	journal func(next *Generation, deltas []Delta) error
 }
 
-// NewManager resolves cfg — before anything is built, so an invalid
+// NewManager validates cfg — before anything is built, so an invalid
 // value costs nothing — then builds the initial generation over db and
 // publishes it as epoch 1, mode "initial".
 func NewManager(db *relstore.Database, cfg Config, opts Options) (*Manager, error) {
-	cfg, err := cfg.Resolve()
-	if err != nil {
-		return nil, err
+	if cfg.Mode < ModeContextual || cfg.Mode > ModeCooccur {
+		return nil, fmt.Errorf("live: unknown similarity mode %d", int(cfg.Mode))
 	}
 	m := &Manager{cfg: cfg, opts: opts}
 	g, err := m.Build(db)
@@ -66,9 +65,8 @@ func NewManager(db *relstore.Database, cfg Config, opts Options) (*Manager, erro
 	return m, nil
 }
 
-// Config returns the resolved configuration every generation of this
-// manager is built with — the only copy; nothing downstream re-derives
-// a default.
+// Config returns the configuration every generation of this manager is
+// built with — the only copy.
 func (m *Manager) Config() Config { return m.cfg }
 
 // Current returns the generation serving reads right now. Callers keep
@@ -220,20 +218,9 @@ func (m *Manager) rebuild(ctx context.Context, old *Generation, deltas []Delta) 
 	// generation it is precomputed and packed before it becomes visible
 	// (readers never see it half warm), after a lazy one it stays lazy.
 	if old.Complete() {
-		t0 = time.Now()
-		nodes := next.TG.TermNodeIDs()
-		if err := next.Sim.Precompute(ctx, nodes); err != nil {
+		if prov.Precompute, prov.Pack, err = next.Warm(ctx); err != nil {
 			return nil, err
 		}
-		if err := next.Clos.Precompute(ctx, nodes); err != nil {
-			return nil, err
-		}
-		prov.Precompute = time.Since(t0)
-
-		t0 = time.Now()
-		next.Sim.Pack()
-		next.Clos.Pack()
-		prov.Pack = time.Since(t0)
 	}
 
 	// Build timed the mend-index construction into the fresh

@@ -329,7 +329,7 @@ func (ix *Index) LookupDist(tok string, cap, max int) []Candidate {
 // score blends the closeness of the edit with the normalised corpus
 // frequency: a distance-0 hit of the most frequent term scores 1.0.
 func (ix *Index) score(dist, freq int) float64 {
-	return 1 / float64(1+dist) * (0.55 + 0.45*ix.freqNorm(freq))
+	return 1 / float64(1+dist) * (0.55 + float64(0.45*ix.freqNorm(freq)))
 }
 
 // sortCandidates orders candidates deterministically: score

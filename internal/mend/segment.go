@@ -65,7 +65,7 @@ func (m *Mender) splitToken(tok string) ([]string, float64, bool) {
 			if !m.ix.hasFiltered(word, j-i) {
 				continue
 			}
-			w := 0.5 + 0.5*m.ix.FreqNorm(word)
+			w := 0.5 + float64(0.5*m.ix.FreqNorm(word))
 			for k := 1; k <= splitMaxParts; k++ {
 				rest := best[j][k-1]
 				if rest.score < 0 {

@@ -92,7 +92,7 @@ func newSystem(g *graph.Graph, opts Options) (*system, error) {
 		damping: opts.Damping,
 		// The optimal SOR factor for a Jacobi spectral radius of λ (the
 		// transition matrix is stochastic, so ρ(λ·Pᵀ) = λ): 1.25 at 0.8.
-		omega: 2 / (1 + math.Sqrt(1-opts.Damping*opts.Damping)),
+		omega: 2 / (1 + math.Sqrt(1-float64(opts.Damping*opts.Damping))),
 	}
 	s.off, s.nbr, s.prob = g.Pull()
 	return s, nil
@@ -135,7 +135,7 @@ func (s *system) load(p, b []float64, col int, pref []graph.Scored) error {
 			dangling += e.Score / total
 		}
 	}
-	restart := (1 - s.damping) / (1 - s.damping*dangling)
+	restart := (1 - s.damping) / (1 - float64(s.damping*dangling))
 	for _, e := range pref {
 		x := restart * (e.Score / total)
 		b[int(e.Node)*width+col] = x

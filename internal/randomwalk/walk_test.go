@@ -108,6 +108,8 @@ func TestScoresValidation(t *testing.T) {
 		{"unsorted pref", []graph.Scored{{Node: 2, Score: 1}, {Node: 1, Score: 1}}, Options{}},
 		{"duplicate node", []graph.Scored{{Node: 1, Score: 1}, {Node: 1, Score: 1}}, Options{}},
 		{"bad damping", on(0), Options{Damping: 1.5}},
+		{"damping -0.1", on(0), Options{Damping: -0.1}},
+		{"damping 1", on(0), Options{Damping: 1}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

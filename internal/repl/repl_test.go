@@ -539,15 +539,9 @@ func assertAnswerable(t *testing.T, f *Follower, term string) {
 // vocabulary plus complete similarity and closeness tables.
 func fullArtifact(t *testing.T, g *live.Generation) *artifact.Snapshot {
 	t.Helper()
-	nodes := g.TG.TermNodeIDs()
-	if err := g.Sim.Precompute(context.Background(), nodes); err != nil {
+	if _, _, err := g.Warm(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Clos.Precompute(context.Background(), nodes); err != nil {
-		t.Fatal(err)
-	}
-	g.Sim.Pack()
-	g.Clos.Pack()
 	return live.ArtifactSnapshot(g, "cmp")
 }
 

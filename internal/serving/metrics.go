@@ -61,7 +61,7 @@ func (h *Histogram) Quantile(p float64) float64 {
 	if total == 0 {
 		return 0
 	}
-	rank := int64(p*float64(total) + 0.5)
+	rank := int64(float64(p*float64(total)) + 0.5)
 	if rank < 1 {
 		rank = 1
 	}

@@ -42,7 +42,8 @@ func (tg *Graph) ContextPreference(dst []graph.Scored, t0 graph.NodeID) []graph.
 		weight := 1 / float64(fieldSize[tg.classes[v]]) * weights[i] * tg.idf[v]
 		if weight > 0 {
 			dst = append(dst, graph.Scored{Node: v, Score: weight})
-			total += weight
+			// float64 sums the rounded weight dst holds, never a fused one.
+			total += float64(weight)
 		}
 	}
 	if total == 0 {

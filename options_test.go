@@ -1,6 +1,11 @@
 package kqr_test
 
 import (
+	"os"
+	"reflect"
+	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -17,17 +22,7 @@ func TestOpenRejectsInvalidOptions(t *testing.T) {
 		opts  kqr.Options
 		names string // what the error must mention
 	}{
-		{"Damping -0.1", kqr.Options{Damping: -0.1}, "damping"},
-		{"Damping 1", kqr.Options{Damping: 1}, "damping"},
-		{"Damping 1.5", kqr.Options{Damping: 1.5}, "damping"},
-		{"ClosenessMaxLen -1", kqr.Options{ClosenessMaxLen: -1}, "maxlen"},
-		{"ClosenessBeam -1", kqr.Options{ClosenessBeam: -1}, "beam"},
-		{"CandidatesPerTerm -1", kqr.Options{CandidatesPerTerm: -1}, "candidatesperterm"},
-		{"SmoothingLambda -0.1", kqr.Options{SmoothingLambda: -0.1}, "smoothinglambda"},
-		{"SmoothingLambda 1.5", kqr.Options{SmoothingLambda: 1.5}, "smoothinglambda"},
 		{"Similarity 7", kqr.Options{Similarity: 7}, "similarity"},
-		{"SearchMaxResults -1", kqr.Options{SearchMaxResults: -1}, "maxresults"},
-		{"SearchMaxRadius -1", kqr.Options{SearchMaxRadius: -1}, "maxradius"},
 		{"TableMemBudget -1", kqr.Options{TableMemBudget: -1}, "tablemembudget"},
 		{"DiskMode without ArtifactPath", kqr.Options{DiskMode: true}, "artifactpath"},
 		{"DiskMode with Live", kqr.Options{DiskMode: true, ArtifactPath: "offline.paged", Live: true}, "live"},
@@ -48,5 +43,67 @@ func TestOpenRejectsInvalidOptions(t *testing.T) {
 				t.Errorf("dataset frozen by a rejected Open: %v", err)
 			}
 		})
+	}
+}
+
+// TestOptionsLedgerMatchesDesign: DESIGN.md §7's "`kqr.Options` (N
+// fields)" table names exactly the exported fields of kqr.Options — N
+// is their count, and the backticked names of the table's first column
+// are their names — so a field added without a row, or a row kept for a
+// deleted field, fails here.
+func TestOptionsLedgerMatchesDesign(t *testing.T) {
+	doc, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(doc), "\n")
+	header := regexp.MustCompile("^### `kqr\\.Options` \\((\\d+) fields\\)$")
+	at := slices.IndexFunc(lines, header.MatchString)
+	if at < 0 {
+		t.Fatalf("DESIGN.md has no %q heading", header)
+	}
+	count, _ := strconv.Atoi(header.FindStringSubmatch(lines[at])[1])
+
+	// The table's rows, separator excluded, up to the first line after
+	// it that is not a row.
+	var rows []string
+	for _, line := range lines[at+1:] {
+		if strings.HasPrefix(line, "|") {
+			rows = append(rows, line)
+		} else if len(rows) > 0 {
+			break
+		}
+	}
+	if len(rows) < 2 {
+		t.Fatal("the kqr.Options heading is not followed by a table")
+	}
+	name := regexp.MustCompile("`([A-Za-z0-9_]+)`")
+	var listed []string
+	for _, row := range rows[2:] {
+		first := strings.SplitN(row, "|", 3)[1]
+		for _, m := range name.FindAllStringSubmatch(first, -1) {
+			listed = append(listed, m[1])
+		}
+	}
+
+	var fields []string
+	typ := reflect.TypeOf(kqr.Options{})
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.IsExported() {
+			fields = append(fields, f.Name)
+		}
+	}
+	if count != len(fields) {
+		t.Errorf("DESIGN.md says kqr.Options has %d fields; it has %d", count, len(fields))
+	}
+	for _, f := range fields {
+		if !slices.Contains(listed, f) {
+			t.Errorf("kqr.Options.%s has no row in DESIGN.md's kqr.Options table", f)
+		}
+	}
+	for _, n := range listed {
+		if !slices.Contains(fields, n) {
+			t.Errorf("DESIGN.md's kqr.Options table has a row for %s, which kqr.Options does not declare", n)
+		}
 	}
 }

@@ -16,15 +16,8 @@ import (
 // Warm returns at once. Cancel ctx to stop early: the rows computed so
 // far stay cached as lazy rows and the context's error is returned.
 func (e *Engine) Warm(ctx context.Context) error {
-	g := e.cur()
-	nodes := g.TG.TermNodeIDs()
-	if err := g.Sim.Precompute(ctx, nodes); err != nil {
-		return fmt.Errorf("kqr: warming similarity: %w", err)
+	if _, _, err := e.cur().Warm(ctx); err != nil {
+		return fmt.Errorf("kqr: warming %w", err)
 	}
-	if err := g.Clos.Precompute(ctx, nodes); err != nil {
-		return fmt.Errorf("kqr: warming closeness: %w", err)
-	}
-	g.Sim.Pack()
-	g.Clos.Pack()
 	return nil
 }
