@@ -10,6 +10,10 @@ import (
 	"testing"
 
 	"kqr"
+	"kqr/internal/closeness"
+	"kqr/internal/core"
+	"kqr/internal/keywordsearch"
+	"kqr/internal/randomwalk"
 )
 
 // TestOpenRejectsInvalidOptions: every out-of-range option fails Open
@@ -44,6 +48,45 @@ func TestOpenRejectsInvalidOptions(t *testing.T) {
 			}
 		})
 	}
+
+	// The tuning knobs the paper sweeps (Alg. 1's λ, §V-B's n, Eq. 5–6's
+	// λ, Eq. 3's hop bound and beam, Def. 3's bounds) are not Open's to
+	// take: they are set on each package's own Options, whose Resolve is
+	// the one place their defaults and ranges are written. Each row
+	// checks that the owning package refuses the range with an error
+	// naming the knob.
+	knobs := []struct {
+		name  string
+		err   error
+		names string
+	}{
+		{"Damping -0.1", resolveErr(randomwalk.Options{Damping: -0.1}), "damping"},
+		{"Damping 1", resolveErr(randomwalk.Options{Damping: 1}), "damping"},
+		{"Damping 1.5", resolveErr(randomwalk.Options{Damping: 1.5}), "damping"},
+		{"ClosenessMaxLen -1", resolveErr(closeness.Options{MaxLen: -1}), "maxlen"},
+		{"ClosenessBeam -1", resolveErr(closeness.Options{Beam: -1}), "beam"},
+		{"CandidatesPerTerm -1", resolveErr(core.Options{CandidatesPerTerm: -1}), "candidatesperterm"},
+		{"SmoothingLambda -0.1", resolveErr(core.Options{SmoothingLambda: -0.1}), "smoothinglambda"},
+		{"SmoothingLambda 1.5", resolveErr(core.Options{SmoothingLambda: 1.5}), "smoothinglambda"},
+		{"SearchMaxResults -1", resolveErr(keywordsearch.Options{MaxResults: -1}), "maxresults"},
+		{"SearchMaxRadius -1", resolveErr(keywordsearch.Options{MaxRadius: -1}), "maxradius"},
+	}
+	for _, c := range knobs {
+		t.Run(c.name, func(t *testing.T) {
+			if c.err == nil {
+				t.Fatal("Resolve accepted the value")
+			}
+			if !strings.Contains(strings.ToLower(c.err.Error()), c.names) {
+				t.Errorf("error %q does not name %s", c.err, c.names)
+			}
+		})
+	}
+}
+
+// resolveErr is the range error of a package's Options.Resolve.
+func resolveErr[O interface{ Resolve() (O, error) }](o O) error {
+	_, err := o.Resolve()
+	return err
 }
 
 // TestOptionsLedgerMatchesDesign: DESIGN.md §7's "`kqr.Options` (N
